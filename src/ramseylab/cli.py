@@ -430,8 +430,8 @@ def _run_verify(args) -> int:
     try:
         cert = parse_certificate(text)
         verify_certificate(cert)
-    except ParseError as exc:
-        print(f"error [PARSE_ERROR]: {exc}", file=sys.stderr)
+    except (ParseError, ValidationError) as exc:
+        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return 1
     except VerificationError as exc:
         print(f"error [VERIFY_FAILED] check {exc.check}: {exc}", file=sys.stderr)

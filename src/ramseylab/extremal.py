@@ -57,8 +57,9 @@ def ach_counterexample(d: int) -> tuple[PartiteHypergraph, AchLabeling]:
     d classes, each pairwise intersecting, so a matching takes at most one
     edge per class.
     """
-    if d < 2:
-        raise ValidationError("BAD_D", f"need d >= 2, got {d}")
+    if d < 4:
+        # below 4 the construction does not beat ceil((d-1) m / d)
+        raise ValidationError("BAD_D", f"need d >= 4, got {d}")
     m = 3 * d // 2
     edges: list[tuple[int, int, int]] = []
     for i in range(d):

@@ -111,6 +111,8 @@ def empty_graph(n: int) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValidationError("OUT_OF_RANGE", f"vertex count {n} not in 0..{MAX_VERTICES}")
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
 

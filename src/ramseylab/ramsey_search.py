@@ -16,12 +16,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .errors import CapReachedError, ValidationError, VerificationError
+from .errors import (
+    BudgetExceededError,
+    CapReachedError,
+    ValidationError,
+    VerificationError,
+)
 from .graph_core import (
+    DEFAULT_NODE_BUDGET,
     Graph,
-    NodeBudget,
     _bits,
     build_graph,
     complete_graph,
@@ -184,8 +189,12 @@ def parse_family(spec: str) -> ForbiddenFamily:
             patterns.append(path_pattern(_int_param(tok, up[5:])))
         elif tok.startswith("@"):
             from .graph_core import graph_from_text
-            with open(tok[1:], "r", encoding="utf-8") as fh:
-                patterns.append(explicit_pattern(graph_from_text(fh.read())))
+            try:
+                with open(tok[1:], "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise ValidationError("BAD_FILE", f"cannot read {tok[1:]}: {exc}") from None
+            patterns.append(explicit_pattern(graph_from_text(text)))
         else:
             raise ValidationError("OUT_OF_RANGE", f"unknown family token {tok!r}")
     return ForbiddenFamily(tuple(patterns))
@@ -533,89 +542,76 @@ def verify_mono_free(coloring: EdgeColoring, fam: ForbiddenFamily) -> MonoFreeRe
 # -- the search ---------------------------------------------------------------
 
 
-class _ClassState:
-    __slots__ = ("adj", "deg", "edge_count")
+def _family_checks(fam: ForbiddenFamily, n: int
+                   ) -> tuple[int, bool, int, int, list[Graph]]:
+    """The family's violation tests, at most one per kind.
 
-    def __init__(self, n: int):
-        self.adj = [0] * n
-        self.deg = [0] * n
-        self.edge_count = 0
-
-    def add(self, u: int, v: int) -> None:
-        self.adj[u] |= 1 << v
-        self.adj[v] |= 1 << u
-        self.deg[u] += 1
-        self.deg[v] += 1
-        self.edge_count += 1
-
-    def remove(self, u: int, v: int) -> None:
-        self.adj[u] &= ~(1 << v)
-        self.adj[v] &= ~(1 << u)
-        self.deg[u] -= 1
-        self.deg[v] -= 1
-        self.edge_count -= 1
-
-    def as_graph(self, n: int) -> Graph:
-        return Graph(n, tuple(self.adj))
-
-
-_Checker = Callable[[_ClassState, int, int], bool]
-
-
-def _compile_checkers(fam: ForbiddenFamily, n: int) -> list[_Checker]:
-    """Per-pattern incremental violation tests, run right after adding (u, v)
-    to a class.  Each returns True iff the class now contains the pattern.
-    Correctness relies on the invariant that the class was pattern-free
-    before the edge was added, so connected patterns only need looking near
-    the new edge; disconnected ones (matchings) rescan the class."""
-    checkers: list[_Checker] = []
+    Returns (star, triangle, path, matching, explicit).  A pattern that
+    contains a smaller pattern of its own kind is implied by it, so each of
+    stars, paths and matchings keeps only its smallest size.  star is a
+    degree threshold before the edge (n when absent); path and matching are
+    edge counts (0 when absent).  Patterns that coincide are folded: a
+    1-edge path or matching is K2, the 1-edge star, which every edge makes
+    (threshold 0); a 2-edge path is the 2-edge star; P4 is the 3-edge path
+    and S3 the 3-edge star.
+    """
+    star, path, match = n + 1, 0, 0
+    tri = False
+    explicit: list[Graph] = []
     for p in fam.patterns:
-        if p.kind == "triangle":
-            checkers.append(lambda st, u, v: (st.adj[u] & st.adj[v]) != 0)
-        elif p.kind in ("s3", "star"):
-            want = 3 if p.kind == "s3" else p.size
-            def chk_star(st: _ClassState, u: int, v: int, want: int = want) -> bool:
-                return st.deg[u] >= want or st.deg[v] >= want
-            checkers.append(chk_star)
-        elif p.kind == "p4":
-            def chk_p4(st: _ClassState, u: int, v: int) -> bool:
-                comp = _component_mask(st.adj, u)
-                return not _mask_is_star_or_triangle(st.adj, comp)
-            checkers.append(chk_p4)
-        elif p.kind == "path":
-            length = p.size
-            if length == 1:
-                checkers.append(lambda st, u, v: True)
-            elif length == 2:
-                checkers.append(lambda st, u, v: st.deg[u] >= 2 or st.deg[v] >= 2)
-            else:
-                def chk_path(st: _ClassState, u: int, v: int, length: int = length) -> bool:
-                    comp = _component_mask(st.adj, u)
-                    if comp.bit_count() < length + 1:
-                        return False
-                    for s in _bits(comp):
-                        if _extend_path(st.adj, [s], 1 << s, length) is not None:
-                            return True
-                    return False
-                checkers.append(chk_path)
-        elif p.kind == "matching":
-            want = p.size
-            if want == 1:
-                checkers.append(lambda st, u, v: True)
-            else:
-                def chk_match(st: _ClassState, u: int, v: int, want: int = want) -> bool:
-                    if st.edge_count < want:
-                        return False
-                    return _find_matching(st.adj, (1 << n) - 1, want) is not None
-                checkers.append(chk_match)
+        kind, size = p.kind, p.size
+        if kind == "p4":
+            kind, size = "path", 3
+        elif kind == "s3":
+            kind, size = "star", 3
+        if (kind == "path" and size <= 2) or (kind == "matching" and size == 1):
+            kind = "star"
+        if kind == "triangle":
+            tri = True
+        elif kind == "star":
+            star = min(star, size)
+        elif kind == "path":
+            path = min(path, size) if path else size
+        elif kind == "matching":
+            match = min(match, size) if match else size
         else:
-            pg = p.realize()
-            def chk_explicit(st: _ClassState, u: int, v: int, pg: Graph = pg) -> bool:
-                if st.edge_count < pg.m:
-                    return False
-                return _embed(st.as_graph(n), pg) is not None
-            checkers.append(chk_explicit)
-    return checkers
+            explicit.append(p.realize())
+    return star - 1, tri, path, match, explicit
+
+
+def _path_through(adj: Sequence[int], end: int, v: int, seen: int, left: int) -> bool:
+    """Whether a simple walk ending at `end` (its vertices and v in `seen`)
+    extends by `left` edges, split between its own end and one from v.
+
+    Called with end = u, seen = {u, v} and left = l - 1, this decides whether
+    adding uv to a graph with no l-edge path creates one: every new path
+    uses uv, so the other l - 1 edges split between a walk from u and a
+    disjoint one from v.
+    """
+    if _extend_path(adj, [v], seen, left) is not None:
+        return True
+    if left == 0:
+        return False
+    rest = adj[end] & ~seen
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if _path_through(adj, low.bit_length() - 1, v, seen | low, left - 1):
+            return True
+    return False
+
+
+def _embeds_with_edge(adj: Sequence[int], u: int, v: int,
+                      patterns: Sequence[Graph]) -> bool:
+    """Whether the class with uv added contains one of the explicit patterns."""
+    host = list(adj)
+    host[u] |= 1 << v
+    host[v] |= 1 << u
+    g = Graph(len(host), tuple(host))
+    for pg in patterns:
+        if _embed(g, pg) is not None:
+            return True
+    return False
 
 
 def mono_free_search(n: int, k: int, fam: ForbiddenFamily,
@@ -639,28 +635,10 @@ def mono_free_search(n: int, k: int, fam: ForbiddenFamily,
         if sorted(order) != list(range(n)):
             raise ValidationError("OUT_OF_RANGE", "vertex_order is not a permutation")
     edges = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
-    states = [_ClassState(n) for _ in range(k)]
-    checkers = _compile_checkers(fam, n)
-    bud = NodeBudget(budget)
-    chosen = [0] * len(edges)
-
-    def rec(idx: int, used: int) -> bool:
-        if idx == len(edges):
-            return True
-        u, v = edges[idx]
-        for c in range(min(used + 1, k)):
-            bud.tick()
-            st = states[c]
-            st.add(u, v)
-            if not any(chk(st, u, v) for chk in checkers):
-                chosen[idx] = c
-                if rec(idx + 1, max(used, c + 1)):
-                    return True
-            st.remove(u, v)
-        return False
-
-    if not rec(0, 0):
-        return None, bud.spent
+    limit = DEFAULT_NODE_BUDGET if budget is None else budget
+    chosen, spent = _color_edges(n, k, edges, fam, limit)
+    if chosen is None:
+        return None, spent
 
     base = complete_graph(n)
     by_edge = {}
@@ -671,7 +649,91 @@ def mono_free_search(n: int, k: int, fam: ForbiddenFamily,
     if not report.ok:
         raise VerificationError("mono-free-witness",
                                 "search produced a coloring its own verifier rejects")
-    return coloring, bud.spent
+    return coloring, spent
+
+
+def _color_edges(n: int, k: int, edges: Sequence[tuple[int, int]],
+                 fam: ForbiddenFamily, limit: int) -> tuple[list[int] | None, int]:
+    """Depth-first search for colors of `edges`, in order, keeping every
+    color class free of the family; returns (colors or None, nodes).
+
+    A node is one (edge, color) attempt.  A new color may appear only after
+    all smaller ones.  Each violation test is incremental: it relies on the
+    invariant that the color class was pattern-free before uv was added, so
+    every new copy uses uv.  Raises BudgetExceededError once `limit` nodes
+    are spent.
+    """
+    star, tri, path, match, explicit = _family_checks(fam, n)
+    p4 = path == 3
+    full = (1 << n) - 1
+    adjs = [[0] * n for _ in range(k)]
+    degs = [[0] * n for _ in range(k)]
+    m = len(edges)
+    chosen = [0] * m
+    used = [0] * (m + 1)  # colors in use before edge idx
+    spent = 0
+    idx = c = 0
+    while idx < m:
+        u, v = edges[idx]
+        bu, bv = 1 << u, 1 << v
+        top = used[idx] + 1 if used[idx] < k else k
+        while c < top:
+            if spent >= limit:
+                raise BudgetExceededError("node budget exhausted", nodes=spent)
+            spent += 1
+            adj, deg = adjs[c], degs[c]
+            du, dv = deg[u], deg[v]
+            if du >= star or dv >= star or (tri and adj[u] & adj[v]):
+                c += 1
+                continue
+            if p4:
+                # a P4-free class is a union of stars and triangles; uv keeps
+                # it so only between two isolated vertices, from an isolated
+                # vertex to a star center, or closing a P3 into a triangle
+                if du == 0:
+                    low = adj[v] & -adj[v]
+                    ok = dv == 0 or dv >= 3 or deg[low.bit_length() - 1] == 1
+                elif dv == 0:
+                    low = adj[u] & -adj[u]
+                    ok = du >= 3 or deg[low.bit_length() - 1] == 1
+                else:
+                    common = adj[u] & adj[v]
+                    ok = (du == 1 and dv == 1 and common != 0
+                          and deg[common.bit_length() - 1] == 2)
+                if not ok:
+                    c += 1
+                    continue
+            elif path and _path_through(adj, u, v, bu | bv, path - 1):
+                c += 1
+                continue
+            if match and _find_matching(adj, full ^ bu ^ bv, match - 1) is not None:
+                c += 1
+                continue
+            if explicit and _embeds_with_edge(adj, u, v, explicit):
+                c += 1
+                continue
+            adj[u] |= bv
+            adj[v] |= bu
+            deg[u] = du + 1
+            deg[v] = dv + 1
+            chosen[idx] = c
+            used[idx + 1] = c + 1 if c == used[idx] else used[idx]
+            idx += 1
+            c = 0
+            break
+        else:
+            idx -= 1
+            if idx < 0:
+                return None, spent
+            u, v = edges[idx]
+            c = chosen[idx]
+            adj, deg = adjs[c], degs[c]
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+            deg[u] -= 1
+            deg[v] -= 1
+            c += 1
+    return chosen, spent
 
 
 def mono_free_coloring(n: int, k: int, fam: ForbiddenFamily,
@@ -863,7 +925,17 @@ def closed_form_c_k(fam: ForbiddenFamily, k: int,
     if ("MATCH", 2) in shape_set:
         stars = [s for s in shapes if _is_star_shape(s)]
         if not stars:
-            return ClosedForm(k + 1)
+            # a 2K2-free class is one star or one triangle plus isolated
+            # vertices; P4, longer paths and larger matchings contain 2K2
+            rest = {s for s in shape_set
+                    if s != ("P4",) and s[0] not in ("PATH", "MATCH")}
+            if not rest:
+                # Cockayne-Lorimer: R(2K2, ..., 2K2) with k colors is k + 3
+                return ClosedForm(k + 2)
+            if rest == {("K3",)}:
+                # each class is one star, and k star centers cover K_{k+1}
+                return ClosedForm(k + 1)
+            return None
         r = min(_star_edges(s) for s in stars) - 1
         return ClosedForm(_max_s_for_pairs(r * k), asymptotic=True,
                           note="holds for all large k")

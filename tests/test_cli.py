@@ -152,6 +152,31 @@ def test_validation_errors(capsys):
         assert code_text in err
 
 
+def test_bad_inputs_exit_with_coded_errors(tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    for argv, code_text in ((["ramsey", "--family", "@" + missing, "--colors", "2"],
+                             "BAD_FILE"),
+                            (["chi", "--complete", "65"], "OUT_OF_RANGE"),
+                            (["clique", "--complete", "80"], "OUT_OF_RANGE"),
+                            (["ach", "--d", "2"], "BAD_D"),
+                            (["ach", "--d", "3"], "BAD_D")):
+        code, out, err = _invoke(capsys, argv)
+        assert code == 1 and out == ""
+        assert f"error [{code_text}]" in err
+
+
+def test_verify_reports_invalid_parameters(tmp_path, capsys):
+    # an unknown family token, and a witness on more than 64 vertices
+    for family, n in (("QUUX", 5), ("F1", 100)):
+        cert = _invoke_cert(capsys, ["ramsey", "--family", "F1", "--colors", "2"])
+        cert["parameters"]["family"] = family
+        cert["value"] = cert["witness"]["n"] = n
+        bad = tmp_path / "tampered.json"
+        bad.write_text(json.dumps(cert, sort_keys=True, indent=2) + "\n")
+        code, out, err = _invoke(capsys, ["verify", str(bad)])
+        assert code == 1 and out == "" and "error [OUT_OF_RANGE]" in err
+
+
 def test_usage_errors(capsys):
     assert _invoke(capsys, [])[0] == 1
     assert _invoke(capsys, ["no-such-command"])[0] == 1

@@ -61,6 +61,14 @@ def test_ach_validation():
     assert exc.value.code == "BAD_D"
 
 
+def test_ach_needs_d_at_least_four():
+    # below d = 4 the construction does not beat the bound it refutes
+    for d in (2, 3):
+        with pytest.raises(ValidationError) as exc:
+            ach_counterexample(d)
+        assert exc.value.code == "BAD_D"
+
+
 def test_ach_bound_values():
     assert ach_bound(4, 6) == 5
     assert ach_bound(5, 7) == 6

@@ -106,6 +106,14 @@ def test_factories():
     assert empty_graph(4).m == 0
 
 
+def test_complete_graph_vertex_guard():
+    assert complete_graph(64).m == 64 * 63 // 2
+    for n in (-1, 65):
+        with pytest.raises(ValidationError) as exc:
+            complete_graph(n)
+        assert exc.value.code == "OUT_OF_RANGE"
+
+
 def test_components_and_restrict():
     g = build_graph(6, [(0, 1), (1, 2), (4, 5)])
     comps = connected_components(g)

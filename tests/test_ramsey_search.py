@@ -6,6 +6,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramseylab.errors import (
     BudgetExceededError,
@@ -20,6 +22,7 @@ from ramseylab.ramsey_search import (
     TRIANGLE,
     ClosedForm,
     ForbiddenFamily,
+    _color_edges,
     closed_form_c_k,
     coloring_from_classes,
     compute_c_k,
@@ -82,6 +85,12 @@ def test_parse_family_file_pattern(tmp_path):
     fam = parse_family(f"@{path}")
     assert fam.patterns[0].kind == "explicit"
     assert fam.patterns[0].realize().m == 4
+
+
+def test_parse_family_missing_file(tmp_path):
+    with pytest.raises(ValidationError) as exc:
+        parse_family(f"K3,@{tmp_path / 'missing.txt'}")
+    assert exc.value.code == "BAD_FILE"
 
 
 def test_parse_family_errors():
@@ -227,6 +236,66 @@ def test_search_budget_exhaustion():
     assert exc.value.partial["nodes"] >= 3
 
 
+_GROWN = [TRIANGLE, star_pattern(3), star_pattern(4), P4, path_pattern(3),
+          path_pattern(4), path_pattern(5), matching_pattern(2), matching_pattern(3),
+          explicit_pattern(build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 8).flatmap(
+           lambda n: st.permutations([(u, v) for u in range(n) for v in range(u + 1, n)])),
+       st.sampled_from(_GROWN))
+def test_incremental_checks_agree_with_has_copy(edges, p):
+    # with one color, the search adds the edges in order and stops at the
+    # first one it rejects, after as many nodes as edges it tried
+    n = max(max(e) for e in edges) + 1
+    colors, nodes = _color_edges(n, 1, edges, ForbiddenFamily((p,)), len(edges))
+    accepted = len(edges) if colors is not None else nodes - 1
+    for i in range(min(accepted + 1, len(edges)) + 1):
+        assert has_copy(build_graph(n, edges[:i]), p) == (i > accepted)
+
+
+# ck_search cases measured before the kernel was rewritten:
+# (family, k, c_k, witness nodes, refutation nodes, witness assignment)
+_PINNED = [
+    ("F3", 5, 11, 39025, 13659,
+     "0011223344011223344221144333340402434020401031030212211"),
+    ("MATCH:2", 4, 6, 34, 24440, "000001111222333"),
+    ("MATCH:3", 2, 7, 31, 24903, "000000000001111111111"),
+    ("PATH:3", 3, 5, 19, 3365, "0000111222"),
+    ("F2", 3, 5, 19, 3365, "0000111222"),
+    ("K3,PATH:4", 3, 6, 2089, 172336, "000121112200221"),
+]
+
+
+@pytest.mark.parametrize("spec, k, value, witness_nodes, refutation_nodes, assignment",
+                         _PINNED)
+def test_search_node_counts_and_witnesses_are_pinned(spec, k, value, witness_nodes,
+                                                     refutation_nodes, assignment):
+    res = compute_c_k(parse_family(spec), k)
+    assert (res.value, res.witness_nodes, res.refutation_nodes) == (
+        value, witness_nodes, refutation_nodes)
+    assert "".join(map(str, res.witness.assignment)) == assignment
+
+
+def test_budget_cap_matches_node_budget():
+    # the budget is checked before each node, as NodeBudget.tick does
+    with pytest.raises(BudgetExceededError) as exc:
+        mono_free_search(9, 4, FAMILY_PRESETS["F2"], budget=200_000)
+    assert exc.value.partial["nodes"] == 200_000
+    col, nodes = mono_free_search(4, 2, FAMILY_PRESETS["F2"])
+    assert col is not None
+    assert mono_free_search(4, 2, FAMILY_PRESETS["F2"], budget=nodes)[1] == nodes
+    with pytest.raises(BudgetExceededError):
+        mono_free_search(4, 2, FAMILY_PRESETS["F2"], budget=nodes - 1)
+
+
+def test_search_depth_exceeds_recursion_limit():
+    # K_50 has 1225 edges, more than Python's default recursion limit
+    col, nodes = mono_free_search(50, 1, parse_family("STAR:60"))
+    assert col is not None and nodes == 1225
+
+
 def test_compute_c_k_classic_values():
     res = compute_c_k(FAMILY_PRESETS["F1"], 1)
     assert res.value == 2
@@ -250,9 +319,10 @@ def test_compute_c_k_cap():
 def test_closed_forms_match_search_on_small_cases():
     cases = [("F2", 1), ("F2", 2), ("F2", 3), ("F3", 1), ("F3", 2),
              ("F4", 1), ("F4", 2), ("F4", 3), ("F5", 1), ("F5", 2),
-             ("F6", 1), ("F6", 2)]
+             ("F6", 1), ("F6", 2),
+             ("MATCH:2", 1), ("MATCH:2", 2), ("MATCH:2", 3), ("MATCH:2", 4)]
     for name, k in cases:
-        fam = FAMILY_PRESETS[name]
+        fam = parse_family(name)
         form = closed_form_c_k(fam, k)
         assert form is not None and not form.asymptotic and not form.conditional
         assert compute_c_k(fam, k).value == form.value
@@ -307,13 +377,25 @@ def test_closed_form_shape_folding():
 
 def test_closed_form_small_pattern_rules():
     # two disjoint edges forbidden: near-pencils survive
-    assert closed_form_c_k(parse_family("MATCH:2"), 7) == ClosedForm(8)
+    assert closed_form_c_k(parse_family("MATCH:2"), 7) == ClosedForm(9)
     form = closed_form_c_k(parse_family("MATCH:2,S3"), 6)
     assert form.asymptotic and form.value == 5  # s(s-1)/2 <= 2k = 12
     form = closed_form_c_k(parse_family("STAR:1,MATCH:3"), 4)
     assert form.asymptotic and form.value == 4  # s(s-1)/2 <= 2k = 8
     form = closed_form_c_k(parse_family("STAR:4,K3"), 10)
     assert form.asymptotic and form.value == 41
+
+
+def test_closed_form_two_edge_matching_with_other_patterns():
+    # patterns containing 2K2 add nothing; a triangle leaves one star a class
+    for spec, value in (("MATCH:2,P4", 2), ("MATCH:2,PATH:4,MATCH:3", 2), ("K3,MATCH:2", 1)):
+        for k in (1, 2, 3):
+            fam = parse_family(spec)
+            form = closed_form_c_k(fam, k)
+            assert form == ClosedForm(k + value)
+            assert compute_c_k(fam, k).value == form.value
+    c4 = explicit_pattern(build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+    assert closed_form_c_k(ForbiddenFamily((matching_pattern(2), c4)), 3) is None
 
 
 def test_closed_form_none_for_plain_triangle():
