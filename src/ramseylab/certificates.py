@@ -12,7 +12,8 @@ statistics and symmetry-scheme identifier rather than re-execution.
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Mapping, Sequence
+from dataclasses import asdict
+from typing import Any, Callable, Mapping
 
 from .errors import ParseError, ValidationError, VerificationError
 from .graph_core import (
@@ -25,22 +26,17 @@ from .graph_core import (
 from .ramsey_search import (
     DEFAULT_DELTA0,
     EdgeColoring,
-    P4,
-    TRIANGLE,
     closed_form_c_k,
-    has_copy,
     parse_family,
     verify_mono_free,
 )
 from .factor_lab import (
     COVER,
-    DECOMPOSITION,
     GENERALIZED,
-    NOT_A_FACTOR,
     PROPER,
-    _edge_mask,
-    _full_edge_mask,
+    _verify_cover_payload,
     _verify_cycle_decomposition,
+    _verify_galaxy,
     chi_r_report,
     classify_factor,
 )
@@ -48,10 +44,17 @@ from .hypergraph_lab import (
     PartiteHypergraph,
     factors_to_hypergraph,
     hypergraph_from_text,
+    is_matching,
     line_graph,
-    regularity,
 )
-from .extremal import ProjectivePlane, _verify_ach, _verify_plane, ach_bound
+from .extremal import (
+    ProjectivePlane,
+    _verify_ach,
+    _verify_claim51,
+    _verify_plane,
+    _verify_truncated_plane,
+    ach_bound,
+)
 
 SCHEMA = 1
 TOOL = "ramseylab"
@@ -127,28 +130,52 @@ def verify_certificate(cert: Mapping[str, Any]) -> bool:
 
 
 # -- payload plumbing -----------------------------------------------------------
+#
+# Every read of a parameter or witness field goes through these accessors, so
+# a field that is missing or of the wrong type is a ParseError, never a
+# KeyError, TypeError or ValueError.
+
+_PARAMS = "parameter map"
 
 
-def _need(payload: Mapping[str, Any] | None, key: str):
-    if payload is None or key not in payload:
-        raise ParseError(f"witness payload lacks {key!r}")
+def _need(payload: Mapping[str, Any] | None, key: str, where: str = "witness payload"):
+    if not isinstance(payload, Mapping) or key not in payload:
+        raise ParseError(f"{where} lacks {key!r}")
     return payload[key]
 
 
+def _int(payload: Mapping[str, Any] | None, key: str, where: str = "witness payload") -> int:
+    val = _need(payload, key, where)
+    if not isinstance(val, int):
+        raise ParseError(f"{key!r} must be an integer")
+    return val
+
+
+def _text(payload: Mapping[str, Any] | None, key: str, where: str = "witness payload") -> str:
+    val = _need(payload, key, where)
+    if not isinstance(val, str):
+        raise ParseError(f"{key!r} must be a string")
+    return val
+
+
+def _delta0(params: Mapping[str, Any]) -> int:
+    return _int(params, "delta0", _PARAMS) if "delta0" in params else DEFAULT_DELTA0
+
+
 def _graph_payload(payload: Mapping[str, Any] | None, key: str = "graph") -> Graph:
-    return graph_from_text(_need(payload, key))
+    return graph_from_text(_text(payload, key))
 
 
 def _graphs_payload(payload: Mapping[str, Any] | None, key: str) -> list[Graph]:
     texts = _need(payload, key)
-    if not isinstance(texts, list):
+    if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
         raise ParseError(f"{key!r} must be a list of graph texts")
     return [graph_from_text(t) for t in texts]
 
 
 def _hypergraph_payload(payload: Mapping[str, Any] | None,
                         key: str = "hypergraph") -> PartiteHypergraph:
-    return hypergraph_from_text(_need(payload, key))
+    return hypergraph_from_text(_text(payload, key))
 
 
 def _int_list(payload: Mapping[str, Any] | None, key: str) -> list[int]:
@@ -156,17 +183,6 @@ def _int_list(payload: Mapping[str, Any] | None, key: str) -> list[int]:
     if not isinstance(val, list) or not all(isinstance(x, int) for x in val):
         raise ParseError(f"{key!r} must be a list of integers")
     return val
-
-
-def _check_matching(h: PartiteHypergraph, picked: Sequence[int], check: str) -> None:
-    used: set[tuple[int, int]] = set()
-    for j in picked:
-        if not 0 <= j < h.m:
-            raise VerificationError(check, f"matching index {j} out of range")
-        for i, x in enumerate(h.edges[j]):
-            if (i, x) in used:
-                raise VerificationError(check, "matching reuses a vertex")
-            used.add((i, x))
 
 
 # -- per-command verifiers --------------------------------------------------------
@@ -189,7 +205,8 @@ def _vf_clique(params, value, witness, stats, outcome):
         return
     g = _graph_payload(witness)
     verts = _int_list(witness, "vertices")
-    if len(verts) != value or len(set(verts)) != value:
+    if (len(verts) != value or len(set(verts)) != value
+            or not all(0 <= v < g.n for v in verts)):
         raise VerificationError("clique-size", "witness vertex count differs from value")
     for i, u in enumerate(verts):
         for v in verts[i + 1:]:
@@ -201,7 +218,7 @@ def _vf_core(params, value, witness, stats, outcome):
     if outcome not in ("VALUE", "EXISTS", "NOT_EXISTS"):
         return
     g = _graph_payload(witness)
-    d = int(params["d"])
+    d = _int(params, "d", _PARAMS)
     core = _int_list(witness, "vertices")
     order = _int_list(witness, "elimination_order")
     if sorted(core + order) != list(range(g.n)):
@@ -224,11 +241,11 @@ def _vf_core(params, value, witness, stats, outcome):
 
 
 def _vf_ramsey(params, value, witness, stats, outcome):
-    fam = parse_family(params["family"])
-    k = int(params["colors"])
+    fam = parse_family(_text(params, "family", _PARAMS))
+    k = _int(params, "colors", _PARAMS)
     if outcome == "UNKNOWN":
         return
-    n = int(_need(witness, "n"))
+    n = _int(witness, "n")
     if value != n:
         raise VerificationError("value-witness", "claimed value differs from witness size")
     assignment = _int_list(witness, "assignment")
@@ -247,9 +264,9 @@ def _vf_ramsey(params, value, witness, stats, outcome):
 
 
 def _vf_closed_form(params, value, witness, stats, outcome):
-    fam = parse_family(params["family"])
-    k = int(params["colors"])
-    delta0 = int(params.get("delta0", DEFAULT_DELTA0))
+    fam = parse_family(_text(params, "family", _PARAMS))
+    k = _int(params, "colors", _PARAMS)
+    delta0 = _delta0(params)
     form = closed_form_c_k(fam, k, delta0=delta0)
     if outcome == "UNKNOWN":
         if form is not None:
@@ -258,35 +275,12 @@ def _vf_closed_form(params, value, witness, stats, outcome):
         return
     if form is None:
         raise VerificationError("formula-missing", "no closed form for these parameters")
-    if (value != form.value
-            or bool(_need(witness, "asymptotic")) != form.asymptotic
-            or bool(_need(witness, "conditional")) != form.conditional):
+    if value != form.value or witness != asdict(form):
         raise VerificationError("formula-value", "closed form fields do not match")
 
 
-def _verify_cover_payload(n: int, r: int, properness: str, mode: str,
-                          factors: list[Graph], require_cover: bool) -> None:
-    if len(factors) != r:
-        raise VerificationError("factor-count", f"expected {r} factors, got {len(factors)}")
-    seen = 0
-    for g in factors:
-        if g.n != n:
-            raise VerificationError("factor-order", "factor on wrong vertex count")
-        cls = classify_factor(g)
-        if cls == NOT_A_FACTOR:
-            raise VerificationError("factor-shape", "component larger than a triangle")
-        if properness == PROPER and cls != PROPER:
-            raise VerificationError("factor-proper", "non-triangle component in proper mode")
-        mask = _edge_mask(g)
-        if mode == DECOMPOSITION and mask & seen:
-            raise VerificationError("edge-disjoint", "decomposition factors share an edge")
-        seen |= mask
-    if require_cover and seen != _full_edge_mask(n):
-        raise VerificationError("union-complete", "factors do not cover the complete graph")
-
-
 def _vf_cover(params, value, witness, stats, outcome):
-    n, r = int(params["n"]), int(params["r"])
+    n, r = _int(params, "n", _PARAMS), _int(params, "r", _PARAMS)
     properness = params.get("properness", GENERALIZED)
     mode = params.get("mode", COVER)
     if outcome == "EXISTS":
@@ -303,19 +297,16 @@ def _vf_cover(params, value, witness, stats, outcome):
 def _vf_max_cover(params, value, witness, stats, outcome):
     if outcome != "VALUE":
         return
-    n, r = int(params["n"]), int(params["r"])
+    n, r = _int(params, "n", _PARAMS), _int(params, "r", _PARAMS)
     factors = _graphs_payload(witness, "factors")
-    _verify_cover_payload(n, r, GENERALIZED, COVER, factors, require_cover=False)
-    covered = 0
-    for g in factors:
-        covered |= _edge_mask(g)
+    covered = _verify_cover_payload(n, r, GENERALIZED, COVER, factors, require_cover=False)
     if covered.bit_count() != value:
         raise VerificationError("covered-count",
                                 f"witness covers {covered.bit_count()} edges, claimed {value}")
 
 
 def _vf_walecki(params, value, witness, stats, outcome):
-    k = int(params["k"])
+    k = _int(params, "k", _PARAMS)
     cycles = _graphs_payload(witness, "cycles")
     if len(cycles) != k:
         raise VerificationError("cycle-count", f"expected {k} cycles")
@@ -323,40 +314,22 @@ def _vf_walecki(params, value, witness, stats, outcome):
 
 
 def _vf_galaxy(params, value, witness, stats, outcome):
-    k = int(params["k"])
+    k = _int(params, "k", _PARAMS)
     classes = _graphs_payload(witness, "classes")
-    if len(classes) != k + 1:
-        raise VerificationError("class-count", f"expected {k + 1} classes")
-    n = 2 * k
-    seen = 0
-    for g in classes:
-        if g.n != n:
-            raise VerificationError("class-order", "class on wrong vertex count")
-        if has_copy(g, TRIANGLE) or has_copy(g, P4):
-            raise VerificationError("star-forest", "class is not a star forest")
-        mask = _edge_mask(g)
-        if mask & seen:
-            raise VerificationError("edge-disjoint", "classes share an edge")
-        seen |= mask
-    if seen != _full_edge_mask(n):
-        raise VerificationError("union-complete", "classes do not cover the complete graph")
+    _verify_galaxy(classes, k)
 
 
 def _vf_k11(params, value, witness, stats, outcome):
     factors = _graphs_payload(witness, "factors")
     _verify_cover_payload(11, 6, GENERALIZED, COVER, factors, require_cover=True)
-    if union_graphs(factors).m != 55:
-        raise VerificationError("edge-count", "union is not all 55 edges")
 
 
 def _vf_chi_r(params, value, witness, stats, outcome):
-    r = int(params["r"])
-    delta0 = int(params.get("delta0", DEFAULT_DELTA0))
+    r = _int(params, "r", _PARAMS)
+    delta0 = _delta0(params)
     rep = chi_r_report(r, delta0=delta0)
     claimed = _need(witness, "report")
-    fields = {"r": rep.r, "lower": rep.lower, "upper": rep.upper,
-              "status": rep.status, "delta0": rep.delta0, "note": rep.note}
-    if dict(claimed) != fields:
+    if claimed != asdict(rep):
         raise VerificationError("report-fields", "recomputed report differs")
     if outcome == "VALUE" and (rep.status != "EXACT" or value != rep.lower):
         raise VerificationError("report-exact", "VALUE outcome requires an exact report")
@@ -384,7 +357,8 @@ def _vf_match(params, value, witness, stats, outcome):
     picked = _int_list(witness, "matching")
     if len(picked) != value:
         raise VerificationError("matching-size", "witness size differs from value")
-    _check_matching(h, picked, "matching-disjoint")
+    if not is_matching(h, picked):
+        raise VerificationError("matching-disjoint", "matching witness is not disjoint")
 
 
 def _vf_chromatic_index(params, value, witness, stats, outcome):
@@ -395,16 +369,16 @@ def _vf_chromatic_index(params, value, witness, stats, outcome):
     if len(colors) != h.m:
         raise VerificationError("color-length", "one color per hyperedge required")
     lg = line_graph(h)
-    for a, b in lg.edges():
-        if colors[a] == colors[b]:
-            raise VerificationError("proper-index",
-                                    f"intersecting edges {a},{b} share a color")
+    if not is_proper_coloring(lg, colors):
+        raise VerificationError("proper-index", "two intersecting edges share a color")
     if h.m and len(set(colors)) != value:
         raise VerificationError("color-count", "distinct colors differ from value")
 
 
 def _vf_ach(params, value, witness, stats, outcome):
-    d = int(params["d"])
+    if outcome == "UNKNOWN":
+        return
+    d = _int(params, "d", _PARAMS)
     h = _hypergraph_payload(witness)
     labels = _int_list(witness, "labels")
     m = 3 * d // 2
@@ -414,65 +388,37 @@ def _vf_ach(params, value, witness, stats, outcome):
         raise VerificationError("label-length", "one label per edge required")
     _verify_ach(h, labels, d, m)
     picked = _int_list(witness, "matching")
-    _check_matching(h, picked, "matching-disjoint")
+    if not is_matching(h, picked):
+        raise VerificationError("matching-disjoint", "matching witness is not disjoint")
     # labels cap any matching at d; a disjoint witness of size d proves equality
     if len(picked) != d or value != d:
         raise VerificationError("matching-exact", "matching witness must have size d")
-    if int(_need(witness, "bound")) != ach_bound(d, m) or not value < ach_bound(d, m):
+    if _int(witness, "bound") != ach_bound(d, m) or not value < ach_bound(d, m):
         raise VerificationError("bound-refuted", "claimed bound is wrong or not beaten")
 
 
 def _vf_plane(params, value, witness, stats, outcome):
-    p = int(params["p"])
+    p = _int(params, "p", _PARAMS)
     lines = _need(witness, "lines")
+    if not isinstance(lines, list) or not all(
+            isinstance(ln, list) and all(isinstance(x, int) for x in ln) for ln in lines):
+        raise ParseError("'lines' must be a list of integer lists")
     plane = ProjectivePlane(p, tuple(tuple(ln) for ln in lines))
     _verify_plane(plane)
 
 
 def _vf_truncated_plane(params, value, witness, stats, outcome):
-    p = int(params["p"])
+    p = _int(params, "p", _PARAMS)
     h = _hypergraph_payload(witness)
-    if h.part_sizes != (p,) * (p + 1):
-        raise VerificationError("parts", f"expected {p + 1} parts of size {p}")
-    if h.m != p * p:
-        raise VerificationError("edge-count", f"expected {p * p} edges")
-    if regularity(h) != p:
-        raise VerificationError("regular", f"expected {p}-regularity")
-    if len(set(h.edges)) != h.m:
-        raise VerificationError("simple", "repeated edge")
-    for a in range(h.m):
-        for b in range(a + 1, h.m):
-            if all(h.edges[a][i] != h.edges[b][i] for i in range(h.r)):
-                raise VerificationError("pairwise-intersect",
-                                        f"edges {a} and {b} are disjoint")
+    _verify_truncated_plane(h, p)
 
 
 def _vf_claim51(params, value, witness, stats, outcome):
-    p, m = int(params["p"]), int(params["m"])
+    p, m = _int(params, "p", _PARAMS), _int(params, "m", _PARAMS)
     h = _hypergraph_payload(witness)
-    join = p * m
-    base_r = p + 1
-    expected = (join,) * base_r + (join,) + (join,) * (h.r - base_r - 1)
-    if h.part_sizes != expected:
-        raise VerificationError("parts", "part sizes do not match the construction")
-    if regularity(h) != p * p * m:
-        raise VerificationError("regular", "expected p^2 m regularity")
-    if len(set(h.edges)) != h.m:
-        raise VerificationError("simple", "repeated edge")
-    per_copy = p * p * join
-    if h.m != m * per_copy:
-        raise VerificationError("edge-count", "edge count differs from p^3 m^2")
-    for c in range(m):
-        lo = c * per_copy
-        for a in range(p * p):
-            for b in range(a + 1, p * p):
-                ea, eb = h.edges[lo + a * join], h.edges[lo + b * join]
-                if all(ea[i] != eb[i] for i in range(base_r)):
-                    raise VerificationError("copy-intersect",
-                                            f"copy {c} holds disjoint lines {a},{b}")
     picked = _int_list(witness, "matching")
-    _check_matching(h, picked, "matching-disjoint")
-    if len(picked) != m or value != m:
+    _verify_claim51(h, p, m, picked)
+    if value != m:
         raise VerificationError("matching-exact",
                                 "matching witness must have one edge per copy")
 

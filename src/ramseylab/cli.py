@@ -13,13 +13,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Any
+from dataclasses import asdict
+from typing import Any, Callable, NamedTuple
 
 from .errors import (
     BudgetExceededError,
     CapReachedError,
     ParseError,
-    RamseyLabError,
     ValidationError,
     VerificationError,
 )
@@ -34,7 +34,6 @@ from .graph_core import (
     max_clique,
     path_graph,
     star_graph,
-    union_graphs,
 )
 from .ramsey_search import (
     DEFAULT_DELTA0,
@@ -67,6 +66,7 @@ from .extremal import (
     ach_bound,
     ach_counterexample,
     claim51_hypergraph,
+    claim51_matching,
     projective_plane,
     truncated_plane,
 )
@@ -79,26 +79,300 @@ from .certificates import (
 )
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--budget", type=int, default=None,
-                     help="branch-node budget for searches")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads (accepted for compatibility; "
-                          "searches currently run sequentially)")
-    sub.add_argument("--delta0", type=int, default=DEFAULT_DELTA0,
-                     help="degree threshold governing the conditional chi_r value")
-    sub.add_argument("--seed", type=int, default=0, help="seed for randomized inputs")
-    sub.add_argument("--deterministic", action="store_true",
-                     help="byte-stable output: canonical witnesses, elapsed_ms zeroed")
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
 
 
-def _add_graph_source(sub: argparse.ArgumentParser) -> None:
-    grp = sub.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--graph", metavar="PATH", help="graph file in the text format")
-    grp.add_argument("--complete", type=int, metavar="N")
-    grp.add_argument("--cycle", type=int, metavar="N")
-    grp.add_argument("--path", type=int, metavar="N")
-    grp.add_argument("--star", type=int, metavar="LEAVES")
+def _load_graph(args, params: dict[str, Any]) -> Graph:
+    if args.graph is not None:
+        params["graph"] = args.graph
+        return graph_from_text(_read_text(args.graph))
+    if args.complete is not None:
+        params["complete"] = args.complete
+        return complete_graph(args.complete)
+    if args.cycle is not None:
+        params["cycle"] = args.cycle
+        return cycle_graph(args.cycle)
+    if args.path is not None:
+        params["path"] = args.path
+        return path_graph(args.path)
+    params["star"] = args.star
+    return star_graph(args.star)
+
+
+# Each handler fills `params` before it starts a search, so that a search cut
+# short by its budget certifies the same parameters as a finished one, and
+# returns (outcome, value, witness, stats).
+
+
+def _run_chi(args, params):
+    g = _load_graph(args, params)
+    res = chromatic_number(g, budget=args.budget)
+    witness = {"graph": graph_to_text(g), "colors": list(res.witness.colors)}
+    return "VALUE", res.value, witness, {}
+
+
+def _run_clique(args, params):
+    g = _load_graph(args, params)
+    size, verts = max_clique(g, budget=args.budget)
+    witness = {"graph": graph_to_text(g), "vertices": list(verts)}
+    return "VALUE", size, witness, {}
+
+
+def _run_core(args, params):
+    g = _load_graph(args, params)
+    params["d"] = args.d
+    res = k_core(g, args.d)
+    witness = {"graph": graph_to_text(g), "vertices": list(res.vertices),
+               "elimination_order": list(res.elimination_order)}
+    return "VALUE", len(res.vertices), witness, {}
+
+
+def _run_ramsey(args, params):
+    fam = parse_family(args.family)
+    params.update(family=fam.spec(), colors=args.colors, cap=args.cap)
+    try:
+        res = compute_c_k(fam, args.colors, cap=args.cap, budget=args.budget)
+    except CapReachedError as exc:
+        stats = {"lower": exc.partial["lower"], "cap": args.cap}
+        return "UNKNOWN", None, None, stats
+    witness = {"n": res.value, "assignment": list(res.witness.assignment)}
+    stats = {"witness_nodes": res.witness_nodes,
+             "refutation_nodes": res.refutation_nodes}
+    return "VALUE", res.value, witness, stats
+
+
+def _run_closed_form(args, params):
+    fam = parse_family(args.family)
+    params.update(family=fam.spec(), colors=args.colors, delta0=args.delta0)
+    form = closed_form_c_k(fam, args.colors, delta0=args.delta0)
+    if form is None:
+        return "UNKNOWN", None, None, {}
+    return "VALUE", form.value, asdict(form), {}
+
+
+def _run_cover(args, params):
+    properness = PROPER if args.proper else GENERALIZED
+    mode = DECOMPOSITION if args.decomposition else COVER
+    params.update(n=args.n, r=args.r, properness=properness, mode=mode)
+    res = cover_search(args.n, args.r, properness, mode, budget=args.budget)
+    stats = {"nodes": res.nodes, "scheme": res.scheme}
+    if res.cover is None:
+        return "NOT_EXISTS", None, None, stats
+    witness = {"factors": [graph_to_text(g) for g in res.cover.factors]}
+    return "EXISTS", None, witness, stats
+
+
+def _run_max_cover(args, params):
+    params.update(n=args.n, r=args.r)
+    res = max_coverable_edges(args.n, args.r, budget=args.budget)
+    witness = {"factors": [graph_to_text(g) for g in res.cover.factors]}
+    return "VALUE", res.value, witness, {"nodes": res.nodes}
+
+
+def _run_walecki(args, params):
+    params["k"] = args.k
+    cycles = walecki_decomposition(args.k)
+    witness = {"cycles": [graph_to_text(g) for g in cycles]}
+    return "EXISTS", None, witness, {}
+
+
+def _run_galaxy(args, params):
+    params["k"] = args.k
+    classes = galaxy_cover(args.k)
+    witness = {"classes": [graph_to_text(g) for g in classes]}
+    return "EXISTS", None, witness, {}
+
+
+def _run_k11(args, params):
+    fc = k11_cover()
+    witness = {"factors": [graph_to_text(g) for g in fc.factors]}
+    return "EXISTS", None, witness, {}
+
+
+def _run_chi_r(args, params):
+    params.update(r=args.r, delta0=args.delta0)
+    rep = chi_r_report(args.r, delta0=args.delta0)
+    witness = {"report": asdict(rep)}
+    if rep.status == "EXACT":
+        return "VALUE", rep.lower, witness, {}
+    return "UNKNOWN", None, witness, {}
+
+
+def _run_bijection(args, params):
+    if args.hypergraph is not None:
+        params["hypergraph"] = args.hypergraph
+        factors = hypergraph_to_factors(hypergraph_from_text(_read_text(args.hypergraph)))
+    else:
+        r, n = args.random
+        if r < 1 or n < 1:
+            raise ValidationError("OUT_OF_RANGE", "need r >= 1 and n >= 1")
+        params.update(random=[r, n], seed=args.seed)
+        factors = [random_factor(3 * n, PROPER, seed=args.seed + i) for i in range(r)]
+    # canonical hypergraph of these factors; the certificate check re-derives
+    # it and the line-graph identity
+    h = factors_to_hypergraph(factors)
+    witness = {"hypergraph": hypergraph_to_text(h),
+               "factors": [graph_to_text(g) for g in factors]}
+    return "EXISTS", None, witness, {}
+
+
+def _run_match(args, params):
+    params["hypergraph"] = args.hypergraph
+    h = hypergraph_from_text(_read_text(args.hypergraph))
+    try:
+        res = max_matching(h, budget=args.budget, deterministic=args.deterministic)
+    except BudgetExceededError as exc:
+        stats = {"nodes": exc.partial.get("nodes", 0),
+                 "lower": exc.partial.get("lower_bound", 0), "exact": False}
+        return "UNKNOWN", None, None, stats
+    witness = {"hypergraph": hypergraph_to_text(h), "matching": list(res.witness)}
+    return "VALUE", res.size, witness, {"nodes": res.nodes}
+
+
+def _run_chromatic_index(args, params):
+    params["hypergraph"] = args.hypergraph
+    h = hypergraph_from_text(_read_text(args.hypergraph))
+    value = chromatic_index(h, budget=args.budget)
+    colors = list(chromatic_number(line_graph(h), budget=args.budget).witness.colors)
+    witness = {"hypergraph": hypergraph_to_text(h), "colors": colors}
+    return "VALUE", value, witness, {}
+
+
+def _run_ach(args, params):
+    params["d"] = args.d
+    h, labeling = ach_counterexample(args.d)
+    res = max_matching(h, budget=args.budget, deterministic=args.deterministic)
+    witness = {"hypergraph": hypergraph_to_text(h), "labels": list(labeling.labels),
+               "matching": list(res.witness), "bound": ach_bound(args.d, labeling.m)}
+    return "EXISTS", res.size, witness, {"nodes": res.nodes}
+
+
+def _run_plane(args, params):
+    params["p"] = args.p
+    plane = projective_plane(args.p)
+    witness = {"p": plane.p, "lines": [list(ln) for ln in plane.lines]}
+    return "EXISTS", None, witness, {}
+
+
+def _run_truncated_plane(args, params):
+    params["p"] = args.p
+    h = truncated_plane(args.p)
+    witness = {"hypergraph": hypergraph_to_text(h)}
+    return "EXISTS", None, witness, {}
+
+
+def _run_claim51(args, params):
+    params.update(p=args.p, m=args.m)
+    if args.uniformity is not None:
+        params["uniformity"] = args.uniformity
+    h = claim51_hypergraph(args.p, args.m, uniformity=args.uniformity)
+    witness = {"hypergraph": hypergraph_to_text(h),
+               "matching": claim51_matching(args.p, args.m)}
+    return "EXISTS", args.m, witness, {}
+
+
+# -- the command table -------------------------------------------------------------
+
+
+class _Arg:
+    """One ``add_argument`` call."""
+
+    def __init__(self, *flags: str, **kwargs: Any):
+        self.flags, self.kwargs = flags, kwargs
+
+
+class _OneOf(NamedTuple):
+    """A required group of mutually exclusive options."""
+
+    options: tuple[_Arg, ...]
+
+
+class Command(NamedTuple):
+    """One subcommand: help line, the options its handler reads, handler."""
+
+    help: str
+    options: tuple[_Arg | _OneOf, ...]
+    handler: Callable
+
+
+_BUDGET = _Arg("--budget", type=int, default=None, help="branch-node budget for searches")
+_DELTA0 = _Arg("--delta0", type=int, default=DEFAULT_DELTA0,
+                help="degree threshold governing the conditional chi_r value")
+_DETERMINISTIC = _Arg("--deterministic", action="store_true",
+                       help="byte-stable output: canonical witnesses, elapsed_ms zeroed")
+_GRAPH_SOURCE = _OneOf((
+    _Arg("--graph", metavar="PATH", help="graph file in the text format"),
+    _Arg("--complete", type=int, metavar="N"),
+    _Arg("--cycle", type=int, metavar="N"),
+    _Arg("--path", type=int, metavar="N"),
+    _Arg("--star", type=int, metavar="LEAVES"),
+))
+_HYPERGRAPH = _Arg("--hypergraph", metavar="PATH", required=True)
+_FAMILY = _Arg("--family", required=True,
+                help="comma-separated patterns (K3, P4, S3, STAR:r, MATCH:m, "
+                     "PATH:l, F1..F7, @file)")
+_COLORS = _Arg("--colors", type=int, required=True)
+_N = _Arg("--n", type=int, required=True)
+_R = _Arg("--r", type=int, required=True)
+_K = _Arg("--k", type=int, required=True)
+_D = _Arg("--d", type=int, required=True)
+_P = _Arg("--p", type=int, required=True)
+
+# Every command also takes --deterministic; each row lists only the other
+# options its handler reads.
+COMMANDS: dict[str, Command] = {
+    "chi": Command("exact chromatic number", (_GRAPH_SOURCE, _BUDGET), _run_chi),
+    "clique": Command("maximum clique", (_GRAPH_SOURCE, _BUDGET), _run_clique),
+    "core": Command("d-core and peeling order", (_GRAPH_SOURCE, _D), _run_core),
+    "ramsey": Command("largest n admitting a pattern-free coloring",
+                      (_FAMILY, _COLORS, _Arg("--cap", type=int, default=32), _BUDGET),
+                      _run_ramsey),
+    "closed-form": Command("known formula value for a family",
+                           (_FAMILY, _COLORS, _DELTA0), _run_closed_form),
+    "cover": Command("cover or decompose K_n by r factors", (
+        _N, _R,
+        _Arg("--proper", action="store_true",
+              help="require every factor component to be a triangle"),
+        _Arg("--decomposition", action="store_true",
+              help="require factors to be pairwise edge-disjoint"),
+        _BUDGET), _run_cover),
+    "max-cover": Command("max K_n edges coverable by r factors", (_N, _R, _BUDGET),
+                         _run_max_cover),
+    "walecki": Command("Hamilton cycle decomposition of K_{2k+1}", (_K,), _run_walecki),
+    "galaxy": Command("star-forest covering of K_{2k}", (_K,), _run_galaxy),
+    "k11": Command("six generalized factors covering K_11", (), _run_k11),
+    "chi-r": Command("extremal chromatic number of r-factor unions", (_R, _DELTA0),
+                     _run_chi_r),
+    "bijection": Command("translate between factor unions and hypergraphs", (
+        _OneOf((_Arg("--hypergraph", metavar="PATH"),
+                _Arg("--random", nargs=2, type=int, metavar=("R", "N"),
+                     help="generate r random proper factors on 3n vertices"))),
+        _Arg("--seed", type=int, default=0, help="seed for randomized inputs")),
+        _run_bijection),
+    "match": Command("exact maximum matching", (_HYPERGRAPH, _BUDGET), _run_match),
+    "chromatic-index": Command("exact proper edge-coloring number", (_HYPERGRAPH, _BUDGET),
+                               _run_chromatic_index),
+    "ach": Command("matching-bound counterexample hypergraph", (_D, _BUDGET), _run_ach),
+    "plane": Command("projective plane of prime order", (_P,), _run_plane),
+    "truncated-plane": Command("plane minus a point, as a hypergraph", (_P,),
+                               _run_truncated_plane),
+    "claim51": Command("stacked truncated planes with joining part", (
+        _P, _Arg("--m", type=int, required=True),
+        _Arg("--uniformity", type=int, default=None)), _run_claim51),
+}
+
+
+def _add_options(parser, options) -> None:
+    for opt in options:
+        if isinstance(opt, _OneOf):
+            _add_options(parser.add_mutually_exclusive_group(required=True), opt.options)
+        else:
+            parser.add_argument(*opt.flags, **opt.kwargs)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,329 +381,16 @@ def _build_parser() -> argparse.ArgumentParser:
                                               "certificates for small Ramsey-type"
                                               " and factor-covering questions")
     subs = top.add_subparsers(dest="command", required=True)
-
-    for name, doc in (("chi", "exact chromatic number"),
-                      ("clique", "maximum clique"),
-                      ("core", "d-core and peeling order")):
-        sp = subs.add_parser(name, help=doc)
-        _add_graph_source(sp)
-        if name == "core":
-            sp.add_argument("--d", type=int, required=True)
-        _add_common(sp)
-
-    sp = subs.add_parser("ramsey", help="largest n admitting a pattern-free coloring")
-    sp.add_argument("--family", required=True,
-                    help="comma-separated patterns (K3, P4, S3, STAR:r, MATCH:m, "
-                         "PATH:l, F1..F7, @file)")
-    sp.add_argument("--colors", type=int, required=True)
-    sp.add_argument("--cap", type=int, default=32)
-    _add_common(sp)
-
-    sp = subs.add_parser("closed-form", help="known formula value for a family")
-    sp.add_argument("--family", required=True)
-    sp.add_argument("--colors", type=int, required=True)
-    _add_common(sp)
-
-    sp = subs.add_parser("cover", help="cover or decompose K_n by r factors")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--proper", action="store_true",
-                    help="require every factor component to be a triangle")
-    sp.add_argument("--decomposition", action="store_true",
-                    help="require factors to be pairwise edge-disjoint")
-    _add_common(sp)
-
-    sp = subs.add_parser("max-cover", help="max K_n edges coverable by r factors")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--r", type=int, required=True)
-    _add_common(sp)
-
-    for name, doc in (("walecki", "Hamilton cycle decomposition of K_{2k+1}"),
-                      ("galaxy", "star-forest covering of K_{2k}")):
-        sp = subs.add_parser(name, help=doc)
-        sp.add_argument("--k", type=int, required=True)
-        _add_common(sp)
-
-    sp = subs.add_parser("k11", help="six generalized factors covering K_11")
-    _add_common(sp)
-
-    sp = subs.add_parser("chi-r", help="extremal chromatic number of r-factor unions")
-    sp.add_argument("--r", type=int, required=True)
-    _add_common(sp)
-
-    sp = subs.add_parser("bijection",
-                         help="translate between factor unions and hypergraphs")
-    grp = sp.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--hypergraph", metavar="PATH")
-    grp.add_argument("--random", nargs=2, type=int, metavar=("R", "N"),
-                     help="generate r random proper factors on 3n vertices")
-    _add_common(sp)
-
-    for name, doc in (("match", "exact maximum matching"),
-                      ("chromatic-index", "exact proper edge-coloring number")):
-        sp = subs.add_parser(name, help=doc)
-        sp.add_argument("--hypergraph", metavar="PATH", required=True)
-        _add_common(sp)
-
-    sp = subs.add_parser("ach", help="matching-bound counterexample hypergraph")
-    sp.add_argument("--d", type=int, required=True)
-    _add_common(sp)
-
-    for name, doc in (("plane", "projective plane of prime order"),
-                      ("truncated-plane", "plane minus a point, as a hypergraph")):
-        sp = subs.add_parser(name, help=doc)
-        sp.add_argument("--p", type=int, required=True)
-        _add_common(sp)
-
-    sp = subs.add_parser("claim51", help="stacked truncated planes with joining part")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--uniformity", type=int, default=None)
-    _add_common(sp)
-
+    for name, cmd in COMMANDS.items():
+        _add_options(subs.add_parser(name, help=cmd.help), cmd.options + (_DETERMINISTIC,))
     sp = subs.add_parser("verify", help="re-check a saved certificate")
     sp.add_argument("certificate", metavar="PATH")
     return top
 
 
-def _load_graph(args) -> tuple[Graph, dict[str, Any]]:
-    if args.graph is not None:
-        try:
-            with open(args.graph, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read {args.graph}: {exc}") from None
-        return graph_from_text(text), {"graph": args.graph}
-    if args.complete is not None:
-        return complete_graph(args.complete), {"complete": args.complete}
-    if args.cycle is not None:
-        return cycle_graph(args.cycle), {"cycle": args.cycle}
-    if args.path is not None:
-        return path_graph(args.path), {"path": args.path}
-    return star_graph(args.star), {"star": args.star}
-
-
-def _load_hypergraph(path: str):
+def _run_verify(path: str) -> int:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    return hypergraph_from_text(text)
-
-
-# Each handler returns (parameters, outcome, value, witness, stats).
-
-
-def _run_chi(args):
-    g, src = _load_graph(args)
-    res = chromatic_number(g, budget=args.budget)
-    witness = {"graph": graph_to_text(g), "colors": list(res.witness.colors)}
-    return src, "VALUE", res.value, witness, {}
-
-
-def _run_clique(args):
-    g, src = _load_graph(args)
-    size, verts = max_clique(g, budget=args.budget)
-    witness = {"graph": graph_to_text(g), "vertices": list(verts)}
-    return src, "VALUE", size, witness, {}
-
-
-def _run_core(args):
-    g, src = _load_graph(args)
-    res = k_core(g, args.d)
-    params = dict(src, d=args.d)
-    witness = {"graph": graph_to_text(g), "vertices": list(res.vertices),
-               "elimination_order": list(res.elimination_order)}
-    return params, "VALUE", len(res.vertices), witness, {}
-
-
-def _run_ramsey(args):
-    fam = parse_family(args.family)
-    params = {"family": fam.spec(), "colors": args.colors, "cap": args.cap}
-    try:
-        res = compute_c_k(fam, args.colors, cap=args.cap, budget=args.budget)
-    except CapReachedError as exc:
-        stats = {"lower": exc.partial["lower"], "cap": args.cap}
-        return params, "UNKNOWN", None, None, stats
-    witness = {"n": res.value, "assignment": list(res.witness.assignment)}
-    stats = {"witness_nodes": res.witness_nodes,
-             "refutation_nodes": res.refutation_nodes}
-    return params, "VALUE", res.value, witness, stats
-
-
-def _run_closed_form(args):
-    fam = parse_family(args.family)
-    params = {"family": fam.spec(), "colors": args.colors, "delta0": args.delta0}
-    form = closed_form_c_k(fam, args.colors, delta0=args.delta0)
-    if form is None:
-        return params, "UNKNOWN", None, None, {}
-    witness = {"value": form.value, "asymptotic": form.asymptotic,
-               "conditional": form.conditional, "note": form.note}
-    return params, "VALUE", form.value, witness, {}
-
-
-def _run_cover(args):
-    properness = PROPER if args.proper else GENERALIZED
-    mode = DECOMPOSITION if args.decomposition else COVER
-    params = {"n": args.n, "r": args.r, "properness": properness, "mode": mode}
-    res = cover_search(args.n, args.r, properness, mode, budget=args.budget)
-    stats = {"nodes": res.nodes, "scheme": res.scheme}
-    if res.cover is None:
-        return params, "NOT_EXISTS", None, None, stats
-    witness = {"factors": [graph_to_text(g) for g in res.cover.factors]}
-    return params, "EXISTS", None, witness, stats
-
-
-def _run_max_cover(args):
-    params = {"n": args.n, "r": args.r}
-    res = max_coverable_edges(args.n, args.r, budget=args.budget)
-    witness = {"factors": [graph_to_text(g) for g in res.cover.factors]}
-    return params, "VALUE", res.value, witness, {"nodes": res.nodes}
-
-
-def _run_walecki(args):
-    cycles = walecki_decomposition(args.k)
-    witness = {"cycles": [graph_to_text(g) for g in cycles]}
-    return {"k": args.k}, "EXISTS", None, witness, {}
-
-
-def _run_galaxy(args):
-    classes = galaxy_cover(args.k)
-    witness = {"classes": [graph_to_text(g) for g in classes]}
-    return {"k": args.k}, "EXISTS", None, witness, {}
-
-
-def _run_k11(args):
-    fc = k11_cover()
-    witness = {"factors": [graph_to_text(g) for g in fc.factors]}
-    return {}, "EXISTS", None, witness, {}
-
-
-def _run_chi_r(args):
-    rep = chi_r_report(args.r, delta0=args.delta0)
-    params = {"r": args.r, "delta0": args.delta0}
-    witness = {"report": {"r": rep.r, "lower": rep.lower, "upper": rep.upper,
-                          "status": rep.status, "delta0": rep.delta0,
-                          "note": rep.note}}
-    if rep.status == "EXACT":
-        return params, "VALUE", rep.lower, witness, {}
-    return params, "UNKNOWN", None, witness, {}
-
-
-def _run_bijection(args):
-    if args.hypergraph is not None:
-        h_in = _load_hypergraph(args.hypergraph)
-        factors = hypergraph_to_factors(h_in)
-        params = {"hypergraph": args.hypergraph}
-    else:
-        r, n = args.random
-        if r < 1 or n < 1:
-            raise ValidationError("OUT_OF_RANGE", "need r >= 1 and n >= 1")
-        factors = [random_factor(3 * n, PROPER, seed=args.seed + i) for i in range(r)]
-        params = {"random": [r, n], "seed": args.seed}
-    # canonical hypergraph of these factors; the identity is exact by labeling
-    h = factors_to_hypergraph(factors)
-    if line_graph(h) != union_graphs(factors):
-        raise VerificationError("line-graph-identity",
-                                "bijection produced inconsistent translations")
-    witness = {"hypergraph": hypergraph_to_text(h),
-               "factors": [graph_to_text(g) for g in factors]}
-    return params, "EXISTS", None, witness, {}
-
-
-def _run_match(args):
-    h = _load_hypergraph(args.hypergraph)
-    params = {"hypergraph": args.hypergraph}
-    try:
-        res = max_matching(h, budget=args.budget, deterministic=args.deterministic)
-    except BudgetExceededError as exc:
-        stats = {"nodes": exc.partial.get("nodes", 0),
-                 "lower": exc.partial.get("lower_bound", 0), "exact": False}
-        return params, "UNKNOWN", None, None, stats
-    witness = {"hypergraph": hypergraph_to_text(h), "matching": list(res.witness)}
-    return params, "VALUE", res.size, witness, {"nodes": res.nodes}
-
-
-def _run_chromatic_index(args):
-    h = _load_hypergraph(args.hypergraph)
-    params = {"hypergraph": args.hypergraph}
-    value = chromatic_index(h, budget=args.budget)
-    if h.m:
-        colors = list(chromatic_number(line_graph(h), budget=args.budget).witness.colors)
-    else:
-        colors = []
-    witness = {"hypergraph": hypergraph_to_text(h), "colors": colors}
-    return params, "VALUE", value, witness, {}
-
-
-def _run_ach(args):
-    h, labeling = ach_counterexample(args.d)
-    res = max_matching(h, budget=args.budget, deterministic=args.deterministic)
-    if res.size != args.d:
-        raise VerificationError("matching-exact",
-                                f"solver found {res.size}, construction promises {args.d}")
-    witness = {"hypergraph": hypergraph_to_text(h), "labels": list(labeling.labels),
-               "matching": list(res.witness), "bound": ach_bound(args.d, labeling.m)}
-    return ({"d": args.d}, "EXISTS", res.size, witness, {"nodes": res.nodes})
-
-
-def _run_plane(args):
-    plane = projective_plane(args.p)
-    witness = {"p": plane.p, "lines": [list(ln) for ln in plane.lines]}
-    return {"p": args.p}, "EXISTS", None, witness, {}
-
-
-def _run_truncated_plane(args):
-    h = truncated_plane(args.p)
-    witness = {"hypergraph": hypergraph_to_text(h)}
-    return {"p": args.p}, "EXISTS", None, witness, {}
-
-
-def _run_claim51(args):
-    h = claim51_hypergraph(args.p, args.m, uniformity=args.uniformity)
-    per_copy = args.p * args.p * args.p * args.m
-    matching = [c * per_copy + c for c in range(args.m)]
-    params = {"p": args.p, "m": args.m}
-    if args.uniformity is not None:
-        params["uniformity"] = args.uniformity
-    witness = {"hypergraph": hypergraph_to_text(h), "matching": matching}
-    return params, "EXISTS", args.m, witness, {}
-
-
-_HANDLERS = {
-    "chi": _run_chi,
-    "clique": _run_clique,
-    "core": _run_core,
-    "ramsey": _run_ramsey,
-    "closed-form": _run_closed_form,
-    "cover": _run_cover,
-    "max-cover": _run_max_cover,
-    "walecki": _run_walecki,
-    "galaxy": _run_galaxy,
-    "k11": _run_k11,
-    "chi-r": _run_chi_r,
-    "bijection": _run_bijection,
-    "match": _run_match,
-    "chromatic-index": _run_chromatic_index,
-    "ach": _run_ach,
-    "plane": _run_plane,
-    "truncated-plane": _run_truncated_plane,
-    "claim51": _run_claim51,
-}
-
-
-def _run_verify(args) -> int:
-    try:
-        with open(args.certificate, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error [PARSE_ERROR]: cannot read {args.certificate}: {exc}",
-              file=sys.stderr)
-        return 1
-    try:
-        cert = parse_certificate(text)
-        verify_certificate(cert)
+        verify_certificate(parse_certificate(_read_text(path)))
     except (ParseError, ValidationError) as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return 1
@@ -447,26 +408,22 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     if args.command == "verify":
-        return _run_verify(args)
-    handler = _HANDLERS[args.command]
+        return _run_verify(args.certificate)
+    params: dict[str, Any] = {}
     started = time.perf_counter()
     try:
-        params, outcome, value, witness, stats = handler(args)
+        outcome, value, witness, stats = COMMANDS[args.command].handler(args, params)
     except BudgetExceededError as exc:
-        safe = {k: v for k, v in exc.partial.items() if isinstance(v, (int, bool, str))}
-        params = {k: v for k, v in vars(args).items()
-                  if k != "command" and isinstance(v, (int, bool, str))}
-        cert = make_certificate(args.command, params, "UNKNOWN",
-                                stats=dict(safe, elapsed_ms=0), delta0=args.delta0)
-        sys.stdout.write(certificate_to_json(cert))
-        return 2
+        # an unfinished search still certifies what it proved: bounds and nodes
+        outcome, value, witness = "UNKNOWN", None, None
+        stats = {k: v for k, v in exc.partial.items() if isinstance(v, (int, bool, str))}
     except (ValidationError, ParseError) as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return 1
     elapsed_ms = 0 if args.deterministic else int((time.perf_counter() - started) * 1000)
     stats = dict(stats, elapsed_ms=elapsed_ms)
-    cert = make_certificate(args.command, params, outcome, value=value,
-                            witness=witness, stats=stats, delta0=args.delta0)
+    cert = make_certificate(args.command, params, outcome, value=value, witness=witness,
+                            stats=stats, delta0=params.get("delta0", DEFAULT_DELTA0))
     verify_certificate(cert)
     cert["verified"] = True
     sys.stdout.write(certificate_to_json(cert))

@@ -20,7 +20,7 @@ from math import ceil
 from typing import Sequence
 
 from .errors import ValidationError, VerificationError
-from .hypergraph_lab import PartiteHypergraph, make_hypergraph, regularity
+from .hypergraph_lab import PartiteHypergraph, is_matching, make_hypergraph, regularity
 
 
 def _is_prime(p: int) -> bool:
@@ -160,8 +160,8 @@ def _verify_plane(plane: ProjectivePlane) -> None:
         raise VerificationError("line-count", f"expected {n_pts} lines")
     on_lines = [0] * n_pts
     for ln in plane.lines:
-        if len(ln) != p + 1 or len(set(ln)) != p + 1:
-            raise VerificationError("line-size", f"line {ln} does not have {p + 1} points")
+        if len(ln) != p + 1 or len(set(ln)) != p + 1 or not all(0 <= x < n_pts for x in ln):
+            raise VerificationError("line-size", f"line {ln} is not {p + 1} points of the plane")
         for x in ln:
             on_lines[x] += 1
     if any(c != p + 1 for c in on_lines):
@@ -206,14 +206,24 @@ def truncated_plane(p: int) -> PartiteHypergraph:
             raise VerificationError("transversal", "line misses a part")
         edges.append(tuple(slot))
     h = make_hypergraph([p] * (p + 1), edges, allow_multi=False)
-    if h.m != p * p or regularity(h) != p:
-        raise VerificationError("truncated-shape", "wrong edge count or regularity")
+    _verify_truncated_plane(h, p)
+    return h
+
+
+def _verify_truncated_plane(h: PartiteHypergraph, p: int) -> None:
+    if h.r != p + 1 or set(h.part_sizes) != {p}:
+        raise VerificationError("parts", f"expected {p + 1} parts of size {p}")
+    if h.m != p * p:
+        raise VerificationError("edge-count", f"expected {p * p} edges")
+    if regularity(h) != p:
+        raise VerificationError("regular", f"expected {p}-regularity")
+    if len(set(h.edges)) != h.m:
+        raise VerificationError("simple", "repeated edge")
     for a in range(h.m):
         for b in range(a + 1, h.m):
             if all(h.edges[a][i] != h.edges[b][i] for i in range(h.r)):
                 raise VerificationError("pairwise-intersect",
                                         f"edges {a} and {b} are disjoint")
-    return h
 
 
 # -- stacked planes with a joining part ------------------------------------------
@@ -248,37 +258,50 @@ def claim51_hypergraph(p: int, m: int, uniformity: int | None = None) -> Partite
             for v in range(join):
                 edges.append(shifted + (v,))
     h = make_hypergraph(sizes, edges, allow_multi=False)
-    if regularity(h) != p * p * m:
-        raise VerificationError("regular", "stacked construction is not p^2 m-regular")
-    _verify_claim51_matching(h, base, p, m)
     if uniformity is not None:
         h = _duplicate_last_part(h, uniformity - (r0 + 1) + 1)
+    _verify_claim51(h, p, m, claim51_matching(p, m))
     return h
 
 
-def _verify_claim51_matching(h: PartiteHypergraph, base: PartiteHypergraph,
-                             p: int, m: int) -> None:
+def claim51_matching(p: int, m: int) -> list[int]:
+    """Edge indices of copy c's first line joined to vertex c, for each c:
+    m pairwise disjoint edges of claim51_hypergraph(p, m)."""
+    per_copy = p * p * p * m
+    return [c * per_copy + c for c in range(m)]
+
+
+def _verify_claim51(h: PartiteHypergraph, p: int, m: int,
+                    matching: Sequence[int]) -> None:
+    """Shape of the stacked construction, with or without duplicated last
+    parts, and a matching of size m, which is then the maximum."""
+    join = p * m
+    base_r = p + 1
+    if h.r < base_r + 1 or h.part_sizes != (join,) * h.r:
+        raise VerificationError("parts", "part sizes do not match the construction")
+    if regularity(h) != p * p * m:
+        raise VerificationError("regular", "expected p^2 m regularity")
+    if len(set(h.edges)) != h.m:
+        raise VerificationError("simple", "repeated edge")
+    per_copy = p * p * join
+    if h.m != m * per_copy:
+        raise VerificationError("edge-count", "edge count differs from p^3 m^2")
     # upper bound: within one copy all extended lines pairwise intersect in
-    # the first r0 coordinates (inherited from the truncated plane), so a
+    # the first p+1 coordinates (inherited from the truncated plane), so a
     # matching holds at most one edge per copy
-    per_copy = base.m * p * m
     for c in range(m):
         lo = c * per_copy
-        for a in range(base.m):
-            for b in range(a + 1, base.m):
-                ea = h.edges[lo + a * p * m]
-                eb = h.edges[lo + b * p * m]
-                if all(ea[i] != eb[i] for i in range(base.r)):
+        for a in range(p * p):
+            for b in range(a + 1, p * p):
+                ea, eb = h.edges[lo + a * join], h.edges[lo + b * join]
+                if all(ea[i] != eb[i] for i in range(base_r)):
                     raise VerificationError("copy-intersect",
                                             f"copy {c} holds disjoint lines {a},{b}")
-    # attainment: copy c's first line, joined to vertex c
-    witness = [c * per_copy + c for c in range(m)]
-    used: set[tuple[int, int]] = set()
-    for j in witness:
-        for i, x in enumerate(h.edges[j]):
-            if (i, x) in used:
-                raise VerificationError("witness-disjoint", "matching witness collides")
-            used.add((i, x))
+    if not is_matching(h, matching):
+        raise VerificationError("matching-disjoint", "matching witness is not disjoint")
+    if len(matching) != m:
+        raise VerificationError("matching-exact",
+                                "matching witness must have one edge per copy")
 
 
 def _duplicate_last_part(h: PartiteHypergraph, copies: int) -> PartiteHypergraph:

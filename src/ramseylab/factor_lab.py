@@ -110,6 +110,30 @@ def union_factors(fc: FactorCover | Sequence[Graph]) -> Graph:
     return union_graphs(factors)
 
 
+def _verify_cover_payload(n: int, r: int, properness: str, mode: str,
+                          factors: Sequence[Graph], require_cover: bool) -> int:
+    """Check r factors of K_n as a certificate payload; returns their union
+    as an edge mask."""
+    if len(factors) != r:
+        raise VerificationError("factor-count", f"expected {r} factors, got {len(factors)}")
+    seen = 0
+    for g in factors:
+        if g.n != n:
+            raise VerificationError("factor-order", "factor on wrong vertex count")
+        cls = classify_factor(g)
+        if cls == NOT_A_FACTOR:
+            raise VerificationError("factor-shape", "component larger than a triangle")
+        if properness == PROPER and cls != PROPER:
+            raise VerificationError("factor-proper", "non-triangle component in proper mode")
+        mask = _edge_mask(g)
+        if mode == DECOMPOSITION and mask & seen:
+            raise VerificationError("edge-disjoint", "decomposition factors share an edge")
+        seen |= mask
+    if require_cover and seen != _full_edge_mask(n):
+        raise VerificationError("union-complete", "factors do not cover the complete graph")
+    return seen
+
+
 # -- edge-mask plumbing -------------------------------------------------------
 
 
@@ -625,17 +649,27 @@ def galaxy_cover(k: int) -> tuple[Graph, ...]:
             edges.append(((i + k) % n, (i + k + t) % n))
         classes.append(build_graph(n, edges))
     classes.append(build_graph(n, [(j, j + k) for j in range(k)]))
+    _verify_galaxy(classes, k)
+    return tuple(classes)
+
+
+def _verify_galaxy(classes: Sequence[Graph], k: int) -> None:
+    """k+1 edge-disjoint star forests whose union is K_{2k}."""
+    if len(classes) != k + 1:
+        raise VerificationError("class-count", f"expected {k + 1} classes")
+    n = 2 * k
     seen = 0
     for g in classes:
+        if g.n != n:
+            raise VerificationError("class-order", "class on wrong vertex count")
         if has_copy(g, TRIANGLE) or has_copy(g, P4):
-            raise VerificationError("star-forest", "galaxy class is not a star forest")
+            raise VerificationError("star-forest", "class is not a star forest")
         mask = _edge_mask(g)
         if mask & seen:
-            raise VerificationError("edge-disjoint", "galaxy classes share an edge")
+            raise VerificationError("edge-disjoint", "classes share an edge")
         seen |= mask
     if seen != _full_edge_mask(n):
-        raise VerificationError("union-complete", "galaxies do not cover K_{2k}")
-    return tuple(classes)
+        raise VerificationError("union-complete", "classes do not cover the complete graph")
 
 
 # Six generalized factors covering all 55 edges of K_11 (1-based vertex
@@ -661,12 +695,7 @@ def k11_cover() -> FactorCover:
     """
     factors = [build_graph(11, [(u - 1, v - 1) for u, v in fac])
                for fac in _K11_FACTORS_1BASED]
-    for g in factors:
-        if classify_factor(g) == NOT_A_FACTOR:
-            raise VerificationError("factor-shape", "K_11 table row is not a factor")
-    union = union_graphs(factors)
-    if union.m != 55 or _edge_mask(union) != _full_edge_mask(11):
-        raise VerificationError("union-complete", "K_11 table does not cover all 55 edges")
+    _verify_cover_payload(11, 6, GENERALIZED, COVER, factors, require_cover=True)
     return FactorCover(11, tuple(factors), COVER, GENERALIZED)
 
 

@@ -136,11 +136,6 @@ def matching_graph(size: int) -> Graph:
     return build_graph(2 * size, [(2 * i, 2 * i + 1) for i in range(size)])
 
 
-def complement(g: Graph) -> Graph:
-    full = g.full_mask
-    return Graph(g.n, tuple((full ^ a) & ~(1 << v) for v, a in enumerate(g.adj)))
-
-
 def union_graphs(graphs: Sequence[Graph]) -> Graph:
     """Edge union of graphs sharing a vertex set."""
     if not graphs:
@@ -159,12 +154,6 @@ def restrict(g: Graph, vertex_mask: int) -> Graph:
     """Same vertex set, keeping only edges inside vertex_mask."""
     return Graph(g.n, tuple((g.adj[v] & vertex_mask) if (vertex_mask >> v) & 1 else 0
                             for v in range(g.n)))
-
-
-def relabel(g: Graph, perm: Sequence[int]) -> Graph:
-    """Image of g under the vertex permutation v -> perm[v]."""
-    edges = [(perm[u], perm[v]) for u, v in g.edges()]
-    return build_graph(g.n, edges)
 
 
 def connected_components(g: Graph) -> list[int]:
@@ -244,6 +233,19 @@ def is_proper_coloring(g: Graph, colors: Sequence[int]) -> bool:
     return True
 
 
+def _saturation_pick(colors: Sequence[int], ncolor_mask: Sequence[int],
+                     uncolored_deg: Sequence[int]) -> int:
+    """The uncolored vertex seeing the most distinct colors, then the most
+    uncolored neighbors; ties go to the lowest index."""
+    best_v, best_key = -1, (-1, -1)
+    for v in range(len(colors)):
+        if colors[v] < 0:
+            key = (ncolor_mask[v].bit_count(), uncolored_deg[v])
+            if key > best_key:
+                best_key, best_v = key, v
+    return best_v
+
+
 def _greedy_saturation_coloring(g: Graph) -> list[int]:
     """Greedy coloring in saturation order; gives the search's upper bound."""
     n = g.n
@@ -251,12 +253,7 @@ def _greedy_saturation_coloring(g: Graph) -> list[int]:
     ncolor_mask = [0] * n
     uncolored_deg = [g.degree(v) for v in range(n)]
     for _ in range(n):
-        best_v, best_key = -1, (-1, -1)
-        for v in range(n):
-            if colors[v] < 0:
-                key = (ncolor_mask[v].bit_count(), uncolored_deg[v])
-                if key > best_key:
-                    best_key, best_v = key, v
+        best_v = _saturation_pick(colors, ncolor_mask, uncolored_deg)
         c = 0
         while (ncolor_mask[best_v] >> c) & 1:
             c += 1
@@ -283,19 +280,10 @@ def _exact_k_coloring(g: Graph, k: int, budget: NodeBudget) -> list[int] | None:
     uncolored_deg = [g.degree(v) for v in range(n)]
     adj = g.adj
 
-    def pick() -> int:
-        best_v, best_key = -1, (-1, -1)
-        for v in range(n):
-            if colors[v] < 0:
-                key = (ncolor_mask[v].bit_count(), uncolored_deg[v])
-                if key > best_key:
-                    best_key, best_v = key, v
-        return best_v
-
     def down(count: int, used: int) -> bool:
         if count == n:
             return True
-        v = pick()
+        v = _saturation_pick(colors, ncolor_mask, uncolored_deg)
         cap = min(k, used + 1)
         avail = ~ncolor_mask[v] & ((1 << cap) - 1)
         while avail:

@@ -204,17 +204,22 @@ def max_matching(h: PartiteHypergraph, budget: int | None = None,
     if deterministic:
         witness = _lex_least_matching(h, size, bud)
     witness = tuple(sorted(witness))
-    _check_disjoint(h, witness)
+    if not is_matching(h, witness):
+        raise ValidationError("OUT_OF_RANGE", "matching witness reuses a vertex")
     return MatchingResult(size, witness, bud.spent)
 
 
-def _check_disjoint(h: PartiteHypergraph, picked: Sequence[int]) -> None:
+def is_matching(h: PartiteHypergraph, picked: Sequence[int]) -> bool:
+    """Whether picked indexes edges of h that are pairwise vertex-disjoint."""
     used: set[tuple[int, int]] = set()
     for j in picked:
+        if not 0 <= j < h.m:
+            return False
         for i, x in enumerate(h.edges[j]):
             if (i, x) in used:
-                raise ValidationError("OUT_OF_RANGE", "matching witness reuses a vertex")
+                return False
             used.add((i, x))
+    return True
 
 
 def _match_components(h: PartiteHypergraph, live: list[int],

@@ -71,9 +71,6 @@ class Pattern:
         assert self.graph is not None
         return self.graph
 
-    def edge_count(self) -> int:
-        return self.realize().m
-
     def vertex_count(self) -> int:
         return self.realize().n
 
@@ -234,24 +231,9 @@ def find_copy(g: Graph, p: Pattern) -> tuple[int, ...] | None:
 def has_copy(g: Graph, p: Pattern) -> bool:
     """Subgraph containment via per-kind detectors.
 
-    Triangles use adjacency intersection, stars use degree, paths use
-    component shape screening before a bounded path walk, matchings use the
-    exact matching branch, explicit patterns the generic embedder.
+    P4 is decided by component shape alone (a P4-free component is a star
+    or a triangle); every other kind asks find_copy for a witness.
     """
-    if p.kind == "triangle":
-        for u in range(g.n):
-            au = g.adj[u]
-            rest = au >> (u + 1)
-            while rest:
-                low = rest & -rest
-                v = u + 1 + low.bit_length() - 1
-                rest ^= low
-                if au & g.adj[v]:
-                    return True
-        return False
-    if p.kind in ("s3", "star"):
-        want = 3 if p.kind == "s3" else p.size
-        return any(a.bit_count() >= want for a in g.adj)
     if p.kind == "p4":
         return _component_has_p4(g)
     return find_copy(g, p) is not None
@@ -278,20 +260,6 @@ def _find_star(g: Graph, s: int) -> tuple[int, ...] | None:
     return None
 
 
-def _component_mask(adj: Sequence[int], start: int) -> int:
-    comp = 1 << start
-    frontier = comp
-    while frontier:
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            nxt |= adj[low.bit_length() - 1]
-        frontier = nxt & ~comp
-        comp |= frontier
-    return comp
-
-
 def _mask_is_star_or_triangle(adj: Sequence[int], comp: int) -> bool:
     """Shape test for one connected component given as a vertex mask."""
     size = comp.bit_count()
@@ -312,15 +280,8 @@ def _mask_is_star_or_triangle(adj: Sequence[int], comp: int) -> bool:
 
 
 def _component_has_p4(g: Graph) -> bool:
-    seen = 0
-    for v in range(g.n):
-        if (seen >> v) & 1 or g.adj[v] == 0:
-            continue
-        comp = _component_mask(g.adj, v)
-        seen |= comp
-        if not _mask_is_star_or_triangle(g.adj, comp):
-            return True
-    return False
+    return not all(_mask_is_star_or_triangle(g.adj, comp)
+                   for comp in connected_components(g))
 
 
 def _find_path(g: Graph, length: int) -> tuple[int, ...] | None:
@@ -328,9 +289,12 @@ def _find_path(g: Graph, length: int) -> tuple[int, ...] | None:
     if length < 1:
         return None
     adj = g.adj
+    comp_size = [0] * g.n
+    for comp in connected_components(g):
+        for v in _bits(comp):
+            comp_size[v] = comp.bit_count()
     for start in range(g.n):
-        comp = _component_mask(adj, start)
-        if comp.bit_count() < length + 1:
+        if comp_size[start] < length + 1:
             continue
         path = [start]
         found = _extend_path(adj, path, 1 << start, length)
@@ -759,14 +723,19 @@ def compute_c_k(fam: ForbiddenFamily, k: int, cap: int = 32,
 
     Existence is monotone (restricting a coloring of K_{n+1} to K_n stays
     admissible), so the first refuted n settles the value.  If K_cap is
-    still colorable raises CapReachedError carrying the proven lower bound.
+    still colorable raises CapReachedError carrying the proven lower bound;
+    if one size runs out of budget, BudgetExceededError carries it as well.
     """
     if cap < 1:
         raise ValidationError("OUT_OF_RANGE", f"cap must be >= 1, got {cap}")
     prev: EdgeColoring | None = None
     prev_nodes = 0
     for n in range(1, cap + 1):
-        coloring, nodes = mono_free_search(n, k, fam, budget)
+        try:
+            coloring, nodes = mono_free_search(n, k, fam, budget)
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(f"{exc} at n = {n}; c_{k} >= {n - 1}",
+                                      **exc.partial, lower=n - 1) from None
         if coloring is None:
             if prev is None:
                 # n == 1 always succeeds: K_1 has no edges.

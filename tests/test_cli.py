@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from ramseylab.cli import run
+from ramseylab.cli import COMMANDS, run
 from ramseylab.factor_lab import PROPER, random_factor
 from ramseylab.graph_core import graph_to_text, path_graph
 from ramseylab.hypergraph_lab import factors_to_hypergraph, hypergraph_to_text
@@ -134,7 +134,7 @@ def test_search_budget_exhaustion_is_unknown(capsys):
     code, out, _ = _invoke(capsys, ["chi", "--complete", "13", "--budget", "5"])
     assert code == 2
     cert = json.loads(out)
-    assert cert["outcome"] == "UNKNOWN" and cert["verified"] is False
+    assert cert["outcome"] == "UNKNOWN" and cert["verified"] is True
     assert cert["stats"]["lower"] <= cert["stats"]["upper"]
 
 
@@ -228,3 +228,54 @@ def test_deterministic_bijection_seeded(capsys):
                          "--deterministic"])
     assert a == b
     assert a[1] != c[1]
+
+
+# -- the command table ----------------------------------------------------------------------
+
+
+def test_help_for_every_command(capsys):
+    assert _invoke(capsys, ["--help"])[0] == 0
+    for name in COMMANDS:
+        assert _invoke(capsys, [name, "--help"])[0] == 0, name
+
+
+def test_each_command_takes_only_the_options_it_reads(capsys):
+    def taking(flag):
+        return {name for name, cmd in COMMANDS.items()
+                if any(flag in getattr(opt, "flags", ()) for opt in cmd.options)}
+
+    assert taking("--budget") == {"chi", "clique", "ramsey", "cover", "max-cover",
+                                  "match", "chromatic-index", "ach"}
+    assert taking("--delta0") == {"closed-form", "chi-r"}
+    assert taking("--seed") == {"bijection"}
+    assert _invoke(capsys, ["plane", "--p", "3", "--threads", "2"])[0] == 1
+    assert _invoke(capsys, ["walecki", "--k", "3", "--budget", "5"])[0] == 1
+
+
+# -- budget-exhausted searches certify what they proved --------------------------------------
+
+
+@pytest.mark.parametrize("argv, parameters, proven", [
+    (["ramsey", "--family", "F4", "--colors", "5", "--budget", "1000"],
+     {"family": "F4", "colors": 5, "cap": 32}, {"lower": 6, "nodes": 1000}),
+    (["ramsey", "--family", "F2", "--colors", "4", "--budget", "200000"],
+     {"family": "F2", "colors": 4, "cap": 32}, {"lower": 7, "nodes": 200000}),
+    (["ach", "--d", "5", "--budget", "1"], {"d": 5}, {"nodes": 1, "exact": False}),
+])
+def test_budget_exhausted_certificate(tmp_path, capsys, argv, parameters, proven):
+    code, out, _ = _invoke(capsys, argv + ["--deterministic"])
+    assert code == 2
+    cert = json.loads(out)
+    assert cert["outcome"] == "UNKNOWN" and cert["verified"] is True
+    assert cert["parameters"] == parameters
+    assert cert["stats"]["elapsed_ms"] == 0
+    assert proven.items() <= cert["stats"].items()
+    saved = tmp_path / "unknown.json"
+    saved.write_text(out)
+    assert _invoke(capsys, ["verify", str(saved)])[:2] == (0, "true\n")
+
+
+def test_budget_exhausted_certificate_keeps_elapsed_time(capsys):
+    code, out, _ = _invoke(capsys, ["ramsey", "--family", "F2", "--colors", "4",
+                                    "--budget", "200000"])
+    assert code == 2 and json.loads(out)["stats"]["elapsed_ms"] > 0

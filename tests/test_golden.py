@@ -1,0 +1,119 @@
+"""Golden `--deterministic` certificates, compared byte for byte.
+
+Every case runs from inside ``tests/golden`` and names its input files by
+relative path, because the path string is written into ``parameters``.
+Regenerate the files with ``PYTHONPATH=src python tests/test_golden.py``
+only when a change of output is intended.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import copy
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from ramseylab import certificates, cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# certificate file stem -> argv (without --deterministic)
+CASES: dict[str, list[str]] = {
+    "chi": ["chi", "--graph", "g.txt"],
+    "chi-cycle": ["chi", "--cycle", "7"],
+    "clique": ["clique", "--graph", "g.txt"],
+    "core": ["core", "--graph", "g.txt", "--d", "3"],
+    "core-star": ["core", "--star", "4", "--d", "2"],
+    "ramsey": ["ramsey", "--family", "F4", "--colors", "3", "--cap", "8"],
+    "ramsey-k3-star2": ["ramsey", "--family", "K3,STAR:2", "--colors", "2"],
+    "ramsey-cap": ["ramsey", "--family", "F3", "--colors", "2", "--cap", "4"],
+    "closed-form": ["closed-form", "--family", "F3", "--colors", "6"],
+    "closed-form-unknown": ["closed-form", "--family", "F6", "--colors", "3"],
+    "closed-form-delta0": ["closed-form", "--family", "F6", "--colors", "5",
+                           "--delta0", "5"],
+    "cover": ["cover", "--n", "5", "--r", "3"],
+    "cover-refuted": ["cover", "--n", "6", "--r", "3"],
+    "cover-proper-decomposition": ["cover", "--n", "9", "--r", "4", "--proper",
+                                   "--decomposition"],
+    "max-cover": ["max-cover", "--n", "6", "--r", "3"],
+    "walecki": ["walecki", "--k", "4"],
+    "galaxy": ["galaxy", "--k", "3"],
+    "k11": ["k11"],
+    "chi-r": ["chi-r", "--r", "4"],
+    "chi-r-interval": ["chi-r", "--r", "6"],
+    "chi-r-delta0": ["chi-r", "--r", "5", "--delta0", "5"],
+    "bijection": ["bijection", "--hypergraph", "h.txt"],
+    "bijection-random": ["bijection", "--random", "2", "3", "--seed", "5"],
+    "match": ["match", "--hypergraph", "h.txt"],
+    "chromatic-index": ["chromatic-index", "--hypergraph", "h.txt"],
+    "ach": ["ach", "--d", "4"],
+    "plane": ["plane", "--p", "3"],
+    "truncated-plane": ["truncated-plane", "--p", "3"],
+    "claim51": ["claim51", "--p", "2", "--m", "2"],
+    "claim51-uniformity": ["claim51", "--p", "2", "--m", "2", "--uniformity", "5"],
+}
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_certificate(name, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    code, out, err = _run(CASES[name] + ["--deterministic"])
+    expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert out == expected, err
+    assert code == (2 if json.loads(expected)["outcome"] == "UNKNOWN" else 0)
+
+
+def test_one_command_table():
+    assert set(cli.COMMANDS) == set(certificates._VERIFIERS)
+    assert len(cli.COMMANDS) == 18
+    assert {argv[0] for argv in CASES.values()} == set(cli.COMMANDS)
+
+
+def _mutations(cert: dict):
+    """Each key of parameters and witness deleted, set to "x", or set to [1]."""
+    for section in ("parameters", "witness"):
+        for key in sorted(cert[section] or {}):
+            for value in (None, "x", [1]):
+                bad = copy.deepcopy(cert)
+                if value is None:
+                    del bad[section][key]
+                else:
+                    bad[section][key] = value
+                yield f"{section}.{key}={value!r}", bad
+
+
+def test_verify_never_raises_on_mutated_goldens(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name in sorted(CASES):
+        cert = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+        for label, bad in _mutations(cert):
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(bad, sort_keys=True, indent=2) + "\n")
+            code, out, err = _run(["verify", str(path)])
+            assert (code, out) == (0, "true\n") or (
+                code == 1 and out == "" and err.startswith("error [")), (name, label, err)
+
+
+def _regenerate() -> None:
+    os.chdir(GOLDEN)
+    for name, argv in sorted(CASES.items()):
+        code, out, err = _run(argv + ["--deterministic"])
+        if code not in (0, 2):
+            sys.exit(f"{name}: exit {code}: {err}")
+        (GOLDEN / f"{name}.json").write_text(out, encoding="utf-8")
+
+
+if __name__ == "__main__":
+    _regenerate()
