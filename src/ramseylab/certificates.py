@@ -32,6 +32,7 @@ from .ramsey_search import (
 )
 from .factor_lab import (
     COVER,
+    DECOMPOSITION,
     GENERALIZED,
     PROPER,
     _verify_cover_payload,
@@ -260,7 +261,7 @@ def _vf_ramsey(params, value, witness, stats, outcome):
     report = verify_mono_free(coloring, fam)
     if not report.ok:
         raise VerificationError("mono-free",
-                                f"color {report.color} contains {report.pattern.token()}")
+                                f"color {report.color} contains {report.pattern.token}")
 
 
 def _vf_closed_form(params, value, witness, stats, outcome):
@@ -281,8 +282,10 @@ def _vf_closed_form(params, value, witness, stats, outcome):
 
 def _vf_cover(params, value, witness, stats, outcome):
     n, r = _int(params, "n", _PARAMS), _int(params, "r", _PARAMS)
-    properness = params.get("properness", GENERALIZED)
-    mode = params.get("mode", COVER)
+    properness = _text(params, "properness", _PARAMS)
+    mode = _text(params, "mode", _PARAMS)
+    if properness not in (PROPER, GENERALIZED) or mode not in (COVER, DECOMPOSITION):
+        raise ParseError(f"unknown cover properness {properness!r} or mode {mode!r}")
     if outcome == "EXISTS":
         factors = _graphs_payload(witness, "factors")
         _verify_cover_payload(n, r, properness, mode, factors, require_cover=True)

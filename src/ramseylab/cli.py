@@ -54,7 +54,6 @@ from .factor_lab import (
     walecki_decomposition,
 )
 from .hypergraph_lab import (
-    chromatic_index,
     factors_to_hypergraph,
     hypergraph_from_text,
     hypergraph_to_factors,
@@ -237,10 +236,9 @@ def _run_match(args, params):
 def _run_chromatic_index(args, params):
     params["hypergraph"] = args.hypergraph
     h = hypergraph_from_text(_read_text(args.hypergraph))
-    value = chromatic_index(h, budget=args.budget)
-    colors = list(chromatic_number(line_graph(h), budget=args.budget).witness.colors)
-    witness = {"hypergraph": hypergraph_to_text(h), "colors": colors}
-    return "VALUE", value, witness, {}
+    res = chromatic_number(line_graph(h), budget=args.budget)
+    witness = {"hypergraph": hypergraph_to_text(h), "colors": list(res.witness.colors)}
+    return "VALUE", res.value, witness, {}
 
 
 def _run_ach(args, params):

@@ -199,29 +199,6 @@ def _enumerate_maximal_factors(n: int) -> list[int]:
     return sorted(set(out))
 
 
-def _enumerate_proper_factors(n: int) -> list[int]:
-    """Edge masks of all spanning triangle partitions of n vertices."""
-    if n % 3 != 0:
-        return []
-    out: list[int] = []
-
-    def rec(unassigned: int, mask: int) -> None:
-        if unassigned == 0:
-            out.append(mask)
-            return
-        low = unassigned & -unassigned
-        v = low.bit_length() - 1
-        rest = unassigned ^ low
-        others = _bits(rest)
-        for i, u in enumerate(others):
-            for w in others[i + 1:]:
-                rec(rest ^ (1 << u) ^ (1 << w),
-                    mask | _edge_bit(v, u, n) | _edge_bit(v, w, n) | _edge_bit(u, w, n))
-
-    rec((1 << n) - 1, 0)
-    return sorted(out)
-
-
 def _maximal_shape_reps(n: int, proper: bool) -> list[int]:
     """One canonical representative per isomorphism class of maximal factor."""
     reps: list[int] = []
@@ -271,8 +248,10 @@ def _all_factor_shapes(n: int) -> list[tuple[int, int, int, int]]:
 def _iter_factor_masks_within(n: int, allowed_adj: Sequence[int], proper: bool,
                               limit_mask: int | None = None) -> Iterator[int]:
     """All factor edge-masks drawn from the allowed adjacency, lowest vertex
-    first.  Masks only grow along a branch, so any partial mask exceeding
-    limit_mask is pruned."""
+    first; proper factors are triangle partitions only.  Masks only grow
+    along a branch, so any partial mask exceeding limit_mask is pruned."""
+    if proper and n % 3 != 0:
+        return  # without this, every partial triangle packing is tried
 
     def rec(unassigned: int, mask: int) -> Iterator[int]:
         if limit_mask is not None and mask > limit_mask:
@@ -292,6 +271,8 @@ def _iter_factor_masks_within(n: int, allowed_adj: Sequence[int], proper: bool,
                     yield from rec(rest ^ (1 << u) ^ (1 << w),
                                    mask | _edge_bit(v, u, n) | _edge_bit(v, w, n)
                                    | _edge_bit(u, w, n))
+        if proper:
+            return
         # 2-edge path centered at v
         for i, u in enumerate(nb_list):
             for w in nb_list[i + 1:]:
@@ -303,12 +284,11 @@ def _iter_factor_masks_within(n: int, allowed_adj: Sequence[int], proper: bool,
                 if w != v:
                     yield from rec(rest ^ (1 << u) ^ (1 << w),
                                    mask | _edge_bit(v, u, n) | _edge_bit(u, w, n))
-        if not proper:
-            # single edge
-            for u in nb_list:
-                yield from rec(rest ^ (1 << u), mask | _edge_bit(v, u, n))
-            # isolated vertex
-            yield from rec(rest, mask)
+        # single edge
+        for u in nb_list:
+            yield from rec(rest ^ (1 << u), mask | _edge_bit(v, u, n))
+        # isolated vertex
+        yield from rec(rest, mask)
 
     yield from rec((1 << n) - 1, 0)
 
@@ -370,7 +350,8 @@ def _cover_mode_search(n: int, r: int, proper: bool,
     if r == 1:
         last = _last_cover_factor(n, full, proper)
         return [last] if last is not None else None
-    pool = _enumerate_proper_factors(n) if proper else _enumerate_maximal_factors(n)
+    pool = (sorted(_iter_factor_masks_within(n, complete_graph(n).adj, True)) if proper
+            else _enumerate_maximal_factors(n))
     if not pool:
         return None
     reps = _maximal_shape_reps(n, proper)
@@ -443,7 +424,6 @@ def _last_cover_factor(n: int, missing_mask: int, proper: bool) -> Graph | None:
 def _decomp_mode_search(n: int, r: int, proper: bool,
                         bud: NodeBudget) -> list[Graph] | None:
     full = _full_edge_mask(n)
-    full_adj = complete_graph(n).adj
     maxf = n if n % 3 == 0 else n - 1
     if proper and n % 3 != 0:
         return None
@@ -455,11 +435,9 @@ def _decomp_mode_search(n: int, r: int, proper: bool,
     if r == 1:
         return [_mask_to_graph(full, n)] if last_ok(full) else None
 
-    if proper:
-        reps = [_shape_rep(n, n // 3, 0, 0, 0)]
-    else:
-        reps = sorted({_shape_rep(n, *shape) for shape in _all_factor_shapes(n)},
-                      reverse=True)
+    reps = (_maximal_shape_reps(n, proper) if proper
+            else sorted({_shape_rep(n, *shape) for shape in _all_factor_shapes(n)},
+                        reverse=True))
     chosen: list[int] = []
 
     def rec(level: int, remaining: int, prev_mask: int) -> list[Graph] | None:

@@ -15,7 +15,7 @@ or only for infinitely many k are flagged and never silently extrapolated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import (
@@ -44,24 +44,23 @@ MAX_PATTERN_VERTICES = 8
 class Pattern:
     """One forbidden subgraph.
 
-    kind is one of "triangle", "p4", "s3", "star", "matching", "path",
-    "explicit".  For star/matching/path, size is the edge count; for
-    explicit patterns the graph itself is stored (at most 8 vertices, the
-    generic matcher bound).
+    kind is one of "triangle", "star", "path", "matching", "explicit".  For
+    star/path/matching, size is the edge count; for explicit patterns the
+    graph itself is stored (at most 8 vertices, the generic matcher bound).
+    token is the spelling the pattern was parsed from (P4 is the 3-edge
+    path, S3 the 3-edge star), which certificates write back; it takes no
+    part in equality.
     """
 
     kind: str
     size: int = 0
     graph: Graph | None = None
+    token: str = field(compare=False, kw_only=True)
 
     def realize(self) -> Graph:
         """The pattern as a concrete graph."""
         if self.kind == "triangle":
             return complete_graph(3)
-        if self.kind == "p4":
-            return path_graph(4)
-        if self.kind == "s3":
-            return star_graph(3)
         if self.kind == "star":
             return star_graph(self.size)
         if self.kind == "matching":
@@ -71,58 +70,36 @@ class Pattern:
         assert self.graph is not None
         return self.graph
 
-    def vertex_count(self) -> int:
-        return self.realize().n
-
     def is_forest(self) -> bool:
-        if self.kind == "triangle":
-            return False
-        if self.kind in ("p4", "s3", "star", "matching", "path"):
-            return True
+        if self.kind != "explicit":
+            return self.kind != "triangle"
         g = self.realize()
         # acyclic iff every component has one more vertex than edges
         return all(restrict(g, comp).m == comp.bit_count() - 1
                    for comp in connected_components(g))
 
-    def token(self) -> str:
-        if self.kind == "triangle":
-            return "K3"
-        if self.kind == "p4":
-            return "P4"
-        if self.kind == "s3":
-            return "S3"
-        if self.kind == "star":
-            return f"STAR:{self.size - 1}"
-        if self.kind == "matching":
-            return f"MATCH:{self.size}"
-        if self.kind == "path":
-            return f"PATH:{self.size}"
-        g = self.graph
-        assert g is not None
-        return "EXPLICIT[" + ";".join(f"{u}-{v}" for u, v in g.edges()) + f"|{g.n}]"
 
-
-TRIANGLE = Pattern("triangle")
-P4 = Pattern("p4")
-S3 = Pattern("s3")
+TRIANGLE = Pattern("triangle", token="K3")
+P4 = Pattern("path", 3, token="P4")
+S3 = Pattern("star", 3, token="S3")
 
 
 def star_pattern(edges: int) -> Pattern:
     if edges < 1:
         raise ValidationError("OUT_OF_RANGE", "star needs at least one edge")
-    return Pattern("star", edges)
+    return Pattern("star", edges, token=f"STAR:{edges - 1}")
 
 
 def matching_pattern(edges: int) -> Pattern:
     if edges < 1:
         raise ValidationError("OUT_OF_RANGE", "matching needs at least one edge")
-    return Pattern("matching", edges)
+    return Pattern("matching", edges, token=f"MATCH:{edges}")
 
 
 def path_pattern(edges: int) -> Pattern:
     if edges < 1:
         raise ValidationError("OUT_OF_RANGE", "path needs at least one edge")
-    return Pattern("path", edges)
+    return Pattern("path", edges, token=f"PATH:{edges}")
 
 
 def explicit_pattern(g: Graph) -> Pattern:
@@ -131,7 +108,8 @@ def explicit_pattern(g: Graph) -> Pattern:
                               f"explicit patterns are capped at {MAX_PATTERN_VERTICES} vertices")
     if g.m == 0:
         raise ValidationError("OUT_OF_RANGE", "explicit pattern has no edges")
-    return Pattern("explicit", 0, g)
+    edges = ";".join(f"{u}-{v}" for u, v in g.edges())
+    return Pattern("explicit", 0, g, token=f"EXPLICIT[{edges}|{g.n}]")
 
 
 @dataclass(frozen=True)
@@ -142,7 +120,7 @@ class ForbiddenFamily:
     def spec(self) -> str:
         if self.name:
             return self.name
-        return ",".join(p.token() for p in self.patterns)
+        return ",".join(p.token for p in self.patterns)
 
 
 FAMILY_PRESETS: dict[str, ForbiddenFamily] = {
@@ -160,7 +138,8 @@ def parse_family(spec: str) -> ForbiddenFamily:
     """Parse a comma-separated family spec.
 
     Tokens: K3, P4, S3, STAR:r (the star with r+1 edges), MATCH:m, PATH:l,
-    F1..F7 presets, @path-to-graph-file for an explicit pattern.
+    F1..F7 presets, @path-to-graph-file for an explicit pattern, and
+    EXPLICIT[u-v;...|n], the spelling certificates write for one.
     """
     tokens = [t.strip() for t in spec.split(",") if t.strip()]
     if not tokens:
@@ -184,6 +163,8 @@ def parse_family(spec: str) -> ForbiddenFamily:
             patterns.append(matching_pattern(_int_param(tok, up[6:])))
         elif up.startswith("PATH:"):
             patterns.append(path_pattern(_int_param(tok, up[5:])))
+        elif up.startswith("EXPLICIT[") and up.endswith("]"):
+            patterns.append(explicit_pattern(_explicit_graph(tok, tok[9:-1])))
         elif tok.startswith("@"):
             from .graph_core import graph_from_text
             try:
@@ -195,6 +176,17 @@ def parse_family(spec: str) -> ForbiddenFamily:
         else:
             raise ValidationError("OUT_OF_RANGE", f"unknown family token {tok!r}")
     return ForbiddenFamily(tuple(patterns))
+
+
+def _explicit_graph(tok: str, body: str) -> Graph:
+    """Graph of an EXPLICIT[u-v;...|n] token body."""
+    edges, _, n = body.rpartition("|")
+    try:
+        size = int(n)
+        pairs = [(int(u), int(v)) for u, v in (e.split("-") for e in edges.split(";") if e)]
+    except ValueError:
+        raise ValidationError("OUT_OF_RANGE", f"bad parameter in token {tok!r}") from None
+    return build_graph(size, pairs)
 
 
 def _int_param(tok: str, raw: str) -> int:
@@ -216,10 +208,8 @@ def find_copy(g: Graph, p: Pattern) -> tuple[int, ...] | None:
     """
     if p.kind == "triangle":
         return _find_triangle(g)
-    if p.kind in ("s3", "star"):
-        return _find_star(g, 3 if p.kind == "s3" else p.size)
-    if p.kind == "p4":
-        return _find_path(g, 3)
+    if p.kind == "star":
+        return _find_star(g, p.size)
     if p.kind == "path":
         return _find_path(g, p.size)
     if p.kind == "matching":
@@ -231,10 +221,11 @@ def find_copy(g: Graph, p: Pattern) -> tuple[int, ...] | None:
 def has_copy(g: Graph, p: Pattern) -> bool:
     """Subgraph containment via per-kind detectors.
 
-    P4 is decided by component shape alone (a P4-free component is a star
-    or a triangle); every other kind asks find_copy for a witness.
+    The 3-edge path P4 is decided by component shape alone (a P4-free
+    component is a star or a triangle); every other pattern asks find_copy
+    for a witness.
     """
-    if p.kind == "p4":
+    if p.kind == "path" and p.size == 3:
         return _component_has_p4(g)
     return find_copy(g, p) is not None
 
@@ -506,30 +497,52 @@ def verify_mono_free(coloring: EdgeColoring, fam: ForbiddenFamily) -> MonoFreeRe
 # -- the search ---------------------------------------------------------------
 
 
+def _canonical(p: Pattern) -> tuple[str, int]:
+    """(kind, edges) of the graph p is, the same for patterns that coincide.
+
+    A 1-edge path or matching is K2, the 1-edge star, and a 2-edge path is
+    P3, the 2-edge star.  An explicit graph with no isolated vertex that is
+    a triangle, a star, a matching or a path takes that kind; any other
+    explicit graph is ("explicit", 0).
+    """
+    kind, size = p.kind, p.size
+    if kind == "explicit":
+        g = p.realize()
+        degs = sorted(g.degree(v) for v in range(g.n))
+        if degs[0] == 0:
+            return "explicit", 0
+        if g.n == 3 and g.m == 3:
+            return "triangle", 0
+        if degs[-1] == 1:
+            kind, size = "matching", g.m
+        elif g.m == g.n - 1 and degs[-1] == g.n - 1:
+            kind, size = "star", g.m
+        elif g.m == g.n - 1 and degs[-1] == 2 and len(connected_components(g)) == 1:
+            kind, size = "path", g.m
+        else:
+            return "explicit", 0
+    if (kind == "path" and size <= 2) or (kind == "matching" and size == 1):
+        kind = "star"
+    return kind, size
+
+
 def _family_checks(fam: ForbiddenFamily, n: int
                    ) -> tuple[int, bool, int, int, list[Graph]]:
     """The family's violation tests, at most one per kind.
 
-    Returns (star, triangle, path, matching, explicit).  A pattern that
-    contains a smaller pattern of its own kind is implied by it, so each of
-    stars, paths and matchings keeps only its smallest size.  star is a
-    degree threshold before the edge (n when absent); path and matching are
-    edge counts (0 when absent).  Patterns that coincide are folded: a
-    1-edge path or matching is K2, the 1-edge star, which every edge makes
-    (threshold 0); a 2-edge path is the 2-edge star; P4 is the 3-edge path
-    and S3 the 3-edge star.
+    Returns (star, triangle, path, matching, explicit).  Patterns that
+    coincide are folded by _canonical first, so an explicit path is tested
+    as a path and a 1-edge pattern is K2, the 1-edge star, which every edge
+    makes (threshold 0).  A pattern that contains a smaller pattern of its
+    own kind is implied by it, so each of stars, paths and matchings keeps
+    only its smallest size.  star is a degree threshold before the edge (n
+    when absent); path and matching are edge counts (0 when absent).
     """
     star, path, match = n + 1, 0, 0
     tri = False
     explicit: list[Graph] = []
     for p in fam.patterns:
-        kind, size = p.kind, p.size
-        if kind == "p4":
-            kind, size = "path", 3
-        elif kind == "s3":
-            kind, size = "star", 3
-        if (kind == "path" and size <= 2) or (kind == "matching" and size == 1):
-            kind = "star"
+        kind, size = _canonical(p)
         if kind == "triangle":
             tri = True
         elif kind == "star":
@@ -764,59 +777,6 @@ class ClosedForm:
     note: str = ""
 
 
-def _shape(p: Pattern) -> tuple:
-    """Canonical shape key, folding coinciding parameterizations together
-    (a 1-edge star, matching, and path are all K2; a 2-edge star equals P3)."""
-    if p.kind == "triangle":
-        return ("K3",)
-    if p.kind == "p4":
-        return ("P4",)
-    if p.kind == "s3":
-        return ("S3",)
-    if p.kind == "star":
-        return (("K2",) if p.size == 1 else ("P3",) if p.size == 2
-                else ("S3",) if p.size == 3 else ("STAR", p.size))
-    if p.kind == "matching":
-        return ("K2",) if p.size == 1 else ("MATCH", p.size)
-    if p.kind == "path":
-        return (("K2",) if p.size == 1 else ("P3",) if p.size == 2
-                else ("P4",) if p.size == 3 else ("PATH", p.size))
-    g = p.graph
-    assert g is not None
-    degs = sorted(g.degree(v) for v in range(g.n))
-    if 0 in degs:
-        return ("OTHER",)
-    if g.n == 2:
-        return ("K2",)
-    if g.n == 3 and g.m == 3:
-        return ("K3",)
-    if g.m == g.n - 1 and degs[-1] == g.n - 1:
-        return (("P3",) if g.n == 3 else ("S3",) if g.n == 4
-                else ("STAR", g.n - 1))
-    if degs[-1] == 1:
-        return ("MATCH", g.m)
-    if g.m == g.n - 1 and degs[-1] == 2 and degs[0] == 1:
-        if len(connected_components(g)) == 1:
-            return (("P4",) if g.n == 4 else ("PATH", g.m))
-    return ("OTHER",)
-
-
-def _is_star_shape(s: tuple) -> bool:
-    return s[0] in ("K2", "P3", "S3", "STAR")
-
-
-def _star_edges(s: tuple) -> int:
-    return {"K2": 1, "P3": 2, "S3": 3}.get(s[0], 0) or s[1]
-
-
-def _is_matching_shape(s: tuple) -> bool:
-    return s[0] in ("K2", "MATCH")
-
-
-def _matching_edges(s: tuple) -> int:
-    return 1 if s[0] == "K2" else s[1]
-
-
 def _max_s_for_pairs(budget: int) -> int:
     """Largest s with s*(s-1)/2 <= budget."""
     s = (1 + math.isqrt(1 + 8 * budget)) // 2
@@ -836,33 +796,34 @@ def closed_form_c_k(fam: ForbiddenFamily, k: int,
     """
     if k < 1:
         raise ValidationError("BAD_K", f"need k >= 1, got {k}")
-    shapes = [_shape(p) for p in fam.patterns]
-    shape_set = set(shapes)
+    shapes = [_canonical(p) for p in fam.patterns]
+    keys = set(shapes)
+    stars = [size for kind, size in shapes if kind == "star"]
 
-    if ("K2",) in shape_set:
+    if ("star", 1) in keys:  # K2
         return ClosedForm(1)
 
-    if shape_set == {("P4",)}:
+    if keys == {("path", 3)}:  # P4
         if k == 3:
             return ClosedForm(5)
         if k % 3 == 1:
             return ClosedForm(2 * k + 1)
         return ClosedForm(2 * k)
 
-    if shape_set == {("S3",)}:
+    if keys == {("star", 3)}:  # S3
         return ClosedForm(2 * k + 1)
 
-    if shape_set == {("K3",), ("S3",)}:
+    if keys == {("triangle", 0), ("star", 3)}:
         return ClosedForm(2) if k == 1 else ClosedForm(2 * k + 1)
 
-    if shape_set == {("K3",), ("P4",)}:
+    if keys == {("triangle", 0), ("path", 3)}:
         if k == 1:
             return ClosedForm(2)
         if k == 2:
             return ClosedForm(3)
         return ClosedForm(2 * k - 2)
 
-    if shape_set == {("P4",), ("S3",)}:
+    if keys == {("path", 3), ("star", 3)}:
         # value equals the largest chromatic number of a union of k
         # generalized triangle factors; known for k in the three residue
         # families below, open for the exceptional multiples of 3
@@ -877,46 +838,42 @@ def closed_form_c_k(fam: ForbiddenFamily, k: int,
                               note=f"for k >= delta0 = {delta0}")
         return None
 
-    if shape_set == {("K3",), ("P4",), ("S3",)}:
+    if keys == {("triangle", 0), ("path", 3), ("star", 3)}:
         if k % 9 == 6:
             return ClosedForm(4 * k // 3 + 1, asymptotic=True,
                               note="holds for all large k = 6 (mod 9)")
         return None
 
-    if ("P3",) in shape_set:
-        matchings = [s for s in shapes if _is_matching_shape(s)]
+    if ("star", 2) in keys:  # P3
+        matchings = [size for kind, size in keys if kind == "matching"]
         if not matchings:
             return ClosedForm(k + (k % 2))
-        r = min(_matching_edges(s) for s in matchings) - 1
+        r = min(matchings) - 1
         return ClosedForm(_max_s_for_pairs(r * k), asymptotic=True,
                           note="holds for all large k")
 
-    if ("MATCH", 2) in shape_set:
-        stars = [s for s in shapes if _is_star_shape(s)]
+    if ("matching", 2) in keys:  # 2K2
         if not stars:
             # a 2K2-free class is one star or one triangle plus isolated
             # vertices; P4, longer paths and larger matchings contain 2K2
-            rest = {s for s in shape_set
-                    if s != ("P4",) and s[0] not in ("PATH", "MATCH")}
+            rest = {key for key in keys if key[0] not in ("path", "matching")}
             if not rest:
                 # Cockayne-Lorimer: R(2K2, ..., 2K2) with k colors is k + 3
                 return ClosedForm(k + 2)
-            if rest == {("K3",)}:
+            if rest == {("triangle", 0)}:
                 # each class is one star, and k star centers cover K_{k+1}
                 return ClosedForm(k + 1)
             return None
-        r = min(_star_edges(s) for s in stars) - 1
+        r = min(stars) - 1
         return ClosedForm(_max_s_for_pairs(r * k), asymptotic=True,
                           note="holds for all large k")
 
-    stars = [s for s in shapes if _is_star_shape(s)]
-    non_stars = [fam.patterns[i] for i, s in enumerate(shapes) if not _is_star_shape(s)]
+    non_stars = [p for p, (kind, _) in zip(fam.patterns, shapes) if kind != "star"]
     if len(stars) == 1 and all(not p.is_forest() for p in non_stars):
-        # one star K_{1,r+1}, every other member contains a cycle
-        r = _star_edges(stars[0]) - 1
-        if r >= 1:
-            return ClosedForm(k * r + 1, asymptotic=True,
-                              note="holds for infinitely many k")
+        # one star K_{1,r+1} with r >= 2 (K2 and P3 returned above), every
+        # other member contains a cycle
+        return ClosedForm(k * (stars[0] - 1) + 1, asymptotic=True,
+                          note="holds for infinitely many k")
     return None
 
 
@@ -931,7 +888,7 @@ def g_k_upper_bound(fam: ForbiddenFamily, k: int) -> int:
     """
     if k < 1:
         raise ValidationError("BAD_K", f"need k >= 1, got {k}")
-    forest_orders = [p.vertex_count() for p in fam.patterns if p.is_forest()]
+    forest_orders = [p.realize().n for p in fam.patterns if p.is_forest()]
     if not forest_orders:
         raise ValidationError("NO_FOREST", "no pattern in the family is a forest")
     return 2 * k * min(forest_orders)

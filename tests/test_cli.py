@@ -177,6 +177,29 @@ def test_verify_reports_invalid_parameters(tmp_path, capsys):
         assert code == 1 and out == "" and "error [OUT_OF_RANGE]" in err
 
 
+def test_verify_rejects_unknown_cover_mode_or_properness(tmp_path, capsys):
+    cert = _invoke_cert(capsys, ["cover", "--n", "9", "--r", "4", "--proper",
+                                 "--decomposition"])
+    for key, value in (("mode", "x"), ("properness", "x"), ("mode", [1]),
+                       ("properness", [1]), ("mode", None)):
+        bad = json.loads(json.dumps(cert))
+        if value is None:
+            del bad["parameters"][key]
+        else:
+            bad["parameters"][key] = value
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(bad, sort_keys=True, indent=2) + "\n")
+        code, out, err = _invoke(capsys, ["verify", str(path)])
+        assert code == 1 and out == "" and err.startswith("error ["), (key, value)
+
+
+def test_proper_decomposition_refutation(capsys):
+    cert = _invoke_cert(capsys, ["cover", "--n", "9", "--r", "5", "--proper",
+                                 "--decomposition", "--deterministic"])
+    assert cert["outcome"] == "NOT_EXISTS" and cert["verified"] is True
+    assert cert["stats"]["nodes"] == 86
+
+
 def test_usage_errors(capsys):
     assert _invoke(capsys, [])[0] == 1
     assert _invoke(capsys, ["no-such-command"])[0] == 1

@@ -16,7 +16,7 @@ from ramseylab.factor_lab import (
     NOT_A_FACTOR,
     PROPER,
     _enumerate_maximal_factors,
-    _enumerate_proper_factors,
+    _iter_factor_masks_within,
     chi_r_report,
     classify_factor,
     cover_search,
@@ -31,6 +31,7 @@ from ramseylab.factor_lab import (
 from ramseylab.graph_core import (
     build_graph,
     chromatic_number,
+    complete_graph,
     empty_graph,
     union_graphs,
 )
@@ -126,10 +127,30 @@ def test_enumerate_maximal_factors_are_maximal():
             assert _is_maximal_factor(g)
 
 
+def _proper_masks(n: int, adj=None) -> list[int]:
+    return list(_iter_factor_masks_within(n, adj or complete_graph(n).adj, True))
+
+
 def test_enumerate_proper_factors_counts():
     # (3k)! / (6^k k!) triangle partitions: 10 at n = 6, 280 at n = 9
-    assert len(_enumerate_proper_factors(6)) == 10
-    assert len(_enumerate_proper_factors(9)) == 280
+    assert len(_proper_masks(6)) == 10
+    assert len(_proper_masks(9)) == 280
+
+
+def test_proper_factor_iterator_yields_only_triangle_partitions():
+    from ramseylab.factor_lab import _mask_to_graph
+    for n in (6, 9):
+        masks = _proper_masks(n)
+        assert len(set(masks)) == len(masks)
+        assert all(classify_factor(_mask_to_graph(m, n)) == PROPER for m in masks)
+    assert _proper_masks(7) == _proper_masks(8) == _proper_masks(16) == []
+    # drawn from K_6 minus the edge 01: the triangle partitions avoiding it
+    adj = list(complete_graph(6).adj)
+    adj[0] ^= 1 << 1
+    adj[1] ^= 1 << 0
+    masks = _proper_masks(6, adj)
+    assert len(masks) == 6
+    assert all(classify_factor(_mask_to_graph(m, 6)) == PROPER for m in masks)
 
 
 # -- cover and decomposition search ---------------------------------------------------
@@ -160,6 +181,13 @@ def test_proper_decomposition_of_k9():
     assert res.cover.mode == DECOMPOSITION
     total = sum(f.m for f in res.cover.factors)
     assert total == 36 and union_factors(res.cover).m == 36
+
+
+def test_proper_decomposition_tries_only_proper_factors():
+    # five proper factors of K_9 carry 45 edges, K_9 has 36: no decomposition
+    res = cover_search(9, 5, properness=PROPER, mode=DECOMPOSITION)
+    assert res.cover is None and res.scheme == DECOMP_SCHEME
+    assert res.nodes == 86
 
 
 def test_decomposition_requires_exact_divisibility():

@@ -56,6 +56,13 @@ CASES: dict[str, list[str]] = {
     "truncated-plane": ["truncated-plane", "--p", "3"],
     "claim51": ["claim51", "--p", "2", "--m", "2"],
     "claim51-uniformity": ["claim51", "--p", "2", "--m", "2", "--uniformity", "5"],
+    # P4 is PATH:3 and S3 is STAR:2; each certificate keeps the given spelling
+    "ramsey-k3-p4": ["ramsey", "--family", "K3,P4", "--colors", "3"],
+    "ramsey-p4-s3": ["ramsey", "--family", "P4,S3", "--colors", "2"],
+    "ramsey-path3": ["ramsey", "--family", "PATH:3", "--colors", "3"],
+    "ramsey-k3-explicit-p4": ["ramsey", "--family", "K3,@p4.txt", "--colors", "2"],
+    "closed-form-path2": ["closed-form", "--family", "PATH:2", "--colors", "5"],
+    "closed-form-match2-s3": ["closed-form", "--family", "MATCH:2,S3", "--colors", "6"],
 }
 
 

@@ -22,7 +22,9 @@ from ramseylab.ramsey_search import (
     TRIANGLE,
     ClosedForm,
     ForbiddenFamily,
+    _canonical,
     _color_edges,
+    _family_checks,
     closed_form_c_k,
     coloring_from_classes,
     compute_c_k,
@@ -71,12 +73,80 @@ def test_parse_family_presets_and_tokens():
     assert parse_family("f7").spec() == "F7"
     fam = parse_family("K3, P4")
     assert fam.spec() == "K3,P4"
-    assert [p.kind for p in fam.patterns] == ["triangle", "p4"]
+    assert [(p.kind, p.size) for p in fam.patterns] == [("triangle", 0), ("path", 3)]
     # STAR:r denotes the star one edge bigger than r
     star = parse_family("STAR:2").patterns[0]
     assert star.realize().m == 3
     assert parse_family("MATCH:4").patterns[0].size == 4
     assert parse_family("PATH:5").patterns[0].realize().n == 6
+
+
+def test_aliases_are_one_pattern_with_their_own_spelling():
+    assert P4 == path_pattern(3) and S3 == star_pattern(3)
+    assert parse_family("PATH:3").patterns == parse_family("P4").patterns
+    assert parse_family("STAR:2").patterns == parse_family("s3").patterns
+    for spec in ("K3,P4", "P4,S3", "PATH:3", "STAR:2", "K3,STAR:2", "MATCH:2,S3"):
+        assert parse_family(spec).spec() == spec
+    assert parse_family("p4,star:02").spec() == "P4,STAR:2"
+    assert {p.kind for f in FAMILY_PRESETS.values() for p in f.patterns} == {
+        "triangle", "path", "star"}
+
+
+def test_explicit_token_round_trips():
+    fam = parse_family("K3,EXPLICIT[0-1;1-2;2-3|4]")
+    assert fam.spec() == "K3,EXPLICIT[0-1;1-2;2-3|4]"
+    g = fam.patterns[1].realize()
+    assert (g.n, g.edges()) == (4, [(0, 1), (1, 2), (2, 3)])
+    assert parse_family(fam.spec()) == fam
+    for bad, code in (("EXPLICIT[0-1;1-x|4]", "OUT_OF_RANGE"), ("EXPLICIT[0-1-2|4]", "OUT_OF_RANGE"),
+                      ("EXPLICIT[0-1|]", "OUT_OF_RANGE"), ("EXPLICIT[0-5|4]", "OUT_OF_RANGE"),
+                      ("EXPLICIT[0-0|4]", "SELF_LOOP"), ("EXPLICIT[|4]", "OUT_OF_RANGE")):
+        with pytest.raises(ValidationError) as exc:
+            parse_family(bad)
+        assert exc.value.code == code, bad
+
+
+def test_canonical_folds_patterns_that_coincide():
+    def explicit(n, edges):
+        return explicit_pattern(build_graph(n, edges))
+
+    cases = [
+        (path_pattern(1), ("star", 1)), (matching_pattern(1), ("star", 1)),
+        (star_pattern(1), ("star", 1)), (path_pattern(2), ("star", 2)),
+        (P4, ("path", 3)), (S3, ("star", 3)), (TRIANGLE, ("triangle", 0)),
+        (matching_pattern(2), ("matching", 2)), (path_pattern(4), ("path", 4)),
+        (explicit(2, [(0, 1)]), ("star", 1)),
+        (explicit(3, [(0, 1), (1, 2)]), ("star", 2)),
+        (explicit(3, [(0, 1), (1, 2), (0, 2)]), ("triangle", 0)),
+        (explicit(4, [(2, 0), (0, 3), (3, 1)]), ("path", 3)),
+        (explicit(4, [(1, 0), (1, 2), (1, 3)]), ("star", 3)),
+        (explicit(6, [(0, 1), (2, 3), (4, 5)]), ("matching", 3)),
+        (explicit(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), ("path", 4)),
+        (explicit(5, [(0, 1), (1, 2), (2, 3)]), ("explicit", 0)),  # isolated vertex
+        (explicit(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), ("explicit", 0)),
+        (explicit(5, [(0, 1), (1, 2), (3, 4)]), ("explicit", 0)),  # P3 + K2
+    ]
+    for p, key in cases:
+        assert _canonical(p) == key, p
+    # the search folds explicit paths and stars into its kernel tests
+    fam = ForbiddenFamily((TRIANGLE, explicit(4, [(2, 0), (0, 3), (3, 1)]),
+                           explicit(5, [(0, 1), (0, 2), (0, 3), (0, 4)])))
+    assert _family_checks(fam, 6) == (3, True, 3, 0, [])
+    assert closed_form_c_k(fam, 4) == closed_form_c_k(parse_family("K3,P4,STAR:3"), 4)
+
+
+def test_explicit_paths_and_stars_search_like_their_kernels():
+    p4_file = explicit_pattern(build_graph(4, [(0, 1), (1, 2), (2, 3)]))
+    s3_file = explicit_pattern(build_graph(4, [(0, 1), (0, 2), (0, 3)]))
+    for fam, same in ((ForbiddenFamily((TRIANGLE, p4_file)), FAMILY_PRESETS["F4"]),
+                      (ForbiddenFamily((s3_file,)), FAMILY_PRESETS["F3"])):
+        for k in (1, 2, 3):
+            for n in range(2, 7):
+                a, na = mono_free_search(n, k, fam)
+                b, nb = mono_free_search(n, k, same)
+                assert na == nb
+                assert (a is None) == (b is None)
+                assert a is None or a.assignment == b.assignment
 
 
 def test_parse_family_file_pattern(tmp_path):
