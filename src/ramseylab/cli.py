@@ -223,12 +223,7 @@ def _run_bijection(args, params):
 def _run_match(args, params):
     params["hypergraph"] = args.hypergraph
     h = hypergraph_from_text(_read_text(args.hypergraph))
-    try:
-        res = max_matching(h, budget=args.budget, deterministic=args.deterministic)
-    except BudgetExceededError as exc:
-        stats = {"nodes": exc.partial.get("nodes", 0),
-                 "lower": exc.partial.get("lower_bound", 0), "exact": False}
-        return "UNKNOWN", None, None, stats
+    res = max_matching(h, budget=args.budget, deterministic=args.deterministic)
     witness = {"hypergraph": hypergraph_to_text(h), "matching": list(res.witness)}
     return "VALUE", res.size, witness, {"nodes": res.nodes}
 

@@ -13,13 +13,20 @@ maximal one on the same vertices without losing coverage), fix the first
 factor up to isomorphism, and order the middle factors, so exhaustion is a
 certified nonexistence.  The search scheme identifier recorded in results
 names exactly this reduction.
+
+Covers, decompositions and the maximum cover run one search,
+_factor_search.  The three differ only in the candidates of the later
+levels, the rule for the last factor and the edge count to beat, and the
+search stops once every edge of K_n is covered.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ValidationError, VerificationError
 from .graph_core import (
@@ -150,13 +157,22 @@ def _edge_mask(g: Graph) -> int:
     return mask
 
 
+@lru_cache(maxsize=None)
+def _edge_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The vertex pair of each edge bit of K_n, in bit order."""
+    return tuple((u, v) for u in range(n) for v in range(u + 1, n))
+
+
 def _mask_to_graph(mask: int, n: int) -> Graph:
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if mask & _edge_bit(u, v, n):
-                edges.append((u, v))
-    return build_graph(n, edges)
+    pairs = _edge_pairs(n)
+    adj = [0] * n
+    while mask:
+        low = mask & -mask
+        u, v = pairs[low.bit_length() - 1]
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        mask ^= low
+    return Graph(n, tuple(adj))
 
 
 def _full_edge_mask(n: int) -> int:
@@ -293,14 +309,65 @@ def _iter_factor_masks_within(n: int, allowed_adj: Sequence[int], proper: bool,
     yield from rec((1 << n) - 1, 0)
 
 
-def _adj_of_mask(mask: int, n: int) -> list[int]:
-    adj = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if mask & _edge_bit(u, v, n):
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-    return adj
+# -- the factor search ----------------------------------------------------------
+
+
+def _factor_search(n: int, r: int, reps: Sequence[int],
+                   nxt: Callable[[int, int | None], Iterable[int]],
+                   last: Callable[[int], tuple[int, int]],
+                   best: int, bud: NodeBudget) -> tuple[int, list[int]]:
+    """The one search behind cover_search and max_coverable_edges.
+
+    Chooses r factor edge-masks depth first, one level per factor.  Level 1
+    takes the shape representatives reps.  Each later level below r takes
+    nxt(covered, previous mask), the previous mask None after level 1.
+    Level r takes last(uncovered), which is (edges gained, mask), a negative
+    gain when there is no last factor.  Each level spends one node and is
+    pruned when r - level + 1 factors of at most maxf edges each cannot beat
+    best.  A choice that beats best becomes the witness, and the search stops
+    once every edge of K_n is covered.  Returns (best, witness masks); the
+    witness is empty if nothing beat the starting best.
+    """
+    full = _full_edge_mask(n)
+    maxf = n if n % 3 == 0 else n - 1
+    witness: list[int] = []
+    chosen: list[int] = []  # the masks of levels 1 .. len(chosen)
+    frames: list[tuple[Iterator[int], int]] = []  # (candidates, covered before)
+    covered = 0
+    while True:
+        level = len(chosen) + 1
+        bud.tick()
+        cov = covered.bit_count()
+        if cov + (r - level + 1) * maxf > best:
+            if level == r:
+                gain, mask = last(full & ~covered)
+                if cov + gain > best:
+                    best, witness = cov + gain, chosen + [mask]
+                    if covered | mask == full:
+                        return best, witness
+            else:
+                # the first factor is fixed only up to isomorphism, so it does
+                # not bound the first middle factor's mask
+                prev = chosen[-1] if level > 2 else None
+                frames.append((iter(reps if level == 1 else nxt(covered, prev)), covered))
+                chosen.append(0)  # replaced by the level's first candidate
+        while frames:  # the next candidate of the deepest level that has one
+            candidates, before = frames[-1]
+            mask = next(candidates, None)
+            if mask is not None:
+                chosen[-1] = mask
+                covered = before | mask
+                break
+            frames.pop()
+            chosen.pop()
+        else:
+            return best, witness
+
+
+def _sorted_tail(pool: list[int]) -> Callable[[int, int | None], list[int]]:
+    """The later-level rule over a sorted pool without repeats: the pool from
+    the previous mask on, so the factors after the first come in order."""
+    return lambda covered, prev: pool if prev is None else pool[bisect_left(pool, prev):]
 
 
 # -- cover and decomposition search -------------------------------------------
@@ -330,59 +397,51 @@ def cover_search(n: int, r: int, properness: str = GENERALIZED,
         raise ValidationError("OUT_OF_RANGE", f"unknown mode {mode!r}")
     bud = NodeBudget(budget)
     proper = properness == PROPER
-    if mode == COVER:
-        factors = _cover_mode_search(n, r, proper, bud)
-        scheme = COVER_SCHEME
-    else:
-        factors = _decomp_mode_search(n, r, proper, bud)
-        scheme = DECOMP_SCHEME
-    if factors is None:
-        return CoverSearchResult(None, bud.spent, scheme)
-    fc = make_factor_cover(n, factors, mode, properness)
-    if _edge_mask(union_factors(fc)) != _full_edge_mask(n):
-        raise VerificationError("cover-union", "search returned a non-covering witness")
-    return CoverSearchResult(fc, bud.spent, scheme)
-
-
-def _cover_mode_search(n: int, r: int, proper: bool,
-                       bud: NodeBudget) -> list[Graph] | None:
     full = _full_edge_mask(n)
-    if r == 1:
-        last = _last_cover_factor(n, full, proper)
-        return [last] if last is not None else None
-    pool = (sorted(_iter_factor_masks_within(n, complete_graph(n).adj, True)) if proper
-            else _enumerate_maximal_factors(n))
-    if not pool:
-        return None
-    reps = _maximal_shape_reps(n, proper)
-    maxf = max(m.bit_count() for m in pool)
-    chosen: list[int] = []
+    scheme = COVER_SCHEME if mode == COVER else DECOMP_SCHEME
 
-    def rec(level: int, covered: int, start_idx: int) -> list[Graph] | None:
-        bud.tick()
-        missing = (full & ~covered).bit_count()
-        if missing > (r - level + 1) * maxf:
-            return None
-        if level == r:
-            last = _last_cover_factor(n, full & ~covered, proper)
-            if last is None:
-                return None
-            return [_mask_to_graph(m, n) for m in chosen] + [last]
-        candidates = reps if level == 1 else pool[start_idx:]
-        base_idx = 0 if level == 1 else start_idx
-        for off, mask in enumerate(candidates):
-            chosen.append(mask)
-            got = rec(level + 1, covered | mask, 0 if level == 1 else base_idx + off)
-            if got is not None:
-                return got
-            chosen.pop()
-        return None
+    def last(missing: int) -> tuple[int, int]:
+        """(edges gained, mask) of a last factor taking every missing edge,
+        or (-1, 0) if there is none."""
+        if mode == COVER:
+            mask = _last_cover_factor(n, missing, proper)
+        else:
+            cls = classify_factor(_mask_to_graph(missing, n))
+            mask = missing if (cls == PROPER if proper else cls != NOT_A_FACTOR) else None
+        return (-1, 0) if mask is None else (missing.bit_count(), mask)
 
-    return rec(1, 0, 0)
+    if proper and n % 3 != 0:
+        masks: list[int] = []  # there is no proper factor on n vertices
+    elif r == 1:
+        gain, mask = last(full)
+        masks = [mask] if gain >= 0 else []
+    else:
+        if mode == COVER:
+            reps = _maximal_shape_reps(n, proper)
+            nxt = _sorted_tail(
+                sorted(_iter_factor_masks_within(n, complete_graph(n).adj, True))
+                if proper else _enumerate_maximal_factors(n))
+        else:
+            reps = (_maximal_shape_reps(n, proper) if proper
+                    else sorted({_shape_rep(n, *shape) for shape in _all_factor_shapes(n)},
+                                reverse=True))
+
+            def nxt(covered: int, prev: int | None) -> Iterator[int]:
+                return _iter_factor_masks_within(n, _mask_to_graph(full & ~covered, n).adj,
+                                                 proper, limit_mask=prev)
+
+        masks = _factor_search(n, r, reps, nxt, last, full.bit_count() - 1, bud)[1]
+    if not masks:
+        return CoverSearchResult(None, bud.spent, scheme)
+    factors = [_mask_to_graph(m, n) for m in masks]
+    _verify_cover_payload(n, r, properness, mode, factors, require_cover=True)
+    return CoverSearchResult(FactorCover(n, tuple(factors), mode, properness),
+                             bud.spent, scheme)
 
 
-def _last_cover_factor(n: int, missing_mask: int, proper: bool) -> Graph | None:
-    """A single factor containing all still-missing edges, if one exists.
+def _last_cover_factor(n: int, missing_mask: int, proper: bool) -> int | None:
+    """The mask of a single factor containing all still-missing edges, if
+    one exists.
 
     For generalized factors the missing graph must itself classify; for
     proper factors its components must pack into disjoint triangles, which a
@@ -391,9 +450,7 @@ def _last_cover_factor(n: int, missing_mask: int, proper: bool) -> Graph | None:
     """
     g = _mask_to_graph(missing_mask, n)
     if not proper:
-        return g if classify_factor(g) != NOT_A_FACTOR else None
-    if n % 3 != 0:
-        return None
+        return missing_mask if classify_factor(g) != NOT_A_FACTOR else None
     blocks: list[list[int]] = []
     twos: list[list[int]] = []
     ones: list[int] = []
@@ -415,55 +472,10 @@ def _last_cover_factor(n: int, missing_mask: int, proper: bool) -> Graph | None:
     rest = ones[len(twos):]
     for i in range(0, len(rest), 3):
         blocks.append(rest[i:i + 3])
-    edges = []
+    mask = 0
     for a, b, c in blocks:
-        edges.extend([(a, b), (a, c), (b, c)])
-    return build_graph(n, edges)
-
-
-def _decomp_mode_search(n: int, r: int, proper: bool,
-                        bud: NodeBudget) -> list[Graph] | None:
-    full = _full_edge_mask(n)
-    maxf = n if n % 3 == 0 else n - 1
-    if proper and n % 3 != 0:
-        return None
-
-    def last_ok(mask: int) -> bool:
-        cls = classify_factor(_mask_to_graph(mask, n))
-        return cls == PROPER if proper else cls != NOT_A_FACTOR
-
-    if r == 1:
-        return [_mask_to_graph(full, n)] if last_ok(full) else None
-
-    reps = (_maximal_shape_reps(n, proper) if proper
-            else sorted({_shape_rep(n, *shape) for shape in _all_factor_shapes(n)},
-                        reverse=True))
-    chosen: list[int] = []
-
-    def rec(level: int, remaining: int, prev_mask: int) -> list[Graph] | None:
-        bud.tick()
-        if remaining.bit_count() > (r - level + 1) * maxf:
-            return None
-        if level == r:
-            if last_ok(remaining):
-                return [_mask_to_graph(m, n) for m in chosen] + [_mask_to_graph(remaining, n)]
-            return None
-        if level == 1:
-            candidates: Iterator[int] = iter(reps)
-        else:
-            candidates = _iter_factor_masks_within(
-                n, _adj_of_mask(remaining, n), proper, limit_mask=prev_mask)
-        for mask in candidates:
-            chosen.append(mask)
-            # the first factor is fixed only up to isomorphism, so it does not
-            # bound the first middle factor's mask
-            got = rec(level + 1, remaining & ~mask, full if level == 1 else mask)
-            if got is not None:
-                return got
-            chosen.pop()
-        return None
-
-    return rec(1, full, full)
+        mask |= _edge_bit(a, b, n) | _edge_bit(a, c, n) | _edge_bit(b, c, n)
+    return mask
 
 
 # -- maximum coverable edges ---------------------------------------------------
@@ -479,52 +491,29 @@ class MaxCoverResult:
 def max_coverable_edges(n: int, r: int, budget: int | None = None) -> MaxCoverResult:
     """Exact maximum number of K_n edges coverable by r generalized factors.
 
-    Same symmetry reduction as cover_search; the final factor is chosen by a
-    subset-memoized packing that maximizes edges taken from the uncovered
-    graph, so the result is an exact maximum, not a heuristic.
+    The search of cover_search, with the same symmetry reduction; its last
+    factor is chosen by a subset-memoized packing that maximizes the edges
+    taken from the uncovered graph, so the result is an exact maximum, not a
+    heuristic.  The search stops once all C(n, 2) edges are covered.
     """
     if n < 1 or n > 12:
         raise ValidationError("BAD_N", f"max cover search supports 1 <= n <= 12, got {n}")
     if r < 1:
         raise ValidationError("OUT_OF_RANGE", f"need r >= 1, got {r}")
     bud = NodeBudget(budget)
-    full = _full_edge_mask(n)
-    pool = _enumerate_maximal_factors(n)
-    reps = _maximal_shape_reps(n, proper=False)
-    maxf = max(m.bit_count() for m in pool)
-    best = -1
-    best_masks: list[int] = []
-    chosen: list[int] = []
-
-    def rec(level: int, covered: int, start_idx: int) -> None:
-        nonlocal best, best_masks
-        bud.tick()
-        cov = covered.bit_count()
-        if cov + (r - level + 1) * maxf <= best:
-            return
-        if level == r:
-            gain, gmask = _max_partial_factor(n, full & ~covered)
-            if cov + gain > best:
-                best = cov + gain
-                best_masks = chosen + [gmask]
-            return
-        candidates = reps if level == 1 else pool[start_idx:]
-        base_idx = 0 if level == 1 else start_idx
-        for off, mask in enumerate(candidates):
-            chosen.append(mask)
-            rec(level + 1, covered | mask, 0 if level == 1 else base_idx + off)
-            chosen.pop()
-
-    rec(1, 0, 0)
-    factors = [_mask_to_graph(m, n) for m in best_masks]
-    return MaxCoverResult(best, make_factor_cover(n, factors, COVER, GENERALIZED),
+    value, masks = _factor_search(
+        n, r, _maximal_shape_reps(n, proper=False), _sorted_tail(_enumerate_maximal_factors(n)),
+        lambda missing: _max_partial_factor(n, missing), -1, bud)
+    factors = [_mask_to_graph(m, n) for m in masks]
+    _verify_cover_payload(n, r, GENERALIZED, COVER, factors, require_cover=False)
+    return MaxCoverResult(value, FactorCover(n, tuple(factors), COVER, GENERALIZED),
                           bud.spent)
 
 
 def _max_partial_factor(n: int, allowed_mask: int) -> tuple[int, int]:
     """Maximum-edge subgraph of the allowed graph that is a generalized
     factor, by subset-memoized recursion on the lowest undecided vertex."""
-    adj = _adj_of_mask(allowed_mask, n)
+    adj = _mask_to_graph(allowed_mask, n).adj
     memo: dict[int, tuple[int, int]] = {}
 
     def rec(unassigned: int) -> tuple[int, int]:

@@ -192,17 +192,19 @@ def max_matching(h: PartiteHypergraph, budget: int | None = None,
                               f"{h.m} edges exceed the matching cap {MAX_MATCHING_EDGES}")
     bud = NodeBudget(budget)
     live = list(range(h.m))
+    witness: list[int] = []
     try:
         size, witness = _match_components(h, live, bud)
+        if deterministic:
+            witness = _lex_least_matching(h, size, bud)
     except BudgetExceededError:
-        # salvage a valid partial: greedily extend whatever fits together
-        partial = _greedy_matching(h, live)
+        # salvage a valid partial: the optimum of the first pass if it
+        # finished, else whatever fits together greedily
+        partial = witness or _greedy_matching(h, live)
         raise BudgetExceededError(
             "matching budget exhausted",
-            nodes=bud.spent, lower_bound=len(partial),
+            nodes=bud.spent, lower=len(partial),
             witness=tuple(sorted(partial)), exact=False) from None
-    if deterministic:
-        witness = _lex_least_matching(h, size, bud)
     witness = tuple(sorted(witness))
     if not is_matching(h, witness):
         raise ValidationError("OUT_OF_RANGE", "matching witness reuses a vertex")

@@ -526,34 +526,37 @@ def _canonical(p: Pattern) -> tuple[str, int]:
     return kind, size
 
 
-def _family_checks(fam: ForbiddenFamily, n: int
-                   ) -> tuple[int, bool, int, int, list[Graph]]:
-    """The family's violation tests, at most one per kind.
+def _reduced(fam: ForbiddenFamily) -> tuple[dict[str, int], list[Pattern]]:
+    """The family's kinds with their sizes, and its explicit patterns.
 
-    Returns (star, triangle, path, matching, explicit).  Patterns that
-    coincide are folded by _canonical first, so an explicit path is tested
-    as a path and a 1-edge pattern is K2, the 1-edge star, which every edge
-    makes (threshold 0).  A pattern that contains a smaller pattern of its
-    own kind is implied by it, so each of stars, paths and matchings keeps
-    only its smallest size.  star is a degree threshold before the edge (n
-    when absent); path and matching are edge counts (0 when absent).
+    Patterns that coincide are folded by _canonical first.  A pattern that
+    contains a smaller pattern of its own kind is implied by it, so each of
+    stars, paths and matchings keeps only its smallest size (a triangle has
+    size 0).
     """
-    star, path, match = n + 1, 0, 0
-    tri = False
-    explicit: list[Graph] = []
+    sizes: dict[str, int] = {}
+    explicit: list[Pattern] = []
     for p in fam.patterns:
         kind, size = _canonical(p)
-        if kind == "triangle":
-            tri = True
-        elif kind == "star":
-            star = min(star, size)
-        elif kind == "path":
-            path = min(path, size) if path else size
-        elif kind == "matching":
-            match = min(match, size) if match else size
+        if kind == "explicit":
+            explicit.append(p)
         else:
-            explicit.append(p.realize())
-    return star - 1, tri, path, match, explicit
+            sizes[kind] = min(size, sizes.get(kind, size))
+    return sizes, explicit
+
+
+def _family_checks(fam: ForbiddenFamily, n: int
+                   ) -> tuple[int, bool, int, int, list[Graph]]:
+    """The family's violation tests, at most one per kind, from _reduced.
+
+    Returns (star, triangle, path, matching, explicit).  An explicit path is
+    tested as a path, and a 1-edge pattern is K2, the 1-edge star, which
+    every edge makes (threshold 0).  star is a degree threshold before the
+    edge (n when absent); path and matching are edge counts (0 when absent).
+    """
+    sizes, explicit = _reduced(fam)
+    return (sizes.get("star", n + 1) - 1, "triangle" in sizes, sizes.get("path", 0),
+            sizes.get("matching", 0), [p.realize() for p in explicit])
 
 
 def _path_through(adj: Sequence[int], end: int, v: int, seen: int, left: int) -> bool:
@@ -796,9 +799,8 @@ def closed_form_c_k(fam: ForbiddenFamily, k: int,
     """
     if k < 1:
         raise ValidationError("BAD_K", f"need k >= 1, got {k}")
-    shapes = [_canonical(p) for p in fam.patterns]
-    keys = set(shapes)
-    stars = [size for kind, size in shapes if kind == "star"]
+    sizes, explicit = _reduced(fam)
+    keys = set(sizes.items()) | ({("explicit", 0)} if explicit else set())
 
     if ("star", 1) in keys:  # K2
         return ClosedForm(1)
@@ -845,15 +847,14 @@ def closed_form_c_k(fam: ForbiddenFamily, k: int,
         return None
 
     if ("star", 2) in keys:  # P3
-        matchings = [size for kind, size in keys if kind == "matching"]
-        if not matchings:
+        if "matching" not in sizes:
             return ClosedForm(k + (k % 2))
-        r = min(matchings) - 1
+        r = sizes["matching"] - 1
         return ClosedForm(_max_s_for_pairs(r * k), asymptotic=True,
                           note="holds for all large k")
 
     if ("matching", 2) in keys:  # 2K2
-        if not stars:
+        if "star" not in sizes:
             # a 2K2-free class is one star or one triangle plus isolated
             # vertices; P4, longer paths and larger matchings contain 2K2
             rest = {key for key in keys if key[0] not in ("path", "matching")}
@@ -864,15 +865,15 @@ def closed_form_c_k(fam: ForbiddenFamily, k: int,
                 # each class is one star, and k star centers cover K_{k+1}
                 return ClosedForm(k + 1)
             return None
-        r = min(stars) - 1
+        r = sizes["star"] - 1
         return ClosedForm(_max_s_for_pairs(r * k), asymptotic=True,
                           note="holds for all large k")
 
-    non_stars = [p for p, (kind, _) in zip(fam.patterns, shapes) if kind != "star"]
-    if len(stars) == 1 and all(not p.is_forest() for p in non_stars):
+    if "star" in sizes and set(sizes) <= {"star", "triangle"} \
+            and all(not p.is_forest() for p in explicit):
         # one star K_{1,r+1} with r >= 2 (K2 and P3 returned above), every
         # other member contains a cycle
-        return ClosedForm(k * (stars[0] - 1) + 1, asymptotic=True,
+        return ClosedForm(k * (sizes["star"] - 1) + 1, asymptotic=True,
                           note="holds for infinitely many k")
     return None
 

@@ -130,6 +130,16 @@ def test_match_budget_exhaustion_is_unknown(tmp_path, capsys):
     assert cert["stats"]["exact"] is False and cert["stats"]["lower"] >= 0
 
 
+def test_match_budget_exhaustion_keeps_the_proven_bound(tmp_path, capsys):
+    hpath = tmp_path / "h.txt"
+    hpath.write_text("3\n4 4 4\n0 0 0\n1 1 1\n2 2 2\n0 1 2\n1 2 3\n3 3 3\n")
+    code, out, _ = _invoke(capsys, ["match", "--hypergraph", str(hpath), "--budget", "1",
+                                    "--deterministic"])
+    assert code == 2
+    assert json.loads(out)["stats"] == {"elapsed_ms": 0, "exact": False, "lower": 4,
+                                        "nodes": 1}
+
+
 def test_search_budget_exhaustion_is_unknown(capsys):
     code, out, _ = _invoke(capsys, ["chi", "--complete", "13", "--budget", "5"])
     assert code == 2

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from ramseylab.errors import ValidationError
+from ramseylab.errors import BudgetExceededError, ValidationError
 from ramseylab.factor_lab import (
     COVER,
     COVER_SCHEME,
@@ -15,6 +15,7 @@ from ramseylab.factor_lab import (
     GENERALIZED,
     NOT_A_FACTOR,
     PROPER,
+    _edge_mask,
     _enumerate_maximal_factors,
     _iter_factor_masks_within,
     chi_r_report,
@@ -210,6 +211,56 @@ def test_cover_search_validation():
         cover_search(5, 2, properness="ODD")
 
 
+# (n, r, properness, mode) -> (nodes, edge masks of the witness, None if refuted)
+PINNED_SEARCHES = {
+    (4, 2, GENERALIZED, COVER): (3, None),
+    (5, 3, GENERALIZED, COVER): (3, [531, 184, 324]),
+    (6, 3, GENERALIZED, COVER): (53, None),
+    (6, 4, GENERALIZED, COVER): (15, [16897, 656, 6444, 9282]),
+    (7, 3, GENERALIZED, COVER): (1, None),
+    (7, 4, GENERALIZED, COVER): (6322, [360515, 135716, 527632, 1073288]),
+    (8, 4, GENERALIZED, COVER): (220, [139198595, 10521156, 50479408, 68236296]),
+    (6, 3, PROPER, COVER): (12, None),
+    (6, 5, PROPER, COVER): (6, [28707, 5905, 5905, 6354, 6444]),
+    (9, 3, PROPER, COVER): (1, None),
+    (9, 4, PROPER, COVER): (56, [60202942723, 1376134276, 2693861968, 4446537768]),
+    (4, 3, GENERALIZED, DECOMPOSITION): (3, [33, 6, 24]),
+    (5, 3, GENERALIZED, DECOMPOSITION): (4, [531, 292, 200]),
+    (6, 3, GENERALIZED, DECOMPOSITION): (1410, None),
+    (6, 4, GENERALIZED, DECOMPOSITION): (4, [28707, 2316, 208, 1536]),
+    (7, 4, GENERALIZED, DECOMPOSITION): (64, [1081411, 591124, 150024, 274592]),
+    (8, 4, GENERALIZED, DECOMPOSITION): (520, [139198595, 68178980, 50430280, 10627600]),
+    (3, 2, PROPER, DECOMPOSITION): (2, None),
+    (9, 4, PROPER, DECOMPOSITION): (4, [60202942723, 4572980260, 1627953288, 2315600464]),
+    (9, 5, PROPER, DECOMPOSITION): (86, None),
+}
+
+
+def test_cover_search_pinned_nodes_and_witnesses():
+    for case, (nodes, masks) in PINNED_SEARCHES.items():
+        res = cover_search(*case)
+        found = None if res.cover is None else [_edge_mask(g) for g in res.cover.factors]
+        assert (res.nodes, found) == (nodes, masks), case
+
+
+def test_cover_search_budget_runs_out_at_pinned_nodes():
+    for case in ((7, 4, GENERALIZED, COVER), (6, 3, GENERALIZED, DECOMPOSITION),
+                 (8, 4, GENERALIZED, DECOMPOSITION)):
+        nodes = PINNED_SEARCHES[case][0]
+        assert cover_search(*case, budget=nodes).nodes == nodes
+        with pytest.raises(BudgetExceededError) as exc:
+            cover_search(*case, budget=nodes - 1)
+        assert exc.value.partial == {"nodes": nodes - 1}, case
+
+
+def test_factor_search_runs_deeper_than_the_python_stack():
+    # one node per level: every level's first factor, then a last factor
+    # taking what is left
+    res = cover_search(5, 3000)
+    assert res.cover is not None and res.nodes == 3000
+    assert max_coverable_edges(4, 3000).value == 6
+
+
 # -- exact maximum coverage ------------------------------------------------------------
 
 
@@ -228,6 +279,14 @@ def test_max_coverable_edges_frozen_values():
     assert res.value <= 17
     res = max_coverable_edges(6, 4)
     assert res.value == 15  # K_6 is fully coverable with a fourth factor
+
+
+def test_max_cover_stops_at_full_coverage():
+    res = max_coverable_edges(6, 4)
+    assert (res.value, res.nodes) == (15, 15)
+    res = max_coverable_edges(7, 5)
+    assert (res.value, res.nodes) == (21, 1760)
+    assert union_factors(res.cover) == complete_graph(7)
 
 
 def test_max_coverable_witness_consistency():

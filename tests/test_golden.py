@@ -40,6 +40,13 @@ CASES: dict[str, list[str]] = {
     "cover-refuted": ["cover", "--n", "6", "--r", "3"],
     "cover-proper-decomposition": ["cover", "--n", "9", "--r", "4", "--proper",
                                    "--decomposition"],
+    "cover-decomposition": ["cover", "--n", "5", "--r", "3", "--decomposition"],
+    "cover-decomposition-refuted": ["cover", "--n", "6", "--r", "3", "--decomposition"],
+    "cover-proper": ["cover", "--n", "9", "--r", "4", "--proper"],
+    "cover-proper-refuted": ["cover", "--n", "6", "--r", "2", "--proper"],
+    "cover-one-factor": ["cover", "--n", "3", "--r", "1"],
+    "cover-decomposition-cap": ["cover", "--n", "10", "--r", "5", "--decomposition",
+                                "--budget", "2000"],
     "max-cover": ["max-cover", "--n", "6", "--r", "3"],
     "walecki": ["walecki", "--k", "4"],
     "galaxy": ["galaxy", "--k", "3"],

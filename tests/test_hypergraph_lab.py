@@ -199,8 +199,23 @@ def test_max_matching_budget_partial():
     partial = exc.value.partial
     assert partial["exact"] is False
     assert partial["nodes"] >= 2
-    assert partial["lower_bound"] == len(partial["witness"])
+    assert partial["lower"] == len(partial["witness"])
     assert _disjoint(h, list(partial["witness"]))
+
+
+# greedy finds the optimum 4 in one node, so a budget of 1 runs out in the
+# pass that looks for the lexicographically least optimal matching
+_GREEDY_OPTIMAL = make_hypergraph(
+    [4, 4, 4], [(0, 0, 0), (1, 1, 1), (2, 2, 2), (0, 1, 2), (1, 2, 3), (3, 3, 3)])
+
+
+def test_max_matching_budget_cut_in_lex_least_pass_keeps_the_bound():
+    assert max_matching(_GREEDY_OPTIMAL, budget=1).size == 4
+    with pytest.raises(BudgetExceededError) as exc:
+        max_matching(_GREEDY_OPTIMAL, budget=1, deterministic=True)
+    partial = exc.value.partial
+    assert partial["lower"] == 4 and partial["exact"] is False
+    assert _disjoint(_GREEDY_OPTIMAL, list(partial["witness"]))
 
 
 def test_max_matching_edge_cap():

@@ -390,12 +390,24 @@ def test_closed_forms_match_search_on_small_cases():
     cases = [("F2", 1), ("F2", 2), ("F2", 3), ("F3", 1), ("F3", 2),
              ("F4", 1), ("F4", 2), ("F4", 3), ("F5", 1), ("F5", 2),
              ("F6", 1), ("F6", 2),
-             ("MATCH:2", 1), ("MATCH:2", 2), ("MATCH:2", 3), ("MATCH:2", 4)]
+             ("MATCH:2", 1), ("MATCH:2", 2), ("MATCH:2", 3), ("MATCH:2", 4),
+             ("S3,STAR:3", 1), ("S3,STAR:3", 2), ("K3,P4,PATH:4", 1), ("K3,P4,PATH:4", 2),
+             ("K3,P4,PATH:4", 3)]
     for name, k in cases:
         fam = parse_family(name)
         form = closed_form_c_k(fam, k)
         assert form is not None and not form.asymptotic and not form.conditional
         assert compute_c_k(fam, k).value == form.value
+
+
+def test_closed_form_reduces_the_family_like_the_search():
+    # a star, path or matching containing a smaller one of its kind adds nothing
+    for spec, reduced in (("S3,STAR:3", "S3"), ("P4,PATH:5", "P4"), ("K3,P4,PATH:4", "F4"),
+                          ("STAR:3,STAR:3", "STAR:3"), ("STAR:3,STAR:4", "STAR:3")):
+        for k in (2, 3, 4):
+            form = closed_form_c_k(parse_family(spec), k)
+            assert form is not None and form == closed_form_c_k(parse_family(reduced), k)
+    assert [closed_form_c_k(parse_family("S3,STAR:3"), k).value for k in (2, 3, 4)] == [5, 7, 9]
 
 
 def test_closed_form_p4_family_residues():
