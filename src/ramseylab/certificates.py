@@ -6,7 +6,8 @@ statistics, the tool version, and the delta0 threshold in force.  The verify
 entry point re-checks a certificate strictly from its payload: witnesses are
 re-validated, deterministic formulas are recomputed, but searches are never
 re-run, so refutation certificates are vouched for by their exhaustion
-statistics and symmetry-scheme identifier rather than re-execution.
+statistics and symmetry-scheme identifier rather than re-execution.  A
+refutation by counting edges costs nothing to redo, so it is re-checked.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .ramsey_search import (
     DEFAULT_DELTA0,
     EdgeColoring,
     closed_form_c_k,
+    counting_refutes,
     parse_family,
     verify_mono_free,
 )
@@ -262,6 +264,10 @@ def _vf_ramsey(params, value, witness, stats, outcome):
     if not report.ok:
         raise VerificationError("mono-free",
                                 f"color {report.color} contains {report.pattern.token}")
+    if "refutation" in stats and (stats["refutation"] != "counting"
+                                  or not counting_refutes(fam, k, n + 1)):
+        raise VerificationError("counting-refutation",
+                                f"counting edges does not refute K_{n + 1} with {k} colors")
 
 
 def _vf_closed_form(params, value, witness, stats, outcome):

@@ -142,6 +142,8 @@ def _run_ramsey(args, params):
     witness = {"n": res.value, "assignment": list(res.witness.assignment)}
     stats = {"witness_nodes": res.witness_nodes,
              "refutation_nodes": res.refutation_nodes}
+    if res.counted:
+        stats["refutation"] = "counting"
     return "VALUE", res.value, witness, stats
 
 

@@ -11,8 +11,10 @@ of K_{2k}, and a six-factor covering of K_11.
 Cover searches restrict to edge-maximal factors (any factor extends to a
 maximal one on the same vertices without losing coverage), fix the first
 factor up to isomorphism, and order the middle factors, so exhaustion is a
-certified nonexistence.  The search scheme identifier recorded in results
-names exactly this reduction.
+certified nonexistence.  Covers and decompositions also drop a branch once
+some vertex has more uncovered edges than the factors left can take: a
+factor has maximum degree 2.  The search scheme identifier recorded in
+results names exactly this reduction.
 
 Covers, decompositions and the maximum cover run one search,
 _factor_search.  The three differ only in the candidates of the later
@@ -53,8 +55,8 @@ NOT_A_FACTOR = "NOT_A_FACTOR"
 COVER = "COVER"
 DECOMPOSITION = "DECOMPOSITION"
 
-COVER_SCHEME = "maximal-factors/first-factor-up-to-iso/sorted-middle-factors"
-DECOMP_SCHEME = "first-factor-up-to-iso/descending-middle-masks/forced-last"
+COVER_SCHEME = "maximal-factors/first-factor-up-to-iso/sorted-middle-factors/degree-bound"
+DECOMP_SCHEME = "first-factor-up-to-iso/descending-middle-masks/forced-last/degree-bound"
 
 
 def classify_factor(g: Graph) -> str:
@@ -315,7 +317,7 @@ def _iter_factor_masks_within(n: int, allowed_adj: Sequence[int], proper: bool,
 def _factor_search(n: int, r: int, reps: Sequence[int],
                    nxt: Callable[[int, int | None], Iterable[int]],
                    last: Callable[[int], tuple[int, int]],
-                   best: int, bud: NodeBudget) -> tuple[int, list[int]]:
+                   best: int, bud: NodeBudget, degree_bound: bool) -> tuple[int, list[int]]:
     """The one search behind cover_search and max_coverable_edges.
 
     Chooses r factor edge-masks depth first, one level per factor.  Level 1
@@ -324,12 +326,15 @@ def _factor_search(n: int, r: int, reps: Sequence[int],
     Level r takes last(uncovered), which is (edges gained, mask), a negative
     gain when there is no last factor.  Each level spends one node and is
     pruned when r - level + 1 factors of at most maxf edges each cannot beat
-    best.  A choice that beats best becomes the witness, and the search stops
-    once every edge of K_n is covered.  Returns (best, witness masks); the
-    witness is empty if nothing beat the starting best.
+    best.  With degree_bound, which only a search for a full cover may use,
+    a level is also pruned when some vertex has more than 2 * (r - level + 1)
+    uncovered edges.  A choice that beats best becomes the witness, and the
+    search stops once every edge of K_n is covered.  Returns (best, witness
+    masks); the witness is empty if nothing beat the starting best.
     """
     full = _full_edge_mask(n)
     maxf = n if n % 3 == 0 else n - 1
+    stars = [sum(_edge_bit(v, u, n) for u in range(n) if u != v) for v in range(n)]
     witness: list[int] = []
     chosen: list[int] = []  # the masks of levels 1 .. len(chosen)
     frames: list[tuple[Iterator[int], int]] = []  # (candidates, covered before)
@@ -338,9 +343,13 @@ def _factor_search(n: int, r: int, reps: Sequence[int],
         level = len(chosen) + 1
         bud.tick()
         cov = covered.bit_count()
-        if cov + (r - level + 1) * maxf > best:
+        left = r - level + 1
+        missing = full & ~covered
+        if cov + left * maxf > best and not (
+                degree_bound and any((missing & star).bit_count() > 2 * left
+                                     for star in stars)):
             if level == r:
-                gain, mask = last(full & ~covered)
+                gain, mask = last(missing)
                 if cov + gain > best:
                     best, witness = cov + gain, chosen + [mask]
                     if covered | mask == full:
@@ -364,10 +373,18 @@ def _factor_search(n: int, r: int, reps: Sequence[int],
             return best, witness
 
 
-def _sorted_tail(pool: list[int]) -> Callable[[int, int | None], list[int]]:
+def _sorted_tail(build: Callable[[], list[int]]) -> Callable[[int, int | None], list[int]]:
     """The later-level rule over a sorted pool without repeats: the pool from
-    the previous mask on, so the factors after the first come in order."""
-    return lambda covered, prev: pool if prev is None else pool[bisect_left(pool, prev):]
+    the previous mask on, so the factors after the first come in order.  The
+    pool is built on the first call, so a search that ends before its second
+    level builds none."""
+    pool = lru_cache(maxsize=None)(build)
+
+    def nxt(covered: int, prev: int | None) -> list[int]:
+        masks = pool()
+        return masks if prev is None else masks[bisect_left(masks, prev):]
+
+    return nxt
 
 
 # -- cover and decomposition search -------------------------------------------
@@ -419,8 +436,8 @@ def cover_search(n: int, r: int, properness: str = GENERALIZED,
         if mode == COVER:
             reps = _maximal_shape_reps(n, proper)
             nxt = _sorted_tail(
-                sorted(_iter_factor_masks_within(n, complete_graph(n).adj, True))
-                if proper else _enumerate_maximal_factors(n))
+                (lambda: sorted(_iter_factor_masks_within(n, complete_graph(n).adj, True)))
+                if proper else (lambda: _enumerate_maximal_factors(n)))
         else:
             reps = (_maximal_shape_reps(n, proper) if proper
                     else sorted({_shape_rep(n, *shape) for shape in _all_factor_shapes(n)},
@@ -430,7 +447,7 @@ def cover_search(n: int, r: int, properness: str = GENERALIZED,
                 return _iter_factor_masks_within(n, _mask_to_graph(full & ~covered, n).adj,
                                                  proper, limit_mask=prev)
 
-        masks = _factor_search(n, r, reps, nxt, last, full.bit_count() - 1, bud)[1]
+        masks = _factor_search(n, r, reps, nxt, last, full.bit_count() - 1, bud, True)[1]
     if not masks:
         return CoverSearchResult(None, bud.spent, scheme)
     factors = [_mask_to_graph(m, n) for m in masks]
@@ -502,8 +519,9 @@ def max_coverable_edges(n: int, r: int, budget: int | None = None) -> MaxCoverRe
         raise ValidationError("OUT_OF_RANGE", f"need r >= 1, got {r}")
     bud = NodeBudget(budget)
     value, masks = _factor_search(
-        n, r, _maximal_shape_reps(n, proper=False), _sorted_tail(_enumerate_maximal_factors(n)),
-        lambda missing: _max_partial_factor(n, missing), -1, bud)
+        n, r, _maximal_shape_reps(n, proper=False),
+        _sorted_tail(lambda: _enumerate_maximal_factors(n)),
+        lambda missing: _max_partial_factor(n, missing), -1, bud, False)
     factors = [_mask_to_graph(m, n) for m in masks]
     _verify_cover_payload(n, r, GENERALIZED, COVER, factors, require_cover=False)
     return MaxCoverResult(value, FactorCover(n, tuple(factors), COVER, GENERALIZED),

@@ -6,6 +6,8 @@ c_k(family) is the largest n admitting such a coloring.  The search runs
 over edges in lexicographic order with canonical color introduction (a new
 color may appear only after all smaller ones), so exhaustion at a given n is
 a certified nonexistence and the first witness found is deterministic.
+Before searching K_n, compute_c_k tries to refute it by counting edges: k
+classes free of the family hold at most k * ex(n, F) edges.
 
 Known closed forms for specific families are kept separate from the search
 so the two routes can be cross-checked; formulas that hold only for large k
@@ -722,15 +724,54 @@ def mono_free_coloring(n: int, k: int, fam: ForbiddenFamily,
     return mono_free_search(n, k, fam, budget)[0]
 
 
+def ex_bound(fam: ForbiddenFamily, n: int) -> int:
+    """An upper bound on ex(n, fam), the most edges of a graph on n vertices
+    with no pattern of the family.
+
+    The minimum, over the kernel patterns of _reduced, of the classical
+    bounds: floor(n^2 / 4) for a triangle (Mantel); floor(n (s - 1) / 2) for
+    the s-edge star, since every degree is below s; n if 3 | n, else n - 1,
+    for P4, whose free graphs are unions of stars and triangles;
+    floor((l - 1) n / 2) for the l-edge path and, for n >= 2m - 1,
+    max(C(2m - 1, 2), C(m - 1, 2) + (m - 1)(n - m + 1)) for the m-edge
+    matching (both Erdos-Gallai 1959).  Explicit patterns add no bound, so
+    the result is at most C(n, 2).
+    """
+    sizes, _ = _reduced(fam)
+    bounds = [n * (n - 1) // 2]
+    if "triangle" in sizes:
+        bounds.append(n * n // 4)
+    if "star" in sizes:
+        bounds.append(n * (sizes["star"] - 1) // 2)
+    path = sizes.get("path", 0)
+    if path == 3:
+        bounds.append(n if n % 3 == 0 else n - 1)
+    elif path:
+        bounds.append((path - 1) * n // 2)
+    m = sizes.get("matching", 0)
+    if m and n >= 2 * m - 1:
+        bounds.append(max(math.comb(2 * m - 1, 2),
+                          math.comb(m - 1, 2) + (m - 1) * (n - m + 1)))
+    return min(bounds)
+
+
+def counting_refutes(fam: ForbiddenFamily, k: int, n: int) -> bool:
+    """Whether k classes of at most ex_bound(fam, n) edges each are too few
+    for the C(n, 2) edges of K_n, so that K_n has no admissible coloring."""
+    return k * ex_bound(fam, n) < n * (n - 1) // 2
+
+
 @dataclass(frozen=True)
 class CkResult:
     """c_k value with the witness at n = value and the refutation stats at
-    n = value + 1."""
+    n = value + 1; counted means K_{value+1} was refuted by counting_refutes,
+    in 0 nodes."""
 
     value: int
     witness: EdgeColoring
     witness_nodes: int
     refutation_nodes: int
+    counted: bool = False
 
 
 def compute_c_k(fam: ForbiddenFamily, k: int, cap: int = 32,
@@ -738,7 +779,8 @@ def compute_c_k(fam: ForbiddenFamily, k: int, cap: int = 32,
     """Largest n with an admissible coloring, by scanning n upward.
 
     Existence is monotone (restricting a coloring of K_{n+1} to K_n stays
-    admissible), so the first refuted n settles the value.  If K_cap is
+    admissible), so the first refuted n settles the value.  Each n is first
+    tried by counting_refutes and searched only when that fails.  If K_cap is
     still colorable raises CapReachedError carrying the proven lower bound;
     if one size runs out of budget, BudgetExceededError carries it as well.
     """
@@ -747,16 +789,20 @@ def compute_c_k(fam: ForbiddenFamily, k: int, cap: int = 32,
     prev: EdgeColoring | None = None
     prev_nodes = 0
     for n in range(1, cap + 1):
-        try:
-            coloring, nodes = mono_free_search(n, k, fam, budget)
-        except BudgetExceededError as exc:
-            raise BudgetExceededError(f"{exc} at n = {n}; c_{k} >= {n - 1}",
-                                      **exc.partial, lower=n - 1) from None
+        counted = counting_refutes(fam, k, n)
+        coloring: EdgeColoring | None = None
+        nodes = 0
+        if not counted:
+            try:
+                coloring, nodes = mono_free_search(n, k, fam, budget)
+            except BudgetExceededError as exc:
+                raise BudgetExceededError(f"{exc} at n = {n}; c_{k} >= {n - 1}",
+                                          **exc.partial, lower=n - 1) from None
         if coloring is None:
             if prev is None:
                 # n == 1 always succeeds: K_1 has no edges.
                 raise VerificationError("ck-base-case", "K_1 search failed unexpectedly")
-            return CkResult(n - 1, prev, prev_nodes, nodes)
+            return CkResult(n - 1, prev, prev_nodes, nodes, counted)
         prev, prev_nodes = coloring, nodes
     raise CapReachedError(f"K_{cap} still admits a coloring; c_{k} >= {cap}",
                           lower=cap, witness=prev)

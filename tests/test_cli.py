@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,8 @@ from ramseylab.cli import COMMANDS, run
 from ramseylab.factor_lab import PROPER, random_factor
 from ramseylab.graph_core import graph_to_text, path_graph
 from ramseylab.hypergraph_lab import factors_to_hypergraph, hypergraph_to_text
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _invoke(capsys, argv):
@@ -201,6 +204,24 @@ def test_verify_rejects_unknown_cover_mode_or_properness(tmp_path, capsys):
         path.write_text(json.dumps(bad, sort_keys=True, indent=2) + "\n")
         code, out, err = _invoke(capsys, ["verify", str(path)])
         assert code == 1 and out == "" and err.startswith("error ["), (key, value)
+
+
+def test_verify_rechecks_a_counting_refutation(tmp_path, capsys):
+    # c_2(K3, S3) = 5: 2 classes hold at most 2 * 6 = 12 of K_6's 15 edges
+    cert = json.loads((GOLDEN / "ramsey-k3-star2.json").read_text(encoding="utf-8"))
+    assert cert["stats"]["refutation"] == "counting"
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    assert _invoke(capsys, ["verify", str(path)])[:2] == (0, "true\n")
+    # c_3(P4) = 5, but 3 P4-free classes hold up to 3 * 6 = 18 >= 15 edges
+    # of K_6, so counting cannot have refuted K_6
+    cert = json.loads((GOLDEN / "ramsey-path3.json").read_text(encoding="utf-8"))
+    cert["stats"].update(refutation="counting", refutation_nodes=0)
+    for refutation in ("counting", "x", 0):
+        cert["stats"]["refutation"] = refutation
+        path.write_text(json.dumps(cert))
+        code, out, err = _invoke(capsys, ["verify", str(path)])
+        assert code == 1 and out == "" and "counting-refutation" in err, refutation
 
 
 def test_proper_decomposition_refutation(capsys):

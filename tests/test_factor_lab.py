@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from ramseylab import factor_lab
 from ramseylab.errors import BudgetExceededError, ValidationError
 from ramseylab.factor_lab import (
     COVER,
@@ -38,7 +39,9 @@ from ramseylab.graph_core import (
 )
 from ramseylab.ramsey_search import (
     FAMILY_PRESETS,
+    closed_form_c_k,
     coloring_from_classes,
+    mono_free_search,
     verify_mono_free,
 )
 
@@ -218,7 +221,7 @@ PINNED_SEARCHES = {
     (6, 3, GENERALIZED, COVER): (53, None),
     (6, 4, GENERALIZED, COVER): (15, [16897, 656, 6444, 9282]),
     (7, 3, GENERALIZED, COVER): (1, None),
-    (7, 4, GENERALIZED, COVER): (6322, [360515, 135716, 527632, 1073288]),
+    (7, 4, GENERALIZED, COVER): (2082, [360515, 135716, 527632, 1073288]),
     (8, 4, GENERALIZED, COVER): (220, [139198595, 10521156, 50479408, 68236296]),
     (6, 3, PROPER, COVER): (12, None),
     (6, 5, PROPER, COVER): (6, [28707, 5905, 5905, 6354, 6444]),
@@ -226,7 +229,7 @@ PINNED_SEARCHES = {
     (9, 4, PROPER, COVER): (56, [60202942723, 1376134276, 2693861968, 4446537768]),
     (4, 3, GENERALIZED, DECOMPOSITION): (3, [33, 6, 24]),
     (5, 3, GENERALIZED, DECOMPOSITION): (4, [531, 292, 200]),
-    (6, 3, GENERALIZED, DECOMPOSITION): (1410, None),
+    (6, 3, GENERALIZED, DECOMPOSITION): (734, None),
     (6, 4, GENERALIZED, DECOMPOSITION): (4, [28707, 2316, 208, 1536]),
     (7, 4, GENERALIZED, DECOMPOSITION): (64, [1081411, 591124, 150024, 274592]),
     (8, 4, GENERALIZED, DECOMPOSITION): (520, [139198595, 68178980, 50430280, 10627600]),
@@ -251,6 +254,55 @@ def test_cover_search_budget_runs_out_at_pinned_nodes():
         with pytest.raises(BudgetExceededError) as exc:
             cover_search(*case, budget=nodes - 1)
         assert exc.value.partial == {"nodes": nodes - 1}, case
+
+
+def test_degree_bound_refutes_at_the_root():
+    # a vertex of K_n has n - 1 edges and r factors take at most 2r of them
+    for case in ((12, 3, PROPER), (10, 4), (7, 2, GENERALIZED, DECOMPOSITION)):
+        res = cover_search(*case)
+        assert (res.cover, res.nodes) == (None, 1), case
+    # K_10 has degree 9 <= 10, so five factors are refuted a level lower
+    res = cover_search(10, 5, mode=DECOMPOSITION)
+    assert (res.cover, res.nodes) == (None, 28)
+
+
+def test_factor_pools_are_built_on_first_use(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("factor pool built")
+
+    monkeypatch.setattr(factor_lab, "_enumerate_maximal_factors", boom)
+    monkeypatch.setattr(factor_lab, "_iter_factor_masks_within", boom)
+    res = cover_search(13, 3)
+    assert (res.cover, res.nodes) == (None, 1)
+    for search, args in ((cover_search, (10, 5)), (cover_search, (9, 4, PROPER)),
+                         (cover_search, (10, 5, GENERALIZED, DECOMPOSITION)),
+                         (cover_search, (9, 4, PROPER, DECOMPOSITION)),
+                         (max_coverable_edges, (8, 4))):
+        with pytest.raises(BudgetExceededError) as exc:
+            search(*args, budget=1)
+        assert exc.value.partial == {"nodes": 1}, args
+
+
+def test_covers_by_factors_are_f6_free_colorings():
+    # a {P4, S3}-free class is a union of triangles and paths of at most two
+    # edges, so a subgraph of a generalized factor: K_n has an admissible
+    # k-coloring for F6 exactly when k factors cover it
+    fam = FAMILY_PRESETS["F6"]
+    for n in range(1, 10):
+        for k in range(1, 5):
+            covered = cover_search(n, k).cover is not None
+            assert covered == (mono_free_search(n, k, fam)[0] is not None), (n, k)
+
+
+def test_c5_of_f6_is_nine():
+    # no closed form below delta0; the search settles it
+    fam = FAMILY_PRESETS["F6"]
+    assert closed_form_c_k(fam, 5) is None
+    coloring, nodes = mono_free_search(9, 5, fam)
+    assert coloring is not None and nodes == 3786
+    assert verify_mono_free(coloring, fam).ok
+    res = cover_search(10, 5)
+    assert (res.cover, res.nodes) == (None, 4)
 
 
 def test_factor_search_runs_deeper_than_the_python_stack():

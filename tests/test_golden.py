@@ -45,7 +45,7 @@ CASES: dict[str, list[str]] = {
     "cover-proper": ["cover", "--n", "9", "--r", "4", "--proper"],
     "cover-proper-refuted": ["cover", "--n", "6", "--r", "2", "--proper"],
     "cover-one-factor": ["cover", "--n", "3", "--r", "1"],
-    "cover-decomposition-cap": ["cover", "--n", "10", "--r", "5", "--decomposition",
+    "cover-decomposition-cap": ["cover", "--n", "12", "--r", "6", "--decomposition",
                                 "--budget", "2000"],
     "max-cover": ["max-cover", "--n", "6", "--r", "3"],
     "walecki": ["walecki", "--k", "4"],

@@ -28,6 +28,8 @@ from ramseylab.ramsey_search import (
     closed_form_c_k,
     coloring_from_classes,
     compute_c_k,
+    counting_refutes,
+    ex_bound,
     explicit_pattern,
     find_copy,
     g_k_upper_bound,
@@ -337,15 +339,25 @@ _PINNED = [
     ("K3,PATH:4", 3, 6, 2089, 172336, "000121112200221"),
 ]
 
+# the cases of _PINNED whose K_{c_k + 1} compute_c_k refutes by counting
+_COUNTED = {("F3", 5), ("MATCH:3", 2)}
+
 
 @pytest.mark.parametrize("spec, k, value, witness_nodes, refutation_nodes, assignment",
                          _PINNED)
 def test_search_node_counts_and_witnesses_are_pinned(spec, k, value, witness_nodes,
                                                      refutation_nodes, assignment):
-    res = compute_c_k(parse_family(spec), k)
-    assert (res.value, res.witness_nodes, res.refutation_nodes) == (
-        value, witness_nodes, refutation_nodes)
+    fam = parse_family(spec)
+    res = compute_c_k(fam, k)
+    counted = (spec, k) in _COUNTED
+    assert (res.value, res.witness_nodes, res.counted) == (value, witness_nodes, counted)
     assert "".join(map(str, res.witness.assignment)) == assignment
+    if counted:
+        # the search still refutes K_{c_k + 1} in the pinned count on its own
+        assert res.refutation_nodes == 0
+        assert mono_free_search(value + 1, k, fam) == (None, refutation_nodes)
+    else:
+        assert res.refutation_nodes == refutation_nodes
 
 
 def test_budget_cap_matches_node_budget():
@@ -383,6 +395,67 @@ def test_compute_c_k_cap():
     assert exc.value.partial["witness"].base.n == 4
 
 
+def _max_free_edges(n: int, p) -> int:
+    """ex(n, p) by branch and bound over the edges of K_n."""
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen: list[tuple[int, int]] = []
+    best = 0
+
+    def rec(i: int) -> None:
+        nonlocal best
+        if len(chosen) + len(edges) - i <= best:
+            return
+        if i == len(edges):
+            best = len(chosen)
+            return
+        chosen.append(edges[i])
+        if not has_copy(build_graph(n, chosen), p):
+            rec(i + 1)
+        chosen.pop()
+        rec(i + 1)
+
+    rec(0)
+    return best
+
+
+def test_ex_bound_against_brute_force():
+    # exact for the triangle, stars, P4 and matchings; an upper bound for
+    # longer paths
+    for p in (TRIANGLE, star_pattern(1), star_pattern(2), S3, star_pattern(4), P4,
+              matching_pattern(2), matching_pattern(3), path_pattern(4), path_pattern(5)):
+        for n in range(1, 7):
+            ex = _max_free_edges(n, p)
+            bound = ex_bound(ForbiddenFamily((p,)), n)
+            if p.kind == "path" and p.size >= 4:
+                assert bound >= ex, (p.token, n)
+            else:
+                assert bound == ex, (p.token, n)
+
+
+def test_ex_bound_takes_the_smallest_pattern_bound():
+    assert ex_bound(FAMILY_PRESETS["F6"], 10) == 9  # P4 beats S3's 10
+    assert ex_bound(FAMILY_PRESETS["F5"], 10) == 10  # S3 beats K3's 25
+    assert ex_bound(parse_family("K3,PATH:4"), 7) == 10
+    assert ex_bound(parse_family("MATCH:3"), 8) == 13  # 1 + 2 * 6 beats C(5, 2)
+    assert ex_bound(parse_family("MATCH:3"), 4) == 6  # K_4 has no 3 disjoint edges
+    # an explicit pattern, even one of a kernel kind, is folded first; a
+    # 4-cycle adds no bound
+    c4 = explicit_pattern(build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+    assert ex_bound(ForbiddenFamily((c4,)), 9) == 36
+    p4_file = explicit_pattern(build_graph(4, [(0, 1), (1, 2), (2, 3)]))
+    assert ex_bound(ForbiddenFamily((c4, p4_file)), 9) == 9
+
+
+def test_counting_refutes():
+    # 4 P4-free classes on 10 vertices hold at most 36 < 45 edges; on 9
+    # vertices, 36 = 36
+    assert counting_refutes(FAMILY_PRESETS["F2"], 4, 10)
+    assert not counting_refutes(FAMILY_PRESETS["F2"], 4, 9)
+    # K_1 has no edges to count, even when every edge is forbidden
+    assert not counting_refutes(parse_family("STAR:0"), 3, 1)
+    assert counting_refutes(parse_family("STAR:0"), 3, 2)
+
+
 # -- closed forms ------------------------------------------------------------------
 
 
@@ -398,6 +471,8 @@ def test_closed_forms_match_search_on_small_cases():
         form = closed_form_c_k(fam, k)
         assert form is not None and not form.asymptotic and not form.conditional
         assert compute_c_k(fam, k).value == form.value
+        # the search agrees with the formula without the counting bound's help
+        assert mono_free_search(form.value + 1, k, fam)[0] is None, (name, k)
 
 
 def test_closed_form_reduces_the_family_like_the_search():
