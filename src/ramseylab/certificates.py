@@ -19,16 +19,16 @@ from typing import Any, Callable, Mapping
 from .errors import ParseError, ValidationError, VerificationError
 from .graph_core import (
     Graph,
+    complete_graph,
     graph_from_text,
-    graph_to_text,
     is_proper_coloring,
     union_graphs,
 )
 from .ramsey_search import (
     DEFAULT_DELTA0,
-    EdgeColoring,
     closed_form_c_k,
     counting_refutes,
+    make_edge_coloring,
     parse_family,
     verify_mono_free,
 )
@@ -41,7 +41,6 @@ from .factor_lab import (
     _verify_cycle_decomposition,
     _verify_galaxy,
     chi_r_report,
-    classify_factor,
 )
 from .hypergraph_lab import (
     PartiteHypergraph,
@@ -191,16 +190,19 @@ def _int_list(payload: Mapping[str, Any] | None, key: str) -> list[int]:
 # -- per-command verifiers --------------------------------------------------------
 
 
-def _vf_chi(params, value, witness, stats, outcome):
-    if outcome != "VALUE":
-        return
-    g = _graph_payload(witness)
+def _verify_coloring(g: Graph, witness, value) -> None:
+    """The one check of a vertex coloring: proper on g, with value colors."""
     colors = _int_list(witness, "colors")
     if not is_proper_coloring(g, colors):
         raise VerificationError("proper-coloring", "witness coloring is not proper")
     if len(set(colors)) != value:
         raise VerificationError("color-count",
                                 f"witness uses {len(set(colors))} colors, claimed {value}")
+
+
+def _vf_chi(params, value, witness, stats, outcome):
+    if outcome == "VALUE":
+        _verify_coloring(_graph_payload(witness), witness, value)
 
 
 def _vf_clique(params, value, witness, stats, outcome):
@@ -251,15 +253,7 @@ def _vf_ramsey(params, value, witness, stats, outcome):
     n = _int(witness, "n")
     if value != n:
         raise VerificationError("value-witness", "claimed value differs from witness size")
-    assignment = _int_list(witness, "assignment")
-    from .graph_core import complete_graph
-    base = complete_graph(n)
-    if len(assignment) != base.m:
-        raise VerificationError("assignment-length",
-                                f"expected {base.m} edge colors, got {len(assignment)}")
-    if any(not 0 <= c < k for c in assignment):
-        raise VerificationError("color-range", "edge color outside the palette")
-    coloring = EdgeColoring(base, k, tuple(assignment))
+    coloring = make_edge_coloring(complete_graph(n), k, _int_list(witness, "assignment"))
     report = verify_mono_free(coloring, fam)
     if not report.ok:
         raise VerificationError("mono-free",
@@ -347,10 +341,7 @@ def _vf_chi_r(params, value, witness, stats, outcome):
 def _vf_bijection(params, value, witness, stats, outcome):
     h = _hypergraph_payload(witness)
     factors = _graphs_payload(witness, "factors")
-    for g in factors:
-        if classify_factor(g) != PROPER:
-            raise VerificationError("factor-proper", "bijection factor is not proper")
-    h2 = factors_to_hypergraph(factors)
+    h2 = factors_to_hypergraph(factors)  # rejects a factor that is not proper
     if h2.part_sizes != h.part_sizes or h2.edges != h.edges:
         raise VerificationError("bijection-roundtrip",
                                 "factors do not map back to the hypergraph")
@@ -370,18 +361,10 @@ def _vf_match(params, value, witness, stats, outcome):
         raise VerificationError("matching-disjoint", "matching witness is not disjoint")
 
 
-def _vf_chromatic_index(params, value, witness, stats, outcome):
-    if outcome != "VALUE":
-        return
-    h = _hypergraph_payload(witness)
-    colors = _int_list(witness, "colors")
-    if len(colors) != h.m:
-        raise VerificationError("color-length", "one color per hyperedge required")
-    lg = line_graph(h)
-    if not is_proper_coloring(lg, colors):
-        raise VerificationError("proper-index", "two intersecting edges share a color")
-    if h.m and len(set(colors)) != value:
-        raise VerificationError("color-count", "distinct colors differ from value")
+def _vf_line_chi(params, value, witness, stats, outcome):
+    # the chromatic index is the chromatic number of the line graph
+    if outcome == "VALUE":
+        _verify_coloring(line_graph(_hypergraph_payload(witness)), witness, value)
 
 
 def _vf_ach(params, value, witness, stats, outcome):
@@ -446,7 +429,7 @@ _VERIFIERS: dict[str, Callable] = {
     "chi-r": _vf_chi_r,
     "bijection": _vf_bijection,
     "match": _vf_match,
-    "chromatic-index": _vf_chromatic_index,
+    "chromatic-index": _vf_line_chi,
     "ach": _vf_ach,
     "plane": _vf_plane,
     "truncated-plane": _vf_truncated_plane,

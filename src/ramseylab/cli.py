@@ -230,7 +230,7 @@ def _run_match(args, params):
     return "VALUE", res.size, witness, {"nodes": res.nodes}
 
 
-def _run_chromatic_index(args, params):
+def _run_line_chi(args, params):
     params["hypergraph"] = args.hypergraph
     h = hypergraph_from_text(_read_text(args.hypergraph))
     res = chromatic_number(line_graph(h), budget=args.budget)
@@ -351,7 +351,7 @@ COMMANDS: dict[str, Command] = {
         _run_bijection),
     "match": Command("exact maximum matching", (_HYPERGRAPH, _BUDGET), _run_match),
     "chromatic-index": Command("exact proper edge-coloring number", (_HYPERGRAPH, _BUDGET),
-                               _run_chromatic_index),
+                               _run_line_chi),
     "ach": Command("matching-bound counterexample hypergraph", (_D, _BUDGET), _run_ach),
     "plane": Command("projective plane of prime order", (_P,), _run_plane),
     "truncated-plane": Command("plane minus a point, as a hypergraph", (_P,),

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ValidationError, VerificationError
 from .hypergraph_lab import PartiteHypergraph, is_matching, make_hypergraph, regularity
@@ -67,7 +67,7 @@ def ach_counterexample(d: int) -> tuple[PartiteHypergraph, AchLabeling]:
             edges.extend([(i, i, j), (i, j, i), (j, i, i)])
         if d % 2 == 1:
             edges.append((i, i, i))
-    h = make_hypergraph([m, m, m], edges, allow_multi=False)
+    h = make_hypergraph([m, m, m], edges)
     labels = tuple(_ach_label(e, d) for e in h.edges)
     _verify_ach(h, labels, d, m)
     return h, AchLabeling(d, m, labels)
@@ -82,22 +82,30 @@ def _ach_label(e: Sequence[int], d: int) -> int:
 
 
 def _verify_ach(h: PartiteHypergraph, labels: Sequence[int], d: int, m: int) -> None:
-    if regularity(h) != d:
-        raise VerificationError("regular", f"construction is not {d}-regular")
-    if len(set(h.edges)) != h.m:
-        raise VerificationError("simple", "repeated edge")
     by_label: dict[int, list[tuple[int, ...]]] = {}
     for e, lab in zip(h.edges, labels):
         by_label.setdefault(lab, []).append(e)
     if set(by_label) != set(range(d)):
         raise VerificationError("label-range", "labels do not cover A")
-    for lab, group in by_label.items():
+    _verify_intersecting(h, d, by_label.values(), 3, "label-intersect")
+
+
+def _verify_intersecting(h: PartiteHypergraph, degree: int,
+                         groups: Iterable[Sequence[tuple[int, ...]]], width: int,
+                         check: str) -> None:
+    """The one check of the three constructions: h is degree-regular and
+    simple, and any two edges of one group meet in one of their first width
+    coordinates, so a matching takes at most one edge per group."""
+    if regularity(h) != degree:
+        raise VerificationError("regular", f"expected {degree}-regularity")
+    if len(set(h.edges)) != h.m:
+        raise VerificationError("simple", "repeated edge")
+    for group in groups:
         for a in range(len(group)):
             for b in range(a + 1, len(group)):
-                if all(group[a][i] != group[b][i] for i in range(3)):
-                    raise VerificationError(
-                        "label-intersect",
-                        f"disjoint edges {group[a]} and {group[b]} share label {lab}")
+                if all(group[a][i] != group[b][i] for i in range(width)):
+                    raise VerificationError(check, f"edges {group[a]} and {group[b]} "
+                                                   "of one group are disjoint")
 
 
 def ach_bound(d: int, n: int) -> int:
@@ -205,7 +213,7 @@ def truncated_plane(p: int) -> PartiteHypergraph:
         if any(s == -1 for s in slot):
             raise VerificationError("transversal", "line misses a part")
         edges.append(tuple(slot))
-    h = make_hypergraph([p] * (p + 1), edges, allow_multi=False)
+    h = make_hypergraph([p] * (p + 1), edges)
     _verify_truncated_plane(h, p)
     return h
 
@@ -215,15 +223,7 @@ def _verify_truncated_plane(h: PartiteHypergraph, p: int) -> None:
         raise VerificationError("parts", f"expected {p + 1} parts of size {p}")
     if h.m != p * p:
         raise VerificationError("edge-count", f"expected {p * p} edges")
-    if regularity(h) != p:
-        raise VerificationError("regular", f"expected {p}-regularity")
-    if len(set(h.edges)) != h.m:
-        raise VerificationError("simple", "repeated edge")
-    for a in range(h.m):
-        for b in range(a + 1, h.m):
-            if all(h.edges[a][i] != h.edges[b][i] for i in range(h.r)):
-                raise VerificationError("pairwise-intersect",
-                                        f"edges {a} and {b} are disjoint")
+    _verify_intersecting(h, p, [h.edges], h.r, "pairwise-intersect")
 
 
 # -- stacked planes with a joining part ------------------------------------------
@@ -257,7 +257,7 @@ def claim51_hypergraph(p: int, m: int, uniformity: int | None = None) -> Partite
             shifted = tuple(x + c * p for x in e)
             for v in range(join):
                 edges.append(shifted + (v,))
-    h = make_hypergraph(sizes, edges, allow_multi=False)
+    h = make_hypergraph(sizes, edges)
     if uniformity is not None:
         h = _duplicate_last_part(h, uniformity - (r0 + 1) + 1)
     _verify_claim51(h, p, m, claim51_matching(p, m))
@@ -279,24 +279,14 @@ def _verify_claim51(h: PartiteHypergraph, p: int, m: int,
     base_r = p + 1
     if h.r < base_r + 1 or h.part_sizes != (join,) * h.r:
         raise VerificationError("parts", "part sizes do not match the construction")
-    if regularity(h) != p * p * m:
-        raise VerificationError("regular", "expected p^2 m regularity")
-    if len(set(h.edges)) != h.m:
-        raise VerificationError("simple", "repeated edge")
     per_copy = p * p * join
     if h.m != m * per_copy:
         raise VerificationError("edge-count", "edge count differs from p^3 m^2")
-    # upper bound: within one copy all extended lines pairwise intersect in
-    # the first p+1 coordinates (inherited from the truncated plane), so a
-    # matching holds at most one edge per copy
-    for c in range(m):
-        lo = c * per_copy
-        for a in range(p * p):
-            for b in range(a + 1, p * p):
-                ea, eb = h.edges[lo + a * join], h.edges[lo + b * join]
-                if all(ea[i] != eb[i] for i in range(base_r)):
-                    raise VerificationError("copy-intersect",
-                                            f"copy {c} holds disjoint lines {a},{b}")
+    # within one copy the extended lines pairwise intersect in the first p+1
+    # coordinates (inherited from the truncated plane), so a matching holds
+    # at most one edge per copy
+    copies = [h.edges[c * per_copy:(c + 1) * per_copy:join] for c in range(m)]
+    _verify_intersecting(h, p * p * m, copies, base_r, "copy-intersect")
     if not is_matching(h, matching):
         raise VerificationError("matching-disjoint", "matching witness is not disjoint")
     if len(matching) != m:
@@ -310,4 +300,4 @@ def _duplicate_last_part(h: PartiteHypergraph, copies: int) -> PartiteHypergraph
                               f"uniformity below the construction's {h.r} parts")
     sizes = list(h.part_sizes) + [h.part_sizes[-1]] * (copies - 1)
     edges = [e + (e[-1],) * (copies - 1) for e in h.edges]
-    return make_hypergraph(sizes, edges, allow_multi=h.allow_multi)
+    return make_hypergraph(sizes, edges)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import ValidationError, VerificationError
+from .errors import BudgetExceededError, ValidationError, VerificationError
 from .graph_core import (
     Graph,
     NodeBudget,
@@ -41,13 +41,7 @@ from .graph_core import (
     restrict,
     union_graphs,
 )
-from .ramsey_search import (
-    A0_EXCEPTIONS,
-    DEFAULT_DELTA0,
-    P4,
-    TRIANGLE,
-    has_copy,
-)
+from .ramsey_search import A0_EXCEPTIONS, DEFAULT_DELTA0
 
 PROPER = "PROPER"
 GENERALIZED = "GENERALIZED"
@@ -84,35 +78,6 @@ class FactorCover:
     properness: str = GENERALIZED
 
 
-def make_factor_cover(n: int, factors: Sequence[Graph], mode: str = COVER,
-                      properness: str = GENERALIZED) -> FactorCover:
-    """Validated constructor: factors live on n vertices and classify as
-    declared; DECOMPOSITION additionally requires pairwise edge-disjointness."""
-    if mode not in (COVER, DECOMPOSITION):
-        raise ValidationError("OUT_OF_RANGE", f"unknown mode {mode!r}")
-    if properness not in (PROPER, GENERALIZED):
-        raise ValidationError("OUT_OF_RANGE", f"unknown properness {properness!r}")
-    for f in factors:
-        if f.n != n:
-            raise ValidationError("OUT_OF_RANGE",
-                                  f"factor on {f.n} vertices in a cover of K_{n}")
-        cls = classify_factor(f)
-        if properness == PROPER and cls != PROPER:
-            raise ValidationError("NOT_PROPER", "factor has a non-triangle component")
-        if cls == NOT_A_FACTOR:
-            raise ValidationError("NOT_A_FACTOR",
-                                  "component larger than a triangle")
-    if mode == DECOMPOSITION:
-        seen = 0
-        for f in factors:
-            mask = _edge_mask(f)
-            if mask & seen:
-                raise ValidationError("DUPLICATE_EDGE",
-                                      "factors of a decomposition share an edge")
-            seen |= mask
-    return FactorCover(n, tuple(factors), mode, properness)
-
-
 def union_factors(fc: FactorCover | Sequence[Graph]) -> Graph:
     """Edge union of a cover's factors (or of a plain factor list)."""
     factors = fc.factors if isinstance(fc, FactorCover) else tuple(fc)
@@ -125,7 +90,6 @@ def _verify_cover_payload(n: int, r: int, properness: str, mode: str,
     as an edge mask."""
     if len(factors) != r:
         raise VerificationError("factor-count", f"expected {r} factors, got {len(factors)}")
-    seen = 0
     for g in factors:
         if g.n != n:
             raise VerificationError("factor-order", "factor on wrong vertex count")
@@ -134,12 +98,20 @@ def _verify_cover_payload(n: int, r: int, properness: str, mode: str,
             raise VerificationError("factor-shape", "component larger than a triangle")
         if properness == PROPER and cls != PROPER:
             raise VerificationError("factor-proper", "non-triangle component in proper mode")
+    return _edge_union(factors, n, mode == DECOMPOSITION, require_cover)
+
+
+def _edge_union(graphs: Sequence[Graph], n: int, disjoint: bool, complete: bool) -> int:
+    """The edge mask of the union of graphs on n vertices, checked to be
+    pairwise edge-disjoint and to cover K_n as asked."""
+    seen = 0
+    for g in graphs:
         mask = _edge_mask(g)
-        if mode == DECOMPOSITION and mask & seen:
-            raise VerificationError("edge-disjoint", "decomposition factors share an edge")
+        if disjoint and mask & seen:
+            raise VerificationError("edge-disjoint", "two classes share an edge")
         seen |= mask
-    if require_cover and seen != _full_edge_mask(n):
-        raise VerificationError("union-complete", "factors do not cover the complete graph")
+    if complete and seen != _full_edge_mask(n):
+        raise VerificationError("union-complete", f"classes do not cover K_{n}")
     return seen
 
 
@@ -330,7 +302,8 @@ def _factor_search(n: int, r: int, reps: Sequence[int],
     a level is also pruned when some vertex has more than 2 * (r - level + 1)
     uncovered edges.  A choice that beats best becomes the witness, and the
     search stops once every edge of K_n is covered.  Returns (best, witness
-    masks); the witness is empty if nothing beat the starting best.
+    masks); the witness is empty if nothing beat the starting best.  A budget
+    cut after something beat it records best as the partial's lower.
     """
     full = _full_edge_mask(n)
     maxf = n if n % 3 == 0 else n - 1
@@ -341,7 +314,12 @@ def _factor_search(n: int, r: int, reps: Sequence[int],
     covered = 0
     while True:
         level = len(chosen) + 1
-        bud.tick()
+        try:
+            bud.tick()
+        except BudgetExceededError as exc:
+            if witness:  # a choice beat the starting best: a proven lower bound
+                exc.partial["lower"] = best
+            raise
         cov = covered.bit_count()
         left = r - level + 1
         missing = full & ~covered
@@ -601,18 +579,12 @@ def walecki_decomposition(k: int) -> tuple[Graph, ...]:
 
 
 def _verify_cycle_decomposition(cycles: Sequence[Graph], n: int) -> None:
-    seen = 0
     for g in cycles:
         if g.m != n or any(g.degree(v) != 2 for v in range(n)):
             raise VerificationError("hamilton-cycle", "class is not a 2-regular spanning cycle")
         if len(connected_components(g)) != 1:
             raise VerificationError("hamilton-cycle", "class is disconnected")
-        mask = _edge_mask(g)
-        if mask & seen:
-            raise VerificationError("edge-disjoint", "cycles share an edge")
-        seen |= mask
-    if seen != _full_edge_mask(n):
-        raise VerificationError("union-complete", "cycles do not cover K_n")
+    _edge_union(cycles, n, True, True)
 
 
 def galaxy_cover(k: int) -> tuple[Graph, ...]:
@@ -643,18 +615,13 @@ def _verify_galaxy(classes: Sequence[Graph], k: int) -> None:
     if len(classes) != k + 1:
         raise VerificationError("class-count", f"expected {k + 1} classes")
     n = 2 * k
-    seen = 0
     for g in classes:
         if g.n != n:
             raise VerificationError("class-order", "class on wrong vertex count")
-        if has_copy(g, TRIANGLE) or has_copy(g, P4):
+        # a star forest is a graph in which every edge has a leaf end
+        if any(g.degree(u) > 1 and g.degree(v) > 1 for u, v in g.edges()):
             raise VerificationError("star-forest", "class is not a star forest")
-        mask = _edge_mask(g)
-        if mask & seen:
-            raise VerificationError("edge-disjoint", "classes share an edge")
-        seen |= mask
-    if seen != _full_edge_mask(n):
-        raise VerificationError("union-complete", "classes do not cover the complete graph")
+    _edge_union(classes, n, True, True)
 
 
 # Six generalized factors covering all 55 edges of K_11 (1-based vertex

@@ -355,7 +355,8 @@ def _max_clique_search(g: Graph, budget: NodeBudget,
     """Maximum clique (size, vertex mask) by coloring-bounded branch and bound.
 
     If stop_at is given the search may stop early once a clique that large
-    is found; the reported size is then only a lower bound >= stop_at.
+    is found; the reported size is then only a lower bound >= stop_at.  On
+    budget exhaustion the partial's lower is the largest clique in hand.
     """
     n = g.n
     if n == 0:
@@ -367,7 +368,11 @@ def _max_clique_search(g: Graph, budget: NodeBudget,
 
     def expand(rmask: int, rsize: int, cand: int) -> None:
         nonlocal best, best_mask, done
-        budget.tick()
+        try:
+            budget.tick()
+        except BudgetExceededError as exc:
+            exc.partial["lower"] = max(best, rsize)  # rmask is a clique
+            raise
         if cand == 0:
             if rsize > best:
                 best, best_mask = rsize, rmask
@@ -409,10 +414,6 @@ def max_clique(g: Graph, budget: int | None = None) -> tuple[int, tuple[int, ...
         return 0, ()
     size, mask = _max_clique_search(g, NodeBudget(budget))
     return size, tuple(_bits(mask))
-
-
-def clique_number(g: Graph, budget: int | None = None) -> int:
-    return max_clique(g, budget)[0]
 
 
 def contains_clique(g: Graph, s: int, budget: int | None = None) -> bool:

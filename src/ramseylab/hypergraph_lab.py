@@ -24,7 +24,6 @@ from .graph_core import (
     NodeBudget,
     _bits,
     build_graph,
-    chromatic_number,
     connected_components,
 )
 from .factor_lab import PROPER, classify_factor
@@ -41,7 +40,6 @@ class PartiteHypergraph:
 
     part_sizes: tuple[int, ...]
     edges: tuple[tuple[int, ...], ...]
-    allow_multi: bool = True
 
     @property
     def r(self) -> int:
@@ -55,10 +53,10 @@ class PartiteHypergraph:
         return sum(1 for e in self.edges if e[part] == vertex)
 
 
-def make_hypergraph(part_sizes: Sequence[int], edges: Sequence[Sequence[int]],
-                    allow_multi: bool = True) -> PartiteHypergraph:
-    """Validated constructor; rejects out-of-range coordinates and, for
-    simple hypergraphs, repeated edges."""
+def make_hypergraph(part_sizes: Sequence[int],
+                    edges: Sequence[Sequence[int]]) -> PartiteHypergraph:
+    """Validated constructor; rejects out-of-range coordinates.  Repeated
+    edges are kept."""
     sizes = tuple(part_sizes)
     if not sizes or any(s < 1 for s in sizes):
         raise ValidationError("OUT_OF_RANGE", "part sizes must be positive")
@@ -74,9 +72,7 @@ def make_hypergraph(part_sizes: Sequence[int], edges: Sequence[Sequence[int]],
                 raise ValidationError("OUT_OF_RANGE",
                                       f"edge {tup}: coordinate {i} outside part of size {sizes[i]}")
         canon.append(tup)
-    if not allow_multi and len(set(canon)) != len(canon):
-        raise ValidationError("DUPLICATE_EDGE", "repeated hyperedge in a simple hypergraph")
-    return PartiteHypergraph(sizes, tuple(canon), allow_multi)
+    return PartiteHypergraph(sizes, tuple(canon))
 
 
 def regularity(h: PartiteHypergraph) -> int | None:
@@ -118,7 +114,7 @@ def factors_to_hypergraph(factors: Sequence[Graph]) -> PartiteHypergraph:
         part_sizes.append(len(comps))
     edges = [tuple(triangle_of[i][v] for i in range(len(factors)))
              for v in range(n_vertices)]
-    return make_hypergraph(part_sizes, edges, allow_multi=True)
+    return make_hypergraph(part_sizes, edges)
 
 
 def hypergraph_to_factors(h: PartiteHypergraph) -> list[Graph]:
@@ -158,13 +154,6 @@ def line_graph(h: PartiteHypergraph) -> Graph:
             if any(h.edges[a][i] == h.edges[b][i] for i in range(h.r)):
                 edges.append((a, b))
     return build_graph(h.m, edges)
-
-
-def chromatic_index(h: PartiteHypergraph, budget: int | None = None) -> int:
-    """Exact proper-edge-coloring number, as the line graph's chromatic number."""
-    if h.m == 0:
-        return 0
-    return chromatic_number(line_graph(h), budget=budget).value
 
 
 # -- exact maximum matching -----------------------------------------------------
@@ -351,7 +340,7 @@ def disjoint_copies(h: PartiteHypergraph, t: int) -> PartiteHypergraph:
         offset = [c * s for s in h.part_sizes]
         for e in h.edges:
             edges.append(tuple(x + offset[i] for i, x in enumerate(e)))
-    return make_hypergraph(sizes, edges, allow_multi=h.allow_multi)
+    return make_hypergraph(sizes, edges)
 
 
 # -- text format ----------------------------------------------------------------
@@ -366,8 +355,7 @@ def hypergraph_to_text(h: PartiteHypergraph) -> str:
 
 
 def hypergraph_from_text(text: str) -> PartiteHypergraph:
-    """Inverse of hypergraph_to_text; multi-edge permission is inferred from
-    the presence of repeated lines."""
+    """Inverse of hypergraph_to_text."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if len(lines) < 2:
         raise ParseError("expected a part-count line and a part-sizes line")
@@ -379,8 +367,7 @@ def hypergraph_from_text(text: str) -> PartiteHypergraph:
         raise ParseError(f"non-integer token: {exc}") from None
     if r != len(sizes):
         raise ParseError(f"header says {r} parts but {len(sizes)} sizes follow")
-    allow_multi = len(set(edges)) != len(edges)
     try:
-        return make_hypergraph(sizes, edges, allow_multi=allow_multi)
+        return make_hypergraph(sizes, edges)
     except ValidationError as exc:
         raise ParseError(str(exc)) from None

@@ -220,18 +220,6 @@ def find_copy(g: Graph, p: Pattern) -> tuple[int, ...] | None:
     return _embed(g, p.graph)
 
 
-def has_copy(g: Graph, p: Pattern) -> bool:
-    """Subgraph containment via per-kind detectors.
-
-    The 3-edge path P4 is decided by component shape alone (a P4-free
-    component is a star or a triangle); every other pattern asks find_copy
-    for a witness.
-    """
-    if p.kind == "path" and p.size == 3:
-        return _component_has_p4(g)
-    return find_copy(g, p) is not None
-
-
 def _find_triangle(g: Graph) -> tuple[int, int, int] | None:
     for u in range(g.n):
         au = g.adj[u]
@@ -251,30 +239,6 @@ def _find_star(g: Graph, s: int) -> tuple[int, ...] | None:
         if g.adj[v].bit_count() >= s:
             return (v, *_bits(g.adj[v])[:s])
     return None
-
-
-def _mask_is_star_or_triangle(adj: Sequence[int], comp: int) -> bool:
-    """Shape test for one connected component given as a vertex mask."""
-    size = comp.bit_count()
-    if size <= 3:
-        return True
-    edges = 0
-    maxdeg = 0
-    rest = comp
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        d = (adj[low.bit_length() - 1] & comp).bit_count()
-        edges += d
-        if d > maxdeg:
-            maxdeg = d
-    edges //= 2
-    return edges == size - 1 and maxdeg == size - 1
-
-
-def _component_has_p4(g: Graph) -> bool:
-    return not all(_mask_is_star_or_triangle(g.adj, comp)
-                   for comp in connected_components(g))
 
 
 def _find_path(g: Graph, length: int) -> tuple[int, ...] | None:
@@ -716,12 +680,6 @@ def _color_edges(n: int, k: int, edges: Sequence[tuple[int, int]],
             deg[v] -= 1
             c += 1
     return chosen, spent
-
-
-def mono_free_coloring(n: int, k: int, fam: ForbiddenFamily,
-                       budget: int | None = None) -> EdgeColoring | None:
-    """Convenience wrapper over mono_free_search dropping the node count."""
-    return mono_free_search(n, k, fam, budget)[0]
 
 
 def ex_bound(fam: ForbiddenFamily, n: int) -> int:

@@ -315,6 +315,11 @@ def test_each_command_takes_only_the_options_it_reads(capsys):
     (["ramsey", "--family", "F2", "--colors", "4", "--budget", "200000"],
      {"family": "F2", "colors": 4, "cap": 32}, {"lower": 7, "nodes": 200000}),
     (["ach", "--d", "5", "--budget", "1"], {"d": 5}, {"nodes": 1, "exact": False}),
+    # the best cover found and the clique in hand when the budget ran out
+    (["max-cover", "--n", "8", "--r", "4", "--budget", "100"], {"n": 8, "r": 4},
+     {"lower": 21, "nodes": 100}),
+    (["clique", "--complete", "40", "--budget", "5"], {"complete": 40},
+     {"lower": 5, "nodes": 5}),
 ])
 def test_budget_exhausted_certificate(tmp_path, capsys, argv, parameters, proven):
     code, out, _ = _invoke(capsys, argv + ["--deterministic"])

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from ramseylab.errors import ValidationError
+from ramseylab.errors import ValidationError, VerificationError
 from ramseylab.extremal import (
+    _verify_intersecting,
     ach_bound,
     ach_counterexample,
     claim51_hypergraph,
@@ -19,6 +20,7 @@ from ramseylab.graph_core import complete_graph
 from ramseylab.hypergraph_lab import (
     disjoint_copies,
     line_graph,
+    make_hypergraph,
     max_matching,
     regularity,
 )
@@ -140,6 +142,20 @@ def test_truncated_plane_shapes():
         assert h.part_sizes == tuple([p] * (p + 1))
         assert h.m == p * p and regularity(h) == p
         assert max_matching(h).size == 1  # edges pairwise intersect
+
+
+def test_construction_check_rejects_each_defect():
+    # the repeated edge, the disjoint pair and the wrong degree each fail
+    # under their own check name
+    for edges, degree, check in (([(0, 0), (0, 0), (1, 1), (1, 1)], 2, "simple"),
+                                 ([(0, 0), (1, 1)], 1, "pairwise-intersect"),
+                                 ([(0, 0), (1, 1)], 2, "regular")):
+        h = make_hypergraph([2, 2], edges)
+        with pytest.raises(VerificationError) as exc:
+            _verify_intersecting(h, degree, [h.edges], 2, "pairwise-intersect")
+        assert exc.value.check == check
+    h = make_hypergraph([2, 2], [(0, 0), (0, 1), (1, 0), (1, 1)])
+    _verify_intersecting(h, 2, [h.edges[:2], h.edges[2:]], 2, "pairwise-intersect")
 
 
 def test_truncated_fano_line_graph_is_complete():

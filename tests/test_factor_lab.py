@@ -7,24 +7,25 @@ import random
 import pytest
 
 from ramseylab import factor_lab
-from ramseylab.errors import BudgetExceededError, ValidationError
+from ramseylab.errors import BudgetExceededError, ValidationError, VerificationError
 from ramseylab.factor_lab import (
     COVER,
     COVER_SCHEME,
     DECOMP_SCHEME,
     DECOMPOSITION,
+    FactorCover,
     GENERALIZED,
     NOT_A_FACTOR,
     PROPER,
     _edge_mask,
     _enumerate_maximal_factors,
     _iter_factor_masks_within,
+    _verify_cover_payload,
     chi_r_report,
     classify_factor,
     cover_search,
     galaxy_cover,
     k11_cover,
-    make_factor_cover,
     max_coverable_edges,
     random_factor,
     union_factors,
@@ -65,25 +66,25 @@ def test_classify_factor():
     assert classify_factor(build_graph(4, [(0, 1), (0, 2), (0, 3)])) == NOT_A_FACTOR
 
 
-def test_make_factor_cover_validation():
+def test_verify_cover_payload_validation():
     tri = _triangle_blocks(6, (0, 1, 2), (3, 4, 5))
     path = build_graph(6, [(0, 1), (1, 2)])
-    fc = make_factor_cover(6, [tri, path])
-    assert fc.mode == COVER and fc.properness == GENERALIZED
-    with pytest.raises(ValidationError) as exc:
-        make_factor_cover(6, [path], properness=PROPER)
-    assert exc.value.code == "NOT_PROPER"
-    with pytest.raises(ValidationError) as exc:
-        make_factor_cover(6, [build_graph(6, [(0, 1), (1, 2), (2, 3)])])
-    assert exc.value.code == "NOT_A_FACTOR"
-    with pytest.raises(ValidationError) as exc:
-        make_factor_cover(5, [tri])
-    assert exc.value.code == "OUT_OF_RANGE"
-    with pytest.raises(ValidationError) as exc:
-        make_factor_cover(6, [tri, tri], mode=DECOMPOSITION)
-    assert exc.value.code == "DUPLICATE_EDGE"
+    covered = _verify_cover_payload(6, 2, GENERALIZED, COVER, [tri, path],
+                                    require_cover=False)
+    assert covered == _edge_mask(tri) | _edge_mask(path)
+    for n, factors, properness, mode, check in (
+            (5, [tri], GENERALIZED, COVER, "factor-order"),
+            (6, [build_graph(6, [(0, 1), (1, 2), (2, 3)])], GENERALIZED, COVER,
+             "factor-shape"),
+            (6, [path], PROPER, COVER, "factor-proper"),
+            (6, [tri, tri], GENERALIZED, DECOMPOSITION, "edge-disjoint"),
+            (6, [tri, path], GENERALIZED, COVER, "union-complete")):
+        with pytest.raises(VerificationError) as exc:
+            _verify_cover_payload(n, len(factors), properness, mode, factors,
+                                  require_cover=True)
+        assert exc.value.check == check
     with pytest.raises(ValidationError):
-        make_factor_cover(6, [tri], mode="NEITHER")
+        cover_search(6, 1, mode="NEITHER")
 
 
 def test_union_factors():
@@ -91,8 +92,7 @@ def test_union_factors():
     other = _triangle_blocks(6, (0, 3, 4))
     u = union_factors([tri, other])
     assert u.m == 8  # edge (3, 4) sits in both factors
-    fc = make_factor_cover(6, [tri, other])
-    assert union_factors(fc) == u
+    assert union_factors(FactorCover(6, (tri, other))) == u
 
 
 # -- factor enumeration --------------------------------------------------------------

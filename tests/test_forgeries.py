@@ -1,0 +1,139 @@
+"""Edited golden certificates that `verify` must reject with exit 1.
+
+Each case takes a golden certificate, changes one claim or one witness
+object, and runs `verify` on the result.  The verdicts pin the one check
+per object that `verify` applies; a forgery that prints `true` is a false
+claim accepted.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+from pathlib import Path
+
+import pytest
+
+from ramseylab.cli import run
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _golden(name: str) -> dict:
+    return json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+
+
+def _verify(tmp_path, capsys, cert: dict) -> tuple[int, str, str]:
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(cert, sort_keys=True, indent=2) + "\n")
+    code = run(["verify", str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _rejected(tmp_path, capsys, cert: dict) -> str:
+    code, out, err = _verify(tmp_path, capsys, cert)
+    assert (code, out) == (1, ""), err
+    assert err.startswith("error [")
+    return err
+
+
+_VALUED = sorted(path.stem for path in GOLDEN.glob("*.json")
+                 if isinstance(json.loads(path.read_text(encoding="utf-8"))["value"], int))
+
+
+def test_every_valued_golden_is_counted():
+    assert len(_VALUED) == 22
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+@pytest.mark.parametrize("name", _VALUED)
+def test_forged_value_is_rejected(tmp_path, capsys, name, delta):
+    cert = _golden(name)
+    assert _verify(tmp_path, capsys, cert)[:2] == (0, "true\n")
+    cert["value"] += delta
+    _rejected(tmp_path, capsys, cert)
+
+
+def test_edgeless_chromatic_index_forgery_is_rejected(tmp_path, capsys):
+    hpath = tmp_path / "edgeless.txt"
+    hpath.write_text("2\n1 1\n")
+    assert run(["chromatic-index", "--hypergraph", str(hpath), "--deterministic"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["value"] == 0
+    cert["value"] = 5
+    assert "check color-count" in _rejected(tmp_path, capsys, cert)
+
+
+def test_empty_chi_forgery_is_rejected(tmp_path, capsys):
+    assert run(["chi", "--complete", "0", "--deterministic"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    cert["value"] = 5
+    assert "check color-count" in _rejected(tmp_path, capsys, cert)
+
+
+@pytest.mark.parametrize("text", ["6 3\n0 1\n1 2\n2 3\n", "6 3\n0 1\n0 2\n1 2\n"],
+                         ids=["p4", "triangle"])
+def test_galaxy_class_must_be_a_star_forest(tmp_path, capsys, text):
+    cert = _golden("galaxy")
+    cert["witness"]["classes"][0] = text
+    assert "check star-forest" in _rejected(tmp_path, capsys, cert)
+
+
+@pytest.mark.parametrize("edit", ["short", "color"])
+def test_ramsey_assignment_must_color_every_edge_in_the_palette(tmp_path, capsys, edit):
+    cert = _golden("ramsey")
+    assignment = cert["witness"]["assignment"]
+    if edit == "short":
+        assignment.pop()
+    else:
+        assignment[0] = cert["parameters"]["colors"]
+    _rejected(tmp_path, capsys, cert)
+
+
+def test_bijection_factor_must_be_proper(tmp_path, capsys):
+    cert = _golden("bijection")
+    head, *edges = cert["witness"]["factors"][0].splitlines()
+    n, m = head.split()
+    # drop one triangle edge: the factor keeps its vertices but not its shape
+    cert["witness"]["factors"][0] = "\n".join([f"{n} {int(m) - 1}"] + edges[1:]) + "\n"
+    _rejected(tmp_path, capsys, cert)
+
+
+def _edges(cert: dict) -> tuple[list[str], list[tuple[int, ...]]]:
+    head0, head1, *lines = cert["witness"]["hypergraph"].splitlines()
+    return [head0, head1], [tuple(map(int, ln.split())) for ln in lines]
+
+
+def _with_edges(cert: dict, head: list[str], edges: list[tuple[int, ...]]) -> dict:
+    bad = copy.deepcopy(cert)
+    bad["witness"]["hypergraph"] = "\n".join(
+        head + [" ".join(map(str, e)) for e in edges]) + "\n"
+    return bad
+
+
+@pytest.mark.parametrize("name", ["ach", "truncated-plane", "claim51"])
+def test_construction_with_a_repeated_edge_is_rejected(tmp_path, capsys, name):
+    cert = _golden(name)
+    head, edges = _edges(cert)
+    edges[1] = edges[0]
+    _rejected(tmp_path, capsys, _with_edges(cert, head, edges))
+
+
+@pytest.mark.parametrize("name", ["ach", "truncated-plane", "claim51"])
+def test_construction_with_a_disjoint_pair_is_rejected(tmp_path, capsys, name):
+    cert = _golden(name)
+    head, edges = _edges(cert)
+    sizes = list(map(int, head[1].split()))
+    edges[1] = tuple((x + 1) % s for x, s in zip(edges[0], sizes))
+    _rejected(tmp_path, capsys, _with_edges(cert, head, edges))
+
+
+def test_ach_label_class_with_a_disjoint_pair_is_rejected(tmp_path, capsys):
+    cert = _golden("ach")
+    _, edges = _edges(cert)
+    labels = cert["witness"]["labels"]
+    a, b = next((a, b) for a in range(len(edges)) for b in range(len(edges))
+                if labels[a] != labels[b] and all(x != y for x, y in zip(edges[a], edges[b])))
+    labels[a] = labels[b]
+    assert "check label-intersect" in _rejected(tmp_path, capsys, cert)

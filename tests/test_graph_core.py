@@ -12,7 +12,6 @@ from ramseylab.graph_core import (
     Graph,
     build_graph,
     chromatic_number,
-    clique_number,
     complete_graph,
     connected_components,
     contains_clique,
@@ -197,9 +196,9 @@ def test_chromatic_budget_partial():
 
 
 def test_clique_hand_cases():
-    assert clique_number(complete_graph(7)) == 7
-    assert clique_number(cycle_graph(5)) == 2
-    assert clique_number(_petersen()) == 2
+    assert max_clique(complete_graph(7))[0] == 7
+    assert max_clique(cycle_graph(5))[0] == 2
+    assert max_clique(_petersen())[0] == 2
     size, verts = max_clique(build_graph(5, [(0, 1), (0, 2), (1, 2), (2, 3)]))
     assert size == 3 and set(verts) == {0, 1, 2}
 

@@ -12,7 +12,6 @@ from ramseylab.graph_core import chromatic_number
 from ramseylab.hypergraph_lab import (
     MAX_MATCHING_EDGES,
     PartiteHypergraph,
-    chromatic_index,
     disjoint_copies,
     factors_to_hypergraph,
     hypergraph_from_text,
@@ -69,9 +68,6 @@ def test_make_hypergraph_validation():
     assert exc.value.code == "OUT_OF_RANGE"
     with pytest.raises(ValidationError):
         make_hypergraph([2, 2], [(0, 2)])
-    with pytest.raises(ValidationError) as exc:
-        make_hypergraph([2, 2], [(0, 1), (0, 1)], allow_multi=False)
-    assert exc.value.code == "DUPLICATE_EDGE"
     h = make_hypergraph([2, 2], [(0, 1), (0, 1)])
     assert h.m == 2 and h.degree(0, 0) == 2 and h.degree(1, 1) == 2
 
@@ -107,7 +103,6 @@ def test_bijection_line_graph_identity():
         h = factors_to_hypergraph(factors)
         union = union_factors(factors)
         assert line_graph(h) == union
-        assert chromatic_index(h) == chromatic_number(union).value
 
 
 def test_bijection_canonical_form_is_idempotent():
@@ -141,9 +136,9 @@ def test_line_graph_repeats_intersect():
 
 
 def test_chromatic_index_specials():
-    assert chromatic_index(make_hypergraph([1, 1], [])) == 0
-    assert chromatic_index(make_hypergraph([2, 2], [(0, 1)])) == 1
-    assert chromatic_index(make_hypergraph([2, 2], [(0, 1), (0, 1)])) == 2
+    for edges, index in (([], 0), ([(0, 1)], 1), ([(0, 1), (0, 1)], 2)):
+        h = make_hypergraph([2, 2], edges)
+        assert chromatic_number(line_graph(h)).value == index
 
 
 def test_chromatic_index_bipartite_is_max_degree():
@@ -153,7 +148,7 @@ def test_chromatic_index_bipartite_is_max_degree():
         h = _random_hypergraph(rng, r=2, max_edges=10)
         max_deg = max(h.degree(i, x)
                       for i in range(2) for x in range(h.part_sizes[i]))
-        assert chromatic_index(h) == max_deg
+        assert chromatic_number(line_graph(h)).value == max_deg
 
 
 # -- matchings ------------------------------------------------------------------------
@@ -185,7 +180,7 @@ def test_max_matching_pigeonhole_lower_bound():
     rng = random.Random(127)
     for _ in range(30):
         h = _random_hypergraph(rng, max_edges=8)
-        chi = chromatic_index(h)
+        chi = chromatic_number(line_graph(h)).value
         assert max_matching(h).size >= -(-h.m // chi)
 
 
@@ -251,15 +246,8 @@ def test_text_round_trip():
     h = make_hypergraph([2, 3, 2], [(0, 2, 1), (1, 0, 0), (0, 2, 1)])
     again = hypergraph_from_text(hypergraph_to_text(h))
     assert again == h
-    simple = make_hypergraph([2, 2], [(0, 0), (1, 1)], allow_multi=False)
+    simple = make_hypergraph([2, 2], [(0, 0), (1, 1)])
     assert hypergraph_from_text(hypergraph_to_text(simple)) == simple
-
-
-def test_text_multi_flag_is_inferred():
-    # a multi-permitting hypergraph without actual repeats reads back simple
-    h = make_hypergraph([2, 2], [(0, 0), (1, 1)], allow_multi=True)
-    again = hypergraph_from_text(hypergraph_to_text(h))
-    assert again.edges == h.edges and not again.allow_multi
 
 
 def test_text_parse_errors():

@@ -33,10 +33,8 @@ from ramseylab.ramsey_search import (
     explicit_pattern,
     find_copy,
     g_k_upper_bound,
-    has_copy,
     make_edge_coloring,
     matching_pattern,
-    mono_free_coloring,
     mono_free_search,
     parse_family,
     path_pattern,
@@ -183,7 +181,8 @@ def test_detectors_agree_with_generic_embedder():
     for _ in range(80):
         g = _random_graph(rng.randint(2, 8), rng.choice([0.2, 0.4, 0.7]), rng)
         for p in probes:
-            assert has_copy(g, p) == has_copy(g, explicit_pattern(p.realize()))
+            assert ((find_copy(g, p) is None)
+                    == (find_copy(g, explicit_pattern(p.realize())) is None))
 
 
 def test_find_copy_witnesses_are_real_copies():
@@ -272,9 +271,9 @@ def test_search_input_validation():
 
 def test_triangle_two_colors_boundary():
     fam = FAMILY_PRESETS["F1"]
-    col = mono_free_coloring(5, 2, fam)
+    col, _ = mono_free_search(5, 2, fam)
     assert col is not None and verify_mono_free(col, fam).ok
-    assert mono_free_coloring(6, 2, fam) is None
+    assert mono_free_search(6, 2, fam)[0] is None
 
 
 def test_witnesses_always_verify():
@@ -283,7 +282,7 @@ def test_witnesses_always_verify():
         fam = rng.choice(list(FAMILY_PRESETS.values()))
         n = rng.randint(2, 5)
         k = rng.randint(1, 3)
-        col = mono_free_coloring(n, k, fam)
+        col, _ = mono_free_search(n, k, fam)
         if col is not None:
             assert verify_mono_free(col, fam).ok
             assert col.base.n == n and col.k == k
@@ -317,14 +316,14 @@ _GROWN = [TRIANGLE, star_pattern(3), star_pattern(4), P4, path_pattern(3),
 @given(st.integers(2, 8).flatmap(
            lambda n: st.permutations([(u, v) for u in range(n) for v in range(u + 1, n)])),
        st.sampled_from(_GROWN))
-def test_incremental_checks_agree_with_has_copy(edges, p):
+def test_incremental_checks_agree_with_find_copy(edges, p):
     # with one color, the search adds the edges in order and stops at the
     # first one it rejects, after as many nodes as edges it tried
     n = max(max(e) for e in edges) + 1
     colors, nodes = _color_edges(n, 1, edges, ForbiddenFamily((p,)), len(edges))
     accepted = len(edges) if colors is not None else nodes - 1
     for i in range(min(accepted + 1, len(edges)) + 1):
-        assert has_copy(build_graph(n, edges[:i]), p) == (i > accepted)
+        assert (find_copy(build_graph(n, edges[:i]), p) is not None) == (i > accepted)
 
 
 # ck_search cases measured before the kernel was rewritten:
@@ -409,7 +408,7 @@ def _max_free_edges(n: int, p) -> int:
             best = len(chosen)
             return
         chosen.append(edges[i])
-        if not has_copy(build_graph(n, chosen), p):
+        if find_copy(build_graph(n, chosen), p) is None:
             rec(i + 1)
         chosen.pop()
         rec(i + 1)
