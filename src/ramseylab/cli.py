@@ -11,6 +11,7 @@ payload alone.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import asdict
@@ -370,7 +371,11 @@ def _add_options(parser, options) -> None:
             parser.add_argument(*opt.flags, **opt.kwargs)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first `run()` and shared
+    by the later ones: each parse makes a fresh Namespace, and argparse looks
+    up sys.stdout and sys.stderr only when it prints."""
     top = argparse.ArgumentParser(prog="ramseylab",
                                   description="searches, constructions, and "
                                               "certificates for small Ramsey-type"
@@ -397,9 +402,8 @@ def _run_verify(path: str) -> int:
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     if args.command == "verify":

@@ -162,30 +162,41 @@ def projective_plane(p: int) -> ProjectivePlane:
 
 
 def _verify_plane(plane: ProjectivePlane) -> None:
+    """The plane axioms, by counting pairs.  N lines of p+1 distinct points
+    hold N * C(p+1, 2) = C(N, 2) point pairs, so no pair on two lines means
+    every pair is on exactly one; dually, with every point on p+1 lines, no
+    line pair through two points means every two lines meet exactly once."""
     p = plane.p
     n_pts = plane.num_points
     if len(plane.lines) != n_pts:
         raise VerificationError("line-count", f"expected {n_pts} lines")
-    on_lines = [0] * n_pts
-    for ln in plane.lines:
+    through: list[list[int]] = [[] for _ in range(n_pts)]
+    for i, ln in enumerate(plane.lines):
         if len(ln) != p + 1 or len(set(ln)) != p + 1 or not all(0 <= x < n_pts for x in ln):
             raise VerificationError("line-size", f"line {ln} is not {p + 1} points of the plane")
         for x in ln:
-            on_lines[x] += 1
-    if any(c != p + 1 for c in on_lines):
+            through[x].append(i)
+    if any(len(t) != p + 1 for t in through):
         raise VerificationError("point-degree", "some point is not on exactly p+1 lines")
-    for a in range(n_pts):
-        for b in range(a + 1, n_pts):
-            through = sum(1 for ln in plane.lines if a in ln and b in ln)
-            if through != 1:
-                raise VerificationError("two-points",
-                                        f"points {a},{b} lie on {through} common lines")
-    for i in range(len(plane.lines)):
-        for j in range(i + 1, len(plane.lines)):
-            meet = set(plane.lines[i]) & set(plane.lines[j])
-            if len(meet) != 1:
-                raise VerificationError("two-lines",
-                                        f"lines {i},{j} meet in {len(meet)} points")
+    _no_pair_twice(plane.lines, n_pts, "two-points", "points {},{} lie on two lines")
+    _no_pair_twice(through, n_pts, "two-lines", "lines {},{} meet in two points")
+
+
+def _no_pair_twice(groups: Sequence[Sequence[int]], n: int, check: str,
+                   message: str) -> None:
+    """Fail if two members of 0..n-1 share more than one group.  Each
+    member's bitmask holds the members it already shares a group with."""
+    seen = [0] * n
+    for group in groups:
+        mask = 0
+        for x in group:
+            mask |= 1 << x
+        for x in group:
+            others = mask ^ (1 << x)
+            twice = seen[x] & others
+            if twice:
+                raise VerificationError(check, message.format(x, twice.bit_length() - 1))
+            seen[x] |= others
 
 
 def truncated_plane(p: int) -> PartiteHypergraph:

@@ -129,6 +129,8 @@ def cycle_graph(n: int) -> Graph:
 
 def star_graph(leaves: int) -> Graph:
     """Star with the given number of leaves, centered at vertex 0."""
+    if leaves < 0:
+        raise ValidationError("OUT_OF_RANGE", f"a star needs 0 or more leaves, got {leaves}")
     return build_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from ramseylab import cli
 from ramseylab.cli import COMMANDS, run
 from ramseylab.factor_lab import PROPER, random_factor
 from ramseylab.graph_core import graph_to_text, path_graph
@@ -172,7 +176,11 @@ def test_bad_inputs_exit_with_coded_errors(tmp_path, capsys):
                             (["chi", "--complete", "65"], "OUT_OF_RANGE"),
                             (["clique", "--complete", "80"], "OUT_OF_RANGE"),
                             (["ach", "--d", "2"], "BAD_D"),
-                            (["ach", "--d", "3"], "BAD_D")):
+                            (["ach", "--d", "3"], "BAD_D"),
+                            # a star has 0 or more leaves, in every graph command
+                            (["chi", "--star", "-1"], "OUT_OF_RANGE"),
+                            (["clique", "--star", "-1"], "OUT_OF_RANGE"),
+                            (["core", "--star", "-1", "--d", "1"], "OUT_OF_RANGE")):
         code, out, err = _invoke(capsys, argv)
         assert code == 1 and out == ""
         assert f"error [{code_text}]" in err
@@ -291,6 +299,60 @@ def test_help_for_every_command(capsys):
     assert _invoke(capsys, ["--help"])[0] == 0
     for name in COMMANDS:
         assert _invoke(capsys, [name, "--help"])[0] == 0, name
+
+
+def _fresh_parser_output(capsys, argv):
+    """What a newly built parser prints for argv before it exits."""
+    with pytest.raises(SystemExit):
+        cli._build_parser.__wrapped__().parse_args(argv)
+    captured = capsys.readouterr()
+    return captured.out, captured.err
+
+
+def test_one_parser_per_process(capsys):
+    cli._build_parser.cache_clear()
+    _invoke_cert(capsys, ["plane", "--p", "2"])
+    _invoke_cert(capsys, ["chi", "--complete", "4"])
+    assert _invoke(capsys, ["plane", "--p", "4"])[0] == 1
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_shared_parser_carries_no_options_between_calls(capsys):
+    parser = cli._build_parser()
+    first = parser.parse_args(["cover", "--n", "5", "--r", "3", "--proper",
+                               "--decomposition", "--budget", "7", "--deterministic"])
+    second = parser.parse_args(["cover", "--n", "5", "--r", "3"])
+    assert (first.proper, first.budget, first.deterministic) == (True, 7, True)
+    assert (second.proper, second.decomposition, second.budget, second.deterministic) \
+        == (False, False, None, False)
+    # the same through run(): each call answers as if it were the first
+    assert _invoke(capsys, ["clique", "--complete", "40", "--budget", "5",
+                            "--deterministic"])[0] == 2
+    cert = _invoke_cert(capsys, ["clique", "--complete", "40"])
+    assert cert["value"] == 40
+    assert _invoke_cert(capsys, ["cover", "--n", "5", "--r", "3", "--proper"])[
+        "outcome"] == "NOT_EXISTS"
+    cert = _invoke_cert(capsys, ["cover", "--n", "5", "--r", "3"])
+    assert cert["outcome"] == "EXISTS"
+    assert cert["parameters"]["properness"] == "GENERALIZED"
+
+
+def test_shared_parser_prints_what_a_fresh_one_prints(capsys):
+    _invoke_cert(capsys, ["plane", "--p", "2", "--deterministic"])
+    for argv, code in ((["chi"], 1), (["no-such-command"], 1), (["--help"], 0),
+                       (["cover", "--help"], 0)):
+        assert _invoke(capsys, argv) == (code, *_fresh_parser_output(capsys, argv))
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "ramseylab", "plane", "--p", "3",
+                           "--deterministic"], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "plane.json").read_bytes()
 
 
 def test_each_command_takes_only_the_options_it_reads(capsys):

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from ramseylab.errors import ValidationError, VerificationError
 from ramseylab.extremal import (
+    ProjectivePlane,
     _verify_intersecting,
+    _verify_plane,
     ach_bound,
     ach_counterexample,
     claim51_hypergraph,
@@ -134,6 +137,92 @@ def test_projective_plane_nonprime_rejected():
         with pytest.raises(ValidationError) as exc:
             projective_plane(bad)
         assert exc.value.code == "NOT_PRIME"
+
+
+def _verify_plane_by_definition(plane: ProjectivePlane) -> None:
+    """The axioms checked straight from their statement, O(N^3 p): the
+    reference that the pair-counting check must agree with."""
+    p = plane.p
+    n_pts = plane.num_points
+    if len(plane.lines) != n_pts:
+        raise VerificationError("line-count", f"expected {n_pts} lines")
+    on_lines = [0] * n_pts
+    for ln in plane.lines:
+        if len(ln) != p + 1 or len(set(ln)) != p + 1 or not all(0 <= x < n_pts for x in ln):
+            raise VerificationError("line-size", f"line {ln} is not {p + 1} points")
+        for x in ln:
+            on_lines[x] += 1
+    if any(c != p + 1 for c in on_lines):
+        raise VerificationError("point-degree", "some point is not on exactly p+1 lines")
+    for a in range(n_pts):
+        for b in range(a + 1, n_pts):
+            if sum(1 for ln in plane.lines if a in ln and b in ln) != 1:
+                raise VerificationError("two-points", f"points {a},{b}")
+    for i in range(len(plane.lines)):
+        for j in range(i + 1, len(plane.lines)):
+            if len(set(plane.lines[i]) & set(plane.lines[j])) != 1:
+                raise VerificationError("two-lines", f"lines {i},{j}")
+
+
+def _verdict(check, plane: ProjectivePlane) -> str | None:
+    """None if the plane passes, else the name of the failed check."""
+    try:
+        check(plane)
+    except VerificationError as exc:
+        return exc.check
+    return None
+
+
+def _mutations(plane: ProjectivePlane, rng: random.Random):
+    """One of each defect, at random places: a point moved between two
+    lines, a line written over another, a dropped point, a point off the
+    plane, and two points swapped across lines."""
+    lines = [list(ln) for ln in plane.lines]
+    i, j = rng.sample(range(len(lines)), 2)
+    n_pts = plane.num_points
+
+    def edited(edit):
+        copy = [list(ln) for ln in lines]
+        edit(copy)
+        return ProjectivePlane(plane.p, tuple(tuple(ln) for ln in copy))
+
+    def move(ls):
+        x = rng.choice([x for x in ls[i] if x not in ls[j]])
+        ls[i].remove(x)
+        ls[j].append(x)
+
+    def duplicate(ls):
+        ls[j] = list(ls[i])
+
+    def drop(ls):
+        ls[i].pop(rng.randrange(len(ls[i])))
+
+    def off_plane(ls):
+        ls[i][rng.randrange(len(ls[i]))] = n_pts
+
+    def swap(ls):
+        a = rng.choice([x for x in ls[i] if x not in ls[j]])
+        b = rng.choice([x for x in ls[j] if x not in ls[i]])
+        ls[i][ls[i].index(a)], ls[j][ls[j].index(b)] = b, a
+
+    return [edited(edit) for edit in (move, duplicate, drop, off_plane, swap)]
+
+
+def test_plane_check_agrees_with_the_definition():
+    cases = [ProjectivePlane(0, ((0,),)), ProjectivePlane(1, ((0, 1), (0, 2), (1, 2))),
+             ProjectivePlane(1, ((0, 1), (0, 1), (1, 2))), ProjectivePlane(2, ())]
+    for p in (2, 3, 5):
+        plane = projective_plane(p)
+        cases.append(plane)
+        for seed in range(6):
+            rng = random.Random(1000 * p + seed)
+            cases.extend(_mutations(plane, rng))
+            # two swaps at once keep every size and degree as well
+            cases.append(_mutations(_mutations(plane, rng)[-1], rng)[-1])
+    verdicts = [_verdict(_verify_plane_by_definition, plane) for plane in cases]
+    assert [_verdict(_verify_plane, plane) for plane in cases] == verdicts
+    # every check is reached, and a swap is caught by two-points
+    assert {None, "line-count", "line-size", "point-degree", "two-points"} <= set(verdicts)
 
 
 def test_truncated_plane_shapes():

@@ -137,3 +137,23 @@ def test_ach_label_class_with_a_disjoint_pair_is_rejected(tmp_path, capsys):
                 if labels[a] != labels[b] and all(x != y for x, y in zip(edges[a], edges[b])))
     labels[a] = labels[b]
     assert "check label-intersect" in _rejected(tmp_path, capsys, cert)
+
+
+def _swap_across_lines(lines: list[list[int]]) -> None:
+    # a point of line 0 and a point of line 1 trade places: every line keeps
+    # p+1 points and every point p+1 lines, but two points now share two lines
+    a = next(x for x in lines[0] if x not in lines[1])
+    b = next(x for x in lines[1] if x not in lines[0])
+    lines[0][lines[0].index(a)], lines[1][lines[1].index(b)] = b, a
+
+
+@pytest.mark.parametrize("check, edit", [
+    ("line-count", lambda lines: lines.pop()),
+    ("line-size", lambda lines: lines[0].pop()),
+    ("point-degree", lambda lines: lines.__setitem__(1, list(lines[0]))),
+    ("two-points", _swap_across_lines),
+])
+def test_plane_forgery_fails_its_axiom(tmp_path, capsys, check, edit):
+    cert = _golden("plane")
+    edit(cert["witness"]["lines"])
+    assert f"check {check}:" in _rejected(tmp_path, capsys, cert)

@@ -113,6 +113,14 @@ def test_complete_graph_vertex_guard():
         assert exc.value.code == "OUT_OF_RANGE"
 
 
+def test_star_graph_leaf_guard():
+    assert star_graph(0).n == 1 and star_graph(0).m == 0
+    for leaves in (-1, -2):
+        with pytest.raises(ValidationError) as exc:
+            star_graph(leaves)
+        assert exc.value.code == "OUT_OF_RANGE"
+
+
 def test_components_and_restrict():
     g = build_graph(6, [(0, 1), (1, 2), (4, 5)])
     comps = connected_components(g)
