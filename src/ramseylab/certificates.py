@@ -217,6 +217,12 @@ def _vf_clique(params, value, witness, stats, outcome):
         for v in verts[i + 1:]:
             if not g.has_edge(u, v):
                 raise VerificationError("clique-edges", f"{u} and {v} are not adjacent")
+    common = g.full_mask
+    for v in verts:
+        common &= g.adj[v]
+    if common:
+        raise VerificationError("clique-maximal",
+                                f"vertex {common.bit_length() - 1} is adjacent to the whole witness")
 
 
 def _vf_core(params, value, witness, stats, outcome):

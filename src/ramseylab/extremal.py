@@ -162,7 +162,8 @@ def projective_plane(p: int) -> ProjectivePlane:
 
 
 def _verify_plane(plane: ProjectivePlane) -> None:
-    """The plane axioms, by counting pairs.  N lines of p+1 distinct points
+    """The line count, a prime order as `projective_plane` requires, then
+    the plane axioms, by counting pairs.  N lines of p+1 distinct points
     hold N * C(p+1, 2) = C(N, 2) point pairs, so no pair on two lines means
     every pair is on exactly one; dually, with every point on p+1 lines, no
     line pair through two points means every two lines meet exactly once."""
@@ -170,6 +171,10 @@ def _verify_plane(plane: ProjectivePlane) -> None:
     n_pts = plane.num_points
     if len(plane.lines) != n_pts:
         raise VerificationError("line-count", f"expected {n_pts} lines")
+    # after line-count, p is bounded by the size of the input, so trial
+    # division cannot run long on a forged order
+    if not _is_prime(p):
+        raise VerificationError("prime", f"order {p} is not prime")
     through: list[list[int]] = [[] for _ in range(n_pts)]
     for i, ln in enumerate(plane.lines):
         if len(ln) != p + 1 or len(set(ln)) != p + 1 or not all(0 <= x < n_pts for x in ln):

@@ -235,85 +235,67 @@ def is_proper_coloring(g: Graph, colors: Sequence[int]) -> bool:
     return True
 
 
-def _saturation_pick(colors: Sequence[int], ncolor_mask: Sequence[int],
-                     uncolored_deg: Sequence[int]) -> int:
-    """The uncolored vertex seeing the most distinct colors, then the most
-    uncolored neighbors; ties go to the lowest index."""
-    best_v, best_key = -1, (-1, -1)
-    for v in range(len(colors)):
-        if colors[v] < 0:
-            key = (ncolor_mask[v].bit_count(), uncolored_deg[v])
-            if key > best_key:
-                best_key, best_v = key, v
-    return best_v
-
-
-def _greedy_saturation_coloring(g: Graph) -> list[int]:
-    """Greedy coloring in saturation order; gives the search's upper bound."""
-    n = g.n
-    colors = [-1] * n
-    ncolor_mask = [0] * n
-    uncolored_deg = [g.degree(v) for v in range(n)]
-    for _ in range(n):
-        best_v = _saturation_pick(colors, ncolor_mask, uncolored_deg)
-        c = 0
-        while (ncolor_mask[best_v] >> c) & 1:
-            c += 1
-        colors[best_v] = c
-        for u in _bits(g.adj[best_v]):
-            ncolor_mask[u] |= 1 << c
-            uncolored_deg[u] -= 1
-    return colors
+# Saturation order: the uncolored vertex seeing the most distinct colors,
+# then the most uncolored neighbors, ties to the lowest index.  One integer
+# key per vertex packs the three fields, so one max() over the key list
+# picks the next vertex; a colored vertex keys -1.
+_IDX = (1 << MAX_VERTICES.bit_length()) - 1
+_DEG = _IDX + 1
+_SAT = _DEG << MAX_VERTICES.bit_length()
 
 
 def _exact_k_coloring(g: Graph, k: int, budget: NodeBudget) -> list[int] | None:
     """Proper k-coloring via saturation-guided backtracking, or None.
 
     Color symmetry is broken canonically: a vertex may open color c only if
-    colors 0..c-1 are already in use.  Vertex ties go to the lowest index.
+    colors 0..c-1 are already in use.  With k >= n a color is always free,
+    so the search never backtracks: that run is the saturation greedy.
+    Coloring a vertex updates the keys and color sets of its uncolored
+    neighbors only; one explicit stack holds, per colored vertex, its
+    untried colors and the keys and color sets from before, which
+    backtracking puts back.
     """
     n = g.n
     if n == 0:
         return []
     if k <= 0:
         return None
+    nbrs = [_bits(a) for a in g.adj]
     colors = [-1] * n
-    ncolor_mask = [0] * n
-    uncolored_deg = [g.degree(v) for v in range(n)]
-    adj = g.adj
-
-    def down(count: int, used: int) -> bool:
-        if count == n:
-            return True
-        v = _saturation_pick(colors, ncolor_mask, uncolored_deg)
-        cap = min(k, used + 1)
-        avail = ~ncolor_mask[v] & ((1 << cap) - 1)
-        while avail:
-            low = avail & -avail
-            avail ^= low
-            c = low.bit_length() - 1
-            budget.tick()
-            colors[v] = c
-            touched = []
-            nb = adj[v]
-            while nb:
-                lowu = nb & -nb
-                nb ^= lowu
-                u = lowu.bit_length() - 1
-                touched.append((u, ncolor_mask[u]))
-                ncolor_mask[u] |= 1 << c
-                uncolored_deg[u] -= 1
-            if down(count + 1, max(used, c + 1)):
-                return True
-            for u, old in touched:
-                ncolor_mask[u] = old
-                uncolored_deg[u] += 1
+    seen = [0] * n
+    key = [a.bit_count() * _DEG + _IDX - v for v, a in enumerate(g.adj)]
+    stack: list[tuple[int, int, int, list[int], list[int]]] = []
+    used = 0
+    v = _IDX - (max(key) & _IDX)
+    avail = 1
+    while True:
+        if not avail:
+            if not stack:
+                return None
+            v, avail, used, key, seen = stack.pop()
             colors[v] = -1
-        return False
-
-    if down(0, 0):
-        return colors
-    return None
+            continue
+        low = avail & -avail
+        avail ^= low
+        budget.tick()
+        c = low.bit_length() - 1
+        colors[v] = c
+        if len(stack) == n - 1:
+            return colors
+        stack.append((v, avail, used, key, seen))
+        key, seen = key.copy(), seen.copy()
+        key[v] = -1
+        for u in nbrs[v]:
+            if key[u] >= 0:
+                if seen[u] & low:
+                    key[u] -= _DEG
+                else:
+                    seen[u] |= low
+                    key[u] += _SAT - _DEG
+        if c == used:
+            used += 1
+        v = _IDX - (max(key) & _IDX)
+        avail = ~seen[v] & ((1 << min(k, used + 1)) - 1)
 
 
 @dataclass(frozen=True)
@@ -331,7 +313,7 @@ def chromatic_number(g: Graph, budget: int | None = None) -> ChromaticResult:
     if g.n == 0:
         return ChromaticResult(0, VertexColoring((), 0))
     bud = NodeBudget(budget)
-    greedy = _greedy_saturation_coloring(g)
+    greedy = _exact_k_coloring(g, g.n, NodeBudget())  # k = n: the saturation greedy
     upper = max(greedy) + 1
     lower = 1 if g.m == 0 else 2
     try:

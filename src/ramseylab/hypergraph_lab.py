@@ -14,6 +14,7 @@ count repeated hyperedges with their multiplicities.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -180,16 +181,16 @@ def max_matching(h: PartiteHypergraph, budget: int | None = None,
         raise ValidationError("OUT_OF_RANGE",
                               f"{h.m} edges exceed the matching cap {MAX_MATCHING_EDGES}")
     bud = NodeBudget(budget)
-    live = list(range(h.m))
+    inc = _incidence(h)
     witness: list[int] = []
     try:
-        size, witness = _match_components(h, live, bud)
+        size, witness = _match_components(inc, (1 << h.m) - 1, bud)
         if deterministic:
-            witness = _lex_least_matching(h, size, bud)
+            witness = _lex_least_matching(inc, size, bud)
     except BudgetExceededError:
         # salvage a valid partial: the optimum of the first pass if it
         # finished, else whatever fits together greedily
-        partial = witness or _greedy_matching(h, live)
+        partial = witness or _greedy_matching(inc.conflict)
         raise BudgetExceededError(
             "matching budget exhausted",
             nodes=bud.spent, lower=len(partial),
@@ -213,115 +214,134 @@ def is_matching(h: PartiteHypergraph, picked: Sequence[int]) -> bool:
     return True
 
 
-def _match_components(h: PartiteHypergraph, live: list[int],
+@dataclass(frozen=True)
+class _Incidence:
+    """Edge j's vertices as ids ordered by (part, index), each part's first
+    id, and edge j's conflict mask (see _masks)."""
+
+    verts: tuple[tuple[int, ...], ...]
+    starts: tuple[int, ...]
+    conflict: tuple[int, ...]
+
+
+def _incidence(h: PartiteHypergraph) -> _Incidence:
+    starts = [0]
+    for s in h.part_sizes:
+        starts.append(starts[-1] + s)
+    verts = tuple(tuple(starts[i] + x for i, x in enumerate(e)) for e in h.edges)
+    return _Incidence(verts, tuple(starts), tuple(_masks(verts, starts[-1])[1]))
+
+
+def _masks(edge_verts: Sequence[Sequence[int]], n: int) -> tuple[list[int], list[int]]:
+    """For edges over vertices 0..n-1, bit t standing for the t-th edge: per
+    vertex the mask of the edges through it, and per edge the mask of the
+    edges meeting it, itself and its repeats included."""
+    through = [0] * n
+    for t, vs in enumerate(edge_verts):
+        for v in vs:
+            through[v] |= 1 << t
+    conflict = []
+    for vs in edge_verts:
+        mask = 0
+        for v in vs:
+            mask |= through[v]
+        conflict.append(mask)
+    return through, conflict
+
+
+def _match_components(inc: _Incidence, live: int,
                       bud: NodeBudget) -> tuple[int, list[int]]:
-    comps = _edge_components(h, live)
     total = 0
     picked: list[int] = []
-    for comp in comps:
-        s, w = _match_branch(h, comp, bud)
+    for comp in _edge_components(inc.conflict, live):
+        if comp & (comp - 1):
+            s, w = _match_branch(inc, comp, bud)
+        else:
+            # one edge: greedy takes it and the bound stops the search at
+            # its root, which costs one node
+            bud.tick()
+            s, w = 1, [comp.bit_length() - 1]
         total += s
         picked.extend(w)
     return total, picked
 
 
-def _edge_components(h: PartiteHypergraph, live: list[int]) -> list[list[int]]:
-    by_vertex: dict[tuple[int, int], list[int]] = {}
-    for j in live:
-        for i, x in enumerate(h.edges[j]):
-            by_vertex.setdefault((i, x), []).append(j)
-    seen: set[int] = set()
+def _edge_components(conflict: Sequence[int], live: int) -> list[int]:
+    """Edge masks of the components of the live edges, by lowest edge."""
     comps = []
-    for j in live:
-        if j in seen:
-            continue
-        stack = [j]
-        seen.add(j)
-        comp = []
-        while stack:
-            a = stack.pop()
-            comp.append(a)
-            for i, x in enumerate(h.edges[a]):
-                for b in by_vertex[(i, x)]:
-                    if b not in seen:
-                        seen.add(b)
-                        stack.append(b)
-        comps.append(sorted(comp))
+    while live:
+        comp = frontier = live & -live
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                reach |= conflict[low.bit_length() - 1]
+            frontier = reach & live & ~comp
+            comp |= frontier
+        comps.append(comp)
+        live ^= comp
     return comps
 
 
-def _greedy_matching(h: PartiteHypergraph, live: Sequence[int]) -> list[int]:
-    used: set[tuple[int, int]] = set()
+def _greedy_matching(conflict: Sequence[int]) -> list[int]:
+    blocked = 0
     picked = []
-    for j in live:
-        coords = [(i, x) for i, x in enumerate(h.edges[j])]
-        if all(c not in used for c in coords):
+    for j in range(len(conflict)):
+        if not (blocked >> j) & 1:
             picked.append(j)
-            used.update(coords)
+            blocked |= conflict[j]
     return picked
 
 
-def _match_branch(h: PartiteHypergraph, comp: list[int],
+def _match_branch(inc: _Incidence, comp: int,
                   bud: NodeBudget) -> tuple[int, list[int]]:
-    best = _greedy_matching(h, comp)
+    """Branch and bound on one component, renumbered 0..m-1 by edge index
+    and 0..n-1 by vertex id.  Live edges are one mask: taking edge t keeps
+    live & ~conflict[t], excluding vertex v keeps live & ~through[v], and
+    every degree is (through[v] & live).bit_count().  Nodes (live, size,
+    chosen) go on an explicit stack, children in reverse, so the search is
+    depth first: each edge through v in index order, then v unmatched.
+    That order fixes the node count that certificates record."""
+    edges = _bits(comp)
+    ids = sorted({w for j in edges for w in inc.verts[j]})
+    index = {w: v for v, w in enumerate(ids)}
+    through, conflict = _masks([[index[w] for w in inc.verts[j]] for j in edges], len(ids))
+    cuts = [bisect_left(ids, s) for s in inc.starts]
+    parts = list(zip(cuts, cuts[1:]))
+    best = _greedy_matching(conflict)
     best_size = len(best)
-
-    def upper_bound(live: list[int]) -> int:
-        per_part: list[set[int]] = [set() for _ in range(h.r)]
-        for j in live:
-            for i, x in enumerate(h.edges[j]):
-                per_part[i].add(x)
-        return min(len(s) for s in per_part) if live else 0
-
-    def rec(live: list[int], cur: list[int]) -> None:
-        nonlocal best, best_size
+    stack: list[tuple[int, int, tuple | None]] = [((1 << len(edges)) - 1, 0, None)]
+    while stack:
+        live, size, chosen = stack.pop()
         bud.tick()
         if not live:
-            if len(cur) > best_size:
-                best_size, best = len(cur), cur.copy()
-            return
-        if len(cur) + upper_bound(live) <= best_size:
-            return
-        deg: dict[tuple[int, int], int] = {}
-        for j in live:
-            for i, x in enumerate(h.edges[j]):
-                key = (i, x)
-                deg[key] = deg.get(key, 0) + 1
-        v = min(deg, key=lambda k: (deg[k], k))
-        incident = [j for j in live if h.edges[j][v[0]] == v[1]]
-        for j in incident:
-            coords = set(enumerate(h.edges[j]))
-            rest = [b for b in live
-                    if b != j and not any((i, h.edges[b][i]) in coords for i, _ in coords)]
-            cur.append(j)
-            rec(rest, cur)
-            cur.pop()
-        # v unmatched: drop all its edges
-        rec([b for b in live if b not in incident], cur)
-
-    rec(comp, [])
-    return best_size, best
+            if size > best_size:
+                best_size, best = size, []
+                while chosen:
+                    t, chosen = chosen
+                    best.append(t)
+            continue
+        degs = [(mask & live).bit_count() for mask in through]
+        if size + min(hi - lo - degs[lo:hi].count(0) for lo, hi in parts) <= best_size:
+            continue
+        hit = through[degs.index(min(filter(None, degs)))] & live
+        stack.append((live & ~hit, size, chosen))  # the vertex unmatched: visited last
+        for t in reversed(_bits(hit)):
+            stack.append((live & ~conflict[t], size + 1, (t, chosen)))
+    return best_size, [edges[t] for t in best]
 
 
-def _lex_least_matching(h: PartiteHypergraph, size: int,
-                        bud: NodeBudget) -> list[int]:
+def _lex_least_matching(inc: _Incidence, size: int, bud: NodeBudget) -> list[int]:
     """Smallest optimal matching in index order, by forcing one prefix edge
     at a time and checking the remainder still reaches the target size."""
-
-    def achievable(live: list[int], need: int) -> bool:
-        if need <= 0:
-            return True
-        got, _ = _match_components(h, live, bud)
-        return got >= need
-
     chosen: list[int] = []
-    live = list(range(h.m))
+    live = (1 << len(inc.verts)) - 1
     while len(chosen) < size:
-        for j in live:
-            coords = set(enumerate(h.edges[j]))
-            rest = [b for b in live if b > j
-                    and not any((i, h.edges[b][i]) in coords for i, _ in coords)]
-            if achievable(rest, size - len(chosen) - 1):
+        need = size - len(chosen) - 1
+        for j in _bits(live):
+            rest = ((live & ~inc.conflict[j]) >> (j + 1)) << (j + 1)
+            if need <= 0 or _match_components(inc, rest, bud)[0] >= need:
                 chosen.append(j)
                 live = rest
                 break

@@ -147,6 +147,29 @@ def test_match_budget_exhaustion_keeps_the_proven_bound(tmp_path, capsys):
                                         "nodes": 1}
 
 
+def _long_path_file(tmp_path, n: int) -> str:
+    """The 2-partite path with edges (i+1, i) listed before edges (i, i): the
+    greedy start takes the first n-1 and misses the perfect matching, so the
+    search runs n levels deep."""
+    edges = [(i + 1, i) for i in range(n - 1)] + [(i, i) for i in range(n)]
+    path = tmp_path / f"path{n}.txt"
+    path.write_text(f"2\n{n} {n}\n" + "".join(f"{a} {b}\n" for a, b in edges))
+    return str(path)
+
+
+def test_match_on_a_long_path_needs_no_recursion(tmp_path, capsys):
+    cert = _invoke_cert(capsys, ["match", "--hypergraph", _long_path_file(tmp_path, 1500)])
+    assert cert["value"] == 1500 and cert["verified"] is True
+    assert cert["stats"]["nodes"] == 3001
+
+
+def test_match_on_a_path_keeps_its_lex_least_nodes(tmp_path, capsys):
+    cert = _invoke_cert(capsys, ["match", "--hypergraph", _long_path_file(tmp_path, 500),
+                                 "--deterministic"])
+    assert (cert["value"], cert["stats"]["nodes"]) == (500, 250_500)
+    assert cert["witness"]["matching"] == list(range(499, 999))
+
+
 def test_search_budget_exhaustion_is_unknown(capsys):
     code, out, _ = _invoke(capsys, ["chi", "--complete", "13", "--budget", "5"])
     assert code == 2

@@ -146,6 +146,8 @@ def _verify_plane_by_definition(plane: ProjectivePlane) -> None:
     n_pts = plane.num_points
     if len(plane.lines) != n_pts:
         raise VerificationError("line-count", f"expected {n_pts} lines")
+    if p < 2 or any(p % f == 0 for f in range(2, p)):
+        raise VerificationError("prime", f"order {p}")
     on_lines = [0] * n_pts
     for ln in plane.lines:
         if len(ln) != p + 1 or len(set(ln)) != p + 1 or not all(0 <= x < n_pts for x in ln):
@@ -222,7 +224,8 @@ def test_plane_check_agrees_with_the_definition():
     verdicts = [_verdict(_verify_plane_by_definition, plane) for plane in cases]
     assert [_verdict(_verify_plane, plane) for plane in cases] == verdicts
     # every check is reached, and a swap is caught by two-points
-    assert {None, "line-count", "line-size", "point-degree", "two-points"} <= set(verdicts)
+    assert {None, "prime", "line-count", "line-size", "point-degree",
+            "two-points"} <= set(verdicts)
 
 
 def test_truncated_plane_shapes():

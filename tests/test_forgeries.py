@@ -157,3 +157,30 @@ def test_plane_forgery_fails_its_axiom(tmp_path, capsys, check, edit):
     cert = _golden("plane")
     edit(cert["witness"]["lines"])
     assert f"check {check}:" in _rejected(tmp_path, capsys, cert)
+
+
+@pytest.mark.parametrize("p, lines", [(1, [[0, 1], [0, 2], [1, 2]]), (0, [[0]]), (-1, [[]])],
+                         ids=["p1", "p0", "p-1"])
+def test_plane_of_non_prime_order_is_rejected(tmp_path, capsys, p, lines):
+    # each passes every axiom for its order, but no order-p plane over Z_p exists
+    cert = _golden("plane")
+    cert["parameters"]["p"] = p
+    cert["witness"]["lines"] = lines
+    assert "check prime:" in _rejected(tmp_path, capsys, cert)
+
+
+def test_plane_of_huge_prime_order_is_rejected_by_its_line_count(tmp_path, capsys):
+    # trial division of 2**61 - 1 would take minutes; the line count, checked
+    # first, rejects the three lines at once
+    cert = _golden("plane")
+    cert["parameters"]["p"] = 2 ** 61 - 1
+    cert["witness"]["lines"] = [[0, 1], [0, 2], [1, 2]]
+    assert "check line-count:" in _rejected(tmp_path, capsys, cert)
+
+
+def test_non_maximal_clique_is_rejected(tmp_path, capsys):
+    assert run(["clique", "--complete", "5", "--deterministic"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    cert["value"] = 3
+    cert["witness"]["vertices"] = [0, 1, 2]
+    assert "check clique-maximal:" in _rejected(tmp_path, capsys, cert)
