@@ -21,6 +21,7 @@ from .errors import (
     BudgetExceededError,
     CapReachedError,
     ParseError,
+    RamseyLabError,
     ValidationError,
     VerificationError,
 )
@@ -65,6 +66,7 @@ from .hypergraph_lab import (
 from .extremal import (
     ach_bound,
     ach_counterexample,
+    ach_matching,
     claim51_hypergraph,
     claim51_matching,
     projective_plane,
@@ -226,7 +228,7 @@ def _run_bijection(args, params):
 def _run_match(args, params):
     params["hypergraph"] = args.hypergraph
     h = hypergraph_from_text(_read_text(args.hypergraph))
-    res = max_matching(h, budget=args.budget, deterministic=args.deterministic)
+    res = max_matching(h, budget=args.budget)
     witness = {"hypergraph": hypergraph_to_text(h), "matching": list(res.witness)}
     return "VALUE", res.size, witness, {"nodes": res.nodes}
 
@@ -242,10 +244,9 @@ def _run_line_chi(args, params):
 def _run_ach(args, params):
     params["d"] = args.d
     h, labeling = ach_counterexample(args.d)
-    res = max_matching(h, budget=args.budget, deterministic=args.deterministic)
     witness = {"hypergraph": hypergraph_to_text(h), "labels": list(labeling.labels),
-               "matching": list(res.witness), "bound": ach_bound(args.d, labeling.m)}
-    return "EXISTS", res.size, witness, {"nodes": res.nodes}
+               "matching": ach_matching(args.d), "bound": ach_bound(args.d, labeling.m)}
+    return "EXISTS", args.d, witness, {}
 
 
 def _run_plane(args, params):
@@ -300,7 +301,7 @@ _BUDGET = _Arg("--budget", type=int, default=None, help="branch-node budget for 
 _DELTA0 = _Arg("--delta0", type=int, default=DEFAULT_DELTA0,
                 help="degree threshold governing the conditional chi_r value")
 _DETERMINISTIC = _Arg("--deterministic", action="store_true",
-                       help="byte-stable output: canonical witnesses, elapsed_ms zeroed")
+                       help="byte-stable output: elapsed_ms zeroed")
 _GRAPH_SOURCE = _OneOf((
     _Arg("--graph", metavar="PATH", help="graph file in the text format"),
     _Arg("--complete", type=int, metavar="N"),
@@ -353,7 +354,7 @@ COMMANDS: dict[str, Command] = {
     "match": Command("exact maximum matching", (_HYPERGRAPH, _BUDGET), _run_match),
     "chromatic-index": Command("exact proper edge-coloring number", (_HYPERGRAPH, _BUDGET),
                                _run_line_chi),
-    "ach": Command("matching-bound counterexample hypergraph", (_D, _BUDGET), _run_ach),
+    "ach": Command("matching-bound counterexample hypergraph", (_D,), _run_ach),
     "plane": Command("projective plane of prime order", (_P,), _run_plane),
     "truncated-plane": Command("plane minus a point, as a hypergraph", (_P,),
                                _run_truncated_plane),
@@ -388,15 +389,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# the errors a run reports as a coded message and exit 1
+_CODED = (ParseError, ValidationError, VerificationError)
+
+
+def _error(exc: RamseyLabError) -> int:
+    """Print the coded error of a failed run; its exit code is 1."""
+    check = f" check {exc.check}" if isinstance(exc, VerificationError) else ""
+    print(f"error [{exc.code}]{check}: {exc}", file=sys.stderr)
+    return 1
+
+
 def _run_verify(path: str) -> int:
     try:
         verify_certificate(parse_certificate(_read_text(path)))
-    except (ParseError, ValidationError) as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return 1
-    except VerificationError as exc:
-        print(f"error [VERIFY_FAILED] check {exc.check}: {exc}", file=sys.stderr)
-        return 1
+    except _CODED as exc:
+        return _error(exc)
     print("true")
     return 0
 
@@ -416,14 +424,16 @@ def run(argv: list[str]) -> int:
         # an unfinished search still certifies what it proved: bounds and nodes
         outcome, value, witness = "UNKNOWN", None, None
         stats = {k: v for k, v in exc.partial.items() if isinstance(v, (int, bool, str))}
-    except (ValidationError, ParseError) as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return 1
+    except _CODED as exc:
+        return _error(exc)
     elapsed_ms = 0 if args.deterministic else int((time.perf_counter() - started) * 1000)
     stats = dict(stats, elapsed_ms=elapsed_ms)
     cert = make_certificate(args.command, params, outcome, value=value, witness=witness,
                             stats=stats, delta0=params.get("delta0", DEFAULT_DELTA0))
-    verify_certificate(cert)
+    try:
+        verify_certificate(cert)
+    except _CODED as exc:
+        return _error(exc)
     cert["verified"] = True
     sys.stdout.write(certificate_to_json(cert))
     return 0 if outcome != "UNKNOWN" else 2

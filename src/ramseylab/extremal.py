@@ -15,7 +15,6 @@ Three generator families, each self-verifying before returning:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import ceil
 from typing import Iterable, Sequence
 
@@ -69,8 +68,22 @@ def ach_counterexample(d: int) -> tuple[PartiteHypergraph, AchLabeling]:
             edges.append((i, i, i))
     h = make_hypergraph([m, m, m], edges)
     labels = tuple(_ach_label(e, d) for e in h.edges)
-    _verify_ach(h, labels, d, m)
+    _verify_ach(h, labels, d, m, ach_matching(d))
     return h, AchLabeling(d, m, labels)
+
+
+def ach_matching(d: int) -> list[int]:
+    """Edge indices of d pairwise disjoint edges of ach_counterexample(d),
+    one per label: for each b < floor(d/2), with j = d + b, the edges
+    (2b, 2b, j) and (2b+1, j, 2b+1), and for odd d also (d-1, d-1, d-1)."""
+    t = d // 2
+    per_label = 3 * t + d % 2
+    matching = []
+    for b in range(t):
+        matching += [2 * b * per_label + 3 * b, (2 * b + 1) * per_label + 3 * b + 1]
+    if d % 2:
+        matching.append((d - 1) * per_label + 3 * t)
+    return matching
 
 
 def _ach_label(e: Sequence[int], d: int) -> int:
@@ -81,13 +94,20 @@ def _ach_label(e: Sequence[int], d: int) -> int:
     return hits[0]
 
 
-def _verify_ach(h: PartiteHypergraph, labels: Sequence[int], d: int, m: int) -> None:
+def _verify_ach(h: PartiteHypergraph, labels: Sequence[int], d: int, m: int,
+                matching: Sequence[int]) -> None:
+    """Labels into 0..d-1 whose classes pairwise intersect, which caps any
+    matching at d, and a matching of size d, which is then the maximum."""
     by_label: dict[int, list[tuple[int, ...]]] = {}
     for e, lab in zip(h.edges, labels):
         by_label.setdefault(lab, []).append(e)
     if set(by_label) != set(range(d)):
         raise VerificationError("label-range", "labels do not cover A")
     _verify_intersecting(h, d, by_label.values(), 3, "label-intersect")
+    if not is_matching(h, matching):
+        raise VerificationError("matching-disjoint", "matching witness is not disjoint")
+    if len(matching) != d:
+        raise VerificationError("matching-exact", "matching witness must have size d")
 
 
 def _verify_intersecting(h: PartiteHypergraph, degree: int,
@@ -113,14 +133,6 @@ def ach_bound(d: int, n: int) -> int:
     if d < 1 or n < 0:
         raise ValidationError("OUT_OF_RANGE", f"need d >= 1 and n >= 0, got {d}, {n}")
     return ceil((d - 1) * n / d) if n else 0
-
-
-def greedy_matching_bound(n: int, d: int, r: int) -> Fraction:
-    """Vertices coverable greedily in any d-regular r-partite hypergraph with
-    n-vertex parts: nd / (1 + (d-1) r), exact."""
-    if n < 1 or d < 1 or r < 1:
-        raise ValidationError("OUT_OF_RANGE", "need n, d, r >= 1")
-    return Fraction(n * d, 1 + (d - 1) * r)
 
 
 # -- projective planes -----------------------------------------------------------

@@ -106,10 +106,6 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def empty_graph(n: int) -> Graph:
-    return build_graph(n, [])
-
-
 def complete_graph(n: int) -> Graph:
     if not 0 <= n <= MAX_VERTICES:
         raise ValidationError("OUT_OF_RANGE", f"vertex count {n} not in 0..{MAX_VERTICES}")

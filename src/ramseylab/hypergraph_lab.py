@@ -167,34 +167,28 @@ class MatchingResult:
     nodes: int
 
 
-def max_matching(h: PartiteHypergraph, budget: int | None = None,
-                 deterministic: bool = False) -> MatchingResult:
+def max_matching(h: PartiteHypergraph, budget: int | None = None) -> MatchingResult:
     """Exact maximum matching by branch and bound.
 
     Components are solved independently.  Within one, branch on the vertex of
     minimum positive degree: try each incident edge, then exclusion; prune
     when the per-part count of distinct live vertices cannot beat the best.
-    With deterministic=True the witness is recomputed to be the
-    lexicographically least optimal matching.
+    The search order is fixed, so the witness and node count are too.
     """
     if h.m > MAX_MATCHING_EDGES:
         raise ValidationError("OUT_OF_RANGE",
                               f"{h.m} edges exceed the matching cap {MAX_MATCHING_EDGES}")
     bud = NodeBudget(budget)
     inc = _incidence(h)
-    witness: list[int] = []
     try:
         size, witness = _match_components(inc, (1 << h.m) - 1, bud)
-        if deterministic:
-            witness = _lex_least_matching(inc, size, bud)
     except BudgetExceededError:
-        # salvage a valid partial: the optimum of the first pass if it
-        # finished, else whatever fits together greedily
-        partial = witness or _greedy_matching(inc.conflict)
+        # an unfinished search still proves what fits together greedily
+        partial = _greedy_matching(inc.conflict)
         raise BudgetExceededError(
             "matching budget exhausted",
             nodes=bud.spent, lower=len(partial),
-            witness=tuple(sorted(partial)), exact=False) from None
+            witness=tuple(partial), exact=False) from None
     witness = tuple(sorted(witness))
     if not is_matching(h, witness):
         raise ValidationError("OUT_OF_RANGE", "matching witness reuses a vertex")
@@ -330,24 +324,6 @@ def _match_branch(inc: _Incidence, comp: int,
         for t in reversed(_bits(hit)):
             stack.append((live & ~conflict[t], size + 1, (t, chosen)))
     return best_size, [edges[t] for t in best]
-
-
-def _lex_least_matching(inc: _Incidence, size: int, bud: NodeBudget) -> list[int]:
-    """Smallest optimal matching in index order, by forcing one prefix edge
-    at a time and checking the remainder still reaches the target size."""
-    chosen: list[int] = []
-    live = (1 << len(inc.verts)) - 1
-    while len(chosen) < size:
-        need = size - len(chosen) - 1
-        for j in _bits(live):
-            rest = ((live & ~inc.conflict[j]) >> (j + 1)) << (j + 1)
-            if need <= 0 or _match_components(inc, rest, bud)[0] >= need:
-                chosen.append(j)
-                live = rest
-                break
-        else:
-            raise ValidationError("OUT_OF_RANGE", "optimal matching size unreachable")
-    return chosen
 
 
 def disjoint_copies(h: PartiteHypergraph, t: int) -> PartiteHypergraph:

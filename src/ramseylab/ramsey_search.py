@@ -424,23 +424,6 @@ def make_edge_coloring(base: Graph, k: int, assignment: Sequence[int]) -> EdgeCo
     return EdgeColoring(base, k, tuple(assignment))
 
 
-def coloring_from_classes(n: int, classes: Sequence[Graph]) -> EdgeColoring:
-    """Edge coloring of K_n from graphs that exactly partition its edges."""
-    base = complete_graph(n)
-    color_of: dict[tuple[int, int], int] = {}
-    for c, g in enumerate(classes):
-        if g.n != n:
-            raise ValidationError("OUT_OF_RANGE", "class on wrong vertex count")
-        for e in g.edges():
-            if e in color_of:
-                raise ValidationError("DUPLICATE_EDGE", f"edge {e} in two classes")
-            color_of[e] = c
-    if len(color_of) != base.m:
-        raise ValidationError("OUT_OF_RANGE",
-                              f"classes cover {len(color_of)} of {base.m} edges")
-    return EdgeColoring(base, len(classes), tuple(color_of[e] for e in base.edges()))
-
-
 @dataclass(frozen=True)
 class MonoFreeReport:
     ok: bool
@@ -880,20 +863,3 @@ def closed_form_c_k(fam: ForbiddenFamily, k: int,
         return ClosedForm(k * (sizes["star"] - 1) + 1, asymptotic=True,
                           note="holds for infinitely many k")
     return None
-
-
-def g_k_upper_bound(fam: ForbiddenFamily, k: int) -> int:
-    """Upper bound 2*k*n0 on the largest chromatic number achievable by a
-    graph with an admissible k-coloring, where n0 is the order of the
-    smallest forest in the family.
-
-    Raises ValidationError NO_FOREST if every pattern contains a cycle; the
-    bound needs a forest member, since forbidding only cyclic patterns still
-    admits high-girth classes of unbounded chromatic number.
-    """
-    if k < 1:
-        raise ValidationError("BAD_K", f"need k >= 1, got {k}")
-    forest_orders = [p.realize().n for p in fam.patterns if p.is_forest()]
-    if not forest_orders:
-        raise ValidationError("NO_FOREST", "no pattern in the family is a forest")
-    return 2 * k * min(forest_orders)

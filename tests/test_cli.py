@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from ramseylab import cli
+from ramseylab import certificates, cli
 from ramseylab.cli import COMMANDS, run
+from ramseylab.errors import VerificationError
 from ramseylab.factor_lab import PROPER, random_factor
 from ramseylab.graph_core import graph_to_text, path_graph
 from ramseylab.hypergraph_lab import factors_to_hypergraph, hypergraph_to_text
@@ -128,25 +129,6 @@ def test_ramsey_cap_is_unknown(capsys):
     assert cert["stats"]["lower"] == 4 and cert["stats"]["cap"] == 4
 
 
-def test_match_budget_exhaustion_is_unknown(tmp_path, capsys):
-    hpath = _hypergraph_file(tmp_path, r=3, n=12)
-    code, out, _ = _invoke(capsys, ["match", "--hypergraph", hpath, "--budget", "1"])
-    assert code == 2
-    cert = json.loads(out)
-    assert cert["outcome"] == "UNKNOWN"
-    assert cert["stats"]["exact"] is False and cert["stats"]["lower"] >= 0
-
-
-def test_match_budget_exhaustion_keeps_the_proven_bound(tmp_path, capsys):
-    hpath = tmp_path / "h.txt"
-    hpath.write_text("3\n4 4 4\n0 0 0\n1 1 1\n2 2 2\n0 1 2\n1 2 3\n3 3 3\n")
-    code, out, _ = _invoke(capsys, ["match", "--hypergraph", str(hpath), "--budget", "1",
-                                    "--deterministic"])
-    assert code == 2
-    assert json.loads(out)["stats"] == {"elapsed_ms": 0, "exact": False, "lower": 4,
-                                        "nodes": 1}
-
-
 def _long_path_file(tmp_path, n: int) -> str:
     """The 2-partite path with edges (i+1, i) listed before edges (i, i): the
     greedy start takes the first n-1 and misses the perfect matching, so the
@@ -157,16 +139,34 @@ def _long_path_file(tmp_path, n: int) -> str:
     return str(path)
 
 
+def test_match_budget_exhaustion_is_unknown(tmp_path, capsys):
+    hpath = _hypergraph_file(tmp_path, r=3, n=12)
+    code, out, _ = _invoke(capsys, ["match", "--hypergraph", hpath, "--budget", "1"])
+    assert code == 2
+    cert = json.loads(out)
+    assert cert["outcome"] == "UNKNOWN"
+    assert cert["stats"]["exact"] is False and cert["stats"]["lower"] >= 0
+
+
+def test_match_budget_exhaustion_keeps_the_proven_bound(tmp_path, capsys):
+    # the search needs more than one node here, and greedy had 4 in hand
+    code, out, _ = _invoke(capsys, ["match", "--hypergraph", _long_path_file(tmp_path, 5),
+                                    "--budget", "1", "--deterministic"])
+    assert code == 2
+    assert json.loads(out)["stats"] == {"elapsed_ms": 0, "exact": False, "lower": 4,
+                                        "nodes": 1}
+
+
 def test_match_on_a_long_path_needs_no_recursion(tmp_path, capsys):
     cert = _invoke_cert(capsys, ["match", "--hypergraph", _long_path_file(tmp_path, 1500)])
     assert cert["value"] == 1500 and cert["verified"] is True
     assert cert["stats"]["nodes"] == 3001
 
 
-def test_match_on_a_path_keeps_its_lex_least_nodes(tmp_path, capsys):
+def test_match_on_a_path_searches_once_under_deterministic(tmp_path, capsys):
     cert = _invoke_cert(capsys, ["match", "--hypergraph", _long_path_file(tmp_path, 500),
                                  "--deterministic"])
-    assert (cert["value"], cert["stats"]["nodes"]) == (500, 250_500)
+    assert (cert["value"], cert["stats"]["nodes"]) == (500, 1001)
     assert cert["witness"]["matching"] == list(range(499, 999))
 
 
@@ -287,6 +287,16 @@ def test_verify_rejects_truncated_certificate(tmp_path, capsys):
     assert code == 1 and "PARSE_ERROR" in err
 
 
+def test_failed_self_check_is_a_coded_error(capsys, monkeypatch):
+    def refuse(*args):
+        raise VerificationError("line-count", "refused")
+
+    monkeypatch.setitem(certificates._VERIFIERS, "plane", refuse)
+    code, out, err = _invoke(capsys, ["plane", "--p", "2"])
+    assert (code, out) == (1, "")
+    assert err == "error [VERIFY_FAILED] check line-count: refused\n"
+
+
 def test_verify_missing_file(capsys):
     code, _, err = _invoke(capsys, ["verify", "/nonexistent/cert.json"])
     assert code == 1 and "PARSE_ERROR" in err
@@ -302,6 +312,14 @@ def test_deterministic_output_is_byte_stable(capsys):
     cert = json.loads(first[1])
     assert cert["stats"]["elapsed_ms"] == 0
     assert cert["witness"]["matching"] == sorted(cert["witness"]["matching"])
+
+
+@pytest.mark.parametrize("d", [9, 20, 40])
+def test_ach_is_certified_without_a_search(capsys, d):
+    cert = _invoke_cert(capsys, ["ach", "--d", str(d), "--deterministic"])
+    assert (cert["outcome"], cert["value"], cert["verified"]) == ("EXISTS", d, True)
+    assert cert["stats"] == {"elapsed_ms": 0}
+    assert len(cert["witness"]["matching"]) == d
 
 
 def test_deterministic_bijection_seeded(capsys):
@@ -384,11 +402,12 @@ def test_each_command_takes_only_the_options_it_reads(capsys):
                 if any(flag in getattr(opt, "flags", ()) for opt in cmd.options)}
 
     assert taking("--budget") == {"chi", "clique", "ramsey", "cover", "max-cover",
-                                  "match", "chromatic-index", "ach"}
+                                  "match", "chromatic-index"}
     assert taking("--delta0") == {"closed-form", "chi-r"}
     assert taking("--seed") == {"bijection"}
     assert _invoke(capsys, ["plane", "--p", "3", "--threads", "2"])[0] == 1
     assert _invoke(capsys, ["walecki", "--k", "3", "--budget", "5"])[0] == 1
+    assert _invoke(capsys, ["ach", "--d", "5", "--budget", "1"])[0] == 1
 
 
 # -- budget-exhausted searches certify what they proved --------------------------------------
@@ -399,7 +418,8 @@ def test_each_command_takes_only_the_options_it_reads(capsys):
      {"family": "F4", "colors": 5, "cap": 32}, {"lower": 6, "nodes": 1000}),
     (["ramsey", "--family", "F2", "--colors", "4", "--budget", "200000"],
      {"family": "F2", "colors": 4, "cap": 32}, {"lower": 7, "nodes": 200000}),
-    (["ach", "--d", "5", "--budget", "1"], {"d": 5}, {"nodes": 1, "exact": False}),
+    (["chi", "--complete", "13", "--budget", "5"], {"complete": 13},
+     {"lower": 2, "upper": 13, "nodes": 5}),
     # the best cover found and the clique in hand when the budget ran out
     (["max-cover", "--n", "8", "--r", "4", "--budget", "100"], {"n": 8, "r": 4},
      {"lower": 21, "nodes": 100}),

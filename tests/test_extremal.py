@@ -14,14 +14,15 @@ from ramseylab.extremal import (
     _verify_plane,
     ach_bound,
     ach_counterexample,
+    ach_matching,
     claim51_hypergraph,
-    greedy_matching_bound,
     projective_plane,
     truncated_plane,
 )
 from ramseylab.graph_core import complete_graph
 from ramseylab.hypergraph_lab import (
     disjoint_copies,
+    is_matching,
     line_graph,
     make_hypergraph,
     max_matching,
@@ -50,6 +51,14 @@ def test_ach_refutes_the_matching_bound():
         res = max_matching(h)
         assert res.size == d  # the label classes cap it, and d is attained
         assert res.size < ach_bound(d, labeling.m)
+
+
+def test_ach_matching_takes_one_edge_per_label():
+    for d in range(4, 41):
+        h, labeling = ach_counterexample(d)
+        picked = ach_matching(d)
+        assert is_matching(h, picked)
+        assert sorted(labeling.labels[j] for j in picked) == list(range(d))
 
 
 def test_ach_odd_d_covered_fraction():
@@ -86,14 +95,6 @@ def test_ach_bound_values():
 # -- greedy matching bound -----------------------------------------------------------
 
 
-def test_greedy_matching_bound_values():
-    assert greedy_matching_bound(9, 3, 3) == Fraction(27, 7)
-    assert greedy_matching_bound(6, 4, 3) == Fraction(24, 10)
-    assert greedy_matching_bound(5, 1, 4) == Fraction(5)
-    with pytest.raises(ValidationError):
-        greedy_matching_bound(0, 3, 3)
-
-
 def test_greedy_bound_is_a_true_lower_bound():
     # on every generated regular instance the maximum matching covers at
     # least nd/(1+(d-1)r) vertices per part... i.e. matching >= bound/d
@@ -103,7 +104,7 @@ def test_greedy_bound_is_a_true_lower_bound():
     for h in cases:
         d = regularity(h)
         n = h.part_sizes[0]
-        bound = greedy_matching_bound(n, d, h.r)
+        bound = Fraction(n * d, 1 + (d - 1) * h.r)
         assert max_matching(h).size >= bound / d
 
 

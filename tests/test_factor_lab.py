@@ -35,13 +35,12 @@ from ramseylab.graph_core import (
     build_graph,
     chromatic_number,
     complete_graph,
-    empty_graph,
     union_graphs,
 )
 from ramseylab.ramsey_search import (
     FAMILY_PRESETS,
     closed_form_c_k,
-    coloring_from_classes,
+    make_edge_coloring,
     mono_free_search,
     verify_mono_free,
 )
@@ -59,7 +58,7 @@ def _triangle_blocks(n: int, *blocks: tuple[int, int, int]):
 
 def test_classify_factor():
     assert classify_factor(_triangle_blocks(6, (0, 1, 2), (3, 4, 5))) == PROPER
-    assert classify_factor(empty_graph(4)) == GENERALIZED
+    assert classify_factor(build_graph(4, [])) == GENERALIZED
     assert classify_factor(build_graph(4, [(0, 1), (2, 3)])) == GENERALIZED
     assert classify_factor(build_graph(3, [(0, 1), (1, 2)])) == GENERALIZED
     assert classify_factor(build_graph(4, [(0, 1), (1, 2), (2, 3)])) == NOT_A_FACTOR
@@ -384,7 +383,10 @@ def test_galaxy_covers():
 def test_galaxy_classes_avoid_triangle_and_p4():
     # galaxies witness c_k(triangle, 4-path) >= 2k - 2 after dropping colors
     classes = galaxy_cover(5)
-    coloring = coloring_from_classes(10, list(classes))
+    base = complete_graph(10)
+    color_of = {e: c for c, g in enumerate(classes) for e in g.edges()}
+    assert sum(g.m for g in classes) == len(color_of) == base.m  # a partition
+    coloring = make_edge_coloring(base, len(classes), [color_of[e] for e in base.edges()])
     assert verify_mono_free(coloring, FAMILY_PRESETS["F4"]).ok
 
 

@@ -89,6 +89,16 @@ def test_golden_certificate(name, monkeypatch):
     assert code == (2 if json.loads(expected)["outcome"] == "UNKNOWN" else 0)
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_deterministic_changes_only_elapsed_ms(name, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    code, out, err = _run(CASES[name])
+    cert = json.loads(out)
+    cert["stats"]["elapsed_ms"] = 0
+    assert certificates.certificate_to_json(cert) == (
+        GOLDEN / f"{name}.json").read_text(encoding="utf-8"), err
+
+
 def test_one_command_table():
     assert set(cli.COMMANDS) == set(certificates._VERIFIERS)
     assert len(cli.COMMANDS) == 18

@@ -16,7 +16,6 @@ from ramseylab.graph_core import (
     connected_components,
     contains_clique,
     cycle_graph,
-    empty_graph,
     extend_coloring_from_core,
     graph_from_text,
     graph_to_text,
@@ -102,7 +101,7 @@ def test_factories():
     assert cycle_graph(4).m == 4
     assert star_graph(6).m == 6 and star_graph(6).degree(0) == 6
     assert matching_graph(3).m == 3 and matching_graph(3).max_degree() == 1
-    assert empty_graph(4).m == 0
+    assert build_graph(4, []).m == 0
 
 
 def test_complete_graph_vertex_guard():
@@ -162,8 +161,8 @@ def test_text_parse_errors():
 
 
 def test_chromatic_hand_cases():
-    assert chromatic_number(empty_graph(4)).value == 1
-    assert chromatic_number(empty_graph(0)).value == 0
+    assert chromatic_number(build_graph(4, [])).value == 1
+    assert chromatic_number(build_graph(0, [])).value == 0
     assert chromatic_number(cycle_graph(4)).value == 2
     assert chromatic_number(cycle_graph(5)).value == 3
     assert chromatic_number(complete_graph(6)).value == 6

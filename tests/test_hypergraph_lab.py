@@ -41,18 +41,14 @@ def _disjoint(h: PartiteHypergraph, idxs: list[int]) -> bool:
     return True
 
 
-def _brute_matchings(h: PartiteHypergraph) -> tuple[int, list[tuple[int, ...]]]:
-    """Maximum matching size and every optimal witness, by subset scan."""
+def _brute_matching(h: PartiteHypergraph) -> int:
+    """Maximum matching size, by subset scan."""
     best = 0
-    witnesses: list[tuple[int, ...]] = []
     for mask in range(1 << h.m):
         idxs = [j for j in range(h.m) if mask >> j & 1]
-        if len(idxs) < best or not _disjoint(h, idxs):
-            continue
-        if len(idxs) > best:
-            best, witnesses = len(idxs), []
-        witnesses.append(tuple(idxs))
-    return best, witnesses
+        if len(idxs) > best and _disjoint(h, idxs):
+            best = len(idxs)
+    return best
 
 
 # -- construction ----------------------------------------------------------------
@@ -158,21 +154,11 @@ def test_max_matching_vs_brute_force():
     rng = random.Random(109)
     for _ in range(120):
         h = _random_hypergraph(rng)
-        best, _ = _brute_matchings(h)
+        best = _brute_matching(h)
         res = max_matching(h)
         assert res.size == best
         assert _disjoint(h, list(res.witness)) and len(res.witness) == best
         assert res.size <= min(h.part_sizes)
-
-
-def test_max_matching_deterministic_is_lex_least():
-    rng = random.Random(113)
-    for _ in range(60):
-        h = _random_hypergraph(rng, max_edges=8)
-        best, witnesses = _brute_matchings(h)
-        res = max_matching(h, deterministic=True)
-        assert res.size == best
-        assert res.witness == min(witnesses)
 
 
 def test_max_matching_pigeonhole_lower_bound():
@@ -196,21 +182,6 @@ def test_max_matching_budget_partial():
     assert partial["nodes"] >= 2
     assert partial["lower"] == len(partial["witness"])
     assert _disjoint(h, list(partial["witness"]))
-
-
-# greedy finds the optimum 4 in one node, so a budget of 1 runs out in the
-# pass that looks for the lexicographically least optimal matching
-_GREEDY_OPTIMAL = make_hypergraph(
-    [4, 4, 4], [(0, 0, 0), (1, 1, 1), (2, 2, 2), (0, 1, 2), (1, 2, 3), (3, 3, 3)])
-
-
-def test_max_matching_budget_cut_in_lex_least_pass_keeps_the_bound():
-    assert max_matching(_GREEDY_OPTIMAL, budget=1).size == 4
-    with pytest.raises(BudgetExceededError) as exc:
-        max_matching(_GREEDY_OPTIMAL, budget=1, deterministic=True)
-    partial = exc.value.partial
-    assert partial["lower"] == 4 and partial["exact"] is False
-    assert _disjoint(_GREEDY_OPTIMAL, list(partial["witness"]))
 
 
 def test_max_matching_edge_cap():

@@ -26,13 +26,11 @@ from ramseylab.ramsey_search import (
     _color_edges,
     _family_checks,
     closed_form_c_k,
-    coloring_from_classes,
     compute_c_k,
     counting_refutes,
     ex_bound,
     explicit_pattern,
     find_copy,
-    g_k_upper_bound,
     make_edge_coloring,
     matching_pattern,
     mono_free_search,
@@ -231,17 +229,6 @@ def test_make_edge_coloring_validation():
     col = make_edge_coloring(base, 2, [0, 1, 1])
     assert col.color_of(0, 1) == 0 and col.color_of(2, 1) == 1
     assert col.color_class(1).m == 2
-
-
-def test_coloring_from_classes():
-    classes = [build_graph(3, [(0, 1)]), build_graph(3, [(0, 2), (1, 2)])]
-    col = coloring_from_classes(3, classes)
-    assert col.k == 2 and col.color_of(1, 2) == 1
-    with pytest.raises(ValidationError) as exc:
-        coloring_from_classes(3, [build_graph(3, [(0, 1)]), build_graph(3, [(0, 1)])])
-    assert exc.value.code == "DUPLICATE_EDGE"
-    with pytest.raises(ValidationError):
-        coloring_from_classes(3, [build_graph(3, [(0, 1)])])  # misses two edges
 
 
 def test_verify_mono_free_reports_violation():
@@ -561,21 +548,7 @@ def test_closed_form_none_for_plain_triangle():
     assert exc.value.code == "BAD_K"
 
 
-def test_g_k_upper_bound():
-    assert g_k_upper_bound(FAMILY_PRESETS["F2"], 3) == 24
-    assert g_k_upper_bound(FAMILY_PRESETS["F4"], 5) == 40
-    assert g_k_upper_bound(FAMILY_PRESETS["F6"], 1) == 8
-    assert g_k_upper_bound(parse_family("K3,STAR:1"), 2) == 12
-    with pytest.raises(ValidationError) as exc:
-        g_k_upper_bound(FAMILY_PRESETS["F1"], 2)
-    assert exc.value.code == "NO_FOREST"
-    with pytest.raises(ValidationError) as exc:
-        g_k_upper_bound(FAMILY_PRESETS["F2"], 0)
-    assert exc.value.code == "BAD_K"
-
-
 def test_star_upper_bound_sanity():
     # c_k(F3) = 2k+1 always sits under the forest bound 8k
     for k in range(1, 6):
-        assert closed_form_c_k(FAMILY_PRESETS["F3"], k).value <= g_k_upper_bound(
-            FAMILY_PRESETS["F3"], k)
+        assert closed_form_c_k(FAMILY_PRESETS["F3"], k).value <= 8 * k

@@ -68,10 +68,10 @@ def test_chromatic_number_is_the_least_colourable_palette(graph):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_hypergraphs, st.booleans())
-def test_max_matching_is_the_largest_disjoint_subset(hypergraph, deterministic):
+@given(_hypergraphs)
+def test_max_matching_is_the_largest_disjoint_subset(hypergraph):
     sizes, edges = hypergraph
-    res = max_matching(make_hypergraph(sizes, edges), deterministic=deterministic)
+    res = max_matching(make_hypergraph(sizes, edges))
     assert res.size == _brute_matching(edges) == len(res.witness)
     picked = [edges[j] for j in res.witness]
     assert all(len(set(col)) == len(picked) for col in zip(*picked))

@@ -9,9 +9,9 @@ that the explicit-stack kernels replaced:
   graphs are seeded relabelings of M(C5), M(M(C9)) and M(M(C11)), 300
   seeded random graphs on at most 14 vertices, and the line graphs of the
   truncated planes of order 2, 3 and 5.
-- ``matching.json``: per hypergraph, for ``deterministic`` False and True,
-  the size, witness and nodes of ``max_matching``, and at budgets 1, 10
-  and 100 the outcome, nodes, size or proven lower bound, and witness.  The
+- ``matching.json``: per hypergraph, the size, witness and nodes of
+  ``max_matching``, and at budgets 1, 10 and 100 the outcome, nodes, size
+  or proven lower bound, and witness.  The
   hypergraphs are ``ach_counterexample(d)`` for d = 4, 5, 6, the claim51
   inputs of the benchmark and seeded random r-partite hypergraphs: 80
   with r = 1..4 and at most 16 edges, 20 with r = 2..4 and 20 to 40 edges.
@@ -125,20 +125,17 @@ def matching_inputs() -> list[tuple[str, PartiteHypergraph]]:
 
 
 def matching_row(h: PartiteHypergraph) -> list:
-    row = []
-    for deterministic in (False, True):
-        res = max_matching(h, deterministic=deterministic)
-        cuts = []
-        for budget in BUDGETS:
-            try:
-                cut = max_matching(h, budget=budget, deterministic=deterministic)
-                cuts.append([budget, "VALUE", cut.nodes, cut.size, list(cut.witness)])
-            except BudgetExceededError as exc:
-                part = exc.partial
-                cuts.append([budget, "UNKNOWN", part["nodes"], part["lower"],
-                             list(part["witness"])])
-        row.append([deterministic, res.size, list(res.witness), res.nodes, cuts])
-    return row
+    res = max_matching(h)
+    cuts = []
+    for budget in BUDGETS:
+        try:
+            cut = max_matching(h, budget=budget)
+            cuts.append([budget, "VALUE", cut.nodes, cut.size, list(cut.witness)])
+        except BudgetExceededError as exc:
+            part = exc.partial
+            cuts.append([budget, "UNKNOWN", part["nodes"], part["lower"],
+                         list(part["witness"])])
+    return [res.size, list(res.witness), res.nodes, cuts]
 
 
 # -- the tables -----------------------------------------------------------------
