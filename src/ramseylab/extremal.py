@@ -35,6 +35,10 @@ def _is_prime(p: int) -> bool:
 
 # -- the matching-bound counterexample ------------------------------------------
 
+# building and checking the construction costs about d^3; at 81 its
+# hypergraph still fits the MAX_MATCHING_EDGES cap of 10,000 edges
+MAX_ACH_D = 81
+
 
 @dataclass(frozen=True)
 class AchLabeling:
@@ -59,6 +63,8 @@ def ach_counterexample(d: int) -> tuple[PartiteHypergraph, AchLabeling]:
     if d < 4:
         # below 4 the construction does not beat ceil((d-1) m / d)
         raise ValidationError("BAD_D", f"need d >= 4, got {d}")
+    if d > MAX_ACH_D:
+        raise ValidationError("OUT_OF_RANGE", f"need d <= {MAX_ACH_D}, got {d}")
     m = 3 * d // 2
     edges: list[tuple[int, int, int]] = []
     for i in range(d):

@@ -4,8 +4,9 @@ A forbidden family is a set of small patterns; an edge k-coloring of K_n is
 admissible when no color class contains a copy of any pattern as a subgraph.
 c_k(family) is the largest n admitting such a coloring.  The search runs
 over edges in lexicographic order with canonical color introduction (a new
-color may appear only after all smaller ones), so exhaustion at a given n is
-a certified nonexistence and the first witness found is deterministic.
+color may appear only after all smaller ones) and with vertex 0's row
+sorted, so exhaustion at a given n is a certified nonexistence and the
+first witness found is deterministic.
 Before searching K_n, compute_c_k tries to refute it by counting edges: k
 classes free of the family hold at most k * ex(n, F) edges.
 
@@ -277,52 +278,61 @@ def _extend_path(adj: Sequence[int], path: list[int], visited: int,
     return None
 
 
-def _find_matching(adj: Sequence[int], avail: int, m: int) -> tuple[int, ...] | None:
-    """Exact search for m pairwise disjoint edges; returns 2m endpoints."""
-    if m <= 0:
-        return ()
-    picked: list[int] = []
+def _has_matching(adj: Sequence[int], avail: int, need: int) -> bool:
+    """Whether the vertices of avail span `need` pairwise disjoint edges.
 
-    def rec(avail: int, need: int) -> bool:
-        if need == 0:
+    Branches on the lowest vertex v of avail with a neighbour in avail: v
+    matched to each such neighbour in turn, then v left out.  A plain
+    recursion over ints, with no closure or list, so the c_k search, which
+    asks at every node for a matching family, leaves no garbage for the
+    cycle collector to pause on.
+    """
+    if need <= 0:
+        return True
+    v = -1
+    live = 0  # vertices of avail with a neighbour in avail
+    rest = avail
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if adj[low.bit_length() - 1] & avail:
+            if v < 0:
+                v = low.bit_length() - 1
+            live += 1
+    if live < 2 * need:
+        return False
+    vb = 1 << v
+    nbrs = adj[v] & avail & ~vb
+    while nbrs:
+        low = nbrs & -nbrs
+        nbrs ^= low
+        if _has_matching(adj, avail & ~vb & ~low, need - 1):
             return True
-        v = -1
+    return _has_matching(adj, avail & ~vb, need)
+
+
+def _find_matching(adj: Sequence[int], avail: int, m: int) -> tuple[int, ...] | None:
+    """Exact search for m pairwise disjoint edges; returns 2m endpoints, the
+    first matching in _has_matching's branching order."""
+    if not _has_matching(adj, avail, m):
+        return None
+    picked: list[int] = []
+    while m:
         rest = avail
-        while rest:
-            low = rest & -rest
-            cand = low.bit_length() - 1
-            if adj[cand] & avail & ~low:
-                v = cand
-                break
-            rest ^= low
-        if v < 0:
-            return False
-        live = 0
-        rest = avail
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if adj[low.bit_length() - 1] & avail:
-                live += 1
-        if live // 2 < need:
-            return False
-        vb = 1 << v
-        nbrs = adj[v] & avail & ~vb
+        while not adj[(rest & -rest).bit_length() - 1] & avail:
+            rest &= rest - 1
+        vb = rest & -rest
+        nbrs = adj[vb.bit_length() - 1] & avail & ~vb
         while nbrs:
             low = nbrs & -nbrs
             nbrs ^= low
-            u = low.bit_length() - 1
-            picked.append(v)
-            picked.append(u)
-            if rec(avail & ~vb & ~low, need - 1):
-                return True
-            picked.pop()
-            picked.pop()
-        return rec(avail & ~vb, need)
-
-    if rec(avail, m):
-        return tuple(picked)
-    return None
+            if _has_matching(adj, avail & ~vb & ~low, m - 1):
+                picked += (vb.bit_length() - 1, low.bit_length() - 1)
+                avail &= ~low
+                m -= 1
+                break
+        avail &= ~vb
+    return tuple(picked)
 
 
 def _embed(host: Graph, pattern: Graph) -> tuple[int, ...] | None:
@@ -565,7 +575,7 @@ def mono_free_search(n: int, k: int, fam: ForbiddenFamily,
             raise ValidationError("OUT_OF_RANGE", "vertex_order is not a permutation")
     edges = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
     limit = DEFAULT_NODE_BUDGET if budget is None else budget
-    chosen, spent = _color_edges(n, k, edges, fam, limit)
+    chosen, spent = _color_edges(n, k, edges, fam, limit, row=n - 1)
     if chosen is None:
         return None, spent
 
@@ -582,12 +592,19 @@ def mono_free_search(n: int, k: int, fam: ForbiddenFamily,
 
 
 def _color_edges(n: int, k: int, edges: Sequence[tuple[int, int]],
-                 fam: ForbiddenFamily, limit: int) -> tuple[list[int] | None, int]:
+                 fam: ForbiddenFamily, limit: int, *, row: int = 0,
+                 ) -> tuple[list[int] | None, int]:
     """Depth-first search for colors of `edges`, in order, keeping every
     color class free of the family; returns (colors or None, nodes).
 
     A node is one (edge, color) attempt.  A new color may appear only after
-    all smaller ones.  Each violation test is incremental: it relies on the
+    all smaller ones.  The first `row` edges must be one whole row of K_n,
+    (u, v_1), ..., (u, v_{n-1}) for a single u: along them the color never
+    decreases, and color c is taken only while u has fewer c-edges than
+    (c - 1)-edges.  That is sound only on K_n, where any admissible coloring
+    becomes one of this form by permuting v_1..v_{n-1} to sort the row and
+    relabeling the row's colors largest block first; any other edge list
+    must keep row = 0.  Each violation test is incremental: it relies on the
     invariant that the color class was pattern-free before uv was added, so
     every new copy uses uv.  Raises BudgetExceededError once `limit` nodes
     are spent.
@@ -612,7 +629,8 @@ def _color_edges(n: int, k: int, edges: Sequence[tuple[int, int]],
             spent += 1
             adj, deg = adjs[c], degs[c]
             du, dv = deg[u], deg[v]
-            if du >= star or dv >= star or (tri and adj[u] & adj[v]):
+            if (du >= star or dv >= star or (tri and adj[u] & adj[v])
+                    or (c and idx < row and du >= degs[c - 1][u])):
                 c += 1
                 continue
             if p4:
@@ -635,7 +653,7 @@ def _color_edges(n: int, k: int, edges: Sequence[tuple[int, int]],
             elif path and _path_through(adj, u, v, bu | bv, path - 1):
                 c += 1
                 continue
-            if match and _find_matching(adj, full ^ bu ^ bv, match - 1) is not None:
+            if match and _has_matching(adj, full ^ bu ^ bv, match - 1):
                 c += 1
                 continue
             if explicit and _embeds_with_edge(adj, u, v, explicit):
@@ -648,7 +666,8 @@ def _color_edges(n: int, k: int, edges: Sequence[tuple[int, int]],
             chosen[idx] = c
             used[idx + 1] = c + 1 if c == used[idx] else used[idx]
             idx += 1
-            c = 0
+            if idx >= row:
+                c = 0
             break
         else:
             idx -= 1

@@ -200,6 +200,7 @@ def test_bad_inputs_exit_with_coded_errors(tmp_path, capsys):
                             (["clique", "--complete", "80"], "OUT_OF_RANGE"),
                             (["ach", "--d", "2"], "BAD_D"),
                             (["ach", "--d", "3"], "BAD_D"),
+                            (["ach", "--d", "82"], "OUT_OF_RANGE"),
                             # a star has 0 or more leaves, in every graph command
                             (["chi", "--star", "-1"], "OUT_OF_RANGE"),
                             (["clique", "--star", "-1"], "OUT_OF_RANGE"),
@@ -417,7 +418,7 @@ def test_each_command_takes_only_the_options_it_reads(capsys):
     (["ramsey", "--family", "F4", "--colors", "5", "--budget", "1000"],
      {"family": "F4", "colors": 5, "cap": 32}, {"lower": 6, "nodes": 1000}),
     (["ramsey", "--family", "F2", "--colors", "4", "--budget", "200000"],
-     {"family": "F2", "colors": 4, "cap": 32}, {"lower": 7, "nodes": 200000}),
+     {"family": "F2", "colors": 4, "cap": 32}, {"lower": 8, "nodes": 200000}),
     (["chi", "--complete", "13", "--budget", "5"], {"complete": 13},
      {"lower": 2, "upper": 13, "nodes": 5}),
     # the best cover found and the clique in hand when the budget ran out

@@ -9,7 +9,9 @@ The tables in ``tests/tables`` were measured before either bound existed:
   [n, r, value, nodes, witness masks];
 - ``compute_c_k.json``: ``compute_c_k`` over the pinned and the closed-form
   cases, as [family, k, value, witness assignment, witness nodes,
-  refutation nodes].
+  refutation nodes].  Its witness and node columns were remeasured when the
+  c_k search began sorting vertex 0's row; no value moved, and no
+  refutation gained a node.
 
 A bound may only remove nodes: each search keeps its outcome and witness,
 and spends no more nodes than it did.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 
@@ -276,16 +277,20 @@ def test_witnesses_always_verify():
 
 
 def test_vertex_order_cannot_change_the_outcome():
+    # the row break sorts the row of order[0], so each case is searched on
+    # both sides of c_k with that vertex shuffled
     rng = random.Random(13)
-    fam = FAMILY_PRESETS["F4"]
-    for n, expect in ((4, True), (5, False)):  # c_3(F4) = 4
-        for _ in range(10):
-            order = list(range(n))
-            rng.shuffle(order)
-            col, _ = mono_free_search(n, 3, fam, vertex_order=order)
-            assert (col is not None) == expect
-            if col is not None:
-                assert verify_mono_free(col, fam).ok
+    for spec, k, value in (("F4", 3, 4), ("F2", 3, 5), ("K3,PATH:4", 3, 6),
+                           ("MATCH:2", 4, 6)):
+        fam = parse_family(spec)
+        for n, expect in ((value, True), (value + 1, False)):
+            for _ in range(10):
+                order = list(range(n))
+                rng.shuffle(order)
+                col, _ = mono_free_search(n, k, fam, vertex_order=order)
+                assert (col is not None) == expect, (spec, k, order)
+                if col is not None:
+                    assert verify_mono_free(col, fam).ok
 
 
 def test_search_budget_exhaustion():
@@ -313,16 +318,53 @@ def test_incremental_checks_agree_with_find_copy(edges, p):
         assert (find_copy(build_graph(n, edges[:i]), p) is not None) == (i > accepted)
 
 
-# ck_search cases measured before the kernel was rewritten:
+def test_matching_search_leaves_no_garbage():
+    # the matching test runs at every node of a matching family's search; a
+    # closure per test left one reference cycle per node, and the collector's
+    # pauses took a third of the time of MATCH:2 at k = 4
+    gc.collect()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        coloring, nodes = mono_free_search(7, 4, parse_family("MATCH:2"))
+        grown = gc.get_count()[0] - before
+    finally:
+        gc.enable()
+    assert coloring is None and nodes == 1815
+    assert grown < 100
+
+
+_ROW_FAMILIES = ["F1", "F2", "F3", "F4", "F5", "F6", "F7", "K3,PATH:4", "PATH:4",
+                 "MATCH:2", "MATCH:3", "STAR:4", "EXPLICIT[0-1;1-2;2-3;3-0|4]"]
+
+
+@pytest.mark.parametrize("spec", _ROW_FAMILIES)
+def test_row_break_never_changes_an_answer(spec):
+    # K_n up to the first n without an admissible coloring (existence is
+    # monotone in n): sorting vertex 0's row keeps every answer and never
+    # adds a node to a refutation
+    fam = parse_family(spec)
+    for k in (1, 2, 3):
+        for n in range(2, 8):
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            plain, plain_nodes = _color_edges(n, k, edges, fam, 10**7)
+            broken, broken_nodes = _color_edges(n, k, edges, fam, 10**7, row=n - 1)
+            assert (plain is None) == (broken is None), (k, n)
+            if plain is None:
+                assert broken_nodes <= plain_nodes, (k, n)
+                break
+
+
+# ck_search cases, remeasured with the row break:
 # (family, k, c_k, witness nodes, refutation nodes, witness assignment)
 _PINNED = [
-    ("F3", 5, 11, 39025, 13659,
+    ("F3", 5, 11, 39009, 35,
      "0011223344011223344221144333340402434020401031030212211"),
-    ("MATCH:2", 4, 6, 34, 24440, "000001111222333"),
-    ("MATCH:3", 2, 7, 31, 24903, "000000000001111111111"),
-    ("PATH:3", 3, 5, 19, 3365, "0000111222"),
-    ("F2", 3, 5, 19, 3365, "0000111222"),
-    ("K3,PATH:4", 3, 6, 2089, 172336, "000121112200221"),
+    ("MATCH:2", 4, 6, 34, 1815, "000001111222333"),
+    ("MATCH:3", 2, 7, 31, 2280, "000000000001111111111"),
+    ("PATH:3", 3, 5, 19, 363, "0000111222"),
+    ("F2", 3, 5, 19, 363, "0000111222"),
+    ("K3,PATH:4", 3, 6, 1362, 6917, "000121112200221"),
 ]
 
 # the cases of _PINNED whose K_{c_k + 1} compute_c_k refutes by counting
@@ -330,7 +372,7 @@ _COUNTED = {("F3", 5), ("MATCH:3", 2)}
 
 
 @pytest.mark.parametrize("spec, k, value, witness_nodes, refutation_nodes, assignment",
-                         _PINNED)
+                         _PINNED, ids=[f"{case[0]}-{case[1]}" for case in _PINNED])
 def test_search_node_counts_and_witnesses_are_pinned(spec, k, value, witness_nodes,
                                                      refutation_nodes, assignment):
     fam = parse_family(spec)
@@ -344,6 +386,18 @@ def test_search_node_counts_and_witnesses_are_pinned(spec, k, value, witness_nod
         assert mono_free_search(value + 1, k, fam) == (None, refutation_nodes)
     else:
         assert res.refutation_nodes == refutation_nodes
+
+
+@pytest.mark.parametrize("spec, k, value, witness_nodes, refutation_nodes, counted", [
+    ("F4", 4, 6, 5625, 27214, False),
+    ("K3,PATH:4", 3, 6, 1362, 6917, False),
+    # the first c_4(F2) the search settles within the default budget
+    ("F2", 4, 9, 521063, 0, True),
+], ids=["F4-4", "K3,PATH:4-3", "F2-4"])
+def test_row_break_headline_counts(spec, k, value, witness_nodes, refutation_nodes, counted):
+    res = compute_c_k(parse_family(spec), k)
+    assert (res.value, res.witness_nodes, res.refutation_nodes, res.counted) == (
+        value, witness_nodes, refutation_nodes, counted)
 
 
 def test_budget_cap_matches_node_budget():
