@@ -2,22 +2,23 @@
 
 A certificate records the command, its parameter map, the outcome (EXISTS,
 NOT_EXISTS, VALUE, UNKNOWN), a witness payload in the text formats, search
-statistics, the tool version, and the delta0 threshold in force.  The verify
-entry point re-checks a certificate strictly from its payload: witnesses are
-re-validated, deterministic formulas are recomputed, but searches are never
-re-run, so refutation certificates are vouched for by their exhaustion
-statistics and symmetry-scheme identifier rather than re-execution.  A
-refutation by counting edges costs nothing to redo, so it is re-checked.
+statistics, the tool version, and the delta0 threshold in force.  The
+per-command checks re-check a certificate strictly from its payload:
+witnesses are re-validated, deterministic formulas are recomputed, but
+searches are never re-run, so refutations are vouched for by their exhaustion
+statistics and symmetry-scheme identifier.  A refutation by counting edges
+costs nothing to redo, so it is re-checked; `cli` holds the command table.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from .errors import ParseError, ValidationError, VerificationError
 from .graph_core import (
+    GENERATORS,
     Graph,
     complete_graph,
     graph_from_text,
@@ -66,8 +67,7 @@ OUTCOMES = ("EXISTS", "NOT_EXISTS", "VALUE", "UNKNOWN")
 
 def make_certificate(command: str, parameters: Mapping[str, Any], outcome: str, *,
                      value: int | None = None, witness: Mapping[str, Any] | None = None,
-                     stats: Mapping[str, Any] | None = None,
-                     delta0: int = DEFAULT_DELTA0) -> dict:
+                     stats: Mapping[str, Any] | None = None) -> dict:
     if outcome not in OUTCOMES:
         raise ValidationError("OUT_OF_RANGE", f"unknown outcome {outcome!r}")
     return {
@@ -80,7 +80,7 @@ def make_certificate(command: str, parameters: Mapping[str, Any], outcome: str, 
         "value": value,
         "witness": dict(witness) if witness is not None else None,
         "stats": dict(stats) if stats is not None else {},
-        "delta0": delta0,
+        "delta0": parameters.get("delta0", DEFAULT_DELTA0),
         "verified": False,
     }
 
@@ -110,25 +110,6 @@ def parse_certificate(text: str) -> dict:
     if not isinstance(cert["parameters"], dict) or not isinstance(cert["stats"], dict):
         raise ParseError("parameters and stats must be objects")
     return cert
-
-
-def verify_certificate(cert: Mapping[str, Any]) -> bool:
-    """Re-check a parsed certificate from its payload alone.
-
-    Returns True; raises VerificationError naming the first violated check,
-    or ParseError for structurally unusable payloads.
-    """
-    command = cert["command"]
-    vf = _VERIFIERS.get(command)
-    if vf is None:
-        raise ParseError(f"unknown command {command!r}")
-    outcome = cert["outcome"]
-    witness = cert.get("witness")
-    if outcome in ("EXISTS", "VALUE") and witness is None:
-        raise VerificationError("witness-present",
-                                f"{outcome} certificate lacks a witness")
-    vf(cert["parameters"], cert.get("value"), witness, cert["stats"], outcome)
-    return True
 
 
 # -- payload plumbing -----------------------------------------------------------
@@ -200,15 +181,28 @@ def _verify_coloring(g: Graph, witness, value) -> None:
                                 f"witness uses {len(set(colors))} colors, claimed {value}")
 
 
+def _source_graph(params, witness) -> Graph:
+    """The witness graph, which must be the generated graph its parameters
+    name; a graph file is not bound, since it may be gone by now."""
+    g = _graph_payload(witness)
+    for key, generate in GENERATORS.items():
+        if key in params:
+            size = _int(params, key, _PARAMS)
+            # count first (a star has size + 1 vertices): a forged size builds nothing
+            if g.n != size + (key == "star") or generate(size) != g:
+                raise VerificationError("source-graph", f"witness graph is not --{key} {size}")
+    return g
+
+
 def _vf_chi(params, value, witness, stats, outcome):
     if outcome == "VALUE":
-        _verify_coloring(_graph_payload(witness), witness, value)
+        _verify_coloring(_source_graph(params, witness), witness, value)
 
 
 def _vf_clique(params, value, witness, stats, outcome):
     if outcome != "VALUE":
         return
-    g = _graph_payload(witness)
+    g = _source_graph(params, witness)
     verts = _int_list(witness, "vertices")
     if (len(verts) != value or len(set(verts)) != value
             or not all(0 <= v < g.n for v in verts)):
@@ -226,9 +220,7 @@ def _vf_clique(params, value, witness, stats, outcome):
 
 
 def _vf_core(params, value, witness, stats, outcome):
-    if outcome not in ("VALUE", "EXISTS", "NOT_EXISTS"):
-        return
-    g = _graph_payload(witness)
+    g = _source_graph(params, witness)
     d = _int(params, "d", _PARAMS)
     core = _int_list(witness, "vertices")
     order = _int_list(witness, "elimination_order")
@@ -247,7 +239,7 @@ def _vf_core(params, value, witness, stats, outcome):
             raise VerificationError("elimination-order",
                                     f"vertex {v} still had degree >= {d} when peeled")
         alive &= ~(1 << v)
-    if value is not None and value != len(core):
+    if value != len(core):
         raise VerificationError("core-size", "value differs from core size")
 
 
@@ -413,25 +405,3 @@ def _vf_claim51(params, value, witness, stats, outcome):
     if value != m:
         raise VerificationError("matching-exact",
                                 "matching witness must have one edge per copy")
-
-
-_VERIFIERS: dict[str, Callable] = {
-    "chi": _vf_chi,
-    "clique": _vf_clique,
-    "core": _vf_core,
-    "ramsey": _vf_ramsey,
-    "closed-form": _vf_closed_form,
-    "cover": _vf_cover,
-    "max-cover": _vf_max_cover,
-    "walecki": _vf_walecki,
-    "galaxy": _vf_galaxy,
-    "k11": _vf_k11,
-    "chi-r": _vf_chi_r,
-    "bijection": _vf_bijection,
-    "match": _vf_match,
-    "chromatic-index": _vf_line_chi,
-    "ach": _vf_ach,
-    "plane": _vf_plane,
-    "truncated-plane": _vf_truncated_plane,
-    "claim51": _vf_claim51,
-}

@@ -15,7 +15,7 @@ import functools
 import sys
 import time
 from dataclasses import asdict
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .errors import (
     BudgetExceededError,
@@ -26,16 +26,13 @@ from .errors import (
     VerificationError,
 )
 from .graph_core import (
+    GENERATORS,
     Graph,
     chromatic_number,
-    complete_graph,
-    cycle_graph,
     graph_from_text,
     graph_to_text,
     k_core,
     max_clique,
-    path_graph,
-    star_graph,
 )
 from .ramsey_search import (
     DEFAULT_DELTA0,
@@ -74,10 +71,10 @@ from .extremal import (
 )
 from .factor_lab import random_factor
 from .certificates import (
-    certificate_to_json,
-    make_certificate,
-    parse_certificate,
-    verify_certificate,
+    _vf_ach, _vf_bijection, _vf_chi, _vf_chi_r, _vf_claim51, _vf_clique, _vf_closed_form,
+    _vf_core, _vf_cover, _vf_galaxy, _vf_k11, _vf_line_chi, _vf_match, _vf_max_cover,
+    _vf_plane, _vf_ramsey, _vf_truncated_plane, _vf_walecki, certificate_to_json,
+    make_certificate, parse_certificate,
 )
 
 
@@ -93,17 +90,9 @@ def _load_graph(args, params: dict[str, Any]) -> Graph:
     if args.graph is not None:
         params["graph"] = args.graph
         return graph_from_text(_read_text(args.graph))
-    if args.complete is not None:
-        params["complete"] = args.complete
-        return complete_graph(args.complete)
-    if args.cycle is not None:
-        params["cycle"] = args.cycle
-        return cycle_graph(args.cycle)
-    if args.path is not None:
-        params["path"] = args.path
-        return path_graph(args.path)
-    params["star"] = args.star
-    return star_graph(args.star)
+    key = next(key for key in GENERATORS if getattr(args, key) is not None)
+    params[key] = getattr(args, key)
+    return GENERATORS[key](params[key])
 
 
 # Each handler fills `params` before it starts a search, so that a search cut
@@ -290,11 +279,14 @@ class _OneOf(NamedTuple):
 
 
 class Command(NamedTuple):
-    """One subcommand: help line, the options its handler reads, handler."""
+    """One subcommand: help line, the options its handler reads, handler, the
+    check of its certificate, and whether each outcome it prints has a value."""
 
     help: str
     options: tuple[_Arg | _OneOf, ...]
     handler: Callable
+    check: Callable
+    outcomes: Mapping[str, bool]
 
 
 _BUDGET = _Arg("--budget", type=int, default=None, help="branch-node budget for searches")
@@ -304,10 +296,8 @@ _DETERMINISTIC = _Arg("--deterministic", action="store_true",
                        help="byte-stable output: elapsed_ms zeroed")
 _GRAPH_SOURCE = _OneOf((
     _Arg("--graph", metavar="PATH", help="graph file in the text format"),
-    _Arg("--complete", type=int, metavar="N"),
-    _Arg("--cycle", type=int, metavar="N"),
-    _Arg("--path", type=int, metavar="N"),
-    _Arg("--star", type=int, metavar="LEAVES"),
+    *(_Arg(f"--{key}", type=int, metavar="LEAVES" if key == "star" else "N")
+      for key in GENERATORS),
 ))
 _HYPERGRAPH = _Arg("--hypergraph", metavar="PATH", required=True)
 _FAMILY = _Arg("--family", required=True,
@@ -320,47 +310,56 @@ _K = _Arg("--k", type=int, required=True)
 _D = _Arg("--d", type=int, required=True)
 _P = _Arg("--p", type=int, required=True)
 
+# outcome -> whether its certificate carries an integer value, for a search
+# or formula that may not settle, a construction, and one with its matching size
+_SEARCH = {"VALUE": True, "UNKNOWN": False}
+_BUILT = {"EXISTS": False}
+_MATCHED = {"EXISTS": True}
+
 # Every command also takes --deterministic; each row lists only the other
 # options its handler reads.
 COMMANDS: dict[str, Command] = {
-    "chi": Command("exact chromatic number", (_GRAPH_SOURCE, _BUDGET), _run_chi),
-    "clique": Command("maximum clique", (_GRAPH_SOURCE, _BUDGET), _run_clique),
-    "core": Command("d-core and peeling order", (_GRAPH_SOURCE, _D), _run_core),
+    "chi": Command("exact chromatic number", (_GRAPH_SOURCE, _BUDGET), _run_chi, _vf_chi, _SEARCH),
+    "clique": Command("maximum clique", (_GRAPH_SOURCE, _BUDGET), _run_clique, _vf_clique, _SEARCH),
+    "core": Command("d-core and peeling order", (_GRAPH_SOURCE, _D), _run_core, _vf_core,
+                    {"VALUE": True}),
     "ramsey": Command("largest n admitting a pattern-free coloring",
                       (_FAMILY, _COLORS, _Arg("--cap", type=int, default=32), _BUDGET),
-                      _run_ramsey),
-    "closed-form": Command("known formula value for a family",
-                           (_FAMILY, _COLORS, _DELTA0), _run_closed_form),
+                      _run_ramsey, _vf_ramsey, _SEARCH),
+    "closed-form": Command("known formula value for a family", (_FAMILY, _COLORS, _DELTA0),
+                           _run_closed_form, _vf_closed_form, _SEARCH),
     "cover": Command("cover or decompose K_n by r factors", (
         _N, _R,
         _Arg("--proper", action="store_true",
               help="require every factor component to be a triangle"),
         _Arg("--decomposition", action="store_true",
               help="require factors to be pairwise edge-disjoint"),
-        _BUDGET), _run_cover),
+        _BUDGET), _run_cover, _vf_cover, {"EXISTS": False, "NOT_EXISTS": False, "UNKNOWN": False}),
     "max-cover": Command("max K_n edges coverable by r factors", (_N, _R, _BUDGET),
-                         _run_max_cover),
-    "walecki": Command("Hamilton cycle decomposition of K_{2k+1}", (_K,), _run_walecki),
-    "galaxy": Command("star-forest covering of K_{2k}", (_K,), _run_galaxy),
-    "k11": Command("six generalized factors covering K_11", (), _run_k11),
+                         _run_max_cover, _vf_max_cover, _SEARCH),
+    "walecki": Command("Hamilton cycle decomposition of K_{2k+1}", (_K,), _run_walecki, _vf_walecki,
+                       _BUILT),
+    "galaxy": Command("star-forest covering of K_{2k}", (_K,), _run_galaxy, _vf_galaxy, _BUILT),
+    "k11": Command("six generalized factors covering K_11", (), _run_k11, _vf_k11, _BUILT),
     "chi-r": Command("extremal chromatic number of r-factor unions", (_R, _DELTA0),
-                     _run_chi_r),
+                     _run_chi_r, _vf_chi_r, _SEARCH),
     "bijection": Command("translate between factor unions and hypergraphs", (
         _OneOf((_Arg("--hypergraph", metavar="PATH"),
                 _Arg("--random", nargs=2, type=int, metavar=("R", "N"),
                      help="generate r random proper factors on 3n vertices"))),
         _Arg("--seed", type=int, default=0, help="seed for randomized inputs")),
-        _run_bijection),
-    "match": Command("exact maximum matching", (_HYPERGRAPH, _BUDGET), _run_match),
+        _run_bijection, _vf_bijection, _BUILT),
+    "match": Command("exact maximum matching", (_HYPERGRAPH, _BUDGET), _run_match, _vf_match,
+                     _SEARCH),
     "chromatic-index": Command("exact proper edge-coloring number", (_HYPERGRAPH, _BUDGET),
-                               _run_line_chi),
-    "ach": Command("matching-bound counterexample hypergraph", (_D,), _run_ach),
-    "plane": Command("projective plane of prime order", (_P,), _run_plane),
+                               _run_line_chi, _vf_line_chi, _SEARCH),
+    "ach": Command("matching-bound counterexample hypergraph", (_D,), _run_ach, _vf_ach, _MATCHED),
+    "plane": Command("projective plane of prime order", (_P,), _run_plane, _vf_plane, _BUILT),
     "truncated-plane": Command("plane minus a point, as a hypergraph", (_P,),
-                               _run_truncated_plane),
+                               _run_truncated_plane, _vf_truncated_plane, _BUILT),
     "claim51": Command("stacked truncated planes with joining part", (
         _P, _Arg("--m", type=int, required=True),
-        _Arg("--uniformity", type=int, default=None)), _run_claim51),
+        _Arg("--uniformity", type=int, default=None)), _run_claim51, _vf_claim51, _MATCHED),
 }
 
 
@@ -400,6 +399,30 @@ def _error(exc: RamseyLabError) -> int:
     return 1
 
 
+def verify_certificate(cert: Mapping[str, Any]) -> bool:
+    """Re-check a parsed certificate from its payload alone: an outcome its
+    row lists, an integer value exactly where the row says so, a witness for
+    EXISTS and VALUE and none for NOT_EXISTS, then the row's check.  Returns
+    True; raises VerificationError naming the first violated check, or
+    ParseError for structurally unusable payloads."""
+    command, outcome = cert["command"], cert["outcome"]
+    if not isinstance(command, str) or command not in COMMANDS:
+        raise ParseError(f"unknown command {command!r}")
+    row, value, witness = COMMANDS[command], cert.get("value"), cert.get("witness")
+    if outcome not in row.outcomes:
+        raise VerificationError("outcome", f"{command} never prints {outcome}")
+    valued = row.outcomes[outcome]
+    if (type(value) is not int) if valued else (value is not None):
+        raise VerificationError("value", f"{outcome} of {command} must carry "
+                                f"{'an integer' if valued else 'no'} value")
+    if outcome in ("EXISTS", "VALUE") and witness is None:
+        raise VerificationError("witness-present", f"{outcome} certificate lacks a witness")
+    if outcome == "NOT_EXISTS" and witness is not None:
+        raise VerificationError("witness-absent", "NOT_EXISTS certificate has a witness")
+    row.check(cert["parameters"], value, witness, cert["stats"], outcome)
+    return True
+
+
 def _run_verify(path: str) -> int:
     try:
         verify_certificate(parse_certificate(_read_text(path)))
@@ -429,7 +452,7 @@ def run(argv: list[str]) -> int:
     elapsed_ms = 0 if args.deterministic else int((time.perf_counter() - started) * 1000)
     stats = dict(stats, elapsed_ms=elapsed_ms)
     cert = make_certificate(args.command, params, outcome, value=value, witness=witness,
-                            stats=stats, delta0=params.get("delta0", DEFAULT_DELTA0))
+                            stats=stats)
     try:
         verify_certificate(cert)
     except _CODED as exc:

@@ -89,7 +89,9 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Validate and build a graph from an edge list.
 
     Raises ValidationError with code OUT_OF_RANGE for a bad vertex count or
-    index, SELF_LOOP for u == u edges, DUPLICATE_EDGE for repeats.
+    index, SELF_LOOP for u == u edges, DUPLICATE_EDGE for repeats.  The
+    generators below pass their edges lazily, so a size out of range fails
+    before any edge exists.
     """
     if not 0 <= n <= MAX_VERTICES:
         raise ValidationError("OUT_OF_RANGE", f"vertex count {n} not in 0..{MAX_VERTICES}")
@@ -114,24 +116,29 @@ def complete_graph(n: int) -> Graph:
 
 
 def path_graph(n: int) -> Graph:
-    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    return build_graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValidationError("OUT_OF_RANGE", "cycles need at least 3 vertices")
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return build_graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def star_graph(leaves: int) -> Graph:
     """Star with the given number of leaves, centered at vertex 0."""
     if leaves < 0:
         raise ValidationError("OUT_OF_RANGE", f"a star needs 0 or more leaves, got {leaves}")
-    return build_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    return build_graph(leaves + 1, ((0, i) for i in range(1, leaves + 1)))
 
 
 def matching_graph(size: int) -> Graph:
-    return build_graph(2 * size, [(2 * i, 2 * i + 1) for i in range(size)])
+    return build_graph(2 * size, ((2 * i, 2 * i + 1) for i in range(size)))
+
+
+# the graph generators by the CLI option that names them
+GENERATORS = {"complete": complete_graph, "cycle": cycle_graph, "path": path_graph,
+              "star": star_graph}
 
 
 def union_graphs(graphs: Sequence[Graph]) -> Graph:

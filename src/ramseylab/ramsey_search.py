@@ -443,8 +443,9 @@ class MonoFreeReport:
 
 
 def verify_mono_free(coloring: EdgeColoring, fam: ForbiddenFamily) -> MonoFreeReport:
-    """Re-check a coloring against the family; reports the first violation."""
-    for c in range(coloring.k):
+    """Re-check a coloring against the family; reports the first violation.
+    Only the colors in use are checked, since every pattern has an edge."""
+    for c in sorted(set(coloring.assignment)):
         cls = coloring.color_class(c)
         for p in fam.patterns:
             w = find_copy(cls, p)
@@ -612,9 +613,10 @@ def _color_edges(n: int, k: int, edges: Sequence[tuple[int, int]],
     star, tri, path, match, explicit = _family_checks(fam, n)
     p4 = path == 3
     full = (1 << n) - 1
-    adjs = [[0] * n for _ in range(k)]
-    degs = [[0] * n for _ in range(k)]
     m = len(edges)
+    # edge idx takes a color of at most idx, so m classes suffice for any k
+    adjs = [[0] * n for _ in range(min(k, m))]
+    degs = [[0] * n for _ in range(min(k, m))]
     chosen = [0] * m
     used = [0] * (m + 1)  # colors in use before edge idx
     spent = 0

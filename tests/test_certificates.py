@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from ramseylab import verify_certificate
 from ramseylab.certificates import (
     OUTCOMES,
     SCHEMA,
@@ -14,10 +15,10 @@ from ramseylab.certificates import (
     certificate_to_json,
     make_certificate,
     parse_certificate,
-    verify_certificate,
 )
 from ramseylab.errors import ParseError, ValidationError, VerificationError
 from ramseylab.graph_core import complete_graph, cycle_graph, graph_to_text
+from ramseylab.ramsey_search import DEFAULT_DELTA0
 
 
 def _chi_cert(value=3, colors=(0, 1, 2, 0, 1)):
@@ -79,6 +80,19 @@ def test_verify_unknown_command():
     cert["command"] = "frobnicate"
     with pytest.raises(ParseError):
         verify_certificate(cert)
+
+
+def test_verify_command_must_be_a_name():
+    cert = make_certificate("chi", {}, "UNKNOWN")
+    for command in ([1], {"chi": 1}, None):
+        cert["command"] = command
+        with pytest.raises(ParseError):
+            verify_certificate(cert)
+
+
+def test_certificate_delta0_comes_from_the_parameters():
+    assert make_certificate("chi-r", {"r": 4, "delta0": 7}, "UNKNOWN")["delta0"] == 7
+    assert make_certificate("chi", {}, "UNKNOWN")["delta0"] == DEFAULT_DELTA0
 
 
 def test_verify_chi_accepts_and_rejects():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ramseylab import certificates, cli
+from ramseylab import cli
 from ramseylab.cli import COMMANDS, run
 from ramseylab.errors import VerificationError
 from ramseylab.factor_lab import PROPER, random_factor
@@ -292,7 +292,7 @@ def test_failed_self_check_is_a_coded_error(capsys, monkeypatch):
     def refuse(*args):
         raise VerificationError("line-count", "refused")
 
-    monkeypatch.setitem(certificates._VERIFIERS, "plane", refuse)
+    monkeypatch.setitem(COMMANDS, "plane", COMMANDS["plane"]._replace(check=refuse))
     code, out, err = _invoke(capsys, ["plane", "--p", "2"])
     assert (code, out) == (1, "")
     assert err == "error [VERIFY_FAILED] check line-count: refused\n"

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from ramseylab.cli import run
+from ramseylab.cli import COMMANDS, run
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -184,3 +184,96 @@ def test_non_maximal_clique_is_rejected(tmp_path, capsys):
     cert["value"] = 3
     cert["witness"]["vertices"] = [0, 1, 2]
     assert "check clique-maximal:" in _rejected(tmp_path, capsys, cert)
+
+
+# -- the command row: which outcomes a command prints, and which carry a value ------------
+
+_GOLDENS = {path.stem: json.loads(path.read_text(encoding="utf-8"))
+            for path in sorted(GOLDEN.glob("*.json"))}
+_RELABELS = [(name, outcome) for name, cert in _GOLDENS.items()
+             for outcome in ("EXISTS", "NOT_EXISTS", "VALUE", "UNKNOWN")
+             if outcome != cert["outcome"]]
+_VALUE_EDITS = [(name, value) for name, cert in _GOLDENS.items()
+                for value in (None, 0, 5, True, "x", 1.5)
+                if json.dumps(value) != json.dumps(cert["value"])]
+
+
+def test_every_golden_is_counted():
+    assert len(_GOLDENS) == 42
+    assert (len(_RELABELS), len(_VALUE_EDITS)) == (126, 228)
+
+
+@pytest.mark.parametrize("name, outcome", _RELABELS)
+def test_only_a_cover_downgraded_to_unknown_survives_a_relabel(tmp_path, capsys, name,
+                                                               outcome):
+    cert = _golden(name)
+    listed = outcome in COMMANDS[cert["command"]].outcomes
+    cert["outcome"] = outcome
+    if cert["command"] == "cover" and outcome == "UNKNOWN":
+        # UNKNOWN claims nothing, and `cover` prints it without a value
+        assert _verify(tmp_path, capsys, cert)[:2] == (0, "true\n")
+    elif not listed:
+        assert "check outcome:" in _rejected(tmp_path, capsys, cert)
+    else:
+        _rejected(tmp_path, capsys, cert)
+
+
+@pytest.mark.parametrize("name, value", _VALUE_EDITS, ids=str)
+def test_value_edit_is_rejected(tmp_path, capsys, name, value):
+    cert = _golden(name)
+    valued = COMMANDS[cert["command"]].outcomes[cert["outcome"]]
+    cert["value"] = value
+    err = _rejected(tmp_path, capsys, cert)
+    if not valued or type(value) is not int:
+        assert "check value:" in err
+
+
+@pytest.mark.parametrize("name", ["cover", "cover-decomposition", "cover-one-factor",
+                                  "cover-proper", "cover-proper-decomposition"])
+def test_cover_relabelled_not_exists_keeps_no_witness(tmp_path, capsys, name):
+    cert = _golden(name)
+    assert cert["outcome"] == "EXISTS"
+    cert["outcome"] = "NOT_EXISTS"
+    assert "check witness-absent:" in _rejected(tmp_path, capsys, cert)
+
+
+@pytest.mark.parametrize("name", ["cover-refuted", "cover-decomposition-refuted",
+                                  "cover-proper-refuted"])
+def test_cover_relabelled_exists_needs_a_witness(tmp_path, capsys, name):
+    cert = _golden(name)
+    cert["outcome"] = "EXISTS"
+    assert "check witness-present:" in _rejected(tmp_path, capsys, cert)
+
+
+# -- generated graphs are bound to their parameters -------------------------------------
+
+
+@pytest.mark.parametrize("name, key, size", [
+    ("chi-cycle", "cycle", 8),         # would claim chi(C_8) = 3
+    ("chi-cycle", "cycle", 6),
+    ("chi-cycle", "path", 7),          # same vertex count, other graph
+    ("core-star", "star", 5),
+    ("core-star", "star", 3),
+    ("chi-cycle", "cycle", 2 ** 70),   # a forged size builds nothing
+    ("core-star", "complete", 10 ** 9),
+])
+def test_generated_graph_must_match_its_parameter(tmp_path, capsys, name, key, size):
+    cert = _golden(name)
+    cert["parameters"] = {k: v for k, v in cert["parameters"].items() if k == "d"}
+    cert["parameters"][key] = size
+    assert "check source-graph:" in _rejected(tmp_path, capsys, cert)
+
+
+def test_clique_graph_is_bound_to_its_parameter(tmp_path, capsys):
+    assert run(["clique", "--complete", "5", "--deterministic"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert _verify(tmp_path, capsys, cert)[:2] == (0, "true\n")
+    cert["parameters"]["complete"] = 6
+    assert "check source-graph:" in _rejected(tmp_path, capsys, cert)
+
+
+def test_graph_file_stays_unbound(tmp_path, capsys):
+    # the file may be gone when `verify` runs, so its path binds nothing
+    cert = _golden("chi")
+    cert["parameters"]["graph"] = str(tmp_path / "absent.txt")
+    assert _verify(tmp_path, capsys, cert)[:2] == (0, "true\n")

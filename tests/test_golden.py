@@ -100,34 +100,80 @@ def test_deterministic_changes_only_elapsed_ms(name, monkeypatch):
 
 
 def test_one_command_table():
-    assert set(cli.COMMANDS) == set(certificates._VERIFIERS)
     assert len(cli.COMMANDS) == 18
     assert {argv[0] for argv in CASES.values()} == set(cli.COMMANDS)
+    for name in sorted(CASES):
+        cert = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+        outcomes = cli.COMMANDS[cert["command"]].outcomes
+        assert cert["outcome"] in outcomes, name
+        valued = outcomes[cert["outcome"]]
+        assert type(cert["value"]) is int if valued else cert["value"] is None, name
+
+
+_DELETE = object()  # the mutation that removes a field
+_ODD = ("x", -1, None, 1.5)
+
+
+def _edited(cert: dict, where: tuple, value) -> dict:
+    bad = copy.deepcopy(cert)
+    *head, last = where
+    node = bad
+    for key in head:
+        node = node[key]
+    if value is _DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return bad
+
+
+def _nested(where: tuple, field):
+    """One level below a field: the first and last list element and each
+    object field set to odd values (an object field also deleted), and
+    integers moved by one."""
+    if isinstance(field, list):
+        for i in sorted({0, len(field) - 1} if field else ()):
+            for value in _ODD:
+                yield where + (i,), value
+    elif isinstance(field, dict):
+        for key in sorted(field):
+            for value in (_DELETE,) + _ODD:
+                yield where + (key,), value
+            if type(field[key]) is int:
+                yield where + (key,), field[key] - 1
+                yield where + (key,), field[key] + 1
+    elif type(field) is int:
+        yield where, field - 1
+        yield where, field + 1
 
 
 def _mutations(cert: dict):
-    """Each key of parameters and witness deleted, set to "x", or set to [1]."""
+    """The outcome relabelled and the value replaced; each key of parameters
+    and witness deleted, set to "x", or set to [1]; and one level below each."""
+    for outcome in ("EXISTS", "NOT_EXISTS", "VALUE", "UNKNOWN"):
+        if outcome != cert["outcome"]:
+            yield ("outcome",), outcome
+    for value in (None, "x", [1], True, 0, 1.5):
+        yield ("value",), value
+    if type(cert["value"]) is int:
+        yield ("value",), cert["value"] + 1
     for section in ("parameters", "witness"):
         for key in sorted(cert[section] or {}):
-            for value in (None, "x", [1]):
-                bad = copy.deepcopy(cert)
-                if value is None:
-                    del bad[section][key]
-                else:
-                    bad[section][key] = value
-                yield f"{section}.{key}={value!r}", bad
+            for value in (_DELETE, "x", [1]):
+                yield (section, key), value
+            yield from _nested((section, key), cert[section][key])
 
 
 def test_verify_never_raises_on_mutated_goldens(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name in sorted(CASES):
         cert = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
-        for label, bad in _mutations(cert):
+        for where, value in _mutations(cert):
             path = tmp_path / "bad.json"
-            path.write_text(json.dumps(bad, sort_keys=True, indent=2) + "\n")
+            path.write_text(json.dumps(_edited(cert, where, value), sort_keys=True, indent=2))
             code, out, err = _run(["verify", str(path)])
             assert (code, out) == (0, "true\n") or (
-                code == 1 and out == "" and err.startswith("error [")), (name, label, err)
+                code == 1 and out == "" and err.startswith("error [")), (name, where, value, err)
 
 
 def _regenerate() -> None:

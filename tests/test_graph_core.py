@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -118,6 +119,19 @@ def test_star_graph_leaf_guard():
         with pytest.raises(ValidationError) as exc:
             star_graph(leaves)
         assert exc.value.code == "OUT_OF_RANGE"
+
+
+@pytest.mark.parametrize("generate", [path_graph, cycle_graph, star_graph, matching_graph])
+def test_generator_refuses_a_huge_size_before_building_edges(generate):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError) as exc:
+            generate(200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.code == "OUT_OF_RANGE"
+    assert peak < 1 << 20
 
 
 def test_components_and_restrict():

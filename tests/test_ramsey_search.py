@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from ramseylab.ramsey_search import (
     S3,
     TRIANGLE,
     ClosedForm,
+    EdgeColoring,
     ForbiddenFamily,
     _canonical,
     _color_edges,
@@ -240,6 +242,44 @@ def test_verify_mono_free_reports_violation():
     assert report.pattern is TRIANGLE and len(report.vertices) == 3
     col2 = make_edge_coloring(base, 2, [0, 0, 1])
     assert verify_mono_free(col2, FAMILY_PRESETS["F1"]).ok
+
+
+def test_verify_mono_free_checks_only_the_colors_in_use(monkeypatch):
+    calls = []
+    color_class = EdgeColoring.color_class
+
+    def counted(self, c):
+        calls.append(c)
+        assert len(calls) <= 3, "a class built for an unused color"
+        return color_class(self, c)
+
+    monkeypatch.setattr(EdgeColoring, "color_class", counted)
+    # K_4 edges in order (0,1), (0,2), (0,3), (1,2), (1,3), (2,3)
+    col = make_edge_coloring(complete_graph(4), 2 ** 70, [5, 0, 9, 0, 5, 0])
+    assert verify_mono_free(col, FAMILY_PRESETS["F4"]).ok
+    assert calls == [0, 5, 9]
+    calls.clear()
+    # colors 7 and 9 each hold a P4 (2-0-3-1 and 0-1-2-3); the lower one is reported
+    col = make_edge_coloring(complete_graph(4), 2 ** 70, [9, 7, 7, 9, 7, 9])
+    report = verify_mono_free(col, FAMILY_PRESETS["F2"])
+    assert (report.ok, report.color, calls) == (False, 7, [7])
+
+
+def test_search_memory_does_not_grow_with_the_palette():
+    fam = FAMILY_PRESETS["F4"]
+    tracemalloc.start()
+    try:
+        coloring, nodes = mono_free_search(5, 10 ** 6, fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # 10 edges never open more than 10 colors, so any larger palette searches alike
+    small, small_nodes = mono_free_search(5, 10, fam)
+    assert (coloring.assignment, nodes) == (small.assignment, small_nodes)
+    with pytest.raises(CapReachedError) as exc:
+        compute_c_k(fam, 10 ** 6, cap=4)
+    assert exc.value.partial["lower"] == 4
 
 
 # -- the search ---------------------------------------------------------------------
