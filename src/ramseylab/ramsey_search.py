@@ -6,7 +6,8 @@ c_k(family) is the largest n admitting such a coloring.  The search runs
 over edges in lexicographic order with canonical color introduction (a new
 color may appear only after all smaller ones) and with vertex 0's row
 sorted, so exhaustion at a given n is a certified nonexistence and the
-first witness found is deterministic.
+first witness found is deterministic.  The row opens each new color as soon
+as it may, so balanced rows, which tight cases need, are tried first.
 Before searching K_n, compute_c_k tries to refute it by counting edges: k
 classes free of the family hold at most k * ex(n, F) edges.
 
@@ -605,10 +606,13 @@ def _color_edges(n: int, k: int, edges: Sequence[tuple[int, int]],
     (c - 1)-edges.  That is sound only on K_n, where any admissible coloring
     becomes one of this form by permuting v_1..v_{n-1} to sort the row and
     relabeling the row's colors largest block first; any other edge list
-    must keep row = 0.  Each violation test is incremental: it relies on the
-    invariant that the color class was pattern-free before uv was added, so
-    every new copy uses uv.  Raises BudgetExceededError once `limit` nodes
-    are spent.
+    must keep row = 0.  A row edge tries the next new color before the
+    previous row edge's color, so balanced rows come first; other edges try
+    colors upward.  The order moves the first witness and its node count,
+    never a refutation's.  Each violation test is incremental: it relies on
+    the invariant that the color class was pattern-free before uv was added,
+    so every new copy uses uv.  Raises BudgetExceededError once `limit`
+    nodes are spent.
     """
     star, tri, path, match, explicit = _family_checks(fam, n)
     p4 = path == 3
@@ -625,7 +629,9 @@ def _color_edges(n: int, k: int, edges: Sequence[tuple[int, int]],
         u, v = edges[idx]
         bu, bv = 1 << u, 1 << v
         top = used[idx] + 1 if used[idx] < k else k
-        while c < top:
+        # a row edge opens the next color first, then repeats the previous one
+        lo, step = (chosen[idx - 1] if idx else 0, -1) if idx < row else (0, 1)
+        while lo <= c < top:
             if spent >= limit:
                 raise BudgetExceededError("node budget exhausted", nodes=spent)
             spent += 1
@@ -633,7 +639,7 @@ def _color_edges(n: int, k: int, edges: Sequence[tuple[int, int]],
             du, dv = deg[u], deg[v]
             if (du >= star or dv >= star or (tri and adj[u] & adj[v])
                     or (c and idx < row and du >= degs[c - 1][u])):
-                c += 1
+                c += step
                 continue
             if p4:
                 # a P4-free class is a union of stars and triangles; uv keeps
@@ -650,16 +656,16 @@ def _color_edges(n: int, k: int, edges: Sequence[tuple[int, int]],
                     ok = (du == 1 and dv == 1 and common != 0
                           and deg[common.bit_length() - 1] == 2)
                 if not ok:
-                    c += 1
+                    c += step
                     continue
             elif path and _path_through(adj, u, v, bu | bv, path - 1):
-                c += 1
+                c += step
                 continue
             if match and _has_matching(adj, full ^ bu ^ bv, match - 1):
-                c += 1
+                c += step
                 continue
             if explicit and _embeds_with_edge(adj, u, v, explicit):
-                c += 1
+                c += step
                 continue
             adj[u] |= bv
             adj[v] |= bu
@@ -668,8 +674,7 @@ def _color_edges(n: int, k: int, edges: Sequence[tuple[int, int]],
             chosen[idx] = c
             used[idx + 1] = c + 1 if c == used[idx] else used[idx]
             idx += 1
-            if idx >= row:
-                c = 0
+            c = 0 if idx >= row else min(used[idx], k - 1)
             break
         else:
             idx -= 1
@@ -682,7 +687,7 @@ def _color_edges(n: int, k: int, edges: Sequence[tuple[int, int]],
             adj[v] ^= 1 << u
             deg[u] -= 1
             deg[v] -= 1
-            c += 1
+            c += 1 if idx >= row else -1
     return chosen, spent
 
 
@@ -693,7 +698,9 @@ def ex_bound(fam: ForbiddenFamily, n: int) -> int:
     The minimum, over the kernel patterns of _reduced, of the classical
     bounds: floor(n^2 / 4) for a triangle (Mantel); floor(n (s - 1) / 2) for
     the s-edge star, since every degree is below s; n if 3 | n, else n - 1,
-    for P4, whose free graphs are unions of stars and triangles;
+    for P4, whose free graphs are unions of stars and triangles; with the
+    triangle as well they are star forests, so n - 1, or n - ceil(n / s) when
+    the s-edge star is forbidden too;
     floor((l - 1) n / 2) for the l-edge path and, for n >= 2m - 1,
     max(C(2m - 1, 2), C(m - 1, 2) + (m - 1)(n - m + 1)) for the m-edge
     matching (both Erdos-Gallai 1959).  Explicit patterns add no bound, so
@@ -706,7 +713,12 @@ def ex_bound(fam: ForbiddenFamily, n: int) -> int:
     if "star" in sizes:
         bounds.append(n * (sizes["star"] - 1) // 2)
     path = sizes.get("path", 0)
-    if path == 3:
+    if path == 3 and "triangle" in sizes:
+        # a star forest: at least one star, and at least ceil(n / s) of them
+        # when each has fewer than s edges
+        stars = -(-n // sizes["star"]) if "star" in sizes else min(n, 1)
+        bounds.append(n - stars)
+    elif path == 3:
         bounds.append(n if n % 3 == 0 else n - 1)
     elif path:
         bounds.append((path - 1) * n // 2)
@@ -742,12 +754,16 @@ def compute_c_k(fam: ForbiddenFamily, k: int, cap: int = 32,
 
     Existence is monotone (restricting a coloring of K_{n+1} to K_n stays
     admissible), so the first refuted n settles the value.  Each n is first
-    tried by counting_refutes and searched only when that fails.  If K_cap is
-    still colorable raises CapReachedError carrying the proven lower bound;
-    if one size runs out of budget, BudgetExceededError carries it as well.
+    tried by counting_refutes and searched only when that fails.  One budget
+    covers the whole scan: each size gets what the smaller ones left.  If
+    K_cap is still colorable raises CapReachedError carrying the proven lower
+    bound; if the budget runs out, BudgetExceededError carries it as well,
+    with the nodes of the whole scan.
     """
     if cap < 1:
         raise ValidationError("OUT_OF_RANGE", f"cap must be >= 1, got {cap}")
+    limit = DEFAULT_NODE_BUDGET if budget is None else budget
+    spent = 0
     prev: EdgeColoring | None = None
     prev_nodes = 0
     for n in range(1, cap + 1):
@@ -756,10 +772,12 @@ def compute_c_k(fam: ForbiddenFamily, k: int, cap: int = 32,
         nodes = 0
         if not counted:
             try:
-                coloring, nodes = mono_free_search(n, k, fam, budget)
+                coloring, nodes = mono_free_search(n, k, fam, limit - spent)
             except BudgetExceededError as exc:
                 raise BudgetExceededError(f"{exc} at n = {n}; c_{k} >= {n - 1}",
-                                          **exc.partial, lower=n - 1) from None
+                                          nodes=spent + exc.partial["nodes"],
+                                          lower=n - 1) from None
+            spent += nodes
         if coloring is None:
             if prev is None:
                 # n == 1 always succeeds: K_1 has no edges.

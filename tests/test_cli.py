@@ -416,9 +416,9 @@ def test_each_command_takes_only_the_options_it_reads(capsys):
 
 @pytest.mark.parametrize("argv, parameters, proven", [
     (["ramsey", "--family", "F4", "--colors", "5", "--budget", "1000"],
-     {"family": "F4", "colors": 5, "cap": 32}, {"lower": 6, "nodes": 1000}),
-    (["ramsey", "--family", "F2", "--colors", "4", "--budget", "200000"],
-     {"family": "F2", "colors": 4, "cap": 32}, {"lower": 8, "nodes": 200000}),
+     {"family": "F4", "colors": 5, "cap": 32}, {"lower": 7, "nodes": 1000}),
+    (["ramsey", "--family", "F2", "--colors", "5", "--budget", "200000"],
+     {"family": "F2", "colors": 5, "cap": 32}, {"lower": 9, "nodes": 200000}),
     (["chi", "--complete", "13", "--budget", "5"], {"complete": 13},
      {"lower": 2, "upper": 13, "nodes": 5}),
     # the best cover found and the clique in hand when the budget ran out
@@ -441,6 +441,6 @@ def test_budget_exhausted_certificate(tmp_path, capsys, argv, parameters, proven
 
 
 def test_budget_exhausted_certificate_keeps_elapsed_time(capsys):
-    code, out, _ = _invoke(capsys, ["ramsey", "--family", "F2", "--colors", "4",
+    code, out, _ = _invoke(capsys, ["ramsey", "--family", "F2", "--colors", "5",
                                     "--budget", "200000"])
     assert code == 2 and json.loads(out)["stats"]["elapsed_ms"] > 0

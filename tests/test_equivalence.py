@@ -11,7 +11,9 @@ The tables in ``tests/tables`` were measured before either bound existed:
   cases, as [family, k, value, witness assignment, witness nodes,
   refutation nodes].  Its witness and node columns were remeasured when the
   c_k search began sorting vertex 0's row; no value moved, and no
-  refutation gained a node.
+  refutation gained a node.  The witness columns were remeasured again when
+  that row began opening a new colour before repeating one; the value and
+  refutation columns stayed byte-identical.
 
 A bound may only remove nodes: each search keeps its outcome and witness,
 and spends no more nodes than it did.

@@ -298,7 +298,7 @@ def test_c5_of_f6_is_nine():
     fam = FAMILY_PRESETS["F6"]
     assert closed_form_c_k(fam, 5) is None
     coloring, nodes = mono_free_search(9, 5, fam)
-    assert coloring is not None and nodes == 3777
+    assert coloring is not None and nodes == 8747
     assert verify_mono_free(coloring, fam).ok
     res = cover_search(10, 5)
     assert (res.cover, res.nodes) == (None, 4)

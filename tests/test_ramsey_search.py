@@ -395,16 +395,16 @@ def test_row_break_never_changes_an_answer(spec):
                 break
 
 
-# ck_search cases, remeasured with the row break:
+# ck_search cases, with vertex 0's row opening a new color before repeating one:
 # (family, k, c_k, witness nodes, refutation nodes, witness assignment)
 _PINNED = [
-    ("F3", 5, 11, 39009, 35,
+    ("F3", 5, 11, 39025, 35,
      "0011223344011223344221144333340402434020401031030212211"),
-    ("MATCH:2", 4, 6, 34, 1815, "000001111222333"),
-    ("MATCH:3", 2, 7, 31, 2280, "000000000001111111111"),
-    ("PATH:3", 3, 5, 19, 363, "0000111222"),
-    ("F2", 3, 5, 19, 363, "0000111222"),
-    ("K3,PATH:4", 3, 6, 1362, 6917, "000121112200221"),
+    ("MATCH:2", 4, 6, 37, 1815, "001230123123112"),
+    ("MATCH:3", 2, 7, 312, 2280, "000011000110011011111"),
+    ("PATH:3", 3, 5, 20, 363, "0012012120"),
+    ("F2", 3, 5, 20, 363, "0012012120"),
+    ("K3,PATH:4", 3, 6, 149, 6917, "001121220220011"),
 ]
 
 # the cases of _PINNED whose K_{c_k + 1} compute_c_k refutes by counting
@@ -429,10 +429,11 @@ def test_search_node_counts_and_witnesses_are_pinned(spec, k, value, witness_nod
 
 
 @pytest.mark.parametrize("spec, k, value, witness_nodes, refutation_nodes, counted", [
-    ("F4", 4, 6, 5625, 27214, False),
-    ("K3,PATH:4", 3, 6, 1362, 6917, False),
-    # the first c_4(F2) the search settles within the default budget
-    ("F2", 4, 9, 521063, 0, True),
+    ("F4", 4, 6, 105, 27214, False),
+    ("K3,PATH:4", 3, 6, 149, 6917, False),
+    # the K_9 witness's row is 0,0,1,1,2,2,3,3, which the row reaches first
+    # by opening each color as soon as it may
+    ("F2", 4, 9, 1910, 0, True),
 ], ids=["F4-4", "K3,PATH:4-3", "F2-4"])
 def test_row_break_headline_counts(spec, k, value, witness_nodes, refutation_nodes, counted):
     res = compute_c_k(parse_family(spec), k)
@@ -443,13 +444,23 @@ def test_row_break_headline_counts(spec, k, value, witness_nodes, refutation_nod
 def test_budget_cap_matches_node_budget():
     # the budget is checked before each node, as NodeBudget.tick does
     with pytest.raises(BudgetExceededError) as exc:
-        mono_free_search(9, 4, FAMILY_PRESETS["F2"], budget=200_000)
+        mono_free_search(10, 5, FAMILY_PRESETS["F2"], budget=200_000)
     assert exc.value.partial["nodes"] == 200_000
     col, nodes = mono_free_search(4, 2, FAMILY_PRESETS["F2"])
     assert col is not None
     assert mono_free_search(4, 2, FAMILY_PRESETS["F2"], budget=nodes)[1] == nodes
     with pytest.raises(BudgetExceededError):
         mono_free_search(4, 2, FAMILY_PRESETS["F2"], budget=nodes - 1)
+
+
+def test_compute_c_k_spends_one_budget_on_the_whole_scan():
+    # K_1 to K_9 take 3,604 nodes together for F2 at k = 4, and K_10 is
+    # refuted by counting; one node fewer cuts the search of K_9
+    fam = FAMILY_PRESETS["F2"]
+    assert compute_c_k(fam, 4, budget=3604).value == 9
+    with pytest.raises(BudgetExceededError) as exc:
+        compute_c_k(fam, 4, budget=3603)
+    assert exc.value.partial == {"nodes": 3603, "lower": 8}
 
 
 def test_search_depth_exceeds_recursion_limit():
@@ -475,8 +486,8 @@ def test_compute_c_k_cap():
     assert exc.value.partial["witness"].base.n == 4
 
 
-def _max_free_edges(n: int, p) -> int:
-    """ex(n, p) by branch and bound over the edges of K_n."""
+def _max_free_edges(n: int, *patterns) -> int:
+    """ex(n, patterns) by branch and bound over the edges of K_n."""
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen: list[tuple[int, int]] = []
     best = 0
@@ -489,7 +500,8 @@ def _max_free_edges(n: int, p) -> int:
             best = len(chosen)
             return
         chosen.append(edges[i])
-        if find_copy(build_graph(n, chosen), p) is None:
+        g = build_graph(n, chosen)
+        if all(find_copy(g, p) is None for p in patterns):
             rec(i + 1)
         chosen.pop()
         rec(i + 1)
@@ -510,6 +522,28 @@ def test_ex_bound_against_brute_force():
                 assert bound >= ex, (p.token, n)
             else:
                 assert bound == ex, (p.token, n)
+
+
+def test_ex_bound_of_star_forests_against_brute_force():
+    # free of K3 and P4, a graph is a star forest: n - 1 edges at most, or
+    # n - ceil(n / s) when the s-edge star is forbidden as well
+    for spec in ("F4", "F7", "K3,P4,STAR:1", "K3,P4,STAR:3", "K3,P4,STAR:4"):
+        fam = parse_family(spec)
+        for n in range(1, 8):
+            assert ex_bound(fam, n) == _max_free_edges(n, *fam.patterns), (spec, n)
+
+
+def test_star_forest_bound_settles_f7_by_counting():
+    # the bound first refutes exactly c_k + 1 for k = 1..5, so it never
+    # refutes a colorable size; the search agrees on each refuted size
+    fam = FAMILY_PRESETS["F7"]
+    for k, value in enumerate((2, 3, 4, 6, 6), 1):
+        res = compute_c_k(fam, k)
+        assert (res.value, res.counted, res.refutation_nodes) == (value, True, 0), k
+        refuted, nodes = mono_free_search(value + 1, k, fam)
+        assert refuted is None, k
+    # the search spends 686,685 nodes on the last of them, K_7 at k = 5
+    assert nodes == 686685
 
 
 def test_ex_bound_takes_the_smallest_pattern_bound():

@@ -1,18 +1,21 @@
-"""The colouring and matching searches against brute force on small inputs.
+"""The colouring, matching and c_k edge searches against brute force on
+small inputs.
 
 The reference helpers here share no code with the library: a plain
-backtracking k-colouring in vertex order, and a scan over every edge subset.
+backtracking k-colouring in vertex order, a scan over every edge subset, and
+a scan over every edge colouring of K_n.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramseylab.graph_core import build_graph, chromatic_number
 from ramseylab.hypergraph_lab import make_hypergraph, max_matching
+from ramseylab.ramsey_search import mono_free_search, parse_family
 
 
 def _colourable(n: int, edges: list[tuple[int, int]], k: int) -> bool:
@@ -75,3 +78,58 @@ def test_max_matching_is_the_largest_disjoint_subset(hypergraph):
     assert res.size == _brute_matching(edges) == len(res.witness)
     picked = [edges[j] for j in res.witness]
     assert all(len(set(col)) == len(picked) for col in zip(*picked))
+
+
+def _contains(n: int, edges: list[tuple[int, int]], token: str) -> bool:
+    """Whether the graph on 0..n-1 with these edges contains the pattern a
+    family token names: K3, P4 (3-edge path), S3 (3-edge star), STAR:r (the
+    star with r + 1 edges), PATH:l (l edges) or MATCH:m (m disjoint edges)."""
+    present = set(edges) | {(v, u) for u, v in edges}
+    if token == "K3":
+        return any({(a, b), (b, c), (a, c)} <= present for a, b, c in combinations(range(n), 3))
+    kind, _, size = {"P4": "PATH:3", "S3": "STAR:2"}.get(token, token).partition(":")
+    size = int(size)
+    if kind == "STAR":
+        return any(sum((v, u) in present for u in range(n)) > size for v in range(n))
+    if kind == "PATH":
+        return any(all((a, b) in present for a, b in zip(walk, walk[1:]))
+                   for walk in permutations(range(n), size + 1))
+    return any(len({v for e in subset for v in e}) == 2 * size
+               for subset in combinations(edges, size))
+
+
+def _admissible(n: int, k: int, tokens: list[str], colours) -> bool:
+    pairs = list(combinations(range(n), 2))
+    return not any(_contains(n, [e for e, c in zip(pairs, colours) if c == colour], token)
+                   for colour in range(k) for token in tokens)
+
+
+def _brute_colourable(n: int, k: int, tokens: list[str]) -> bool:
+    return any(_admissible(n, k, tokens, colours)
+               for colours in product(range(k), repeat=n * (n - 1) // 2))
+
+
+_tokens = st.lists(st.one_of(
+    st.sampled_from(["K3", "P4", "S3"]),
+    st.integers(0, 3).map(lambda r: f"STAR:{r}"),
+    st.integers(1, 4).map(lambda length: f"PATH:{length}"),
+    st.integers(1, 3).map(lambda m: f"MATCH:{m}")), min_size=1, max_size=3)
+
+_sizes = st.one_of(st.tuples(st.integers(1, 5), st.integers(1, 2)),
+                   st.tuples(st.integers(1, 4), st.integers(1, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tokens, _sizes, st.data())
+def test_edge_search_agrees_with_enumeration(tokens, size, data):
+    # the row break, canonical colour introduction and the order the row
+    # tries its colours in may drop colourings, never the last admissible one
+    n, k = size
+    fam = parse_family(",".join(tokens))
+    expect = _brute_colourable(n, k, tokens)
+    order = data.draw(st.permutations(range(n)))
+    for vertex_order in (None, order):
+        coloring, _ = mono_free_search(n, k, fam, vertex_order=vertex_order)
+        assert (coloring is not None) == expect, vertex_order
+        if coloring is not None:
+            assert _admissible(n, k, tokens, coloring.assignment)
