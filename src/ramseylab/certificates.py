@@ -7,7 +7,8 @@ per-command checks re-check a certificate strictly from its payload:
 witnesses are re-validated, deterministic formulas are recomputed, but
 searches are never re-run, so refutations are vouched for by their exhaustion
 statistics and symmetry-scheme identifier.  A refutation by counting edges
-costs nothing to redo, so it is re-checked; `cli` holds the command table.
+costs nothing to redo, so it is re-checked, and so is the greedy cover that a
+maximum cover must reach; `cli` holds the command table.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .errors import ParseError, ValidationError, VerificationError
 from .graph_core import (
     GENERATORS,
     Graph,
+    NodeBudget,
     complete_graph,
     graph_from_text,
     is_proper_coloring,
@@ -38,6 +40,8 @@ from .factor_lab import (
     DECOMPOSITION,
     GENERALIZED,
     PROPER,
+    _edge_bound,
+    _greedy_cover,
     _verify_cover_payload,
     _verify_cycle_decomposition,
     _verify_galaxy,
@@ -304,6 +308,13 @@ def _vf_max_cover(params, value, witness, stats, outcome):
     if covered.bit_count() != value:
         raise VerificationError("covered-count",
                                 f"witness covers {covered.bit_count()} edges, claimed {value}")
+    if value < _edge_bound(n, r):  # not optimal by counting: it must reach the greedy cover
+        if n > 12:
+            raise VerificationError("n-range", f"max cover supports n <= 12, got {n}")
+        greedy = _greedy_cover(n, r, NodeBudget(r))[0]
+        if value < greedy:
+            raise VerificationError("greedy-cover",
+                                    f"the greedy cover takes {greedy} edges, claimed {value}")
 
 
 def _vf_walecki(params, value, witness, stats, outcome):

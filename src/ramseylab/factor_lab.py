@@ -18,8 +18,9 @@ results names exactly this reduction.
 
 Covers, decompositions and the maximum cover run one search,
 _factor_search.  The three differ only in the candidates of the later
-levels, the rule for the last factor and the edge count to beat, and the
-search stops once every edge of K_n is covered.
+levels, the rule for the last factor and the cover to beat: the maximum
+cover starts from a greedy one.  The search stops once no r factors can
+cover more.
 """
 
 from __future__ import annotations
@@ -289,7 +290,8 @@ def _iter_factor_masks_within(n: int, allowed_adj: Sequence[int], proper: bool,
 def _factor_search(n: int, r: int, reps: Sequence[int],
                    nxt: Callable[[int, int | None], Iterable[int]],
                    last: Callable[[int], tuple[int, int]],
-                   best: int, bud: NodeBudget, degree_bound: bool) -> tuple[int, list[int]]:
+                   best: int, witness: list[int], bud: NodeBudget,
+                   degree_bound: bool) -> tuple[int, list[int]]:
     """The one search behind cover_search and max_coverable_edges.
 
     Chooses r factor edge-masks depth first, one level per factor.  Level 1
@@ -300,15 +302,19 @@ def _factor_search(n: int, r: int, reps: Sequence[int],
     pruned when r - level + 1 factors of at most maxf edges each cannot beat
     best.  With degree_bound, which only a search for a full cover may use,
     a level is also pruned when some vertex has more than 2 * (r - level + 1)
-    uncovered edges.  A choice that beats best becomes the witness, and the
-    search stops once every edge of K_n is covered.  Returns (best, witness
-    masks); the witness is empty if nothing beat the starting best.  A budget
-    cut after something beat it records best as the partial's lower.
+    uncovered edges.  best starts as the count of witness, a cover already in
+    hand, or as one below the count to reach with an empty witness.  A choice
+    that beats best becomes the witness, and the search stops once best
+    reaches min(C(n, 2), r * maxf), which no r factors exceed.  Returns
+    (best, witness masks).  A budget cut with a witness in hand records best
+    as the partial's lower.
     """
     full = _full_edge_mask(n)
-    maxf = n if n % 3 == 0 else n - 1
+    maxf = _edge_bound(n, 1)
+    bound = _edge_bound(n, r)
+    if witness and best >= bound:  # the cover in hand is optimal by counting
+        return best, witness
     stars = [sum(_edge_bit(v, u, n) for u in range(n) if u != v) for v in range(n)]
-    witness: list[int] = []
     chosen: list[int] = []  # the masks of levels 1 .. len(chosen)
     frames: list[tuple[Iterator[int], int]] = []  # (candidates, covered before)
     covered = 0
@@ -317,7 +323,7 @@ def _factor_search(n: int, r: int, reps: Sequence[int],
         try:
             bud.tick()
         except BudgetExceededError as exc:
-            if witness:  # a choice beat the starting best: a proven lower bound
+            if witness:  # a cover in hand: a proven lower bound
                 exc.partial["lower"] = best
             raise
         cov = covered.bit_count()
@@ -330,7 +336,7 @@ def _factor_search(n: int, r: int, reps: Sequence[int],
                 gain, mask = last(missing)
                 if cov + gain > best:
                     best, witness = cov + gain, chosen + [mask]
-                    if covered | mask == full:
+                    if best >= bound:
                         return best, witness
             else:
                 # the first factor is fixed only up to isomorphism, so it does
@@ -349,6 +355,12 @@ def _factor_search(n: int, r: int, reps: Sequence[int],
             chosen.pop()
         else:
             return best, witness
+
+
+def _edge_bound(n: int, r: int) -> int:
+    """min(C(n, 2), r * maxf): no r generalized factors of K_n cover more
+    edges, one having at most maxf = n edges if 3 | n, else n - 1."""
+    return min(n * (n - 1) // 2, r * (n if n % 3 == 0 else n - 1))
 
 
 def _sorted_tail(build: Callable[[], list[int]]) -> Callable[[int, int | None], list[int]]:
@@ -425,7 +437,7 @@ def cover_search(n: int, r: int, properness: str = GENERALIZED,
                 return _iter_factor_masks_within(n, _mask_to_graph(full & ~covered, n).adj,
                                                  proper, limit_mask=prev)
 
-        masks = _factor_search(n, r, reps, nxt, last, full.bit_count() - 1, bud, True)[1]
+        masks = _factor_search(n, r, reps, nxt, last, full.bit_count() - 1, [], bud, True)[1]
     if not masks:
         return CoverSearchResult(None, bud.spent, scheme)
     factors = [_mask_to_graph(m, n) for m in masks]
@@ -489,21 +501,42 @@ def max_coverable_edges(n: int, r: int, budget: int | None = None) -> MaxCoverRe
     The search of cover_search, with the same symmetry reduction; its last
     factor is chosen by a subset-memoized packing that maximizes the edges
     taken from the uncovered graph, so the result is an exact maximum, not a
-    heuristic.  The search stops once all C(n, 2) edges are covered.
+    heuristic.  The search starts from the greedy cover, which it must beat,
+    and stops once min(C(n, 2), r * maxf) edges are covered.
     """
     if n < 1 or n > 12:
         raise ValidationError("BAD_N", f"max cover search supports 1 <= n <= 12, got {n}")
     if r < 1:
         raise ValidationError("OUT_OF_RANGE", f"need r >= 1, got {r}")
     bud = NodeBudget(budget)
+    greedy, greedy_masks = _greedy_cover(n, r, bud)
     value, masks = _factor_search(
         n, r, _maximal_shape_reps(n, proper=False),
         _sorted_tail(lambda: _enumerate_maximal_factors(n)),
-        lambda missing: _max_partial_factor(n, missing), -1, bud, False)
+        lambda missing: _max_partial_factor(n, missing), greedy, greedy_masks, bud, False)
     factors = [_mask_to_graph(m, n) for m in masks]
     _verify_cover_payload(n, r, GENERALIZED, COVER, factors, require_cover=False)
     return MaxCoverResult(value, FactorCover(n, tuple(factors), COVER, GENERALIZED),
                           bud.spent)
+
+
+def _greedy_cover(n: int, r: int, bud: NodeBudget) -> tuple[int, list[int]]:
+    """(edges covered, masks) of r factors of K_n chosen greedily: a largest
+    shape representative, then each factor the most edges of what is left.
+    Each factor spends one node, as a search level does; once every edge is
+    covered, the rest are empty and run no packing."""
+    full = _full_edge_mask(n)
+    masks: list[int] = []
+    covered = 0
+    for _ in range(r):
+        bud.tick()
+        if not masks:
+            mask = max(_maximal_shape_reps(n, proper=False), key=int.bit_count)
+        else:
+            mask = _max_partial_factor(n, full & ~covered)[1] if covered != full else 0
+        masks.append(mask)
+        covered |= mask
+    return covered.bit_count(), masks
 
 
 def _max_partial_factor(n: int, allowed_mask: int) -> tuple[int, int]:

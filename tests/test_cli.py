@@ -422,8 +422,8 @@ def test_each_command_takes_only_the_options_it_reads(capsys):
     (["chi", "--complete", "13", "--budget", "5"], {"complete": 13},
      {"lower": 2, "upper": 13, "nodes": 5}),
     # the best cover found and the clique in hand when the budget ran out
-    (["max-cover", "--n", "8", "--r", "4", "--budget", "100"], {"n": 8, "r": 4},
-     {"lower": 21, "nodes": 100}),
+    (["max-cover", "--n", "12", "--r", "5", "--budget", "100"], {"n": 12, "r": 5},
+     {"lower": 55, "nodes": 100}),
     (["clique", "--complete", "40", "--budget", "5"], {"complete": 40},
      {"lower": 5, "nodes": 5}),
 ])

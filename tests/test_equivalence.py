@@ -6,7 +6,9 @@ The tables in ``tests/tables`` were measured before either bound existed:
   modes and both properness values, at budget 100,000, as
   [n, r, properness, mode, outcome, nodes, witness masks];
 - ``max_cover.json``: ``max_coverable_edges`` over n <= 9, r <= 4, as
-  [n, r, value, nodes, witness masks];
+  [n, r, value, nodes, witness masks].  Its node and witness columns were
+  remeasured when the search began from a greedy cover and stopped at the
+  edge bound; the value column stayed byte-identical;
 - ``compute_c_k.json``: ``compute_c_k`` over the pinned and the closed-form
   cases, as [family, k, value, witness assignment, witness nodes,
   refutation nodes].  Its witness and node columns were remeasured when the
@@ -15,8 +17,8 @@ The tables in ``tests/tables`` were measured before either bound existed:
   that row began opening a new colour before repeating one; the value and
   refutation columns stayed byte-identical.
 
-A bound may only remove nodes: each search keeps its outcome and witness,
-and spends no more nodes than it did.
+A bound may only remove nodes: each cover search keeps its outcome and
+witness, and spends no more nodes than it did.
 """
 
 from __future__ import annotations

@@ -333,11 +333,23 @@ def test_max_coverable_edges_frozen_values():
 
 
 def test_max_cover_stops_at_full_coverage():
+    # the greedy cover, one node a factor, already covers K_6, K_7 and K_8,
+    # so no search level runs
     res = max_coverable_edges(6, 4)
-    assert (res.value, res.nodes) == (15, 15)
+    assert (res.value, res.nodes) == (15, 4)
+    res = max_coverable_edges(8, 4)
+    assert (res.value, res.nodes) == (28, 4)
     res = max_coverable_edges(7, 5)
-    assert (res.value, res.nodes) == (21, 1760)
+    assert (res.value, res.nodes) == (21, 5)
     assert union_factors(res.cover) == complete_graph(7)
+
+
+def test_max_cover_stops_at_the_edge_bound():
+    # 4 factors of at most n - 1 edges cover at most 36 of K_10's 45 edges
+    # and 40 of K_11's 55: the greedy cover reaches that
+    for n, value in ((10, 36), (11, 40)):
+        res = max_coverable_edges(n, 4)
+        assert (res.value, res.nodes) == (value, 4), n
 
 
 def test_max_coverable_witness_consistency():

@@ -178,6 +178,24 @@ def test_plane_of_huge_prime_order_is_rejected_by_its_line_count(tmp_path, capsy
     assert "check line-count:" in _rejected(tmp_path, capsys, cert)
 
 
+def test_max_cover_below_the_greedy_cover_is_rejected(tmp_path, capsys):
+    # the third factor dropped: the witness covers the 10 edges claimed, but
+    # the greedy cover of K_6 by 3 factors takes 13
+    cert = _golden("max-cover")
+    cert["witness"]["factors"][2] = "6 0\n"
+    cert["value"] = 10
+    assert "check greedy-cover:" in _rejected(tmp_path, capsys, cert)
+
+
+def test_max_cover_beyond_the_searched_range_is_rejected(tmp_path, capsys):
+    # the greedy packing of K_40 would take far too long to rebuild
+    cert = _golden("max-cover")
+    cert["parameters"]["n"] = 40
+    cert["witness"]["factors"] = ["40 0\n"] * 3
+    cert["value"] = 0
+    assert "check n-range:" in _rejected(tmp_path, capsys, cert)
+
+
 def test_non_maximal_clique_is_rejected(tmp_path, capsys):
     assert run(["clique", "--complete", "5", "--deterministic"]) == 0
     cert = json.loads(capsys.readouterr().out)

@@ -1,18 +1,22 @@
-"""The colouring, matching and c_k edge searches against brute force on
-small inputs.
+"""The colouring, matching, c_k edge and maximum cover searches against
+brute force on small inputs.
 
 The reference helpers here share no code with the library: a plain
-backtracking k-colouring in vertex order, a scan over every edge subset, and
-a scan over every edge colouring of K_n.
+backtracking k-colouring in vertex order, a scan over every edge subset, a
+scan over every edge colouring of K_n, and a scan over every r-tuple of
+edge-maximal generalized factors of K_n.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
+from functools import reduce
+from itertools import combinations, combinations_with_replacement, permutations, product
+from operator import or_
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramseylab.factor_lab import max_coverable_edges
 from ramseylab.graph_core import build_graph, chromatic_number
 from ramseylab.hypergraph_lab import make_hypergraph, max_matching
 from ramseylab.ramsey_search import mono_free_search, parse_family
@@ -133,3 +137,31 @@ def test_edge_search_agrees_with_enumeration(tokens, size, data):
         assert (coloring is not None) == expect, vertex_order
         if coloring is not None:
             assert _admissible(n, k, tokens, coloring.assignment)
+
+
+def _generalized_factors(n: int) -> list[int]:
+    """Every edge subset of K_n, as a bitmask over its pairs in lexicographic
+    order, whose components have at most three vertices."""
+    pairs = list(combinations(range(n), 2))
+    out = []
+    for mask in range(1 << len(pairs)):
+        part = list(range(n))
+        for i, (u, v) in enumerate(pairs):
+            if mask >> i & 1:
+                old, new = part[v], part[u]
+                part = [new if p == old else p for p in part]
+        if all(part.count(p) <= 3 for p in part):
+            out.append(mask)
+    return out
+
+
+def test_max_cover_is_the_best_union_of_factors():
+    for n in range(1, 7):
+        factors = _generalized_factors(n)
+        assert n < 6 or len(factors) == 556
+        # a factor lies in an edge-maximal one, so these reach the best union
+        maximal = [f for f in factors if not any(f != g and f & g == f for g in factors)]
+        for r in range(1, 4):
+            best = max(reduce(or_, tup).bit_count()
+                       for tup in combinations_with_replacement(maximal, r))
+            assert max_coverable_edges(n, r).value == best, (n, r)
