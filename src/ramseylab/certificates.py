@@ -250,11 +250,17 @@ def _vf_core(params, value, witness, stats, outcome):
 def _vf_ramsey(params, value, witness, stats, outcome):
     fam = parse_family(_text(params, "family", _PARAMS))
     k = _int(params, "colors", _PARAMS)
-    if outcome == "UNKNOWN":
-        return
     n = _int(witness, "n")
-    if value != n:
+    if outcome == "UNKNOWN":
+        if n != _int(stats, "lower", "stats") or n > _int(params, "cap", _PARAMS):
+            raise VerificationError("lower-witness",
+                                    "witness size differs from the lower bound or exceeds the cap")
+    elif value != n:
         raise VerificationError("value-witness", "claimed value differs from witness size")
+    elif "witness" in stats and (stats["witness"] not in ("walecki", "galaxy")
+                                 or stats.get("witness_nodes") != 0):
+        raise VerificationError("witness-source",
+                                "a built witness is walecki or galaxy, found in 0 nodes")
     coloring = make_edge_coloring(complete_graph(n), k, _int_list(witness, "assignment"))
     report = verify_mono_free(coloring, fam)
     if not report.ok:

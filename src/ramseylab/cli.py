@@ -128,14 +128,20 @@ def _run_ramsey(args, params):
     params.update(family=fam.spec(), colors=args.colors, cap=args.cap)
     try:
         res = compute_c_k(fam, args.colors, cap=args.cap, budget=args.budget)
-    except CapReachedError as exc:
-        stats = {"lower": exc.partial["lower"], "cap": args.cap}
-        return "UNKNOWN", None, None, stats
+    except (CapReachedError, BudgetExceededError) as exc:
+        # a scan stopped by its cap or budget still certifies K_lower's coloring
+        stats = {key: val for key, val in exc.partial.items() if key != "witness"}
+        if isinstance(exc, CapReachedError):
+            stats["cap"] = args.cap
+        witness = {"n": stats["lower"], "assignment": list(exc.partial["witness"].assignment)}
+        return "UNKNOWN", None, witness, stats
     witness = {"n": res.value, "assignment": list(res.witness.assignment)}
     stats = {"witness_nodes": res.witness_nodes,
              "refutation_nodes": res.refutation_nodes}
     if res.counted:
         stats["refutation"] = "counting"
+    if res.built:
+        stats["witness"] = res.built
     return "VALUE", res.value, witness, stats
 
 

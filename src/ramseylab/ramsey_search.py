@@ -9,7 +9,10 @@ sorted, so exhaustion at a given n is a certified nonexistence and the
 first witness found is deterministic.  The row opens each new color as soon
 as it may, so balanced rows, which tight cases need, are tried first.
 Before searching K_n, compute_c_k tries to refute it by counting edges: k
-classes free of the family hold at most k * ex(n, F) edges.
+classes free of the family hold at most k * ex(n, F) edges.  Where counting
+refutes K_N and K_{N-1} is the size of a known construction (Walecki's
+Hamilton cycles, or the galaxy star forests), an admissible construction
+settles c_k = N - 1 with no search at all.
 
 Known closed forms for specific families are kept separate from the search
 so the two routes can be cross-checked; formulas that hold only for large k
@@ -30,6 +33,7 @@ from .errors import (
 )
 from .graph_core import (
     DEFAULT_NODE_BUDGET,
+    MAX_VERTICES,
     Graph,
     _bits,
     build_graph,
@@ -739,13 +743,39 @@ def counting_refutes(fam: ForbiddenFamily, k: int, n: int) -> bool:
 class CkResult:
     """c_k value with the witness at n = value and the refutation stats at
     n = value + 1; counted means K_{value+1} was refuted by counting_refutes,
-    in 0 nodes."""
+    in 0 nodes, and built names the construction that gave the witness
+    ("walecki" or "galaxy"), in 0 nodes, or is None when the search found
+    it."""
 
     value: int
     witness: EdgeColoring
     witness_nodes: int
     refutation_nodes: int
     counted: bool = False
+    built: str | None = None
+
+
+def _built_witness(fam: ForbiddenFamily, k: int, n: int
+                   ) -> tuple[str, EdgeColoring] | None:
+    """An admissible k-coloring of K_n from a known construction, or None.
+
+    Walecki's k Hamilton cycles cover K_{2k+1}, and for k >= 3 the k star
+    forests of galaxy_cover(k - 1) cover K_{2k-2}; either one is kept only
+    when verify_mono_free accepts it for the family.
+    """
+    from .factor_lab import galaxy_cover, walecki_decomposition  # it imports this module
+
+    if n == 2 * k + 1:
+        name, classes = "walecki", walecki_decomposition(k)
+    elif n == 2 * k - 2 and k >= 3:
+        name, classes = "galaxy", galaxy_cover(k - 1)
+    else:
+        return None
+    base = complete_graph(n)
+    assignment = tuple(next(c for c, g in enumerate(classes) if g.adj[u] >> v & 1)
+                       for u, v in base.edges())
+    coloring = EdgeColoring(base, k, assignment)
+    return (name, coloring) if verify_mono_free(coloring, fam).ok else None
 
 
 def compute_c_k(fam: ForbiddenFamily, k: int, cap: int = 32,
@@ -753,21 +783,28 @@ def compute_c_k(fam: ForbiddenFamily, k: int, cap: int = 32,
     """Largest n with an admissible coloring, by scanning n upward.
 
     Existence is monotone (restricting a coloring of K_{n+1} to K_n stays
-    admissible), so the first refuted n settles the value.  Each n is first
-    tried by counting_refutes and searched only when that fails.  One budget
+    admissible), so the first refuted n settles the value.  The smallest N
+    up to cap + 1 (and MAX_VERTICES + 1) that counting_refutes refutes is
+    found first; when _built_witness colors K_{N-1}, that settles the value
+    N - 1 in 0 nodes.  Otherwise each n below N is searched.  One budget
     covers the whole scan: each size gets what the smaller ones left.  If
     K_cap is still colorable raises CapReachedError carrying the proven lower
-    bound; if the budget runs out, BudgetExceededError carries it as well,
-    with the nodes of the whole scan.
+    bound and its coloring; if the budget runs out, BudgetExceededError
+    carries them as well, with the nodes of the whole scan.
     """
     if cap < 1:
         raise ValidationError("OUT_OF_RANGE", f"cap must be >= 1, got {cap}")
+    refuted = next((n for n in range(2, min(cap, MAX_VERTICES) + 2)
+                    if counting_refutes(fam, k, n)), 0)
+    built = _built_witness(fam, k, refuted - 1)
+    if built is not None:
+        return CkResult(refuted - 1, built[1], 0, 0, True, built[0])
     limit = DEFAULT_NODE_BUDGET if budget is None else budget
     spent = 0
     prev: EdgeColoring | None = None
     prev_nodes = 0
     for n in range(1, cap + 1):
-        counted = counting_refutes(fam, k, n)
+        counted = n == refuted
         coloring: EdgeColoring | None = None
         nodes = 0
         if not counted:
@@ -776,7 +813,7 @@ def compute_c_k(fam: ForbiddenFamily, k: int, cap: int = 32,
             except BudgetExceededError as exc:
                 raise BudgetExceededError(f"{exc} at n = {n}; c_{k} >= {n - 1}",
                                           nodes=spent + exc.partial["nodes"],
-                                          lower=n - 1) from None
+                                          lower=n - 1, witness=prev) from None
             spent += nodes
         if coloring is None:
             if prev is None:

@@ -127,6 +127,28 @@ def test_ramsey_cap_is_unknown(capsys):
     cert = json.loads(out)
     assert cert["outcome"] == "UNKNOWN"
     assert cert["stats"]["lower"] == 4 and cert["stats"]["cap"] == 4
+    assert cert["witness"]["n"] == 4 and len(cert["witness"]["assignment"]) == 6
+
+
+def test_ramsey_builds_no_witness_beyond_64_vertices(capsys):
+    # counting first refutes K_82 for 40 colors, past the largest graph, so
+    # nothing is built and the budget stops the scan at K_14
+    code, out, _ = _invoke(capsys, ["ramsey", "--family", "F3", "--colors", "40",
+                                    "--cap", "100", "--budget", "1000"])
+    assert code == 2
+    cert = json.loads(out)
+    assert (cert["outcome"], cert["stats"]["lower"], cert["witness"]["n"]) == ("UNKNOWN", 13, 13)
+
+
+def test_ramsey_built_witness_certificate(tmp_path, capsys):
+    cert = _invoke_cert(capsys, ["ramsey", "--family", "F3", "--colors", "20", "--cap", "64",
+                                 "--deterministic"])
+    assert cert["value"] == 41 and cert["verified"] is True
+    assert cert["stats"] == {"elapsed_ms": 0, "refutation": "counting", "refutation_nodes": 0,
+                             "witness": "walecki", "witness_nodes": 0}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    assert _invoke(capsys, ["verify", str(path)])[:2] == (0, "true\n")
 
 
 def _long_path_file(tmp_path, n: int) -> str:

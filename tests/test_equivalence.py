@@ -14,8 +14,10 @@ The tables in ``tests/tables`` were measured before either bound existed:
   refutation nodes].  Its witness and node columns were remeasured when the
   c_k search began sorting vertex 0's row; no value moved, and no
   refutation gained a node.  The witness columns were remeasured again when
-  that row began opening a new colour before repeating one; the value and
-  refutation columns stayed byte-identical.
+  that row began opening a new colour before repeating one, and once more
+  for the rows whose witness compute_c_k now builds from Walecki's
+  Hamilton cycles in 0 nodes; both times the value and refutation columns
+  stayed byte-identical.
 
 A bound may only remove nodes: each cover search keeps its outcome and
 witness, and spends no more nodes than it did.

@@ -196,6 +196,36 @@ def test_max_cover_beyond_the_searched_range_is_rejected(tmp_path, capsys):
     assert "check n-range:" in _rejected(tmp_path, capsys, cert)
 
 
+def test_ramsey_lower_above_its_witness_is_rejected(tmp_path, capsys):
+    # the budget cut proves c_5(F4) >= 7 with K_7's coloring, not >= 1000
+    assert run(["ramsey", "--family", "F4", "--colors", "5", "--budget", "1000",
+                "--deterministic"]) == 2
+    cert = json.loads(capsys.readouterr().out)
+    assert (cert["stats"]["lower"], cert["witness"]["n"]) == (7, 7)
+    assert _verify(tmp_path, capsys, cert)[:2] == (0, "true\n")
+    cert["stats"]["lower"] = 1000
+    assert "check lower-witness:" in _rejected(tmp_path, capsys, cert)
+
+
+def test_ramsey_lower_above_the_cap_is_rejected(tmp_path, capsys):
+    # a lower bound of 5 would say K_5 was colored, but the scan stopped at the cap 4
+    cert = _golden("ramsey-cap")
+    cert["stats"]["lower"] = 5
+    assert "check lower-witness:" in _rejected(tmp_path, capsys, cert)
+    cert["parameters"]["cap"] = 3
+    cert["stats"]["lower"] = 4
+    assert "check lower-witness:" in _rejected(tmp_path, capsys, cert)
+
+
+@pytest.mark.parametrize("edit", [{"witness": "search"}, {"witness": "k11"},
+                                  {"witness": 0}, {"witness_nodes": 17}])
+def test_ramsey_witness_source_must_be_a_construction(tmp_path, capsys, edit):
+    cert = _golden("ramsey-k3-star2")
+    assert cert["stats"]["witness"] == "walecki"
+    cert["stats"].update(edit)
+    assert "check witness-source:" in _rejected(tmp_path, capsys, cert)
+
+
 def test_non_maximal_clique_is_rejected(tmp_path, capsys):
     assert run(["clique", "--complete", "5", "--deterministic"]) == 0
     cert = json.loads(capsys.readouterr().out)

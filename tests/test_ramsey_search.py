@@ -270,10 +270,15 @@ def test_search_memory_does_not_grow_with_the_palette():
     tracemalloc.start()
     try:
         coloring, nodes = mono_free_search(5, 10 ** 6, fam)
+        # counting refutes no K_n up to the cap for 10^6 colors, so no
+        # construction on 2 * 10^6 + 1 vertices is started
+        with pytest.raises(CapReachedError) as cap_exc:
+            compute_c_k(FAMILY_PRESETS["F3"], 10 ** 6, cap=10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+    assert cap_exc.value.partial["lower"] == 10
     # 10 edges never open more than 10 colors, so any larger palette searches alike
     small, small_nodes = mono_free_search(5, 10, fam)
     assert (coloring.assignment, nodes) == (small.assignment, small_nodes)
@@ -398,8 +403,8 @@ def test_row_break_never_changes_an_answer(spec):
 # ck_search cases, with vertex 0's row opening a new color before repeating one:
 # (family, k, c_k, witness nodes, refutation nodes, witness assignment)
 _PINNED = [
-    ("F3", 5, 11, 39025, 35,
-     "0011223344011223344221144333340402434020401031030212211"),
+    ("F3", 5, 11, 0, 35,
+     "0112233440122334401233440023440013400114011201221232334"),
     ("MATCH:2", 4, 6, 37, 1815, "001230123123112"),
     ("MATCH:3", 2, 7, 312, 2280, "000011000110011011111"),
     ("PATH:3", 3, 5, 20, 363, "0012012120"),
@@ -409,6 +414,11 @@ _PINNED = [
 
 # the cases of _PINNED whose K_{c_k + 1} compute_c_k refutes by counting
 _COUNTED = {("F3", 5), ("MATCH:3", 2)}
+
+# the cases of _PINNED whose K_{c_k} witness compute_c_k builds, with the nodes
+# and witness of the search that no longer runs
+_BUILT = {("F3", 5): ("walecki", 39025,
+                      "0011223344011223344221144333340402434020401031030212211")}
 
 
 @pytest.mark.parametrize("spec, k, value, witness_nodes, refutation_nodes, assignment",
@@ -420,6 +430,14 @@ def test_search_node_counts_and_witnesses_are_pinned(spec, k, value, witness_nod
     counted = (spec, k) in _COUNTED
     assert (res.value, res.witness_nodes, res.counted) == (value, witness_nodes, counted)
     assert "".join(map(str, res.witness.assignment)) == assignment
+    built, search_nodes, search_assignment = _BUILT.get((spec, k), (None, witness_nodes,
+                                                                    assignment))
+    assert res.built == built
+    if built:
+        # the search still finds its K_{c_k} witness in the pinned count on its own
+        coloring, nodes = mono_free_search(value, k, fam)
+        assert (nodes, "".join(map(str, coloring.assignment))) == (search_nodes,
+                                                                   search_assignment)
     if counted:
         # the search still refutes K_{c_k + 1} in the pinned count on its own
         assert res.refutation_nodes == 0
@@ -432,7 +450,8 @@ def test_search_node_counts_and_witnesses_are_pinned(spec, k, value, witness_nod
     ("F4", 4, 6, 105, 27214, False),
     ("K3,PATH:4", 3, 6, 149, 6917, False),
     # the K_9 witness's row is 0,0,1,1,2,2,3,3, which the row reaches first
-    # by opening each color as soon as it may
+    # by opening each color as soon as it may; it is searched, since
+    # Walecki's Hamilton cycles of K_9 contain P4
     ("F2", 4, 9, 1910, 0, True),
 ], ids=["F4-4", "K3,PATH:4-3", "F2-4"])
 def test_row_break_headline_counts(spec, k, value, witness_nodes, refutation_nodes, counted):
@@ -460,7 +479,9 @@ def test_compute_c_k_spends_one_budget_on_the_whole_scan():
     assert compute_c_k(fam, 4, budget=3604).value == 9
     with pytest.raises(BudgetExceededError) as exc:
         compute_c_k(fam, 4, budget=3603)
-    assert exc.value.partial == {"nodes": 3603, "lower": 8}
+    partial = exc.value.partial
+    assert (partial["nodes"], partial["lower"], partial["witness"].base.n) == (3603, 8, 8)
+    assert verify_mono_free(partial["witness"], fam).ok
 
 
 def test_search_depth_exceeds_recursion_limit():
@@ -484,6 +505,51 @@ def test_compute_c_k_cap():
         compute_c_k(FAMILY_PRESETS["F3"], 2, cap=4)  # true value is 5
     assert exc.value.partial["lower"] == 4
     assert exc.value.partial["witness"].base.n == 4
+    # counting refutes K_6, one past cap 5, so the built K_5 settles the value
+    assert compute_c_k(FAMILY_PRESETS["F3"], 2, cap=5).value == 5
+
+
+# -- witnesses from constructions -----------------------------------------------------
+
+
+_BUILT_SPECS = ["F1", "F2", "F3", "F4", "F5", "F6", "F7", "STAR:1", "STAR:2", "STAR:3",
+                "PATH:2", "PATH:3", "PATH:4", "MATCH:2", "MATCH:3"]
+
+
+def test_built_witness_agrees_with_the_search():
+    # wherever a construction settles c_k with N - 1 <= 15, scanning K_n
+    # upward with the search alone stops at the same value; budget 0 shows
+    # that compute_c_k builds before it searches
+    settled = []
+    for spec in _BUILT_SPECS:
+        fam = parse_family(spec)
+        for k in range(1, 8):
+            try:
+                res = compute_c_k(fam, k, cap=15, budget=0)
+            except (BudgetExceededError, CapReachedError):
+                continue
+            if res.built is None:
+                continue
+            assert (res.witness_nodes, res.refutation_nodes, res.counted) == (0, 0, True)
+            assert verify_mono_free(res.witness, fam).ok
+            n = 2
+            while mono_free_search(n, k, fam)[0] is not None:
+                n += 1
+            assert res.value == n - 1, (spec, k)
+            settled.append((spec, k, res.built))
+    assert len(settled) == 28
+    assert {(spec, k) for spec, k, built in settled if built == "galaxy"} == {
+        ("F7", 3), ("F7", 4), ("STAR:1", 3), ("PATH:2", 3)}
+
+
+@pytest.mark.parametrize("spec", ["F3", "F5"])
+@pytest.mark.parametrize("k", [8, 9, 10])
+def test_star_families_beyond_the_search_are_built(spec, k):
+    # the search took 1,727,340 nodes for F3's K_17 witness at k = 8, and
+    # stopped every other case here unsettled at 4M nodes
+    res = compute_c_k(FAMILY_PRESETS[spec], k)
+    assert (res.value, res.built, res.witness_nodes, res.counted) == (
+        2 * k + 1, "walecki", 0, True)
 
 
 def _max_free_edges(n: int, *patterns) -> int:
@@ -540,6 +606,8 @@ def test_star_forest_bound_settles_f7_by_counting():
     for k, value in enumerate((2, 3, 4, 6, 6), 1):
         res = compute_c_k(fam, k)
         assert (res.value, res.counted, res.refutation_nodes) == (value, True, 0), k
+        # the galaxy star forests of K_4 and K_6 are its witnesses at k = 3, 4
+        assert res.built == ("galaxy" if k in (3, 4) else None), k
         refuted, nodes = mono_free_search(value + 1, k, fam)
         assert refuted is None, k
     # the search spends 686,685 nodes on the last of them, K_7 at k = 5
