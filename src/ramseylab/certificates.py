@@ -28,7 +28,6 @@ from .graph_core import (
     union_graphs,
 )
 from .ramsey_search import (
-    DEFAULT_DELTA0,
     closed_form_c_k,
     counting_refutes,
     make_edge_coloring,
@@ -38,6 +37,7 @@ from .ramsey_search import (
 from .factor_lab import (
     COVER,
     DECOMPOSITION,
+    DEFAULT_DELTA0,
     GENERALIZED,
     PROPER,
     _edge_bound,

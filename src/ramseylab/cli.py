@@ -35,7 +35,6 @@ from .graph_core import (
     max_clique,
 )
 from .ramsey_search import (
-    DEFAULT_DELTA0,
     closed_form_c_k,
     compute_c_k,
     parse_family,
@@ -43,6 +42,7 @@ from .ramsey_search import (
 from .factor_lab import (
     COVER,
     DECOMPOSITION,
+    DEFAULT_DELTA0,
     GENERALIZED,
     PROPER,
     chi_r_report,

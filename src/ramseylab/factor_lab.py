@@ -42,7 +42,6 @@ from .graph_core import (
     restrict,
     union_graphs,
 )
-from .ramsey_search import A0_EXCEPTIONS, DEFAULT_DELTA0
 
 PROPER = "PROPER"
 GENERALIZED = "GENERALIZED"
@@ -409,13 +408,11 @@ def cover_search(n: int, r: int, properness: str = GENERALIZED,
 
     def last(missing: int) -> tuple[int, int]:
         """(edges gained, mask) of a last factor taking every missing edge,
-        or (-1, 0) if there is none."""
-        if mode == COVER:
-            mask = _last_cover_factor(n, missing, proper)
-        else:
-            cls = classify_factor(_mask_to_graph(missing, n))
-            mask = missing if (cls == PROPER if proper else cls != NOT_A_FACTOR) else None
-        return (-1, 0) if mask is None else (missing.bit_count(), mask)
+        or (-1, 0) if there is none; a decomposition's is exactly missing."""
+        mask = _last_cover_factor(n, missing, proper)
+        if mask is None or (mode == DECOMPOSITION and mask != missing):
+            return -1, 0
+        return missing.bit_count(), mask
 
     if proper and n % 3 != 0:
         masks: list[int] = []  # there is no proper factor on n vertices
@@ -685,6 +682,10 @@ def k11_cover() -> FactorCover:
 
 
 # -- chi_r reporting ------------------------------------------------------------
+
+
+DEFAULT_DELTA0 = (10**14 + 1) // 2
+A0_EXCEPTIONS = frozenset({3, 6, 18, 21, 24, 30, 33, 39, 42, 51, 66})
 
 
 @dataclass(frozen=True)

@@ -39,10 +39,16 @@ from .graph_core import (
     build_graph,
     complete_graph,
     connected_components,
+    graph_from_text,
     matching_graph,
     path_graph,
-    restrict,
     star_graph,
+)
+from .factor_lab import (
+    A0_EXCEPTIONS,
+    DEFAULT_DELTA0,
+    galaxy_cover,
+    walecki_decomposition,
 )
 
 MAX_PATTERN_VERTICES = 8
@@ -53,11 +59,11 @@ class Pattern:
     """One forbidden subgraph.
 
     kind is one of "triangle", "star", "path", "matching", "explicit".  For
-    star/path/matching, size is the edge count; for explicit patterns the
-    graph itself is stored (at most 8 vertices, the generic matcher bound).
-    token is the spelling the pattern was parsed from (P4 is the 3-edge
-    path, S3 the 3-edge star), which certificates write back; it takes no
-    part in equality.
+    star/path/matching, size is the edge count.  A pattern given as a graph
+    keeps it (at most 8 vertices, the generic matcher bound) and takes the
+    kind explicit_pattern finds.  token is the spelling the pattern was
+    parsed from (P4 is the 3-edge path, S3 the 3-edge star), which
+    certificates write back; it takes no part in equality.
     """
 
     kind: str
@@ -67,24 +73,20 @@ class Pattern:
 
     def realize(self) -> Graph:
         """The pattern as a concrete graph."""
+        if self.graph is not None:
+            return self.graph
         if self.kind == "triangle":
             return complete_graph(3)
         if self.kind == "star":
             return star_graph(self.size)
         if self.kind == "matching":
             return matching_graph(self.size)
-        if self.kind == "path":
-            return path_graph(self.size + 1)
-        assert self.graph is not None
-        return self.graph
+        return path_graph(self.size + 1)
 
     def is_forest(self) -> bool:
-        if self.kind != "explicit":
-            return self.kind != "triangle"
         g = self.realize()
         # acyclic iff every component has one more vertex than edges
-        return all(restrict(g, comp).m == comp.bit_count() - 1
-                   for comp in connected_components(g))
+        return g.m == g.n - len(connected_components(g))
 
 
 TRIANGLE = Pattern("triangle", token="K3")
@@ -111,13 +113,27 @@ def path_pattern(edges: int) -> Pattern:
 
 
 def explicit_pattern(g: Graph) -> Pattern:
+    """The pattern g, classified once: with no isolated vertex, a triangle,
+    star, matching or path takes that kind, its edge count as size (0 for
+    the triangle); any other graph is kind "explicit"."""
     if g.n > MAX_PATTERN_VERTICES:
         raise ValidationError("OUT_OF_RANGE",
                               f"explicit patterns are capped at {MAX_PATTERN_VERTICES} vertices")
     if g.m == 0:
         raise ValidationError("OUT_OF_RANGE", "explicit pattern has no edges")
     edges = ";".join(f"{u}-{v}" for u, v in g.edges())
-    return Pattern("explicit", 0, g, token=f"EXPLICIT[{edges}|{g.n}]")
+    degs = sorted(g.degree(v) for v in range(g.n))
+    tree = g.m == g.n - 1 and len(connected_components(g)) == 1
+    kind, size = "explicit", 0
+    if g.n == 3 and g.m == 3:
+        kind = "triangle"
+    elif degs[0] == degs[-1] == 1:
+        kind, size = "matching", g.m
+    elif tree and degs[-1] == g.n - 1:
+        kind, size = "star", g.m
+    elif tree and degs[-1] == 2:
+        kind, size = "path", g.m
+    return Pattern(kind, size, g, token=f"EXPLICIT[{edges}|{g.n}]")
 
 
 @dataclass(frozen=True)
@@ -174,7 +190,6 @@ def parse_family(spec: str) -> ForbiddenFamily:
         elif up.startswith("EXPLICIT[") and up.endswith("]"):
             patterns.append(explicit_pattern(_explicit_graph(tok, tok[9:-1])))
         elif tok.startswith("@"):
-            from .graph_core import graph_from_text
             try:
                 with open(tok[1:], "r", encoding="utf-8") as fh:
                     text = fh.read()
@@ -210,20 +225,20 @@ def _int_param(tok: str, raw: str) -> int:
 def find_copy(g: Graph, p: Pattern) -> tuple[int, ...] | None:
     """Vertices of one copy of p in g (as a subgraph), or None.
 
-    Witness layout depends on the kind: triangle (u, v, w); stars center
-    first; paths in traversal order; matchings as 2m endpoints pairwise;
-    explicit patterns as the image of pattern vertex i at position i.
+    A pattern given as a graph, whatever its kind, is laid out as the image
+    of pattern vertex i at position i.  Otherwise the layout depends on the
+    kind: triangle (u, v, w); stars center first; paths in traversal order;
+    matchings as 2m endpoints pairwise.
     """
+    if p.graph is not None:
+        return _embed(g, p.graph)
     if p.kind == "triangle":
         return _find_triangle(g)
     if p.kind == "star":
         return _find_star(g, p.size)
     if p.kind == "path":
         return _find_path(g, p.size)
-    if p.kind == "matching":
-        return _find_matching(g.adj, g.full_mask, p.size)
-    assert p.graph is not None
-    return _embed(g, p.graph)
+    return _find_matching(g.adj, g.full_mask, p.size)
 
 
 def _find_triangle(g: Graph) -> tuple[int, int, int] | None:
@@ -341,66 +356,50 @@ def _find_matching(adj: Sequence[int], avail: int, m: int) -> tuple[int, ...] | 
 
 
 def _embed(host: Graph, pattern: Graph) -> tuple[int, ...] | None:
-    """Backtracking subgraph embedding; pattern vertices ordered to keep the
-    partial map connected where possible, highest degree first."""
+    """First copy of pattern in host, as the image of each pattern vertex.
+
+    Pattern vertices go in a fixed order, next to placed ones first, then by
+    degree; each takes the lowest host vertex that fits, or backtracks."""
     pn = pattern.n
     if pn > host.n or pattern.m > host.m:
         return None
-    order: list[int] = []
-    placed_mask = 0
     degs = [pattern.degree(v) for v in range(pn)]
+    order: list[int] = []
+    earlier: list[int] = []  # the neighbours of order[i] placed before it
+    placed = 0
     for _ in range(pn):
         best, best_key = -1, (-1, -1)
         for v in range(pn):
-            if (placed_mask >> v) & 1:
+            if (placed >> v) & 1:
                 continue
-            anchored = (pattern.adj[v] & placed_mask).bit_count()
-            key = (anchored, degs[v])
+            key = ((pattern.adj[v] & placed).bit_count(), degs[v])
             if key > best_key:
                 best_key, best = key, v
         order.append(best)
-        placed_mask |= 1 << best
+        earlier.append(pattern.adj[best] & placed)
+        placed |= 1 << best
     image = [-1] * pn
-    used = 0
-
-    def rec(i: int) -> bool:
-        nonlocal used
-        if i == pn:
-            return True
+    used = i = start = 0  # order[i] tries the host vertices from start up
+    while i < pn:
         pv = order[i]
-        need = pattern.adj[pv]
-        for hv in range(host.n):
-            hb = 1 << hv
-            if used & hb or host.degree(hv) < degs[pv]:
-                continue
-            ok = True
-            rest = need & placed_of(pv)
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if not (host.adj[hv] >> image[low.bit_length() - 1]) & 1:
-                    ok = False
-                    break
-            if not ok:
-                continue
+        free = (host.full_mask & ~used) >> start << start
+        for w in _bits(earlier[i]):
+            free &= host.adj[image[w]]
+        while free and host.degree((free & -free).bit_length() - 1) < degs[pv]:
+            free &= free - 1
+        if free:
+            hv = (free & -free).bit_length() - 1
             image[pv] = hv
-            used |= hb
-            if rec(i + 1):
-                return True
-            used &= ~hb
-            image[pv] = -1
-        return False
-
-    placed_upto = [0] * (pn + 1)
-    for i, v in enumerate(order):
-        placed_upto[i + 1] = placed_upto[i] | (1 << v)
-
-    def placed_of(pv: int) -> int:
-        return placed_upto[order.index(pv)]
-
-    if rec(0):
-        return tuple(image)
-    return None
+            used |= 1 << hv
+            i, start = i + 1, 0
+        else:
+            i -= 1
+            if i < 0:
+                return None
+            hv = image[order[i]]
+            used ^= 1 << hv
+            start = hv + 1
+    return tuple(image)
 
 
 # -- edge colorings -----------------------------------------------------------
@@ -462,39 +461,12 @@ def verify_mono_free(coloring: EdgeColoring, fam: ForbiddenFamily) -> MonoFreeRe
 # -- the search ---------------------------------------------------------------
 
 
-def _canonical(p: Pattern) -> tuple[str, int]:
-    """(kind, edges) of the graph p is, the same for patterns that coincide.
-
-    A 1-edge path or matching is K2, the 1-edge star, and a 2-edge path is
-    P3, the 2-edge star.  An explicit graph with no isolated vertex that is
-    a triangle, a star, a matching or a path takes that kind; any other
-    explicit graph is ("explicit", 0).
-    """
-    kind, size = p.kind, p.size
-    if kind == "explicit":
-        g = p.realize()
-        degs = sorted(g.degree(v) for v in range(g.n))
-        if degs[0] == 0:
-            return "explicit", 0
-        if g.n == 3 and g.m == 3:
-            return "triangle", 0
-        if degs[-1] == 1:
-            kind, size = "matching", g.m
-        elif g.m == g.n - 1 and degs[-1] == g.n - 1:
-            kind, size = "star", g.m
-        elif g.m == g.n - 1 and degs[-1] == 2 and len(connected_components(g)) == 1:
-            kind, size = "path", g.m
-        else:
-            return "explicit", 0
-    if (kind == "path" and size <= 2) or (kind == "matching" and size == 1):
-        kind = "star"
-    return kind, size
-
-
 def _reduced(fam: ForbiddenFamily) -> tuple[dict[str, int], list[Pattern]]:
     """The family's kinds with their sizes, and its explicit patterns.
 
-    Patterns that coincide are folded by _canonical first.  A pattern that
+    Kinds are found when a pattern is built (explicit_pattern); only K2 and
+    P3 keep two spellings, folded here: a 1-edge path or matching is K2, the
+    1-edge star, and a 2-edge path is P3, the 2-edge star.  A pattern that
     contains a smaller pattern of its own kind is implied by it, so each of
     stars, paths and matchings keeps only its smallest size (a triangle has
     size 0).
@@ -502,11 +474,13 @@ def _reduced(fam: ForbiddenFamily) -> tuple[dict[str, int], list[Pattern]]:
     sizes: dict[str, int] = {}
     explicit: list[Pattern] = []
     for p in fam.patterns:
-        kind, size = _canonical(p)
+        kind = p.kind
+        if (kind == "path" and p.size <= 2) or (kind == "matching" and p.size == 1):
+            kind = "star"
         if kind == "explicit":
             explicit.append(p)
         else:
-            sizes[kind] = min(size, sizes.get(kind, size))
+            sizes[kind] = min(p.size, sizes.get(kind, p.size))
     return sizes, explicit
 
 
@@ -763,8 +737,6 @@ def _built_witness(fam: ForbiddenFamily, k: int, n: int
     forests of galaxy_cover(k - 1) cover K_{2k-2}; either one is kept only
     when verify_mono_free accepts it for the family.
     """
-    from .factor_lab import galaxy_cover, walecki_decomposition  # it imports this module
-
     if n == 2 * k + 1:
         name, classes = "walecki", walecki_decomposition(k)
     elif n == 2 * k - 2 and k >= 3:
@@ -785,12 +757,13 @@ def compute_c_k(fam: ForbiddenFamily, k: int, cap: int = 32,
     Existence is monotone (restricting a coloring of K_{n+1} to K_n stays
     admissible), so the first refuted n settles the value.  The smallest N
     up to cap + 1 (and MAX_VERTICES + 1) that counting_refutes refutes is
-    found first; when _built_witness colors K_{N-1}, that settles the value
-    N - 1 in 0 nodes.  Otherwise each n below N is searched.  One budget
-    covers the whole scan: each size gets what the smaller ones left.  If
-    K_cap is still colorable raises CapReachedError carrying the proven lower
-    bound and its coloring; if the budget runs out, BudgetExceededError
-    carries them as well, with the nodes of the whole scan.
+    found first.  When _built_witness colors K_{N-1}, the value is N - 1 in
+    0 nodes; otherwise each n below N is searched, and the value is N - 1
+    unless a smaller n is refuted.  One budget covers the whole scan: each
+    size gets what the smaller ones left.  With no N and K_cap colorable,
+    raises CapReachedError carrying the proven lower bound and its coloring;
+    if the budget runs out, BudgetExceededError carries them as well, with
+    the nodes of the whole scan.
     """
     if cap < 1:
         raise ValidationError("OUT_OF_RANGE", f"cap must be >= 1, got {cap}")
@@ -803,32 +776,27 @@ def compute_c_k(fam: ForbiddenFamily, k: int, cap: int = 32,
     spent = 0
     prev: EdgeColoring | None = None
     prev_nodes = 0
-    for n in range(1, cap + 1):
-        counted = n == refuted
-        coloring: EdgeColoring | None = None
-        nodes = 0
-        if not counted:
-            try:
-                coloring, nodes = mono_free_search(n, k, fam, limit - spent)
-            except BudgetExceededError as exc:
-                raise BudgetExceededError(f"{exc} at n = {n}; c_{k} >= {n - 1}",
-                                          nodes=spent + exc.partial["nodes"],
-                                          lower=n - 1, witness=prev) from None
-            spent += nodes
+    for n in range(1, refuted or cap + 1):
+        try:
+            coloring, nodes = mono_free_search(n, k, fam, limit - spent)
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(f"{exc} at n = {n}; c_{k} >= {n - 1}",
+                                      nodes=spent + exc.partial["nodes"],
+                                      lower=n - 1, witness=prev) from None
+        spent += nodes
         if coloring is None:
             if prev is None:
                 # n == 1 always succeeds: K_1 has no edges.
                 raise VerificationError("ck-base-case", "K_1 search failed unexpectedly")
-            return CkResult(n - 1, prev, prev_nodes, nodes, counted)
+            return CkResult(n - 1, prev, prev_nodes, nodes)
         prev, prev_nodes = coloring, nodes
+    if refuted:
+        return CkResult(refuted - 1, prev, prev_nodes, 0, True)
     raise CapReachedError(f"K_{cap} still admits a coloring; c_{k} >= {cap}",
                           lower=cap, witness=prev)
 
 
 # -- closed forms -------------------------------------------------------------
-
-DEFAULT_DELTA0 = (10**14 + 1) // 2
-A0_EXCEPTIONS = frozenset({3, 6, 18, 21, 24, 30, 33, 39, 42, 51, 66})
 
 
 @dataclass(frozen=True)

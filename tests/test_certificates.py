@@ -18,7 +18,7 @@ from ramseylab.certificates import (
 )
 from ramseylab.errors import ParseError, ValidationError, VerificationError
 from ramseylab.graph_core import complete_graph, cycle_graph, graph_to_text
-from ramseylab.ramsey_search import DEFAULT_DELTA0
+from ramseylab.factor_lab import DEFAULT_DELTA0
 
 
 def _chi_cert(value=3, colors=(0, 1, 2, 0, 1)):

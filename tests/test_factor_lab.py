@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
@@ -473,3 +475,23 @@ def test_random_factor_shapes():
     with pytest.raises(ValidationError) as exc:
         random_factor(8, PROPER, seed=1)
     assert exc.value.code == "BAD_N"
+
+
+def test_factor_lab_does_not_import_ramsey_search_and_no_function_imports():
+    # one import direction: ramsey_search builds its witnesses from
+    # factor_lab, so factor_lab must not reach back; and every import sits at
+    # the top of its module, where a cycle would show at load time
+    src = Path(factor_lab.__file__).resolve().parent
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name == "factor_lab.py":
+            modules = [node.module or "" for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom)]
+            modules += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                        for alias in node.names]
+            assert not [m for m in modules if "ramsey_search" in m]
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                inner = [node for node in ast.walk(fn)
+                         if isinstance(node, (ast.Import, ast.ImportFrom))]
+                assert not inner, f"{path.name}: {getattr(fn, 'name', 'lambda')} imports"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import json
 import random
 import tracemalloc
 
@@ -11,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramseylab import ramsey_search
+from ramseylab.cli import run
 from ramseylab.errors import (
     BudgetExceededError,
     CapReachedError,
@@ -25,9 +28,9 @@ from ramseylab.ramsey_search import (
     ClosedForm,
     EdgeColoring,
     ForbiddenFamily,
-    _canonical,
     _color_edges,
     _family_checks,
+    _reduced,
     closed_form_c_k,
     compute_c_k,
     counting_refutes,
@@ -111,24 +114,33 @@ def test_canonical_folds_patterns_that_coincide():
     def explicit(n, edges):
         return explicit_pattern(build_graph(n, edges))
 
+    # (pattern, the (kind, size) it is built with, the key _reduced folds it to)
     cases = [
-        (path_pattern(1), ("star", 1)), (matching_pattern(1), ("star", 1)),
-        (star_pattern(1), ("star", 1)), (path_pattern(2), ("star", 2)),
-        (P4, ("path", 3)), (S3, ("star", 3)), (TRIANGLE, ("triangle", 0)),
-        (matching_pattern(2), ("matching", 2)), (path_pattern(4), ("path", 4)),
-        (explicit(2, [(0, 1)]), ("star", 1)),
-        (explicit(3, [(0, 1), (1, 2)]), ("star", 2)),
-        (explicit(3, [(0, 1), (1, 2), (0, 2)]), ("triangle", 0)),
-        (explicit(4, [(2, 0), (0, 3), (3, 1)]), ("path", 3)),
-        (explicit(4, [(1, 0), (1, 2), (1, 3)]), ("star", 3)),
-        (explicit(6, [(0, 1), (2, 3), (4, 5)]), ("matching", 3)),
-        (explicit(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), ("path", 4)),
-        (explicit(5, [(0, 1), (1, 2), (2, 3)]), ("explicit", 0)),  # isolated vertex
-        (explicit(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), ("explicit", 0)),
-        (explicit(5, [(0, 1), (1, 2), (3, 4)]), ("explicit", 0)),  # P3 + K2
+        (path_pattern(1), ("path", 1), ("star", 1)),
+        (matching_pattern(1), ("matching", 1), ("star", 1)),
+        (star_pattern(1), ("star", 1), ("star", 1)),
+        (path_pattern(2), ("path", 2), ("star", 2)),
+        (P4, ("path", 3), ("path", 3)), (S3, ("star", 3), ("star", 3)),
+        (TRIANGLE, ("triangle", 0), ("triangle", 0)),
+        (matching_pattern(2), ("matching", 2), ("matching", 2)),
+        (path_pattern(4), ("path", 4), ("path", 4)),
+        (explicit(2, [(0, 1)]), ("matching", 1), ("star", 1)),
+        (explicit(3, [(0, 1), (1, 2)]), ("star", 2), ("star", 2)),
+        (explicit(3, [(0, 1), (1, 2), (0, 2)]), ("triangle", 0), ("triangle", 0)),
+        (explicit(4, [(2, 0), (0, 3), (3, 1)]), ("path", 3), ("path", 3)),
+        (explicit(4, [(1, 0), (1, 2), (1, 3)]), ("star", 3), ("star", 3)),
+        (explicit(6, [(0, 1), (2, 3), (4, 5)]), ("matching", 3), ("matching", 3)),
+        (explicit(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), ("path", 4), ("path", 4)),
+        (explicit(5, [(0, 1), (1, 2), (2, 3)]), ("explicit", 0), None),  # isolated vertex
+        (explicit(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), ("explicit", 0), None),
+        (explicit(5, [(0, 1), (1, 2), (3, 4)]), ("explicit", 0), None),  # P3 + K2
     ]
-    for p, key in cases:
-        assert _canonical(p) == key, p
+    for p, built, key in cases:
+        assert (p.kind, p.size) == built, p
+        folded = ({}, [p]) if key is None else (dict([key]), [])
+        assert _reduced(ForbiddenFamily((p,))) == folded, p
+        # a pattern given as a graph realizes as that very graph
+        assert p.graph is None or p.realize() is p.graph
     # the search folds explicit paths and stars into its kernel tests
     fam = ForbiddenFamily((TRIANGLE, explicit(4, [(2, 0), (0, 3), (3, 1)]),
                            explicit(5, [(0, 1), (0, 2), (0, 3), (0, 4)])))
@@ -207,6 +219,43 @@ def test_find_copy_witnesses_are_real_copies():
         if w is not None:
             assert len(set(w)) == 4
             assert g.has_edge(w[0], w[1]) and g.has_edge(w[2], w[3])
+
+
+def _brute_force_copy(host_n, host_edges, pattern_n, pattern_edges):
+    """Whether some injective map of the pattern's vertices into the host's
+    sends every pattern edge to a host edge; plain itertools, no ramseylab."""
+    edges = {frozenset(e) for e in host_edges}
+    return any(all(frozenset((image[a], image[b])) in edges for a, b in pattern_edges)
+               for image in itertools.permutations(range(host_n), pattern_n))
+
+
+def test_embed_agrees_with_brute_force():
+    patterns = {
+        "C4": (4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+        "K4-e": (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
+        "P3+K2": (5, [(0, 1), (1, 2), (3, 4)]),
+        "K1,3+K2": (6, [(0, 1), (0, 2), (0, 3), (4, 5)]),
+        "P4+K1": (5, [(0, 1), (1, 2), (2, 3)]),
+    }
+    rng = random.Random(2024)
+    found = missed = 0
+    for _ in range(40):
+        n = rng.randint(4, 7)
+        p = rng.choice([0.3, 0.5, 0.7])
+        host_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        host = build_graph(n, host_edges)
+        for name, (pn, pedges) in patterns.items():
+            pat = explicit_pattern(build_graph(pn, pedges))
+            assert pat.kind == "explicit", name
+            w = find_copy(host, pat)
+            assert (w is not None) == _brute_force_copy(n, host_edges, pn, pedges), name
+            if w is None:
+                missed += 1
+                continue
+            found += 1
+            assert len(w) == pn and len(set(w)) == pn, name
+            assert all(host.has_edge(w[a], w[b]) for a, b in pedges), name
+    assert found > 30 and missed > 30  # both verdicts are exercised
 
 
 def test_explicit_witness_layout():
@@ -500,13 +549,27 @@ def test_compute_c_k_classic_values():
     assert res.witness_nodes > 0 and res.refutation_nodes > 0
 
 
-def test_compute_c_k_cap():
+def test_compute_c_k_cap(tmp_path, capsys):
     with pytest.raises(CapReachedError) as exc:
         compute_c_k(FAMILY_PRESETS["F3"], 2, cap=4)  # true value is 5
     assert exc.value.partial["lower"] == 4
     assert exc.value.partial["witness"].base.n == 4
     # counting refutes K_6, one past cap 5, so the built K_5 settles the value
     assert compute_c_k(FAMILY_PRESETS["F3"], 2, cap=5).value == 5
+    # counting refutes K_10, one past cap 9, so the searched K_9 settles
+    # c_4(F2) = 9 as well
+    res = compute_c_k(FAMILY_PRESETS["F2"], 4, cap=9)
+    assert (res.value, res.witness_nodes, res.refutation_nodes, res.counted, res.built) == (
+        9, 1910, 0, True, None)
+    assert run(["ramsey", "--family", "F2", "--colors", "4", "--cap", "9",
+                "--deterministic"]) == 0
+    out = capsys.readouterr().out
+    cert = json.loads(out)
+    assert (cert["outcome"], cert["value"], cert["stats"]["refutation"]) == ("VALUE", 9, "counting")
+    path = tmp_path / "cert.json"
+    path.write_text(out)
+    assert run(["verify", str(path)]) == 0
+    assert capsys.readouterr().out == "true\n"
 
 
 # -- witnesses from constructions -----------------------------------------------------
@@ -620,12 +683,28 @@ def test_ex_bound_takes_the_smallest_pattern_bound():
     assert ex_bound(parse_family("K3,PATH:4"), 7) == 10
     assert ex_bound(parse_family("MATCH:3"), 8) == 13  # 1 + 2 * 6 beats C(5, 2)
     assert ex_bound(parse_family("MATCH:3"), 4) == 6  # K_4 has no 3 disjoint edges
-    # an explicit pattern, even one of a kernel kind, is folded first; a
-    # 4-cycle adds no bound
+    # an explicit pattern of a kernel kind is classified when it is built;
+    # a 4-cycle adds no bound
     c4 = explicit_pattern(build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
     assert ex_bound(ForbiddenFamily((c4,)), 9) == 36
     p4_file = explicit_pattern(build_graph(4, [(0, 1), (1, 2), (2, 3)]))
     assert ex_bound(ForbiddenFamily((c4, p4_file)), 9) == 9
+
+
+def test_bounds_of_an_explicit_path_classify_nothing(monkeypatch):
+    # explicit_pattern classifies the graph when it is built; the bounds and
+    # the search's checks only read its kind
+    fam = ForbiddenFamily((TRIANGLE, explicit_pattern(build_graph(4, [(0, 1), (1, 2), (2, 3)]))))
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return []
+
+    monkeypatch.setattr(ramsey_search, "connected_components", counting)
+    assert [ex_bound(fam, n) for n in (4, 6, 9)] == [3, 5, 8]
+    assert _family_checks(fam, 6) == (6, True, 3, 0, [])
+    assert calls == []
 
 
 def test_counting_refutes():
