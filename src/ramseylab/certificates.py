@@ -306,15 +306,20 @@ def _vf_cover(params, value, witness, stats, outcome):
 
 
 def _vf_max_cover(params, value, witness, stats, outcome):
-    if outcome != "VALUE":
-        return
+    if outcome == "UNKNOWN":
+        if witness is None:
+            if "lower" in stats:
+                raise VerificationError("lower-witness", "a lower bound lacks its cover")
+            return
+        value = _int(stats, "lower", "stats")  # the cover in hand when the budget ran out
     n, r = _int(params, "n", _PARAMS), _int(params, "r", _PARAMS)
     factors = _graphs_payload(witness, "factors")
     covered = _verify_cover_payload(n, r, GENERALIZED, COVER, factors, require_cover=False)
     if covered.bit_count() != value:
         raise VerificationError("covered-count",
                                 f"witness covers {covered.bit_count()} edges, claimed {value}")
-    if value < _edge_bound(n, r):  # not optimal by counting: it must reach the greedy cover
+    # a value below the edge bound is not optimal by counting: it must reach the greedy cover
+    if outcome == "VALUE" and value < _edge_bound(n, r):
         if n > 12:
             raise VerificationError("n-range", f"max cover supports n <= 12, got {n}")
         greedy = _greedy_cover(n, r, NodeBudget(r))[0]

@@ -168,7 +168,15 @@ def _run_cover(args, params):
 
 def _run_max_cover(args, params):
     params.update(n=args.n, r=args.r)
-    res = max_coverable_edges(args.n, args.r, budget=args.budget)
+    try:
+        res = max_coverable_edges(args.n, args.r, budget=args.budget)
+    except BudgetExceededError as exc:
+        if "witness" not in exc.partial:
+            raise
+        # a search cut by its budget still certifies the cover in hand
+        stats = {key: val for key, val in exc.partial.items() if key != "witness"}
+        witness = {"factors": [graph_to_text(g) for g in exc.partial["witness"]]}
+        return "UNKNOWN", None, witness, stats
     witness = {"factors": [graph_to_text(g) for g in res.cover.factors]}
     return "VALUE", res.value, witness, {"nodes": res.nodes}
 

@@ -55,10 +55,10 @@ def ach_counterexample(d: int) -> tuple[PartiteHypergraph, AchLabeling]:
 
     With A the first d indices and B the rest, every i in A and j in B
     contribute the edges (i,i,j), (i,j,i), (j,i,i); odd d adds the diagonals
-    (i,i,i).  Each edge meets the diagonal triple {x_i, y_i, z_i} of exactly
-    one i in A in at least two vertices; that label partitions the edges into
-    d classes, each pairwise intersecting, so a matching takes at most one
-    edge per class.
+    (i,i,i).  Label i goes to the 3(m - d) + d mod 2 edges that i
+    contributes, each meeting the diagonal triple {x_i, y_i, z_i} in at least
+    two vertices; so the d label classes each pairwise intersect, and a
+    matching takes at most one edge per class.
     """
     if d < 4:
         # below 4 the construction does not beat ceil((d-1) m / d)
@@ -67,15 +67,16 @@ def ach_counterexample(d: int) -> tuple[PartiteHypergraph, AchLabeling]:
         raise ValidationError("OUT_OF_RANGE", f"need d <= {MAX_ACH_D}, got {d}")
     m = 3 * d // 2
     edges: list[tuple[int, int, int]] = []
+    labels: list[int] = []
     for i in range(d):
         for j in range(d, m):
             edges.extend([(i, i, j), (i, j, i), (j, i, i)])
         if d % 2 == 1:
             edges.append((i, i, i))
+        labels.extend([i] * (len(edges) - len(labels)))  # the edges just built
     h = make_hypergraph([m, m, m], edges)
-    labels = tuple(_ach_label(e, d) for e in h.edges)
     _verify_ach(h, labels, d, m, ach_matching(d))
-    return h, AchLabeling(d, m, labels)
+    return h, AchLabeling(d, m, tuple(labels))
 
 
 def ach_matching(d: int) -> list[int]:
@@ -90,14 +91,6 @@ def ach_matching(d: int) -> list[int]:
     if d % 2:
         matching.append((d - 1) * per_label + 3 * t)
     return matching
-
-
-def _ach_label(e: Sequence[int], d: int) -> int:
-    hits = [i for i in range(d) if sum(1 for x in e if x == i) >= 2]
-    if len(hits) != 1:
-        raise VerificationError("label-unique",
-                                f"edge {tuple(e)} has {len(hits)} candidate labels")
-    return hits[0]
 
 
 def _verify_ach(h: PartiteHypergraph, labels: Sequence[int], d: int, m: int,

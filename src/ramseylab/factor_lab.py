@@ -306,7 +306,7 @@ def _factor_search(n: int, r: int, reps: Sequence[int],
     that beats best becomes the witness, and the search stops once best
     reaches min(C(n, 2), r * maxf), which no r factors exceed.  Returns
     (best, witness masks).  A budget cut with a witness in hand records best
-    as the partial's lower.
+    as the partial's lower and the witness, as graphs, as its witness.
     """
     full = _full_edge_mask(n)
     maxf = _edge_bound(n, 1)
@@ -323,7 +323,7 @@ def _factor_search(n: int, r: int, reps: Sequence[int],
             bud.tick()
         except BudgetExceededError as exc:
             if witness:  # a cover in hand: a proven lower bound
-                exc.partial["lower"] = best
+                exc.partial.update(lower=best, witness=[_mask_to_graph(m, n) for m in witness])
             raise
         cov = covered.bit_count()
         left = r - level + 1

@@ -337,13 +337,10 @@ def chromatic_number(g: Graph, budget: int | None = None) -> ChromaticResult:
         ) from None
 
 
-def _max_clique_search(g: Graph, budget: NodeBudget,
-                       stop_at: int | None = None) -> tuple[int, int]:
+def _max_clique_search(g: Graph, budget: NodeBudget) -> tuple[int, int]:
     """Maximum clique (size, vertex mask) by coloring-bounded branch and bound.
 
-    If stop_at is given the search may stop early once a clique that large
-    is found; the reported size is then only a lower bound >= stop_at.  On
-    budget exhaustion the partial's lower is the largest clique in hand.
+    On budget exhaustion the partial's lower is the largest clique in hand.
     """
     n = g.n
     if n == 0:
@@ -351,10 +348,9 @@ def _max_clique_search(g: Graph, budget: NodeBudget,
     adj = g.adj
     best = 1
     best_mask = 1
-    done = False
 
     def expand(rmask: int, rsize: int, cand: int) -> None:
-        nonlocal best, best_mask, done
+        nonlocal best, best_mask
         try:
             budget.tick()
         except BudgetExceededError as exc:
@@ -363,8 +359,6 @@ def _max_clique_search(g: Graph, budget: NodeBudget,
         if cand == 0:
             if rsize > best:
                 best, best_mask = rsize, rmask
-                if stop_at is not None and best >= stop_at:
-                    done = True
             return
         # Greedy-color the candidates; color index bounds the clique growth.
         order: list[int] = []
@@ -382,8 +376,6 @@ def _max_clique_search(g: Graph, budget: NodeBudget,
                 rest ^= low
                 layer = layer & ~low & ~adj[v]
         for i in range(len(order) - 1, -1, -1):
-            if done:
-                return
             if rsize + bounds[i] <= best:
                 return
             v = order[i]
@@ -405,14 +397,7 @@ def max_clique(g: Graph, budget: int | None = None) -> tuple[int, tuple[int, ...
 
 def contains_clique(g: Graph, s: int, budget: int | None = None) -> bool:
     """Whether g has a clique on s vertices."""
-    if s <= 0:
-        return True
-    if s == 1:
-        return g.n >= 1
-    if s > g.n:
-        return False
-    size, _ = _max_clique_search(g, NodeBudget(budget), stop_at=s)
-    return size >= s
+    return max_clique(g, budget)[0] >= s
 
 
 # -- cores and coloring extension --------------------------------------------

@@ -145,16 +145,12 @@ def hypergraph_to_factors(h: PartiteHypergraph) -> list[Graph]:
 
 
 def line_graph(h: PartiteHypergraph) -> Graph:
-    """Intersection graph of hyperedge occurrences (repeats intersect)."""
+    """Intersection graph of hyperedge occurrences (repeats intersect): the
+    matching search's conflict masks, each without its own edge's bit."""
     if h.m > MAX_VERTICES:
         raise ValidationError("OUT_OF_RANGE",
                               f"{h.m} hyperedges exceed the {MAX_VERTICES}-vertex graph cap")
-    edges = []
-    for a in range(h.m):
-        for b in range(a + 1, h.m):
-            if any(h.edges[a][i] == h.edges[b][i] for i in range(h.r)):
-                edges.append((a, b))
-    return build_graph(h.m, edges)
+    return Graph(h.m, tuple(mask ^ (1 << j) for j, mask in enumerate(_incidence(h).conflict)))
 
 
 # -- exact maximum matching -----------------------------------------------------

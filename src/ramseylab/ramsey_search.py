@@ -45,8 +45,8 @@ from .graph_core import (
     star_graph,
 )
 from .factor_lab import (
-    A0_EXCEPTIONS,
     DEFAULT_DELTA0,
+    chi_r_report,
     galaxy_cover,
     walecki_decomposition,
 )
@@ -418,14 +418,6 @@ class EdgeColoring:
         edges = [e for e, cc in zip(self.base.edges(), self.assignment) if cc == c]
         return build_graph(self.base.n, edges)
 
-    def color_of(self, u: int, v: int) -> int:
-        if u > v:
-            u, v = v, u
-        for (a, b), c in zip(self.base.edges(), self.assignment):
-            if (a, b) == (u, v):
-                return c
-        raise ValidationError("OUT_OF_RANGE", f"({u}, {v}) is not an edge of the base graph")
-
 
 def make_edge_coloring(base: Graph, k: int, assignment: Sequence[int]) -> EdgeColoring:
     if k < 1:
@@ -534,36 +526,21 @@ def _embeds_with_edge(adj: Sequence[int], u: int, v: int,
 
 
 def mono_free_search(n: int, k: int, fam: ForbiddenFamily,
-                     budget: int | None = None,
-                     vertex_order: Sequence[int] | None = None,
-                     ) -> tuple[EdgeColoring | None, int]:
+                     budget: int | None = None) -> tuple[EdgeColoring | None, int]:
     """Find an admissible k-coloring of K_n's edges, or certify none exists.
 
-    Returns (coloring-or-None, nodes).  vertex_order permutes the internal
-    edge enumeration; it must be a permutation of range(n) and cannot change
-    the outcome, only the node count and which witness is found first.
+    Returns (coloring-or-None, nodes).
     """
     if n < 1:
         raise ValidationError("BAD_N", f"need n >= 1, got {n}")
     if k < 1:
         raise ValidationError("BAD_K", f"need k >= 1, got {k}")
-    if vertex_order is None:
-        order = list(range(n))
-    else:
-        order = list(vertex_order)
-        if sorted(order) != list(range(n)):
-            raise ValidationError("OUT_OF_RANGE", "vertex_order is not a permutation")
-    edges = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+    base = complete_graph(n)
     limit = DEFAULT_NODE_BUDGET if budget is None else budget
-    chosen, spent = _color_edges(n, k, edges, fam, limit, row=n - 1)
+    chosen, spent = _color_edges(n, k, base.edges(), fam, limit, row=n - 1)
     if chosen is None:
         return None, spent
-
-    base = complete_graph(n)
-    by_edge = {}
-    for (u, v), c in zip(edges, chosen):
-        by_edge[(u, v) if u < v else (v, u)] = c
-    coloring = EdgeColoring(base, k, tuple(by_edge[e] for e in base.edges()))
+    coloring = EdgeColoring(base, k, tuple(chosen))
     report = verify_mono_free(coloring, fam)
     if not report.ok:
         raise VerificationError("mono-free-witness",
@@ -826,7 +803,8 @@ def closed_form_c_k(fam: ForbiddenFamily, k: int,
     Exact formulas are returned unflagged.  Formulas valid only for large k
     (or infinitely many k) carry asymptotic=True; the one family whose value
     for k = 2 (mod 3) rests on the delta0 threshold is conditional=True for
-    those k at or above the threshold and has no closed form below it.
+    those k at or above the threshold and has no closed form below it; for
+    that family, chi_r_report rejects a delta0 below 1.
     """
     if k < 1:
         raise ValidationError("BAD_K", f"need k >= 1, got {k}")
@@ -858,17 +836,12 @@ def closed_form_c_k(fam: ForbiddenFamily, k: int,
 
     if keys == {("path", 3), ("star", 3)}:
         # value equals the largest chromatic number of a union of k
-        # generalized triangle factors; known for k in the three residue
-        # families below, open for the exceptional multiples of 3
-        if k % 3 == 1:
-            return ClosedForm(2 * k + 1)
-        if k % 3 == 0 and k not in A0_EXCEPTIONS:
-            return ClosedForm(2 * k)
-        if k == 2:
-            return ClosedForm(3)
-        if k % 3 == 2 and k >= delta0:
-            return ClosedForm(2 * k - 1, conditional=True,
-                              note=f"for k >= delta0 = {delta0}")
+        # generalized triangle factors, which chi_r_report knows
+        rep = chi_r_report(k, delta0)
+        if rep.status == "EXACT":
+            return ClosedForm(rep.lower)
+        if rep.status == "CONDITIONAL":
+            return ClosedForm(rep.lower, conditional=True, note=f"for k >= delta0 = {delta0}")
         return None
 
     if keys == {("triangle", 0), ("path", 3), ("star", 3)}:

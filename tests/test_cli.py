@@ -214,6 +214,14 @@ def test_validation_errors(capsys):
         assert code_text in err
 
 
+def test_closed_form_and_chi_r_share_the_delta0_rule(capsys):
+    # the P4, S3 closed form reads chi_r_report, so it rejects delta0 < 1 as chi-r does
+    for argv in (["closed-form", "--family", "F6", "--colors", "5", "--delta0", "0"],
+                 ["chi-r", "--r", "5", "--delta0", "0"]):
+        code, out, err = _invoke(capsys, argv)
+        assert (code, out) == (1, "") and "error [OUT_OF_RANGE]" in err
+
+
 def test_bad_inputs_exit_with_coded_errors(tmp_path, capsys):
     missing = str(tmp_path / "missing.txt")
     for argv, code_text in ((["ramsey", "--family", "@" + missing, "--colors", "2"],

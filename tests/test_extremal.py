@@ -61,6 +61,14 @@ def test_ach_matching_takes_one_edge_per_label():
         assert sorted(labeling.labels[j] for j in picked) == list(range(d))
 
 
+def test_ach_label_is_the_diagonal_each_edge_meets_twice():
+    # label i is the unique i in A that at least two coordinates equal
+    for d in range(4, 31):
+        h, labeling = ach_counterexample(d)
+        for e, label in zip(h.edges, labeling.labels):
+            assert {x for x in e if x < d and e.count(x) >= 2} == {label}, (d, e)
+
+
 def test_ach_odd_d_covered_fraction():
     # a maximum matching covers 3d of the 3 * (3d-1)/2 vertices for odd d
     for d in (5, 7):

@@ -196,6 +196,32 @@ def test_max_cover_beyond_the_searched_range_is_rejected(tmp_path, capsys):
     assert "check n-range:" in _rejected(tmp_path, capsys, cert)
 
 
+def test_max_cover_lower_above_its_witness_is_rejected(tmp_path, capsys):
+    # the budget cut proves that 5 factors cover 55 edges of K_12 with the
+    # cover in hand, not 1000; a lower bound without its cover proves nothing
+    assert run(["max-cover", "--n", "12", "--r", "5", "--budget", "100",
+                "--deterministic"]) == 2
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["stats"]["lower"] == 55 and len(cert["witness"]["factors"]) == 5
+    assert _verify(tmp_path, capsys, cert)[:2] == (0, "true\n")
+    forged = copy.deepcopy(cert)
+    forged["stats"]["lower"] = 1000
+    assert "check covered-count:" in _rejected(tmp_path, capsys, forged)
+    cert["witness"] = None
+    assert "check lower-witness:" in _rejected(tmp_path, capsys, cert)
+
+
+def test_max_cover_cut_before_its_greedy_cover_claims_no_lower(tmp_path, capsys):
+    # 3 nodes do not finish the 5-factor greedy cover: no cover, no bound
+    assert run(["max-cover", "--n", "12", "--r", "5", "--budget", "3",
+                "--deterministic"]) == 2
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["witness"] is None and "lower" not in cert["stats"]
+    assert _verify(tmp_path, capsys, cert)[:2] == (0, "true\n")
+    cert["stats"]["lower"] = 1
+    assert "check lower-witness:" in _rejected(tmp_path, capsys, cert)
+
+
 def test_ramsey_lower_above_its_witness_is_rejected(tmp_path, capsys):
     # the budget cut proves c_5(F4) >= 7 with K_7's coloring, not >= 1000
     assert run(["ramsey", "--family", "F4", "--colors", "5", "--budget", "1000",

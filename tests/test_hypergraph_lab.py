@@ -7,8 +7,9 @@ import random
 import pytest
 
 from ramseylab.errors import BudgetExceededError, ParseError, ValidationError
+from ramseylab.extremal import truncated_plane
 from ramseylab.factor_lab import PROPER, random_factor, union_factors
-from ramseylab.graph_core import chromatic_number
+from ramseylab.graph_core import build_graph, chromatic_number
 from ramseylab.hypergraph_lab import (
     MAX_MATCHING_EDGES,
     PartiteHypergraph,
@@ -129,6 +130,19 @@ def test_line_graph_repeats_intersect():
     h = make_hypergraph([2, 2], [(0, 0), (0, 0), (1, 1)])
     lg = line_graph(h)
     assert lg.has_edge(0, 1) and not lg.has_edge(0, 2)
+
+
+def test_line_graph_is_the_pairwise_rule():
+    # two edge occurrences are adjacent when some coordinate is equal
+    rng = random.Random(20)
+    cases = [truncated_plane(p) for p in (2, 3, 5, 7)]
+    for _ in range(60):
+        h = _random_hypergraph(rng, r=rng.randint(1, 4), max_edges=20)
+        cases.append(make_hypergraph(h.part_sizes, h.edges + tuple(rng.choices(h.edges, k=3))))
+    for h in cases:
+        pairs = [(a, b) for a in range(h.m) for b in range(a + 1, h.m)
+                 if any(x == y for x, y in zip(h.edges[a], h.edges[b]))]
+        assert line_graph(h) == build_graph(h.m, pairs)
 
 
 def test_chromatic_index_specials():
