@@ -4,7 +4,6 @@ their hypergraph correspondence, and extremal matching constructions."""
 
 from .errors import (
     BudgetExceededError,
-    CapReachedError,
     ParseError,
     RamseyLabError,
     ValidationError,
@@ -20,7 +19,6 @@ from .graph_core import (
     chromatic_number,
     complete_graph,
     connected_components,
-    contains_clique,
     cycle_graph,
     extend_coloring_from_core,
     graph_from_text,
@@ -63,7 +61,6 @@ from .factor_lab import (
     PROPER,
     ChiReport,
     CoverSearchResult,
-    FactorCover,
     MaxCoverResult,
     chi_r_report,
     classify_factor,
@@ -72,7 +69,6 @@ from .factor_lab import (
     k11_cover,
     max_coverable_edges,
     random_factor,
-    union_factors,
     walecki_decomposition,
 )
 from .hypergraph_lab import (
@@ -89,7 +85,6 @@ from .hypergraph_lab import (
     regularity,
 )
 from .extremal import (
-    AchLabeling,
     ProjectivePlane,
     ach_bound,
     ach_counterexample,

@@ -36,6 +36,8 @@ from .ramsey_search import (
 )
 from .factor_lab import (
     COVER,
+    COVER_SCHEME,
+    DECOMP_SCHEME,
     DECOMPOSITION,
     DEFAULT_DELTA0,
     GENERALIZED,
@@ -298,9 +300,9 @@ def _vf_cover(params, value, witness, stats, outcome):
         factors = _graphs_payload(witness, "factors")
         _verify_cover_payload(n, r, properness, mode, factors, require_cover=True)
     elif outcome == "NOT_EXISTS":
-        if not stats.get("scheme"):
+        if stats.get("scheme") != (COVER_SCHEME if mode == COVER else DECOMP_SCHEME):
             raise VerificationError("scheme-recorded",
-                                    "refutation lacks its symmetry-scheme identifier")
+                                    f"refutation does not name the {mode} symmetry scheme")
         if "nodes" not in stats:
             raise VerificationError("exhaustion-stats", "refutation lacks node statistics")
 

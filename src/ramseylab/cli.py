@@ -18,12 +18,7 @@ from dataclasses import asdict
 from typing import Any, Callable, Mapping, NamedTuple
 
 from .errors import (
-    BudgetExceededError,
-    CapReachedError,
-    ParseError,
-    RamseyLabError,
-    ValidationError,
-    VerificationError,
+    BudgetExceededError, ParseError, RamseyLabError, ValidationError, VerificationError,
 )
 from .graph_core import (
     GENERATORS,
@@ -73,7 +68,7 @@ from .factor_lab import random_factor
 from .certificates import (
     _vf_ach, _vf_bijection, _vf_chi, _vf_chi_r, _vf_claim51, _vf_clique, _vf_closed_form,
     _vf_core, _vf_cover, _vf_galaxy, _vf_k11, _vf_line_chi, _vf_match, _vf_max_cover,
-    _vf_plane, _vf_ramsey, _vf_truncated_plane, _vf_walecki, certificate_to_json,
+    _vf_plane, _vf_ramsey, _vf_truncated_plane, _vf_walecki, _delta0, certificate_to_json,
     make_certificate, parse_certificate,
 )
 
@@ -128,11 +123,9 @@ def _run_ramsey(args, params):
     params.update(family=fam.spec(), colors=args.colors, cap=args.cap)
     try:
         res = compute_c_k(fam, args.colors, cap=args.cap, budget=args.budget)
-    except (CapReachedError, BudgetExceededError) as exc:
+    except BudgetExceededError as exc:
         # a scan stopped by its cap or budget still certifies K_lower's coloring
         stats = {key: val for key, val in exc.partial.items() if key != "witness"}
-        if isinstance(exc, CapReachedError):
-            stats["cap"] = args.cap
         witness = {"n": stats["lower"], "assignment": list(exc.partial["witness"].assignment)}
         return "UNKNOWN", None, witness, stats
     witness = {"n": res.value, "assignment": list(res.witness.assignment)}
@@ -160,9 +153,9 @@ def _run_cover(args, params):
     params.update(n=args.n, r=args.r, properness=properness, mode=mode)
     res = cover_search(args.n, args.r, properness, mode, budget=args.budget)
     stats = {"nodes": res.nodes, "scheme": res.scheme}
-    if res.cover is None:
+    if res.factors is None:
         return "NOT_EXISTS", None, None, stats
-    witness = {"factors": [graph_to_text(g) for g in res.cover.factors]}
+    witness = {"factors": [graph_to_text(g) for g in res.factors]}
     return "EXISTS", None, witness, stats
 
 
@@ -177,7 +170,7 @@ def _run_max_cover(args, params):
         stats = {key: val for key, val in exc.partial.items() if key != "witness"}
         witness = {"factors": [graph_to_text(g) for g in exc.partial["witness"]]}
         return "UNKNOWN", None, witness, stats
-    witness = {"factors": [graph_to_text(g) for g in res.cover.factors]}
+    witness = {"factors": [graph_to_text(g) for g in res.factors]}
     return "VALUE", res.value, witness, {"nodes": res.nodes}
 
 
@@ -196,8 +189,7 @@ def _run_galaxy(args, params):
 
 
 def _run_k11(args, params):
-    fc = k11_cover()
-    witness = {"factors": [graph_to_text(g) for g in fc.factors]}
+    witness = {"factors": [graph_to_text(g) for g in k11_cover()]}
     return "EXISTS", None, witness, {}
 
 
@@ -246,9 +238,9 @@ def _run_line_chi(args, params):
 
 def _run_ach(args, params):
     params["d"] = args.d
-    h, labeling = ach_counterexample(args.d)
-    witness = {"hypergraph": hypergraph_to_text(h), "labels": list(labeling.labels),
-               "matching": ach_matching(args.d), "bound": ach_bound(args.d, labeling.m)}
+    h, labels = ach_counterexample(args.d)
+    witness = {"hypergraph": hypergraph_to_text(h), "labels": list(labels),
+               "matching": ach_matching(args.d), "bound": ach_bound(args.d, h.part_sizes[0])}
     return "EXISTS", args.d, witness, {}
 
 
@@ -416,7 +408,8 @@ def _error(exc: RamseyLabError) -> int:
 def verify_certificate(cert: Mapping[str, Any]) -> bool:
     """Re-check a parsed certificate from its payload alone: an outcome its
     row lists, an integer value exactly where the row says so, a witness for
-    EXISTS and VALUE and none for NOT_EXISTS, then the row's check.  Returns
+    EXISTS and VALUE and none for NOT_EXISTS, the delta0 its parameters put
+    in force, then the row's check.  Returns
     True; raises VerificationError naming the first violated check, or
     ParseError for structurally unusable payloads."""
     command, outcome = cert["command"], cert["outcome"]
@@ -433,6 +426,8 @@ def verify_certificate(cert: Mapping[str, Any]) -> bool:
         raise VerificationError("witness-present", f"{outcome} certificate lacks a witness")
     if outcome == "NOT_EXISTS" and witness is not None:
         raise VerificationError("witness-absent", "NOT_EXISTS certificate has a witness")
+    if cert["delta0"] != _delta0(cert["parameters"]):
+        raise VerificationError("delta0", "delta0 differs from the one its parameters set")
     row.check(cert["parameters"], value, witness, cert["stats"], outcome)
     return True
 

@@ -38,24 +38,14 @@ class VerificationError(RamseyLabError):
 
 
 class BudgetExceededError(RamseyLabError):
-    """A search ran out of branch nodes before reaching a definitive answer.
+    """A search ran out of branch nodes, or a scan reached its cap, before
+    reaching a definitive answer.
 
     ``partial`` holds whatever was established before the cutoff (bounds,
-    best witness found, node counts).
+    best witness found, node counts; ``cap`` when the cap stopped it).
     """
 
     def __init__(self, message: str, **partial):
         super().__init__("BUDGET_EXCEEDED", message)
         self.partial = partial
 
-
-class CapReachedError(RamseyLabError):
-    """An unbounded quantity was still growing when the configured cap hit.
-
-    Distinct from :class:`BudgetExceededError`: the search itself finished at
-    every size up to the cap, so ``partial`` contains a proven lower bound.
-    """
-
-    def __init__(self, message: str, **partial):
-        super().__init__("CAP_REACHED", message)
-        self.partial = partial

@@ -40,18 +40,10 @@ def _is_prime(p: int) -> bool:
 MAX_ACH_D = 81
 
 
-@dataclass(frozen=True)
-class AchLabeling:
-    """Edge labels into A = {0..d-1}; edges sharing a label intersect."""
-
-    d: int
-    m: int
-    labels: tuple[int, ...]
-
-
-def ach_counterexample(d: int) -> tuple[PartiteHypergraph, AchLabeling]:
+def ach_counterexample(d: int) -> tuple[PartiteHypergraph, tuple[int, ...]]:
     """3-partite d-regular simple hypergraph with parts of size m = floor(3d/2)
-    whose maximum matching is at most d.
+    whose maximum matching is at most d, and its edge labels into
+    A = {0..d-1}, where edges sharing a label intersect.
 
     With A the first d indices and B the rest, every i in A and j in B
     contribute the edges (i,i,j), (i,j,i), (j,i,i); odd d adds the diagonals
@@ -76,7 +68,7 @@ def ach_counterexample(d: int) -> tuple[PartiteHypergraph, AchLabeling]:
         labels.extend([i] * (len(edges) - len(labels)))  # the edges just built
     h = make_hypergraph([m, m, m], edges)
     _verify_ach(h, labels, d, m, ach_matching(d))
-    return h, AchLabeling(d, m, tuple(labels))
+    return h, tuple(labels)
 
 
 def ach_matching(d: int) -> list[int]:

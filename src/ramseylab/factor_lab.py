@@ -36,11 +36,11 @@ from .graph_core import (
     Graph,
     NodeBudget,
     _bits,
+    _vertex_count,
     build_graph,
     complete_graph,
     connected_components,
     restrict,
-    union_graphs,
 )
 
 PROPER = "PROPER"
@@ -66,22 +66,6 @@ def classify_factor(g: Graph) -> str:
         else:
             all_triangles = False
     return PROPER if all_triangles else GENERALIZED
-
-
-@dataclass(frozen=True)
-class FactorCover:
-    """A list of factors of K_n with declared mode and properness."""
-
-    n: int
-    factors: tuple[Graph, ...]
-    mode: str = COVER
-    properness: str = GENERALIZED
-
-
-def union_factors(fc: FactorCover | Sequence[Graph]) -> Graph:
-    """Edge union of a cover's factors (or of a plain factor list)."""
-    factors = fc.factors if isinstance(fc, FactorCover) else tuple(fc)
-    return union_graphs(factors)
 
 
 def _verify_cover_payload(n: int, r: int, properness: str, mode: str,
@@ -381,10 +365,10 @@ def _sorted_tail(build: Callable[[], list[int]]) -> Callable[[int, int | None], 
 
 @dataclass(frozen=True)
 class CoverSearchResult:
-    """cover is None iff the exhaustive symmetry-broken search refuted
+    """factors is None iff the exhaustive symmetry-broken search refuted
     existence; nodes counts examined branch points."""
 
-    cover: FactorCover | None
+    factors: tuple[Graph, ...] | None
     nodes: int
     scheme: str
 
@@ -437,10 +421,9 @@ def cover_search(n: int, r: int, properness: str = GENERALIZED,
         masks = _factor_search(n, r, reps, nxt, last, full.bit_count() - 1, [], bud, True)[1]
     if not masks:
         return CoverSearchResult(None, bud.spent, scheme)
-    factors = [_mask_to_graph(m, n) for m in masks]
+    factors = tuple(_mask_to_graph(m, n) for m in masks)
     _verify_cover_payload(n, r, properness, mode, factors, require_cover=True)
-    return CoverSearchResult(FactorCover(n, tuple(factors), mode, properness),
-                             bud.spent, scheme)
+    return CoverSearchResult(factors, bud.spent, scheme)
 
 
 def _last_cover_factor(n: int, missing_mask: int, proper: bool) -> int | None:
@@ -488,7 +471,7 @@ def _last_cover_factor(n: int, missing_mask: int, proper: bool) -> int | None:
 @dataclass(frozen=True)
 class MaxCoverResult:
     value: int
-    cover: FactorCover
+    factors: tuple[Graph, ...]
     nodes: int
 
 
@@ -511,10 +494,9 @@ def max_coverable_edges(n: int, r: int, budget: int | None = None) -> MaxCoverRe
         n, r, _maximal_shape_reps(n, proper=False),
         _sorted_tail(lambda: _enumerate_maximal_factors(n)),
         lambda missing: _max_partial_factor(n, missing), greedy, greedy_masks, bud, False)
-    factors = [_mask_to_graph(m, n) for m in masks]
+    factors = tuple(_mask_to_graph(m, n) for m in masks)
     _verify_cover_payload(n, r, GENERALIZED, COVER, factors, require_cover=False)
-    return MaxCoverResult(value, FactorCover(n, tuple(factors), COVER, GENERALIZED),
-                          bud.spent)
+    return MaxCoverResult(value, factors, bud.spent)
 
 
 def _greedy_cover(n: int, r: int, bud: NodeBudget) -> tuple[int, list[int]]:
@@ -592,7 +574,7 @@ def walecki_decomposition(k: int) -> tuple[Graph, ...]:
     """
     if k < 1:
         raise ValidationError("BAD_K", f"need k >= 1, got {k}")
-    n = 2 * k + 1
+    n = _vertex_count(2 * k + 1)
     hub = 2 * k
     base = []
     for idx in range(2 * k):
@@ -627,7 +609,7 @@ def galaxy_cover(k: int) -> tuple[Graph, ...]:
     """
     if k < 2:
         raise ValidationError("BAD_K", f"need k >= 2, got {k}")
-    n = 2 * k
+    n = _vertex_count(2 * k)
     classes = []
     for i in range(k):
         edges = []
@@ -667,7 +649,7 @@ _K11_FACTORS_1BASED: tuple[tuple[tuple[int, int], ...], ...] = (
 )
 
 
-def k11_cover() -> FactorCover:
+def k11_cover() -> tuple[Graph, ...]:
     """Six generalized factors whose union is exactly K_11.
 
     Four rows are three triangles plus an edge, one is two triangles, a
@@ -675,10 +657,10 @@ def k11_cover() -> FactorCover:
     eleven pairwise-adjacent vertices survive a union of six factors, the
     lower bound matching chi_r_report(6).
     """
-    factors = [build_graph(11, [(u - 1, v - 1) for u, v in fac])
-               for fac in _K11_FACTORS_1BASED]
+    factors = tuple(build_graph(11, [(u - 1, v - 1) for u, v in fac])
+                    for fac in _K11_FACTORS_1BASED)
     _verify_cover_payload(11, 6, GENERALIZED, COVER, factors, require_cover=True)
-    return FactorCover(11, tuple(factors), COVER, GENERALIZED)
+    return factors
 
 
 # -- chi_r reporting ------------------------------------------------------------

@@ -59,9 +59,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def max_degree(self) -> int:
-        return max((a.bit_count() for a in self.adj), default=0)
-
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for u in range(self.n):
@@ -71,9 +68,6 @@ class Graph:
                 out.append((u, u + 1 + low.bit_length() - 1))
                 rest ^= low
         return out
-
-    def neighbors(self, v: int) -> list[int]:
-        return _bits(self.adj[v])
 
 
 def _bits(mask: int) -> list[int]:
@@ -85,6 +79,13 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def _vertex_count(n: int) -> int:
+    """n, if a graph on n vertices fits the bitmasks; else OUT_OF_RANGE."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValidationError("OUT_OF_RANGE", f"vertex count {n} not in 0..{MAX_VERTICES}")
+    return n
+
+
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Validate and build a graph from an edge list.
 
@@ -93,9 +94,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     generators below pass their edges lazily, so a size out of range fails
     before any edge exists.
     """
-    if not 0 <= n <= MAX_VERTICES:
-        raise ValidationError("OUT_OF_RANGE", f"vertex count {n} not in 0..{MAX_VERTICES}")
-    adj = [0] * n
+    adj = [0] * _vertex_count(n)
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValidationError("OUT_OF_RANGE", f"edge ({u}, {v}) off a {n}-vertex graph")
@@ -109,9 +108,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    if not 0 <= n <= MAX_VERTICES:
-        raise ValidationError("OUT_OF_RANGE", f"vertex count {n} not in 0..{MAX_VERTICES}")
-    full = (1 << n) - 1
+    full = (1 << _vertex_count(n)) - 1
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
 
 
@@ -393,11 +390,6 @@ def max_clique(g: Graph, budget: int | None = None) -> tuple[int, tuple[int, ...
         return 0, ()
     size, mask = _max_clique_search(g, NodeBudget(budget))
     return size, tuple(_bits(mask))
-
-
-def contains_clique(g: Graph, s: int, budget: int | None = None) -> bool:
-    """Whether g has a clique on s vertices."""
-    return max_clique(g, budget)[0] >= s
 
 
 # -- cores and coloring extension --------------------------------------------

@@ -50,9 +50,6 @@ class PartiteHypergraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def degree(self, part: int, vertex: int) -> int:
-        return sum(1 for e in self.edges if e[part] == vertex)
-
 
 def make_hypergraph(part_sizes: Sequence[int],
                     edges: Sequence[Sequence[int]]) -> PartiteHypergraph:

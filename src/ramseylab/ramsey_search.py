@@ -25,12 +25,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import (
-    BudgetExceededError,
-    CapReachedError,
-    ValidationError,
-    VerificationError,
-)
+from .errors import BudgetExceededError, ValidationError, VerificationError
 from .graph_core import (
     DEFAULT_NODE_BUDGET,
     MAX_VERTICES,
@@ -738,9 +733,9 @@ def compute_c_k(fam: ForbiddenFamily, k: int, cap: int = 32,
     0 nodes; otherwise each n below N is searched, and the value is N - 1
     unless a smaller n is refuted.  One budget covers the whole scan: each
     size gets what the smaller ones left.  With no N and K_cap colorable,
-    raises CapReachedError carrying the proven lower bound and its coloring;
-    if the budget runs out, BudgetExceededError carries them as well, with
-    the nodes of the whole scan.
+    raises BudgetExceededError carrying the proven lower bound, its coloring
+    and the cap; if the budget runs out, it carries the bound and coloring
+    with the nodes of the whole scan.
     """
     if cap < 1:
         raise ValidationError("OUT_OF_RANGE", f"cap must be >= 1, got {cap}")
@@ -769,8 +764,8 @@ def compute_c_k(fam: ForbiddenFamily, k: int, cap: int = 32,
         prev, prev_nodes = coloring, nodes
     if refuted:
         return CkResult(refuted - 1, prev, prev_nodes, 0, True)
-    raise CapReachedError(f"K_{cap} still admits a coloring; c_{k} >= {cap}",
-                          lower=cap, witness=prev)
+    raise BudgetExceededError(f"K_{cap} still admits a coloring; c_{k} >= {cap}",
+                              lower=cap, cap=cap, witness=prev)
 
 
 # -- closed forms -------------------------------------------------------------

@@ -23,16 +23,15 @@ from ramseylab.factor_lab import (
     k11_cover,
     max_coverable_edges,
     random_factor,
-    union_factors,
     walecki_decomposition,
 )
 from ramseylab.graph_core import (
     build_graph,
     chromatic_number,
-    contains_clique,
     extend_coloring_from_core,
     is_proper_coloring,
     k_core,
+    max_clique,
     union_graphs,
 )
 from ramseylab.hypergraph_lab import (
@@ -87,9 +86,9 @@ def test_acceptance_02_small_family_values():
 
 def test_acceptance_03_three_factor_coverage_limits():
     res63, t1 = _timed(lambda: cover_search(6, 3), 10 * MINUTE)
-    assert res63.cover is None
+    assert res63.factors is None
     res53, t2 = _timed(lambda: cover_search(5, 3), 10 * MINUTE)
-    assert res53.cover is not None
+    assert res53.factors is not None
 
     max63, t3 = _timed(lambda: max_coverable_edges(6, 3), 10 * MINUTE)
     assert max63.value <= 14  # proven upper bound, hard assertion
@@ -97,16 +96,16 @@ def test_acceptance_03_three_factor_coverage_limits():
     max73, t4 = _timed(lambda: max_coverable_edges(7, 3), 10 * MINUTE)
     assert max73.value <= 17  # proven upper bound, hard assertion
     assert max73.value == 16  # exact maximum from exhaustive search
-    assert union_factors(max63.cover).m == 13
-    assert union_factors(max73.cover).m == 16
+    assert union_graphs(max63.factors).m == 13
+    assert union_graphs(max73.factors).m == 16
     print(f"ACCEPTANCE 3: PASS three factors never cover K_6 (yes for K_5); "
           f"max coverage 13 <= 14 and 16 <= 17 ({t1 + t2 + t3 + t4:.1f}s)")
 
 
 def test_acceptance_04_eleven_vertex_union_bounds():
-    fc = k11_cover()
-    assert len(fc.factors) == 6
-    union = union_factors(fc)
+    factors = k11_cover()
+    assert len(factors) == 6
+    union = union_graphs(factors)
     assert union.m == 55 and union.n == 11
     lower = chromatic_number(union).value
     assert lower == 11
@@ -121,8 +120,8 @@ def test_acceptance_05_named_decompositions():
     _, t2 = _timed(lambda: [galaxy_cover(k) for k in range(2, 11)], MINUTE)
     kirkman, t3 = _timed(
         lambda: cover_search(9, 4, properness=PROPER, mode=DECOMPOSITION), MINUTE)
-    assert kirkman.cover is not None
-    assert sum(f.m for f in kirkman.cover.factors) == 36
+    assert kirkman.factors is not None
+    assert sum(f.m for f in kirkman.factors) == 36
     print(f"ACCEPTANCE 5: PASS cycle decompositions k <= 10, galaxy covers "
           f"k <= 10, triple-system decomposition of K_9 ({t1 + t2 + t3:.1f}s)")
 
@@ -137,7 +136,7 @@ def test_acceptance_06_factor_hypergraph_correspondence():
             factors = [random_factor(n, PROPER, seed=rng.randint(0, 10**9))
                        for _ in range(r)]
             h = factors_to_hypergraph(factors)
-            union = union_factors(factors)
+            union = union_graphs(factors)
             assert line_graph(h) == union
             assert hypergraph_to_factors(h) == factors
 
@@ -148,12 +147,12 @@ def test_acceptance_06_factor_hypergraph_correspondence():
 
 def test_acceptance_07_matching_bound_refutation():
     def suite():
-        h4, lab4 = ach_counterexample(4)
+        h4, _ = ach_counterexample(4)
         assert max_matching(h4).size == 4
-        assert ach_bound(4, lab4.m) == 5
-        h5, lab5 = ach_counterexample(5)
+        assert ach_bound(4, h4.part_sizes[0]) == 5
+        h5, _ = ach_counterexample(5)
         assert max_matching(h5).size == 5
-        assert ach_bound(5, lab5.m) == 6
+        assert ach_bound(5, h5.part_sizes[0]) == 6
         for t in (2, 3):
             copies = disjoint_copies(h4, t)
             ratio = Fraction(max_matching(copies).size, copies.part_sizes[0])
@@ -211,7 +210,7 @@ def test_acceptance_09_property_suites():
                 g = build_graph(order,
                                 [e for i, e in enumerate(pairs) if mask >> i & 1])
                 if chromatic_number(g).value == order - 1:
-                    assert contains_clique(g, order - 1)
+                    assert max_clique(g)[0] >= order - 1
 
     def core_extensions_stay_proper():
         done = 0

@@ -18,7 +18,7 @@ from ramseylab.certificates import (
 )
 from ramseylab.errors import ParseError, ValidationError, VerificationError
 from ramseylab.graph_core import complete_graph, cycle_graph, graph_to_text
-from ramseylab.factor_lab import DEFAULT_DELTA0
+from ramseylab.factor_lab import COVER_SCHEME, DEFAULT_DELTA0
 
 
 def _chi_cert(value=3, colors=(0, 1, 2, 0, 1)):
@@ -117,9 +117,9 @@ def test_verify_clique_tamper():
 def test_verify_cover_refutation_needs_scheme_and_nodes():
     params = {"n": 6, "r": 3, "properness": "GENERALIZED", "mode": "COVER"}
     good = make_certificate("cover", params, "NOT_EXISTS",
-                            stats={"scheme": "s", "nodes": 53})
+                            stats={"scheme": COVER_SCHEME, "nodes": 53})
     assert verify_certificate(good)
-    for stats in ({"nodes": 53}, {"scheme": "s"}, {}):
+    for stats in ({"nodes": 53}, {"scheme": COVER_SCHEME}, {}):
         cert = make_certificate("cover", params, "NOT_EXISTS", stats=stats)
         with pytest.raises(VerificationError):
             verify_certificate(cert)

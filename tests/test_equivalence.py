@@ -49,7 +49,7 @@ def test_cover_search_keeps_outcomes_and_witnesses():
         except BudgetExceededError as exc:
             assert (outcome, exc.partial["nodes"]) == ("UNKNOWN", nodes), case
             continue
-        found = None if res.cover is None else [_edge_mask(g) for g in res.cover.factors]
+        found = None if res.factors is None else [_edge_mask(g) for g in res.factors]
         assert outcome == ("NOT_EXISTS" if found is None else "EXISTS"), case
         assert found == masks and res.nodes <= nodes, case
 
@@ -57,7 +57,7 @@ def test_cover_search_keeps_outcomes_and_witnesses():
 def test_max_cover_keeps_its_nodes():
     for n, r, value, nodes, masks in _table("max_cover.json"):
         res = max_coverable_edges(n, r)
-        found = [_edge_mask(g) for g in res.cover.factors]
+        found = [_edge_mask(g) for g in res.factors]
         assert (res.value, res.nodes, found) == (value, nodes, masks), (n, r)
 
 

@@ -34,11 +34,11 @@ from ramseylab.hypergraph_lab import (
 
 
 def test_ach_structure():
-    h, labeling = ach_counterexample(4)
+    h, labels = ach_counterexample(4)
     assert h.part_sizes == (6, 6, 6)
     assert h.m == 24 and regularity(h) == 4  # 4*2 off-diagonal triples
-    assert len(labeling.labels) == 24
-    h5, lab5 = ach_counterexample(5)
+    assert len(labels) == 24
+    h5, _ = ach_counterexample(5)
     assert h5.part_sizes == (7, 7, 7)
     # odd d adds the five diagonal edges
     assert h5.m == 5 * 2 * 3 + 5 and regularity(h5) == 5
@@ -47,33 +47,33 @@ def test_ach_structure():
 
 def test_ach_refutes_the_matching_bound():
     for d in (4, 5, 6, 7):
-        h, labeling = ach_counterexample(d)
+        h, _ = ach_counterexample(d)
         res = max_matching(h)
         assert res.size == d  # the label classes cap it, and d is attained
-        assert res.size < ach_bound(d, labeling.m)
+        assert res.size < ach_bound(d, h.part_sizes[0])
 
 
 def test_ach_matching_takes_one_edge_per_label():
     for d in range(4, 41):
-        h, labeling = ach_counterexample(d)
+        h, labels = ach_counterexample(d)
         picked = ach_matching(d)
         assert is_matching(h, picked)
-        assert sorted(labeling.labels[j] for j in picked) == list(range(d))
+        assert sorted(labels[j] for j in picked) == list(range(d))
 
 
 def test_ach_label_is_the_diagonal_each_edge_meets_twice():
     # label i is the unique i in A that at least two coordinates equal
     for d in range(4, 31):
-        h, labeling = ach_counterexample(d)
-        for e, label in zip(h.edges, labeling.labels):
+        h, labels = ach_counterexample(d)
+        for e, label in zip(h.edges, labels):
             assert {x for x in e if x < d and e.count(x) >= 2} == {label}, (d, e)
 
 
 def test_ach_odd_d_covered_fraction():
     # a maximum matching covers 3d of the 3 * (3d-1)/2 vertices for odd d
     for d in (5, 7):
-        h, labeling = ach_counterexample(d)
-        covered = Fraction(3 * max_matching(h).size, 3 * labeling.m)
+        h, _ = ach_counterexample(d)
+        covered = Fraction(3 * max_matching(h).size, 3 * h.part_sizes[0])
         assert covered == Fraction(2 * d, 3 * d - 1)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,6 @@ from ramseylab.factor_lab import (
     COVER_SCHEME,
     DECOMP_SCHEME,
     DECOMPOSITION,
-    FactorCover,
     GENERALIZED,
     NOT_A_FACTOR,
     PROPER,
@@ -30,7 +30,6 @@ from ramseylab.factor_lab import (
     k11_cover,
     max_coverable_edges,
     random_factor,
-    union_factors,
     walecki_decomposition,
 )
 from ramseylab.graph_core import (
@@ -88,12 +87,10 @@ def test_verify_cover_payload_validation():
         cover_search(6, 1, mode="NEITHER")
 
 
-def test_union_factors():
+def test_union_of_factors_counts_a_shared_edge_once():
     tri = _triangle_blocks(6, (0, 1, 2), (3, 4, 5))
     other = _triangle_blocks(6, (0, 3, 4))
-    u = union_factors([tri, other])
-    assert u.m == 8  # edge (3, 4) sits in both factors
-    assert union_factors(FactorCover(6, (tri, other))) == u
+    assert union_graphs([tri, other]).m == 8  # edge (3, 4) sits in both factors
 
 
 # -- factor enumeration --------------------------------------------------------------
@@ -163,35 +160,34 @@ def test_proper_factor_iterator_yields_only_triangle_partitions():
 
 def test_cover_search_small_positive():
     res = cover_search(5, 3)
-    assert res.cover is not None and res.scheme == COVER_SCHEME
-    assert union_factors(res.cover).m == 10
+    assert res.factors is not None and res.scheme == COVER_SCHEME
+    assert union_graphs(res.factors).m == 10
 
 
 def test_cover_search_refutes_six_three():
     res = cover_search(6, 3)
-    assert res.cover is None
+    assert res.factors is None
     assert res.nodes > 0 and res.scheme == COVER_SCHEME
 
 
 def test_cover_search_six_four():
     res = cover_search(6, 4)
-    assert res.cover is not None
-    assert union_factors(res.cover).m == 15
+    assert res.factors is not None
+    assert union_graphs(res.factors).m == 15
 
 
 def test_proper_decomposition_of_k9():
     # the classic resolvable triple system on nine points
     res = cover_search(9, 4, properness=PROPER, mode=DECOMPOSITION)
-    assert res.cover is not None and res.scheme == DECOMP_SCHEME
-    assert res.cover.mode == DECOMPOSITION
-    total = sum(f.m for f in res.cover.factors)
-    assert total == 36 and union_factors(res.cover).m == 36
+    assert res.factors is not None and res.scheme == DECOMP_SCHEME
+    total = sum(f.m for f in res.factors)
+    assert total == 36 and union_graphs(res.factors).m == 36
 
 
 def test_proper_decomposition_tries_only_proper_factors():
     # five proper factors of K_9 carry 45 edges, K_9 has 36: no decomposition
     res = cover_search(9, 5, properness=PROPER, mode=DECOMPOSITION)
-    assert res.cover is None and res.scheme == DECOMP_SCHEME
+    assert res.factors is None and res.scheme == DECOMP_SCHEME
     assert res.nodes == 86
 
 
@@ -199,7 +195,7 @@ def test_decomposition_requires_exact_divisibility():
     # K_6 has 15 edges, factors carry at most 6: three generalized factors
     # can cover at most 18 but cannot partition 15 into factor shapes of K_6
     res = cover_search(6, 3, mode=DECOMPOSITION)
-    assert res.cover is None
+    assert res.factors is None
 
 
 def test_cover_search_validation():
@@ -243,7 +239,7 @@ PINNED_SEARCHES = {
 def test_cover_search_pinned_nodes_and_witnesses():
     for case, (nodes, masks) in PINNED_SEARCHES.items():
         res = cover_search(*case)
-        found = None if res.cover is None else [_edge_mask(g) for g in res.cover.factors]
+        found = None if res.factors is None else [_edge_mask(g) for g in res.factors]
         assert (res.nodes, found) == (nodes, masks), case
 
 
@@ -261,10 +257,10 @@ def test_degree_bound_refutes_at_the_root():
     # a vertex of K_n has n - 1 edges and r factors take at most 2r of them
     for case in ((12, 3, PROPER), (10, 4), (7, 2, GENERALIZED, DECOMPOSITION)):
         res = cover_search(*case)
-        assert (res.cover, res.nodes) == (None, 1), case
+        assert (res.factors, res.nodes) == (None, 1), case
     # K_10 has degree 9 <= 10, so five factors are refuted a level lower
     res = cover_search(10, 5, mode=DECOMPOSITION)
-    assert (res.cover, res.nodes) == (None, 28)
+    assert (res.factors, res.nodes) == (None, 28)
 
 
 def test_factor_pools_are_built_on_first_use(monkeypatch):
@@ -274,7 +270,7 @@ def test_factor_pools_are_built_on_first_use(monkeypatch):
     monkeypatch.setattr(factor_lab, "_enumerate_maximal_factors", boom)
     monkeypatch.setattr(factor_lab, "_iter_factor_masks_within", boom)
     res = cover_search(13, 3)
-    assert (res.cover, res.nodes) == (None, 1)
+    assert (res.factors, res.nodes) == (None, 1)
     for search, args in ((cover_search, (10, 5)), (cover_search, (9, 4, PROPER)),
                          (cover_search, (10, 5, GENERALIZED, DECOMPOSITION)),
                          (cover_search, (9, 4, PROPER, DECOMPOSITION)),
@@ -291,7 +287,7 @@ def test_covers_by_factors_are_f6_free_colorings():
     fam = FAMILY_PRESETS["F6"]
     for n in range(1, 10):
         for k in range(1, 5):
-            covered = cover_search(n, k).cover is not None
+            covered = cover_search(n, k).factors is not None
             assert covered == (mono_free_search(n, k, fam)[0] is not None), (n, k)
 
 
@@ -303,14 +299,14 @@ def test_c5_of_f6_is_nine():
     assert coloring is not None and nodes == 8747
     assert verify_mono_free(coloring, fam).ok
     res = cover_search(10, 5)
-    assert (res.cover, res.nodes) == (None, 4)
+    assert (res.factors, res.nodes) == (None, 4)
 
 
 def test_factor_search_runs_deeper_than_the_python_stack():
     # one node per level: every level's first factor, then a last factor
     # taking what is left
     res = cover_search(5, 3000)
-    assert res.cover is not None and res.nodes == 3000
+    assert res.factors is not None and res.nodes == 3000
     assert max_coverable_edges(4, 3000).value == 6
 
 
@@ -343,7 +339,7 @@ def test_max_cover_stops_at_full_coverage():
     assert (res.value, res.nodes) == (28, 4)
     res = max_coverable_edges(7, 5)
     assert (res.value, res.nodes) == (21, 5)
-    assert union_factors(res.cover) == complete_graph(7)
+    assert union_graphs(res.factors) == complete_graph(7)
 
 
 def test_max_cover_stops_at_the_edge_bound():
@@ -357,8 +353,8 @@ def test_max_cover_stops_at_the_edge_bound():
 def test_max_coverable_witness_consistency():
     for n, r in ((5, 2), (6, 3), (7, 3)):
         res = max_coverable_edges(n, r)
-        assert len(res.cover.factors) == r
-        assert union_factors(res.cover).m == res.value
+        assert len(res.factors) == r
+        assert union_graphs(res.factors).m == res.value
 
 
 def test_max_coverable_validation():
@@ -394,6 +390,21 @@ def test_galaxy_covers():
     assert exc.value.code == "BAD_K"
 
 
+@pytest.mark.parametrize("build, n", [(walecki_decomposition, 2 * 10 ** 6 + 1),
+                                      (galaxy_cover, 2 * 10 ** 6)])
+def test_construction_past_the_vertex_cap_builds_nothing(build, n):
+    # the vertex count is checked before any edge list grows with k
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError) as exc:
+            build(10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert (exc.value.code, str(exc.value)) == ("OUT_OF_RANGE", f"vertex count {n} not in 0..64")
+
+
 def test_galaxy_classes_avoid_triangle_and_p4():
     # galaxies witness c_k(triangle, 4-path) >= 2k - 2 after dropping colors
     classes = galaxy_cover(5)
@@ -405,9 +416,9 @@ def test_galaxy_classes_avoid_triangle_and_p4():
 
 
 def test_k11_cover():
-    fc = k11_cover()
-    assert fc.n == 11 and len(fc.factors) == 6
-    union = union_factors(fc)
+    factors = k11_cover()
+    assert len(factors) == 6 and all(f.n == 11 for f in factors)
+    union = union_graphs(factors)
     assert union.m == 55
     assert chromatic_number(union).value == 11
 

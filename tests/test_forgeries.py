@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from ramseylab.cli import COMMANDS, run
+from ramseylab.factor_lab import COVER_SCHEME, DECOMP_SCHEME
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -250,6 +251,32 @@ def test_ramsey_witness_source_must_be_a_construction(tmp_path, capsys, edit):
     assert cert["stats"]["witness"] == "walecki"
     cert["stats"].update(edit)
     assert "check witness-source:" in _rejected(tmp_path, capsys, cert)
+
+
+@pytest.mark.parametrize("argv", [
+    ["chi-r", "--r", "4"],
+    ["chi", "--complete", "5"],
+    ["closed-form", "--family", "F6", "--colors", "5", "--delta0", "5"],
+], ids=["chi-r", "chi", "closed-form"])
+def test_delta0_must_be_the_one_in_force(tmp_path, capsys, argv):
+    # the parameters set delta0 (or leave the default); the top-level copy must agree
+    assert run(argv + ["--deterministic"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert _verify(tmp_path, capsys, cert)[:2] == (0, "true\n")
+    cert["delta0"] = 1
+    assert "check delta0:" in _rejected(tmp_path, capsys, cert)
+
+
+@pytest.mark.parametrize("name, scheme", [
+    ("cover-refuted", "anything"),
+    ("cover-refuted", DECOMP_SCHEME),
+    ("cover-decomposition-refuted", COVER_SCHEME),
+], ids=["anything", "decomposition-scheme", "cover-scheme"])
+def test_cover_refutation_must_name_its_modes_scheme(tmp_path, capsys, name, scheme):
+    # a refutation is vouched for by the search it ran, so it must name that search
+    cert = _golden(name)
+    cert["stats"]["scheme"] = scheme
+    assert "check scheme-recorded:" in _rejected(tmp_path, capsys, cert)
 
 
 def test_non_maximal_clique_is_rejected(tmp_path, capsys):

@@ -8,8 +8,8 @@ import pytest
 
 from ramseylab.errors import BudgetExceededError, ParseError, ValidationError
 from ramseylab.extremal import truncated_plane
-from ramseylab.factor_lab import PROPER, random_factor, union_factors
-from ramseylab.graph_core import build_graph, chromatic_number
+from ramseylab.factor_lab import PROPER, random_factor
+from ramseylab.graph_core import build_graph, chromatic_number, union_graphs
 from ramseylab.hypergraph_lab import (
     MAX_MATCHING_EDGES,
     PartiteHypergraph,
@@ -66,7 +66,7 @@ def test_make_hypergraph_validation():
     with pytest.raises(ValidationError):
         make_hypergraph([2, 2], [(0, 2)])
     h = make_hypergraph([2, 2], [(0, 1), (0, 1)])
-    assert h.m == 2 and h.degree(0, 0) == 2 and h.degree(1, 1) == 2
+    assert h.m == 2 and h.edges == ((0, 1), (0, 1))
 
 
 def test_regularity():
@@ -98,8 +98,7 @@ def test_bijection_line_graph_identity():
         factors = [random_factor(n, PROPER, seed=rng.randint(0, 10**9))
                    for _ in range(rng.randint(1, 3))]
         h = factors_to_hypergraph(factors)
-        union = union_factors(factors)
-        assert line_graph(h) == union
+        assert line_graph(h) == union_graphs(factors)
 
 
 def test_bijection_canonical_form_is_idempotent():
@@ -151,12 +150,12 @@ def test_chromatic_index_specials():
         assert chromatic_number(line_graph(h)).value == index
 
 
-def test_chromatic_index_bipartite_is_max_degree():
+def test_chromatic_index_bipartite_is_largest_degree():
     # edge coloring of a bipartite multigraph needs exactly its max degree
     rng = random.Random(107)
     for _ in range(40):
         h = _random_hypergraph(rng, r=2, max_edges=10)
-        max_deg = max(h.degree(i, x)
+        max_deg = max(sum(e[i] == x for e in h.edges)
                       for i in range(2) for x in range(h.part_sizes[i]))
         assert chromatic_number(line_graph(h)).value == max_deg
 

@@ -14,11 +14,7 @@ from hypothesis import strategies as st
 
 from ramseylab import ramsey_search
 from ramseylab.cli import run
-from ramseylab.errors import (
-    BudgetExceededError,
-    CapReachedError,
-    ValidationError,
-)
+from ramseylab.errors import BudgetExceededError, ValidationError
 from ramseylab.factor_lab import DEFAULT_DELTA0
 from ramseylab.graph_core import Graph, build_graph, complete_graph, star_graph
 from ramseylab.ramsey_search import (
@@ -61,7 +57,7 @@ def test_pattern_realizations():
     assert P4.realize().n == 4 and P4.realize().m == 3
     assert S3.realize().n == 4 and S3.realize().degree(0) == 3
     assert star_pattern(5).realize().m == 5
-    assert matching_pattern(3).realize().max_degree() == 1
+    assert set(map(matching_pattern(3).realize().degree, range(6))) == {1}
     assert path_pattern(4).realize().n == 5
 
 
@@ -321,19 +317,19 @@ def test_search_memory_does_not_grow_with_the_palette():
         coloring, nodes = mono_free_search(5, 10 ** 6, fam)
         # counting refutes no K_n up to the cap for 10^6 colors, so no
         # construction on 2 * 10^6 + 1 vertices is started
-        with pytest.raises(CapReachedError) as cap_exc:
+        with pytest.raises(BudgetExceededError) as cap_exc:
             compute_c_k(FAMILY_PRESETS["F3"], 10 ** 6, cap=10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert cap_exc.value.partial["lower"] == 10
+    assert cap_exc.value.partial["lower"] == cap_exc.value.partial["cap"] == 10
     # 10 edges never open more than 10 colors, so any larger palette searches alike
     small, small_nodes = mono_free_search(5, 10, fam)
     assert (coloring.assignment, nodes) == (small.assignment, small_nodes)
-    with pytest.raises(CapReachedError) as exc:
+    with pytest.raises(BudgetExceededError) as exc:
         compute_c_k(fam, 10 ** 6, cap=4)
-    assert exc.value.partial["lower"] == 4
+    assert exc.value.partial["lower"] == exc.value.partial["cap"] == 4
 
 
 # -- the search ---------------------------------------------------------------------
@@ -531,9 +527,9 @@ def test_compute_c_k_classic_values():
 
 
 def test_compute_c_k_cap(tmp_path, capsys):
-    with pytest.raises(CapReachedError) as exc:
+    with pytest.raises(BudgetExceededError) as exc:
         compute_c_k(FAMILY_PRESETS["F3"], 2, cap=4)  # true value is 5
-    assert exc.value.partial["lower"] == 4
+    assert "cap" in exc.value.partial and exc.value.partial["lower"] == 4
     assert exc.value.partial["witness"].base.n == 4
     # counting refutes K_6, one past cap 5, so the built K_5 settles the value
     assert compute_c_k(FAMILY_PRESETS["F3"], 2, cap=5).value == 5
@@ -570,7 +566,7 @@ def test_built_witness_agrees_with_the_search():
         for k in range(1, 8):
             try:
                 res = compute_c_k(fam, k, cap=15, budget=0)
-            except (BudgetExceededError, CapReachedError):
+            except BudgetExceededError:
                 continue
             if res.built is None:
                 continue
