@@ -271,7 +271,7 @@ def _vf_ramsey(params, value, witness, stats, outcome):
     if "refutation" in stats and (stats["refutation"] != "counting"
                                   or not counting_refutes(fam, k, n + 1)):
         raise VerificationError("counting-refutation",
-                                f"counting edges does not refute K_{n + 1} with {k} colors")
+                                f"counting does not refute K_{n + 1} with {k} colors")
 
 
 def _vf_closed_form(params, value, witness, stats, outcome):

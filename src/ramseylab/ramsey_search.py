@@ -8,8 +8,9 @@ color may appear only after all smaller ones) and with vertex 0's row
 sorted, so exhaustion at a given n is a certified nonexistence and the
 first witness found is deterministic.  The row opens each new color as soon
 as it may, so balanced rows, which tight cases need, are tried first.
-Before searching K_n, compute_c_k tries to refute it by counting edges: k
-classes free of the family hold at most k * ex(n, F) edges.  Where counting
+Before searching K_n, compute_c_k tries to refute it by counting edges (k
+classes free of the family hold at most k * ex(n, F) edges) and, when every
+class is a star forest, subset signatures (counting_refutes).  Where counting
 refutes K_N and K_{N-1} is the size of a known construction (Walecki's
 Hamilton cycles, or the galaxy star forests), an admissible construction
 settles c_k = N - 1 with no search at all.
@@ -656,7 +657,11 @@ def ex_bound(fam: ForbiddenFamily, n: int) -> int:
     matching (both Erdos-Gallai 1959).  Explicit patterns add no bound, so
     the result is at most C(n, 2).
     """
-    sizes, _ = _reduced(fam)
+    return _ex_bound(_reduced(fam)[0], n)
+
+
+def _ex_bound(sizes: dict[str, int], n: int) -> int:
+    """ex_bound from the kinds and sizes that _reduced finds."""
     bounds = [n * (n - 1) // 2]
     if "triangle" in sizes:
         bounds.append(n * n // 4)
@@ -679,10 +684,33 @@ def ex_bound(fam: ForbiddenFamily, n: int) -> int:
     return min(bounds)
 
 
+def _least_subset_total(k: int, n: int) -> float:
+    """The least total size of n distinct subsets of a k-set: C(k, s) subsets
+    of each size s = 0, 1, 2, ... in turn; infinite when n > 2^k."""
+    total = s = 0
+    while n > 0 and s <= k:
+        take = min(n, math.comb(k, s))
+        total, n, s = total + s * take, n - take, s + 1
+    return math.inf if n > 0 else total
+
+
 def counting_refutes(fam: ForbiddenFamily, k: int, n: int) -> bool:
-    """Whether k classes of at most ex_bound(fam, n) edges each are too few
-    for the C(n, 2) edges of K_n, so that K_n has no admissible coloring."""
-    return k * ex_bound(fam, n) < n * (n - 1) // 2
+    """Whether counting shows that K_n has no admissible k-coloring.
+
+    Edges: k classes of at most ex_bound(fam, n) edges each are too few for
+    the C(n, 2) edges.  Signatures: when every free graph is a star forest
+    (_reduced has the triangle and the 3-edge path, or a star of at most 2
+    edges), orient each star away from its center and give each vertex the
+    set of classes where its in-degree is 0.  A class with e edges is in
+    n - e of the sets, so the n sets total kn - C(n, 2); and an edge uv
+    oriented u -> v puts its class in u's set but not in v's, so the sets
+    are distinct and total at least _least_subset_total(k, n).
+    """
+    sizes, _ = _reduced(fam)
+    edges = n * (n - 1) // 2
+    star_forests = ("triangle" in sizes and sizes.get("path") == 3) or sizes.get("star", 3) <= 2
+    return (k * _ex_bound(sizes, n) < edges
+            or star_forests and _least_subset_total(k, n) > k * n - edges)
 
 
 @dataclass(frozen=True)

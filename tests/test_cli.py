@@ -445,8 +445,8 @@ def test_each_command_takes_only_the_options_it_reads(capsys):
 
 
 @pytest.mark.parametrize("argv, parameters, proven", [
-    (["ramsey", "--family", "F4", "--colors", "5", "--budget", "1000"],
-     {"family": "F4", "colors": 5, "cap": 32}, {"lower": 7, "nodes": 1000}),
+    (["ramsey", "--family", "K3,PATH:4", "--colors", "4", "--budget", "1000"],
+     {"family": "K3,PATH:4", "colors": 4, "cap": 32}, {"lower": 7, "nodes": 1000}),
     (["ramsey", "--family", "F2", "--colors", "5", "--budget", "200000"],
      {"family": "F2", "colors": 5, "cap": 32}, {"lower": 9, "nodes": 200000}),
     (["chi", "--complete", "13", "--budget", "5"], {"complete": 13},

@@ -9,6 +9,7 @@ claim accepted.
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 from pathlib import Path
 
@@ -224,8 +225,8 @@ def test_max_cover_cut_before_its_greedy_cover_claims_no_lower(tmp_path, capsys)
 
 
 def test_ramsey_lower_above_its_witness_is_rejected(tmp_path, capsys):
-    # the budget cut proves c_5(F4) >= 7 with K_7's coloring, not >= 1000
-    assert run(["ramsey", "--family", "F4", "--colors", "5", "--budget", "1000",
+    # the budget cut proves c_4(K3,PATH:4) >= 7 with K_7's coloring, not >= 1000
+    assert run(["ramsey", "--family", "K3,PATH:4", "--colors", "4", "--budget", "1000",
                 "--deterministic"]) == 2
     cert = json.loads(capsys.readouterr().out)
     assert (cert["stats"]["lower"], cert["witness"]["n"]) == (7, 7)
@@ -251,6 +252,26 @@ def test_ramsey_witness_source_must_be_a_construction(tmp_path, capsys, edit):
     assert cert["stats"]["witness"] == "walecki"
     cert["stats"].update(edit)
     assert "check witness-source:" in _rejected(tmp_path, capsys, cert)
+
+
+@pytest.mark.parametrize("edit", ["colors", "value"])
+def test_counted_ramsey_value_needs_value_plus_one_refuted(tmp_path, capsys, edit):
+    # counting subset signatures refutes K_7 with 4 colors, but neither count
+    # refutes K_7 with 5 colors, nor K_6 with 4, which the galaxy colors
+    assert run(["ramsey", "--family", "F4", "--colors", "4", "--deterministic"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    stats = cert["stats"]
+    assert (cert["value"], stats["refutation"], stats["witness"]) == (6, "counting", "galaxy")
+    assert _verify(tmp_path, capsys, cert)[:2] == (0, "true\n")
+    if edit == "colors":
+        cert["parameters"]["colors"] = 5
+    else:
+        witness = cert["witness"]
+        kept = [c for (u, v), c in zip(itertools.combinations(range(6), 2),
+                                       witness["assignment"]) if v < 5]
+        cert["value"], witness["n"], witness["assignment"] = 5, 5, kept
+        del stats["witness"]
+    assert "check counting-refutation:" in _rejected(tmp_path, capsys, cert)
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import itertools
 import json
+import math
 import random
 import tracemalloc
 
@@ -27,6 +28,7 @@ from ramseylab.ramsey_search import (
     ForbiddenFamily,
     _color_edges,
     _family_checks,
+    _least_subset_total,
     _reduced,
     closed_form_c_k,
     compute_c_k,
@@ -436,15 +438,17 @@ _PINNED = [
     ("PATH:3", 3, 5, 20, 363, "0012012120"),
     ("F2", 3, 5, 20, 363, "0012012120"),
     ("K3,PATH:4", 3, 6, 149, 6917, "001121220220011"),
+    ("F4", 4, 6, 0, 27214, "003121132223001"),
 ]
 
 # the cases of _PINNED whose K_{c_k + 1} compute_c_k refutes by counting
-_COUNTED = {("F3", 5), ("MATCH:3", 2)}
+_COUNTED = {("F3", 5), ("MATCH:3", 2), ("F4", 4)}
 
 # the cases of _PINNED whose K_{c_k} witness compute_c_k builds, with the nodes
 # and witness of the search that no longer runs
 _BUILT = {("F3", 5): ("walecki", 39025,
-                      "0011223344011223344221144333340402434020401031030212211")}
+                      "0011223344011223344221144333340402434020401031030212211"),
+          ("F4", 4): ("galaxy", 105, "001231213332010")}
 
 
 @pytest.mark.parametrize("spec, k, value, witness_nodes, refutation_nodes, assignment",
@@ -473,7 +477,8 @@ def test_search_node_counts_and_witnesses_are_pinned(spec, k, value, witness_nod
 
 
 @pytest.mark.parametrize("spec, k, value, witness_nodes, refutation_nodes, counted", [
-    ("F4", 4, 6, 105, 27214, False),
+    # galaxy star forests color K_6, and counting subset signatures refutes K_7
+    ("F4", 4, 6, 0, 0, True),
     ("K3,PATH:4", 3, 6, 149, 6917, False),
     # the K_9 witness's row is 0,0,1,1,2,2,3,3, which the row reaches first
     # by opening each color as soon as it may; it is searched, since
@@ -572,13 +577,18 @@ def test_built_witness_agrees_with_the_search():
                 continue
             assert (res.witness_nodes, res.refutation_nodes, res.counted) == (0, 0, True)
             assert verify_mono_free(res.witness, fam).ok
+            settled.append((spec, k, res.built))
+            if spec == "F4" and k >= 5:
+                # refuting K_9 at k = 5 takes the search more than 60M nodes
+                assert res.value == closed_form_c_k(fam, k).value == 2 * k - 2
+                continue
             n = 2
             while mono_free_search(n, k, fam)[0] is not None:
                 n += 1
             assert res.value == n - 1, (spec, k)
-            settled.append((spec, k, res.built))
-    assert len(settled) == 28
+    assert len(settled) == 32
     assert {(spec, k) for spec, k, built in settled if built == "galaxy"} == {
+        ("F4", 4), ("F4", 5), ("F4", 6), ("F4", 7),
         ("F7", 3), ("F7", 4), ("STAR:1", 3), ("PATH:2", 3)}
 
 
@@ -692,6 +702,63 @@ def test_counting_refutes():
     # K_1 has no edges to count, even when every edge is forbidden
     assert not counting_refutes(parse_family("STAR:0"), 3, 1)
     assert counting_refutes(parse_family("STAR:0"), 3, 2)
+    # 4 star forests on 7 vertices hold 24 >= 21 edges, but 7 distinct
+    # signatures from 4 classes total at least 0 + 4 * 1 + 2 * 2 = 8 > 28 - 21
+    fam = FAMILY_PRESETS["F4"]
+    assert 4 * ex_bound(fam, 7) >= 21 and _least_subset_total(4, 7) == 8
+    assert counting_refutes(fam, 4, 7)
+    assert not counting_refutes(fam, 4, 6)
+
+
+def _least_totals_by_brute_force(k: int) -> list[float]:
+    """For n = 0 .. 2^k + 1, the least total size over every choice of n
+    distinct subsets of a k-set (infinite when there is no choice)."""
+    sizes = [m.bit_count() for m in range(1 << k)]
+    if k <= 4:
+        return [min((sum(c) for c in itertools.combinations(sizes, n)), default=math.inf)
+                for n in range(len(sizes) + 2)]
+    # C(32, 16) choices are too many at k = 5; a choice's total depends only
+    # on how many subsets of each size it takes, so try every such count
+    best = [math.inf] * (len(sizes) + 2)
+    for counts in itertools.product(*(range(math.comb(k, s) + 1) for s in range(k + 1))):
+        n = sum(counts)
+        best[n] = min(best[n], sum(s * c for s, c in enumerate(counts)))
+    return best
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_least_subset_total_against_brute_force(k):
+    assert [_least_subset_total(k, n) for n in range(2 ** k + 2)] == (
+        _least_totals_by_brute_force(k))
+
+
+@pytest.mark.parametrize("spec", ["F4", "F7", "K3,P4,STAR:1", "K3,P4,STAR:3", "STAR:1",
+                                  "PATH:2", "K3,EXPLICIT[0-1;1-2;2-3|4]"])
+def test_signature_count_refutes_no_colorable_size(spec):
+    # every class of these families is a star forest; the search colors each
+    # K_n below the first one it refutes, and counting must refute none of them
+    fam = parse_family(spec)
+    for k in range(1, 5):
+        n = 1
+        while mono_free_search(n, k, fam)[0] is not None:
+            assert not counting_refutes(fam, k, n), (k, n)
+            n += 1
+
+
+@pytest.mark.parametrize("spec", ["F1", "F2", "F3", "F5", "F6", "K3,PATH:4", "MATCH:2"])
+def test_counting_refutes_other_families_by_edges_alone(spec):
+    # a family with a free graph that is not a star forest gets no signature count
+    fam = parse_family(spec)
+    for k in range(1, 7):
+        for n in range(1, 21):
+            assert counting_refutes(fam, k, n) == (k * ex_bound(fam, n) < n * (n - 1) // 2)
+
+
+@pytest.mark.parametrize("k", range(4, 11))
+def test_f4_is_settled_by_the_galaxy_and_the_signature_count(k):
+    res = compute_c_k(FAMILY_PRESETS["F4"], k)
+    assert (res.value, res.built, res.witness_nodes, res.refutation_nodes, res.counted) == (
+        2 * k - 2, "galaxy", 0, 0, True)
 
 
 # -- closed forms ------------------------------------------------------------------
