@@ -41,6 +41,7 @@ from .factor_lab import (
     DECOMPOSITION,
     DEFAULT_DELTA0,
     GENERALIZED,
+    MAX_COVER_N,
     PROPER,
     _edge_bound,
     _greedy_cover,
@@ -272,6 +273,11 @@ def _vf_ramsey(params, value, witness, stats, outcome):
                                   or not counting_refutes(fam, k, n + 1)):
         raise VerificationError("counting-refutation",
                                 f"counting does not refute K_{n + 1} with {k} colors")
+    # an exact closed form is the value itself, and bounds every lower bound
+    form = closed_form_c_k(fam, k)
+    if (form is not None and not (form.asymptotic or form.conditional)
+            and (n > form.value if outcome == "UNKNOWN" else value != form.value)):
+        raise VerificationError("closed-form", f"c_{k} is {form.value} by its closed form")
 
 
 def _vf_closed_form(params, value, witness, stats, outcome):
@@ -300,11 +306,18 @@ def _vf_cover(params, value, witness, stats, outcome):
         factors = _graphs_payload(witness, "factors")
         _verify_cover_payload(n, r, properness, mode, factors, require_cover=True)
     elif outcome == "NOT_EXISTS":
+        if not (1 <= n <= MAX_COVER_N and r >= 1):
+            raise VerificationError("cover-range", f"cover search runs on 1 <= n <= "
+                                    f"{MAX_COVER_N} and r >= 1, got {n}, {r}")
         if stats.get("scheme") != (COVER_SCHEME if mode == COVER else DECOMP_SCHEME):
             raise VerificationError("scheme-recorded",
                                     f"refutation does not name the {mode} symmetry scheme")
         if "nodes" not in stats:
             raise VerificationError("exhaustion-stats", "refutation lacks node statistics")
+        # c_r(F6) is chi_r: an F6-free class lies in a generalized factor, so
+        # r of them decompose, and so cover, K_n for n up to chi_r's lower bound
+        if properness == GENERALIZED and n <= chi_r_report(r).lower:
+            raise VerificationError("chi-r-lower", f"{r} generalized factors decompose K_{n}")
 
 
 def _vf_max_cover(params, value, witness, stats, outcome):

@@ -51,6 +51,7 @@ DECOMPOSITION = "DECOMPOSITION"
 
 COVER_SCHEME = "maximal-factors/first-factor-up-to-iso/sorted-middle-factors/degree-bound"
 DECOMP_SCHEME = "first-factor-up-to-iso/descending-middle-masks/forced-last/degree-bound"
+MAX_COVER_N = 16  # the largest K_n that cover_search takes
 
 
 def classify_factor(g: Graph) -> str:
@@ -377,8 +378,8 @@ def cover_search(n: int, r: int, properness: str = GENERALIZED,
                  mode: str = COVER, budget: int | None = None) -> CoverSearchResult:
     """Search for r factors of K_n whose union covers (or exactly partitions)
     its edges.  Exhaustion without a hit is a certified nonexistence."""
-    if n < 1 or n > 16:
-        raise ValidationError("BAD_N", f"cover search supports 1 <= n <= 16, got {n}")
+    if n < 1 or n > MAX_COVER_N:
+        raise ValidationError("BAD_N", f"cover search supports 1 <= n <= {MAX_COVER_N}, got {n}")
     if r < 1:
         raise ValidationError("OUT_OF_RANGE", f"need r >= 1, got {r}")
     if properness not in (PROPER, GENERALIZED):

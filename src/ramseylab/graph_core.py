@@ -160,21 +160,20 @@ def restrict(g: Graph, vertex_mask: int) -> Graph:
 
 def connected_components(g: Graph) -> list[int]:
     """Vertex bitmasks of the connected components, by lowest member."""
-    seen = 0
     comps = []
-    for v in range(g.n):
-        if (seen >> v) & 1:
-            continue
-        comp = 1 << v
-        frontier = 1 << v
+    rest = g.full_mask
+    while rest:
+        comp = frontier = rest & -rest
         while frontier:
-            nxt = 0
-            for u in _bits(frontier):
-                nxt |= g.adj[u]
-            frontier = nxt & ~comp
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                reach |= g.adj[low.bit_length() - 1]
+            frontier = reach & ~comp
             comp |= frontier
         comps.append(comp)
-        seen |= comp
+        rest ^= comp
     return comps
 
 
@@ -256,10 +255,6 @@ def _exact_k_coloring(g: Graph, k: int, budget: NodeBudget) -> list[int] | None:
     backtracking puts back.
     """
     n = g.n
-    if n == 0:
-        return []
-    if k <= 0:
-        return None
     nbrs = [_bits(a) for a in g.adj]
     colors = [-1] * n
     seen = [0] * n
@@ -339,9 +334,6 @@ def _max_clique_search(g: Graph, budget: NodeBudget) -> tuple[int, int]:
 
     On budget exhaustion the partial's lower is the largest clique in hand.
     """
-    n = g.n
-    if n == 0:
-        return 0, 0
     adj = g.adj
     best = 1
     best_mask = 1

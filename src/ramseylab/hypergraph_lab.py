@@ -147,7 +147,7 @@ def line_graph(h: PartiteHypergraph) -> Graph:
     if h.m > MAX_VERTICES:
         raise ValidationError("OUT_OF_RANGE",
                               f"{h.m} hyperedges exceed the {MAX_VERTICES}-vertex graph cap")
-    return Graph(h.m, tuple(mask ^ (1 << j) for j, mask in enumerate(_incidence(h).conflict)))
+    return _intersection_graph(*_vertex_ids(h))
 
 
 # -- exact maximum matching -----------------------------------------------------
@@ -172,20 +172,29 @@ def max_matching(h: PartiteHypergraph, budget: int | None = None) -> MatchingRes
         raise ValidationError("OUT_OF_RANGE",
                               f"{h.m} edges exceed the matching cap {MAX_MATCHING_EDGES}")
     bud = NodeBudget(budget)
-    inc = _incidence(h)
+    verts, starts = _vertex_ids(h)
+    lg = _intersection_graph(verts, starts)
+    picked: list[int] = []
     try:
-        size, witness = _match_components(inc, (1 << h.m) - 1, bud)
+        for comp in connected_components(lg):
+            if comp & (comp - 1):
+                picked += _match_branch(verts, starts, comp, bud)
+            else:
+                # one edge: greedy takes it and the bound stops the search at
+                # its root, which costs one node
+                bud.tick()
+                picked.append(comp.bit_length() - 1)
     except BudgetExceededError:
         # an unfinished search still proves what fits together greedily
-        partial = _greedy_matching(inc.conflict)
+        partial = _greedy_matching(lg.adj)
         raise BudgetExceededError(
             "matching budget exhausted",
             nodes=bud.spent, lower=len(partial),
             witness=tuple(partial), exact=False) from None
-    witness = tuple(sorted(witness))
+    witness = tuple(sorted(picked))
     if not is_matching(h, witness):
         raise ValidationError("OUT_OF_RANGE", "matching witness reuses a vertex")
-    return MatchingResult(size, witness, bud.spent)
+    return MatchingResult(len(witness), witness, bud.spent)
 
 
 def is_matching(h: PartiteHypergraph, picked: Sequence[int]) -> bool:
@@ -201,22 +210,21 @@ def is_matching(h: PartiteHypergraph, picked: Sequence[int]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class _Incidence:
-    """Edge j's vertices as ids ordered by (part, index), each part's first
-    id, and edge j's conflict mask (see _masks)."""
-
-    verts: tuple[tuple[int, ...], ...]
-    starts: tuple[int, ...]
-    conflict: tuple[int, ...]
-
-
-def _incidence(h: PartiteHypergraph) -> _Incidence:
+def _vertex_ids(h: PartiteHypergraph) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Edge j's vertices as ids ordered by (part, index), and each part's
+    first id followed by the vertex count."""
     starts = [0]
     for s in h.part_sizes:
         starts.append(starts[-1] + s)
-    verts = tuple(tuple(starts[i] + x for i, x in enumerate(e)) for e in h.edges)
-    return _Incidence(verts, tuple(starts), tuple(_masks(verts, starts[-1])[1]))
+    return [tuple(starts[i] + x for i, x in enumerate(e)) for e in h.edges], starts
+
+
+def _intersection_graph(edge_verts: Sequence[Sequence[int]], starts: Sequence[int]) -> Graph:
+    """The intersection graph of the edge occurrences, from _vertex_ids: the
+    conflict masks of _masks, each without its own bit.  It is not held to
+    MAX_VERTICES, so it may have up to MAX_MATCHING_EDGES vertices."""
+    conflict = _masks(edge_verts, starts[-1])[1]
+    return Graph(len(conflict), tuple(mask ^ (1 << j) for j, mask in enumerate(conflict)))
 
 
 def _masks(edge_verts: Sequence[Sequence[int]], n: int) -> tuple[list[int], list[int]]:
@@ -236,41 +244,6 @@ def _masks(edge_verts: Sequence[Sequence[int]], n: int) -> tuple[list[int], list
     return through, conflict
 
 
-def _match_components(inc: _Incidence, live: int,
-                      bud: NodeBudget) -> tuple[int, list[int]]:
-    total = 0
-    picked: list[int] = []
-    for comp in _edge_components(inc.conflict, live):
-        if comp & (comp - 1):
-            s, w = _match_branch(inc, comp, bud)
-        else:
-            # one edge: greedy takes it and the bound stops the search at
-            # its root, which costs one node
-            bud.tick()
-            s, w = 1, [comp.bit_length() - 1]
-        total += s
-        picked.extend(w)
-    return total, picked
-
-
-def _edge_components(conflict: Sequence[int], live: int) -> list[int]:
-    """Edge masks of the components of the live edges, by lowest edge."""
-    comps = []
-    while live:
-        comp = frontier = live & -live
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                reach |= conflict[low.bit_length() - 1]
-            frontier = reach & live & ~comp
-            comp |= frontier
-        comps.append(comp)
-        live ^= comp
-    return comps
-
-
 def _greedy_matching(conflict: Sequence[int]) -> list[int]:
     blocked = 0
     picked = []
@@ -281,20 +254,21 @@ def _greedy_matching(conflict: Sequence[int]) -> list[int]:
     return picked
 
 
-def _match_branch(inc: _Incidence, comp: int,
-                  bud: NodeBudget) -> tuple[int, list[int]]:
-    """Branch and bound on one component, renumbered 0..m-1 by edge index
-    and 0..n-1 by vertex id.  Live edges are one mask: taking edge t keeps
+def _match_branch(verts: Sequence[Sequence[int]], starts: Sequence[int], comp: int,
+                  bud: NodeBudget) -> list[int]:
+    """A maximum matching of comp, one component of the line graph, by
+    branch and bound, renumbered 0..m-1 by edge index and 0..n-1 by
+    vertex id.  Live edges are one mask: taking edge t keeps
     live & ~conflict[t], excluding vertex v keeps live & ~through[v], and
     every degree is (through[v] & live).bit_count().  Nodes (live, size,
     chosen) go on an explicit stack, children in reverse, so the search is
     depth first: each edge through v in index order, then v unmatched.
     That order fixes the node count that certificates record."""
     edges = _bits(comp)
-    ids = sorted({w for j in edges for w in inc.verts[j]})
+    ids = sorted({w for j in edges for w in verts[j]})
     index = {w: v for v, w in enumerate(ids)}
-    through, conflict = _masks([[index[w] for w in inc.verts[j]] for j in edges], len(ids))
-    cuts = [bisect_left(ids, s) for s in inc.starts]
+    through, conflict = _masks([[index[w] for w in verts[j]] for j in edges], len(ids))
+    cuts = [bisect_left(ids, s) for s in starts]
     parts = list(zip(cuts, cuts[1:]))
     best = _greedy_matching(conflict)
     best_size = len(best)
@@ -316,7 +290,7 @@ def _match_branch(inc: _Incidence, comp: int,
         stack.append((live & ~hit, size, chosen))  # the vertex unmatched: visited last
         for t in reversed(_bits(hit)):
             stack.append((live & ~conflict[t], size + 1, (t, chosen)))
-    return best_size, [edges[t] for t in best]
+    return [edges[t] for t in best]
 
 
 def disjoint_copies(h: PartiteHypergraph, t: int) -> PartiteHypergraph:

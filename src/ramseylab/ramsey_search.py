@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .errors import BudgetExceededError, ValidationError, VerificationError
 from .graph_core import (
@@ -142,6 +144,31 @@ class ForbiddenFamily:
             return self.name
         return ",".join(p.token for p in self.patterns)
 
+    @cached_property
+    def kernel(self) -> tuple[Mapping[str, int], tuple[Pattern, ...]]:
+        """The family's kinds with their sizes, read-only since presets are
+        shared, and its explicit patterns; computed once per family, and
+        read by the search, the bounds and the closed forms.
+
+        Kinds are found when a pattern is built (explicit_pattern); only K2
+        and P3 keep two spellings, folded here: a 1-edge path or matching is
+        K2, the 1-edge star, and a 2-edge path is P3, the 2-edge star.  A
+        pattern that contains a smaller pattern of its own kind is implied
+        by it, so each of stars, paths and matchings keeps only its smallest
+        size (a triangle has size 0).
+        """
+        sizes: dict[str, int] = {}
+        explicit: list[Pattern] = []
+        for p in self.patterns:
+            kind = p.kind
+            if (kind == "path" and p.size <= 2) or (kind == "matching" and p.size == 1):
+                kind = "star"
+            if kind == "explicit":
+                explicit.append(p)
+            else:
+                sizes[kind] = min(p.size, sizes.get(kind, p.size))
+        return MappingProxyType(sizes), tuple(explicit)
+
 
 FAMILY_PRESETS: dict[str, ForbiddenFamily] = {
     "F1": ForbiddenFamily((TRIANGLE,), "F1"),
@@ -234,7 +261,8 @@ def find_copy(g: Graph, p: Pattern) -> tuple[int, ...] | None:
         return _find_star(g, p.size)
     if p.kind == "path":
         return _find_path(g, p.size)
-    return _find_matching(g.adj, g.full_mask, p.size)
+    pairs: list[int] = []
+    return tuple(reversed(pairs)) if _has_matching(g.adj, g.full_mask, p.size, pairs) else None
 
 
 def _find_triangle(g: Graph) -> tuple[int, int, int] | None:
@@ -259,9 +287,8 @@ def _find_star(g: Graph, s: int) -> tuple[int, ...] | None:
 
 
 def _find_path(g: Graph, length: int) -> tuple[int, ...] | None:
-    """First simple path with `length` edges, scanning start vertices upward."""
-    if length < 1:
-        return None
+    """First simple path with `length` >= 1 edges, scanning start vertices
+    upward."""
     adj = g.adj
     comp_size = [0] * g.n
     for comp in connected_components(g):
@@ -294,14 +321,17 @@ def _extend_path(adj: Sequence[int], path: list[int], visited: int,
     return None
 
 
-def _has_matching(adj: Sequence[int], avail: int, need: int) -> bool:
+def _has_matching(adj: Sequence[int], avail: int, need: int,
+                  out: list[int] | None = None) -> bool:
     """Whether the vertices of avail span `need` pairwise disjoint edges.
 
     Branches on the lowest vertex v of avail with a neighbour in avail: v
-    matched to each such neighbour in turn, then v left out.  A plain
-    recursion over ints, with no closure or list, so the c_k search, which
-    asks at every node for a matching family, leaves no garbage for the
-    cycle collector to pause on.
+    matched to each such neighbour in turn, then v left out.  On success,
+    out (when given) receives the first matching in that order, each pair
+    (neighbour, v) appended as the recursion returns, so the last pair
+    first.  Without out it is a plain recursion over ints, with no closure
+    or list, so the c_k search, which asks at every node for a matching
+    family, leaves no garbage for the cycle collector to pause on.
     """
     if need <= 0:
         return True
@@ -322,33 +352,11 @@ def _has_matching(adj: Sequence[int], avail: int, need: int) -> bool:
     while nbrs:
         low = nbrs & -nbrs
         nbrs ^= low
-        if _has_matching(adj, avail & ~vb & ~low, need - 1):
+        if _has_matching(adj, avail & ~vb & ~low, need - 1, out):
+            if out is not None:
+                out += (low.bit_length() - 1, v)
             return True
-    return _has_matching(adj, avail & ~vb, need)
-
-
-def _find_matching(adj: Sequence[int], avail: int, m: int) -> tuple[int, ...] | None:
-    """Exact search for m pairwise disjoint edges; returns 2m endpoints, the
-    first matching in _has_matching's branching order."""
-    if not _has_matching(adj, avail, m):
-        return None
-    picked: list[int] = []
-    while m:
-        rest = avail
-        while not adj[(rest & -rest).bit_length() - 1] & avail:
-            rest &= rest - 1
-        vb = rest & -rest
-        nbrs = adj[vb.bit_length() - 1] & avail & ~vb
-        while nbrs:
-            low = nbrs & -nbrs
-            nbrs ^= low
-            if _has_matching(adj, avail & ~vb & ~low, m - 1):
-                picked += (vb.bit_length() - 1, low.bit_length() - 1)
-                avail &= ~low
-                m -= 1
-                break
-        avail &= ~vb
-    return tuple(picked)
+    return _has_matching(adj, avail & ~vb, need, out)
 
 
 def _embed(host: Graph, pattern: Graph) -> tuple[int, ...] | None:
@@ -449,43 +457,6 @@ def verify_mono_free(coloring: EdgeColoring, fam: ForbiddenFamily) -> MonoFreeRe
 # -- the search ---------------------------------------------------------------
 
 
-def _reduced(fam: ForbiddenFamily) -> tuple[dict[str, int], list[Pattern]]:
-    """The family's kinds with their sizes, and its explicit patterns.
-
-    Kinds are found when a pattern is built (explicit_pattern); only K2 and
-    P3 keep two spellings, folded here: a 1-edge path or matching is K2, the
-    1-edge star, and a 2-edge path is P3, the 2-edge star.  A pattern that
-    contains a smaller pattern of its own kind is implied by it, so each of
-    stars, paths and matchings keeps only its smallest size (a triangle has
-    size 0).
-    """
-    sizes: dict[str, int] = {}
-    explicit: list[Pattern] = []
-    for p in fam.patterns:
-        kind = p.kind
-        if (kind == "path" and p.size <= 2) or (kind == "matching" and p.size == 1):
-            kind = "star"
-        if kind == "explicit":
-            explicit.append(p)
-        else:
-            sizes[kind] = min(p.size, sizes.get(kind, p.size))
-    return sizes, explicit
-
-
-def _family_checks(fam: ForbiddenFamily, n: int
-                   ) -> tuple[int, bool, int, int, list[Graph]]:
-    """The family's violation tests, at most one per kind, from _reduced.
-
-    Returns (star, triangle, path, matching, explicit).  An explicit path is
-    tested as a path, and a 1-edge pattern is K2, the 1-edge star, which
-    every edge makes (threshold 0).  star is a degree threshold before the
-    edge (n when absent); path and matching are edge counts (0 when absent).
-    """
-    sizes, explicit = _reduced(fam)
-    return (sizes.get("star", n + 1) - 1, "triangle" in sizes, sizes.get("path", 0),
-            sizes.get("matching", 0), [p.realize() for p in explicit])
-
-
 def _path_through(adj: Sequence[int], end: int, v: int, seen: int, left: int) -> bool:
     """Whether a simple walk ending at `end` (its vertices and v in `seen`)
     extends by `left` edges, split between its own end and one from v.
@@ -497,8 +468,6 @@ def _path_through(adj: Sequence[int], end: int, v: int, seen: int, left: int) ->
     """
     if _extend_path(adj, [v], seen, left) is not None:
         return True
-    if left == 0:
-        return False
     rest = adj[end] & ~seen
     while rest:
         low = rest & -rest
@@ -509,14 +478,14 @@ def _path_through(adj: Sequence[int], end: int, v: int, seen: int, left: int) ->
 
 
 def _embeds_with_edge(adj: Sequence[int], u: int, v: int,
-                      patterns: Sequence[Graph]) -> bool:
+                      patterns: Sequence[Pattern]) -> bool:
     """Whether the class with uv added contains one of the explicit patterns."""
     host = list(adj)
     host[u] |= 1 << v
     host[v] |= 1 << u
     g = Graph(len(host), tuple(host))
-    for pg in patterns:
-        if _embed(g, pg) is not None:
+    for p in patterns:
+        if _embed(g, p.graph) is not None:
             return True
     return False
 
@@ -565,7 +534,14 @@ def _color_edges(n: int, k: int, edges: Sequence[tuple[int, int]],
     so every new copy uses uv.  Raises BudgetExceededError once `limit`
     nodes are spent.
     """
-    star, tri, path, match, explicit = _family_checks(fam, n)
+    # at most one test per kind of the kernel: star is a degree threshold
+    # before the edge (0 for K2, which every edge makes; n when absent), path
+    # and matching are edge counts (0 when absent)
+    sizes, explicit = fam.kernel
+    star = sizes.get("star", n + 1) - 1
+    tri = "triangle" in sizes
+    path = sizes.get("path", 0)
+    match = sizes.get("matching", 0)
     p4 = path == 3
     full = (1 << n) - 1
     m = len(edges)
@@ -646,7 +622,7 @@ def ex_bound(fam: ForbiddenFamily, n: int) -> int:
     """An upper bound on ex(n, fam), the most edges of a graph on n vertices
     with no pattern of the family.
 
-    The minimum, over the kernel patterns of _reduced, of the classical
+    The minimum, over the patterns of the family's kernel, of the classical
     bounds: floor(n^2 / 4) for a triangle (Mantel); floor(n (s - 1) / 2) for
     the s-edge star, since every degree is below s; n if 3 | n, else n - 1,
     for P4, whose free graphs are unions of stars and triangles; with the
@@ -657,11 +633,7 @@ def ex_bound(fam: ForbiddenFamily, n: int) -> int:
     matching (both Erdos-Gallai 1959).  Explicit patterns add no bound, so
     the result is at most C(n, 2).
     """
-    return _ex_bound(_reduced(fam)[0], n)
-
-
-def _ex_bound(sizes: dict[str, int], n: int) -> int:
-    """ex_bound from the kinds and sizes that _reduced finds."""
+    sizes = fam.kernel[0]
     bounds = [n * (n - 1) // 2]
     if "triangle" in sizes:
         bounds.append(n * n // 4)
@@ -699,17 +671,17 @@ def counting_refutes(fam: ForbiddenFamily, k: int, n: int) -> bool:
 
     Edges: k classes of at most ex_bound(fam, n) edges each are too few for
     the C(n, 2) edges.  Signatures: when every free graph is a star forest
-    (_reduced has the triangle and the 3-edge path, or a star of at most 2
+    (the kernel has the triangle and the 3-edge path, or a star of at most 2
     edges), orient each star away from its center and give each vertex the
     set of classes where its in-degree is 0.  A class with e edges is in
     n - e of the sets, so the n sets total kn - C(n, 2); and an edge uv
     oriented u -> v puts its class in u's set but not in v's, so the sets
     are distinct and total at least _least_subset_total(k, n).
     """
-    sizes, _ = _reduced(fam)
+    sizes = fam.kernel[0]
     edges = n * (n - 1) // 2
     star_forests = ("triangle" in sizes and sizes.get("path") == 3) or sizes.get("star", 3) <= 2
-    return (k * _ex_bound(sizes, n) < edges
+    return (k * ex_bound(fam, n) < edges
             or star_forests and _least_subset_total(k, n) > k * n - edges)
 
 
@@ -812,11 +784,9 @@ class ClosedForm:
 
 
 def _max_s_for_pairs(budget: int) -> int:
-    """Largest s with s*(s-1)/2 <= budget."""
-    s = (1 + math.isqrt(1 + 8 * budget)) // 2
-    while s * (s - 1) // 2 > budget:
-        s -= 1
-    return s
+    """Largest s with s*(s-1)/2 <= budget: s(s - 1) <= 2 budget exactly
+    when (2s - 1)^2 <= 8 budget + 1."""
+    return (1 + math.isqrt(1 + 8 * budget)) // 2
 
 
 def closed_form_c_k(fam: ForbiddenFamily, k: int,
@@ -831,7 +801,7 @@ def closed_form_c_k(fam: ForbiddenFamily, k: int,
     """
     if k < 1:
         raise ValidationError("BAD_K", f"need k >= 1, got {k}")
-    sizes, explicit = _reduced(fam)
+    sizes, explicit = fam.kernel
     keys = set(sizes.items()) | ({("explicit", 0)} if explicit else set())
 
     if ("star", 1) in keys:  # K2
@@ -874,6 +844,10 @@ def closed_form_c_k(fam: ForbiddenFamily, k: int,
         return None
 
     if ("star", 2) in keys:  # P3
+        if any(not any(a & (a - 1) for a in p.graph.adj) for p in explicit):
+            # a P3-free explicit pattern, a matching plus isolated vertices,
+            # fits in a class, which the formulas do not count
+            return None
         if "matching" not in sizes:
             return ClosedForm(k + (k % 2))
         r = sizes["matching"] - 1

@@ -151,6 +151,17 @@ def test_ramsey_built_witness_certificate(tmp_path, capsys):
     assert _invoke(capsys, ["verify", str(path)])[:2] == (0, "true\n")
 
 
+def test_ramsey_with_a_p3_free_explicit_pattern_verifies(tmp_path, capsys):
+    # every class of K_3 holds K2+K1, so c_3 is 2; P3's closed form 4 does
+    # not apply and must not fail the certificate
+    cert = _invoke_cert(capsys, ["ramsey", "--family", "STAR:1,EXPLICIT[0-1|3]",
+                                 "--colors", "3"])
+    assert (cert["outcome"], cert["value"]) == ("VALUE", 2)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    assert _invoke(capsys, ["verify", str(path)])[:2] == (0, "true\n")
+
+
 def _long_path_file(tmp_path, n: int) -> str:
     """The 2-partite path with edges (i+1, i) listed before edges (i, i): the
     greedy start takes the first n-1 and misses the perfect matching, so the
@@ -417,14 +428,27 @@ def test_shared_parser_prints_what_a_fresh_one_prints(capsys):
         assert _invoke(capsys, argv) == (code, *_fresh_parser_output(capsys, argv))
 
 
-def test_python_dash_m_runs_the_cli():
+def _python_dash_m(*argv: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "ramseylab", "plane", "--p", "3",
-                           "--deterministic"], capture_output=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-m", "ramseylab", *argv],
+                          capture_output=True, env=env, timeout=60)
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _python_dash_m("plane", "--p", "3", "--deterministic")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / "plane.json").read_bytes()
+
+
+def test_python_dash_m_verifies_and_exits_with_the_run_code():
+    # __main__ hands run()'s code to sys.exit through console_main
+    proc = _python_dash_m("verify", str(GOLDEN / "ramsey.json"))
+    assert (proc.returncode, proc.stdout) == (0, b"true\n"), proc.stderr
+    proc = _python_dash_m()
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert b"required: command" in proc.stderr
 
 
 def test_each_command_takes_only_the_options_it_reads(capsys):

@@ -15,8 +15,10 @@ from pathlib import Path
 
 import pytest
 
+from ramseylab import certificates
 from ramseylab.cli import COMMANDS, run
 from ramseylab.factor_lab import COVER_SCHEME, DECOMP_SCHEME
+from ramseylab.ramsey_search import ClosedForm
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -272,6 +274,42 @@ def test_counted_ramsey_value_needs_value_plus_one_refuted(tmp_path, capsys, edi
         cert["value"], witness["n"], witness["assignment"] = 5, 5, kept
         del stats["witness"]
     assert "check counting-refutation:" in _rejected(tmp_path, capsys, cert)
+
+
+@pytest.mark.parametrize("colors", [4, 10**6])
+def test_ramsey_value_must_equal_an_exact_closed_form(tmp_path, capsys, colors):
+    # the F4 golden's K_4 coloring and its K_5 refutation count are for 3
+    # colors; with more, the value is still 4, but c_k(F4) = 2k - 2 for k >= 3
+    cert = _golden("ramsey")
+    cert["parameters"]["colors"] = colors
+    assert "check closed-form:" in _rejected(tmp_path, capsys, cert)
+
+
+def test_ramsey_lower_must_not_exceed_an_exact_closed_form(tmp_path, capsys, monkeypatch):
+    # with its coloring re-checked, a lower bound beats a true formula
+    # never; a wrong formula is caught by the same comparison
+    cert = _golden("ramsey-cap")
+    assert (cert["outcome"], cert["stats"]["lower"]) == ("UNKNOWN", 4)
+    monkeypatch.setattr(certificates, "closed_form_c_k", lambda fam, k: ClosedForm(3))
+    assert "check closed-form:" in _rejected(tmp_path, capsys, cert)
+    monkeypatch.setattr(certificates, "closed_form_c_k", lambda fam, k: ClosedForm(3, True))
+    assert _verify(tmp_path, capsys, cert)[:2] == (0, "true\n")
+
+
+@pytest.mark.parametrize("key, size", [("r", 0), ("n", 0), ("n", 17)])
+def test_cover_refutation_outside_the_searched_range_is_rejected(tmp_path, capsys, key, size):
+    # cover_search never runs there, so no search vouches for the refutation
+    cert = _golden("cover-refuted")
+    cert["parameters"][key] = size
+    assert "check cover-range:" in _rejected(tmp_path, capsys, cert)
+
+
+@pytest.mark.parametrize("name", ["cover-refuted", "cover-decomposition-refuted"])
+def test_generalized_cover_refutation_at_most_chi_r_is_rejected(tmp_path, capsys, name):
+    # c_3(F6) = chi_3 >= 5: three generalized factors decompose K_5
+    cert = _golden(name)
+    cert["parameters"]["n"] = 5
+    assert "check chi-r-lower:" in _rejected(tmp_path, capsys, cert)
 
 
 @pytest.mark.parametrize("argv", [

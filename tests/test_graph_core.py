@@ -133,10 +133,35 @@ def test_generator_refuses_a_huge_size_before_building_edges(generate):
     assert peak < 1 << 20
 
 
+def _union_find_components(n, edges):
+    """Vertex masks of the classes that uniting each edge's ends leaves, by
+    lowest member."""
+    parent = list(range(n))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in edges:
+        parent[find(u)] = find(v)
+    masks: dict[int, int] = {}
+    for v in range(n):
+        masks[find(v)] = masks.get(find(v), 0) | 1 << v
+    return sorted(masks.values(), key=lambda mask: mask & -mask)
+
+
 def test_components_and_restrict():
     g = build_graph(6, [(0, 1), (1, 2), (4, 5)])
     comps = connected_components(g)
-    assert sorted(mask.bit_count() for mask in comps) == [1, 2, 3]
+    assert comps == [0b000111, 0b001000, 0b110000]
+    assert connected_components(Graph(0, ())) == []
+    rng = random.Random(29)
+    for _ in range(300):
+        n = rng.randint(0, 20)
+        p = rng.choice([0.0, 0.05, 0.1, 0.2, 0.5])
+        edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p]
+        assert connected_components(build_graph(n, edges)) == _union_find_components(n, edges)
     sub = restrict(g, 0b000111)
     assert sub.m == 2 and sub.has_edge(0, 1) and sub.has_edge(1, 2)
 

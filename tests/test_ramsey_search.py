@@ -27,9 +27,8 @@ from ramseylab.ramsey_search import (
     EdgeColoring,
     ForbiddenFamily,
     _color_edges,
-    _family_checks,
     _least_subset_total,
-    _reduced,
+    _max_s_for_pairs,
     closed_form_c_k,
     compute_c_k,
     counting_refutes,
@@ -113,7 +112,7 @@ def test_canonical_folds_patterns_that_coincide():
     def explicit(n, edges):
         return explicit_pattern(build_graph(n, edges))
 
-    # (pattern, the (kind, size) it is built with, the key _reduced folds it to)
+    # (pattern, the (kind, size) it is built with, the key its kernel folds it to)
     cases = [
         (path_pattern(1), ("path", 1), ("star", 1)),
         (matching_pattern(1), ("matching", 1), ("star", 1)),
@@ -136,14 +135,20 @@ def test_canonical_folds_patterns_that_coincide():
     ]
     for p, built, key in cases:
         assert (p.kind, p.size) == built, p
-        folded = ({}, [p]) if key is None else (dict([key]), [])
-        assert _reduced(ForbiddenFamily((p,))) == folded, p
+        folded = ({}, (p,)) if key is None else (dict([key]), ())
+        assert ForbiddenFamily((p,)).kernel == folded, p
         # a pattern given as a graph realizes as that very graph
         assert p.graph is None or p.realize() is p.graph
     # the search folds explicit paths and stars into its kernel tests
     fam = ForbiddenFamily((TRIANGLE, explicit(4, [(2, 0), (0, 3), (3, 1)]),
                            explicit(5, [(0, 1), (0, 2), (0, 3), (0, 4)])))
-    assert _family_checks(fam, 6) == (3, True, 3, 0, [])
+    assert fam.kernel == ({"triangle": 0, "path": 3, "star": 4}, ())
+    # the kernel is computed once and takes no part in equality or hashing
+    fresh = ForbiddenFamily(fam.patterns)
+    assert fam.kernel is fam.kernel and fresh == fam and hash(fresh) == hash(fam)
+    # and it is read-only, since preset families are shared
+    with pytest.raises(TypeError):
+        FAMILY_PRESETS["F4"].kernel[0]["star"] = 1
     assert closed_form_c_k(fam, 4) == closed_form_c_k(parse_family("K3,P4,STAR:3"), 4)
 
 
@@ -218,6 +223,36 @@ def test_find_copy_witnesses_are_real_copies():
         if w is not None:
             assert len(set(w)) == 4
             assert g.has_edge(w[0], w[1]) and g.has_edge(w[2], w[3])
+
+
+def _first_matching(adj, avail, m):
+    """The first m pairwise disjoint edges among the vertices of avail, as
+    2m endpoints: the lowest vertex v with a neighbour in avail is matched
+    to each neighbour in ascending order, then left out."""
+    if m == 0:
+        return ()
+    live = [v for v in range(len(adj)) if avail >> v & 1 and adj[v] & avail]
+    if not live:
+        return None
+    v = live[0]
+    for u in range(len(adj)):
+        if avail >> u & 1 and adj[v] >> u & 1:
+            rest = _first_matching(adj, avail & ~(1 << v) & ~(1 << u), m - 1)
+            if rest is not None:
+                return (v, u) + rest
+    return _first_matching(adj, avail & ~(1 << v), m)
+
+
+def test_matching_copy_is_the_first_in_branching_order():
+    rng = random.Random(53)
+    found = 0
+    for _ in range(300):
+        g = _random_graph(rng.randint(0, 10), rng.choice([0.1, 0.3, 0.6]), rng)
+        for m in range(1, 5):
+            w = find_copy(g, matching_pattern(m))
+            assert w == _first_matching(g.adj, g.full_mask, m), (g, m)
+            found += w is not None
+    assert found > 300
 
 
 def _brute_force_copy(host_n, host_edges, pattern_n, pattern_edges):
@@ -679,8 +714,8 @@ def test_ex_bound_takes_the_smallest_pattern_bound():
 
 
 def test_bounds_of_an_explicit_path_classify_nothing(monkeypatch):
-    # explicit_pattern classifies the graph when it is built; the bounds and
-    # the search's checks only read its kind
+    # explicit_pattern classifies the graph when it is built; the kernel,
+    # which the bounds and the search's checks read, only reads its kind
     fam = ForbiddenFamily((TRIANGLE, explicit_pattern(build_graph(4, [(0, 1), (1, 2), (2, 3)]))))
     calls = []
 
@@ -690,7 +725,7 @@ def test_bounds_of_an_explicit_path_classify_nothing(monkeypatch):
 
     monkeypatch.setattr(ramsey_search, "connected_components", counting)
     assert [ex_bound(fam, n) for n in (4, 6, 9)] == [3, 5, 8]
-    assert _family_checks(fam, 6) == (6, True, 3, 0, [])
+    assert fam.kernel == ({"triangle": 0, "path": 3}, ())
     assert calls == []
 
 
@@ -790,6 +825,19 @@ def test_closed_form_reduces_the_family_like_the_search():
     assert [closed_form_c_k(parse_family("S3,STAR:3"), k).value for k in (2, 3, 4)] == [5, 7, 9]
 
 
+def test_closed_form_of_p3_holds_only_where_the_explicit_patterns_add_nothing():
+    # a P3-free class is a matching: it may hold K2+K1 or 2K2+K1, so the
+    # formula k + (k mod 2) gives way; P3+K1 and K3+K1 contain P3 itself
+    for e in ("EXPLICIT[0-1|3]", "EXPLICIT[0-1;2-3|5]"):
+        assert all(closed_form_c_k(parse_family(f"STAR:1,{e}"), k) is None for k in (1, 2, 3))
+    for e in ("EXPLICIT[0-1;1-2|4]", "EXPLICIT[0-1;1-2;0-2|4]"):
+        for k in (1, 2, 3):
+            fam = parse_family(f"STAR:1,{e}")
+            assert closed_form_c_k(fam, k) == ClosedForm(k + k % 2)
+            assert compute_c_k(fam, k).value == k + k % 2
+    assert compute_c_k(parse_family("STAR:1,EXPLICIT[0-1|3]"), 3).value == 2
+
+
 def test_closed_form_p4_family_residues():
     fam = FAMILY_PRESETS["F2"]
     assert closed_form_c_k(fam, 3).value == 5
@@ -868,6 +916,15 @@ def test_closed_form_small_pattern_rules():
     assert form.asymptotic and form.value == 4  # s(s-1)/2 <= 2k = 8
     form = closed_form_c_k(parse_family("STAR:4,K3"), 10)
     assert form.asymptotic and form.value == 41
+
+
+def test_max_s_for_pairs_is_the_largest_s_with_c_s_2_at_most_the_budget():
+    rng = random.Random(59)
+    budgets = itertools.chain(range(200_000),
+                              (rng.getrandbits(rng.randint(1, 400)) for _ in range(100_000)))
+    for b in budgets:
+        s = _max_s_for_pairs(b)
+        assert s * (s - 1) // 2 <= b < (s + 1) * s // 2, b
 
 
 def test_closed_form_two_edge_matching_with_other_patterns():
