@@ -22,6 +22,7 @@ from .graph_core import (
     GENERATORS,
     Graph,
     NodeBudget,
+    _exact_k_coloring,
     complete_graph,
     graph_from_text,
     is_proper_coloring,
@@ -178,12 +179,18 @@ def _int_list(payload: Mapping[str, Any] | None, key: str) -> list[int]:
 # -- per-command verifiers --------------------------------------------------------
 
 
-def _verify_coloring(g: Graph, witness, value) -> None:
-    """The one check of a vertex coloring: proper on g, with value colors."""
+def _verify_coloring(g: Graph, witness, value, stats, outcome) -> None:
+    """The one check of a vertex coloring: proper on g, with value colors; or,
+    for a search cut by its budget, with at most upper colors, and lower <= upper."""
     colors = _int_list(witness, "colors")
     if not is_proper_coloring(g, colors):
         raise VerificationError("proper-coloring", "witness coloring is not proper")
-    if len(set(colors)) != value:
+    if outcome == "UNKNOWN":
+        lower, upper = _int(stats, "lower", "stats"), _int(stats, "upper", "stats")
+        if lower > upper or len(set(colors)) > upper:
+            raise VerificationError("color-bounds", f"witness uses {len(set(colors))} colors, "
+                                    f"claimed lower {lower} and upper {upper}")
+    elif len(set(colors)) != value:
         raise VerificationError("color-count",
                                 f"witness uses {len(set(colors))} colors, claimed {value}")
 
@@ -201,9 +208,27 @@ def _source_graph(params, witness) -> Graph:
     return g
 
 
+def _bare_unknown(witness, stats, outcome) -> bool:
+    """Whether a coloring certificate is an UNKNOWN one without a witness,
+    which then proves no bounds."""
+    if outcome != "UNKNOWN" or witness is not None:
+        return False
+    if "lower" in stats or "upper" in stats:
+        raise VerificationError("bounds-witness", "the bounds lack the coloring of upper")
+    return True
+
+
 def _vf_chi(params, value, witness, stats, outcome):
-    if outcome == "VALUE":
-        _verify_coloring(_source_graph(params, witness), witness, value)
+    if _bare_unknown(witness, stats, outcome):
+        return
+    g = _source_graph(params, witness)
+    _verify_coloring(g, witness, value, stats, outcome)
+    # a claim of chi >= 2 or chi >= 3 is re-checked: a search for a 1- or
+    # 2-coloring never branches
+    claim = value if outcome == "VALUE" else _int(stats, "lower", "stats")
+    k = min(claim - 1, 2)
+    if k >= 1 and _exact_k_coloring(g, k, NodeBudget()) is not None:
+        raise VerificationError("bipartite", f"the graph is {k}-colorable, claimed {claim}")
 
 
 def _vf_clique(params, value, witness, stats, outcome):
@@ -398,8 +423,9 @@ def _vf_match(params, value, witness, stats, outcome):
 
 def _vf_line_chi(params, value, witness, stats, outcome):
     # the chromatic index is the chromatic number of the line graph
-    if outcome == "VALUE":
-        _verify_coloring(line_graph(_hypergraph_payload(witness)), witness, value)
+    if not _bare_unknown(witness, stats, outcome):
+        _verify_coloring(line_graph(_hypergraph_payload(witness)), witness, value, stats,
+                         outcome)
 
 
 def _vf_ach(params, value, witness, stats, outcome):

@@ -95,11 +95,22 @@ def _load_graph(args, params: dict[str, Any]) -> Graph:
 # returns (outcome, value, witness, stats).
 
 
+def _colored(g: Graph, budget: int | None, witness: dict):
+    """VALUE with the coloring of `chromatic_number`; a search cut by its
+    budget still certifies `upper` by the greedy coloring, as the witness."""
+    try:
+        res = chromatic_number(g, budget=budget)
+    except BudgetExceededError as exc:
+        stats = {key: val for key, val in exc.partial.items() if key != "witness"}
+        witness["colors"] = list(exc.partial["witness"].colors)
+        return "UNKNOWN", None, witness, stats
+    witness["colors"] = list(res.witness.colors)
+    return "VALUE", res.value, witness, {}
+
+
 def _run_chi(args, params):
     g = _load_graph(args, params)
-    res = chromatic_number(g, budget=args.budget)
-    witness = {"graph": graph_to_text(g), "colors": list(res.witness.colors)}
-    return "VALUE", res.value, witness, {}
+    return _colored(g, args.budget, {"graph": graph_to_text(g)})
 
 
 def _run_clique(args, params):
@@ -231,9 +242,7 @@ def _run_match(args, params):
 def _run_line_chi(args, params):
     params["hypergraph"] = args.hypergraph
     h = hypergraph_from_text(_read_text(args.hypergraph))
-    res = chromatic_number(line_graph(h), budget=args.budget)
-    witness = {"hypergraph": hypergraph_to_text(h), "colors": list(res.witness.colors)}
-    return "VALUE", res.value, witness, {}
+    return _colored(line_graph(h), args.budget, {"hypergraph": hypergraph_to_text(h)})
 
 
 def _run_ach(args, params):

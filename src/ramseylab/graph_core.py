@@ -247,27 +247,40 @@ def _exact_k_coloring(g: Graph, k: int, budget: NodeBudget) -> list[int] | None:
     """Proper k-coloring via saturation-guided backtracking, or None.
 
     Color symmetry is broken canonically: a vertex may open color c only if
-    colors 0..c-1 are already in use.  With k >= n a color is always free,
-    so the search never backtracks: that run is the saturation greedy.
-    Coloring a vertex updates the keys and color sets of its uncolored
-    neighbors only; one explicit stack holds, per colored vertex, its
-    untried colors and the keys and color sets from before, which
-    backtracking puts back.
+    colors 0..c-1 are already in use, and a vertex with no colored neighbor
+    starts a new component, whose colors are all interchangeable, so it
+    takes color 0 only.  The search looks only for Grundy colorings, where
+    every vertex of color c has a neighbor of each color below c: a branch
+    dies once a colored vertex lacks a lower color that no colored neighbor
+    has and no uncolored neighbor can still take.  Some Grundy coloring is
+    reached whenever any k-coloring exists (README, "How `chi` and `match`
+    search").  With k >= n a color is always free, so the search never
+    backtracks: that run is the saturation greedy, and first fit is Grundy.
+
+    Coloring a vertex updates the keys and color sets of its neighbors
+    only; ``pending`` holds the colored vertices still short of a lower
+    color, which are re-checked only when a neighbor is colored or loses
+    a free color.  One explicit stack holds, per colored vertex, its
+    untried colors and the state from before, which backtracking puts back.
     """
     n = g.n
-    nbrs = [_bits(a) for a in g.adj]
+    if not n:
+        return []
+    adj = g.adj
+    nbrs: list[list[int] | None] = [None] * n  # listed once colored: a short run lists few
     colors = [-1] * n
-    seen = [0] * n
-    key = [a.bit_count() * _DEG + _IDX - v for v, a in enumerate(g.adj)]
-    stack: list[tuple[int, int, int, list[int], list[int]]] = []
+    seen = [0] * n  # colors on the colored neighbors, of every vertex
+    key = [a.bit_count() * _DEG + _IDX - v for v, a in enumerate(adj)]
+    stack: list[tuple[int, int, int, list[int], list[int], int]] = []
     used = 0
+    pending = 0
     v = _IDX - (max(key) & _IDX)
     avail = 1
     while True:
         if not avail:
             if not stack:
                 return None
-            v, avail, used, key, seen = stack.pop()
+            v, avail, used, key, seen, pending = stack.pop()
             colors[v] = -1
             continue
         low = avail & -avail
@@ -277,20 +290,50 @@ def _exact_k_coloring(g: Graph, k: int, budget: NodeBudget) -> list[int] | None:
         colors[v] = c
         if len(stack) == n - 1:
             return colors
-        stack.append((v, avail, used, key, seen))
+        stack.append((v, avail, used, key, seen, pending))
         key, seen = key.copy(), seen.copy()
         key[v] = -1
-        for u in nbrs[v]:
+        nbv = nbrs[v]
+        if nbv is None:
+            nbv = nbrs[v] = _bits(adj[v])
+        check = pending & adj[v]  # v can no longer take a color they lack
+        if ~seen[v] & (low - 1):
+            check |= 1 << v
+        for u in nbv:
             if key[u] >= 0:
                 if seen[u] & low:
                     key[u] -= _DEG
                 else:
                     seen[u] |= low
                     key[u] += _SAT - _DEG
-        if c == used:
-            used += 1
-        v = _IDX - (max(key) & _IDX)
-        avail = ~seen[v] & ((1 << min(k, used + 1)) - 1)
+                    check |= pending & adj[u]  # u can no longer take c
+            else:
+                seen[u] |= low
+        pending |= check
+        while check:
+            bit = check & -check
+            check ^= bit
+            x = bit.bit_length() - 1
+            lack = ~seen[x] & ((1 << colors[x]) - 1)
+            if not lack:
+                pending ^= bit
+                continue
+            for u in nbrs[x]:
+                if key[u] >= 0:
+                    lack &= seen[u]
+                    if not lack:
+                        break
+            if lack:
+                break
+        else:
+            if c == used:
+                used += 1
+            v = _IDX - (max(key) & _IDX)
+            avail = ~seen[v] & ((1 << min(k, used + 1)) - 1) if seen[v] else 1
+            continue
+        # x can never see every lower color: try v's next color
+        v, avail, used, key, seen, pending = stack.pop()
+        colors[v] = -1
 
 
 @dataclass(frozen=True)

@@ -494,6 +494,19 @@ def test_budget_exhausted_certificate(tmp_path, capsys, argv, parameters, proven
     assert _invoke(capsys, ["verify", str(saved)])[:2] == (0, "true\n")
 
 
+def test_colouring_budget_cut_certifies_its_greedy_colouring(tmp_path, capsys):
+    hpath = _hypergraph_file(tmp_path, r=3, n=12)
+    code, out, _ = _invoke(capsys, ["chromatic-index", "--hypergraph", hpath,
+                                    "--budget", "1", "--deterministic"])
+    assert code == 2
+    cert = json.loads(out)
+    assert cert["outcome"] == "UNKNOWN" and cert["verified"] is True
+    assert len(set(cert["witness"]["colors"])) == cert["stats"]["upper"]
+    saved = tmp_path / "unknown.json"
+    saved.write_text(out)
+    assert _invoke(capsys, ["verify", str(saved)])[:2] == (0, "true\n")
+
+
 def test_budget_exhausted_certificate_keeps_elapsed_time(capsys):
     code, out, _ = _invoke(capsys, ["ramsey", "--family", "F2", "--colors", "5",
                                     "--budget", "200000"])

@@ -338,6 +338,45 @@ def test_cover_refutation_must_name_its_modes_scheme(tmp_path, capsys, name, sch
     assert "check scheme-recorded:" in _rejected(tmp_path, capsys, cert)
 
 
+@pytest.mark.parametrize("source, value, colors", [
+    (["--path", "6"], 3, [0, 1, 2, 0, 1, 2]),
+    (None, 2, [0, 1, 0, 1, 0]),  # five vertices, no edge
+], ids=["path", "edgeless"])
+def test_chi_above_a_coloring_found_without_branching_is_rejected(tmp_path, capsys, source,
+                                                                 value, colors):
+    if source is None:
+        (tmp_path / "edgeless.txt").write_text("5 0\n")
+        source = ["--graph", str(tmp_path / "edgeless.txt")]
+    assert run(["chi", *source, "--deterministic"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    cert["value"], cert["witness"]["colors"] = value, colors
+    assert "check bipartite:" in _rejected(tmp_path, capsys, cert)
+
+
+def test_chi_lower_bound_above_the_empty_graph_is_rejected(tmp_path, capsys):
+    assert run(["chi", "--complete", "0", "--deterministic"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    cert["outcome"], cert["value"] = "UNKNOWN", None
+    cert["stats"].update(lower=3, upper=3)
+    assert "check bipartite:" in _rejected(tmp_path, capsys, cert)
+
+
+@pytest.mark.parametrize("edit, check", [
+    ({"lower": 99, "upper": 1}, "color-bounds"),
+    ({"lower": 31, "upper": 30}, "color-bounds"),
+    ({}, "bounds-witness"),
+], ids=["upper", "crossed", "no-witness"])
+def test_chi_budget_cut_bounds_are_checked(tmp_path, capsys, edit, check):
+    # the greedy coloring is the witness of upper
+    assert run(["chi", "--complete", "30", "--budget", "3", "--deterministic"]) == 2
+    cert = json.loads(capsys.readouterr().out)
+    assert _verify(tmp_path, capsys, cert)[:2] == (0, "true\n")
+    cert["stats"].update(edit)
+    if not edit:
+        cert["witness"] = None
+    assert f"check {check}:" in _rejected(tmp_path, capsys, cert)
+
+
 def test_non_maximal_clique_is_rejected(tmp_path, capsys):
     assert run(["clique", "--complete", "5", "--deterministic"]) == 0
     cert = json.loads(capsys.readouterr().out)

@@ -11,6 +11,8 @@ import pytest
 from ramseylab.errors import BudgetExceededError, ParseError, ValidationError
 from ramseylab.graph_core import (
     Graph,
+    NodeBudget,
+    _exact_k_coloring,
     build_graph,
     chromatic_number,
     complete_graph,
@@ -226,6 +228,16 @@ def test_chromatic_random_vs_oracle():
         assert res.value == _brute_chromatic(g)
         assert is_proper_coloring(g, res.witness.colors)
         assert res.value <= max(map(g.degree, range(g.n))) + 1
+
+
+def test_a_vertex_starting_a_component_takes_color_0_only():
+    # 14 disjoint stars K_{1,3} and a C5: each star's free choice of color
+    # for its center would double the refutation of k = 2
+    edges = [(4 * s, 4 * s + leaf) for s in range(14) for leaf in (1, 2, 3)]
+    edges += [(56 + i, 56 + (i + 1) % 5) for i in range(5)]
+    bud = NodeBudget()
+    assert _exact_k_coloring(build_graph(61, edges), 2, bud) is None
+    assert bud.spent == 60
 
 
 def test_chromatic_budget_partial():

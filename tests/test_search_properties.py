@@ -2,9 +2,9 @@
 brute force on small inputs.
 
 The reference helpers here share no code with the library: a plain
-backtracking k-colouring in vertex order, a scan over every edge subset, a
-scan over every edge colouring of K_n, and a scan over every r-tuple of
-edge-maximal generalized factors of K_n.
+backtracking k-colouring in vertex order, a Grundy check, a scan over every
+edge subset, a scan over every edge colouring of K_n, and a scan over every
+r-tuple of edge-maximal generalized factors of K_n.
 """
 
 from __future__ import annotations
@@ -13,11 +13,11 @@ from functools import reduce
 from itertools import combinations, combinations_with_replacement, permutations, product
 from operator import or_
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramseylab.factor_lab import max_coverable_edges
-from ramseylab.graph_core import build_graph, chromatic_number
+from ramseylab.graph_core import NodeBudget, _exact_k_coloring, build_graph, chromatic_number
 from ramseylab.hypergraph_lab import make_hypergraph, max_matching
 from ramseylab.ramsey_search import mono_free_search, parse_family
 
@@ -41,6 +41,15 @@ def _colourable(n: int, edges: list[tuple[int, int]], k: int) -> bool:
     return extend(0)
 
 
+def _grundy(n: int, edges: list[tuple[int, int]], colours: list[int]) -> bool:
+    """Whether every vertex of colour c has a neighbour of each colour below c."""
+    seen: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        seen[u].add(colours[v])
+        seen[v].add(colours[u])
+    return all(set(range(colours[v])) <= seen[v] for v in range(n))
+
+
 def _brute_chromatic(n: int, edges: list[tuple[int, int]]) -> int:
     return next(k for k in range(n + 1) if _colourable(n, edges, k))
 
@@ -59,6 +68,11 @@ _graphs = st.integers(0, 8).flatmap(lambda n: st.tuples(
     st.lists(st.sampled_from([(u, v) for u in range(n) for v in range(u + 1, n)]),
              unique=True) if n > 1 else st.just([])))
 
+# the same graphs with the edges across a random cut dropped: mostly disconnected
+_split_graphs = st.tuples(_graphs, st.integers(1, 7)).map(
+    lambda drawn: (drawn[0][0], [(u, v) for u, v in drawn[0][1]
+                                 if (u < drawn[1]) == (v < drawn[1])]))
+
 _hypergraphs = st.lists(st.integers(1, 4), min_size=1, max_size=4).flatmap(
     lambda sizes: st.tuples(
         st.just(sizes),
@@ -72,6 +86,27 @@ def test_chromatic_number_is_the_least_colourable_palette(graph):
     res = chromatic_number(build_graph(n, edges))
     assert res.value == _brute_chromatic(n, edges)
     assert all(res.witness.colors[u] != res.witness.colors[v] for u, v in edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_graphs, _split_graphs))
+# two 3-colourable graphs whose saturation first fit takes 4 colours: the
+# search must keep a branch in which a vertex lacks a lower colour that an
+# uncoloured neighbour can still take
+@example((7, [(0, 2), (0, 3), (0, 6), (1, 3), (1, 4), (1, 5), (2, 3), (2, 5), (3, 6), (4, 5),
+              (4, 6)]))
+@example((8, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 3), (2, 4), (3, 5), (3, 7), (4, 6), (5, 6),
+              (5, 7), (6, 7)]))
+def test_k_colouring_search_finds_a_grundy_colouring_whenever_one_exists(graph):
+    # the search keeps only Grundy colourings and starts each component at colour 0
+    n, edges = graph
+    g = build_graph(n, edges)
+    for k in range(1, n + 1):
+        found = _exact_k_coloring(g, k, NodeBudget())
+        assert (found is not None) == _colourable(n, edges, k)
+        if found is not None:
+            assert max(found) < k and all(found[u] != found[v] for u, v in edges)
+            assert _grundy(n, edges, found)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,7 +1,9 @@
 """The colouring and matching searches keep their nodes and witnesses.
 
 The tables in ``tests/tables`` were measured on the recursive searches
-that the explicit-stack kernels replaced:
+that the explicit-stack kernels replaced; the refutation nodes of the six
+Mycielski rows were measured again when the colouring search began to
+keep only Grundy colourings:
 
 - ``chromatic.json``: per graph, its adjacency masks, then for each k from 1
   to χ + 1 the ``_exact_k_coloring`` result (a colouring or None) and its
@@ -16,8 +18,10 @@ that the explicit-stack kernels replaced:
   inputs of the benchmark and seeded random r-partite hypergraphs: 80
   with r = 1..4 and at most 16 edges, 20 with r = 2..4 and 20 to 40 edges.
 
-Every row must match exactly: the kernels branch in the order of the
-searches they replaced.
+Every row must match exactly.  A change to a search that moves its nodes
+regenerates both tables with
+``PYTHONPATH=src python tests/test_search_tables.py``, which prints each
+moved row and whether only its node cells moved.
 """
 
 from __future__ import annotations
@@ -145,6 +149,31 @@ _CHROMATIC = {label: (n, adj) for label, n, adj in chromatic_inputs()}
 _MATCHING = dict(matching_inputs())
 
 
+def _results(name: str, row: list) -> list:
+    """A table row with its node cells left out."""
+    if name == "chromatic.json":
+        label, n, adj, (per_k, value, witness) = row
+        return [label, n, adj, [found for _, found, _ in per_k], value, witness]
+    label, (size, witness, _, cuts) = row
+    return [label, size, witness, [[budget, outcome, *rest] for budget, outcome, _, *rest in cuts]]
+
+
+def regenerate() -> None:
+    """Rewrite both tables from the searches as they stand; print the moved rows."""
+    for name, rows in (
+            ("chromatic.json", [[label, n, list(adj), chromatic_row(n, adj)]
+                                for label, (n, adj) in _CHROMATIC.items()]),
+            ("matching.json", [[label, matching_row(h)] for label, h in _MATCHING.items()])):
+        old = {row[0]: row for row in _table(name)}
+        for row in rows:
+            before = old.get(row[0])
+            if before != row:
+                only_nodes = before is not None and _results(name, before) == _results(name, row)
+                print(f"{name} {row[0]}: {'only node cells' if only_nodes else 'RESULTS'} moved")
+        (TABLES / name).write_text(json.dumps(rows, separators=(",", ":")) + "\n",
+                                   encoding="utf-8")
+
+
 def test_tables_cover_every_input():
     assert [row[0] for row in _table("chromatic.json")] == list(_CHROMATIC)
     assert [row[0] for row in _table("matching.json")] == list(_MATCHING)
@@ -161,3 +190,7 @@ def test_colouring_search_keeps_its_nodes_and_witnesses(row):
 def test_matching_search_keeps_its_nodes_and_witnesses(row):
     label, expected = row
     assert matching_row(_MATCHING[label]) == expected
+
+
+if __name__ == "__main__":
+    regenerate()
