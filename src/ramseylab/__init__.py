@@ -14,7 +14,6 @@ from .graph_core import (
     ChromaticResult,
     KCoreResult,
     NodeBudget,
-    VertexColoring,
     build_graph,
     chromatic_number,
     complete_graph,

@@ -43,6 +43,7 @@ from .factor_lab import (
     DEFAULT_DELTA0,
     GENERALIZED,
     MAX_COVER_N,
+    MAX_COVERABLE_N,
     PROPER,
     _edge_bound,
     _greedy_cover,
@@ -181,18 +182,23 @@ def _int_list(payload: Mapping[str, Any] | None, key: str) -> list[int]:
 
 def _verify_coloring(g: Graph, witness, value, stats, outcome) -> None:
     """The one check of a vertex coloring: proper on g, with value colors; or,
-    for a search cut by its budget, with at most upper colors, and lower <= upper."""
+    for a search cut by its budget, with at most upper colors, and lower <= upper.
+    A claim of chi >= 2 or 3 is re-checked: a 1- or 2-coloring search never branches."""
     colors = _int_list(witness, "colors")
     if not is_proper_coloring(g, colors):
         raise VerificationError("proper-coloring", "witness coloring is not proper")
+    claim = value
     if outcome == "UNKNOWN":
-        lower, upper = _int(stats, "lower", "stats"), _int(stats, "upper", "stats")
-        if lower > upper or len(set(colors)) > upper:
+        claim, upper = _int(stats, "lower", "stats"), _int(stats, "upper", "stats")
+        if claim > upper or len(set(colors)) > upper:
             raise VerificationError("color-bounds", f"witness uses {len(set(colors))} colors, "
-                                    f"claimed lower {lower} and upper {upper}")
+                                    f"claimed lower {claim} and upper {upper}")
     elif len(set(colors)) != value:
         raise VerificationError("color-count",
                                 f"witness uses {len(set(colors))} colors, claimed {value}")
+    k = min(claim - 1, 2)
+    if k >= 1 and _exact_k_coloring(g, k, NodeBudget()) is not None:
+        raise VerificationError("bipartite", f"the graph is {k}-colorable, claimed {claim}")
 
 
 def _source_graph(params, witness) -> Graph:
@@ -208,32 +214,16 @@ def _source_graph(params, witness) -> Graph:
     return g
 
 
-def _bare_unknown(witness, stats, outcome) -> bool:
-    """Whether a coloring certificate is an UNKNOWN one without a witness,
-    which then proves no bounds."""
-    if outcome != "UNKNOWN" or witness is not None:
-        return False
-    if "lower" in stats or "upper" in stats:
-        raise VerificationError("bounds-witness", "the bounds lack the coloring of upper")
-    return True
-
-
 def _vf_chi(params, value, witness, stats, outcome):
-    if _bare_unknown(witness, stats, outcome):
-        return
-    g = _source_graph(params, witness)
-    _verify_coloring(g, witness, value, stats, outcome)
-    # a claim of chi >= 2 or chi >= 3 is re-checked: a search for a 1- or
-    # 2-coloring never branches
-    claim = value if outcome == "VALUE" else _int(stats, "lower", "stats")
-    k = min(claim - 1, 2)
-    if k >= 1 and _exact_k_coloring(g, k, NodeBudget()) is not None:
-        raise VerificationError("bipartite", f"the graph is {k}-colorable, claimed {claim}")
+    if witness is not None:  # else an UNKNOWN without bounds, which proves nothing
+        _verify_coloring(_source_graph(params, witness), witness, value, stats, outcome)
 
 
 def _vf_clique(params, value, witness, stats, outcome):
-    if outcome != "VALUE":
-        return
+    if outcome == "UNKNOWN":
+        if witness is None:  # no bounds: nothing proven
+            return
+        value = _int(stats, "lower", "stats")  # the clique in hand when the budget ran out
     g = _source_graph(params, witness)
     verts = _int_list(witness, "vertices")
     if (len(verts) != value or len(set(verts)) != value
@@ -246,7 +236,7 @@ def _vf_clique(params, value, witness, stats, outcome):
     common = g.full_mask
     for v in verts:
         common &= g.adj[v]
-    if common:
+    if outcome == "VALUE" and common:
         raise VerificationError("clique-maximal",
                                 f"vertex {common.bit_length() - 1} is adjacent to the whole witness")
 
@@ -347,9 +337,7 @@ def _vf_cover(params, value, witness, stats, outcome):
 
 def _vf_max_cover(params, value, witness, stats, outcome):
     if outcome == "UNKNOWN":
-        if witness is None:
-            if "lower" in stats:
-                raise VerificationError("lower-witness", "a lower bound lacks its cover")
+        if witness is None:  # cut before its greedy cover: nothing proven
             return
         value = _int(stats, "lower", "stats")  # the cover in hand when the budget ran out
     n, r = _int(params, "n", _PARAMS), _int(params, "r", _PARAMS)
@@ -360,8 +348,8 @@ def _vf_max_cover(params, value, witness, stats, outcome):
                                 f"witness covers {covered.bit_count()} edges, claimed {value}")
     # a value below the edge bound is not optimal by counting: it must reach the greedy cover
     if outcome == "VALUE" and value < _edge_bound(n, r):
-        if n > 12:
-            raise VerificationError("n-range", f"max cover supports n <= 12, got {n}")
+        if n > MAX_COVERABLE_N:
+            raise VerificationError("n-range", f"max cover takes n <= {MAX_COVERABLE_N}, got {n}")
         greedy = _greedy_cover(n, r, NodeBudget(r))[0]
         if value < greedy:
             raise VerificationError("greedy-cover",
@@ -412,7 +400,9 @@ def _vf_bijection(params, value, witness, stats, outcome):
 
 def _vf_match(params, value, witness, stats, outcome):
     if outcome == "UNKNOWN":
-        return
+        if witness is None:  # no bounds: nothing proven
+            return
+        value = _int(stats, "lower", "stats")  # the greedy matching of a cut search
     h = _hypergraph_payload(witness)
     picked = _int_list(witness, "matching")
     if len(picked) != value:
@@ -423,7 +413,7 @@ def _vf_match(params, value, witness, stats, outcome):
 
 def _vf_line_chi(params, value, witness, stats, outcome):
     # the chromatic index is the chromatic number of the line graph
-    if not _bare_unknown(witness, stats, outcome):
+    if witness is not None:
         _verify_coloring(line_graph(_hypergraph_payload(witness)), witness, value, stats,
                          outcome)
 

@@ -95,17 +95,21 @@ def _load_graph(args, params: dict[str, Any]) -> Graph:
 # returns (outcome, value, witness, stats).
 
 
+def _cut(exc: BudgetExceededError, witness: dict, **proof):
+    """UNKNOWN for a search cut by its budget that proved a bound: its partial
+    but the witness as stats, and `proof`, the bound's witness, in the payload."""
+    stats = {key: val for key, val in exc.partial.items() if key != "witness"}
+    return "UNKNOWN", None, dict(witness, **proof), stats
+
+
 def _colored(g: Graph, budget: int | None, witness: dict):
     """VALUE with the coloring of `chromatic_number`; a search cut by its
     budget still certifies `upper` by the greedy coloring, as the witness."""
     try:
         res = chromatic_number(g, budget=budget)
     except BudgetExceededError as exc:
-        stats = {key: val for key, val in exc.partial.items() if key != "witness"}
-        witness["colors"] = list(exc.partial["witness"].colors)
-        return "UNKNOWN", None, witness, stats
-    witness["colors"] = list(res.witness.colors)
-    return "VALUE", res.value, witness, {}
+        return _cut(exc, witness, colors=list(exc.partial["witness"]))
+    return "VALUE", res.value, dict(witness, colors=list(res.colors)), {}
 
 
 def _run_chi(args, params):
@@ -115,9 +119,12 @@ def _run_chi(args, params):
 
 def _run_clique(args, params):
     g = _load_graph(args, params)
-    size, verts = max_clique(g, budget=args.budget)
-    witness = {"graph": graph_to_text(g), "vertices": list(verts)}
-    return "VALUE", size, witness, {}
+    witness = {"graph": graph_to_text(g)}
+    try:
+        size, verts = max_clique(g, budget=args.budget)
+    except BudgetExceededError as exc:
+        return _cut(exc, witness, vertices=list(exc.partial["witness"]))
+    return "VALUE", size, dict(witness, vertices=list(verts)), {}
 
 
 def _run_core(args, params):
@@ -136,9 +143,8 @@ def _run_ramsey(args, params):
         res = compute_c_k(fam, args.colors, cap=args.cap, budget=args.budget)
     except BudgetExceededError as exc:
         # a scan stopped by its cap or budget still certifies K_lower's coloring
-        stats = {key: val for key, val in exc.partial.items() if key != "witness"}
-        witness = {"n": stats["lower"], "assignment": list(exc.partial["witness"].assignment)}
-        return "UNKNOWN", None, witness, stats
+        return _cut(exc, {}, n=exc.partial["lower"],
+                    assignment=list(exc.partial["witness"].assignment))
     witness = {"n": res.value, "assignment": list(res.witness.assignment)}
     stats = {"witness_nodes": res.witness_nodes,
              "refutation_nodes": res.refutation_nodes}
@@ -178,9 +184,7 @@ def _run_max_cover(args, params):
         if "witness" not in exc.partial:
             raise
         # a search cut by its budget still certifies the cover in hand
-        stats = {key: val for key, val in exc.partial.items() if key != "witness"}
-        witness = {"factors": [graph_to_text(g) for g in exc.partial["witness"]]}
-        return "UNKNOWN", None, witness, stats
+        return _cut(exc, {}, factors=[graph_to_text(g) for g in exc.partial["witness"]])
     witness = {"factors": [graph_to_text(g) for g in res.factors]}
     return "VALUE", res.value, witness, {"nodes": res.nodes}
 
@@ -234,9 +238,12 @@ def _run_bijection(args, params):
 def _run_match(args, params):
     params["hypergraph"] = args.hypergraph
     h = hypergraph_from_text(_read_text(args.hypergraph))
-    res = max_matching(h, budget=args.budget)
-    witness = {"hypergraph": hypergraph_to_text(h), "matching": list(res.witness)}
-    return "VALUE", res.size, witness, {"nodes": res.nodes}
+    witness = {"hypergraph": hypergraph_to_text(h)}
+    try:
+        res = max_matching(h, budget=args.budget)
+    except BudgetExceededError as exc:
+        return _cut(exc, witness, matching=list(exc.partial["witness"]))
+    return "VALUE", res.size, dict(witness, matching=list(res.witness)), {"nodes": res.nodes}
 
 
 def _run_line_chi(args, params):
@@ -417,10 +424,10 @@ def _error(exc: RamseyLabError) -> int:
 def verify_certificate(cert: Mapping[str, Any]) -> bool:
     """Re-check a parsed certificate from its payload alone: an outcome its
     row lists, an integer value exactly where the row says so, a witness for
-    EXISTS and VALUE and none for NOT_EXISTS, the delta0 its parameters put
-    in force, then the row's check.  Returns
-    True; raises VerificationError naming the first violated check, or
-    ParseError for structurally unusable payloads."""
+    EXISTS, VALUE and an UNKNOWN whose stats claim a lower or upper bound and
+    none for NOT_EXISTS, the delta0 its parameters put in force, then the
+    row's check.  Returns True; raises VerificationError naming the first
+    violated check, or ParseError for structurally unusable payloads."""
     command, outcome = cert["command"], cert["outcome"]
     if not isinstance(command, str) or command not in COMMANDS:
         raise ParseError(f"unknown command {command!r}")
@@ -435,6 +442,8 @@ def verify_certificate(cert: Mapping[str, Any]) -> bool:
         raise VerificationError("witness-present", f"{outcome} certificate lacks a witness")
     if outcome == "NOT_EXISTS" and witness is not None:
         raise VerificationError("witness-absent", "NOT_EXISTS certificate has a witness")
+    if outcome == "UNKNOWN" and witness is None and {"lower", "upper"} & cert["stats"].keys():
+        raise VerificationError("bounds-witness", "a proven bound lacks its witness")
     if cert["delta0"] != _delta0(cert["parameters"]):
         raise VerificationError("delta0", "delta0 differs from the one its parameters set")
     row.check(cert["parameters"], value, witness, cert["stats"], outcome)
@@ -462,9 +471,8 @@ def run(argv: list[str]) -> int:
     try:
         outcome, value, witness, stats = COMMANDS[args.command].handler(args, params)
     except BudgetExceededError as exc:
-        # an unfinished search still certifies what it proved: bounds and nodes
-        outcome, value, witness = "UNKNOWN", None, None
-        stats = {k: v for k, v in exc.partial.items() if isinstance(v, (int, bool, str))}
+        # a cut that proved no bound (the handlers `_cut` every one that did)
+        outcome, value, witness, stats = "UNKNOWN", None, None, {"nodes": exc.partial["nodes"]}
     except _CODED as exc:
         return _error(exc)
     elapsed_ms = 0 if args.deterministic else int((time.perf_counter() - started) * 1000)

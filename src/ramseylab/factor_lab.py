@@ -52,6 +52,7 @@ DECOMPOSITION = "DECOMPOSITION"
 COVER_SCHEME = "maximal-factors/first-factor-up-to-iso/sorted-middle-factors/degree-bound"
 DECOMP_SCHEME = "first-factor-up-to-iso/descending-middle-masks/forced-last/degree-bound"
 MAX_COVER_N = 16  # the largest K_n that cover_search takes
+MAX_COVERABLE_N = 12  # the largest K_n that max_coverable_edges takes
 
 
 def classify_factor(g: Graph) -> str:
@@ -485,8 +486,9 @@ def max_coverable_edges(n: int, r: int, budget: int | None = None) -> MaxCoverRe
     heuristic.  The search starts from the greedy cover, which it must beat,
     and stops once min(C(n, 2), r * maxf) edges are covered.
     """
-    if n < 1 or n > 12:
-        raise ValidationError("BAD_N", f"max cover search supports 1 <= n <= 12, got {n}")
+    if n < 1 or n > MAX_COVERABLE_N:
+        raise ValidationError("BAD_N", f"max cover search supports 1 <= n <= {MAX_COVERABLE_N}, "
+                                       f"got {n}")
     if r < 1:
         raise ValidationError("OUT_OF_RANGE", f"need r >= 1, got {r}")
     bud = NodeBudget(budget)

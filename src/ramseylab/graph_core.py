@@ -217,21 +217,13 @@ def graph_from_text(text: str) -> Graph:
 # -- vertex colorings ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VertexColoring:
-    """Total map vertex -> color in 0..palette-1."""
-
-    colors: tuple[int, ...]
-    palette: int
-
-
 def is_proper_coloring(g: Graph, colors: Sequence[int]) -> bool:
     if len(colors) != g.n:
         return False
-    for u, v in g.edges():
-        if colors[u] == colors[v]:
-            return False
-    return True
+    classes: dict[int, int] = {}  # color -> vertex mask of its class
+    for v, c in enumerate(colors):
+        classes[c] = classes.get(c, 0) | 1 << v
+    return not any(a & classes[c] for a, c in zip(g.adj, colors))
 
 
 # Saturation order: the uncolored vertex seeing the most distinct colors,
@@ -275,7 +267,7 @@ def _exact_k_coloring(g: Graph, k: int, budget: NodeBudget) -> list[int] | None:
     used = 0
     pending = 0
     v = _IDX - (max(key) & _IDX)
-    avail = 1
+    avail = int(k > 0)  # no color at all colors no vertex
     while True:
         if not avail:
             if not stack:
@@ -339,17 +331,17 @@ def _exact_k_coloring(g: Graph, k: int, budget: NodeBudget) -> list[int] | None:
 @dataclass(frozen=True)
 class ChromaticResult:
     value: int
-    witness: VertexColoring
+    colors: tuple[int, ...]  # a proper coloring with value colors
 
 
 def chromatic_number(g: Graph, budget: int | None = None) -> ChromaticResult:
     """Exact chromatic number with a proper coloring as witness.
 
     On budget exhaustion raises BudgetExceededError whose ``partial`` maps
-    carry the proven interval (lower, upper) and the best coloring found.
+    carry the proven interval (lower, upper) and the greedy coloring as witness.
     """
     if g.n == 0:
-        return ChromaticResult(0, VertexColoring((), 0))
+        return ChromaticResult(0, ())
     bud = NodeBudget(budget)
     greedy = _exact_k_coloring(g, g.n, NodeBudget())  # k = n: the saturation greedy
     upper = max(greedy) + 1
@@ -357,25 +349,26 @@ def chromatic_number(g: Graph, budget: int | None = None) -> ChromaticResult:
     try:
         lower = max(lower, _max_clique_search(g, bud)[0])
         if lower == upper:
-            return ChromaticResult(upper, VertexColoring(tuple(greedy), upper))
+            return ChromaticResult(upper, tuple(greedy))
         for k in range(lower, upper):
-            witness = _exact_k_coloring(g, k, bud)
-            if witness is not None:
-                return ChromaticResult(k, VertexColoring(tuple(witness), k))
+            colors = _exact_k_coloring(g, k, bud)
+            if colors is not None:
+                return ChromaticResult(k, tuple(colors))
             lower = k + 1
-        return ChromaticResult(upper, VertexColoring(tuple(greedy), upper))
+        return ChromaticResult(upper, tuple(greedy))
     except BudgetExceededError:
         raise BudgetExceededError(
             "chromatic number undecided within node budget",
             lower=lower, upper=upper, nodes=bud.spent,
-            witness=VertexColoring(tuple(greedy), upper),
+            witness=tuple(greedy),
         ) from None
 
 
 def _max_clique_search(g: Graph, budget: NodeBudget) -> tuple[int, int]:
     """Maximum clique (size, vertex mask) by coloring-bounded branch and bound.
 
-    On budget exhaustion the partial's lower is the largest clique in hand.
+    On budget exhaustion the partial holds the largest clique in hand: its
+    size as lower, its vertex tuple as witness.
     """
     adj = g.adj
     best = 1
@@ -386,7 +379,8 @@ def _max_clique_search(g: Graph, budget: NodeBudget) -> tuple[int, int]:
         try:
             budget.tick()
         except BudgetExceededError as exc:
-            exc.partial["lower"] = max(best, rsize)  # rmask is a clique
+            mask = rmask if rsize > best else best_mask  # rmask is a clique
+            exc.partial.update(lower=mask.bit_count(), witness=tuple(_bits(mask)))
             raise
         if cand == 0:
             if rsize > best:
@@ -464,7 +458,7 @@ def k_core(g: Graph, d: int) -> KCoreResult:
 
 
 def extend_coloring_from_core(g: Graph, d: int,
-                              core_coloring: Mapping[int, int]) -> VertexColoring:
+                              core_coloring: Mapping[int, int]) -> tuple[int, ...]:
     """Grow a proper d-coloring of the d-core into one of the whole graph.
 
     Re-inserting the peeled vertices in reverse order works because each had
@@ -498,4 +492,4 @@ def extend_coloring_from_core(g: Graph, d: int,
             raise ValidationError("INVALID_CORE_COLORING",
                                   f"no free color for vertex {v}; core was not maximal")
         colors[v] = c
-    return VertexColoring(tuple(colors), d)
+    return tuple(colors)

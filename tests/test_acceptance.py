@@ -225,11 +225,11 @@ def test_acceptance_09_property_suites():
                 chrom = chromatic_number(core.graph)
                 if chrom.value > d:
                     continue  # the core itself needs more than d colors
-                coloring = {v: chrom.witness.colors[v] for v in core.vertices}
+                coloring = {v: chrom.colors[v] for v in core.vertices}
             else:
                 coloring = {}
             full = extend_coloring_from_core(g, d, coloring)
-            assert is_proper_coloring(g, full.colors)
+            assert is_proper_coloring(g, full)
             done += 1
         assert done >= 500
 

@@ -489,6 +489,8 @@ def test_budget_exhausted_certificate(tmp_path, capsys, argv, parameters, proven
     assert cert["parameters"] == parameters
     assert cert["stats"]["elapsed_ms"] == 0
     assert proven.items() <= cert["stats"].items()
+    if argv[0] == "clique":  # the clique in hand is the witness of lower
+        assert cert["witness"]["vertices"] == [35, 36, 37, 38, 39]
     saved = tmp_path / "unknown.json"
     saved.write_text(out)
     assert _invoke(capsys, ["verify", str(saved)])[:2] == (0, "true\n")

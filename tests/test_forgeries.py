@@ -212,7 +212,7 @@ def test_max_cover_lower_above_its_witness_is_rejected(tmp_path, capsys):
     forged["stats"]["lower"] = 1000
     assert "check covered-count:" in _rejected(tmp_path, capsys, forged)
     cert["witness"] = None
-    assert "check lower-witness:" in _rejected(tmp_path, capsys, cert)
+    assert "check bounds-witness:" in _rejected(tmp_path, capsys, cert)
 
 
 def test_max_cover_cut_before_its_greedy_cover_claims_no_lower(tmp_path, capsys):
@@ -223,7 +223,7 @@ def test_max_cover_cut_before_its_greedy_cover_claims_no_lower(tmp_path, capsys)
     assert cert["witness"] is None and "lower" not in cert["stats"]
     assert _verify(tmp_path, capsys, cert)[:2] == (0, "true\n")
     cert["stats"]["lower"] = 1
-    assert "check lower-witness:" in _rejected(tmp_path, capsys, cert)
+    assert "check bounds-witness:" in _rejected(tmp_path, capsys, cert)
 
 
 def test_ramsey_lower_above_its_witness_is_rejected(tmp_path, capsys):
@@ -353,6 +353,17 @@ def test_chi_above_a_coloring_found_without_branching_is_rejected(tmp_path, caps
     assert "check bipartite:" in _rejected(tmp_path, capsys, cert)
 
 
+def test_chromatic_index_above_a_two_coloring_is_rejected(tmp_path, capsys):
+    # four edges in a path: the line graph is the path P4, with index 2
+    hpath = tmp_path / "path4.txt"
+    hpath.write_text("2\n4 4\n0 0\n0 1\n1 1\n1 2\n")
+    assert run(["chromatic-index", "--hypergraph", str(hpath), "--deterministic"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["value"] == 2
+    cert["value"], cert["witness"]["colors"] = 3, [0, 1, 2, 0]
+    assert "check bipartite:" in _rejected(tmp_path, capsys, cert)
+
+
 def test_chi_lower_bound_above_the_empty_graph_is_rejected(tmp_path, capsys):
     assert run(["chi", "--complete", "0", "--deterministic"]) == 0
     cert = json.loads(capsys.readouterr().out)
@@ -374,6 +385,30 @@ def test_chi_budget_cut_bounds_are_checked(tmp_path, capsys, edit, check):
     cert["stats"].update(edit)
     if not edit:
         cert["witness"] = None
+    assert f"check {check}:" in _rejected(tmp_path, capsys, cert)
+
+
+@pytest.mark.parametrize("argv, key, held, check", [
+    (["clique", "--complete", "30", "--budget", "3"], "vertices", [27, 28, 29], "clique-size"),
+    # the 2-partite path with 5 edges (i, i) listed after 4 edges (i+1, i),
+    # which the greedy matching takes
+    (["match", "--hypergraph", "path5.txt", "--budget", "1"], "matching", [0, 1, 2, 3],
+     "matching-size"),
+    (["cover", "--n", "10", "--r", "5", "--budget", "3"], None, None, "bounds-witness"),
+], ids=["clique", "match", "cover"])
+def test_budget_cut_lower_beyond_its_witness_is_rejected(tmp_path, capsys, argv, key, held,
+                                                         check):
+    # a cut proves the bound its witness reaches, and a cut without one no bound
+    path5 = tmp_path / "path5.txt"
+    path5.write_text("2\n5 5\n1 0\n2 1\n3 2\n4 3\n0 0\n1 1\n2 2\n3 3\n4 4\n")
+    assert run([str(path5) if a == path5.name else a for a in argv] + ["--deterministic"]) == 2
+    cert = json.loads(capsys.readouterr().out)
+    if key is None:
+        assert cert["witness"] is None and "lower" not in cert["stats"]
+    else:
+        assert (cert["stats"]["lower"], cert["witness"][key]) == (len(held), held)
+    assert _verify(tmp_path, capsys, cert)[:2] == (0, "true\n")
+    cert["stats"]["lower"] = 99
     assert f"check {check}:" in _rejected(tmp_path, capsys, cert)
 
 

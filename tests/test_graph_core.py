@@ -216,8 +216,8 @@ def test_chromatic_exhaustive_small():
             g = build_graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
             res = chromatic_number(g)
             assert res.value == _brute_chromatic(g)
-            assert is_proper_coloring(g, res.witness.colors)
-            assert len(set(res.witness.colors)) == res.value
+            assert is_proper_coloring(g, res.colors)
+            assert len(set(res.colors)) == res.value
 
 
 def test_chromatic_random_vs_oracle():
@@ -226,7 +226,7 @@ def test_chromatic_random_vs_oracle():
         g = _random_graph(rng.randint(5, 8), rng.choice([0.2, 0.5, 0.8]), rng)
         res = chromatic_number(g)
         assert res.value == _brute_chromatic(g)
-        assert is_proper_coloring(g, res.witness.colors)
+        assert is_proper_coloring(g, res.colors)
         assert res.value <= max(map(g.degree, range(g.n))) + 1
 
 
@@ -238,6 +238,12 @@ def test_a_vertex_starting_a_component_takes_color_0_only():
     bud = NodeBudget()
     assert _exact_k_coloring(build_graph(61, edges), 2, bud) is None
     assert bud.spent == 60
+
+
+def test_no_color_colors_no_vertex():
+    for g in (Graph(1, (0,)), complete_graph(3)):
+        assert _exact_k_coloring(g, 0, NodeBudget()) is None
+    assert _exact_k_coloring(Graph(0, ()), 0, NodeBudget()) == []
 
 
 def test_chromatic_budget_partial():
@@ -343,14 +349,14 @@ def test_extend_coloring_from_core():
             chrom = chromatic_number(res.graph)
             if chrom.value > d:
                 continue
-            core_coloring = {v: chrom.witness.colors[v] for v in res.vertices}
+            core_coloring = {v: chrom.colors[v] for v in res.vertices}
         else:
             core_coloring = {}
         full = extend_coloring_from_core(g, d, core_coloring)
-        assert is_proper_coloring(g, full.colors)
-        assert full.palette == d
+        assert is_proper_coloring(g, full)
+        assert all(0 <= c < d for c in full)
         for v, c in core_coloring.items():
-            assert full.colors[v] == c
+            assert full[v] == c
 
 
 def test_extend_coloring_rejects_bad_core_input():

@@ -85,7 +85,7 @@ def test_chromatic_number_is_the_least_colourable_palette(graph):
     n, edges = graph
     res = chromatic_number(build_graph(n, edges))
     assert res.value == _brute_chromatic(n, edges)
-    assert all(res.witness.colors[u] != res.witness.colors[v] for u, v in edges)
+    assert all(res.colors[u] != res.colors[v] for u, v in edges)
 
 
 @settings(max_examples=300, deadline=None)

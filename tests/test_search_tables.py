@@ -104,7 +104,7 @@ def chromatic_row(n: int, adj: tuple[int, ...]) -> list:
         bud = NodeBudget()
         found = _exact_k_coloring(g, k, bud)
         per_k.append([k, found, bud.spent])
-    return [per_k, res.value, list(res.witness.colors)]
+    return [per_k, res.value, list(res.colors)]
 
 
 def matching_inputs() -> list[tuple[str, PartiteHypergraph]]:
