@@ -17,6 +17,7 @@ import json
 from dataclasses import asdict
 from typing import Any, Mapping
 
+from . import __version__ as VERSION
 from .errors import ParseError, ValidationError, VerificationError
 from .graph_core import (
     GENERATORS,
@@ -70,7 +71,6 @@ from .extremal import (
 
 SCHEMA = 1
 TOOL = "ramseylab"
-VERSION = "0.1.0"
 OUTCOMES = ("EXISTS", "NOT_EXISTS", "VALUE", "UNKNOWN")
 
 
@@ -182,23 +182,22 @@ def _int_list(payload: Mapping[str, Any] | None, key: str) -> list[int]:
 
 def _verify_coloring(g: Graph, witness, value, stats, outcome) -> None:
     """The one check of a vertex coloring: proper on g, with value colors; or,
-    for a search cut by its budget, with at most upper colors, and lower <= upper.
+    for a search cut by its budget, with at most upper colors, and value <= upper.
     A claim of chi >= 2 or 3 is re-checked: a 1- or 2-coloring search never branches."""
     colors = _int_list(witness, "colors")
     if not is_proper_coloring(g, colors):
         raise VerificationError("proper-coloring", "witness coloring is not proper")
-    claim = value
     if outcome == "UNKNOWN":
-        claim, upper = _int(stats, "lower", "stats"), _int(stats, "upper", "stats")
-        if claim > upper or len(set(colors)) > upper:
+        upper = _int(stats, "upper", "stats")
+        if value > upper or len(set(colors)) > upper:
             raise VerificationError("color-bounds", f"witness uses {len(set(colors))} colors, "
-                                    f"claimed lower {claim} and upper {upper}")
+                                    f"claimed lower {value} and upper {upper}")
     elif len(set(colors)) != value:
         raise VerificationError("color-count",
                                 f"witness uses {len(set(colors))} colors, claimed {value}")
-    k = min(claim - 1, 2)
+    k = min(value - 1, 2)
     if k >= 1 and _exact_k_coloring(g, k, NodeBudget()) is not None:
-        raise VerificationError("bipartite", f"the graph is {k}-colorable, claimed {claim}")
+        raise VerificationError("bipartite", f"the graph is {k}-colorable, claimed {value}")
 
 
 def _source_graph(params, witness) -> Graph:
@@ -220,10 +219,8 @@ def _vf_chi(params, value, witness, stats, outcome):
 
 
 def _vf_clique(params, value, witness, stats, outcome):
-    if outcome == "UNKNOWN":
-        if witness is None:  # no bounds: nothing proven
-            return
-        value = _int(stats, "lower", "stats")  # the clique in hand when the budget ran out
+    if witness is None:  # a cut without bounds: nothing proven
+        return
     g = _source_graph(params, witness)
     verts = _int_list(witness, "vertices")
     if (len(verts) != value or len(set(verts)) != value
@@ -270,7 +267,7 @@ def _vf_ramsey(params, value, witness, stats, outcome):
     k = _int(params, "colors", _PARAMS)
     n = _int(witness, "n")
     if outcome == "UNKNOWN":
-        if n != _int(stats, "lower", "stats") or n > _int(params, "cap", _PARAMS):
+        if n != value or n > _int(params, "cap", _PARAMS):
             raise VerificationError("lower-witness",
                                     "witness size differs from the lower bound or exceeds the cap")
     elif value != n:
@@ -291,7 +288,7 @@ def _vf_ramsey(params, value, witness, stats, outcome):
     # an exact closed form is the value itself, and bounds every lower bound
     form = closed_form_c_k(fam, k)
     if (form is not None and not (form.asymptotic or form.conditional)
-            and (n > form.value if outcome == "UNKNOWN" else value != form.value)):
+            and (n > form.value if outcome == "UNKNOWN" else n != form.value)):
         raise VerificationError("closed-form", f"c_{k} is {form.value} by its closed form")
 
 
@@ -336,10 +333,8 @@ def _vf_cover(params, value, witness, stats, outcome):
 
 
 def _vf_max_cover(params, value, witness, stats, outcome):
-    if outcome == "UNKNOWN":
-        if witness is None:  # cut before its greedy cover: nothing proven
-            return
-        value = _int(stats, "lower", "stats")  # the cover in hand when the budget ran out
+    if witness is None:  # cut before its greedy cover: nothing proven
+        return
     n, r = _int(params, "n", _PARAMS), _int(params, "r", _PARAMS)
     factors = _graphs_payload(witness, "factors")
     covered = _verify_cover_payload(n, r, GENERALIZED, COVER, factors, require_cover=False)
@@ -399,10 +394,8 @@ def _vf_bijection(params, value, witness, stats, outcome):
 
 
 def _vf_match(params, value, witness, stats, outcome):
-    if outcome == "UNKNOWN":
-        if witness is None:  # no bounds: nothing proven
-            return
-        value = _int(stats, "lower", "stats")  # the greedy matching of a cut search
+    if witness is None:  # a cut without bounds: nothing proven
+        return
     h = _hypergraph_payload(witness)
     picked = _int_list(witness, "matching")
     if len(picked) != value:

@@ -68,8 +68,8 @@ from .factor_lab import random_factor
 from .certificates import (
     _vf_ach, _vf_bijection, _vf_chi, _vf_chi_r, _vf_claim51, _vf_clique, _vf_closed_form,
     _vf_core, _vf_cover, _vf_galaxy, _vf_k11, _vf_line_chi, _vf_match, _vf_max_cover,
-    _vf_plane, _vf_ramsey, _vf_truncated_plane, _vf_walecki, _delta0, certificate_to_json,
-    make_certificate, parse_certificate,
+    _vf_plane, _vf_ramsey, _vf_truncated_plane, _vf_walecki, _delta0, _int,
+    certificate_to_json, make_certificate, parse_certificate,
 )
 
 
@@ -302,13 +302,15 @@ class _OneOf(NamedTuple):
 
 class Command(NamedTuple):
     """One subcommand: help line, the options its handler reads, handler, the
-    check of its certificate, and whether each outcome it prints has a value."""
+    check of its certificate, whether each outcome it prints has a value, and
+    the bounds its UNKNOWN may carry (no other outcome carries any)."""
 
     help: str
     options: tuple[_Arg | _OneOf, ...]
     handler: Callable
     check: Callable
     outcomes: Mapping[str, bool]
+    bounds: frozenset[str] = frozenset()
 
 
 _BUDGET = _Arg("--budget", type=int, default=None, help="branch-node budget for searches")
@@ -337,17 +339,22 @@ _P = _Arg("--p", type=int, required=True)
 _SEARCH = {"VALUE": True, "UNKNOWN": False}
 _BUILT = {"EXISTS": False}
 _MATCHED = {"EXISTS": True}
+# the bounds a budget cut proves: lower by the witness in hand; a greedy coloring is upper
+_LOWER = frozenset({"lower"})
+_INTERVAL = frozenset({"lower", "upper"})
 
 # Every command also takes --deterministic; each row lists only the other
 # options its handler reads.
 COMMANDS: dict[str, Command] = {
-    "chi": Command("exact chromatic number", (_GRAPH_SOURCE, _BUDGET), _run_chi, _vf_chi, _SEARCH),
-    "clique": Command("maximum clique", (_GRAPH_SOURCE, _BUDGET), _run_clique, _vf_clique, _SEARCH),
+    "chi": Command("exact chromatic number", (_GRAPH_SOURCE, _BUDGET), _run_chi, _vf_chi, _SEARCH,
+                   _INTERVAL),
+    "clique": Command("maximum clique", (_GRAPH_SOURCE, _BUDGET), _run_clique, _vf_clique, _SEARCH,
+                      _LOWER),
     "core": Command("d-core and peeling order", (_GRAPH_SOURCE, _D), _run_core, _vf_core,
                     {"VALUE": True}),
     "ramsey": Command("largest n admitting a pattern-free coloring",
                       (_FAMILY, _COLORS, _Arg("--cap", type=int, default=32), _BUDGET),
-                      _run_ramsey, _vf_ramsey, _SEARCH),
+                      _run_ramsey, _vf_ramsey, _SEARCH, _LOWER),
     "closed-form": Command("known formula value for a family", (_FAMILY, _COLORS, _DELTA0),
                            _run_closed_form, _vf_closed_form, _SEARCH),
     "cover": Command("cover or decompose K_n by r factors", (
@@ -358,7 +365,7 @@ COMMANDS: dict[str, Command] = {
               help="require factors to be pairwise edge-disjoint"),
         _BUDGET), _run_cover, _vf_cover, {"EXISTS": False, "NOT_EXISTS": False, "UNKNOWN": False}),
     "max-cover": Command("max K_n edges coverable by r factors", (_N, _R, _BUDGET),
-                         _run_max_cover, _vf_max_cover, _SEARCH),
+                         _run_max_cover, _vf_max_cover, _SEARCH, _LOWER),
     "walecki": Command("Hamilton cycle decomposition of K_{2k+1}", (_K,), _run_walecki, _vf_walecki,
                        _BUILT),
     "galaxy": Command("star-forest covering of K_{2k}", (_K,), _run_galaxy, _vf_galaxy, _BUILT),
@@ -372,9 +379,9 @@ COMMANDS: dict[str, Command] = {
         _Arg("--seed", type=int, default=0, help="seed for randomized inputs")),
         _run_bijection, _vf_bijection, _BUILT),
     "match": Command("exact maximum matching", (_HYPERGRAPH, _BUDGET), _run_match, _vf_match,
-                     _SEARCH),
+                     _SEARCH, _LOWER),
     "chromatic-index": Command("exact proper edge-coloring number", (_HYPERGRAPH, _BUDGET),
-                               _run_line_chi, _vf_line_chi, _SEARCH),
+                               _run_line_chi, _vf_line_chi, _SEARCH, _INTERVAL),
     "ach": Command("matching-bound counterexample hypergraph", (_D,), _run_ach, _vf_ach, _MATCHED),
     "plane": Command("projective plane of prime order", (_P,), _run_plane, _vf_plane, _BUILT),
     "truncated-plane": Command("plane minus a point, as a hypergraph", (_P,),
@@ -425,9 +432,11 @@ def verify_certificate(cert: Mapping[str, Any]) -> bool:
     """Re-check a parsed certificate from its payload alone: an outcome its
     row lists, an integer value exactly where the row says so, a witness for
     EXISTS, VALUE and an UNKNOWN whose stats claim a lower or upper bound and
-    none for NOT_EXISTS, the delta0 its parameters put in force, then the
-    row's check.  Returns True; raises VerificationError naming the first
-    violated check, or ParseError for structurally unusable payloads."""
+    none for NOT_EXISTS, only the bounds the row lets its UNKNOWN carry, the
+    delta0 its parameters put in force, then the row's check.  A cut with a
+    witness is checked as the VALUE of its lower bound.  Returns True; raises
+    VerificationError naming the first violated check, or ParseError for
+    structurally unusable payloads."""
     command, outcome = cert["command"], cert["outcome"]
     if not isinstance(command, str) or command not in COMMANDS:
         raise ParseError(f"unknown command {command!r}")
@@ -442,8 +451,14 @@ def verify_certificate(cert: Mapping[str, Any]) -> bool:
         raise VerificationError("witness-present", f"{outcome} certificate lacks a witness")
     if outcome == "NOT_EXISTS" and witness is not None:
         raise VerificationError("witness-absent", "NOT_EXISTS certificate has a witness")
-    if outcome == "UNKNOWN" and witness is None and {"lower", "upper"} & cert["stats"].keys():
+    bounds = {"lower", "upper"} & cert["stats"].keys()
+    if outcome == "UNKNOWN" and witness is None and bounds:
         raise VerificationError("bounds-witness", "a proven bound lacks its witness")
+    extra = bounds - row.bounds if outcome == "UNKNOWN" else bounds
+    if extra:
+        raise VerificationError("bounds", f"{outcome} of {command} carries no {min(extra)}")
+    if outcome == "UNKNOWN" and witness is not None and row.bounds:
+        value = _int(cert["stats"], "lower", "stats")
     if cert["delta0"] != _delta0(cert["parameters"]):
         raise VerificationError("delta0", "delta0 differs from the one its parameters set")
     row.check(cert["parameters"], value, witness, cert["stats"], outcome)

@@ -124,10 +124,6 @@ def hypergraph_to_factors(h: PartiteHypergraph) -> list[Graph]:
                               f"part sizes {h.part_sizes} are not all equal")
     if regularity(h) != 3:
         raise ValidationError("NOT_3_REGULAR", "every vertex must lie in exactly 3 hyperedges")
-    n_vertices = h.m
-    if n_vertices > MAX_VERTICES:
-        raise ValidationError("OUT_OF_RANGE",
-                              f"{n_vertices} hyperedges exceed the {MAX_VERTICES}-vertex graph cap")
     factors = []
     for i in range(h.r):
         incident: list[list[int]] = [[] for _ in range(h.part_sizes[i])]
@@ -137,7 +133,7 @@ def hypergraph_to_factors(h: PartiteHypergraph) -> list[Graph]:
         for triple in incident:
             a, b, c = triple
             edges.extend([(a, b), (a, c), (b, c)])
-        factors.append(build_graph(n_vertices, edges))
+        factors.append(build_graph(h.m, edges))
     return factors
 
 
@@ -177,13 +173,7 @@ def max_matching(h: PartiteHypergraph, budget: int | None = None) -> MatchingRes
     picked: list[int] = []
     try:
         for comp in connected_components(lg):
-            if comp & (comp - 1):
-                picked += _match_branch(verts, starts, comp, bud)
-            else:
-                # one edge: greedy takes it and the bound stops the search at
-                # its root, which costs one node
-                bud.tick()
-                picked.append(comp.bit_length() - 1)
+            picked += _match_branch(verts, starts, comp, bud)
     except BudgetExceededError:
         # an unfinished search still proves what fits together greedily
         partial = _greedy_matching(lg.adj)

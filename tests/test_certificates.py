@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from ramseylab import verify_certificate
+from ramseylab.cli import verify_certificate
 from ramseylab.certificates import (
     OUTCOMES,
     SCHEMA,

@@ -428,27 +428,41 @@ def test_shared_parser_prints_what_a_fresh_one_prints(capsys):
         assert _invoke(capsys, argv) == (code, *_fresh_parser_output(capsys, argv))
 
 
-def _python_dash_m(*argv: str) -> subprocess.CompletedProcess:
+def _python(*argv: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports ramseylab from this source tree."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(cli.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "ramseylab", *argv],
-                          capture_output=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *argv], capture_output=True, env=env, timeout=60)
 
 
 def test_python_dash_m_runs_the_cli():
-    proc = _python_dash_m("plane", "--p", "3", "--deterministic")
+    proc = _python("-m", "ramseylab", "plane", "--p", "3", "--deterministic")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / "plane.json").read_bytes()
 
 
 def test_python_dash_m_verifies_and_exits_with_the_run_code():
     # __main__ hands run()'s code to sys.exit through console_main
-    proc = _python_dash_m("verify", str(GOLDEN / "ramsey.json"))
+    proc = _python("-m", "ramseylab", "verify", str(GOLDEN / "ramsey.json"))
     assert (proc.returncode, proc.stdout) == (0, b"true\n"), proc.stderr
-    proc = _python_dash_m()
+    proc = _python("-m", "ramseylab")
     assert (proc.returncode, proc.stdout) == (1, b"")
     assert b"required: command" in proc.stderr
+
+
+@pytest.mark.parametrize("module", ["errors", "graph_core", "ramsey_search", "factor_lab",
+                                    "hypergraph_lab", "extremal", "certificates", "cli"])
+def test_each_module_imports_alone(module):
+    # the package root imports nothing, so no import order hides a cycle
+    proc = _python("-c", f"import ramseylab.{module}")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_package_root_loads_no_submodule():
+    proc = _python("-c", "import sys, ramseylab\n"
+                         "print(sorted(m for m in sys.modules if m.startswith('ramseylab.')))")
+    assert (proc.returncode, proc.stdout) == (0, b"[]\n"), proc.stderr
 
 
 def test_each_command_takes_only_the_options_it_reads(capsys):

@@ -396,12 +396,11 @@ def test_chi_budget_cut_bounds_are_checked(tmp_path, capsys, edit, check):
      "matching-size"),
     (["cover", "--n", "10", "--r", "5", "--budget", "3"], None, None, "bounds-witness"),
 ], ids=["clique", "match", "cover"])
-def test_budget_cut_lower_beyond_its_witness_is_rejected(tmp_path, capsys, argv, key, held,
-                                                         check):
+def test_budget_cut_lower_beyond_its_witness_is_rejected(tmp_path, capsys, monkeypatch, argv,
+                                                         key, held, check):
     # a cut proves the bound its witness reaches, and a cut without one no bound
-    path5 = tmp_path / "path5.txt"
-    path5.write_text("2\n5 5\n1 0\n2 1\n3 2\n4 3\n0 0\n1 1\n2 2\n3 3\n4 4\n")
-    assert run([str(path5) if a == path5.name else a for a in argv] + ["--deterministic"]) == 2
+    monkeypatch.chdir(GOLDEN)
+    assert run(argv + ["--deterministic"]) == 2
     cert = json.loads(capsys.readouterr().out)
     if key is None:
         assert cert["witness"] is None and "lower" not in cert["stats"]
@@ -410,6 +409,35 @@ def test_budget_cut_lower_beyond_its_witness_is_rejected(tmp_path, capsys, argv,
     assert _verify(tmp_path, capsys, cert)[:2] == (0, "true\n")
     cert["stats"]["lower"] = 99
     assert f"check {check}:" in _rejected(tmp_path, capsys, cert)
+
+
+@pytest.mark.parametrize("argv, edit", [
+    (["clique", "--complete", "30", "--budget", "3"], {"upper": 2}),
+    (["ramsey", "--family", "K3,PATH:4", "--colors", "4", "--budget", "1000"], {"upper": 3}),
+    (["match", "--hypergraph", "path5.txt", "--budget", "1"], {"upper": 1}),
+    (["max-cover", "--n", "12", "--r", "5", "--budget", "100"], {"upper": 1}),
+    (["chi", "--complete", "5"], {"lower": 99}),
+    (["walecki", "--k", "3"], {"upper": 1}),
+    (["chi-r", "--r", "6"], {"lower": 99}),
+], ids=["clique-upper", "ramsey-upper", "match-upper", "max-cover-upper", "chi-value",
+        "walecki-exists", "chi-r-unknown"])
+def test_bound_the_outcome_never_carries_is_rejected(tmp_path, capsys, monkeypatch, argv,
+                                                     edit):
+    # only an UNKNOWN carries bounds, and only those its command's row names
+    monkeypatch.chdir(GOLDEN)
+    assert run(argv + ["--deterministic"]) in (0, 2)
+    cert = json.loads(capsys.readouterr().out)
+    assert _verify(tmp_path, capsys, cert)[:2] == (0, "true\n")
+    cert["stats"].update(edit)
+    assert "check bounds:" in _rejected(tmp_path, capsys, cert)
+
+
+@pytest.mark.parametrize("command", ["chi", "clique"])
+def test_witnessed_cut_without_its_lower_is_a_parse_error(tmp_path, capsys, command):
+    assert run([command, "--complete", "30", "--budget", "3", "--deterministic"]) == 2
+    cert = json.loads(capsys.readouterr().out)
+    del cert["stats"]["lower"]
+    assert _rejected(tmp_path, capsys, cert).startswith("error [PARSE_ERROR]: stats lacks 'lower'")
 
 
 def test_non_maximal_clique_is_rejected(tmp_path, capsys):
@@ -433,8 +461,8 @@ _VALUE_EDITS = [(name, value) for name, cert in _GOLDENS.items()
 
 
 def test_every_golden_is_counted():
-    assert len(_GOLDENS) == 42
-    assert (len(_RELABELS), len(_VALUE_EDITS)) == (126, 228)
+    assert len(_GOLDENS) == 46
+    assert (len(_RELABELS), len(_VALUE_EDITS)) == (138, 248)
 
 
 @pytest.mark.parametrize("name, outcome", _RELABELS)

@@ -48,6 +48,11 @@ CASES: dict[str, list[str]] = {
     "cover-decomposition-cap": ["cover", "--n", "12", "--r", "6", "--decomposition",
                                 "--budget", "2000"],
     "max-cover": ["max-cover", "--n", "6", "--r", "3"],
+    # budget cuts: each proves the bounds its witness reaches
+    "chi-cut": ["chi", "--complete", "30", "--budget", "3"],
+    "clique-cut": ["clique", "--complete", "30", "--budget", "3"],
+    "match-cut": ["match", "--hypergraph", "path5.txt", "--budget", "1"],
+    "max-cover-cut": ["max-cover", "--n", "12", "--r", "5", "--budget", "100"],
     "walecki": ["walecki", "--k", "4"],
     "galaxy": ["galaxy", "--k", "3"],
     "k11": ["k11"],
@@ -148,8 +153,8 @@ def _nested(where: tuple, field):
 
 
 def _mutations(cert: dict):
-    """The outcome relabelled and the value replaced; each key of parameters
-    and witness deleted, set to "x", or set to [1]; and one level below each."""
+    """The outcome relabelled and the value replaced; each key of parameters,
+    witness and stats deleted, set to "x", or set to [1]; and one level below each."""
     for outcome in ("EXISTS", "NOT_EXISTS", "VALUE", "UNKNOWN"):
         if outcome != cert["outcome"]:
             yield ("outcome",), outcome
@@ -157,7 +162,7 @@ def _mutations(cert: dict):
         yield ("value",), value
     if type(cert["value"]) is int:
         yield ("value",), cert["value"] + 1
-    for section in ("parameters", "witness"):
+    for section in ("parameters", "witness", "stats"):
         for key in sorted(cert[section] or {}):
             for value in (_DELETE, "x", [1]):
                 yield (section, key), value
