@@ -138,7 +138,7 @@ def _need(payload: Mapping[str, Any] | None, key: str, where: str = "witness pay
 
 def _int(payload: Mapping[str, Any] | None, key: str, where: str = "witness payload") -> int:
     val = _need(payload, key, where)
-    if not isinstance(val, int):
+    if type(val) is not int:  # a JSON true is no integer
         raise ParseError(f"{key!r} must be an integer")
     return val
 
@@ -172,7 +172,7 @@ def _hypergraph_payload(payload: Mapping[str, Any] | None,
 
 def _int_list(payload: Mapping[str, Any] | None, key: str) -> list[int]:
     val = _need(payload, key)
-    if not isinstance(val, list) or not all(isinstance(x, int) for x in val):
+    if not isinstance(val, list) or not set(map(type, val)) <= {int}:  # no JSON true
         raise ParseError(f"{key!r} must be a list of integers")
     return val
 
@@ -396,6 +396,8 @@ def _vf_bijection(params, value, witness, stats, outcome):
 def _vf_match(params, value, witness, stats, outcome):
     if witness is None:  # a cut without bounds: nothing proven
         return
+    if outcome == "UNKNOWN" and stats.get("exact") is not False:
+        raise VerificationError("cut-inexact", "a matching cut by its budget is not exact")
     h = _hypergraph_payload(witness)
     picked = _int_list(witness, "matching")
     if len(picked) != value:
@@ -431,7 +433,7 @@ def _vf_plane(params, value, witness, stats, outcome):
     p = _int(params, "p", _PARAMS)
     lines = _need(witness, "lines")
     if not isinstance(lines, list) or not all(
-            isinstance(ln, list) and all(isinstance(x, int) for x in ln) for ln in lines):
+            isinstance(ln, list) and set(map(type, ln)) <= {int} for ln in lines):
         raise ParseError("'lines' must be a list of integer lists")
     plane = ProjectivePlane(p, tuple(tuple(ln) for ln in lines))
     _verify_plane(plane)

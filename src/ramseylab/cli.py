@@ -109,7 +109,7 @@ def _colored(g: Graph, budget: int | None, witness: dict):
         res = chromatic_number(g, budget=budget)
     except BudgetExceededError as exc:
         return _cut(exc, witness, colors=list(exc.partial["witness"]))
-    return "VALUE", res.value, dict(witness, colors=list(res.colors)), {}
+    return "VALUE", res.value, dict(witness, colors=list(res.colors)), {"nodes": res.nodes}
 
 
 def _run_chi(args, params):

@@ -2,18 +2,24 @@
 
 Vertices are 0-based indices and adjacency is one fixed-width bitmask per
 vertex, which caps graphs at 64 vertices.  All values are immutable, all
-searches are sequential and break ties toward the lowest vertex index, so
-every result and witness is reproducible run to run.
+searches break ties toward the lowest vertex index, and every result is the
+one the sequential search gives, so every result, witness and node count is
+reproducible run to run.
 
 Chromatic number is computed exactly: a maximum-clique lower bound, a
 saturation-greedy upper bound, then saturation-guided backtracking for each
 candidate palette size in between.  Both branch-and-bound searches charge
 nodes against a shared budget and abort with partial bounds instead of
-returning a wrong answer.
+returning a wrong answer.  A long coloring search shares the rest of its
+tree with one forked worker per further CPU (``_Split``), and merges their
+results back into those of the sequential search.
 """
 
 from __future__ import annotations
 
+import _thread
+import marshal
+import os
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -235,7 +241,8 @@ _DEG = _IDX + 1
 _SAT = _DEG << MAX_VERTICES.bit_length()
 
 
-def _exact_k_coloring(g: Graph, k: int, budget: NodeBudget) -> list[int] | None:
+def _exact_k_coloring(g: Graph, k: int, budget: NodeBudget,
+                      split: bool = True) -> list[int] | None:
     """Proper k-coloring via saturation-guided backtracking, or None.
 
     Color symmetry is broken canonically: a vertex may open color c only if
@@ -254,6 +261,10 @@ def _exact_k_coloring(g: Graph, k: int, budget: NodeBudget) -> list[int] | None:
     color, which are re-checked only when a neighbor is colored or loses
     a free color.  One explicit stack holds, per colored vertex, its
     untried colors and the state from before, which backtracking puts back.
+
+    Once this call has spent ``_SPLIT_AFTER`` nodes, its next node of depth
+    ``_SPLIT_DEPTH`` hands the rest of the tree to ``_Split``, unless
+    ``split`` is false: from then on ``budget`` is this process's share.
     """
     n = g.n
     if not n:
@@ -268,70 +279,317 @@ def _exact_k_coloring(g: Graph, k: int, budget: NodeBudget) -> list[int] | None:
     pending = 0
     v = _IDX - (max(key) & _IDX)
     avail = int(k > 0)  # no color at all colors no vertex
-    while True:
-        if not avail:
-            if not stack:
-                return None
-            v, avail, used, key, seen, pending = stack.pop()
-            colors[v] = -1
-            continue
-        low = avail & -avail
-        avail ^= low
-        budget.tick()
-        c = low.bit_length() - 1
-        colors[v] = c
-        if len(stack) == n - 1:
-            return colors
-        stack.append((v, avail, used, key, seen, pending))
-        key, seen = key.copy(), seen.copy()
-        key[v] = -1
-        nbv = nbrs[v]
-        if nbv is None:
-            nbv = nbrs[v] = _bits(adj[v])
-        check = pending & adj[v]  # v can no longer take a color they lack
-        if ~seen[v] & (low - 1):
-            check |= 1 << v
-        for u in nbv:
-            if key[u] >= 0:
-                if seen[u] & low:
-                    key[u] -= _DEG
+    # the depth of the pieces, if their roots have subtrees; else none
+    gate = _SPLIT_DEPTH if split and _SPLIT_DEPTH < n - 1 else -1
+    start = budget.spent
+    share: _Split | None = None
+    try:
+        while True:
+            if not avail:
+                if not stack:
+                    return None if share is None else share.finish(None, True)
+                v, avail, used, key, seen, pending = stack.pop()
+                colors[v] = -1
+                continue
+            low = avail & -avail
+            avail ^= low
+            depth = len(stack)
+            if depth <= gate:
+                if share is None and depth == gate and budget.spent - start >= _SPLIT_AFTER:
+                    share = _Split(g, k, budget, start)
+                    if share.fork():
+                        budget = share
+                    else:
+                        share, gate = None, -1  # this search stays on one CPU
+                if share is not None and not share.enter(depth == gate):
+                    continue  # another process searches this piece
+            budget.tick()
+            c = low.bit_length() - 1
+            colors[v] = c
+            if depth == n - 1:
+                return colors if share is None else share.finish(colors, True)
+            stack.append((v, avail, used, key, seen, pending))
+            key, seen = key.copy(), seen.copy()
+            key[v] = -1
+            nbv = nbrs[v]
+            if nbv is None:
+                nbv = nbrs[v] = _bits(adj[v])
+            check = pending & adj[v]  # v can no longer take a color they lack
+            if ~seen[v] & (low - 1):
+                check |= 1 << v
+            for u in nbv:
+                if key[u] >= 0:
+                    if seen[u] & low:
+                        key[u] -= _DEG
+                    else:
+                        seen[u] |= low
+                        key[u] += _SAT - _DEG
+                        check |= pending & adj[u]  # u can no longer take c
                 else:
                     seen[u] |= low
-                    key[u] += _SAT - _DEG
-                    check |= pending & adj[u]  # u can no longer take c
+            pending |= check
+            while check:
+                bit = check & -check
+                check ^= bit
+                x = bit.bit_length() - 1
+                lack = ~seen[x] & ((1 << colors[x]) - 1)
+                if not lack:
+                    pending ^= bit
+                    continue
+                for u in nbrs[x]:
+                    if key[u] >= 0:
+                        lack &= seen[u]
+                        if not lack:
+                            break
+                if lack:
+                    break
             else:
-                seen[u] |= low
-        pending |= check
-        while check:
-            bit = check & -check
-            check ^= bit
-            x = bit.bit_length() - 1
-            lack = ~seen[x] & ((1 << colors[x]) - 1)
-            if not lack:
-                pending ^= bit
+                if c == used:
+                    used += 1
+                v = _IDX - (max(key) & _IDX)
+                avail = ~seen[v] & ((1 << min(k, used + 1)) - 1) if seen[v] else 1
                 continue
-            for u in nbrs[x]:
-                if key[u] >= 0:
-                    lack &= seen[u]
-                    if not lack:
-                        break
-            if lack:
+            # x can never see every lower color: try v's next color
+            v, avail, used, key, seen, pending = stack.pop()
+            colors[v] = -1
+    except BudgetExceededError:
+        if share is None or share.finished:  # a cut the merge found goes to the caller
+            raise
+        return share.finish(None, False)
+    finally:
+        if share is not None:
+            share.close()
+
+
+# -- sharing a long coloring search with forked workers ---------------------------
+#
+# A split search forks one worker per further CPU at a node of depth
+# _SPLIT_DEPTH.  From there every process runs the same search on its own copy
+# of the stack.  Each node of that depth roots a piece: the pieces are numbered
+# in the order the sequential search meets them, a process claims the next
+# number from a counter that all of them share and skips every piece it did
+# not claim, and every process replays the shallower nodes.  A piece's node
+# count, and the coloring it holds if any, do not depend on which process
+# searched it, so the parent adds them up in piece order into the answer, the
+# coloring and the node count of the sequential search.
+
+_SPLIT_AFTER = 2000  # nodes of one call before it splits: some 10 ms, several forks' cost
+_SPLIT_DEPTH = 6
+_LOOK_EVERY = 512  # nodes between a process's looks at the shared state
+_NO_PIECE = (1 << 63) - 1  # where the search ends, while no process knows
+
+
+class _Split:
+    """One process's share of a split coloring search, and its node budget.
+
+    ``spent`` counts this process's own nodes since the split, shallow and in
+    its pieces; ``left`` is what the caller's budget had left then.  The
+    processes share two numbers: the next unclaimed piece, and the lowest
+    piece at which the sequential search is known to end, by a coloring or a
+    cut.  Every ``_LOOK_EVERY`` nodes ``tick`` looks at the second: a process
+    stops (by BudgetExceededError) once it has spent ``left``, or once the
+    search ends below the piece it is in.  ``records`` holds, per piece it
+    searched, (number, shallow nodes before it, its nodes, its coloring or
+    None, whether its count is whole).  A worker sends them to the parent
+    through a pipe and exits; the parent merges them in ``finish``.
+    """
+
+    __slots__ = ("limit", "spent", "g", "k", "budget", "start", "left", "parent", "fd",
+                 "children", "out", "records", "own", "next", "mine", "open", "began",
+                 "finished")
+
+    def __init__(self, g: Graph, k: int, budget: NodeBudget, start: int):
+        self.g, self.k, self.budget, self.start = g, k, budget, start
+        self.left = budget.limit - budget.spent
+        self.spent = 0
+        self.limit = min(self.left, _LOOK_EVERY)
+        self.parent = os.getpid()
+        self.children: list[tuple[int, int]] = []  # (pid, read end of its pipe), parent only
+        self.fd = self.out = -1  # the shared numbers; a worker's write end
+        self.records: list[tuple] = []
+        self.own = 0  # nodes in this process's closed pieces
+        self.next = 0  # number of the next piece root this process meets
+        self.mine = -1  # the piece it claimed last
+        self.open = -1  # the piece it is in, if any
+        self.began = 0  # spent when that piece began
+        self.finished = False
+
+    def fork(self) -> bool:
+        """Fork one worker per further CPU; False, forking none, on one CPU,
+        without os.fork or os.memfd_create, or with a second thread running."""
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        if (cpus < 2 or not hasattr(os, "fork") or not hasattr(os, "memfd_create")
+                or _thread._count()):  # Python threads besides this one
+            return False
+        self.fd = os.memfd_create("ramseylab-split")
+        os.pwrite(self.fd, (0).to_bytes(8, "little") + _NO_PIECE.to_bytes(8, "little"), 0)
+        for _ in range(cpus - 1):
+            try:
+                r, w = os.pipe()
+            except OSError:
                 break
-        else:
-            if c == used:
-                used += 1
-            v = _IDX - (max(key) & _IDX)
-            avail = ~seen[v] & ((1 << min(k, used + 1)) - 1) if seen[v] else 1
-            continue
-        # x can never see every lower color: try v's next color
-        v, avail, used, key, seen, pending = stack.pop()
-        colors[v] = -1
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:  # a worker, which the caller's finally ends in close()
+                for _, other in self.children:
+                    os.close(other)
+                os.close(r)
+                self.children, self.out = [], w
+                return True
+            os.close(w)
+            self.children.append((pid, r))
+        if not self.children:
+            os.close(self.fd)
+            self.fd = -1
+        return bool(self.children)
+
+    def _shared(self, claim: bool) -> int:
+        """Claim the next unclaimed piece, or only look; stop if the search
+        ends below the piece this process is at."""
+        if self.out >= 0 and os.getppid() != self.parent:
+            os._exit(1)  # the parent is gone: nobody reads this worker's pieces
+        os.lockf(self.fd, os.F_LOCK, 0)
+        try:
+            state = os.pread(self.fd, 16, 0)
+            piece = int.from_bytes(state[:8], "little")
+            if claim:
+                os.pwrite(self.fd, (piece + 1).to_bytes(8, "little"), 0)
+        finally:
+            os.lockf(self.fd, os.F_ULOCK, 0)
+        at = piece if claim else self.open if self.open >= 0 else self.next
+        if int.from_bytes(state[8:], "little") < at:
+            raise BudgetExceededError("the search ends below this piece")
+        return piece
+
+    def _ends_at(self, piece: int) -> None:
+        os.lockf(self.fd, os.F_LOCK, 0)
+        try:
+            end = int.from_bytes(os.pread(self.fd, 8, 8), "little")
+            os.pwrite(self.fd, min(end, piece).to_bytes(8, "little"), 8)
+        finally:
+            os.lockf(self.fd, os.F_ULOCK, 0)
+
+    def tick(self) -> None:
+        if self.spent >= self.limit:
+            if self.spent >= self.left:
+                raise BudgetExceededError("node budget exhausted")
+            self._shared(False)
+            self.limit = min(self.left, self.spent + _LOOK_EVERY)
+        self.spent += 1
+
+    def _close(self, colors: list[int] | None, whole: bool) -> None:
+        """Record the open piece: the shallow nodes before it, its own nodes,
+        its coloring, whether its count is whole."""
+        nodes = self.spent - self.began
+        self.records.append((self.open, self.began - self.own, nodes, colors, whole))
+        self.own += nodes
+        self.open = -1
+
+    def enter(self, root: bool) -> bool:
+        """Before a node above the pieces' depth, or at it (``root``): close
+        the piece that ended; whether this process searches the node."""
+        if self.open >= 0:
+            self._close(None, True)
+        if not root:
+            return True
+        piece = self.next
+        self.next += 1
+        if self.mine < piece:
+            self.mine = self._shared(True)
+        if self.mine != piece:
+            return False
+        self.open, self.began = piece, self.spent
+        return True
+
+    def finish(self, colors: list[int] | None, whole: bool) -> list[int] | None:
+        """This process stops: with the coloring of its open piece, at the end
+        of the tree (``whole``), or cut short.  A worker sends its records and
+        exits; the parent returns the sequential search's result."""
+        self.finished = True
+        if colors is not None or not whole:  # no piece above this point counts
+            self._ends_at(self.open if self.open >= 0 else self.next)
+        if self.open >= 0:
+            self._close(colors, whole)
+        # at the end of the tree: its shallow nodes and its number of pieces
+        end = (self.spent - self.own, self.next) if whole and colors is None else None
+        if self.out >= 0:
+            data = memoryview(marshal.dumps((self.records, end)))
+            while data:
+                data = data[os.write(self.out, data):]
+            os._exit(0)
+        shares = [(self.records, end)]
+        while self.children:
+            pid, r = self.children[0]
+            chunks = []
+            while chunk := os.read(r, 1 << 16):
+                chunks.append(chunk)
+            status = os.waitpid(pid, 0)[1]
+            self.children.pop(0)
+            os.close(r)
+            if status or shares is None:
+                shares = None  # a worker died: its pieces are lost
+            else:
+                shares.append(marshal.loads(b"".join(chunks)))
+        if shares is None:  # search again, on this CPU alone
+            self.budget.spent = self.start
+            return _exact_k_coloring(self.g, self.k, self.budget, split=False)
+        pieces = {}
+        for records, summary in shares:
+            pieces.update((rec[0], rec) for rec in records)
+            end = end or summary
+        nodes = piece = 0  # nodes in the pieces below piece
+        while True:
+            rec = pieces.get(piece)
+            if rec is None:  # past the last piece, or unclaimed after a cut
+                if end is None or piece < end[1]:
+                    break
+                return self._spend(end[0] + nodes, None)
+            _, before, count, found, complete = rec
+            if not complete:
+                break
+            if found is not None:
+                return self._spend(before + nodes + count, found)
+            nodes += count
+            piece += 1
+        return self._spend(self.left + 1, None)
+
+    def _spend(self, nodes: int, colors: list[int] | None) -> list[int] | None:
+        """Charge the caller's budget the sequential search's nodes since the
+        split, or cut it as the sequential search would."""
+        budget = self.budget
+        if nodes > self.left:
+            budget.spent = budget.limit
+            raise BudgetExceededError("node budget exhausted", nodes=budget.spent)
+        budget.spent += nodes
+        return colors
+
+    def close(self) -> None:
+        """A worker exits here whatever it raised; the parent kills and reaps
+        every worker that ``finish`` did not reap."""
+        if os.getpid() != self.parent:
+            os._exit(1)
+        while self.children:
+            pid, r = self.children.pop()
+            try:
+                os.kill(pid, 9)  # SIGKILL
+            finally:
+                os.waitpid(pid, 0)
+                os.close(r)
+        if self.fd >= 0:
+            os.close(self.fd)
+            self.fd = -1
 
 
 @dataclass(frozen=True)
 class ChromaticResult:
     value: int
     colors: tuple[int, ...]  # a proper coloring with value colors
+    nodes: int  # of the clique search and every palette, as a budget cut counts them
 
 
 def chromatic_number(g: Graph, budget: int | None = None) -> ChromaticResult:
@@ -341,7 +599,7 @@ def chromatic_number(g: Graph, budget: int | None = None) -> ChromaticResult:
     carry the proven interval (lower, upper) and the greedy coloring as witness.
     """
     if g.n == 0:
-        return ChromaticResult(0, ())
+        return ChromaticResult(0, (), 0)
     bud = NodeBudget(budget)
     greedy = _exact_k_coloring(g, g.n, NodeBudget())  # k = n: the saturation greedy
     upper = max(greedy) + 1
@@ -349,13 +607,13 @@ def chromatic_number(g: Graph, budget: int | None = None) -> ChromaticResult:
     try:
         lower = max(lower, _max_clique_search(g, bud)[0])
         if lower == upper:
-            return ChromaticResult(upper, tuple(greedy))
+            return ChromaticResult(upper, tuple(greedy), bud.spent)
         for k in range(lower, upper):
             colors = _exact_k_coloring(g, k, bud)
             if colors is not None:
-                return ChromaticResult(k, tuple(colors))
+                return ChromaticResult(k, tuple(colors), bud.spent)
             lower = k + 1
-        return ChromaticResult(upper, tuple(greedy))
+        return ChromaticResult(upper, tuple(greedy), bud.spent)
     except BudgetExceededError:
         raise BudgetExceededError(
             "chromatic number undecided within node budget",

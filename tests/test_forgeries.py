@@ -440,6 +440,30 @@ def test_witnessed_cut_without_its_lower_is_a_parse_error(tmp_path, capsys, comm
     assert _rejected(tmp_path, capsys, cert).startswith("error [PARSE_ERROR]: stats lacks 'lower'")
 
 
+@pytest.mark.parametrize("name, edit", [
+    # JSON true is 1 to Python's isinstance, and one vertex is a clique of 1
+    ("clique-cut", lambda cert: (cert["stats"].update(lower=True),
+                                 cert["witness"].update(vertices=[29]))),
+    ("clique-cut", lambda cert: cert["witness"].update(vertices=[True, 28, 29])),
+    ("chi", lambda cert: cert["witness"].update(
+        colors=[bool(c) if c < 2 else c for c in cert["witness"]["colors"]])),
+    ("plane", lambda cert: cert["witness"]["lines"][0].__setitem__(1, True)),
+], ids=["lower", "vertex", "colors", "plane-point"])
+def test_boolean_for_an_integer_is_a_parse_error(tmp_path, capsys, name, edit):
+    cert = _golden(name)
+    edit(cert)
+    assert "must be" in _rejected(tmp_path, capsys, cert)
+
+
+@pytest.mark.parametrize("edit", [{"exact": True}, {"exact": None}, {}],
+                         ids=["true", "null", "missing"])
+def test_matching_cut_must_say_it_is_not_exact(tmp_path, capsys, edit):
+    cert = _golden("match-cut")
+    del cert["stats"]["exact"]
+    cert["stats"].update(edit)
+    assert "check cut-inexact:" in _rejected(tmp_path, capsys, cert)
+
+
 def test_non_maximal_clique_is_rejected(tmp_path, capsys):
     assert run(["clique", "--complete", "5", "--deterministic"]) == 0
     cert = json.loads(capsys.readouterr().out)

@@ -246,6 +246,21 @@ def test_no_color_colors_no_vertex():
     assert _exact_k_coloring(Graph(0, ()), 0, NodeBudget()) == []
 
 
+def test_chromatic_nodes_are_the_budget_it_needs():
+    # the clique search and every palette: a budget one node short cuts there
+    grotzsch = build_graph(11, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
+                           + [(u, 5 + v) for u, v in ((0, 1), (1, 0), (1, 2), (2, 1), (2, 3),
+                                                      (3, 2), (3, 4), (4, 3), (4, 0), (0, 4))]
+                           + [(5 + i, 10) for i in range(5)])
+    for g in (_petersen(), cycle_graph(7), complete_graph(5), grotzsch):
+        res = chromatic_number(g)
+        assert chromatic_number(g, budget=res.nodes) == res
+        with pytest.raises(BudgetExceededError) as exc:
+            chromatic_number(g, budget=res.nodes - 1)
+        assert exc.value.partial["nodes"] == res.nodes - 1
+    assert chromatic_number(Graph(0, ())).nodes == 0
+
+
 def test_chromatic_budget_partial():
     g = complete_graph(12)
     with pytest.raises(BudgetExceededError) as exc:
