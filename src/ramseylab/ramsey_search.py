@@ -10,7 +10,9 @@ first witness found is deterministic.  The row opens each new color as soon
 as it may, so balanced rows, which tight cases need, are tried first.
 Before searching K_n, compute_c_k tries to refute it by counting edges (k
 classes free of the family hold at most k * ex(n, F) edges) and, when every
-class is a star forest, subset signatures (counting_refutes).  Where counting
+class is a star forest, subset signatures, or when every class is one star
+or one triangle, the edges that the star centers leave to the triangles
+(counting_refutes).  Where counting
 refutes K_N and K_{N-1} is the size of a known construction (Walecki's
 Hamilton cycles, or the galaxy star forests), an admissible construction
 settles c_k = N - 1 with no search at all.
@@ -627,7 +629,8 @@ def ex_bound(fam: ForbiddenFamily, n: int) -> int:
     the s-edge star, since every degree is below s; n if 3 | n, else n - 1,
     for P4, whose free graphs are unions of stars and triangles; with the
     triangle as well they are star forests, so n - 1, or n - ceil(n / s) when
-    the s-edge star is forbidden too;
+    the s-edge star is forbidden too; n if 4 | n, else n - 1, for the triangle
+    with P5, whose free graphs are unions of trees and 4-cycles;
     floor((l - 1) n / 2) for the l-edge path and, for n >= 2m - 1,
     max(C(2m - 1, 2), C(m - 1, 2) + (m - 1)(n - m + 1)) for the m-edge
     matching (both Erdos-Gallai 1959).  Explicit patterns add no bound, so
@@ -640,7 +643,11 @@ def ex_bound(fam: ForbiddenFamily, n: int) -> int:
     if "star" in sizes:
         bounds.append(n * (sizes["star"] - 1) // 2)
     path = sizes.get("path", 0)
-    if path == 3 and "triangle" in sizes:
+    if path == 4 and "triangle" in sizes:
+        # each component is a tree or a C4: a shortest cycle of length 5 or
+        # more holds a P5, and so does a C4 with one more edge at a vertex
+        bounds.append(n if n % 4 == 0 else n - 1)
+    elif path == 3 and "triangle" in sizes:
         # a star forest: at least one star, and at least ceil(n / s) of them
         # when each has fewer than s edges
         stars = -(-n // sizes["star"]) if "star" in sizes else min(n, 1)
@@ -676,11 +683,21 @@ def counting_refutes(fam: ForbiddenFamily, k: int, n: int) -> bool:
     set of classes where its in-degree is 0.  A class with e edges is in
     n - e of the sets, so the n sets total kn - C(n, 2); and an edge uv
     oriented u -> v puts its class in u's set but not in v's, so the sets
-    are distinct and total at least _least_subset_total(k, n).
+    are distinct and total at least _least_subset_total(k, n).  Cover: when
+    the kernel has 2K2, each class is one star or one triangle.  With j
+    triangles, the centers of the k - j stars leave n - k + j vertices or
+    more, and the triangles hold every edge among them, so some j needs
+    C(n - k + j, 2) <= 3j, and only j = 0 when the triangle is forbidden too.
+    No j qualifies at n = k + 3 (Cockayne-Lorimer), nor with the triangle at
+    n = k + 2.
     """
     sizes = fam.kernel[0]
     edges = n * (n - 1) // 2
     star_forests = ("triangle" in sizes and sizes.get("path") == 3) or sizes.get("star", 3) <= 2
+    if sizes.get("matching") == 2:
+        triangles = 0 if "triangle" in sizes else k
+        if all(math.comb(max(n - k + j, 0), 2) > 3 * j for j in range(triangles + 1)):
+            return True
     return (k * ex_bound(fam, n) < edges
             or star_forests and _least_subset_total(k, n) > k * n - edges)
 

@@ -47,7 +47,7 @@ _VALUED = sorted(path.stem for path in GOLDEN.glob("*.json")
 
 
 def test_every_valued_golden_is_counted():
-    assert len(_VALUED) == 22
+    assert len(_VALUED) == 23
 
 
 @pytest.mark.parametrize("delta", [-1, 1])
@@ -276,6 +276,23 @@ def test_counted_ramsey_value_needs_value_plus_one_refuted(tmp_path, capsys, edi
     assert "check counting-refutation:" in _rejected(tmp_path, capsys, cert)
 
 
+@pytest.mark.parametrize("family, value", [("K3,PATH:4", 5), ("MATCH:2,STAR:3", 3)])
+def test_counted_ramsey_value_below_c_k_is_rejected(tmp_path, capsys, family, value):
+    # with 3 colors, c_3 is 6 and 4; the C4-or-tree bound lets K_6 through,
+    # the star-or-triangle cover count K_4, and MATCH:2,STAR:3 has no exact
+    # closed form, so only the count catches the smaller value
+    assert run(["ramsey", "--family", family, "--colors", "3", "--deterministic"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    witness, stats = cert["witness"], cert["stats"]
+    assert cert["value"] == value + 1
+    assert _verify(tmp_path, capsys, cert)[:2] == (0, "true\n")
+    kept = [c for (u, v), c in zip(itertools.combinations(range(value + 1), 2),
+                                   witness["assignment"]) if v < value]
+    cert["value"], witness["n"], witness["assignment"] = value, value, kept
+    stats.update(refutation="counting", refutation_nodes=0)
+    assert "check counting-refutation:" in _rejected(tmp_path, capsys, cert)
+
+
 @pytest.mark.parametrize("colors", [4, 10**6])
 def test_ramsey_value_must_equal_an_exact_closed_form(tmp_path, capsys, colors):
     # the F4 golden's K_4 coloring and its K_5 refutation count are for 3
@@ -485,8 +502,8 @@ _VALUE_EDITS = [(name, value) for name, cert in _GOLDENS.items()
 
 
 def test_every_golden_is_counted():
-    assert len(_GOLDENS) == 46
-    assert (len(_RELABELS), len(_VALUE_EDITS)) == (138, 248)
+    assert len(_GOLDENS) == 47
+    assert (len(_RELABELS), len(_VALUE_EDITS)) == (141, 254)
 
 
 @pytest.mark.parametrize("name, outcome", _RELABELS)

@@ -75,6 +75,8 @@ CASES: dict[str, list[str]] = {
     "ramsey-k3-explicit-p4": ["ramsey", "--family", "K3,@p4.txt", "--colors", "2"],
     "closed-form-path2": ["closed-form", "--family", "PATH:2", "--colors", "5"],
     "closed-form-match2-s3": ["closed-form", "--family", "MATCH:2,S3", "--colors", "6"],
+    # the star-or-triangle cover count refutes K_7 in 0 nodes
+    "ramsey-match2-counted": ["ramsey", "--family", "MATCH:2", "--colors", "4"],
 }
 
 

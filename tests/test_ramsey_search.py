@@ -474,10 +474,13 @@ _PINNED = [
     ("F2", 3, 5, 20, 363, "0012012120"),
     ("K3,PATH:4", 3, 6, 149, 6917, "001121220220011"),
     ("F4", 4, 6, 0, 27214, "003121132223001"),
+    # the search alone does not refute K_9 within the default budget
+    ("K3,PATH:4", 4, 8, 60667, None, "0011223102132023123221001100"),
 ]
 
 # the cases of _PINNED whose K_{c_k + 1} compute_c_k refutes by counting
-_COUNTED = {("F3", 5), ("MATCH:3", 2), ("F4", 4)}
+_COUNTED = {("F3", 5), ("MATCH:3", 2), ("F4", 4), ("MATCH:2", 4), ("K3,PATH:4", 3),
+            ("K3,PATH:4", 4)}
 
 # the cases of _PINNED whose K_{c_k} witness compute_c_k builds, with the nodes
 # and witness of the search that no longer runs
@@ -506,7 +509,8 @@ def test_search_node_counts_and_witnesses_are_pinned(spec, k, value, witness_nod
     if counted:
         # the search still refutes K_{c_k + 1} in the pinned count on its own
         assert res.refutation_nodes == 0
-        assert mono_free_search(value + 1, k, fam) == (None, refutation_nodes)
+        if refutation_nodes is not None:
+            assert mono_free_search(value + 1, k, fam) == (None, refutation_nodes)
     else:
         assert res.refutation_nodes == refutation_nodes
 
@@ -514,7 +518,8 @@ def test_search_node_counts_and_witnesses_are_pinned(spec, k, value, witness_nod
 @pytest.mark.parametrize("spec, k, value, witness_nodes, refutation_nodes, counted", [
     # galaxy star forests color K_6, and counting subset signatures refutes K_7
     ("F4", 4, 6, 0, 0, True),
-    ("K3,PATH:4", 3, 6, 149, 6917, False),
+    # a C4-or-tree class holds at most 6 of K_7's 21 edges
+    ("K3,PATH:4", 3, 6, 149, 0, True),
     # the K_9 witness's row is 0,0,1,1,2,2,3,3, which the row reaches first
     # by opening each color as soon as it may; it is searched, since
     # Walecki's Hamilton cycles of K_9 contain P4
@@ -684,6 +689,15 @@ def test_ex_bound_of_star_forests_against_brute_force():
             assert ex_bound(fam, n) == _max_free_edges(n, *fam.patterns), (spec, n)
 
 
+def test_ex_bound_of_c4_or_tree_classes_against_brute_force():
+    # free of K3 and P5, each component is a tree or a C4: n edges when
+    # 4 | n, else n - 1
+    for spec in ("K3,PATH:4", "K3,PATH:4,STAR:3"):
+        fam = parse_family(spec)
+        for n in range(1, 8):
+            assert ex_bound(fam, n) == _max_free_edges(n, *fam.patterns), (spec, n)
+
+
 def test_star_forest_bound_settles_f7_by_counting():
     # the bound first refutes exactly c_k + 1 for k = 1..5, so it never
     # refutes a colorable size; the search agrees on each refuted size
@@ -702,7 +716,7 @@ def test_star_forest_bound_settles_f7_by_counting():
 def test_ex_bound_takes_the_smallest_pattern_bound():
     assert ex_bound(FAMILY_PRESETS["F6"], 10) == 9  # P4 beats S3's 10
     assert ex_bound(FAMILY_PRESETS["F5"], 10) == 10  # S3 beats K3's 25
-    assert ex_bound(parse_family("K3,PATH:4"), 7) == 10
+    assert ex_bound(parse_family("K3,PATH:4"), 7) == 6  # a C4 and a 3-vertex tree
     assert ex_bound(parse_family("MATCH:3"), 8) == 13  # 1 + 2 * 6 beats C(5, 2)
     assert ex_bound(parse_family("MATCH:3"), 4) == 6  # K_4 has no 3 disjoint edges
     # an explicit pattern of a kernel kind is classified when it is built;
@@ -780,13 +794,51 @@ def test_signature_count_refutes_no_colorable_size(spec):
             n += 1
 
 
-@pytest.mark.parametrize("spec", ["F1", "F2", "F3", "F5", "F6", "K3,PATH:4", "MATCH:2"])
+@pytest.mark.parametrize("spec", ["F1", "F2", "F3", "F5", "F6", "K3,PATH:4"])
 def test_counting_refutes_other_families_by_edges_alone(spec):
-    # a family with a free graph that is not a star forest gets no signature count
+    # a family with a free graph that is not a star forest, nor one star or
+    # one triangle, gets no signature or cover count
     fam = parse_family(spec)
     for k in range(1, 7):
         for n in range(1, 21):
             assert counting_refutes(fam, k, n) == (k * ex_bound(fam, n) < n * (n - 1) // 2)
+
+
+def test_cover_count_of_match2():
+    # with j triangle classes, k - j star centers leave n - k + j vertices
+    # whose C(n - k + j, 2) edges the triangles must hold: K_{k+3} never
+    # fits, and K_{k+2} needs one or two triangles
+    fam = parse_family("MATCH:2")
+    for k in range(1, 9):
+        assert [counting_refutes(fam, k, n) for n in (k + 2, k + 3, k + 4)] == [
+            False, True, True], k
+        # the edge count alone refutes K_{k+3} only for k <= 2
+        assert (k * ex_bound(fam, k + 3) < math.comb(k + 3, 2)) == (k <= 2), k
+    k3 = parse_family("K3,MATCH:2")
+    # with K3 forbidden too, j = 0: the k star centers must cover every edge
+    assert [counting_refutes(k3, 4, n) for n in (5, 6)] == [False, True]
+
+
+@pytest.mark.parametrize("spec", ["MATCH:2", "K3,MATCH:2", "MATCH:2,STAR:3", "MATCH:2,PATH:3"])
+def test_cover_count_refutes_no_colorable_size(spec):
+    # the search colors each K_n below the first one it refutes, and counting
+    # must refute none of them
+    fam = parse_family(spec)
+    for k in range(1, 6):
+        n = 1
+        while mono_free_search(n, k, fam)[0] is not None:
+            assert not counting_refutes(fam, k, n), (k, n)
+            n += 1
+
+
+@pytest.mark.parametrize("spec, offset", [("MATCH:2", 2), ("K3,MATCH:2", 1)])
+def test_cover_count_settles_match2(spec, offset):
+    # Cockayne-Lorimer: c_k(2K2) = k + 2, and k + 1 with K3 forbidden too
+    fam = parse_family(spec)
+    for k in range(1, 9):
+        res = compute_c_k(fam, k)
+        assert (res.value, res.counted, res.refutation_nodes) == (k + offset, True, 0), k
+        assert closed_form_c_k(fam, k) == ClosedForm(k + offset), k
 
 
 @pytest.mark.parametrize("k", range(4, 11))
