@@ -11,15 +11,15 @@ saturation-greedy upper bound, then saturation-guided backtracking for each
 candidate palette size in between.  Both branch-and-bound searches charge
 nodes against a shared budget and abort with partial bounds instead of
 returning a wrong answer.  A long coloring search shares the rest of its
-tree with one forked worker per further CPU (``_Split``), and merges their
-results back into those of the sequential search.
+tree with one forked worker per further CPU (``_Split``), and reads back from
+one shared file the result of the sequential search.
 """
 
 from __future__ import annotations
 
 import _thread
-import marshal
 import os
+import struct
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -353,7 +353,7 @@ def _exact_k_coloring(g: Graph, k: int, budget: NodeBudget,
             v, avail, used, key, seen, pending = stack.pop()
             colors[v] = -1
     except BudgetExceededError:
-        if share is None or share.finished:  # a cut the merge found goes to the caller
+        if share is None or share.finished:  # a cut that finish found goes to the caller
             raise
         return share.finish(None, False)
     finally:
@@ -364,39 +364,38 @@ def _exact_k_coloring(g: Graph, k: int, budget: NodeBudget,
 # -- sharing a long coloring search with forked workers ---------------------------
 #
 # A split search forks one worker per further CPU at a node of depth
-# _SPLIT_DEPTH.  From there every process runs the same search on its own copy
-# of the stack.  Each node of that depth roots a piece: the pieces are numbered
-# in the order the sequential search meets them, a process claims the next
-# number from a counter that all of them share and skips every piece it did
-# not claim, and every process replays the shallower nodes.  A piece's node
-# count, and the coloring it holds if any, do not depend on which process
-# searched it, so the parent adds them up in piece order into the answer, the
-# coloring and the node count of the sequential search.
+# _SPLIT_DEPTH, and from there every process runs the same search on its own
+# copy of the stack.  Each node of that depth roots a piece, numbered in the
+# order the sequential search meets them; a process claims the next number
+# from a shared counter, skips the pieces it did not claim and replays the
+# shallower nodes.  A piece's node count and coloring do not depend on which
+# process searched it.  One memfd holds all that the processes share: the
+# counter, the stop in the lowest piece (its piece, the shallow nodes before
+# it, its nodes in the piece, how it stopped, its coloring) and the count of
+# each piece searched to its end.  The sequential count at that stop adds its
+# shallow nodes, the counts below it and its own (README: why that is exact).
 
 _SPLIT_AFTER = 2000  # nodes of one call before it splits: some 10 ms, several forks' cost
 _SPLIT_DEPTH = 6
 _LOOK_EVERY = 512  # nodes between a process's looks at the shared state
-_NO_PIECE = (1 << 63) - 1  # where the search ends, while no process knows
+_NO_PIECE = (1 << 63) - 1  # the stop on file while no process has stopped
+_END, _COLORING, _CUT = range(3)  # how a process stopped
+_AT_STOP, _AT_COLORS, _AT_COUNTS = 8, 40, 40 + MAX_VERTICES  # the claim counter is at 0
 
 
 class _Split:
     """One process's share of a split coloring search, and its node budget.
 
     ``spent`` counts this process's own nodes since the split, shallow and in
-    its pieces; ``left`` is what the caller's budget had left then.  The
-    processes share two numbers: the next unclaimed piece, and the lowest
-    piece at which the sequential search is known to end, by a coloring or a
-    cut.  Every ``_LOOK_EVERY`` nodes ``tick`` looks at the second: a process
-    stops (by BudgetExceededError) once it has spent ``left``, or once the
-    search ends below the piece it is in.  ``records`` holds, per piece it
-    searched, (number, shallow nodes before it, its nodes, its coloring or
-    None, whether its count is whole).  A worker sends them to the parent
-    through a pipe and exits; the parent merges them in ``finish``.
+    its pieces; ``left`` is what the caller's budget had left then.  Every
+    ``_LOOK_EVERY`` nodes ``tick`` looks at the stop on file: a process stops
+    once it has spent ``left`` or once the search stops below its piece, and
+    ``finish`` files its stop.  Workers then exit; the parent reaps them and
+    reads the sequential search's result from the file.
     """
 
     __slots__ = ("limit", "spent", "g", "k", "budget", "start", "left", "parent", "fd",
-                 "children", "out", "records", "own", "next", "mine", "open", "began",
-                 "finished")
+                 "children", "own", "next", "mine", "open", "began", "finished")
 
     def __init__(self, g: Graph, k: int, budget: NodeBudget, start: int):
         self.g, self.k, self.budget, self.start = g, k, budget, start
@@ -404,9 +403,8 @@ class _Split:
         self.spent = 0
         self.limit = min(self.left, _LOOK_EVERY)
         self.parent = os.getpid()
-        self.children: list[tuple[int, int]] = []  # (pid, read end of its pipe), parent only
-        self.fd = self.out = -1  # the shared numbers; a worker's write end
-        self.records: list[tuple] = []
+        self.children: list[int] = []  # parent only
+        self.fd = -1  # the shared file
         self.own = 0  # nodes in this process's closed pieces
         self.next = 0  # number of the next piece root this process meets
         self.mine = -1  # the piece it claimed last
@@ -423,56 +421,34 @@ class _Split:
                 or _thread._count()):  # Python threads besides this one
             return False
         self.fd = os.memfd_create("ramseylab-split")
-        os.pwrite(self.fd, (0).to_bytes(8, "little") + _NO_PIECE.to_bytes(8, "little"), 0)
+        os.pwrite(self.fd, struct.pack("2q", 0, _NO_PIECE), 0)
         for _ in range(cpus - 1):
-            try:
-                r, w = os.pipe()
-            except OSError:
-                break
             try:
                 pid = os.fork()
             except OSError:
-                os.close(r)
-                os.close(w)
                 break
             if pid == 0:  # a worker, which the caller's finally ends in close()
-                for _, other in self.children:
-                    os.close(other)
-                os.close(r)
-                self.children, self.out = [], w
                 return True
-            os.close(w)
-            self.children.append((pid, r))
+            self.children.append(pid)
         if not self.children:
-            os.close(self.fd)
-            self.fd = -1
+            self.close()
         return bool(self.children)
 
     def _shared(self, claim: bool) -> int:
         """Claim the next unclaimed piece, or only look; stop if the search
-        ends below the piece this process is at."""
-        if self.out >= 0 and os.getppid() != self.parent:
+        stops below the piece this process is at."""
+        if os.getpid() != self.parent and os.getppid() != self.parent:
             os._exit(1)  # the parent is gone: nobody reads this worker's pieces
         os.lockf(self.fd, os.F_LOCK, 0)
         try:
-            state = os.pread(self.fd, 16, 0)
-            piece = int.from_bytes(state[:8], "little")
+            piece, stop = struct.unpack("2q", os.pread(self.fd, 16, 0))
             if claim:
-                os.pwrite(self.fd, (piece + 1).to_bytes(8, "little"), 0)
+                os.pwrite(self.fd, struct.pack("q", piece + 1), 0)
         finally:
             os.lockf(self.fd, os.F_ULOCK, 0)
-        at = piece if claim else self.open if self.open >= 0 else self.next
-        if int.from_bytes(state[8:], "little") < at:
-            raise BudgetExceededError("the search ends below this piece")
+        if stop < (piece if claim else self.open if self.open >= 0 else self.next):
+            raise BudgetExceededError("the search stops below this piece")
         return piece
-
-    def _ends_at(self, piece: int) -> None:
-        os.lockf(self.fd, os.F_LOCK, 0)
-        try:
-            end = int.from_bytes(os.pread(self.fd, 8, 8), "little")
-            os.pwrite(self.fd, min(end, piece).to_bytes(8, "little"), 8)
-        finally:
-            os.lockf(self.fd, os.F_ULOCK, 0)
 
     def tick(self) -> None:
         if self.spent >= self.limit:
@@ -482,11 +458,10 @@ class _Split:
             self.limit = min(self.left, self.spent + _LOOK_EVERY)
         self.spent += 1
 
-    def _close(self, colors: list[int] | None, whole: bool) -> None:
-        """Record the open piece: the shallow nodes before it, its own nodes,
-        its coloring, whether its count is whole."""
+    def _end_piece(self) -> None:
+        """Write the count of the open piece, which ended."""
         nodes = self.spent - self.began
-        self.records.append((self.open, self.began - self.own, nodes, colors, whole))
+        os.pwrite(self.fd, struct.pack("q", nodes), _AT_COUNTS + 8 * self.open)
         self.own += nodes
         self.open = -1
 
@@ -494,79 +469,60 @@ class _Split:
         """Before a node above the pieces' depth, or at it (``root``): close
         the piece that ended; whether this process searches the node."""
         if self.open >= 0:
-            self._close(None, True)
+            self._end_piece()
         if not root:
             return True
         piece = self.next
-        self.next += 1
         if self.mine < piece:
             self.mine = self._shared(True)
+        self.next += 1
         if self.mine != piece:
             return False
         self.open, self.began = piece, self.spent
         return True
 
+    def _stop(self, how: int, colors: list[int] | None = None) -> None:
+        """Put this process's stop on file, unless one in a lower piece is there."""
+        piece, at = (self.open, self.began) if self.open >= 0 else (self.next, self.spent)
+        os.lockf(self.fd, os.F_LOCK, 0)
+        try:
+            if piece < struct.unpack("q", os.pread(self.fd, 8, _AT_STOP))[0]:
+                stop = struct.pack("4q", piece, at - self.own, self.spent - at, how)
+                os.pwrite(self.fd, stop + bytes(colors or ()), _AT_STOP)
+        finally:
+            os.lockf(self.fd, os.F_ULOCK, 0)
+
     def finish(self, colors: list[int] | None, whole: bool) -> list[int] | None:
         """This process stops: with the coloring of its open piece, at the end
-        of the tree (``whole``), or cut short.  A worker sends its records and
-        exits; the parent returns the sequential search's result."""
+        of the tree (``whole``), or cut short, by its budget or by a lower
+        stop, which it does not file.  A worker exits; the parent returns the
+        sequential search's result."""
         self.finished = True
-        if colors is not None or not whole:  # no piece above this point counts
-            self._ends_at(self.open if self.open >= 0 else self.next)
-        if self.open >= 0:
-            self._close(colors, whole)
-        # at the end of the tree: its shallow nodes and its number of pieces
-        end = (self.spent - self.own, self.next) if whole and colors is None else None
-        if self.out >= 0:
-            data = memoryview(marshal.dumps((self.records, end)))
-            while data:
-                data = data[os.write(self.out, data):]
+        if colors is not None:
+            self._stop(_COLORING, colors)
+        elif whole:
+            if self.open >= 0:
+                self._end_piece()
+            self._stop(_END)
+        elif self.spent >= self.left:
+            self._stop(_CUT)
+        if os.getpid() != self.parent:
             os._exit(0)
-        shares = [(self.records, end)]
+        dead = False
         while self.children:
-            pid, r = self.children[0]
-            chunks = []
-            while chunk := os.read(r, 1 << 16):
-                chunks.append(chunk)
-            status = os.waitpid(pid, 0)[1]
-            self.children.pop(0)
-            os.close(r)
-            if status or shares is None:
-                shares = None  # a worker died: its pieces are lost
-            else:
-                shares.append(marshal.loads(b"".join(chunks)))
-        if shares is None:  # search again, on this CPU alone
-            self.budget.spent = self.start
-            return _exact_k_coloring(self.g, self.k, self.budget, split=False)
-        pieces = {}
-        for records, summary in shares:
-            pieces.update((rec[0], rec) for rec in records)
-            end = end or summary
-        nodes = piece = 0  # nodes in the pieces below piece
-        while True:
-            rec = pieces.get(piece)
-            if rec is None:  # past the last piece, or unclaimed after a cut
-                if end is None or piece < end[1]:
-                    break
-                return self._spend(end[0] + nodes, None)
-            _, before, count, found, complete = rec
-            if not complete:
-                break
-            if found is not None:
-                return self._spend(before + nodes + count, found)
-            nodes += count
-            piece += 1
-        return self._spend(self.left + 1, None)
-
-    def _spend(self, nodes: int, colors: list[int] | None) -> list[int] | None:
-        """Charge the caller's budget the sequential search's nodes since the
-        split, or cut it as the sequential search would."""
+            dead |= os.waitpid(self.children[-1], 0)[1] != 0
+            self.children.pop()
         budget = self.budget
-        if nodes > self.left:
+        if dead:  # its pieces are lost: search again, on this CPU alone
+            budget.spent = self.start
+            return _exact_k_coloring(self.g, self.k, budget, split=False)
+        piece, before, nodes, how = struct.unpack("4q", os.pread(self.fd, 32, _AT_STOP))
+        nodes += before + sum(struct.unpack(f"{piece}q", os.pread(self.fd, 8 * piece, _AT_COUNTS)))
+        if how == _CUT or nodes > self.left:
             budget.spent = budget.limit
             raise BudgetExceededError("node budget exhausted", nodes=budget.spent)
         budget.spent += nodes
-        return colors
+        return list(os.pread(self.fd, self.g.n, _AT_COLORS)) if how == _COLORING else None
 
     def close(self) -> None:
         """A worker exits here whatever it raised; the parent kills and reaps
@@ -574,12 +530,11 @@ class _Split:
         if os.getpid() != self.parent:
             os._exit(1)
         while self.children:
-            pid, r = self.children.pop()
+            pid = self.children.pop()
             try:
                 os.kill(pid, 9)  # SIGKILL
             finally:
                 os.waitpid(pid, 0)
-                os.close(r)
         if self.fd >= 0:
             os.close(self.fd)
             self.fd = -1

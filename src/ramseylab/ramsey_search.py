@@ -468,6 +468,8 @@ def _path_through(adj: Sequence[int], end: int, v: int, seen: int, left: int) ->
     uses uv, so the other l - 1 edges split between a walk from u and a
     disjoint one from v.
     """
+    if len(adj) - seen.bit_count() < left:
+        return False  # each edge still to find needs a vertex outside seen
     if _extend_path(adj, [v], seen, left) is not None:
         return True
     rest = adj[end] & ~seen
@@ -633,8 +635,10 @@ def ex_bound(fam: ForbiddenFamily, n: int) -> int:
     with P5, whose free graphs are unions of trees and 4-cycles;
     floor((l - 1) n / 2) for the l-edge path and, for n >= 2m - 1,
     max(C(2m - 1, 2), C(m - 1, 2) + (m - 1)(n - m + 1)) for the m-edge
-    matching (both Erdos-Gallai 1959).  Explicit patterns add no bound, so
-    the result is at most C(n, 2).
+    matching (both Erdos-Gallai 1959); for 2K2, whose free graphs are one
+    star or one triangle, the larger of min(n, s) - 1 with the s-edge star
+    (s = n without one) and 3 when a triangle fits.  Explicit patterns add
+    no bound, so the result is at most C(n, 2).
     """
     sizes = fam.kernel[0]
     bounds = [n * (n - 1) // 2]
@@ -657,7 +661,12 @@ def ex_bound(fam: ForbiddenFamily, n: int) -> int:
     elif path:
         bounds.append((path - 1) * n // 2)
     m = sizes.get("matching", 0)
-    if m and n >= 2 * m - 1:
+    if m == 2:
+        # a triangle fits on 3 vertices unless it or its 2-edge stars are forbidden
+        s = sizes.get("star", n)
+        triangle = n >= 3 and s >= 3 and "triangle" not in sizes
+        bounds.append(max(min(n, s) - 1, 3 if triangle else 0))
+    elif m and n >= 2 * m - 1:
         bounds.append(max(math.comb(2 * m - 1, 2),
                           math.comb(m - 1, 2) + (m - 1) * (n - m + 1)))
     return min(bounds)

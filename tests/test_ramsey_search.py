@@ -698,6 +698,25 @@ def test_ex_bound_of_c4_or_tree_classes_against_brute_force():
             assert ex_bound(fam, n) == _max_free_edges(n, *fam.patterns), (spec, n)
 
 
+def test_ex_bound_of_one_star_or_one_triangle_against_brute_force():
+    # free of 2K2, a graph is one star or one triangle: s - 1 edges at most
+    # with the s-edge star forbidden, or 3 when a triangle fits
+    for spec in ("MATCH:2", "MATCH:2,STAR:1", "MATCH:2,STAR:2", "MATCH:2,STAR:3",
+                 "K3,MATCH:2", "K3,MATCH:2,STAR:3", "MATCH:2,PATH:2"):
+        fam = parse_family(spec)
+        for n in range(1, 7):
+            assert ex_bound(fam, n) == _max_free_edges(n, *fam.patterns), (spec, n)
+
+
+def test_star_or_triangle_bound_settles_match2_with_a_star_by_counting():
+    # 8 classes of at most 3 edges hold 24 < 28 edges of K_8, which the
+    # search refuted in 2,154,540 nodes
+    fam = parse_family("MATCH:2,STAR:3")
+    for k, value in zip(range(3, 9), (4, 5, 6, 6, 7, 7)):
+        res = compute_c_k(fam, k)
+        assert (res.value, res.counted, res.refutation_nodes) == (value, True, 0), k
+
+
 def test_star_forest_bound_settles_f7_by_counting():
     # the bound first refutes exactly c_k + 1 for k = 1..5, so it never
     # refutes a colorable size; the search agrees on each refuted size
@@ -725,6 +744,17 @@ def test_ex_bound_takes_the_smallest_pattern_bound():
     assert ex_bound(ForbiddenFamily((c4,)), 9) == 36
     p4_file = explicit_pattern(build_graph(4, [(0, 1), (1, 2), (2, 3)]))
     assert ex_bound(ForbiddenFamily((c4, p4_file)), 9) == 9
+
+
+def test_path_check_stops_when_too_few_vertices_are_left(monkeypatch):
+    # a new 100-edge path needs 101 vertices, so on K_12 no walk is tried
+    def walked(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(ramsey_search, "_extend_path", walked)
+    with pytest.raises(BudgetExceededError) as exc:
+        compute_c_k(parse_family("PATH:100"), 2, cap=12)
+    assert (exc.value.partial["lower"], exc.value.partial["cap"]) == (12, 12)
 
 
 def test_bounds_of_an_explicit_path_classify_nothing(monkeypatch):

@@ -294,6 +294,29 @@ def test_split_search_finds_the_colouring_the_sequential_one_finds(forks, label,
     assert forks
 
 
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("label, edge", [("M2(C9)/0", (4, 25)), ("M2(C11)/0", (0, 38)),
+                                         ("M2(C11)/1", None)])
+def test_split_search_cuts_where_the_sequential_one_does_at_limits_across_the_tree(
+        monkeypatch, forks, cpus, label, edge):
+    # a cut lands in the shallow nodes, in a piece or past the last one, beside
+    # the stops of the other processes: whichever of them is filed, the
+    # outcome must be the sequential one
+    _cpus(monkeypatch, cpus)
+    n, adj = _CHROMATIC[label]
+    masks = list(adj)
+    if edge is not None:
+        u, v = edge
+        masks[u] ^= 1 << v
+        masks[v] ^= 1 << u
+    g = Graph(n, tuple(masks))
+    nodes = _outcome(g, 4, 10**8, 0, False)[-1]
+    for limit in sorted({1 + nodes * i // 24 for i in range(25)}):
+        assert _outcome(g, 4, limit, 0, True) == _outcome(g, 4, limit, 0, False), limit
+        _no_child_left()
+    assert forks
+
+
 def test_more_workers_than_cpus_claim_every_piece_once(monkeypatch, forks):
     # a lost update of the shared counter leaves a piece unclaimed, which
     # reads as a cut, or searched twice, which the node count would not show
