@@ -143,6 +143,14 @@ def _int(payload: Mapping[str, Any] | None, key: str, where: str = "witness payl
     return val
 
 
+def _node_count(stats: Mapping[str, Any], key: str) -> None:
+    """A search's node count, the one record of a refutation by search, is a
+    non-negative integer."""
+    val = stats.get(key)
+    if type(val) is not int or val < 0:
+        raise VerificationError("exhaustion-stats", f"{key!r} must be a non-negative integer")
+
+
 def _text(payload: Mapping[str, Any] | None, key: str, where: str = "witness payload") -> str:
     val = _need(payload, key, where)
     if not isinstance(val, str):
@@ -270,12 +278,15 @@ def _vf_ramsey(params, value, witness, stats, outcome):
         if n != value or n > _int(params, "cap", _PARAMS):
             raise VerificationError("lower-witness",
                                     "witness size differs from the lower bound or exceeds the cap")
-    elif value != n:
-        raise VerificationError("value-witness", "claimed value differs from witness size")
-    elif "witness" in stats and (stats["witness"] not in ("walecki", "galaxy")
-                                 or stats.get("witness_nodes") != 0):
-        raise VerificationError("witness-source",
-                                "a built witness is walecki or galaxy, found in 0 nodes")
+    else:
+        if value != n:
+            raise VerificationError("value-witness", "claimed value differs from witness size")
+        for key in ("witness_nodes", "refutation_nodes"):
+            _node_count(stats, key)
+        if "witness" in stats and (stats["witness"] not in ("walecki", "galaxy")
+                                   or stats["witness_nodes"] != 0):
+            raise VerificationError("witness-source",
+                                    "a built witness is walecki or galaxy, found in 0 nodes")
     coloring = make_edge_coloring(complete_graph(n), k, _int_list(witness, "assignment"))
     report = verify_mono_free(coloring, fam)
     if not report.ok:
@@ -324,8 +335,7 @@ def _vf_cover(params, value, witness, stats, outcome):
         if stats.get("scheme") != (COVER_SCHEME if mode == COVER else DECOMP_SCHEME):
             raise VerificationError("scheme-recorded",
                                     f"refutation does not name the {mode} symmetry scheme")
-        if "nodes" not in stats:
-            raise VerificationError("exhaustion-stats", "refutation lacks node statistics")
+        _node_count(stats, "nodes")
         # c_r(F6) is chi_r: an F6-free class lies in a generalized factor, so
         # r of them decompose, and so cover, K_n for n up to chi_r's lower bound
         if properness == GENERALIZED and n <= chi_r_report(r).lower:

@@ -8,13 +8,18 @@ maximizes coverable edges, and builds the three explicit constructions used
 as chromatic lower bounds: Hamilton-cycle splits of K_{2k+1}, galaxy splits
 of K_{2k}, and a six-factor covering of K_11.
 
-Cover searches restrict to edge-maximal factors (any factor extends to a
-maximal one on the same vertices without losing coverage), fix the first
-factor up to isomorphism, and order the middle factors, so exhaustion is a
-certified nonexistence.  Covers and decompositions also drop a branch once
-some vertex has more uncovered edges than the factors left can take: a
-factor has maximum degree 2.  The search scheme identifier recorded in
-results names exactly this reduction.
+Every search starts from a maximal first factor, fixed up to isomorphism.
+A spanning subgraph of a generalized factor is one, since its components
+lie in the factor's.  So a cover's factors extend to maximal ones on the
+same vertices; and if D_1, ..., D_r decompose K_n and D_1 extends to a
+maximal F, then F, D_2 - E(F), ..., D_r - E(F) decompose K_n too, and a
+relabelling makes F its shape's representative.  Proper factors are maximal
+already.  Covers take the later factors maximal and sorted; decompositions
+take their middle masks descending, as those factors are unordered, and the
+last one forced.  Both drop a branch once some vertex has more uncovered
+edges than the factors left can take: a factor has maximum degree 2.  So
+exhaustion is a certified nonexistence, and the search scheme identifier
+recorded in results names exactly this reduction.
 
 Covers, decompositions and the maximum cover run one search,
 _factor_search.  The three differ only in the candidates of the later
@@ -38,7 +43,6 @@ from .graph_core import (
     _bits,
     _vertex_count,
     build_graph,
-    complete_graph,
     connected_components,
     restrict,
 )
@@ -50,7 +54,7 @@ COVER = "COVER"
 DECOMPOSITION = "DECOMPOSITION"
 
 COVER_SCHEME = "maximal-factors/first-factor-up-to-iso/sorted-middle-factors/degree-bound"
-DECOMP_SCHEME = "first-factor-up-to-iso/descending-middle-masks/forced-last/degree-bound"
+DECOMP_SCHEME = "maximal-first-factor-up-to-iso/descending-middle-masks/forced-last/degree-bound"
 MAX_COVER_N = 16  # the largest K_n that cover_search takes
 MAX_COVERABLE_N = 12  # the largest K_n that max_coverable_edges takes
 
@@ -142,14 +146,11 @@ def _full_edge_mask(n: int) -> int:
 # -- factor enumeration -------------------------------------------------------
 
 
-def _enumerate_maximal_factors(n: int) -> list[int]:
-    """Edge masks of all edge-maximal generalized factors on n vertices.
-
-    A generalized factor is maximal iff its components are triangles plus
-    edges plus at most one isolated vertex, with no edge component coexisting
-    with the isolated vertex (two such components always accept another edge
-    without outgrowing a triangle).
-    """
+def _enumerate_maximal_factors(n: int, proper: bool = False) -> list[int]:
+    """Sorted edge masks of all edge-maximal generalized factors on n
+    vertices, or with proper of all proper ones.  The maximal ones have
+    triangles, edges and at most one isolated vertex, but never an edge and
+    an isolated vertex both, which would accept another edge."""
     out: list[int] = []
 
     def rec(unassigned: int, mask: int, has_single: bool, has_edge: bool) -> None:
@@ -165,7 +166,7 @@ def _enumerate_maximal_factors(n: int) -> list[int]:
                 rec(rest ^ (1 << u) ^ (1 << w),
                     mask | _edge_bit(v, u, n) | _edge_bit(v, w, n) | _edge_bit(u, w, n),
                     has_single, has_edge)
-        if not has_single:
+        if not (proper or has_single):
             for u in others:
                 rec(rest ^ (1 << u), mask | _edge_bit(v, u, n), has_single, True)
             if not has_edge:
@@ -176,49 +177,23 @@ def _enumerate_maximal_factors(n: int) -> list[int]:
 
 
 def _maximal_shape_reps(n: int, proper: bool) -> list[int]:
-    """One canonical representative per isomorphism class of maximal factor."""
-    reps: list[int] = []
+    """One representative per isomorphism class of maximal factor, triangles
+    on the lowest vertices, then edges: the isolated-vertex shape first, then
+    the shapes by number of triangles."""
     if proper:
-        if n % 3 == 0:
-            reps.append(_shape_rep(n, n // 3, 0, 0, 0))
-        return reps
-    if n % 3 == 1:
-        reps.append(_shape_rep(n, (n - 1) // 3, 0, 0, 1))
-    for t in range(n // 3 + 1):
-        rem = n - 3 * t
-        if rem % 2 == 0:
-            reps.append(_shape_rep(n, t, 0, rem // 2, 0))
+        shapes = [(n // 3, 0)] if n % 3 == 0 else []
+    else:
+        shapes = [((n - 1) // 3, 0)] if n % 3 == 1 else []
+        shapes += [(t, (n - 3 * t) // 2) for t in range(n // 3 + 1) if (n - 3 * t) % 2 == 0]
+    reps = []
+    for triangles, edges in shapes:
+        mask = 0
+        for v in range(0, 3 * triangles, 3):
+            mask |= _edge_bit(v, v + 1, n) | _edge_bit(v, v + 2, n) | _edge_bit(v + 1, v + 2, n)
+        for v in range(3 * triangles, 3 * triangles + 2 * edges, 2):
+            mask |= _edge_bit(v, v + 1, n)
+        reps.append(mask)
     return reps
-
-
-def _shape_rep(n: int, triangles: int, paths: int, edges: int, singles: int) -> int:
-    """Canonical factor mask: triangles on the lowest vertices, then 2-edge
-    paths (centered at the middle vertex), then edges, then isolated ones."""
-    assert 3 * (triangles + paths) + 2 * edges + singles == n
-    mask = 0
-    v = 0
-    for _ in range(triangles):
-        mask |= (_edge_bit(v, v + 1, n) | _edge_bit(v, v + 2, n)
-                 | _edge_bit(v + 1, v + 2, n))
-        v += 3
-    for _ in range(paths):
-        mask |= _edge_bit(v, v + 1, n) | _edge_bit(v + 1, v + 2, n)
-        v += 3
-    for _ in range(edges):
-        mask |= _edge_bit(v, v + 1, n)
-        v += 2
-    return mask
-
-
-def _all_factor_shapes(n: int) -> list[tuple[int, int, int, int]]:
-    """(triangles, paths, edges, singles) over all generalized factor shapes."""
-    shapes = []
-    for t in range(n // 3 + 1):
-        for p in range((n - 3 * t) // 3 + 1):
-            rem = n - 3 * (t + p)
-            for e in range(rem // 2 + 1):
-                shapes.append((t, p, e, rem - 2 * e))
-    return shapes
 
 
 def _iter_factor_masks_within(n: int, allowed_adj: Sequence[int], proper: bool,
@@ -324,8 +299,7 @@ def _factor_search(n: int, r: int, reps: Sequence[int],
                     if best >= bound:
                         return best, witness
             else:
-                # the first factor is fixed only up to isomorphism, so it does
-                # not bound the first middle factor's mask
+                # the first factor, fixed only up to isomorphism, bounds no mask
                 prev = chosen[-1] if level > 2 else None
                 frames.append((iter(reps if level == 1 else nxt(covered, prev)), covered))
                 chosen.append(0)  # replaced by the level's first candidate
@@ -350,9 +324,8 @@ def _edge_bound(n: int, r: int) -> int:
 
 def _sorted_tail(build: Callable[[], list[int]]) -> Callable[[int, int | None], list[int]]:
     """The later-level rule over a sorted pool without repeats: the pool from
-    the previous mask on, so the factors after the first come in order.  The
-    pool is built on the first call, so a search that ends before its second
-    level builds none."""
+    the previous mask on, so the later factors come in order.  The pool is
+    built on first use, so a search ending before level 2 builds none."""
     pool = lru_cache(maxsize=None)(build)
 
     def nxt(covered: int, prev: int | None) -> list[int]:
@@ -406,15 +379,11 @@ def cover_search(n: int, r: int, properness: str = GENERALIZED,
         gain, mask = last(full)
         masks = [mask] if gain >= 0 else []
     else:
+        reps = _maximal_shape_reps(n, proper)
         if mode == COVER:
-            reps = _maximal_shape_reps(n, proper)
-            nxt = _sorted_tail(
-                (lambda: sorted(_iter_factor_masks_within(n, complete_graph(n).adj, True)))
-                if proper else (lambda: _enumerate_maximal_factors(n)))
+            nxt = _sorted_tail(lambda: _enumerate_maximal_factors(n, proper))
         else:
-            reps = (_maximal_shape_reps(n, proper) if proper
-                    else sorted({_shape_rep(n, *shape) for shape in _all_factor_shapes(n)},
-                                reverse=True))
+            reps = sorted(reps, reverse=True)
 
             def nxt(covered: int, prev: int | None) -> Iterator[int]:
                 return _iter_factor_masks_within(n, _mask_to_graph(full & ~covered, n).adj,

@@ -758,15 +758,16 @@ def compute_c_k(fam: ForbiddenFamily, k: int, cap: int = 32,
     found first.  When _built_witness colors K_{N-1}, the value is N - 1 in
     0 nodes; otherwise each n below N is searched, and the value is N - 1
     unless a smaller n is refuted.  One budget covers the whole scan: each
-    size gets what the smaller ones left.  With no N and K_cap colorable,
-    raises BudgetExceededError carrying the proven lower bound, its coloring
-    and the cap; if the budget runs out, it carries the bound and coloring
-    with the nodes of the whole scan.
+    size gets what the smaller ones left.  With no N, the search stops at
+    top = min(cap, MAX_VERTICES); K_top colorable raises BudgetExceededError
+    carrying top as the proven lower bound, its coloring and the cap; if the
+    budget runs out, it carries the bound and coloring with the nodes of the
+    whole scan.
     """
     if cap < 1:
         raise ValidationError("OUT_OF_RANGE", f"cap must be >= 1, got {cap}")
-    refuted = next((n for n in range(2, min(cap, MAX_VERTICES) + 2)
-                    if counting_refutes(fam, k, n)), 0)
+    top = min(cap, MAX_VERTICES)
+    refuted = next((n for n in range(2, top + 2) if counting_refutes(fam, k, n)), 0)
     built = _built_witness(fam, k, refuted - 1)
     if built is not None:
         return CkResult(refuted - 1, built[1], 0, 0, True, built[0])
@@ -774,7 +775,7 @@ def compute_c_k(fam: ForbiddenFamily, k: int, cap: int = 32,
     spent = 0
     prev: EdgeColoring | None = None
     prev_nodes = 0
-    for n in range(1, refuted or cap + 1):
+    for n in range(1, refuted or top + 1):
         try:
             coloring, nodes = mono_free_search(n, k, fam, limit - spent)
         except BudgetExceededError as exc:
@@ -790,8 +791,8 @@ def compute_c_k(fam: ForbiddenFamily, k: int, cap: int = 32,
         prev, prev_nodes = coloring, nodes
     if refuted:
         return CkResult(refuted - 1, prev, prev_nodes, 0, True)
-    raise BudgetExceededError(f"K_{cap} still admits a coloring; c_{k} >= {cap}",
-                              lower=cap, cap=cap, witness=prev)
+    raise BudgetExceededError(f"K_{top} still admits a coloring; c_{k} >= {top}",
+                              lower=top, cap=cap, witness=prev)
 
 
 # -- closed forms -------------------------------------------------------------

@@ -140,6 +140,20 @@ def test_ramsey_builds_no_witness_beyond_64_vertices(capsys):
     assert (cert["outcome"], cert["stats"]["lower"], cert["witness"]["n"]) == ("UNKNOWN", 13, 13)
 
 
+def test_ramsey_scan_stops_at_64_vertices_past_the_cap(tmp_path, capsys):
+    # one colour class free of MATCH:40 holds K_64, and counting refutes
+    # nothing up to it, so a cap past 64 stops the scan at K_64
+    code, out, _ = _invoke(capsys, ["ramsey", "--family", "MATCH:40", "--colors", "1",
+                                    "--cap", "65"])
+    assert code == 2
+    cert = json.loads(out)
+    assert (cert["outcome"], cert["stats"]["lower"], cert["stats"]["cap"]) == ("UNKNOWN", 64, 65)
+    assert cert["witness"]["n"] == 64
+    path = tmp_path / "cert.json"
+    path.write_text(out)
+    assert _invoke(capsys, ["verify", str(path)])[:2] == (0, "true\n")
+
+
 def test_ramsey_built_witness_certificate(tmp_path, capsys):
     cert = _invoke_cert(capsys, ["ramsey", "--family", "F3", "--colors", "20", "--cap", "64",
                                  "--deterministic"])

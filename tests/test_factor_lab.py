@@ -155,6 +155,11 @@ def test_proper_factor_iterator_yields_only_triangle_partitions():
     assert all(classify_factor(_mask_to_graph(m, 6)) == PROPER for m in masks)
 
 
+def test_proper_maximal_factors_are_the_triangle_partitions():
+    for n in (3, 6, 9, 12):
+        assert _enumerate_maximal_factors(n, True) == sorted(_proper_masks(n)), n
+
+
 # -- cover and decomposition search ---------------------------------------------------
 
 
@@ -226,7 +231,7 @@ PINNED_SEARCHES = {
     (9, 4, PROPER, COVER): (56, [60202942723, 1376134276, 2693861968, 4446537768]),
     (4, 3, GENERALIZED, DECOMPOSITION): (3, [33, 6, 24]),
     (5, 3, GENERALIZED, DECOMPOSITION): (4, [531, 292, 200]),
-    (6, 3, GENERALIZED, DECOMPOSITION): (734, None),
+    (6, 3, GENERALIZED, DECOMPOSITION): (385, None),
     (6, 4, GENERALIZED, DECOMPOSITION): (4, [28707, 2316, 208, 1536]),
     (7, 4, GENERALIZED, DECOMPOSITION): (64, [1081411, 591124, 150024, 274592]),
     (8, 4, GENERALIZED, DECOMPOSITION): (520, [139198595, 68178980, 50430280, 10627600]),
@@ -260,7 +265,24 @@ def test_degree_bound_refutes_at_the_root():
         assert (res.factors, res.nodes) == (None, 1), case
     # K_10 has degree 9 <= 10, so five factors are refuted a level lower
     res = cover_search(10, 5, mode=DECOMPOSITION)
-    assert (res.factors, res.nodes) == (None, 28)
+    assert (res.factors, res.nodes) == (None, 4)
+
+
+def test_generalized_covers_exist_exactly_when_decompositions_do():
+    # factors F_1, ..., F_r covering K_n give the decomposition D_i = F_i minus
+    # the earlier factors, as a spanning subgraph of a factor is one
+    agreed = 0
+    for n in range(1, 10):
+        for r in range(1, 6):
+            try:
+                cover = cover_search(n, r, budget=100_000).factors is not None
+                decomposed = cover_search(n, r, mode=DECOMPOSITION,
+                                          budget=100_000).factors is not None
+            except BudgetExceededError:
+                continue
+            assert cover == decomposed, (n, r)
+            agreed += 1
+    assert agreed >= 43
 
 
 def test_factor_pools_are_built_on_first_use(monkeypatch):

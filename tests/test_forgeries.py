@@ -355,6 +355,27 @@ def test_cover_refutation_must_name_its_modes_scheme(tmp_path, capsys, name, sch
     assert "check scheme-recorded:" in _rejected(tmp_path, capsys, cert)
 
 
+@pytest.mark.parametrize("name, key, forged", [
+    ("cover-refuted", "nodes", "lots"),
+    ("cover-refuted", "nodes", -5),
+    ("ramsey", "refutation_nodes", None),
+    ("ramsey", "refutation_nodes", "many"),
+    ("ramsey", "witness_nodes", -1),
+    ("ramsey-k3-star2", "witness_nodes", False),
+], ids=["cover-text", "cover-negative", "ramsey-missing", "ramsey-text", "ramsey-negative",
+        "ramsey-boolean"])
+def test_search_node_counts_must_be_non_negative_integers(tmp_path, capsys, name, key, forged):
+    # a refutation by search is vouched for only by its node count; None deletes it,
+    # and a JSON false would equal a built witness's 0 nodes
+    cert = _golden(name)
+    assert isinstance(cert["stats"][key], int)
+    if forged is None:
+        del cert["stats"][key]
+    else:
+        cert["stats"][key] = forged
+    assert "check exhaustion-stats:" in _rejected(tmp_path, capsys, cert)
+
+
 @pytest.mark.parametrize("source, value, colors", [
     (["--path", "6"], 3, [0, 1, 2, 0, 1, 2]),
     (None, 2, [0, 1, 0, 1, 0]),  # five vertices, no edge
