@@ -30,6 +30,7 @@ from .graph_core import (
     union_graphs,
 )
 from .ramsey_search import (
+    ForbiddenFamily,
     closed_form_c_k,
     counting_refutes,
     make_edge_coloring,
@@ -158,6 +159,15 @@ def _text(payload: Mapping[str, Any] | None, key: str, where: str = "witness pay
     return val
 
 
+def _family(params: Mapping[str, Any]) -> ForbiddenFamily:
+    """The family, whose explicit patterns certificates spell inline: a
+    token naming a file (@path) is rejected before anything is opened."""
+    spec = _text(params, "family", _PARAMS)
+    if any(tok.strip().startswith("@") for tok in spec.split(",")):
+        raise VerificationError("family-inline", "a certificate's family names no file")
+    return parse_family(spec)
+
+
 def _delta0(params: Mapping[str, Any]) -> int:
     return _int(params, "delta0", _PARAMS) if "delta0" in params else DEFAULT_DELTA0
 
@@ -271,7 +281,7 @@ def _vf_core(params, value, witness, stats, outcome):
 
 
 def _vf_ramsey(params, value, witness, stats, outcome):
-    fam = parse_family(_text(params, "family", _PARAMS))
+    fam = _family(params)
     k = _int(params, "colors", _PARAMS)
     n = _int(witness, "n")
     if outcome == "UNKNOWN":
@@ -304,7 +314,7 @@ def _vf_ramsey(params, value, witness, stats, outcome):
 
 
 def _vf_closed_form(params, value, witness, stats, outcome):
-    fam = parse_family(_text(params, "family", _PARAMS))
+    fam = _family(params)
     k = _int(params, "colors", _PARAMS)
     delta0 = _delta0(params)
     form = closed_form_c_k(fam, k, delta0=delta0)

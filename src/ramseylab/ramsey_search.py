@@ -414,15 +414,12 @@ def _embed(host: Graph, pattern: Graph) -> tuple[int, ...] | None:
 @dataclass(frozen=True)
 class EdgeColoring:
     """Total edge coloring of a base graph; assignment aligns with
-    base.edges() order, values in 0..k-1."""
+    base.edges() order, values in 0..k-1.  Its color classes exist only
+    inside verify_mono_free, which builds all of them in one pass."""
 
     base: Graph
     k: int
     assignment: tuple[int, ...]
-
-    def color_class(self, c: int) -> Graph:
-        edges = [e for e, cc in zip(self.base.edges(), self.assignment) if cc == c]
-        return build_graph(self.base.n, edges)
 
 
 def make_edge_coloring(base: Graph, k: int, assignment: Sequence[int]) -> EdgeColoring:
@@ -446,9 +443,19 @@ class MonoFreeReport:
 
 def verify_mono_free(coloring: EdgeColoring, fam: ForbiddenFamily) -> MonoFreeReport:
     """Re-check a coloring against the family; reports the first violation.
-    Only the colors in use are checked, since every pattern has an edge."""
-    for c in sorted(set(coloring.assignment)):
-        cls = coloring.color_class(c)
+    One pass over the base's edges builds every class in use, keyed by color
+    (a palette may hold 2**70 colors); each is searched once, lowest color
+    first, for the patterns in family order."""
+    n = coloring.base.n
+    classes: dict[int, list[int]] = {}
+    for (u, v), c in zip(coloring.base.edges(), coloring.assignment):
+        adj = classes.get(c)
+        if adj is None:
+            adj = classes[c] = [0] * n
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    for c in sorted(classes):
+        cls = Graph(n, tuple(classes[c]))
         for p in fam.patterns:
             w = find_copy(cls, p)
             if w is not None:
@@ -742,9 +749,12 @@ def _built_witness(fam: ForbiddenFamily, k: int, n: int
     else:
         return None
     base = complete_graph(n)
-    assignment = tuple(next(c for c, g in enumerate(classes) if g.adj[u] >> v & 1)
-                       for u, v in base.edges())
-    coloring = EdgeColoring(base, k, assignment)
+    index = {e: i for i, e in enumerate(base.edges())}
+    assignment = [0] * len(index)
+    for c, g in enumerate(classes):
+        for e in g.edges():
+            assignment[index[e]] = c
+    coloring = EdgeColoring(base, k, tuple(assignment))
     return (name, coloring) if verify_mono_free(coloring, fam).ok else None
 
 

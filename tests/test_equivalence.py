@@ -17,7 +17,14 @@ The tables in ``tests/tables`` were measured before either bound existed:
   that row began opening a new colour before repeating one, and once more
   for the rows whose witness compute_c_k now builds from Walecki's
   Hamilton cycles in 0 nodes; both times the value and refutation columns
-  stayed byte-identical.
+  stayed byte-identical;
+- ``mono_free.json``: ``verify_mono_free`` over seeded random colourings of
+  K_n and of random graphs on n <= 8 vertices, for families of every kind,
+  with dense palettes and sparse ones such as {5, 9, 2**70}, as [family, n,
+  base adjacency masks, palette size, assignment, ok, colour, pattern token,
+  vertices].  It was measured before the re-check began to build every
+  colour class in one sweep; ``PYTHONPATH=src python
+  tests/test_equivalence.py`` rewrites it.
 
 A bound may only remove nodes: each cover search keeps its outcome and
 witness, and spends no more nodes than it did.
@@ -26,13 +33,21 @@ witness, and spends no more nodes than it did.
 from __future__ import annotations
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from ramseylab.errors import BudgetExceededError
 from ramseylab.factor_lab import _edge_mask, cover_search, max_coverable_edges
-from ramseylab.ramsey_search import compute_c_k, parse_family
+from ramseylab.graph_core import Graph, build_graph, complete_graph
+from ramseylab.ramsey_search import (
+    MonoFreeReport,
+    compute_c_k,
+    make_edge_coloring,
+    parse_family,
+    verify_mono_free,
+)
 
 TABLES = Path(__file__).resolve().parent / "tables"
 
@@ -68,3 +83,54 @@ def test_compute_c_k_keeps_values_and_witnesses(row):
     assert (res.value, "".join(map(str, res.witness.assignment)), res.witness_nodes) == (
         value, assignment, witness_nodes)
     assert res.refutation_nodes <= refutation_nodes
+
+
+MONO_FREE_FAMILIES = (
+    "K3", "S3", "STAR:1", "STAR:3", "P4", "PATH:2", "PATH:4", "MATCH:2", "MATCH:3",
+    "EXPLICIT[0-1;1-2;2-3;0-3|4]", "EXPLICIT[0-1;0-2;1-2;2-3|4]", "EXPLICIT[0-1;2-3|5]",
+    "EXPLICIT[0-1;1-2;2-3|4]", "F4", "F7", "P4,K3", "MATCH:2,S3",
+    "K3,EXPLICIT[0-1;1-2;2-3;0-3|4],PATH:3",
+)
+MONO_FREE_PALETTES = ((0,), (0, 1), (0, 1, 2), (0, 1, 2, 3, 4), (5, 9, 2 ** 70),
+                      (0, 2 ** 70), (3, 11, 12, 40))
+
+
+def _report_cells(report: MonoFreeReport) -> list:
+    return [report.ok, report.color, report.pattern and report.pattern.token,
+            report.vertices and list(report.vertices)]
+
+
+def mono_free_rows() -> list[list]:
+    """Every row of ``mono_free.json``, from the re-check as it stands."""
+    rng = random.Random("mono-free")
+    rows = []
+    for spec in MONO_FREE_FAMILIES:
+        fam = parse_family(spec)
+        for n in range(2, 9):
+            for base in (complete_graph(n), None):
+                if base is None:
+                    p = rng.random()
+                    base = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                           if rng.random() < p])
+                palette = rng.choice(MONO_FREE_PALETTES)
+                k = palette[-1] + 1
+                assignment = [rng.choice(palette) for _ in range(base.m)]
+                report = verify_mono_free(make_edge_coloring(base, k, assignment), fam)
+                rows.append([spec, n, list(base.adj), k, assignment, *_report_cells(report)])
+    return rows
+
+
+def test_verify_mono_free_keeps_its_reports():
+    verdicts = set()
+    for spec, n, adj, k, assignment, *cells in _table("mono_free.json"):
+        coloring = make_edge_coloring(Graph(n, tuple(adj)), k, assignment)
+        assert _report_cells(verify_mono_free(coloring, parse_family(spec))) == cells, (
+            spec, n, adj, assignment)
+        verdicts.add(cells[0])
+    assert verdicts == {True, False}
+
+
+if __name__ == "__main__":
+    (TABLES / "mono_free.json").write_text(
+        "[\n" + ",\n".join(json.dumps(row, separators=(",", ":")) for row in mono_free_rows())
+        + "\n]\n", encoding="utf-8")

@@ -95,6 +95,19 @@ def test_ramsey_assignment_must_color_every_edge_in_the_palette(tmp_path, capsys
     _rejected(tmp_path, capsys, cert)
 
 
+@pytest.mark.parametrize("name, family, text", [
+    ("ramsey-k3-explicit-p4", "K3, @{}", "4 3\n0 1\n1 2\n2 3\n"),
+    ("closed-form", "@{}", "4 3\n0 1\n0 2\n0 3\n"),
+], ids=["ramsey", "closed-form"])
+def test_certificate_family_names_no_file(tmp_path, capsys, name, family, text):
+    # with the pattern read from the file when verify runs, both printed true
+    pattern = tmp_path / "pattern.txt"
+    pattern.write_text(text)
+    cert = _golden(name)
+    cert["parameters"]["family"] = family.format(pattern)
+    assert "check family-inline" in _rejected(tmp_path, capsys, cert)
+
+
 def test_bijection_factor_must_be_proper(tmp_path, capsys):
     cert = _golden("bijection")
     head, *edges = cert["witness"]["factors"][0].splitlines()

@@ -24,7 +24,6 @@ from ramseylab.ramsey_search import (
     S3,
     TRIANGLE,
     ClosedForm,
-    EdgeColoring,
     ForbiddenFamily,
     _color_edges,
     _least_subset_total,
@@ -313,7 +312,9 @@ def test_make_edge_coloring_validation():
     with pytest.raises(ValidationError):
         make_edge_coloring(base, 2, [0, 1, 2])
     col = make_edge_coloring(base, 2, [0, 1, 1])
-    assert col.color_class(1).m == 2
+    # color 1 holds (0, 2) and (1, 2), the only 2-edge path; color 0 holds one edge
+    report = verify_mono_free(col, parse_family("PATH:2"))
+    assert (report.ok, report.color, sorted(report.vertices)) == (False, 1, [0, 1, 2])
 
 
 def test_verify_mono_free_reports_violation():
@@ -327,24 +328,31 @@ def test_verify_mono_free_reports_violation():
 
 
 def test_verify_mono_free_checks_only_the_colors_in_use(monkeypatch):
-    calls = []
-    color_class = EdgeColoring.color_class
+    searched = []
 
-    def counted(self, c):
-        calls.append(c)
-        assert len(calls) <= 3, "a class built for an unused color"
-        return color_class(self, c)
+    def counted(g, p):
+        searched.append((frozenset(g.edges()), p.token))
+        return find_copy(g, p)
 
-    monkeypatch.setattr(EdgeColoring, "color_class", counted)
+    monkeypatch.setattr(ramsey_search, "find_copy", counted)
     # K_4 edges in order (0,1), (0,2), (0,3), (1,2), (1,3), (2,3)
     col = make_edge_coloring(complete_graph(4), 2 ** 70, [5, 0, 9, 0, 5, 0])
-    assert verify_mono_free(col, FAMILY_PRESETS["F4"]).ok
-    assert calls == [0, 5, 9]
-    calls.clear()
+    tracemalloc.start()
+    try:
+        assert verify_mono_free(col, FAMILY_PRESETS["F4"]).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    classes = [frozenset({(0, 2), (1, 2), (2, 3)}), frozenset({(0, 1), (1, 3)}),
+               frozenset({(0, 3)})]  # colors 0, 5 and 9
+    assert searched == [(cls, token) for cls in classes for token in ("K3", "P4")]
+    searched.clear()
     # colors 7 and 9 each hold a P4 (2-0-3-1 and 0-1-2-3); the lower one is reported
     col = make_edge_coloring(complete_graph(4), 2 ** 70, [9, 7, 7, 9, 7, 9])
     report = verify_mono_free(col, FAMILY_PRESETS["F2"])
-    assert (report.ok, report.color, calls) == (False, 7, [7])
+    assert (report.ok, report.color) == (False, 7)
+    assert searched == [(frozenset({(0, 2), (0, 3), (1, 3)}), "P4")]
 
 
 def test_search_memory_does_not_grow_with_the_palette():
