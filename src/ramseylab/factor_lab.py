@@ -43,6 +43,7 @@ from .graph_core import (
     _bits,
     _vertex_count,
     build_graph,
+    complete_edges,
     connected_components,
     restrict,
 )
@@ -121,14 +122,8 @@ def _edge_mask(g: Graph) -> int:
     return mask
 
 
-@lru_cache(maxsize=None)
-def _edge_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """The vertex pair of each edge bit of K_n, in bit order."""
-    return tuple((u, v) for u in range(n) for v in range(u + 1, n))
-
-
 def _mask_to_graph(mask: int, n: int) -> Graph:
-    pairs = _edge_pairs(n)
+    pairs = complete_edges(n)  # the vertex pair of each edge bit, in bit order
     adj = [0] * n
     while mask:
         low = mask & -mask

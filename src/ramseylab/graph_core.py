@@ -21,6 +21,7 @@ import _thread
 import os
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExceededError, ParseError, ValidationError
@@ -116,6 +117,20 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 def complete_graph(n: int) -> Graph:
     full = (1 << _vertex_count(n)) - 1
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
+
+
+@lru_cache(maxsize=None)
+def complete_edges(n: int) -> tuple[tuple[int, int], ...]:
+    """K_n's edges in lexicographic order, complete_graph(n).edges(), built
+    once per n: the order every edge colouring of K_n and every edge mask
+    of K_n follows."""
+    _vertex_count(n)
+    return tuple((u, v) for u in range(n) for v in range(u + 1, n))
+
+
+def complete_edge_index(n: int, u: int, v: int) -> int:
+    """The position of edge (u, v), u < v, in complete_edges(n)."""
+    return u * (2 * n - u - 1) // 2 + v - u - 1
 
 
 def path_graph(n: int) -> Graph:

@@ -37,6 +37,8 @@ from .graph_core import (
     Graph,
     _bits,
     build_graph,
+    complete_edge_index,
+    complete_edges,
     complete_graph,
     connected_components,
     graph_from_text,
@@ -505,23 +507,33 @@ def mono_free_search(n: int, k: int, fam: ForbiddenFamily,
                      budget: int | None = None) -> tuple[EdgeColoring | None, int]:
     """Find an admissible k-coloring of K_n's edges, or certify none exists.
 
-    Returns (coloring-or-None, nodes).
+    Returns (coloring-or-None, nodes); a coloring is re-checked by
+    verify_mono_free before it is returned.
     """
+    coloring, spent = _search_complete(n, k, fam, budget)
+    return (None if coloring is None else _checked(coloring, fam)), spent
+
+
+def _search_complete(n: int, k: int, fam: ForbiddenFamily,
+                     budget: int | None) -> tuple[EdgeColoring | None, int]:
+    """mono_free_search without the re-check of the coloring it finds."""
     if n < 1:
         raise ValidationError("BAD_N", f"need n >= 1, got {n}")
     if k < 1:
         raise ValidationError("BAD_K", f"need k >= 1, got {k}")
-    base = complete_graph(n)
     limit = DEFAULT_NODE_BUDGET if budget is None else budget
-    chosen, spent = _color_edges(n, k, base.edges(), fam, limit, row=n - 1)
+    chosen, spent = _color_edges(n, k, complete_edges(n), fam, limit, row=n - 1)
     if chosen is None:
         return None, spent
-    coloring = EdgeColoring(base, k, tuple(chosen))
-    report = verify_mono_free(coloring, fam)
-    if not report.ok:
+    return EdgeColoring(complete_graph(n), k, tuple(chosen)), spent
+
+
+def _checked(coloring: EdgeColoring, fam: ForbiddenFamily) -> EdgeColoring:
+    """The searched coloring, once verify_mono_free accepts it."""
+    if not verify_mono_free(coloring, fam).ok:
         raise VerificationError("mono-free-witness",
                                 "search produced a coloring its own verifier rejects")
-    return coloring, spent
+    return coloring
 
 
 def _color_edges(n: int, k: int, edges: Sequence[tuple[int, int]],
@@ -748,13 +760,11 @@ def _built_witness(fam: ForbiddenFamily, k: int, n: int
         name, classes = "galaxy", galaxy_cover(k - 1)
     else:
         return None
-    base = complete_graph(n)
-    index = {e: i for i, e in enumerate(base.edges())}
-    assignment = [0] * len(index)
+    assignment = [0] * (n * (n - 1) // 2)
     for c, g in enumerate(classes):
-        for e in g.edges():
-            assignment[index[e]] = c
-    coloring = EdgeColoring(base, k, tuple(assignment))
+        for u, v in g.edges():
+            assignment[complete_edge_index(n, u, v)] = c
+    coloring = EdgeColoring(complete_graph(n), k, tuple(assignment))
     return (name, coloring) if verify_mono_free(coloring, fam).ok else None
 
 
@@ -763,8 +773,10 @@ def compute_c_k(fam: ForbiddenFamily, k: int, cap: int = 32,
     """Largest n with an admissible coloring, by scanning n upward.
 
     Existence is monotone (restricting a coloring of K_{n+1} to K_n stays
-    admissible), so the first refuted n settles the value.  The smallest N
-    up to cap + 1 (and MAX_VERTICES + 1) that counting_refutes refutes is
+    admissible), so the first refuted n settles the value, and the largest
+    coloring found, which the scan returns or attaches to a cut, is the one
+    verify_mono_free re-checks: it proves every smaller size.  The smallest
+    N up to cap + 1 (and MAX_VERTICES + 1) that counting_refutes refutes is
     found first.  When _built_witness colors K_{N-1}, the value is N - 1 in
     0 nodes; otherwise each n below N is searched, and the value is N - 1
     unless a smaller n is refuted.  One budget covers the whole scan: each
@@ -787,22 +799,23 @@ def compute_c_k(fam: ForbiddenFamily, k: int, cap: int = 32,
     prev_nodes = 0
     for n in range(1, refuted or top + 1):
         try:
-            coloring, nodes = mono_free_search(n, k, fam, limit - spent)
+            coloring, nodes = _search_complete(n, k, fam, limit - spent)
         except BudgetExceededError as exc:
+            witness = None if prev is None else _checked(prev, fam)
             raise BudgetExceededError(f"{exc} at n = {n}; c_{k} >= {n - 1}",
                                       nodes=spent + exc.partial["nodes"],
-                                      lower=n - 1, witness=prev) from None
+                                      lower=n - 1, witness=witness) from None
         spent += nodes
         if coloring is None:
             if prev is None:
                 # n == 1 always succeeds: K_1 has no edges.
                 raise VerificationError("ck-base-case", "K_1 search failed unexpectedly")
-            return CkResult(n - 1, prev, prev_nodes, nodes)
+            return CkResult(n - 1, _checked(prev, fam), prev_nodes, nodes)
         prev, prev_nodes = coloring, nodes
     if refuted:
-        return CkResult(refuted - 1, prev, prev_nodes, 0, True)
+        return CkResult(refuted - 1, _checked(prev, fam), prev_nodes, 0, True)
     raise BudgetExceededError(f"K_{top} still admits a coloring; c_{k} >= {top}",
-                              lower=top, cap=cap, witness=prev)
+                              lower=top, cap=cap, witness=_checked(prev, fam))
 
 
 # -- closed forms -------------------------------------------------------------

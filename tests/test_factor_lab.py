@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ramseylab import factor_lab
+from ramseylab import factor_lab, graph_core
 from ramseylab.errors import BudgetExceededError, ValidationError, VerificationError
 from ramseylab.factor_lab import (
     COVER,
@@ -508,6 +508,13 @@ def test_random_factor_shapes():
     with pytest.raises(ValidationError) as exc:
         random_factor(8, PROPER, seed=1)
     assert exc.value.code == "BAD_N"
+
+
+def test_factor_lab_reads_the_edge_list_of_k_n_from_graph_core():
+    # the edge bits of K_n follow the one cached list, graph_core.complete_edges
+    assert not hasattr(factor_lab, "_edge_pairs")
+    assert factor_lab.complete_edges is graph_core.complete_edges
+    assert factor_lab._mask_to_graph((1 << 15) - 1, 6) == graph_core.complete_graph(6)
 
 
 def test_factor_lab_does_not_import_ramsey_search_and_no_function_imports():

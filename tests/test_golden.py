@@ -31,6 +31,7 @@ CASES: dict[str, list[str]] = {
     "core-star": ["core", "--star", "4", "--d", "2"],
     "ramsey": ["ramsey", "--family", "F4", "--colors", "3", "--cap", "8"],
     "ramsey-k3-star2": ["ramsey", "--family", "K3,STAR:2", "--colors", "2"],
+    "ramsey-galaxy": ["ramsey", "--family", "F4", "--colors", "4"],
     "ramsey-cap": ["ramsey", "--family", "F3", "--colors", "2", "--cap", "4"],
     "closed-form": ["closed-form", "--family", "F3", "--colors", "6"],
     "closed-form-unknown": ["closed-form", "--family", "F6", "--colors", "3"],

@@ -10,11 +10,14 @@ import pytest
 
 from ramseylab.errors import BudgetExceededError, ParseError, ValidationError
 from ramseylab.graph_core import (
+    MAX_VERTICES,
     Graph,
     NodeBudget,
     _exact_k_coloring,
     build_graph,
     chromatic_number,
+    complete_edge_index,
+    complete_edges,
     complete_graph,
     connected_components,
     cycle_graph,
@@ -111,6 +114,19 @@ def test_complete_graph_vertex_guard():
     for n in (-1, 65):
         with pytest.raises(ValidationError) as exc:
             complete_graph(n)
+        assert exc.value.code == "OUT_OF_RANGE"
+
+
+def test_complete_edges_is_the_edge_order_of_k_n():
+    # every assignment of an edge coloring of K_n aligns with this order
+    for n in range(MAX_VERTICES + 1):
+        assert complete_edges(n) == tuple(complete_graph(n).edges())
+        assert complete_edges(n) is complete_edges(n)
+        for i, (u, v) in enumerate(complete_edges(n)):
+            assert complete_edge_index(n, u, v) == i
+    for n in (-1, 65):
+        with pytest.raises(ValidationError) as exc:
+            complete_edges(n)
         assert exc.value.code == "OUT_OF_RANGE"
 
 

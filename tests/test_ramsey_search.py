@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from ramseylab import ramsey_search
 from ramseylab.cli import run
-from ramseylab.errors import BudgetExceededError, ValidationError
+from ramseylab.errors import BudgetExceededError, ValidationError, VerificationError
 from ramseylab.factor_lab import DEFAULT_DELTA0
 from ramseylab.graph_core import Graph, build_graph, complete_graph, star_graph
 from ramseylab.ramsey_search import (
@@ -561,6 +561,60 @@ def test_compute_c_k_spends_one_budget_on_the_whole_scan():
     partial = exc.value.partial
     assert (partial["nodes"], partial["lower"], partial["witness"].base.n) == (3603, 8, 8)
     assert verify_mono_free(partial["witness"], fam).ok
+
+
+def _mono_k5_search(monkeypatch):
+    """Patch the edge search so that K_5, c_3(F2), comes out in one color:
+    a coloring holding P4, which the scan must not pass on unchecked."""
+    real = ramsey_search._color_edges
+
+    def search(n, k, edges, fam, limit, *, row=0):
+        chosen, spent = real(n, k, edges, fam, limit, row=row)
+        return ([0] * len(edges) if n == 5 else chosen), spent
+
+    monkeypatch.setattr(ramsey_search, "_color_edges", search)
+
+
+def test_compute_c_k_checks_the_coloring_it_returns(monkeypatch):
+    fam = FAMILY_PRESETS["F2"]
+    below = sum(mono_free_search(n, 3, fam)[1] for n in range(1, 6))
+    _mono_k5_search(monkeypatch)
+    # the value, the cut of the K_6 search and the cap each carry K_5
+    for budget, cap in ((None, 32), (below + 1, 32), (None, 5)):
+        with pytest.raises(VerificationError) as exc:
+            compute_c_k(fam, 3, cap=cap, budget=budget)
+        assert exc.value.check == "mono-free-witness", (budget, cap)
+    with pytest.raises(VerificationError):
+        mono_free_search(5, 3, fam)
+
+
+def test_compute_c_k_checks_the_coloring_counting_settles(monkeypatch):
+    # with K_6 refuted by counting and no construction for K_5, the scan
+    # searches K_1 to K_5 and returns the counted value with that K_5
+    fam = FAMILY_PRESETS["F2"]
+    real = ramsey_search.counting_refutes
+    monkeypatch.setattr(ramsey_search, "counting_refutes",
+                        lambda f, k, n: n == 6 or real(f, k, n))
+    result = compute_c_k(fam, 3)
+    assert (result.value, result.counted, result.built) == (5, True, None)
+    _mono_k5_search(monkeypatch)
+    with pytest.raises(VerificationError) as exc:
+        compute_c_k(fam, 3)
+    assert exc.value.check == "mono-free-witness"
+
+
+def test_compute_c_k_checks_one_coloring(monkeypatch):
+    # a coloring of K_n restricts to every smaller K_m, so the scan re-checks
+    # only the K_5 it returns, not K_1 to K_4 as well
+    calls = []
+
+    def counted(coloring, fam):
+        calls.append(coloring.base.n)
+        return verify_mono_free(coloring, fam)
+
+    monkeypatch.setattr(ramsey_search, "verify_mono_free", counted)
+    assert compute_c_k(FAMILY_PRESETS["F2"], 3).value == 5
+    assert calls == [5]
 
 
 def test_search_depth_exceeds_recursion_limit():
