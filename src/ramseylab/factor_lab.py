@@ -16,10 +16,10 @@ maximal F, then F, D_2 - E(F), ..., D_r - E(F) decompose K_n too, and a
 relabelling makes F its shape's representative.  Proper factors are maximal
 already.  Covers take the later factors maximal and sorted; decompositions
 take their middle masks descending, as those factors are unordered, and the
-last one forced.  Both drop a branch once some vertex has more uncovered
-edges than the factors left can take: a factor has maximum degree 2.  So
-exhaustion is a certified nonexistence, and the search scheme identifier
-recorded in results names exactly this reduction.
+last one forced.  Once only a full cover beats the one in hand, a branch is
+dropped when some vertex has more uncovered edges than the factors left
+can take: a factor has maximum degree 2.  So exhaustion is a certified
+nonexistence, and the scheme identifier names exactly this reduction.
 
 Covers, decompositions and the maximum cover run one search,
 _factor_search.  The three differ only in the candidates of the later
@@ -43,6 +43,7 @@ from .graph_core import (
     _bits,
     _vertex_count,
     build_graph,
+    complete_edge_index,
     complete_edges,
     connected_components,
     restrict,
@@ -112,7 +113,7 @@ def _edge_union(graphs: Sequence[Graph], n: int, disjoint: bool, complete: bool)
 def _edge_bit(u: int, v: int, n: int) -> int:
     if u > v:
         u, v = v, u
-    return 1 << (u * (2 * n - u - 1) // 2 + (v - u - 1))
+    return 1 << complete_edge_index(n, u, v)
 
 
 def _edge_mask(g: Graph) -> int:
@@ -245,8 +246,7 @@ def _iter_factor_masks_within(n: int, allowed_adj: Sequence[int], proper: bool,
 def _factor_search(n: int, r: int, reps: Sequence[int],
                    nxt: Callable[[int, int | None], Iterable[int]],
                    last: Callable[[int], tuple[int, int]],
-                   best: int, witness: list[int], bud: NodeBudget,
-                   degree_bound: bool) -> tuple[int, list[int]]:
+                   best: int, witness: list[int], bud: NodeBudget) -> tuple[int, list[int]]:
     """The one search behind cover_search and max_coverable_edges.
 
     Chooses r factor edge-masks depth first, one level per factor.  Level 1
@@ -255,8 +255,8 @@ def _factor_search(n: int, r: int, reps: Sequence[int],
     Level r takes last(uncovered), which is (edges gained, mask), a negative
     gain when there is no last factor.  Each level spends one node and is
     pruned when r - level + 1 factors of at most maxf edges each cannot beat
-    best.  With degree_bound, which only a search for a full cover may use,
-    a level is also pruned when some vertex has more than 2 * (r - level + 1)
+    best.  Once only a full cover beats best (best + 1 >= C(n, 2)), a level
+    is also pruned when some vertex has more than 2 * (r - level + 1)
     uncovered edges.  best starts as the count of witness, a cover already in
     hand, or as one below the count to reach with an empty witness.  A choice
     that beats best becomes the witness, and the search stops once best
@@ -265,8 +265,8 @@ def _factor_search(n: int, r: int, reps: Sequence[int],
     as the partial's lower and the witness, as graphs, as its witness.
     """
     full = _full_edge_mask(n)
-    maxf = _edge_bound(n, 1)
-    bound = _edge_bound(n, r)
+    edges = full.bit_count()
+    maxf, bound = _edge_bound(n, 1), _edge_bound(n, r)
     if witness and best >= bound:  # the cover in hand is optimal by counting
         return best, witness
     stars = [sum(_edge_bit(v, u, n) for u in range(n) if u != v) for v in range(n)]
@@ -285,8 +285,8 @@ def _factor_search(n: int, r: int, reps: Sequence[int],
         left = r - level + 1
         missing = full & ~covered
         if cov + left * maxf > best and not (
-                degree_bound and any((missing & star).bit_count() > 2 * left
-                                     for star in stars)):
+                best + 1 >= edges and any((missing & star).bit_count() > 2 * left
+                                          for star in stars)):
             if level == r:
                 gain, mask = last(missing)
                 if cov + gain > best:
@@ -384,7 +384,7 @@ def cover_search(n: int, r: int, properness: str = GENERALIZED,
                 return _iter_factor_masks_within(n, _mask_to_graph(full & ~covered, n).adj,
                                                  proper, limit_mask=prev)
 
-        masks = _factor_search(n, r, reps, nxt, last, full.bit_count() - 1, [], bud, True)[1]
+        masks = _factor_search(n, r, reps, nxt, last, full.bit_count() - 1, [], bud)[1]
     if not masks:
         return CoverSearchResult(None, bud.spent, scheme)
     factors = tuple(_mask_to_graph(m, n) for m in masks)
@@ -460,7 +460,7 @@ def max_coverable_edges(n: int, r: int, budget: int | None = None) -> MaxCoverRe
     value, masks = _factor_search(
         n, r, _maximal_shape_reps(n, proper=False),
         _sorted_tail(lambda: _enumerate_maximal_factors(n)),
-        lambda missing: _max_partial_factor(n, missing), greedy, greedy_masks, bud, False)
+        lambda missing: _max_partial_factor(n, missing), greedy, greedy_masks, bud)
     factors = tuple(_mask_to_graph(m, n) for m in masks)
     _verify_cover_payload(n, r, GENERALIZED, COVER, factors, require_cover=False)
     return MaxCoverResult(value, factors, bud.spent)

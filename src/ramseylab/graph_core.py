@@ -398,7 +398,7 @@ _END, _COLORING, _CUT = range(3)  # how a process stopped
 _AT_STOP, _AT_COLORS, _AT_COUNTS = 8, 40, 40 + MAX_VERTICES  # the claim counter is at 0
 
 
-class _Split:
+class _Split(NodeBudget):
     """One process's share of a split coloring search, and its node budget.
 
     ``spent`` counts this process's own nodes since the split, shallow and in
@@ -409,14 +409,13 @@ class _Split:
     reads the sequential search's result from the file.
     """
 
-    __slots__ = ("limit", "spent", "g", "k", "budget", "start", "left", "parent", "fd",
+    __slots__ = ("g", "k", "budget", "start", "left", "parent", "fd",
                  "children", "own", "next", "mine", "open", "began", "finished")
 
     def __init__(self, g: Graph, k: int, budget: NodeBudget, start: int):
         self.g, self.k, self.budget, self.start = g, k, budget, start
         self.left = budget.limit - budget.spent
-        self.spent = 0
-        self.limit = min(self.left, _LOOK_EVERY)
+        super().__init__(min(self.left, _LOOK_EVERY))
         self.parent = os.getpid()
         self.children: list[int] = []  # parent only
         self.fd = -1  # the shared file

@@ -32,9 +32,9 @@ from typing import Mapping, Sequence
 
 from .errors import BudgetExceededError, ValidationError, VerificationError
 from .graph_core import (
-    DEFAULT_NODE_BUDGET,
     MAX_VERTICES,
     Graph,
+    NodeBudget,
     _bits,
     build_graph,
     complete_edge_index,
@@ -510,22 +510,21 @@ def mono_free_search(n: int, k: int, fam: ForbiddenFamily,
     Returns (coloring-or-None, nodes); a coloring is re-checked by
     verify_mono_free before it is returned.
     """
-    coloring, spent = _search_complete(n, k, fam, budget)
-    return (None if coloring is None else _checked(coloring, fam)), spent
+    bud = NodeBudget(budget)
+    coloring = _search_complete(n, k, fam, bud)
+    return (None if coloring is None else _checked(coloring, fam)), bud.spent
 
 
 def _search_complete(n: int, k: int, fam: ForbiddenFamily,
-                     budget: int | None) -> tuple[EdgeColoring | None, int]:
-    """mono_free_search without the re-check of the coloring it finds."""
+                     budget: NodeBudget) -> EdgeColoring | None:
+    """mono_free_search without the re-check of the coloring it finds,
+    charging its nodes to budget."""
     if n < 1:
         raise ValidationError("BAD_N", f"need n >= 1, got {n}")
     if k < 1:
         raise ValidationError("BAD_K", f"need k >= 1, got {k}")
-    limit = DEFAULT_NODE_BUDGET if budget is None else budget
-    chosen, spent = _color_edges(n, k, complete_edges(n), fam, limit, row=n - 1)
-    if chosen is None:
-        return None, spent
-    return EdgeColoring(complete_graph(n), k, tuple(chosen)), spent
+    chosen = _color_edges(n, k, complete_edges(n), fam, budget, row=n - 1)
+    return None if chosen is None else EdgeColoring(complete_graph(n), k, tuple(chosen))
 
 
 def _checked(coloring: EdgeColoring, fam: ForbiddenFamily) -> EdgeColoring:
@@ -537,10 +536,10 @@ def _checked(coloring: EdgeColoring, fam: ForbiddenFamily) -> EdgeColoring:
 
 
 def _color_edges(n: int, k: int, edges: Sequence[tuple[int, int]],
-                 fam: ForbiddenFamily, limit: int, *, row: int = 0,
-                 ) -> tuple[list[int] | None, int]:
+                 fam: ForbiddenFamily, budget: NodeBudget, *, row: int = 0,
+                 ) -> list[int] | None:
     """Depth-first search for colors of `edges`, in order, keeping every
-    color class free of the family; returns (colors or None, nodes).
+    color class free of the family; returns the colors or None.
 
     A node is one (edge, color) attempt.  A new color may appear only after
     all smaller ones.  The first `row` edges must be one whole row of K_n,
@@ -554,8 +553,8 @@ def _color_edges(n: int, k: int, edges: Sequence[tuple[int, int]],
     colors upward.  The order moves the first witness and its node count,
     never a refutation's.  Each violation test is incremental: it relies on
     the invariant that the color class was pattern-free before uv was added,
-    so every new copy uses uv.  Raises BudgetExceededError once `limit`
-    nodes are spent.
+    so every new copy uses uv.  Nodes are charged to budget, counted in a
+    local that is written back before budget.tick() and on return.
     """
     # at most one test per kind of the kernel: star is a degree threshold
     # before the edge (0 for K2, which every edge makes; n when absent), path
@@ -573,7 +572,7 @@ def _color_edges(n: int, k: int, edges: Sequence[tuple[int, int]],
     degs = [[0] * n for _ in range(min(k, m))]
     chosen = [0] * m
     used = [0] * (m + 1)  # colors in use before edge idx
-    spent = 0
+    spent, limit = budget.spent, budget.limit
     idx = c = 0
     while idx < m:
         u, v = edges[idx]
@@ -582,8 +581,10 @@ def _color_edges(n: int, k: int, edges: Sequence[tuple[int, int]],
         # a row edge opens the next color first, then repeats the previous one
         lo, step = (chosen[idx - 1] if idx else 0, -1) if idx < row else (0, 1)
         while lo <= c < top:
-            if spent >= limit:
-                raise BudgetExceededError("node budget exhausted", nodes=spent)
+            if spent >= limit:  # tick raises, or charges this node and moves the limit
+                budget.spent = spent
+                budget.tick()
+                spent, limit = budget.spent - 1, budget.limit
             spent += 1
             adj, deg = adjs[c], degs[c]
             du, dv = deg[u], deg[v]
@@ -629,7 +630,7 @@ def _color_edges(n: int, k: int, edges: Sequence[tuple[int, int]],
         else:
             idx -= 1
             if idx < 0:
-                return None, spent
+                break
             u, v = edges[idx]
             c = chosen[idx]
             adj, deg = adjs[c], degs[c]
@@ -638,7 +639,8 @@ def _color_edges(n: int, k: int, edges: Sequence[tuple[int, int]],
             deg[u] -= 1
             deg[v] -= 1
             c += 1 if idx >= row else -1
-    return chosen, spent
+    budget.spent = spent
+    return None if idx < 0 else chosen
 
 
 def ex_bound(fam: ForbiddenFamily, n: int) -> int:
@@ -793,25 +795,21 @@ def compute_c_k(fam: ForbiddenFamily, k: int, cap: int = 32,
     built = _built_witness(fam, k, refuted - 1)
     if built is not None:
         return CkResult(refuted - 1, built[1], 0, 0, True, built[0])
-    limit = DEFAULT_NODE_BUDGET if budget is None else budget
-    spent = 0
+    bud = NodeBudget(budget)
+    # K_1 has no edges, so prev holds a coloring before any size is refuted
+    # or cut
     prev: EdgeColoring | None = None
     prev_nodes = 0
     for n in range(1, refuted or top + 1):
+        before = bud.spent
         try:
-            coloring, nodes = _search_complete(n, k, fam, limit - spent)
+            coloring = _search_complete(n, k, fam, bud)
         except BudgetExceededError as exc:
-            witness = None if prev is None else _checked(prev, fam)
-            raise BudgetExceededError(f"{exc} at n = {n}; c_{k} >= {n - 1}",
-                                      nodes=spent + exc.partial["nodes"],
-                                      lower=n - 1, witness=witness) from None
-        spent += nodes
+            raise BudgetExceededError(f"{exc} at n = {n}; c_{k} >= {n - 1}", nodes=bud.spent,
+                                      lower=n - 1, witness=_checked(prev, fam)) from None
         if coloring is None:
-            if prev is None:
-                # n == 1 always succeeds: K_1 has no edges.
-                raise VerificationError("ck-base-case", "K_1 search failed unexpectedly")
-            return CkResult(n - 1, _checked(prev, fam), prev_nodes, nodes)
-        prev, prev_nodes = coloring, nodes
+            return CkResult(n - 1, _checked(prev, fam), prev_nodes, bud.spent - before)
+        prev, prev_nodes = coloring, bud.spent - before
     if refuted:
         return CkResult(refuted - 1, _checked(prev, fam), prev_nodes, 0, True)
     raise BudgetExceededError(f"K_{top} still admits a coloring; c_{k} >= {top}",

@@ -233,7 +233,17 @@ def test_validation_errors(capsys):
                             (["walecki", "--k", "0"], "BAD_K"),
                             (["cover", "--n", "40", "--r", "2"], "BAD_N"),
                             (["ramsey", "--family", "QUUX", "--colors", "2"],
-                             "OUT_OF_RANGE")):
+                             "OUT_OF_RANGE"),
+                            (["ramsey", "--family", "F1", "--colors", "2", "--cap", "0"],
+                             "OUT_OF_RANGE"),
+                            (["ramsey", "--family", "STAR:-1", "--colors", "2"],
+                             "OUT_OF_RANGE"),
+                            (["ramsey", "--family", "MATCH:0", "--colors", "2"],
+                             "OUT_OF_RANGE"),
+                            (["ramsey", "--family", "EXPLICIT[0-1|9]", "--colors", "2"],
+                             "OUT_OF_RANGE"),
+                            (["chi", "--cycle", "2"], "OUT_OF_RANGE"),
+                            (["bijection", "--random", "0", "2"], "OUT_OF_RANGE")):
         code, out, err = _invoke(capsys, argv)
         assert code == 1 and out == ""
         assert code_text in err
@@ -249,6 +259,16 @@ def test_closed_form_and_chi_r_share_the_delta0_rule(capsys):
 
 def test_bad_inputs_exit_with_coded_errors(tmp_path, capsys):
     missing = str(tmp_path / "missing.txt")
+    # 65 hyperedges make a line graph above the 64-vertex cap
+    wide = tmp_path / "wide.txt"
+    wide.write_text("2\n9 9\n" + "".join(f"{e // 9} {e % 9}\n" for e in range(65)))
+    bijection = json.loads((GOLDEN / "bijection.json").read_text(encoding="utf-8"))
+    forged = []
+    for factors in ([], ["6 6\n0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n"]
+                    + bijection["witness"]["factors"][1:]):
+        bijection["witness"]["factors"] = factors
+        forged.append(tmp_path / f"bijection-{len(factors)}.json")
+        forged[-1].write_text(json.dumps(bijection))
     for argv, code_text in ((["ramsey", "--family", "@" + missing, "--colors", "2"],
                              "BAD_FILE"),
                             (["chi", "--complete", "65"], "OUT_OF_RANGE"),
@@ -259,7 +279,11 @@ def test_bad_inputs_exit_with_coded_errors(tmp_path, capsys):
                             # a star has 0 or more leaves, in every graph command
                             (["chi", "--star", "-1"], "OUT_OF_RANGE"),
                             (["clique", "--star", "-1"], "OUT_OF_RANGE"),
-                            (["core", "--star", "-1", "--d", "1"], "OUT_OF_RANGE")):
+                            (["core", "--star", "-1", "--d", "1"], "OUT_OF_RANGE"),
+                            (["chromatic-index", "--hypergraph", str(wide)], "OUT_OF_RANGE"),
+                            # no factor, and one factor on 6 of the 9 vertices
+                            (["verify", str(forged[0])], "OUT_OF_RANGE"),
+                            (["verify", str(forged[1])], "OUT_OF_RANGE")):
         code, out, err = _invoke(capsys, argv)
         assert code == 1 and out == ""
         assert f"error [{code_text}]" in err

@@ -22,6 +22,7 @@ from ramseylab.factor_lab import (
     _edge_mask,
     _enumerate_maximal_factors,
     _iter_factor_masks_within,
+    _last_cover_factor,
     _verify_cover_payload,
     chi_r_report,
     classify_factor,
@@ -256,6 +257,51 @@ def test_cover_search_budget_runs_out_at_pinned_nodes():
         with pytest.raises(BudgetExceededError) as exc:
             cover_search(*case, budget=nodes - 1)
         assert exc.value.partial == {"nodes": nodes - 1}, case
+
+
+def _triangle_partitions(n: int) -> list[int]:
+    """Edge masks of every partition of K_n's vertices into triangles, by
+    brute force over the triangles of the lowest vertex left."""
+    out: list[int] = []
+
+    def rec(rest: list[int], mask: int) -> None:
+        if not rest:
+            out.append(mask)
+            return
+        v, *others = rest
+        for i, u in enumerate(others):
+            for w in others[i + 1:]:
+                tri = _edge_mask(_triangle_blocks(n, (v, u, w)))
+                rec([x for x in others if x not in (u, w)], mask | tri)
+
+    rec(list(range(n)), 0)
+    return out
+
+
+def test_last_proper_factor_agrees_with_brute_force():
+    # missing edges drawn from one triangle partition, sometimes with a stray
+    # edge: a proper last factor exists exactly when some partition holds them
+    rng = random.Random(34)
+    for n in (3, 6, 9):
+        partitions = _triangle_partitions(n)
+        assert len(partitions) == {3: 1, 6: 10, 9: 280}[n]
+        edges = n * (n - 1) // 2
+        for _ in range(2500):
+            base = rng.choice(partitions)
+            missing = sum(1 << i for i in range(edges) if base >> i & 1 and rng.random() < 0.5)
+            if rng.random() < 0.2:
+                missing |= 1 << rng.randrange(edges)
+            mask = _last_cover_factor(n, missing, proper=True)
+            if mask is None:
+                assert not any(missing & ~p == 0 for p in partitions), (n, missing)
+            else:
+                assert mask in partitions and missing & ~mask == 0, (n, missing)
+    # an edge takes a spare vertex; three edges leave no spare vertex on K_6
+    one = _edge_mask(build_graph(6, [(0, 1)]))
+    assert _last_cover_factor(6, one, proper=True) == _edge_mask(
+        _triangle_blocks(6, (0, 1, 2), (3, 4, 5)))
+    three = _edge_mask(build_graph(6, [(0, 1), (2, 3), (4, 5)]))
+    assert _last_cover_factor(6, three, proper=True) is None
 
 
 def test_degree_bound_refutes_at_the_root():

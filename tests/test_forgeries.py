@@ -12,6 +12,7 @@ import copy
 import itertools
 import json
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -521,6 +522,53 @@ def test_non_maximal_clique_is_rejected(tmp_path, capsys):
     cert["value"] = 3
     cert["witness"]["vertices"] = [0, 1, 2]
     assert "check clique-maximal:" in _rejected(tmp_path, capsys, cert)
+
+
+def _swap_hyperedges(cert: dict) -> None:
+    head0, head1, first, second, *rest = cert["witness"]["hypergraph"].splitlines()
+    cert["witness"]["hypergraph"] = "\n".join([head0, head1, second, first, *rest]) + "\n"
+
+
+def _swap_cycle_edges(cert: dict) -> None:
+    # cycle 0's edge 0-1 and cycle 1's edge 0-2 trade places: the classes
+    # still partition K_9, but vertex 1 has degree 1 in cycle 0
+    cycles = cert["witness"]["cycles"]
+    cycles[0] = cycles[0].replace("\n0 1\n", "\n0 2\n")
+    cycles[1] = cycles[1].replace("\n0 2\n", "\n0 1\n")
+
+
+def _drop_last_hyperedge(cert: dict) -> None:
+    cert["witness"]["hypergraph"] = "".join(
+        cert["witness"]["hypergraph"].splitlines(keepends=True)[:-1])
+
+
+def _witness(key: str, value) -> Callable[[dict], None]:
+    return lambda cert: cert["witness"].__setitem__(key, value)
+
+
+def _witness_item(key: str, i: int, value) -> Callable[[dict], None]:
+    return lambda cert: cert["witness"][key].__setitem__(i, value)
+
+
+@pytest.mark.parametrize("name, check, edit", [
+    ("ramsey", "mono-free:", _witness("assignment", [0] * 6)),
+    ("clique", "clique-edges:", _witness("vertices", [0, 2])),
+    ("bijection", "bijection-roundtrip:", _swap_hyperedges),
+    ("walecki", "hamilton-cycle: class is not a 2-regular", _swap_cycle_edges),
+    # C3 + C6
+    ("walecki", "hamilton-cycle: class is disconnected",
+     _witness_item("cycles", 0, "9 9\n0 1\n0 2\n1 2\n3 4\n3 8\n4 5\n5 6\n6 7\n7 8\n")),
+    ("galaxy", "class-order:", _witness_item("classes", 3, "7 3\n0 3\n1 4\n2 5\n")),
+    ("truncated-plane", "edge-count:", _drop_last_hyperedge),
+    ("claim51", "edge-count:", _drop_last_hyperedge),
+    ("match", "matching-disjoint:", _witness("matching", [0, 6, 7])),
+], ids=["ramsey", "clique", "bijection", "walecki-path", "walecki-disconnected", "galaxy",
+        "truncated-plane", "claim51", "match"])
+def test_witness_forgery_fails_its_check(tmp_path, capsys, name, check, edit):
+    # before these, no test made any of these checks fail
+    cert = _golden(name)
+    edit(cert)
+    assert f"check {check}" in _rejected(tmp_path, capsys, cert)
 
 
 # -- the command row: which outcomes a command prints, and which carry a value ------------

@@ -17,7 +17,14 @@ from ramseylab import ramsey_search
 from ramseylab.cli import run
 from ramseylab.errors import BudgetExceededError, ValidationError, VerificationError
 from ramseylab.factor_lab import DEFAULT_DELTA0
-from ramseylab.graph_core import Graph, build_graph, complete_graph, star_graph
+from ramseylab.graph_core import (
+    Graph,
+    NodeBudget,
+    build_graph,
+    complete_edges,
+    complete_graph,
+    star_graph,
+)
 from ramseylab.ramsey_search import (
     FAMILY_PRESETS,
     P4,
@@ -428,8 +435,9 @@ def test_incremental_checks_agree_with_find_copy(edges, p):
     # with one color, the search adds the edges in order and stops at the
     # first one it rejects, after as many nodes as edges it tried
     n = max(max(e) for e in edges) + 1
-    colors, nodes = _color_edges(n, 1, edges, ForbiddenFamily((p,)), len(edges))
-    accepted = len(edges) if colors is not None else nodes - 1
+    bud = NodeBudget(len(edges))
+    colors = _color_edges(n, 1, edges, ForbiddenFamily((p,)), bud)
+    accepted = len(edges) if colors is not None else bud.spent - 1
     for i in range(min(accepted + 1, len(edges)) + 1):
         assert (find_copy(build_graph(n, edges[:i]), p) is not None) == (i > accepted)
 
@@ -463,11 +471,12 @@ def test_row_break_never_changes_an_answer(spec):
     for k in (1, 2, 3):
         for n in range(2, 8):
             edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-            plain, plain_nodes = _color_edges(n, k, edges, fam, 10**7)
-            broken, broken_nodes = _color_edges(n, k, edges, fam, 10**7, row=n - 1)
+            plain_bud, broken_bud = NodeBudget(10**7), NodeBudget(10**7)
+            plain = _color_edges(n, k, edges, fam, plain_bud)
+            broken = _color_edges(n, k, edges, fam, broken_bud, row=n - 1)
             assert (plain is None) == (broken is None), (k, n)
             if plain is None:
-                assert broken_nodes <= plain_nodes, (k, n)
+                assert broken_bud.spent <= plain_bud.spent, (k, n)
                 break
 
 
@@ -551,6 +560,38 @@ def test_budget_cap_matches_node_budget():
         mono_free_search(4, 2, FAMILY_PRESETS["F2"], budget=nodes - 1)
 
 
+class _SteppedBudget(NodeBudget):
+    """A budget whose tick, like a split search's share, moves the limit on
+    instead of raising, 7 nodes at a time."""
+
+    def tick(self) -> None:
+        if self.spent >= self.limit:
+            self.limit = self.spent + 7
+        self.spent += 1
+
+
+def test_color_edges_charges_its_budget_on_every_exit():
+    # a budget that earlier sizes drew on ends each search with that search's
+    # nodes added (MATCH:2 with 4 colors, as pinned above: 37 for the K_6
+    # witness, 1,815 for the K_7 refutation), and at its limit on a cut
+    fam = parse_family("MATCH:2")
+    bud = NodeBudget(10**6)
+    bud.spent = 100
+    assert _color_edges(6, 4, complete_edges(6), fam, bud, row=5) is not None
+    assert bud.spent == 100 + 37
+    assert _color_edges(7, 4, complete_edges(7), fam, bud, row=6) is None
+    assert bud.spent == 100 + 37 + 1815
+    bud = NodeBudget(1000)
+    bud.spent = 100
+    with pytest.raises(BudgetExceededError) as exc:
+        _color_edges(7, 4, complete_edges(7), fam, bud, row=6)
+    assert bud.spent == exc.value.partial["nodes"] == 1000
+    # a tick that moves the limit leaves the search and its count as they were
+    bud = _SteppedBudget(3)
+    assert _color_edges(7, 4, complete_edges(7), fam, bud, row=6) is None
+    assert bud.spent == 1815
+
+
 def test_compute_c_k_spends_one_budget_on_the_whole_scan():
     # K_1 to K_9 take 3,604 nodes together for F2 at k = 4, and K_10 is
     # refuted by counting; one node fewer cuts the search of K_9
@@ -568,9 +609,9 @@ def _mono_k5_search(monkeypatch):
     a coloring holding P4, which the scan must not pass on unchecked."""
     real = ramsey_search._color_edges
 
-    def search(n, k, edges, fam, limit, *, row=0):
-        chosen, spent = real(n, k, edges, fam, limit, row=row)
-        return ([0] * len(edges) if n == 5 else chosen), spent
+    def search(n, k, edges, fam, budget, *, row=0):
+        chosen = real(n, k, edges, fam, budget, row=row)
+        return [0] * len(edges) if n == 5 else chosen
 
     monkeypatch.setattr(ramsey_search, "_color_edges", search)
 
