@@ -27,6 +27,7 @@ from .graph_core import (
     complete_graph,
     graph_from_text,
     is_proper_coloring,
+    mycielski_peel,
     union_graphs,
 )
 from .ramsey_search import (
@@ -201,7 +202,9 @@ def _int_list(payload: Mapping[str, Any] | None, key: str) -> list[int]:
 def _verify_coloring(g: Graph, witness, value, stats, outcome) -> None:
     """The one check of a vertex coloring: proper on g, with value colors; or,
     for a search cut by its budget, with at most upper colors, and value <= upper.
-    A claim of chi >= 2 or 3 is re-checked: a 1- or 2-coloring search never branches."""
+    A claim of chi >= 2 or 3 is re-checked: a 1- or 2-coloring search never branches.
+    A higher claim peels g to its Mycielski base (chi(M(H)) = chi(H) + 1) and
+    re-checks the base's share of it the same way."""
     colors = _int_list(witness, "colors")
     if not is_proper_coloring(g, colors):
         raise VerificationError("proper-coloring", "witness coloring is not proper")
@@ -213,9 +216,11 @@ def _verify_coloring(g: Graph, witness, value, stats, outcome) -> None:
     elif len(set(colors)) != value:
         raise VerificationError("color-count",
                                 f"witness uses {len(set(colors))} colors, claimed {value}")
-    k = min(value - 1, 2)
-    if k >= 1 and _exact_k_coloring(g, k, NodeBudget()) is not None:
-        raise VerificationError("bipartite", f"the graph is {k}-colorable, claimed {value}")
+    levels, base = mycielski_peel(g) if value >= 4 else (0, g)
+    k = min(value - 1 - levels, 2)
+    if k >= 1 and _exact_k_coloring(base, k, NodeBudget()) is not None:
+        raise VerificationError("bipartite",
+                                f"the graph is {k + levels}-colorable, claimed {value}")
 
 
 def _source_graph(params, witness) -> Graph:

@@ -6,9 +6,11 @@ searches break ties toward the lowest vertex index, and every result is the
 one the sequential search gives, so every result, witness and node count is
 reproducible run to run.
 
-Chromatic number is computed exactly: a maximum-clique lower bound, a
-saturation-greedy upper bound, then saturation-guided backtracking for each
-candidate palette size in between.  Both branch-and-bound searches charge
+Chromatic number is computed exactly: a maximum-clique lower bound, raised
+for a nested Mycielskian to chi of its peeled base plus the levels peeled
+(``mycielski_peel``; chi(M(H)) = chi(H) + 1), a saturation-greedy upper
+bound, then saturation-guided backtracking for each candidate palette size
+in between.  Both branch-and-bound searches charge
 nodes against a shared budget and abort with partial bounds instead of
 returning a wrong answer.  A long coloring search shares the rest of its
 tree with one forked worker per further CPU (``_Split``), and reads back from
@@ -390,7 +392,7 @@ def _exact_k_coloring(g: Graph, k: int, budget: NodeBudget,
 # each piece searched to its end.  The sequential count at that stop adds its
 # shallow nodes, the counts below it and its own (README: why that is exact).
 
-_SPLIT_AFTER = 2000  # nodes of one call before it splits: some 10 ms, several forks' cost
+_SPLIT_AFTER = 2000  # nodes of one call before it splits: about 4.4 ms, several forks' cost
 _SPLIT_DEPTH = 6
 _LOOK_EVERY = 512  # nodes between a process's looks at the shared state
 _NO_PIECE = (1 << 63) - 1  # the stop on file while no process has stopped
@@ -567,28 +569,74 @@ def chromatic_number(g: Graph, budget: int | None = None) -> ChromaticResult:
     On budget exhaustion raises BudgetExceededError whose ``partial`` maps
     carry the proven interval (lower, upper) and the greedy coloring as witness.
     """
-    if g.n == 0:
-        return ChromaticResult(0, (), 0)
     bud = NodeBudget(budget)
+    value, colors = _chromatic(g, bud)
+    return ChromaticResult(value, colors, bud.spent)
+
+
+def _chromatic(g: Graph, bud: NodeBudget) -> tuple[int, tuple[int, ...]]:
+    """chromatic_number's search on ``bud``: the clique bound, raised to
+    chi(base) + levels for g a nested Mycielskian of base, then each palette
+    from there up to the greedy's."""
+    if g.n == 0:
+        return 0, ()
     greedy = _exact_k_coloring(g, g.n, NodeBudget())  # k = n: the saturation greedy
     upper = max(greedy) + 1
     lower = 1 if g.m == 0 else 2
     try:
         lower = max(lower, _max_clique_search(g, bud)[0])
-        if lower == upper:
-            return ChromaticResult(upper, tuple(greedy), bud.spent)
+        if lower < upper:
+            levels, base = mycielski_peel(g)
+            if levels:  # chi(M(H)) = chi(H) + 1 (README, "How `chi` and `match` search")
+                try:
+                    lower = _chromatic(base, bud)[0] + levels
+                except BudgetExceededError as exc:
+                    lower = max(lower, exc.partial["lower"] + levels)
+                    raise
         for k in range(lower, upper):
             colors = _exact_k_coloring(g, k, bud)
             if colors is not None:
-                return ChromaticResult(k, tuple(colors), bud.spent)
+                return k, tuple(colors)
             lower = k + 1
-        return ChromaticResult(upper, tuple(greedy), bud.spent)
+        return upper, tuple(greedy)
     except BudgetExceededError:
         raise BudgetExceededError(
             "chromatic number undecided within node budget",
             lower=lower, upper=upper, nodes=bud.spent,
             witness=tuple(greedy),
         ) from None
+
+
+def mycielski_peel(g: Graph) -> tuple[int, Graph]:
+    """(levels, base) with g isomorphic to the Mycielskian of base taken
+    ``levels`` times, peeling while some vertex w shows g = M(H).
+
+    M(H) on n = 2h + 1 vertices is H on V, a copy u_v of each v in V adjacent
+    to N_H(v), and w adjacent to every copy.  So g is M(g[V]) exactly when the
+    neighbourhood U of w has (n - 1) / 2 vertices and the masks N(u) - w
+    (u in U) equal, as a multiset, the masks N(v) & V over the rest V of g
+    without w: each N(u) - w then lies in V, so U is independent.  The lowest
+    such w is peeled and V renumbered in increasing order.
+    """
+    levels = 0
+    while g.n >= 3 and g.n % 2:
+        adj, half = g.adj, g.n // 2
+        for w, cover in enumerate(adj):
+            if cover.bit_count() != half:
+                continue
+            rest = g.full_mask ^ cover ^ 1 << w
+            copies = sorted(adj[u] ^ 1 << w for u in _bits(cover))
+            if copies == sorted(adj[v] & rest for v in _bits(rest)):
+                break
+        else:
+            break
+        old = _bits(rest)
+        bit = [0] * g.n  # the new bit of each old vertex in V
+        for i, v in enumerate(old):
+            bit[v] = 1 << i
+        g = Graph(half, tuple(sum(bit[u] for u in _bits(adj[v] & rest)) for v in old))
+        levels += 1
+    return levels, g
 
 
 def _max_clique_search(g: Graph, budget: NodeBudget) -> tuple[int, int]:

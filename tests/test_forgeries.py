@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import itertools
 import json
+import random
 from pathlib import Path
 from typing import Callable
 
@@ -48,7 +49,7 @@ _VALUED = sorted(path.stem for path in GOLDEN.glob("*.json")
 
 
 def test_every_valued_golden_is_counted():
-    assert len(_VALUED) == 24
+    assert len(_VALUED) == 25
 
 
 @pytest.mark.parametrize("delta", [-1, 1])
@@ -405,6 +406,49 @@ def test_chi_above_a_coloring_found_without_branching_is_rejected(tmp_path, caps
     assert "check bipartite:" in _rejected(tmp_path, capsys, cert)
 
 
+def _nested_mycielski_file(tmp_path, length: int) -> str:
+    """M(M(C_length)), relabelled, as a graph file."""
+    n, edges = length, [(i, (i + 1) % length) for i in range(length)]
+    for _ in range(2):
+        edges = (edges + [(u, n + v) for u, v in edges] + [(v, n + u) for u, v in edges]
+                 + [(n + v, 2 * n) for v in range(n)])
+        n = 2 * n + 1
+    perm = list(range(n))
+    random.Random(length).shuffle(perm)
+    path = tmp_path / f"mmc{length}.txt"
+    path.write_text(f"{n} {len(edges)}\n" + "".join(f"{perm[u]} {perm[v]}\n" for u, v in edges))
+    return str(path)
+
+
+def test_chi_above_a_nested_mycielskian_of_a_bipartite_graph_is_rejected(tmp_path, capsys):
+    # M(M(C8)) has chi = chi(C8) + 2 = 4; a fifth colour on one vertex keeps
+    # the colouring proper, and claiming 5 once printed true
+    assert run(["chi", "--graph", _nested_mycielski_file(tmp_path, 8), "--deterministic"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["value"] == 4
+    cert["value"], cert["witness"]["colors"][0] = 5, 4
+    assert "check bipartite: the graph is 4-colorable" in _rejected(tmp_path, capsys, cert)
+
+
+def test_chi_of_a_nested_mycielskian_of_an_odd_cycle_verifies(tmp_path, capsys):
+    # M(M(C9)), chi = 5, and every budget cut of it: a cut in the base's
+    # search raises lower by the two peeled levels, which verify re-checks
+    gpath = _nested_mycielski_file(tmp_path, 9)
+    assert run(["chi", "--graph", gpath, "--deterministic"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["value"] == 5
+    assert _verify(tmp_path, capsys, cert)[:2] == (0, "true\n")
+    lowers = set()
+    for budget in range(1, cert["stats"]["nodes"]):
+        assert run(["chi", "--graph", gpath, "--budget", str(budget)]) == 2
+        cut = json.loads(capsys.readouterr().out)
+        stats = cut["stats"]
+        assert stats["lower"] <= 5 <= stats["upper"] and stats["nodes"] == budget
+        lowers.add(stats["lower"])
+        assert _verify(tmp_path, capsys, cut)[:2] == (0, "true\n"), budget
+    assert lowers == {2, 4}  # the greedy colouring has 5 colours
+
+
 def test_chromatic_index_above_a_two_coloring_is_rejected(tmp_path, capsys):
     # four edges in a path: the line graph is the path P4, with index 2
     hpath = tmp_path / "path4.txt"
@@ -584,8 +628,8 @@ _VALUE_EDITS = [(name, value) for name, cert in _GOLDENS.items()
 
 
 def test_every_golden_is_counted():
-    assert len(_GOLDENS) == 48
-    assert (len(_RELABELS), len(_VALUE_EDITS)) == (144, 260)
+    assert len(_GOLDENS) == 49
+    assert (len(_RELABELS), len(_VALUE_EDITS)) == (147, 265)
 
 
 @pytest.mark.parametrize("name, outcome", _RELABELS)

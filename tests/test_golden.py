@@ -26,6 +26,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES: dict[str, list[str]] = {
     "chi": ["chi", "--graph", "g.txt"],
     "chi-cycle": ["chi", "--cycle", "7"],
+    # a relabelled M(M(C5)): chi = chi(C5) + 2 by Mycielski's theorem
+    "chi-mycielski": ["chi", "--graph", "mycielski.txt"],
     "clique": ["clique", "--graph", "g.txt"],
     "core": ["core", "--graph", "g.txt", "--d", "3"],
     "core-star": ["core", "--star", "4", "--d", "2"],

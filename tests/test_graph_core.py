@@ -28,6 +28,7 @@ from ramseylab.graph_core import (
     k_core,
     matching_graph,
     max_clique,
+    mycielski_peel,
     path_graph,
     restrict,
     star_graph,
@@ -268,7 +269,8 @@ def test_chromatic_nodes_are_the_budget_it_needs():
                            + [(u, 5 + v) for u, v in ((0, 1), (1, 0), (1, 2), (2, 1), (2, 3),
                                                       (3, 2), (3, 4), (4, 3), (4, 0), (0, 4))]
                            + [(5 + i, 10) for i in range(5)])
-    for g in (_petersen(), cycle_graph(7), complete_graph(5), grotzsch):
+    for g in (_petersen(), cycle_graph(7), complete_graph(5), grotzsch,
+              _mycielskian(cycle_graph(9), 2)):
         res = chromatic_number(g)
         assert chromatic_number(g, budget=res.nodes) == res
         with pytest.raises(BudgetExceededError) as exc:
@@ -284,6 +286,127 @@ def test_chromatic_budget_partial():
     partial = exc.value.partial
     assert partial["lower"] <= 12 <= partial["upper"]
     assert partial["nodes"] >= 5
+
+
+# -- Mycielskians -----------------------------------------------------------------
+
+
+def _mycielskian(g: Graph, times: int = 1) -> Graph:
+    """M(H): H on 0..h-1, the copy h + v of each v joined to N_H(v), and the
+    hub 2h joined to every copy."""
+    for _ in range(times):
+        h = g.n
+        edges = g.edges()
+        edges += [(u, h + v) for u, v in edges] + [(v, h + u) for u, v in edges]
+        g = build_graph(2 * h + 1, edges + [(h + v, 2 * h) for v in range(h)])
+    return g
+
+
+def _relabelled(g: Graph, perm: list[int]) -> Graph:
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _toggled(g: Graph, u: int, v: int) -> Graph:
+    masks = list(g.adj)
+    masks[u] ^= 1 << v
+    masks[v] ^= 1 << u
+    return Graph(g.n, tuple(masks))
+
+
+def _all_graphs(n: int) -> list[Graph]:
+    pairs = list(itertools.combinations(range(n), 2))
+    return [build_graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            for mask in range(1 << len(pairs))]
+
+
+def _canonical(g: Graph) -> tuple[int, ...]:
+    return min(_relabelled(g, list(perm)).adj for perm in itertools.permutations(range(g.n)))
+
+
+def _mycielskians(h: int) -> dict[tuple[int, ...], set[tuple[int, ...]]]:
+    """Every relabelling of every M(H), H on h vertices, to the canonical forms
+    of the graphs H it is M(H) of."""
+    out: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+    for base in _all_graphs(h):
+        m = _mycielskian(base)
+        for perm in itertools.permutations(range(m.n)):
+            out.setdefault(_relabelled(m, list(perm)).adj, set()).add(_canonical(base))
+    return out
+
+
+def _check_peel(g: Graph, known: dict) -> None:
+    """The peel finds a level exactly when g is some M(H), and its base, built
+    back up to one level below g, is such an H; the base peels no further."""
+    levels, base = mycielski_peel(g)
+    assert (levels > 0) == (g.adj in known), g
+    if levels:
+        assert _canonical(_mycielskian(base, levels - 1)) in known[g.adj], g
+        assert mycielski_peel(base) == (0, base)
+    else:
+        assert base == g
+
+
+def test_mycielski_peel_exhaustive_small():
+    for n in range(6):
+        known = _mycielskians((n - 1) // 2) if n % 2 and n >= 3 else {}
+        for g in _all_graphs(n):
+            _check_peel(g, known)
+
+
+def test_mycielski_peel_seeded_seven_vertices():
+    # the relabellings of some M(H), some with one edge toggled, and random graphs
+    known = _mycielskians(3)
+    rng = random.Random(7)
+    bases = _all_graphs(3)
+    for i in range(20_000):
+        if i % 2:
+            g = _random_graph(7, rng.random(), rng)
+        else:
+            perm = list(range(7))
+            rng.shuffle(perm)
+            g = _relabelled(_mycielskian(rng.choice(bases)), perm)
+            if i % 4 == 2:
+                g = _toggled(g, *rng.sample(range(7), 2))
+        _check_peel(g, known)
+
+
+def test_mycielski_peel_renumbers_the_rest_in_order():
+    for length, times in ((9, 2), (11, 2), (8, 2)):
+        assert mycielski_peel(_mycielskian(cycle_graph(length), times)) == (
+            times, cycle_graph(length))
+    # C5 is M(K2), so M(M(M(C5))) peels four levels
+    assert mycielski_peel(_mycielskian(cycle_graph(5), 3)) == (4, complete_graph(2))
+    # M(K1) is an edge and an isolated vertex
+    assert mycielski_peel(build_graph(3, [(1, 2)])) == (1, Graph(1, (0,)))
+    assert mycielski_peel(path_graph(3)) == (0, path_graph(3))
+
+
+def test_chromatic_on_a_mycielskian_less_or_plus_an_edge():
+    rng = random.Random(35)
+    for _ in range(150):
+        h = rng.randint(1, 5)
+        g = _mycielskian(_random_graph(h, rng.random(), rng))
+        g = _toggled(g, *rng.sample(range(g.n), 2))
+        res = chromatic_number(g)
+        assert res.value == _brute_chromatic(g)
+        assert is_proper_coloring(g, res.colors) and len(set(res.colors)) == res.value
+
+
+def test_chromatic_on_nested_mycielskians_up_to_63_vertices():
+    # chi(M^j(H)) = chi(H) + j (Mycielski), with chi(H) by brute force
+    rng = random.Random(1955)
+    for _ in range(40):
+        times = rng.randint(1, 5)
+        h = rng.randint(1, min(8, 64 // 2**times - 1))
+        base = _random_graph(h, rng.random(), rng)
+        g = _mycielskian(base, times)
+        assert g.n <= 63
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        g = _relabelled(g, perm)
+        res = chromatic_number(g)
+        assert res.value == _brute_chromatic(base) + times
+        assert is_proper_coloring(g, res.colors) and len(set(res.colors)) == res.value
 
 
 # -- cliques ----------------------------------------------------------------------

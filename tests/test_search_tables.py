@@ -81,17 +81,22 @@ def _mycielski(n: int, edges, times: int) -> tuple[int, list[tuple[int, int]]]:
     return n, edges
 
 
+def _relabelled_mycielski(length: int, times: int, copy: int) -> tuple[int, tuple[int, ...]]:
+    """The Mycielskian of C_length taken ``times`` times, relabelled by a seeded shuffle."""
+    cycle = [(i, (i + 1) % length) for i in range(length)]
+    n, edges = _mycielski(length, cycle, times)
+    perm = list(range(n))
+    random.Random(f"mycielski/{length}/{times}/{copy}").shuffle(perm)
+    return n, _adjacency(n, [(perm[u], perm[v]) for u, v in edges])
+
+
 def chromatic_inputs() -> list[tuple[str, int, tuple[int, ...]]]:
     """(label, n, adjacency masks) of every graph in ``chromatic.json``."""
     out = []
     for length, times, copies in ((5, 1, 2), (9, 2, 2), (11, 2, 2)):
-        cycle = [(i, (i + 1) % length) for i in range(length)]
-        n, edges = _mycielski(length, cycle, times)
         for copy in range(copies):
-            perm = list(range(n))
-            random.Random(f"mycielski/{length}/{times}/{copy}").shuffle(perm)
-            out.append((f"M{times}(C{length})/{copy}", n,
-                        _adjacency(n, [(perm[u], perm[v]) for u, v in edges])))
+            out.append((f"M{times}(C{length})/{copy}",
+                        *_relabelled_mycielski(length, times, copy)))
     rng = random.Random("chromatic/random")
     for i in range(300):
         n = rng.randint(1, 14)
@@ -198,6 +203,18 @@ def test_colouring_search_keeps_its_nodes_and_witnesses(row):
 def test_matching_search_keeps_its_nodes_and_witnesses(row):
     label, expected = row
     assert matching_row(_MATCHING[label]) == expected
+
+
+@pytest.mark.parametrize("length, times, copy, value, nodes", [
+    (9, 2, 0, 5, 27), (9, 2, 1, 5, 26), (11, 2, 0, 5, 28), (11, 2, 1, 5, 32), (5, 3, 0, 6, 22),
+])
+def test_chromatic_number_peels_nested_mycielskians(length, times, copy, value, nodes):
+    # refuting value - 1 colours on the whole graph, chromatic_number took
+    # 6,085, 6,033, 20,384, 22,175 and 64,829 nodes; its colouring is unchanged
+    g = Graph(*_relabelled_mycielski(length, times, copy))
+    res = chromatic_number(g)
+    assert (res.value, res.nodes) == (value, nodes)
+    assert res.colors == tuple(_exact_k_coloring(g, value, NodeBudget()))
 
 
 # -- a split colouring search ------------------------------------------------------
