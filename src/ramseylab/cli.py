@@ -484,6 +484,8 @@ def run(argv: list[str]) -> int:
     params: dict[str, Any] = {}
     started = time.perf_counter()
     try:
+        if (getattr(args, "budget", None) or 0) < 0:
+            raise ValidationError("OUT_OF_RANGE", f"--budget {args.budget} is negative")
         outcome, value, witness, stats = COMMANDS[args.command].handler(args, params)
     except BudgetExceededError as exc:
         # a cut that proved no bound (the handlers `_cut` every one that did)

@@ -1,10 +1,9 @@
 """Exact primitives for small simple graphs.
 
 Vertices are 0-based indices and adjacency is one fixed-width bitmask per
-vertex, which caps graphs at 64 vertices.  All values are immutable, all
-searches break ties toward the lowest vertex index, and every result is the
-one the sequential search gives, so every result, witness and node count is
-reproducible run to run.
+vertex, which caps graphs at 64 vertices.  All values are immutable, and all
+searches break ties toward the lowest vertex index, so every result, witness
+and node count is reproducible run to run.
 
 Chromatic number is computed exactly: a maximum-clique lower bound, raised
 for a nested Mycielskian to chi of its peeled base plus the levels peeled
@@ -12,16 +11,11 @@ for a nested Mycielskian to chi of its peeled base plus the levels peeled
 bound, then saturation-guided backtracking for each candidate palette size
 in between.  Both branch-and-bound searches charge
 nodes against a shared budget and abort with partial bounds instead of
-returning a wrong answer.  A long coloring search shares the rest of its
-tree with one forked worker per further CPU (``_Split``), and reads back from
-one shared file the result of the sequential search.
+returning a wrong answer.
 """
 
 from __future__ import annotations
 
-import _thread
-import os
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -258,8 +252,7 @@ _DEG = _IDX + 1
 _SAT = _DEG << MAX_VERTICES.bit_length()
 
 
-def _exact_k_coloring(g: Graph, k: int, budget: NodeBudget,
-                      split: bool = True) -> list[int] | None:
+def _exact_k_coloring(g: Graph, k: int, budget: NodeBudget) -> list[int] | None:
     """Proper k-coloring via saturation-guided backtracking, or None.
 
     Color symmetry is broken canonically: a vertex may open color c only if
@@ -278,10 +271,6 @@ def _exact_k_coloring(g: Graph, k: int, budget: NodeBudget,
     color, which are re-checked only when a neighbor is colored or loses
     a free color.  One explicit stack holds, per colored vertex, its
     untried colors and the state from before, which backtracking puts back.
-
-    Once this call has spent ``_SPLIT_AFTER`` nodes, its next node of depth
-    ``_SPLIT_DEPTH`` hands the rest of the tree to ``_Split``, unless
-    ``split`` is false: from then on ``budget`` is this process's share.
     """
     n = g.n
     if not n:
@@ -296,264 +285,64 @@ def _exact_k_coloring(g: Graph, k: int, budget: NodeBudget,
     pending = 0
     v = _IDX - (max(key) & _IDX)
     avail = int(k > 0)  # no color at all colors no vertex
-    # the depth of the pieces, if their roots have subtrees; else none
-    gate = _SPLIT_DEPTH if split and _SPLIT_DEPTH < n - 1 else -1
-    start = budget.spent
-    share: _Split | None = None
-    try:
-        while True:
-            if not avail:
-                if not stack:
-                    return None if share is None else share.finish(None, True)
-                v, avail, used, key, seen, pending = stack.pop()
-                colors[v] = -1
-                continue
-            low = avail & -avail
-            avail ^= low
-            depth = len(stack)
-            if depth <= gate:
-                if share is None and depth == gate and budget.spent - start >= _SPLIT_AFTER:
-                    share = _Split(g, k, budget, start)
-                    if share.fork():
-                        budget = share
-                    else:
-                        share, gate = None, -1  # this search stays on one CPU
-                if share is not None and not share.enter(depth == gate):
-                    continue  # another process searches this piece
-            budget.tick()
-            c = low.bit_length() - 1
-            colors[v] = c
-            if depth == n - 1:
-                return colors if share is None else share.finish(colors, True)
-            stack.append((v, avail, used, key, seen, pending))
-            key, seen = key.copy(), seen.copy()
-            key[v] = -1
-            nbv = nbrs[v]
-            if nbv is None:
-                nbv = nbrs[v] = _bits(adj[v])
-            check = pending & adj[v]  # v can no longer take a color they lack
-            if ~seen[v] & (low - 1):
-                check |= 1 << v
-            for u in nbv:
-                if key[u] >= 0:
-                    if seen[u] & low:
-                        key[u] -= _DEG
-                    else:
-                        seen[u] |= low
-                        key[u] += _SAT - _DEG
-                        check |= pending & adj[u]  # u can no longer take c
-                else:
-                    seen[u] |= low
-            pending |= check
-            while check:
-                bit = check & -check
-                check ^= bit
-                x = bit.bit_length() - 1
-                lack = ~seen[x] & ((1 << colors[x]) - 1)
-                if not lack:
-                    pending ^= bit
-                    continue
-                for u in nbrs[x]:
-                    if key[u] >= 0:
-                        lack &= seen[u]
-                        if not lack:
-                            break
-                if lack:
-                    break
-            else:
-                if c == used:
-                    used += 1
-                v = _IDX - (max(key) & _IDX)
-                avail = ~seen[v] & ((1 << min(k, used + 1)) - 1) if seen[v] else 1
-                continue
-            # x can never see every lower color: try v's next color
+    while True:
+        if not avail:
+            if not stack:
+                return None
             v, avail, used, key, seen, pending = stack.pop()
             colors[v] = -1
-    except BudgetExceededError:
-        if share is None or share.finished:  # a cut that finish found goes to the caller
-            raise
-        return share.finish(None, False)
-    finally:
-        if share is not None:
-            share.close()
-
-
-# -- sharing a long coloring search with forked workers ---------------------------
-#
-# A split search forks one worker per further CPU at a node of depth
-# _SPLIT_DEPTH, and from there every process runs the same search on its own
-# copy of the stack.  Each node of that depth roots a piece, numbered in the
-# order the sequential search meets them; a process claims the next number
-# from a shared counter, skips the pieces it did not claim and replays the
-# shallower nodes.  A piece's node count and coloring do not depend on which
-# process searched it.  One memfd holds all that the processes share: the
-# counter, the stop in the lowest piece (its piece, the shallow nodes before
-# it, its nodes in the piece, how it stopped, its coloring) and the count of
-# each piece searched to its end.  The sequential count at that stop adds its
-# shallow nodes, the counts below it and its own (README: why that is exact).
-
-_SPLIT_AFTER = 2000  # nodes of one call before it splits: about 4.4 ms, several forks' cost
-_SPLIT_DEPTH = 6
-_LOOK_EVERY = 512  # nodes between a process's looks at the shared state
-_NO_PIECE = (1 << 63) - 1  # the stop on file while no process has stopped
-_END, _COLORING, _CUT = range(3)  # how a process stopped
-_AT_STOP, _AT_COLORS, _AT_COUNTS = 8, 40, 40 + MAX_VERTICES  # the claim counter is at 0
-
-
-class _Split(NodeBudget):
-    """One process's share of a split coloring search, and its node budget.
-
-    ``spent`` counts this process's own nodes since the split, shallow and in
-    its pieces; ``left`` is what the caller's budget had left then.  Every
-    ``_LOOK_EVERY`` nodes ``tick`` looks at the stop on file: a process stops
-    once it has spent ``left`` or once the search stops below its piece, and
-    ``finish`` files its stop.  Workers then exit; the parent reaps them and
-    reads the sequential search's result from the file.
-    """
-
-    __slots__ = ("g", "k", "budget", "start", "left", "parent", "fd",
-                 "children", "own", "next", "mine", "open", "began", "finished")
-
-    def __init__(self, g: Graph, k: int, budget: NodeBudget, start: int):
-        self.g, self.k, self.budget, self.start = g, k, budget, start
-        self.left = budget.limit - budget.spent
-        super().__init__(min(self.left, _LOOK_EVERY))
-        self.parent = os.getpid()
-        self.children: list[int] = []  # parent only
-        self.fd = -1  # the shared file
-        self.own = 0  # nodes in this process's closed pieces
-        self.next = 0  # number of the next piece root this process meets
-        self.mine = -1  # the piece it claimed last
-        self.open = -1  # the piece it is in, if any
-        self.began = 0  # spent when that piece began
-        self.finished = False
-
-    def fork(self) -> bool:
-        """Fork one worker per further CPU; False, forking none, on one CPU,
-        without os.fork or os.memfd_create, or with a second thread running."""
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-        if (cpus < 2 or not hasattr(os, "fork") or not hasattr(os, "memfd_create")
-                or _thread._count()):  # Python threads besides this one
-            return False
-        self.fd = os.memfd_create("ramseylab-split")
-        os.pwrite(self.fd, struct.pack("2q", 0, _NO_PIECE), 0)
-        for _ in range(cpus - 1):
-            try:
-                pid = os.fork()
-            except OSError:
+            continue
+        low = avail & -avail
+        avail ^= low
+        budget.tick()
+        c = low.bit_length() - 1
+        colors[v] = c
+        if len(stack) == n - 1:
+            return colors
+        stack.append((v, avail, used, key, seen, pending))
+        key, seen = key.copy(), seen.copy()
+        key[v] = -1
+        nbv = nbrs[v]
+        if nbv is None:
+            nbv = nbrs[v] = _bits(adj[v])
+        check = pending & adj[v]  # v can no longer take a color they lack
+        if ~seen[v] & (low - 1):
+            check |= 1 << v
+        for u in nbv:
+            if key[u] >= 0:
+                if seen[u] & low:
+                    key[u] -= _DEG
+                else:
+                    seen[u] |= low
+                    key[u] += _SAT - _DEG
+                    check |= pending & adj[u]  # u can no longer take c
+            else:
+                seen[u] |= low
+        pending |= check
+        while check:
+            bit = check & -check
+            check ^= bit
+            x = bit.bit_length() - 1
+            lack = ~seen[x] & ((1 << colors[x]) - 1)
+            if not lack:
+                pending ^= bit
+                continue
+            for u in nbrs[x]:
+                if key[u] >= 0:
+                    lack &= seen[u]
+                    if not lack:
+                        break
+            if lack:
                 break
-            if pid == 0:  # a worker, which the caller's finally ends in close()
-                return True
-            self.children.append(pid)
-        if not self.children:
-            self.close()
-        return bool(self.children)
-
-    def _shared(self, claim: bool) -> int:
-        """Claim the next unclaimed piece, or only look; stop if the search
-        stops below the piece this process is at."""
-        if os.getpid() != self.parent and os.getppid() != self.parent:
-            os._exit(1)  # the parent is gone: nobody reads this worker's pieces
-        os.lockf(self.fd, os.F_LOCK, 0)
-        try:
-            piece, stop = struct.unpack("2q", os.pread(self.fd, 16, 0))
-            if claim:
-                os.pwrite(self.fd, struct.pack("q", piece + 1), 0)
-        finally:
-            os.lockf(self.fd, os.F_ULOCK, 0)
-        if stop < (piece if claim else self.open if self.open >= 0 else self.next):
-            raise BudgetExceededError("the search stops below this piece")
-        return piece
-
-    def tick(self) -> None:
-        if self.spent >= self.limit:
-            if self.spent >= self.left:
-                raise BudgetExceededError("node budget exhausted")
-            self._shared(False)
-            self.limit = min(self.left, self.spent + _LOOK_EVERY)
-        self.spent += 1
-
-    def _end_piece(self) -> None:
-        """Write the count of the open piece, which ended."""
-        nodes = self.spent - self.began
-        os.pwrite(self.fd, struct.pack("q", nodes), _AT_COUNTS + 8 * self.open)
-        self.own += nodes
-        self.open = -1
-
-    def enter(self, root: bool) -> bool:
-        """Before a node above the pieces' depth, or at it (``root``): close
-        the piece that ended; whether this process searches the node."""
-        if self.open >= 0:
-            self._end_piece()
-        if not root:
-            return True
-        piece = self.next
-        if self.mine < piece:
-            self.mine = self._shared(True)
-        self.next += 1
-        if self.mine != piece:
-            return False
-        self.open, self.began = piece, self.spent
-        return True
-
-    def _stop(self, how: int, colors: list[int] | None = None) -> None:
-        """Put this process's stop on file, unless one in a lower piece is there."""
-        piece, at = (self.open, self.began) if self.open >= 0 else (self.next, self.spent)
-        os.lockf(self.fd, os.F_LOCK, 0)
-        try:
-            if piece < struct.unpack("q", os.pread(self.fd, 8, _AT_STOP))[0]:
-                stop = struct.pack("4q", piece, at - self.own, self.spent - at, how)
-                os.pwrite(self.fd, stop + bytes(colors or ()), _AT_STOP)
-        finally:
-            os.lockf(self.fd, os.F_ULOCK, 0)
-
-    def finish(self, colors: list[int] | None, whole: bool) -> list[int] | None:
-        """This process stops: with the coloring of its open piece, at the end
-        of the tree (``whole``), or cut short, by its budget or by a lower
-        stop, which it does not file.  A worker exits; the parent returns the
-        sequential search's result."""
-        self.finished = True
-        if colors is not None:
-            self._stop(_COLORING, colors)
-        elif whole:
-            if self.open >= 0:
-                self._end_piece()
-            self._stop(_END)
-        elif self.spent >= self.left:
-            self._stop(_CUT)
-        if os.getpid() != self.parent:
-            os._exit(0)
-        dead = False
-        while self.children:
-            dead |= os.waitpid(self.children[-1], 0)[1] != 0
-            self.children.pop()
-        budget = self.budget
-        if dead:  # its pieces are lost: search again, on this CPU alone
-            budget.spent = self.start
-            return _exact_k_coloring(self.g, self.k, budget, split=False)
-        piece, before, nodes, how = struct.unpack("4q", os.pread(self.fd, 32, _AT_STOP))
-        nodes += before + sum(struct.unpack(f"{piece}q", os.pread(self.fd, 8 * piece, _AT_COUNTS)))
-        if how == _CUT or nodes > self.left:
-            budget.spent = budget.limit
-            raise BudgetExceededError("node budget exhausted", nodes=budget.spent)
-        budget.spent += nodes
-        return list(os.pread(self.fd, self.g.n, _AT_COLORS)) if how == _COLORING else None
-
-    def close(self) -> None:
-        """A worker exits here whatever it raised; the parent kills and reaps
-        every worker that ``finish`` did not reap."""
-        if os.getpid() != self.parent:
-            os._exit(1)
-        while self.children:
-            pid = self.children.pop()
-            try:
-                os.kill(pid, 9)  # SIGKILL
-            finally:
-                os.waitpid(pid, 0)
-        if self.fd >= 0:
-            os.close(self.fd)
-            self.fd = -1
+        else:
+            if c == used:
+                used += 1
+            v = _IDX - (max(key) & _IDX)
+            avail = ~seen[v] & ((1 << min(k, used + 1)) - 1) if seen[v] else 1
+            continue
+        # x can never see every lower color: try v's next color
+        v, avail, used, key, seen, pending = stack.pop()
+        colors[v] = -1
 
 
 @dataclass(frozen=True)

@@ -554,7 +554,8 @@ def _color_edges(n: int, k: int, edges: Sequence[tuple[int, int]],
     never a refutation's.  Each violation test is incremental: it relies on
     the invariant that the color class was pattern-free before uv was added,
     so every new copy uses uv.  Nodes are charged to budget, counted in a
-    local that is written back before budget.tick() and on return.
+    local that is written back on return, and at the limit, where
+    budget.tick() raises.
     """
     # at most one test per kind of the kernel: star is a degree threshold
     # before the edge (0 for K2, which every edge makes; n when absent), path
@@ -581,10 +582,9 @@ def _color_edges(n: int, k: int, edges: Sequence[tuple[int, int]],
         # a row edge opens the next color first, then repeats the previous one
         lo, step = (chosen[idx - 1] if idx else 0, -1) if idx < row else (0, 1)
         while lo <= c < top:
-            if spent >= limit:  # tick raises, or charges this node and moves the limit
+            if spent >= limit:  # tick raises
                 budget.spent = spent
                 budget.tick()
-                spent, limit = budget.spent - 1, budget.limit
             spent += 1
             adj, deg = adjs[c], degs[c]
             du, dv = deg[u], deg[v]

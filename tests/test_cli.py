@@ -269,6 +269,7 @@ def test_bad_inputs_exit_with_coded_errors(tmp_path, capsys):
         bijection["witness"]["factors"] = factors
         forged.append(tmp_path / f"bijection-{len(factors)}.json")
         forged[-1].write_text(json.dumps(bijection))
+    hpath = _hypergraph_file(tmp_path)
     for argv, code_text in ((["ramsey", "--family", "@" + missing, "--colors", "2"],
                              "BAD_FILE"),
                             (["chi", "--complete", "65"], "OUT_OF_RANGE"),
@@ -283,7 +284,20 @@ def test_bad_inputs_exit_with_coded_errors(tmp_path, capsys):
                             (["chromatic-index", "--hypergraph", str(wide)], "OUT_OF_RANGE"),
                             # no factor, and one factor on 6 of the 9 vertices
                             (["verify", str(forged[0])], "OUT_OF_RANGE"),
-                            (["verify", str(forged[1])], "OUT_OF_RANGE")):
+                            (["verify", str(forged[1])], "OUT_OF_RANGE"),
+                            # a negative budget, in every command that takes one
+                            (["chi", "--complete", "5", "--budget", "-1"], "OUT_OF_RANGE"),
+                            (["clique", "--complete", "5", "--budget", "-1"], "OUT_OF_RANGE"),
+                            (["ramsey", "--family", "F1", "--colors", "2", "--budget", "-1"],
+                             "OUT_OF_RANGE"),
+                            (["cover", "--n", "6", "--r", "3", "--budget", "-1"],
+                             "OUT_OF_RANGE"),
+                            (["max-cover", "--n", "6", "--r", "2", "--budget", "-1"],
+                             "OUT_OF_RANGE"),
+                            (["match", "--hypergraph", hpath, "--budget", "-1"],
+                             "OUT_OF_RANGE"),
+                            (["chromatic-index", "--hypergraph", hpath, "--budget", "-1"],
+                             "OUT_OF_RANGE")):
         code, out, err = _invoke(capsys, argv)
         assert code == 1 and out == ""
         assert f"error [{code_text}]" in err

@@ -560,16 +560,6 @@ def test_budget_cap_matches_node_budget():
         mono_free_search(4, 2, FAMILY_PRESETS["F2"], budget=nodes - 1)
 
 
-class _SteppedBudget(NodeBudget):
-    """A budget whose tick, like a split search's share, moves the limit on
-    instead of raising, 7 nodes at a time."""
-
-    def tick(self) -> None:
-        if self.spent >= self.limit:
-            self.limit = self.spent + 7
-        self.spent += 1
-
-
 def test_color_edges_charges_its_budget_on_every_exit():
     # a budget that earlier sizes drew on ends each search with that search's
     # nodes added (MATCH:2 with 4 colors, as pinned above: 37 for the K_6
@@ -586,10 +576,6 @@ def test_color_edges_charges_its_budget_on_every_exit():
     with pytest.raises(BudgetExceededError) as exc:
         _color_edges(7, 4, complete_edges(7), fam, bud, row=6)
     assert bud.spent == exc.value.partial["nodes"] == 1000
-    # a tick that moves the limit leaves the search and its count as they were
-    bud = _SteppedBudget(3)
-    assert _color_edges(7, 4, complete_edges(7), fam, bud, row=6) is None
-    assert bud.spent == 1815
 
 
 def test_compute_c_k_spends_one_budget_on_the_whole_scan():

@@ -22,24 +22,16 @@ Every row must match exactly.  A change to a search that moves its nodes
 regenerates both tables with
 ``PYTHONPATH=src python tests/test_search_tables.py``, which prints each
 moved row and whether only its node cells moved.
-
-A colouring search split across forked workers must give every row too, and
-cut where the sequential search cuts; these tests claim two CPUs whatever the
-machine has, so they split on one CPU as well.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import random
-import signal
-import threading
 from pathlib import Path
 
 import pytest
 
-from ramseylab import graph_core
 from ramseylab.errors import BudgetExceededError
 from ramseylab.extremal import ach_counterexample, truncated_plane
 from ramseylab.graph_core import Graph, NodeBudget, _exact_k_coloring, chromatic_number
@@ -217,202 +209,22 @@ def test_chromatic_number_peels_nested_mycielskians(length, times, copy, value, 
     assert res.colors == tuple(_exact_k_coloring(g, value, NodeBudget()))
 
 
-# -- a split colouring search ------------------------------------------------------
-
-
-def _no_child_left() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _cpus(monkeypatch, count: int) -> None:
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: count)
-
-
-@pytest.fixture
-def forks(monkeypatch) -> list[int]:
-    """Two CPUs and no threshold: every search long enough splits; the list
-    grows by one per fork."""
-    _cpus(monkeypatch, 2)
-    monkeypatch.setattr(graph_core, "_SPLIT_AFTER", 0)
-    calls: list[int] = []
-    fork = os.fork
-
-    def counted() -> int:
-        calls.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return calls
-
-
-def _rows(labels=None):
-    return [row for row in _table("chromatic.json") if labels is None or row[0] in labels]
-
-
-@pytest.mark.parametrize("after", [0, 50, 500])
-def test_split_search_keeps_every_row(monkeypatch, forks, after):
-    monkeypatch.setattr(graph_core, "_SPLIT_AFTER", after)
-    for label, n, adj, (per_k, value, witness) in _rows():
-        g = Graph(n, tuple(adj))
-        for k, found, nodes in per_k:
-            bud = NodeBudget()
-            assert [_exact_k_coloring(g, k, bud), bud.spent] == [found, nodes], (label, k)
-            _no_child_left()
-        res = chromatic_number(g)
-        assert [res.value, list(res.colors)] == [value, witness], label
-        _no_child_left()
-    assert forks
-
-
-_MYCIELSKI = ["M1(C5)/0", "M2(C9)/0", "M2(C9)/1", "M2(C11)/0", "M2(C11)/1"]
-
-
-def _outcome(g: Graph, k: int, limit: int, spent: int, split: bool) -> list:
-    bud = NodeBudget(limit)
-    bud.spent = spent
-    try:
-        found = _exact_k_coloring(g, k, bud, split=split)
-    except BudgetExceededError as exc:
-        return ["cut", exc.partial, bud.spent]
-    return [found, bud.spent]
-
-
-@pytest.mark.parametrize("row", _rows(_MYCIELSKI + ["random/251", "L(truncated-plane-5)"]),
+@pytest.mark.parametrize("row", [row for row in _table("chromatic.json") if row[0][0] == "M"],
                          ids=lambda row: row[0])
-def test_split_search_cuts_where_the_sequential_one_does(forks, row):
+def test_colouring_search_charges_a_budget_already_drawn_on(row):
+    # as chromatic_number's palettes share one budget: a search that starts
+    # 7 nodes in adds the table's nodes, and a limit one node short cuts there
     label, n, adj, (per_k, _, _) = row
     g = Graph(n, tuple(adj))
-    for k, _, nodes in per_k:
-        for limit in sorted({1, 10, 100, 1000, nodes - 1, nodes}):
-            for spent in (0, 7):  # the call starts on a budget partly spent
-                assert (_outcome(g, k, spent + limit, spent, True)
-                        == _outcome(g, k, spent + limit, spent, False)), (k, limit, spent)
-                _no_child_left()
-    assert forks
-
-
-@pytest.mark.parametrize("label, edge", [("M2(C9)/0", (4, 25)), ("M2(C11)/0", (0, 38))])
-def test_split_search_finds_the_colouring_the_sequential_one_finds(forks, label, edge):
-    # a 5-critical graph less one edge is 4-colourable, but most of its tree
-    # still fails, so the colouring lies in a late piece
-    n, adj = _CHROMATIC[label]
-    u, v = edge
-    masks = list(adj)
-    masks[u] ^= 1 << v
-    masks[v] ^= 1 << u
-    g = Graph(n, tuple(masks))
-    found, nodes = _outcome(g, 4, 10**8, 0, False)
-    assert found is not None and nodes > 5000
-    for limit in (10**8, 1000, nodes - 1, nodes):
-        assert _outcome(g, 4, limit, 0, True) == _outcome(g, 4, limit, 0, False), limit
-        _no_child_left()
-    assert forks
-
-
-@pytest.mark.parametrize("cpus", [2, 3])
-@pytest.mark.parametrize("label, edge", [("M2(C9)/0", (4, 25)), ("M2(C11)/0", (0, 38)),
-                                         ("M2(C11)/1", None)])
-def test_split_search_cuts_where_the_sequential_one_does_at_limits_across_the_tree(
-        monkeypatch, forks, cpus, label, edge):
-    # a cut lands in the shallow nodes, in a piece or past the last one, beside
-    # the stops of the other processes: whichever of them is filed, the
-    # outcome must be the sequential one
-    _cpus(monkeypatch, cpus)
-    n, adj = _CHROMATIC[label]
-    masks = list(adj)
-    if edge is not None:
-        u, v = edge
-        masks[u] ^= 1 << v
-        masks[v] ^= 1 << u
-    g = Graph(n, tuple(masks))
-    nodes = _outcome(g, 4, 10**8, 0, False)[-1]
-    for limit in sorted({1 + nodes * i // 24 for i in range(25)}):
-        assert _outcome(g, 4, limit, 0, True) == _outcome(g, 4, limit, 0, False), limit
-        _no_child_left()
-    assert forks
-
-
-def test_more_workers_than_cpus_claim_every_piece_once(monkeypatch, forks):
-    # a lost update of the shared counter leaves a piece unclaimed, which
-    # reads as a cut, or searched twice, which the node count would not show
-    # but a skipped number would; seven workers contend for each claim
-    _cpus(monkeypatch, 8)
-
-    def timeout(signum, frame):
-        raise TimeoutError("a split search hung")
-
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(120)
-    try:
-        for label, n, adj, (per_k, _, _) in _rows(_MYCIELSKI):
-            for k, found, nodes in per_k:
-                bud = NodeBudget()
-                assert ([_exact_k_coloring(Graph(n, tuple(adj)), k, bud), bud.spent]
-                        == [found, nodes]), (label, k)
-                _no_child_left()
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert len(forks) % 7 == 0 and forks
-
-
-def _never(*args):
-    raise AssertionError("forked")
-
-
-@pytest.mark.parametrize("row", _rows(_MYCIELSKI), ids=lambda row: row[0])
-def test_one_cpu_never_forks(monkeypatch, row):
-    _cpus(monkeypatch, 1)
-    monkeypatch.setattr(graph_core, "_SPLIT_AFTER", 0)
-    monkeypatch.setattr(os, "fork", _never)
-    label, n, adj, (per_k, _, _) = row
     for k, found, nodes in per_k:
         bud = NodeBudget()
-        assert [_exact_k_coloring(Graph(n, tuple(adj)), k, bud), bud.spent] == [found, nodes]
-
-
-def test_a_second_thread_means_no_fork(monkeypatch, forks):
-    monkeypatch.setattr(os, "fork", _never)
-    (label, n, adj, (per_k, _, _)), = _rows(["M2(C9)/0"])
-    done = threading.Event()
-    thread = threading.Thread(target=done.wait)
-    thread.start()
-    try:
-        for k, found, nodes in per_k:
-            bud = NodeBudget()
-            assert [_exact_k_coloring(Graph(n, tuple(adj)), k, bud), bud.spent] == [found, nodes]
-    finally:
-        done.set()
-        thread.join()
-
-
-def test_a_dead_worker_means_a_search_on_one_cpu(monkeypatch, forks):
-    # a worker that finds its parent gone exits, so the parent sees it die
-    monkeypatch.setattr(os, "getppid", lambda: -1)
-    (label, n, adj, (per_k, _, _)), = _rows(["M2(C11)/0"])
-    for k, found, nodes in per_k:
-        bud = NodeBudget()
-        assert [_exact_k_coloring(Graph(n, tuple(adj)), k, bud), bud.spent] == [found, nodes]
-        _no_child_left()
-    assert forks
-
-
-def test_an_interrupted_parent_reaps_its_workers(monkeypatch, forks):
-    finish = graph_core._Split.finish
-
-    def interrupted(self, colors, whole):
-        if os.getpid() == self.parent:
-            raise KeyboardInterrupt
-        return finish(self, colors, whole)
-
-    monkeypatch.setattr(graph_core._Split, "finish", interrupted)
-    (label, n, adj, _), = _rows(["M2(C11)/0"])
-    with pytest.raises(KeyboardInterrupt):
-        _exact_k_coloring(Graph(n, tuple(adj)), 4, NodeBudget())
-    _no_child_left()
-    assert forks
+        bud.spent = 7
+        assert [_exact_k_coloring(g, k, bud), bud.spent] == [found, 7 + nodes], k
+        bud = NodeBudget(7 + nodes - 1)
+        bud.spent = 7
+        with pytest.raises(BudgetExceededError) as exc:
+            _exact_k_coloring(g, k, bud)
+        assert bud.spent == exc.value.partial["nodes"] == bud.limit, k
 
 
 if __name__ == "__main__":
