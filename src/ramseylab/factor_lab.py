@@ -22,10 +22,10 @@ can take: a factor has maximum degree 2.  So exhaustion is a certified
 nonexistence, and the scheme identifier names exactly this reduction.
 
 Covers, decompositions and the maximum cover run one search,
-_factor_search.  The three differ only in the candidates of the later
-levels, the rule for the last factor and the cover to beat: the maximum
-cover starts from a greedy one.  The search stops once no r factors can
-cover more.
+_factor_search, with the representatives in descending mask order.  They
+differ only in the candidates of the later levels, the rule for the last
+factor and the cover to beat: the maximum cover starts from a greedy one.
+The search stops once no r factors can cover more.
 """
 
 from __future__ import annotations
@@ -169,18 +169,17 @@ def _enumerate_maximal_factors(n: int, proper: bool = False) -> list[int]:
                 rec(rest, mask, True, has_edge)
 
     rec((1 << n) - 1, 0, False, False)
-    return sorted(set(out))
+    return sorted(out)  # each once: the lowest free vertex's block fixes a branch
 
 
 def _maximal_shape_reps(n: int, proper: bool) -> list[int]:
     """One representative per isomorphism class of maximal factor, triangles
-    on the lowest vertices, then edges: the isolated-vertex shape first, then
-    the shapes by number of triangles."""
-    if proper:
-        shapes = [(n // 3, 0)] if n % 3 == 0 else []
-    else:
-        shapes = [((n - 1) // 3, 0)] if n % 3 == 1 else []
-        shapes += [(t, (n - 3 * t) // 2) for t in range(n // 3 + 1) if (n - 3 * t) % 2 == 0]
+    on the lowest vertices, then edges, in descending mask order: by number
+    of triangles, most first, then the isolated-vertex shape."""
+    shapes = [(t, (n - 3 * t) // 2) for t in range(n // 3, -1, -1) if (n - 3 * t) % 2 == 0]
+    shapes += [((n - 1) // 3, 0)] if n % 3 == 1 else []
+    if proper:  # triangles on every vertex
+        shapes = [(t, e) for t, e in shapes if 3 * t == n]
     reps = []
     for triangles, edges in shapes:
         mask = 0
@@ -197,8 +196,6 @@ def _iter_factor_masks_within(n: int, allowed_adj: Sequence[int], proper: bool,
     """All factor edge-masks drawn from the allowed adjacency, lowest vertex
     first; proper factors are triangle partitions only.  Masks only grow
     along a branch, so any partial mask exceeding limit_mask is pruned."""
-    if proper and n % 3 != 0:
-        return  # without this, every partial triangle packing is tried
 
     def rec(unassigned: int, mask: int) -> Iterator[int]:
         if limit_mask is not None and mask > limit_mask:
@@ -227,10 +224,9 @@ def _iter_factor_masks_within(n: int, allowed_adj: Sequence[int], proper: bool,
                                mask | _edge_bit(v, u, n) | _edge_bit(v, w, n))
         # 2-edge path v-u-w
         for u in nb_list:
-            for w in _bits(allowed_adj[u] & rest & ~(1 << u)):
-                if w != v:
-                    yield from rec(rest ^ (1 << u) ^ (1 << w),
-                                   mask | _edge_bit(v, u, n) | _edge_bit(u, w, n))
+            for w in _bits(allowed_adj[u] & rest):
+                yield from rec(rest ^ (1 << u) ^ (1 << w),
+                               mask | _edge_bit(v, u, n) | _edge_bit(u, w, n))
         # single edge
         for u in nb_list:
             yield from rec(rest ^ (1 << u), mask | _edge_bit(v, u, n))
@@ -368,23 +364,15 @@ def cover_search(n: int, r: int, properness: str = GENERALIZED,
             return -1, 0
         return missing.bit_count(), mask
 
-    if proper and n % 3 != 0:
-        masks: list[int] = []  # there is no proper factor on n vertices
-    elif r == 1:
-        gain, mask = last(full)
-        masks = [mask] if gain >= 0 else []
+    if mode == COVER:
+        nxt = _sorted_tail(lambda: _enumerate_maximal_factors(n, proper))
     else:
-        reps = _maximal_shape_reps(n, proper)
-        if mode == COVER:
-            nxt = _sorted_tail(lambda: _enumerate_maximal_factors(n, proper))
-        else:
-            reps = sorted(reps, reverse=True)
+        def nxt(covered: int, prev: int | None) -> Iterator[int]:
+            return _iter_factor_masks_within(n, _mask_to_graph(full & ~covered, n).adj,
+                                             proper, limit_mask=prev)
 
-            def nxt(covered: int, prev: int | None) -> Iterator[int]:
-                return _iter_factor_masks_within(n, _mask_to_graph(full & ~covered, n).adj,
-                                                 proper, limit_mask=prev)
-
-        masks = _factor_search(n, r, reps, nxt, last, full.bit_count() - 1, [], bud)[1]
+    masks = _factor_search(n, r, _maximal_shape_reps(n, proper), nxt, last,
+                           full.bit_count() - 1, [], bud)[1]
     if not masks:
         return CoverSearchResult(None, bud.spent, scheme)
     factors = tuple(_mask_to_graph(m, n) for m in masks)
@@ -508,7 +496,7 @@ def _max_partial_factor(n: int, allowed_mask: int) -> tuple[int, int]:
             sub, sub_mask = rec(rest ^ ub)
             if sub + 1 > best:
                 best, best_mask = sub + 1, sub_mask | e_vu
-            for w in _bits(adj[u] & rest & ~ub):
+            for w in _bits(adj[u] & rest):
                 sub, sub_mask = rec(rest ^ ub ^ (1 << w))
                 cand = sub_mask | e_vu | _edge_bit(u, w, n)
                 if sub + 2 > best:

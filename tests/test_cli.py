@@ -546,6 +546,9 @@ def test_each_command_takes_only_the_options_it_reads(capsys):
      {"lower": 55, "nodes": 100}),
     (["clique", "--complete", "40", "--budget", "5"], {"complete": 40},
      {"lower": 5, "nodes": 5}),
+    # a one-factor cover runs the search too, whose first level is one node
+    (["cover", "--n", "3", "--r", "1", "--budget", "0"],
+     {"mode": "COVER", "n": 3, "properness": "GENERALIZED", "r": 1}, {"nodes": 0}),
 ])
 def test_budget_exhausted_certificate(tmp_path, capsys, argv, parameters, proven):
     code, out, _ = _invoke(capsys, argv + ["--deterministic"])

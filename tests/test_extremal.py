@@ -259,6 +259,52 @@ def test_construction_check_rejects_each_defect():
     _verify_intersecting(h, 2, [h.edges[:2], h.edges[2:]], 2, "pairwise-intersect")
 
 
+def _first_disjoint_pair(groups, width: int) -> str | None:
+    """The message of the pair loop the intersection check replaced: the
+    lowest b > a for the lowest a whose edges miss in the first width
+    coordinates."""
+    for group in groups:
+        for a in range(len(group)):
+            for b in range(a + 1, len(group)):
+                if all(group[a][i] != group[b][i] for i in range(width)):
+                    return f"edges {group[a]} and {group[b]} of one group are disjoint"
+    return None
+
+
+def test_intersection_check_reports_the_pair_loops_first_disjoint_pair():
+    # the groups need not be edges of h, which only has to pass the
+    # regularity and simplicity checks; widths run from 0 to r, and some
+    # groups repeat an edge
+    h = make_hypergraph([1], [(0,)])
+    rng = random.Random(3000)
+    verdicts = set()
+    for _ in range(3000):
+        r = rng.randint(1, 4)
+        width = rng.randint(0, r)
+        values = rng.randint(1, 4)
+        groups = [[tuple(rng.randrange(values) for _ in range(r))
+                   for _ in range(rng.randint(0, 10))] for _ in range(rng.randint(1, 3))]
+        for group in groups:
+            if group and rng.random() < 0.3:
+                group.insert(rng.randrange(len(group) + 1), rng.choice(group))
+        expected = _first_disjoint_pair(groups, width)
+        try:
+            _verify_intersecting(h, 1, groups, width, "copy-intersect")
+            got = None
+        except VerificationError as exc:
+            assert exc.check == "copy-intersect"
+            got = str(exc)
+        assert got == expected, (groups, width)
+        verdicts.add(got is None)
+    assert verdicts == {True, False}
+
+
+def test_truncated_plane_of_order_31_is_checked_in_one_pass():
+    # 961 edges: the pair loop compared 461,280 pairs of them, per check
+    h = truncated_plane(31)
+    assert h.part_sizes == (31,) * 32 and h.m == 961 and regularity(h) == 31
+
+
 def test_truncated_fano_line_graph_is_complete():
     h = truncated_plane(2)
     assert line_graph(h) == complete_graph(4)

@@ -146,7 +146,7 @@ def test_proper_factor_iterator_yields_only_triangle_partitions():
         masks = _proper_masks(n)
         assert len(set(masks)) == len(masks)
         assert all(classify_factor(_mask_to_graph(m, n)) == PROPER for m in masks)
-    assert _proper_masks(7) == _proper_masks(8) == _proper_masks(16) == []
+    assert _proper_masks(7) == _proper_masks(8) == []
     # drawn from K_6 minus the edge 01: the triangle partitions avoiding it
     adj = list(complete_graph(6).adj)
     adj[0] ^= 1 << 1
@@ -154,6 +154,14 @@ def test_proper_factor_iterator_yields_only_triangle_partitions():
     masks = _proper_masks(6, adj)
     assert len(masks) == 6
     assert all(classify_factor(_mask_to_graph(m, 6)) == PROPER for m in masks)
+
+
+def test_shape_representatives_come_in_descending_order():
+    # the one first-level order of covers, decompositions and max-cover
+    for n in range(1, 17):
+        for proper in (False, True):
+            reps = factor_lab._maximal_shape_reps(n, proper)
+            assert reps == sorted(set(reps), reverse=True), (n, proper)
 
 
 def test_proper_maximal_factors_are_the_triangle_partitions():
@@ -222,10 +230,16 @@ PINNED_SEARCHES = {
     (4, 2, GENERALIZED, COVER): (3, None),
     (5, 3, GENERALIZED, COVER): (3, [531, 184, 324]),
     (6, 3, GENERALIZED, COVER): (53, None),
-    (6, 4, GENERALIZED, COVER): (15, [16897, 656, 6444, 9282]),
+    (6, 4, GENERALIZED, COVER): (5, [28707, 656, 776, 3140]),
     (7, 3, GENERALIZED, COVER): (1, None),
-    (7, 4, GENERALIZED, COVER): (2082, [360515, 135716, 527632, 1073288]),
-    (8, 4, GENERALIZED, COVER): (220, [139198595, 10521156, 50479408, 68236296]),
+    (7, 4, GENERALIZED, COVER): (1260, [1081411, 70304, 411672, 533764]),
+    (8, 4, GENERALIZED, COVER): (219, [139198595, 10521156, 50479408, 68236296]),
+    (8, 5, GENERALIZED, COVER): (11236, [139198595, 297024, 10521156, 50479408, 68236296]),
+    (9, 5, GENERALIZED, COVER): (571, [60202942723, 73670784, 1376134276, 2693861968,
+                                       4446537768]),
+    (3, 1, GENERALIZED, COVER): (1, [7]),
+    (4, 1, GENERALIZED, COVER): (1, None),
+    (7, 2, PROPER, COVER): (1, None),
     (6, 3, PROPER, COVER): (12, None),
     (6, 5, PROPER, COVER): (6, [28707, 5905, 5905, 6354, 6444]),
     (9, 3, PROPER, COVER): (1, None),
@@ -247,6 +261,22 @@ def test_cover_search_pinned_nodes_and_witnesses():
         res = cover_search(*case)
         found = None if res.factors is None else [_edge_mask(g) for g in res.factors]
         assert (res.nodes, found) == (nodes, masks), case
+
+
+def test_every_cover_search_runs_the_factor_search(monkeypatch):
+    # r = 1 and proper factors with 3 not dividing n included: one node each
+    calls = []
+    search = factor_lab._factor_search
+
+    def counted(*args):
+        calls.append(args[:2])
+        return search(*args)
+
+    monkeypatch.setattr(factor_lab, "_factor_search", counted)
+    for case in ((3, 1), (4, 1), (3, 1, PROPER), (7, 3, PROPER), (8, 2, PROPER, DECOMPOSITION),
+                 (1, 1, GENERALIZED, DECOMPOSITION)):
+        assert cover_search(*case).nodes == 1, case
+        assert calls.pop() == case[:2] and not calls, case
 
 
 def test_cover_search_budget_runs_out_at_pinned_nodes():
