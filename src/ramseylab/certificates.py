@@ -63,7 +63,6 @@ from .hypergraph_lab import (
     line_graph,
 )
 from .extremal import (
-    ProjectivePlane,
     _verify_ach,
     _verify_claim51,
     _verify_plane,
@@ -460,8 +459,9 @@ def _vf_plane(params, value, witness, stats, outcome):
     if not isinstance(lines, list) or not all(
             isinstance(ln, list) and set(map(type, ln)) <= {int} for ln in lines):
         raise ParseError("'lines' must be a list of integer lists")
-    plane = ProjectivePlane(p, tuple(tuple(ln) for ln in lines))
-    _verify_plane(plane)
+    _verify_plane(p, lines)
+    if _int(witness, "p") != p:
+        raise VerificationError("plane-order", "the witness's order differs from p")
 
 
 def _vf_truncated_plane(params, value, witness, stats, outcome):
@@ -472,9 +472,10 @@ def _vf_truncated_plane(params, value, witness, stats, outcome):
 
 def _vf_claim51(params, value, witness, stats, outcome):
     p, m = _int(params, "p", _PARAMS), _int(params, "m", _PARAMS)
+    uniformity = _int(params, "uniformity", _PARAMS) if "uniformity" in params else None
     h = _hypergraph_payload(witness)
     picked = _int_list(witness, "matching")
-    _verify_claim51(h, p, m, picked)
+    _verify_claim51(h, p, m, uniformity, picked)
     if value != m:
         raise VerificationError("matching-exact",
                                 "matching witness must have one edge per copy")

@@ -262,8 +262,7 @@ def _run_ach(args, params):
 
 def _run_plane(args, params):
     params["p"] = args.p
-    plane = projective_plane(args.p)
-    witness = {"p": plane.p, "lines": [list(ln) for ln in plane.lines]}
+    witness = {"p": args.p, "lines": [list(ln) for ln in projective_plane(args.p)]}
     return "EXISTS", None, witness, {}
 
 

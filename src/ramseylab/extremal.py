@@ -14,7 +14,6 @@ Three generator families, each self-verifying before returning:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil
 from typing import Iterable, Sequence
 
@@ -139,109 +138,83 @@ def ach_bound(d: int, n: int) -> int:
 # -- projective planes -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProjectivePlane:
-    """Order-p plane: points 0..p^2+p, lines as sorted point tuples."""
+def projective_plane(p: int) -> tuple[tuple[int, ...], ...]:
+    """The classical plane over the p-element field, as its sorted tuple of
+    lines, each a sorted tuple of points; axiom-checked.
 
-    p: int
-    lines: tuple[tuple[int, ...], ...]
-
-    @property
-    def num_points(self) -> int:
-        return self.p * self.p + self.p + 1
-
-
-def projective_plane(p: int) -> ProjectivePlane:
-    """The classical plane over the p-element field, axiom-checked.
-
-    Points are normalized homogeneous triples over Z_p (first nonzero
-    coordinate 1), numbered in lexicographic order; a line is the set of
-    points orthogonal to one normalized triple.
+    Points are normalized homogeneous triples over Z_p, numbered from the
+    affine chart: (1, a, b) is a*p + b, the point at infinity (0, 1, s) of
+    slope s is p^2 + s, and (0, 0, 1) is p^2 + p.  Each line's p+1 points are
+    listed directly: b = s*a + t with its point at infinity p^2 + s, the
+    vertical a = c with p^2 + p, and the line at infinity p^2..p^2+p.
     """
     if not _is_prime(p):
         raise ValidationError("NOT_PRIME", f"{p} is not prime (prime powers unsupported)")
-    triples = ([(1, a, b) for a in range(p) for b in range(p)]
-               + [(0, 1, a) for a in range(p)]
-               + [(0, 0, 1)])
-    index = {t: i for i, t in enumerate(triples)}
-    lines = []
-    for c in triples:
-        pts = tuple(sorted(index[x] for x in triples
-                           if (c[0] * x[0] + c[1] * x[1] + c[2] * x[2]) % p == 0))
-        lines.append(pts)
-    plane = ProjectivePlane(p, tuple(sorted(lines)))
-    _verify_plane(plane)
-    return plane
+    q = p * p
+    lines = [tuple(a * p + (s * a + t) % p for a in range(p)) + (q + s,)
+             for s in range(p) for t in range(p)]
+    lines += [tuple(range(c * p, c * p + p)) + (q + p,) for c in range(p)]
+    lines.append(tuple(range(q, q + p + 1)))
+    lines.sort()
+    _verify_plane(p, lines)
+    return tuple(lines)
 
 
-def _verify_plane(plane: ProjectivePlane) -> None:
+def _verify_plane(p: int, lines: Sequence[Sequence[int]]) -> None:
     """The line count, a prime order as `projective_plane` requires, then
-    the plane axioms, by counting pairs.  N lines of p+1 distinct points
-    hold N * C(p+1, 2) = C(N, 2) point pairs, so no pair on two lines means
-    every pair is on exactly one; dually, with every point on p+1 lines, no
-    line pair through two points means every two lines meet exactly once."""
-    p = plane.p
-    n_pts = plane.num_points
-    if len(plane.lines) != n_pts:
+    the plane axioms, by counting pairs.  N = p^2+p+1 lines of p+1 distinct
+    points hold N * C(p+1, 2) = C(N, 2) point pairs, so no pair on two lines
+    means every pair is on exactly one.  The dual axiom needs no pass of its
+    own: two lines sharing points x != y put the pair {x, y} on two lines,
+    and with every point on p+1 lines the N * C(p+1, 2) = C(N, 2) meetings
+    then cover every pair of lines exactly once."""
+    n_pts = p * p + p + 1
+    if len(lines) != n_pts:
         raise VerificationError("line-count", f"expected {n_pts} lines")
     # after line-count, p is bounded by the size of the input, so trial
     # division cannot run long on a forged order
     if not _is_prime(p):
         raise VerificationError("prime", f"order {p} is not prime")
-    through: list[list[int]] = [[] for _ in range(n_pts)]
-    for i, ln in enumerate(plane.lines):
+    degree = [0] * n_pts
+    for ln in lines:
         if len(ln) != p + 1 or len(set(ln)) != p + 1 or not all(0 <= x < n_pts for x in ln):
             raise VerificationError("line-size", f"line {ln} is not {p + 1} points of the plane")
         for x in ln:
-            through[x].append(i)
-    if any(len(t) != p + 1 for t in through):
+            degree[x] += 1
+    if any(d != p + 1 for d in degree):
         raise VerificationError("point-degree", "some point is not on exactly p+1 lines")
-    _no_pair_twice(plane.lines, n_pts, "two-points", "points {},{} lie on two lines")
-    _no_pair_twice(through, n_pts, "two-lines", "lines {},{} meet in two points")
-
-
-def _no_pair_twice(groups: Sequence[Sequence[int]], n: int, check: str,
-                   message: str) -> None:
-    """Fail if two members of 0..n-1 share more than one group.  Each
-    member's bitmask holds the members it already shares a group with."""
-    seen = [0] * n
-    for group in groups:
+    # each point's bitmask holds the points it already shares a line with
+    seen = [0] * n_pts
+    for ln in lines:
         mask = 0
-        for x in group:
+        for x in ln:
             mask |= 1 << x
-        for x in group:
+        for x in ln:
             others = mask ^ (1 << x)
             twice = seen[x] & others
             if twice:
-                raise VerificationError(check, message.format(x, twice.bit_length() - 1))
+                raise VerificationError(
+                    "two-points", f"points {x},{twice.bit_length() - 1} lie on two lines")
             seen[x] |= others
 
 
 def truncated_plane(p: int) -> PartiteHypergraph:
     """Delete point 0 from the order-p plane.  The p+1 lines through it,
-    minus the point, become the parts; the p^2 remaining lines become edges,
-    each meeting every part exactly once.  Verified: p-regular, simple,
+    minus the point, become the parts; each of the p^2 other lines becomes
+    the edge of its points' indices within their parts, in part order, and
+    must meet every part exactly once.  Verified: p-regular, simple,
     pairwise-intersecting edges."""
-    plane = projective_plane(p)
-    deleted = 0
-    through = [ln for ln in plane.lines if deleted in ln]
-    others = [ln for ln in plane.lines if deleted not in ln]
-    parts = [tuple(x for x in ln if x != deleted) for ln in through]
-    coord = {}
-    for i, part in enumerate(parts):
-        for idx, x in enumerate(part):
-            coord[x] = (i, idx)
+    lines = projective_plane(p)
+    # a line is sorted, so it passes through point 0 exactly when it starts there
+    parts = [ln[1:] for ln in lines if ln[0] == 0]
+    coord = {x: (i, idx) for i, part in enumerate(parts) for idx, x in enumerate(part)}
     edges = []
-    for ln in others:
-        slot = [-1] * len(parts)
-        for x in ln:
-            i, idx = coord[x]
-            if slot[i] != -1:
-                raise VerificationError("transversal", "line meets a part twice")
-            slot[i] = idx
-        if any(s == -1 for s in slot):
-            raise VerificationError("transversal", "line misses a part")
-        edges.append(tuple(slot))
+    for ln in lines:
+        if ln[0] != 0:
+            slots = sorted(coord[x] for x in ln)
+            if [i for i, _ in slots] != list(range(p + 1)):
+                raise VerificationError("transversal", "line does not meet every part once")
+            edges.append(tuple(idx for _, idx in slots))
     h = make_hypergraph([p] * (p + 1), edges)
     _verify_truncated_plane(h, p)
     return h
@@ -289,7 +262,7 @@ def claim51_hypergraph(p: int, m: int, uniformity: int | None = None) -> Partite
     h = make_hypergraph(sizes, edges)
     if uniformity is not None:
         h = _duplicate_last_part(h, uniformity - (r0 + 1) + 1)
-    _verify_claim51(h, p, m, claim51_matching(p, m))
+    _verify_claim51(h, p, m, uniformity, claim51_matching(p, m))
     return h
 
 
@@ -300,13 +273,16 @@ def claim51_matching(p: int, m: int) -> list[int]:
     return [c * per_copy + c for c in range(m)]
 
 
-def _verify_claim51(h: PartiteHypergraph, p: int, m: int,
+def _verify_claim51(h: PartiteHypergraph, p: int, m: int, uniformity: int | None,
                     matching: Sequence[int]) -> None:
-    """Shape of the stacked construction, with or without duplicated last
-    parts, and a matching of size m, which is then the maximum."""
+    """Shape of the stacked construction: exactly uniformity parts, at least
+    p+2, or p+2 when no uniformity is given, each of size pm; and a matching
+    of size m, which is then the maximum."""
     join = p * m
     base_r = p + 1
-    if h.r < base_r + 1 or h.part_sizes != (join,) * h.r:
+    r = base_r + 1 if uniformity is None else uniformity
+    # the part count first, so a forged uniformity builds nothing
+    if h.r != r or r <= base_r or h.part_sizes != (join,) * r:
         raise VerificationError("parts", "part sizes do not match the construction")
     per_copy = p * p * join
     if h.m != m * per_copy:

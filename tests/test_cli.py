@@ -90,6 +90,18 @@ def test_ramsey_family_example(capsys):
     assert cert["stats"]["refutation_nodes"] > 0
 
 
+def test_presets_in_a_family_list_certify_as_their_patterns(capsys):
+    def certificate(spec):
+        code, out, err = _invoke(capsys, ["ramsey", "--family", spec, "--colors", "3",
+                                          "--deterministic"])
+        assert code == 0, err
+        return out
+
+    expected = certificate("K3,P4")
+    for spec in ("F1,F2", "F1,P4", "K3,F2"):
+        assert certificate(spec) == expected, spec
+
+
 def test_cover_refutation_records_scheme(capsys):
     cert = _invoke_cert(capsys, ["cover", "--n", "6", "--r", "3"])
     assert cert["outcome"] == "NOT_EXISTS" and cert["witness"] is None

@@ -9,7 +9,6 @@ import pytest
 
 from ramseylab.errors import ValidationError, VerificationError
 from ramseylab.extremal import (
-    ProjectivePlane,
     _verify_intersecting,
     _verify_plane,
     ach_bound,
@@ -121,18 +120,35 @@ def test_greedy_bound_is_a_true_lower_bound():
 
 def test_projective_plane_shapes():
     for p in (2, 3, 5):
-        plane = projective_plane(p)
-        assert plane.num_points == p * p + p + 1
-        assert len(plane.lines) == plane.num_points
-        assert all(len(ln) == p + 1 for ln in plane.lines)
+        lines = projective_plane(p)
+        assert len(lines) == p * p + p + 1
+        assert all(len(ln) == p + 1 for ln in lines)
+
+
+def _plane_by_orthogonality(p: int) -> tuple[tuple[int, ...], ...]:
+    """The plane by its definition, the reference for the chart listing:
+    points are normalized homogeneous triples over Z_p in lexicographic
+    order, and a line is the set of points orthogonal to one triple."""
+    triples = ([(1, a, b) for a in range(p) for b in range(p)]
+               + [(0, 1, a) for a in range(p)]
+               + [(0, 0, 1)])
+    return tuple(sorted(
+        tuple(i for i, x in enumerate(triples)
+              if (c[0] * x[0] + c[1] * x[1] + c[2] * x[2]) % p == 0)
+        for c in triples))
+
+
+def test_projective_plane_lists_the_orthogonality_construction():
+    for p in (2, 3, 5, 7, 11, 13):
+        assert projective_plane(p) == _plane_by_orthogonality(p), p
 
 
 def test_projective_plane_fano_is_unique_order_two():
     fano = projective_plane(2)
-    assert len(fano.lines) == 7
+    assert len(fano) == 7
     # every pair of points spans exactly one line
     seen = set()
-    for ln in fano.lines:
+    for ln in fano:
         for a in ln:
             for b in ln:
                 if a < b:
@@ -148,17 +164,16 @@ def test_projective_plane_nonprime_rejected():
         assert exc.value.code == "NOT_PRIME"
 
 
-def _verify_plane_by_definition(plane: ProjectivePlane) -> None:
+def _verify_plane_by_definition(p: int, lines) -> None:
     """The axioms checked straight from their statement, O(N^3 p): the
     reference that the pair-counting check must agree with."""
-    p = plane.p
-    n_pts = plane.num_points
-    if len(plane.lines) != n_pts:
+    n_pts = p * p + p + 1
+    if len(lines) != n_pts:
         raise VerificationError("line-count", f"expected {n_pts} lines")
     if p < 2 or any(p % f == 0 for f in range(2, p)):
         raise VerificationError("prime", f"order {p}")
     on_lines = [0] * n_pts
-    for ln in plane.lines:
+    for ln in lines:
         if len(ln) != p + 1 or len(set(ln)) != p + 1 or not all(0 <= x < n_pts for x in ln):
             raise VerificationError("line-size", f"line {ln} is not {p + 1} points")
         for x in ln:
@@ -167,35 +182,35 @@ def _verify_plane_by_definition(plane: ProjectivePlane) -> None:
         raise VerificationError("point-degree", "some point is not on exactly p+1 lines")
     for a in range(n_pts):
         for b in range(a + 1, n_pts):
-            if sum(1 for ln in plane.lines if a in ln and b in ln) != 1:
+            if sum(1 for ln in lines if a in ln and b in ln) != 1:
                 raise VerificationError("two-points", f"points {a},{b}")
-    for i in range(len(plane.lines)):
-        for j in range(i + 1, len(plane.lines)):
-            if len(set(plane.lines[i]) & set(plane.lines[j])) != 1:
+    for i in range(len(lines)):
+        for j in range(i + 1, len(lines)):
+            if len(set(lines[i]) & set(lines[j])) != 1:
                 raise VerificationError("two-lines", f"lines {i},{j}")
 
 
-def _verdict(check, plane: ProjectivePlane) -> str | None:
+def _verdict(check, p: int, lines) -> str | None:
     """None if the plane passes, else the name of the failed check."""
     try:
-        check(plane)
+        check(p, lines)
     except VerificationError as exc:
         return exc.check
     return None
 
 
-def _mutations(plane: ProjectivePlane, rng: random.Random):
+def _mutations(lines, rng: random.Random):
     """One of each defect, at random places: a point moved between two
     lines, a line written over another, a dropped point, a point off the
     plane, and two points swapped across lines."""
-    lines = [list(ln) for ln in plane.lines]
+    lines = [list(ln) for ln in lines]
     i, j = rng.sample(range(len(lines)), 2)
-    n_pts = plane.num_points
+    n_pts = len(lines)  # a plane has as many points as lines
 
     def edited(edit):
         copy = [list(ln) for ln in lines]
         edit(copy)
-        return ProjectivePlane(plane.p, tuple(tuple(ln) for ln in copy))
+        return tuple(tuple(ln) for ln in copy)
 
     def move(ls):
         x = rng.choice([x for x in ls[i] if x not in ls[j]])
@@ -220,18 +235,18 @@ def _mutations(plane: ProjectivePlane, rng: random.Random):
 
 
 def test_plane_check_agrees_with_the_definition():
-    cases = [ProjectivePlane(0, ((0,),)), ProjectivePlane(1, ((0, 1), (0, 2), (1, 2))),
-             ProjectivePlane(1, ((0, 1), (0, 1), (1, 2))), ProjectivePlane(2, ())]
+    cases = [(0, ((0,),)), (1, ((0, 1), (0, 2), (1, 2))),
+             (1, ((0, 1), (0, 1), (1, 2))), (2, ())]
     for p in (2, 3, 5):
-        plane = projective_plane(p)
-        cases.append(plane)
+        lines = projective_plane(p)
+        cases.append((p, lines))
         for seed in range(6):
             rng = random.Random(1000 * p + seed)
-            cases.extend(_mutations(plane, rng))
+            cases.extend((p, bad) for bad in _mutations(lines, rng))
             # two swaps at once keep every size and degree as well
-            cases.append(_mutations(_mutations(plane, rng)[-1], rng)[-1])
-    verdicts = [_verdict(_verify_plane_by_definition, plane) for plane in cases]
-    assert [_verdict(_verify_plane, plane) for plane in cases] == verdicts
+            cases.append((p, _mutations(_mutations(lines, rng)[-1], rng)[-1]))
+    verdicts = [_verdict(_verify_plane_by_definition, p, lines) for p, lines in cases]
+    assert [_verdict(_verify_plane, p, lines) for p, lines in cases] == verdicts
     # every check is reached, and a swap is caught by two-points
     assert {None, "prime", "line-count", "line-size", "point-degree",
             "two-points"} <= set(verdicts)
@@ -303,6 +318,12 @@ def test_truncated_plane_of_order_31_is_checked_in_one_pass():
     # 961 edges: the pair loop compared 461,280 pairs of them, per check
     h = truncated_plane(31)
     assert h.part_sizes == (31,) * 32 and h.m == 961 and regularity(h) == 31
+
+
+def test_truncated_plane_of_order_61_shape():
+    # the order at which the README times `truncated-plane`
+    h = truncated_plane(61)
+    assert h.part_sizes == (61,) * 62 and h.m == 3721 and regularity(h) == 61
 
 
 def test_truncated_fano_line_graph_is_complete():

@@ -197,6 +197,29 @@ def test_plane_of_huge_prime_order_is_rejected_by_its_line_count(tmp_path, capsy
     assert "check line-count:" in _rejected(tmp_path, capsys, cert)
 
 
+@pytest.mark.parametrize("order, error", [(999, "error [VERIFY_FAILED] check plane-order:"),
+                                          ("seven", "error [PARSE_ERROR]")])
+def test_plane_witness_order_is_bound_to_p(tmp_path, capsys, order, error):
+    cert = _golden("plane")
+    cert["witness"]["p"] = order
+    assert _rejected(tmp_path, capsys, cert).startswith(error)
+
+
+@pytest.mark.parametrize("name, uniformity, error", [
+    ("claim51-uniformity", 7, "error [VERIFY_FAILED] check parts:"),
+    ("claim51-uniformity", 50, "error [VERIFY_FAILED] check parts:"),
+    ("claim51-uniformity", 2 ** 62, "error [VERIFY_FAILED] check parts:"),
+    ("claim51-uniformity", "x", "error [PARSE_ERROR]"),
+    ("claim51-uniformity", True, "error [PARSE_ERROR]"),
+    ("claim51", 5, "error [VERIFY_FAILED] check parts:"),
+])
+def test_claim51_uniformity_is_bound_to_the_parts(tmp_path, capsys, name, uniformity, error):
+    # claim51-uniformity has 5 parts and claim51 the p + 2 = 4 of no uniformity
+    cert = _golden(name)
+    cert["parameters"]["uniformity"] = uniformity
+    assert _rejected(tmp_path, capsys, cert).startswith(error)
+
+
 def test_max_cover_below_the_greedy_cover_is_rejected(tmp_path, capsys):
     # the third factor dropped: the witness covers the 10 edges claimed, but
     # the greedy cover of K_6 by 3 factors takes 13

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from ramseylab import certificates, cli
+from ramseylab.errors import ParseError, ValidationError, VerificationError
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -184,6 +185,66 @@ def test_verify_never_raises_on_mutated_goldens(tmp_path, monkeypatch):
             code, out, err = _run(["verify", str(path)])
             assert (code, out) == (0, "true\n") or (
                 code == 1 and out == "" and err.startswith("error [")), (name, where, value, err)
+
+
+_FILE = "a file path: the file may be gone when verify runs"
+_CAP = "a search limit, not part of the claim"
+_TRUE = "the edited claim is true as well"
+_TRUSTED = "a refutation by search, taken on trust (ROADMAP item 2)"
+_NO_CLAIM = "an UNKNOWN with no witness claims nothing"
+_OPEN = "not yet bound: verify does not regenerate the random factors"
+# (golden, part, key) -> why one edit of the field leaves a certificate that
+# still verifies
+_UNBOUND: dict[tuple[str, str, str], str] = {
+    **{(name, "parameters", key): _FILE for name, key in (
+        ("bijection", "hypergraph"), ("chi", "graph"), ("chi-mycielski", "graph"),
+        ("chromatic-index", "hypergraph"), ("clique", "graph"), ("core", "graph"),
+        ("match", "hypergraph"), ("match-cut", "hypergraph"))},
+    **{(name, "parameters", "cap"): _CAP for name in CASES if CASES[name][0] == "ramsey"},
+    ("closed-form-match2-s3", "parameters", "colors"): _TRUE,
+    ("closed-form-path2", "parameters", "colors"): _TRUE,
+    ("core-star", "parameters", "d"): _TRUE,
+    ("ramsey-cap", "parameters", "colors"): _TRUE,
+    ("cover-decomposition-cap", "parameters", "n"): _NO_CLAIM,
+    ("cover-decomposition-cap", "parameters", "r"): _NO_CLAIM,
+    ("cover-refuted", "parameters", "n"): _TRUSTED,
+    ("cover-decomposition-refuted", "parameters", "n"): _TRUSTED,
+    ("cover-proper-refuted", "parameters", "n"): _TRUSTED,
+    ("cover-proper-refuted", "parameters", "r"): _TRUSTED,
+    # the edit claims c_3(F6) = 3, which is false: chi-r --r 3 proves c_3(F6) >= 5
+    ("ramsey-p4-s3", "parameters", "colors"): _TRUSTED,
+    ("bijection-random", "parameters", "random"): _OPEN,
+    ("bijection-random", "parameters", "seed"): _OPEN,
+}
+
+
+def _field_edits(cert: dict):
+    """One type-preserving edit of each int, list or string field of
+    parameters and witness: the int plus one, the list without its last
+    item, the string plus "x".  An empty list has no edit."""
+    for part in ("parameters", "witness"):
+        for key, value in sorted((cert[part] or {}).items()):
+            if type(value) is int:
+                yield part, key, value + 1
+            elif type(value) is list and value:
+                yield part, key, value[:-1]
+            elif type(value) is str:
+                yield part, key, value + "x"
+
+
+def test_every_certificate_field_is_bound(monkeypatch):
+    # a field that verify ignores lets a certificate claim what it never showed
+    monkeypatch.chdir(GOLDEN)
+    still_true = set()
+    for name in sorted(CASES):
+        cert = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+        for part, key, value in _field_edits(cert):
+            try:
+                cli.verify_certificate(_edited(cert, (part, key), value))
+            except (ParseError, ValidationError, VerificationError):
+                continue
+            still_true.add((name, part, key))
+    assert sorted(still_true) == sorted(_UNBOUND)
 
 
 def _regenerate() -> None:

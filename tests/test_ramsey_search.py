@@ -89,6 +89,16 @@ def test_parse_family_presets_and_tokens():
     assert parse_family("PATH:5").patterns[0].realize().n == 6
 
 
+def test_preset_inside_a_family_list_is_its_patterns():
+    # a preset among other tokens contributes its patterns, not its name
+    k3_p4 = parse_family("K3,P4")
+    for spec in ("F1,F2", "F1,P4", "K3,F2"):
+        fam = parse_family(spec)
+        assert fam.spec() == "K3,P4" and fam.kernel == k3_p4.kernel, spec
+    assert parse_family("F4").spec() == "F4"
+    assert parse_family("F4").kernel == k3_p4.kernel
+
+
 def test_aliases_are_one_pattern_with_their_own_spelling():
     assert P4 == path_pattern(3) and S3 == star_pattern(3)
     assert parse_family("PATH:3").patterns == parse_family("P4").patterns
