@@ -28,7 +28,6 @@ from .graph_core import (
     graph_from_text,
     is_proper_coloring,
     mycielski_peel,
-    union_graphs,
 )
 from .ramsey_search import (
     ForbiddenFamily,
@@ -412,9 +411,6 @@ def _vf_bijection(params, value, witness, stats, outcome):
     if h2.part_sizes != h.part_sizes or h2.edges != h.edges:
         raise VerificationError("bijection-roundtrip",
                                 "factors do not map back to the hypergraph")
-    if line_graph(h) != union_graphs(factors):
-        raise VerificationError("line-graph-identity",
-                                "line graph differs from the factor union")
 
 
 def _vf_match(params, value, witness, stats, outcome):

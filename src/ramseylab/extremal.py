@@ -287,6 +287,9 @@ def _verify_claim51(h: PartiteHypergraph, p: int, m: int, uniformity: int | None
     per_copy = p * p * join
     if h.m != m * per_copy:
         raise VerificationError("edge-count", "edge count differs from p^3 m^2")
+    # every edge extends the line at the head of its block of join edges
+    if any(e[:base_r] != h.edges[i - i % join][:base_r] for i, e in enumerate(h.edges)):
+        raise VerificationError("copy-lines", "an edge does not extend its block's line")
     # within one copy the extended lines pairwise intersect in the first p+1
     # coordinates (inherited from the truncated plane), so a matching holds
     # at most one edge per copy

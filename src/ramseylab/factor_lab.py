@@ -41,8 +41,8 @@ from .graph_core import (
     Graph,
     NodeBudget,
     _bits,
-    _vertex_count,
     build_graph,
+    color_classes,
     complete_edge_index,
     complete_edges,
     connected_components,
@@ -520,29 +520,27 @@ def _max_partial_factor(n: int, allowed_mask: int) -> tuple[int, int]:
 # -- explicit constructions -----------------------------------------------------
 
 
-def walecki_decomposition(k: int) -> tuple[Graph, ...]:
-    """K_{2k+1} as k edge-disjoint Hamilton cycles.
-
-    Each cycle is a rotation of a zigzag path on 2k vertices with both ends
-    joined to a hub vertex (index 2k).  The result is verified before being
-    returned: k cycles, 2-regular and connected, edge-disjoint, union K_{2k+1}.
-    """
+def walecki_colors(k: int) -> tuple[int, ...]:
+    """Walecki's k Hamilton cycles of K_{2k+1}, one color per edge of
+    complete_edges(2k + 1): hub edge {x, 2k} takes x mod k, rim edge {x, y}
+    takes ((x + y) mod 2k) // 2.  Cycle i is the zigzag i, i + 1, i - 1,
+    i + 2, ... on 0..2k-1 (mod 2k), whose consecutive sums alternate 2i + 1
+    and 2i, with its two ends, i and i + k, joined to the hub."""
     if k < 1:
         raise ValidationError("BAD_K", f"need k >= 1, got {k}")
-    n = _vertex_count(2 * k + 1)
     hub = 2 * k
-    base = []
-    for idx in range(2 * k):
-        j = (idx + 1) // 2
-        base.append(j if idx % 2 == 1 else (2 * k - j) % (2 * k))
-    cycles = []
-    for i in range(k):
-        path = [(x + i) % (2 * k) for x in base]
-        edges = [(hub, path[0]), (hub, path[-1])]
-        edges.extend((path[t], path[t + 1]) for t in range(len(path) - 1))
-        cycles.append(build_graph(n, edges))
+    return tuple(x % k if y == hub else (x + y) % hub // 2
+                 for x, y in complete_edges(hub + 1))
+
+
+def walecki_decomposition(k: int) -> tuple[Graph, ...]:
+    """K_{2k+1} as k edge-disjoint Hamilton cycles, the classes of
+    walecki_colors(k), verified before being returned: each 2-regular and
+    connected, edge-disjoint, union K_{2k+1}."""
+    colors, n = walecki_colors(k), 2 * k + 1  # a bad k fails as BAD_K first
+    cycles = tuple(color_classes(n, complete_edges(n), colors).values())
     _verify_cycle_decomposition(cycles, n)
-    return tuple(cycles)
+    return cycles
 
 
 def _verify_cycle_decomposition(cycles: Sequence[Graph], n: int) -> None:
@@ -554,27 +552,26 @@ def _verify_cycle_decomposition(cycles: Sequence[Graph], n: int) -> None:
     _edge_union(cycles, n, True, True)
 
 
-def galaxy_cover(k: int) -> tuple[Graph, ...]:
-    """K_{2k} as k double-star classes plus one perfect matching.
-
-    Galaxy i (0-based) is the star at vertex i toward the next k-1 vertices
-    plus the star at vertex i+k toward the k-1 after it, indices mod 2k; the
-    final class matches j with j+k.  Each class is a star forest, so it
-    contains no triangle and no 4-vertex path.  Verified before returning.
-    """
+def galaxy_colors(k: int) -> tuple[int, ...]:
+    """The galaxy cover of K_{2k}, one color per edge {x, y}, x < y, of
+    complete_edges(2k): k (the perfect matching) if y - x = k, else x mod k
+    if y - x < k and y mod k if y - x > k.  Class i < k is the stars at i
+    and i + k, each toward its next k - 1 vertices mod 2k, so a shorter edge
+    hangs from x and a longer one, wrapping round, from y."""
     if k < 2:
         raise ValidationError("BAD_K", f"need k >= 2, got {k}")
-    n = _vertex_count(2 * k)
-    classes = []
-    for i in range(k):
-        edges = []
-        for t in range(1, k):
-            edges.append((i, (i + t) % n))
-            edges.append(((i + k) % n, (i + k + t) % n))
-        classes.append(build_graph(n, edges))
-    classes.append(build_graph(n, [(j, j + k) for j in range(k)]))
+    return tuple(k if y - x == k else (x if y - x < k else y) % k
+                 for x, y in complete_edges(2 * k))
+
+
+def galaxy_cover(k: int) -> tuple[Graph, ...]:
+    """K_{2k} as k double-star classes plus one perfect matching, the
+    classes of galaxy_colors(k).  Each class is a star forest, so it contains
+    no triangle and no 4-vertex path.  Verified before returning."""
+    colors = galaxy_colors(k)  # a bad k fails as BAD_K first
+    classes = tuple(color_classes(2 * k, complete_edges(2 * k), colors).values())
     _verify_galaxy(classes, k)
-    return tuple(classes)
+    return classes
 
 
 def _verify_galaxy(classes: Sequence[Graph], k: int) -> None:

@@ -129,6 +129,21 @@ def complete_edge_index(n: int, u: int, v: int) -> int:
     return u * (2 * n - u - 1) // 2 + v - u - 1
 
 
+def color_classes(n: int, edges: Iterable[tuple[int, int]],
+                  colors: Iterable[int]) -> dict[int, Graph]:
+    """The class of each colour in use, edges[i] taking colors[i], as a graph
+    on n vertices, by ascending colour; built in one pass over the edges (a
+    palette may hold 2**70 colours, so only those in use get a class)."""
+    classes: dict[int, list[int]] = {}
+    for (u, v), c in zip(edges, colors):
+        adj = classes.get(c)
+        if adj is None:
+            adj = classes[c] = [0] * n
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return {c: Graph(n, tuple(classes[c])) for c in sorted(classes)}
+
+
 def path_graph(n: int) -> Graph:
     return build_graph(n, ((i, i + 1) for i in range(n - 1)))
 

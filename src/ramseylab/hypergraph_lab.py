@@ -102,8 +102,7 @@ def factors_to_hypergraph(factors: Sequence[Graph]) -> PartiteHypergraph:
             raise ValidationError("OUT_OF_RANGE", "factors on differing vertex counts")
         if classify_factor(g) != PROPER:
             raise ValidationError("NOT_PROPER", "factor has a non-triangle component")
-        comps = connected_components(g)
-        comps.sort(key=lambda mask: (mask & -mask).bit_length())
+        comps = connected_components(g)  # by lowest member
         label = [-1] * n_vertices
         for t, mask in enumerate(comps):
             for v in _bits(mask):

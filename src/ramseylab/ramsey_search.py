@@ -37,7 +37,7 @@ from .graph_core import (
     NodeBudget,
     _bits,
     build_graph,
-    complete_edge_index,
+    color_classes,
     complete_edges,
     complete_graph,
     connected_components,
@@ -49,8 +49,8 @@ from .graph_core import (
 from .factor_lab import (
     DEFAULT_DELTA0,
     chi_r_report,
-    galaxy_cover,
-    walecki_decomposition,
+    galaxy_colors,
+    walecki_colors,
 )
 
 MAX_PATTERN_VERTICES = 8
@@ -416,8 +416,8 @@ def _embed(host: Graph, pattern: Graph) -> tuple[int, ...] | None:
 @dataclass(frozen=True)
 class EdgeColoring:
     """Total edge coloring of a base graph; assignment aligns with
-    base.edges() order, values in 0..k-1.  Its color classes exist only
-    inside verify_mono_free, which builds all of them in one pass."""
+    base.edges() order, values in 0..k-1.  Its color classes come from
+    graph_core.color_classes, inside verify_mono_free."""
 
     base: Graph
     k: int
@@ -445,19 +445,11 @@ class MonoFreeReport:
 
 def verify_mono_free(coloring: EdgeColoring, fam: ForbiddenFamily) -> MonoFreeReport:
     """Re-check a coloring against the family; reports the first violation.
-    One pass over the base's edges builds every class in use, keyed by color
-    (a palette may hold 2**70 colors); each is searched once, lowest color
-    first, for the patterns in family order."""
-    n = coloring.base.n
-    classes: dict[int, list[int]] = {}
-    for (u, v), c in zip(coloring.base.edges(), coloring.assignment):
-        adj = classes.get(c)
-        if adj is None:
-            adj = classes[c] = [0] * n
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    for c in sorted(classes):
-        cls = Graph(n, tuple(classes[c]))
+    color_classes builds every class in use in one pass over the base's
+    edges; each is searched once, lowest color first, for the patterns in
+    family order.  It is the one check of every witness, searched or built."""
+    base = coloring.base
+    for c, cls in color_classes(base.n, base.edges(), coloring.assignment).items():
         for p in fam.patterns:
             w = find_copy(cls, p)
             if w is not None:
@@ -752,21 +744,17 @@ def _built_witness(fam: ForbiddenFamily, k: int, n: int
                    ) -> tuple[str, EdgeColoring] | None:
     """An admissible k-coloring of K_n from a known construction, or None.
 
-    Walecki's k Hamilton cycles cover K_{2k+1}, and for k >= 3 the k star
-    forests of galaxy_cover(k - 1) cover K_{2k-2}; either one is kept only
-    when verify_mono_free accepts it for the family.
+    walecki_colors(k) colors K_{2k+1} by Walecki's k Hamilton cycles, and for
+    k >= 3 galaxy_colors(k - 1) colors K_{2k-2} by k star forests; either is
+    kept, as it is, only when verify_mono_free accepts it for the family.
     """
     if n == 2 * k + 1:
-        name, classes = "walecki", walecki_decomposition(k)
+        name, colors = "walecki", walecki_colors(k)
     elif n == 2 * k - 2 and k >= 3:
-        name, classes = "galaxy", galaxy_cover(k - 1)
+        name, colors = "galaxy", galaxy_colors(k - 1)
     else:
         return None
-    assignment = [0] * (n * (n - 1) // 2)
-    for c, g in enumerate(classes):
-        for u, v in g.edges():
-            assignment[complete_edge_index(n, u, v)] = c
-    coloring = EdgeColoring(complete_graph(n), k, tuple(assignment))
+    coloring = EdgeColoring(complete_graph(n), k, colors)
     return (name, coloring) if verify_mono_free(coloring, fam).ok else None
 
 

@@ -261,6 +261,17 @@ def test_validation_errors(capsys):
         assert code_text in err
 
 
+@pytest.mark.parametrize("command, k, code_text", [
+    ("walecki", "0", "BAD_K"), ("walecki", "-1", "BAD_K"), ("walecki", "32", "OUT_OF_RANGE"),
+    ("galaxy", "1", "BAD_K"), ("galaxy", "-1", "BAD_K"), ("galaxy", "33", "OUT_OF_RANGE"),
+])
+def test_construction_checks_k_before_the_vertex_count(capsys, command, k, code_text):
+    # a k below the construction's least is BAD_K, even where 2k + 1 or 2k
+    # is no vertex count; past the 64-vertex cap it is OUT_OF_RANGE
+    code, out, err = _invoke(capsys, [command, "--k", k])
+    assert (code, out) == (1, "") and err.startswith(f"error [{code_text}]")
+
+
 def test_closed_form_and_chi_r_share_the_delta0_rule(capsys):
     # the P4, S3 closed form reads chi_r_report, so it rejects delta0 < 1 as chi-r does
     for argv in (["closed-form", "--family", "F6", "--colors", "5", "--delta0", "0"],

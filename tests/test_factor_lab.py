@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import ast
+import json
 import random
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from ramseylab import factor_lab, graph_core
+from ramseylab import certificates, cli, factor_lab, graph_core, ramsey_search
 from ramseylab.errors import BudgetExceededError, ValidationError, VerificationError
 from ramseylab.factor_lab import (
     COVER,
@@ -33,6 +34,7 @@ from ramseylab.factor_lab import (
     random_factor,
     walecki_decomposition,
 )
+from ramseylab.cli import run
 from ramseylab.graph_core import (
     build_graph,
     chromatic_number,
@@ -486,6 +488,68 @@ def test_galaxy_covers():
     with pytest.raises(ValidationError) as exc:
         galaxy_cover(1)
     assert exc.value.code == "BAD_K"
+
+
+def _zigzag_walecki(k: int) -> tuple:
+    # the rotations of one zigzag path on 2k vertices, both ends joined to hub 2k
+    n, hub = 2 * k + 1, 2 * k
+    base = []
+    for idx in range(2 * k):
+        j = (idx + 1) // 2
+        base.append(j if idx % 2 == 1 else (2 * k - j) % (2 * k))
+    cycles = []
+    for i in range(k):
+        path = [(x + i) % (2 * k) for x in base]
+        edges = [(hub, path[0]), (hub, path[-1])]
+        edges.extend((path[t], path[t + 1]) for t in range(len(path) - 1))
+        cycles.append(build_graph(n, edges))
+    return tuple(cycles)
+
+
+def _star_galaxy(k: int) -> tuple:
+    # galaxy i: the stars at i and i + k toward their next k - 1 vertices mod 2k;
+    # then the matching j, j + k
+    n = 2 * k
+    classes = []
+    for i in range(k):
+        edges = []
+        for t in range(1, k):
+            edges.append((i, (i + t) % n))
+            edges.append(((i + k) % n, (i + k + t) % n))
+        classes.append(build_graph(n, edges))
+    classes.append(build_graph(n, [(j, j + k) for j in range(k)]))
+    return tuple(classes)
+
+
+def test_color_formulas_give_the_loop_constructions():
+    # every k under the 64-vertex cap, class for class in color order
+    for k in range(1, 32):
+        assert walecki_decomposition(k) == _zigzag_walecki(k), k
+    for k in range(2, 33):
+        assert galaxy_cover(k) == _star_galaxy(k), k
+
+
+@pytest.mark.parametrize("family, colors, built", [("F3", "5", "walecki"),
+                                                    ("F5", "4", "walecki"),
+                                                    ("F4", "4", "galaxy")])
+def test_ramsey_builds_no_decomposition(monkeypatch, capsys, family, colors, built):
+    # a built witness is the construction's colors as they are: with every
+    # graph form of both constructions raising, the certificate keeps its bytes
+    argv = ["ramsey", "--family", family, "--colors", colors, "--deterministic"]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["stats"]["witness"] == built
+
+    def boom(*args, **kwargs):
+        raise AssertionError("decomposition built")
+
+    for mod in (factor_lab, cli, ramsey_search, certificates):
+        for name in ("walecki_decomposition", "galaxy_cover",
+                     "_verify_cycle_decomposition", "_verify_galaxy"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, boom)
+    assert run(argv) == 0
+    assert capsys.readouterr().out == out
 
 
 @pytest.mark.parametrize("build, n", [(walecki_decomposition, 2 * 10 ** 6 + 1),

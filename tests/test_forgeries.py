@@ -638,6 +638,19 @@ def test_witness_forgery_fails_its_check(tmp_path, capsys, name, check, edit):
     assert f"check {check}" in _rejected(tmp_path, capsys, cert)
 
 
+def test_claim51_edges_must_repeat_their_copy_lines(tmp_path, capsys):
+    # the four edges with joining vertex 1 leave their lines: the hypergraph
+    # stays 4-regular and simple, and (0,0,0,1) misses the line (1,1,1,0), so
+    # a matching of 2 exists where value 1 is claimed
+    assert run(["claim51", "--p", "2", "--m", "1", "--deterministic"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    head0, head1, *edges = cert["witness"]["hypergraph"].splitlines()
+    for i, e in zip((1, 3, 5, 7), ("0 0 0 1", "1 1 1 1", "0 0 1 1", "1 1 0 1")):
+        edges[i] = e
+    cert["witness"]["hypergraph"] = "\n".join([head0, head1, *edges]) + "\n"
+    assert "check copy-lines:" in _rejected(tmp_path, capsys, cert)
+
+
 # -- the command row: which outcomes a command prints, and which carry a value ------------
 
 _GOLDENS = {path.stem: json.loads(path.read_text(encoding="utf-8"))
