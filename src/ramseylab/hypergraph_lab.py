@@ -158,9 +158,11 @@ class MatchingResult:
 def max_matching(h: PartiteHypergraph, budget: int | None = None) -> MatchingResult:
     """Exact maximum matching by branch and bound.
 
-    Components are solved independently.  Within one, branch on the vertex of
-    minimum positive degree: try each incident edge, then exclusion; prune
-    when the per-part count of distinct live vertices cannot beat the best.
+    Components are solved independently.  Within one, a greedy clique cover
+    of the line graph with no more groups than the greedy matching has edges
+    settles it at the root.  Otherwise branch on the vertex of minimum
+    positive degree: try each incident edge, then exclusion; prune when the
+    per-part count of distinct live vertices cannot beat the best.
     The search order is fixed, so the witness and node count are too.
     """
     if h.m > MAX_MATCHING_EDGES:
@@ -243,6 +245,25 @@ def _greedy_matching(conflict: Sequence[int]) -> list[int]:
     return picked
 
 
+def _clique_cover(conflict: Sequence[int], stop: int) -> list[int]:
+    """Up to stop masks of edges that pairwise meet, covering the edges in
+    order: each group starts at the lowest edge left and takes, in turn, the
+    lowest edge left that meets every edge it holds.  A matching takes at
+    most one edge of a group, so a full cover bounds every matching."""
+    left = (1 << len(conflict)) - 1
+    groups = []
+    while left and len(groups) < stop:
+        group = 0
+        cand = left
+        while cand:
+            bit = cand & -cand
+            group |= bit
+            cand &= conflict[bit.bit_length() - 1] & ~bit
+        left &= ~group
+        groups.append(group)
+    return groups
+
+
 def _match_branch(verts: Sequence[Sequence[int]], starts: Sequence[int], comp: int,
                   bud: NodeBudget) -> list[int]:
     """A maximum matching of comp, one component of the line graph, by
@@ -252,15 +273,20 @@ def _match_branch(verts: Sequence[Sequence[int]], starts: Sequence[int], comp: i
     every degree is (through[v] & live).bit_count().  Nodes (live, size,
     chosen) go on an explicit stack, children in reverse, so the search is
     depth first: each edge through v in index order, then v unmatched.
-    That order fixes the node count that certificates record."""
+    That order fixes the node count that certificates record.  When the
+    greedy matching has as many edges as a clique cover of the line graph
+    has groups, it is maximum, and the root is the only node."""
     edges = _bits(comp)
     ids = sorted({w for j in edges for w in verts[j]})
     index = {w: v for v, w in enumerate(ids)}
     through, conflict = _masks([[index[w] for w in verts[j]] for j in edges], len(ids))
-    cuts = [bisect_left(ids, s) for s in starts]
-    parts = list(zip(cuts, cuts[1:]))
     best = _greedy_matching(conflict)
     best_size = len(best)
+    if len(_clique_cover(conflict, best_size + 1)) == best_size:
+        bud.tick()
+        return [edges[t] for t in best]
+    cuts = [bisect_left(ids, s) for s in starts]
+    parts = list(zip(cuts, cuts[1:]))
     stack: list[tuple[int, int, tuple | None]] = [((1 << len(edges)) - 1, 0, None)]
     while stack:
         live, size, chosen = stack.pop()

@@ -15,9 +15,18 @@ from ramseylab.cli import COMMANDS, run
 from ramseylab.errors import VerificationError
 from ramseylab.factor_lab import PROPER, random_factor
 from ramseylab.graph_core import graph_to_text, path_graph
-from ramseylab.hypergraph_lab import factors_to_hypergraph, hypergraph_to_text
+from ramseylab.hypergraph_lab import (
+    _clique_cover,
+    _greedy_matching,
+    _masks,
+    _vertex_ids,
+    factors_to_hypergraph,
+    hypergraph_from_text,
+    hypergraph_to_text,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+FIXTURES = Path(__file__).resolve().parents[1] / "bench" / "fixtures"
 
 
 def _invoke(capsys, argv):
@@ -198,6 +207,26 @@ def _long_path_file(tmp_path, n: int) -> str:
     return str(path)
 
 
+def _cover_and_greedy(path: str) -> tuple[int, int]:
+    """The groups of the full clique cover of the line graph, and the edges of
+    the greedy matching."""
+    h = hypergraph_from_text(Path(path).read_text(encoding="utf-8"))
+    verts, starts = _vertex_ids(h)
+    conflict = _masks(verts, starts[-1])[1]
+    return len(_clique_cover(conflict, h.m)), len(_greedy_matching(conflict))
+
+
+@pytest.mark.parametrize("name, value", [("claim51-p2-m3", 3), ("claim51-p3-m2", 2)])
+@pytest.mark.parametrize("budget", [[], ["--budget", "1"]], ids=["default", "budget-1"])
+def test_match_on_claim51_settles_at_the_root(capsys, name, value, budget):
+    # each copy's edges pairwise meet, so the clique cover has as many groups
+    # as the greedy matching has edges, and one node proves it maximum
+    hpath = str(FIXTURES / f"{name}.txt")
+    assert _cover_and_greedy(hpath) == (value, value)
+    cert = _invoke_cert(capsys, ["match", "--hypergraph", hpath, "--deterministic", *budget])
+    assert (cert["outcome"], cert["value"], cert["stats"]["nodes"]) == ("VALUE", value, 1)
+
+
 def test_match_budget_exhaustion_is_unknown(tmp_path, capsys):
     hpath = _hypergraph_file(tmp_path, r=3, n=12)
     code, out, _ = _invoke(capsys, ["match", "--hypergraph", hpath, "--budget", "1"])
@@ -217,14 +246,18 @@ def test_match_budget_exhaustion_keeps_the_proven_bound(tmp_path, capsys):
 
 
 def test_match_on_a_long_path_needs_no_recursion(tmp_path, capsys):
-    cert = _invoke_cert(capsys, ["match", "--hypergraph", _long_path_file(tmp_path, 1500)])
+    hpath = _long_path_file(tmp_path, 1500)
+    # the cover's 1,500 groups beat the greedy 1,499 edges, so the search runs
+    assert _cover_and_greedy(hpath) == (1500, 1499)
+    cert = _invoke_cert(capsys, ["match", "--hypergraph", hpath])
     assert cert["value"] == 1500 and cert["verified"] is True
     assert cert["stats"]["nodes"] == 3001
 
 
 def test_match_on_a_path_searches_once_under_deterministic(tmp_path, capsys):
-    cert = _invoke_cert(capsys, ["match", "--hypergraph", _long_path_file(tmp_path, 500),
-                                 "--deterministic"])
+    hpath = _long_path_file(tmp_path, 500)
+    assert _cover_and_greedy(hpath) == (500, 499)  # not tight: the search runs
+    cert = _invoke_cert(capsys, ["match", "--hypergraph", hpath, "--deterministic"])
     assert (cert["value"], cert["stats"]["nodes"]) == (500, 1001)
     assert cert["witness"]["matching"] == list(range(499, 999))
 

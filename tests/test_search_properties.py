@@ -18,7 +18,15 @@ from hypothesis import strategies as st
 
 from ramseylab.factor_lab import max_coverable_edges
 from ramseylab.graph_core import NodeBudget, _exact_k_coloring, build_graph, chromatic_number
-from ramseylab.hypergraph_lab import make_hypergraph, max_matching
+from ramseylab.extremal import claim51_hypergraph, truncated_plane
+from ramseylab.hypergraph_lab import (
+    _clique_cover,
+    _masks,
+    _vertex_ids,
+    disjoint_copies,
+    make_hypergraph,
+    max_matching,
+)
 from ramseylab.ramsey_search import mono_free_search, parse_family
 
 
@@ -117,6 +125,37 @@ def test_max_matching_is_the_largest_disjoint_subset(hypergraph):
     assert res.size == _brute_matching(edges) == len(res.witness)
     picked = [edges[j] for j in res.witness]
     assert all(len(set(col)) == len(picked) for col in zip(*picked))
+
+
+def _plane(p: int) -> tuple[list[int], list[tuple[int, ...]]]:
+    h = truncated_plane(p)
+    return list(h.part_sizes), list(h.edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hypergraphs)
+# every two edges meet, and no vertex lies on all of them
+@example(_plane(2))
+@example(_plane(3))
+def test_clique_cover_groups_pairwise_meet_and_bound_every_matching(hypergraph):
+    sizes, edges = hypergraph
+    verts, starts = _vertex_ids(make_hypergraph(sizes, edges))
+    groups = _clique_cover(_masks(verts, starts[-1])[1], len(edges))
+    assert sorted(j for g in groups for j in range(len(edges)) if g >> j & 1) == \
+        list(range(len(edges)))
+    assert len(groups) >= _brute_matching(edges)
+    for g in groups:
+        members = [edges[j] for j in range(len(edges)) if g >> j & 1]
+        assert all(any(x == y for x, y in zip(a, b)) for a, b in combinations(members, 2))
+
+
+def test_a_tight_clique_cover_settles_each_component_at_its_root():
+    # claim51 with p = 2, m = 1 is one group of pairwise meeting edges
+    for copies in (1, 2, 5):
+        res = max_matching(disjoint_copies(claim51_hypergraph(2, 1), copies))
+        assert (res.size, res.nodes) == (copies, copies)
+    for p in (2, 3):
+        assert max_matching(truncated_plane(p)).nodes == 1
 
 
 def _contains(n: int, edges: list[tuple[int, int]], token: str) -> bool:
