@@ -1,8 +1,9 @@
 """Certificate documents: one JSON object per command run, re-checkable later.
 
-A certificate records the command, its parameter map, the outcome (EXISTS,
-NOT_EXISTS, VALUE, UNKNOWN), a witness payload in the text formats, search
-statistics, the tool version, and the delta0 threshold in force.  The
+A certificate records the schema, the tool and its version, the command,
+its parameter map, the outcome (EXISTS, NOT_EXISTS, VALUE, UNKNOWN), the
+value, a witness payload in the text formats, and search statistics; a file
+is recorded as the witness text read from it, never as its path.  The
 per-command checks re-check a certificate strictly from its payload:
 witnesses are re-validated, deterministic formulas are recomputed, but
 searches are never re-run, so refutations are vouched for by their exhaustion
@@ -42,7 +43,6 @@ from .factor_lab import (
     COVER_SCHEME,
     DECOMP_SCHEME,
     DECOMPOSITION,
-    DEFAULT_DELTA0,
     GENERALIZED,
     MAX_COVER_N,
     MAX_COVERABLE_N,
@@ -69,7 +69,7 @@ from .extremal import (
     ach_bound,
 )
 
-SCHEMA = 1
+SCHEMA = 2
 TOOL = "ramseylab"
 OUTCOMES = ("EXISTS", "NOT_EXISTS", "VALUE", "UNKNOWN")
 
@@ -89,8 +89,6 @@ def make_certificate(command: str, parameters: Mapping[str, Any], outcome: str, 
         "value": value,
         "witness": dict(witness) if witness is not None else None,
         "stats": dict(stats) if stats is not None else {},
-        "delta0": parameters.get("delta0", DEFAULT_DELTA0),
-        "verified": False,
     }
 
 
@@ -99,7 +97,7 @@ def certificate_to_json(cert: Mapping[str, Any]) -> str:
 
 
 _REQUIRED_KEYS = ("schema", "tool", "version", "command", "parameters",
-                  "outcome", "stats", "delta0")
+                  "outcome", "stats")
 
 
 def parse_certificate(text: str) -> dict:
@@ -167,10 +165,6 @@ def _family(params: Mapping[str, Any]) -> ForbiddenFamily:
     return parse_family(spec)
 
 
-def _delta0(params: Mapping[str, Any]) -> int:
-    return _int(params, "delta0", _PARAMS) if "delta0" in params else DEFAULT_DELTA0
-
-
 def _graph_payload(payload: Mapping[str, Any] | None, key: str = "graph") -> Graph:
     return graph_from_text(_text(payload, key))
 
@@ -223,7 +217,7 @@ def _verify_coloring(g: Graph, witness, value, stats, outcome) -> None:
 
 def _source_graph(params, witness) -> Graph:
     """The witness graph, which must be the generated graph its parameters
-    name; a graph file is not bound, since it may be gone by now."""
+    name; a graph read from a file is the witness alone, and no path is kept."""
     g = _graph_payload(witness)
     for key, generate in GENERATORS.items():
         if key in params:
@@ -319,8 +313,7 @@ def _vf_ramsey(params, value, witness, stats, outcome):
 def _vf_closed_form(params, value, witness, stats, outcome):
     fam = _family(params)
     k = _int(params, "colors", _PARAMS)
-    delta0 = _delta0(params)
-    form = closed_form_c_k(fam, k, delta0=delta0)
+    form = closed_form_c_k(fam, k, delta0=_int(params, "delta0", _PARAMS))
     if outcome == "UNKNOWN":
         if form is not None:
             raise VerificationError("formula-none",
@@ -395,8 +388,7 @@ def _vf_k11(params, value, witness, stats, outcome):
 
 def _vf_chi_r(params, value, witness, stats, outcome):
     r = _int(params, "r", _PARAMS)
-    delta0 = _delta0(params)
-    rep = chi_r_report(r, delta0=delta0)
+    rep = chi_r_report(r, delta0=_int(params, "delta0", _PARAMS))
     claimed = _need(witness, "report")
     if claimed != asdict(rep):
         raise VerificationError("report-fields", "recomputed report differs")

@@ -68,7 +68,7 @@ from .factor_lab import random_factor
 from .certificates import (
     _vf_ach, _vf_bijection, _vf_chi, _vf_chi_r, _vf_claim51, _vf_clique, _vf_closed_form,
     _vf_core, _vf_cover, _vf_galaxy, _vf_k11, _vf_line_chi, _vf_match, _vf_max_cover,
-    _vf_plane, _vf_ramsey, _vf_truncated_plane, _vf_walecki, _delta0, _int,
+    _vf_plane, _vf_ramsey, _vf_truncated_plane, _vf_walecki, _int,
     certificate_to_json, make_certificate, parse_certificate,
 )
 
@@ -83,7 +83,6 @@ def _read_text(path: str) -> str:
 
 def _load_graph(args, params: dict[str, Any]) -> Graph:
     if args.graph is not None:
-        params["graph"] = args.graph
         return graph_from_text(_read_text(args.graph))
     key = next(key for key in GENERATORS if getattr(args, key) is not None)
     params[key] = getattr(args, key)
@@ -91,8 +90,9 @@ def _load_graph(args, params: dict[str, Any]) -> Graph:
 
 
 # Each handler fills `params` before it starts a search, so that a search cut
-# short by its budget certifies the same parameters as a finished one, and
-# returns (outcome, value, witness, stats).
+# short by its budget certifies the same parameters as a finished one (a
+# `ramsey` cut adds its cap), and returns (outcome, value, witness, stats).
+# No file path is recorded: the witness carries what was read from the file.
 
 
 def _cut(exc: BudgetExceededError, witness: dict, **proof):
@@ -138,11 +138,13 @@ def _run_core(args, params):
 
 def _run_ramsey(args, params):
     fam = parse_family(args.family)
-    params.update(family=fam.spec(), colors=args.colors, cap=args.cap)
+    params.update(family=fam.spec(), colors=args.colors)
     try:
         res = compute_c_k(fam, args.colors, cap=args.cap, budget=args.budget)
     except BudgetExceededError as exc:
-        # a scan stopped by its cap or budget still certifies K_lower's coloring
+        # a scan stopped by its cap or budget still certifies K_lower's
+        # coloring, below the cap that check lower-witness compares it with
+        params["cap"] = args.cap
         return _cut(exc, {}, n=exc.partial["lower"],
                     assignment=list(exc.partial["witness"].assignment))
     witness = {"n": res.value, "assignment": list(res.witness.assignment)}
@@ -219,16 +221,14 @@ def _run_chi_r(args, params):
 
 def _run_bijection(args, params):
     if args.hypergraph is not None:
-        params["hypergraph"] = args.hypergraph
         factors = hypergraph_to_factors(hypergraph_from_text(_read_text(args.hypergraph)))
     else:
         r, n = args.random
         if r < 1 or n < 1:
             raise ValidationError("OUT_OF_RANGE", "need r >= 1 and n >= 1")
-        params.update(random=[r, n], seed=args.seed)
         factors = [random_factor(3 * n, PROPER, seed=args.seed + i) for i in range(r)]
-    # canonical hypergraph of these factors; the certificate check re-derives
-    # it and the line-graph identity
+    # the factors and their canonical hypergraph are the claim, which the
+    # certificate check re-derives; how the factors were drawn is not recorded
     h = factors_to_hypergraph(factors)
     witness = {"hypergraph": hypergraph_to_text(h),
                "factors": [graph_to_text(g) for g in factors]}
@@ -236,7 +236,6 @@ def _run_bijection(args, params):
 
 
 def _run_match(args, params):
-    params["hypergraph"] = args.hypergraph
     h = hypergraph_from_text(_read_text(args.hypergraph))
     witness = {"hypergraph": hypergraph_to_text(h)}
     try:
@@ -247,7 +246,6 @@ def _run_match(args, params):
 
 
 def _run_line_chi(args, params):
-    params["hypergraph"] = args.hypergraph
     h = hypergraph_from_text(_read_text(args.hypergraph))
     return _colored(line_graph(h), args.budget, {"hypergraph": hypergraph_to_text(h)})
 
@@ -431,11 +429,10 @@ def verify_certificate(cert: Mapping[str, Any]) -> bool:
     """Re-check a parsed certificate from its payload alone: an outcome its
     row lists, an integer value exactly where the row says so, a witness for
     EXISTS, VALUE and an UNKNOWN whose stats claim a lower or upper bound and
-    none for NOT_EXISTS, only the bounds the row lets its UNKNOWN carry, the
-    delta0 its parameters put in force, then the row's check.  A cut with a
-    witness is checked as the VALUE of its lower bound.  Returns True; raises
-    VerificationError naming the first violated check, or ParseError for
-    structurally unusable payloads."""
+    none for NOT_EXISTS, only the bounds the row lets its UNKNOWN carry, then
+    the row's check.  A cut with a witness is checked as the VALUE of its
+    lower bound.  Returns True; raises VerificationError naming the first
+    violated check, or ParseError for structurally unusable payloads."""
     command, outcome = cert["command"], cert["outcome"]
     if not isinstance(command, str) or command not in COMMANDS:
         raise ParseError(f"unknown command {command!r}")
@@ -458,8 +455,6 @@ def verify_certificate(cert: Mapping[str, Any]) -> bool:
         raise VerificationError("bounds", f"{outcome} of {command} carries no {min(extra)}")
     if outcome == "UNKNOWN" and witness is not None and row.bounds:
         value = _int(cert["stats"], "lower", "stats")
-    if cert["delta0"] != _delta0(cert["parameters"]):
-        raise VerificationError("delta0", "delta0 differs from the one its parameters set")
     row.check(cert["parameters"], value, witness, cert["stats"], outcome)
     return True
 
@@ -499,7 +494,6 @@ def run(argv: list[str]) -> int:
         verify_certificate(cert)
     except _CODED as exc:
         return _error(exc)
-    cert["verified"] = True
     sys.stdout.write(certificate_to_json(cert))
     return 0 if outcome != "UNKNOWN" else 2
 

@@ -30,7 +30,7 @@ def _chi_cert(value=3, colors=(0, 1, 2, 0, 1)):
 def test_make_certificate_shape():
     cert = _chi_cert()
     assert cert["schema"] == SCHEMA and cert["tool"] == TOOL
-    assert cert["version"] == VERSION and cert["verified"] is False
+    assert cert["version"] == VERSION
     assert cert["outcome"] in OUTCOMES
     with pytest.raises(ValidationError):
         make_certificate("chi", {}, "MAYBE")
@@ -56,7 +56,8 @@ def test_parse_certificate_errors():
     for mutate in (
         lambda c: c.pop("schema"),
         lambda c: c.pop("outcome"),
-        lambda c: c.update(schema=2),
+        lambda c: c.update(schema=SCHEMA + 1),
+        lambda c: c.update(schema=1),
         lambda c: c.update(outcome="MAYBE"),
         lambda c: c.update(parameters=[1]),
     ):
@@ -88,11 +89,6 @@ def test_verify_command_must_be_a_name():
         cert["command"] = command
         with pytest.raises(ParseError):
             verify_certificate(cert)
-
-
-def test_certificate_delta0_comes_from_the_parameters():
-    assert make_certificate("chi-r", {"r": 4, "delta0": 7}, "UNKNOWN")["delta0"] == 7
-    assert make_certificate("chi", {}, "UNKNOWN")["delta0"] == DEFAULT_DELTA0
 
 
 def test_verify_chi_accepts_and_rejects():
@@ -147,7 +143,7 @@ def test_verify_chi_r_report():
 
 
 def test_verify_closed_form_consistency():
-    params = {"family": "F3", "colors": 4}
+    params = {"family": "F3", "colors": 4, "delta0": DEFAULT_DELTA0}
     witness = {"value": 9, "asymptotic": False, "conditional": False, "note": ""}
     cert = make_certificate("closed-form", params, "VALUE", value=9, witness=witness)
     assert verify_certificate(cert)
@@ -160,5 +156,9 @@ def test_verify_closed_form_consistency():
     with pytest.raises(VerificationError) as exc:
         verify_certificate(sneaky)
     assert exc.value.check == "formula-none"
-    assert verify_certificate(
-        make_certificate("closed-form", {"family": "F1", "colors": 3}, "UNKNOWN"))
+    f1 = {"family": "F1", "colors": 3, "delta0": DEFAULT_DELTA0}
+    assert verify_certificate(make_certificate("closed-form", f1, "UNKNOWN"))
+    # the command always records delta0, so a certificate without it has no default
+    f1.pop("delta0")
+    with pytest.raises(ParseError):
+        verify_certificate(make_certificate("closed-form", f1, "UNKNOWN"))

@@ -41,6 +41,13 @@ def _invoke_cert(capsys, argv):
     return json.loads(out)
 
 
+def _verifies(tmp_path, capsys, cert) -> bool:
+    """Whether `verify` prints true for the certificate, saved as printed."""
+    path = tmp_path / "saved.json"
+    path.write_text(json.dumps(cert, sort_keys=True, indent=2) + "\n")
+    return _invoke(capsys, ["verify", str(path)])[:2] == (0, "true\n")
+
+
 def _hypergraph_file(tmp_path, r: int = 2, n: int = 9, name: str = "h.txt"):
     factors = [random_factor(n, PROPER, seed=7 * r + i) for i in range(r)]
     h = factors_to_hypergraph(factors)
@@ -82,7 +89,6 @@ def test_certificate_round_trips(tmp_path, capsys):
     ]
     for i, argv in enumerate(batteries):
         cert = _invoke_cert(capsys, argv)
-        assert cert["verified"] is True
         assert cert["command"] == argv[0]
         assert cert["outcome"] in ("EXISTS", "NOT_EXISTS", "VALUE")
         saved = tmp_path / f"cert{i}.json"
@@ -178,7 +184,7 @@ def test_ramsey_scan_stops_at_64_vertices_past_the_cap(tmp_path, capsys):
 def test_ramsey_built_witness_certificate(tmp_path, capsys):
     cert = _invoke_cert(capsys, ["ramsey", "--family", "F3", "--colors", "20", "--cap", "64",
                                  "--deterministic"])
-    assert cert["value"] == 41 and cert["verified"] is True
+    assert cert["value"] == 41
     assert cert["stats"] == {"elapsed_ms": 0, "refutation": "counting", "refutation_nodes": 0,
                              "witness": "walecki", "witness_nodes": 0}
     path = tmp_path / "cert.json"
@@ -250,8 +256,9 @@ def test_match_on_a_long_path_needs_no_recursion(tmp_path, capsys):
     # the cover's 1,500 groups beat the greedy 1,499 edges, so the search runs
     assert _cover_and_greedy(hpath) == (1500, 1499)
     cert = _invoke_cert(capsys, ["match", "--hypergraph", hpath])
-    assert cert["value"] == 1500 and cert["verified"] is True
+    assert cert["value"] == 1500
     assert cert["stats"]["nodes"] == 3001
+    assert _verifies(tmp_path, capsys, cert)
 
 
 def test_match_on_a_path_searches_once_under_deterministic(tmp_path, capsys):
@@ -262,12 +269,13 @@ def test_match_on_a_path_searches_once_under_deterministic(tmp_path, capsys):
     assert cert["witness"]["matching"] == list(range(499, 999))
 
 
-def test_search_budget_exhaustion_is_unknown(capsys):
+def test_search_budget_exhaustion_is_unknown(tmp_path, capsys):
     code, out, _ = _invoke(capsys, ["chi", "--complete", "13", "--budget", "5"])
     assert code == 2
     cert = json.loads(out)
-    assert cert["outcome"] == "UNKNOWN" and cert["verified"] is True
+    assert cert["outcome"] == "UNKNOWN"
     assert cert["stats"]["lower"] <= cert["stats"]["upper"]
+    assert _verifies(tmp_path, capsys, cert)
 
 
 # -- validation and usage failures exit 1 ------------------------------------------------
@@ -405,11 +413,12 @@ def test_verify_rechecks_a_counting_refutation(tmp_path, capsys):
         assert code == 1 and out == "" and "counting-refutation" in err, refutation
 
 
-def test_proper_decomposition_refutation(capsys):
+def test_proper_decomposition_refutation(tmp_path, capsys):
     cert = _invoke_cert(capsys, ["cover", "--n", "9", "--r", "5", "--proper",
                                  "--decomposition", "--deterministic"])
-    assert cert["outcome"] == "NOT_EXISTS" and cert["verified"] is True
+    assert cert["outcome"] == "NOT_EXISTS"
     assert cert["stats"]["nodes"] == 86
+    assert _verifies(tmp_path, capsys, cert)
 
 
 def test_usage_errors(capsys):
@@ -465,11 +474,12 @@ def test_deterministic_output_is_byte_stable(capsys):
 
 
 @pytest.mark.parametrize("d", [9, 20, 40])
-def test_ach_is_certified_without_a_search(capsys, d):
+def test_ach_is_certified_without_a_search(tmp_path, capsys, d):
     cert = _invoke_cert(capsys, ["ach", "--d", str(d), "--deterministic"])
-    assert (cert["outcome"], cert["value"], cert["verified"]) == ("EXISTS", d, True)
+    assert (cert["outcome"], cert["value"]) == ("EXISTS", d)
     assert cert["stats"] == {"elapsed_ms": 0}
     assert len(cert["witness"]["matching"]) == d
+    assert _verifies(tmp_path, capsys, cert)
 
 
 def test_deterministic_bijection_seeded(capsys):
@@ -559,6 +569,17 @@ def test_python_dash_m_verifies_and_exits_with_the_run_code():
     assert b"required: command" in proc.stderr
 
 
+def test_verify_rejects_a_schema_1_certificate(tmp_path):
+    # schema 1 also wrote a top-level delta0 and verified; a coded error, no traceback
+    cert = json.loads((GOLDEN / "ramsey.json").read_text(encoding="utf-8"))
+    cert.update(schema=1, delta0=50_000_000_000_000, verified=True)
+    path = tmp_path / "schema1.json"
+    path.write_text(json.dumps(cert, sort_keys=True, indent=2) + "\n")
+    proc = _python("-m", "ramseylab", "verify", str(path))
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == b"error [PARSE_ERROR]: unsupported schema 1\n"
+
+
 @pytest.mark.parametrize("module", ["errors", "graph_core", "ramsey_search", "factor_lab",
                                     "hypergraph_lab", "extremal", "certificates", "cli"])
 def test_each_module_imports_alone(module):
@@ -610,7 +631,7 @@ def test_budget_exhausted_certificate(tmp_path, capsys, argv, parameters, proven
     code, out, _ = _invoke(capsys, argv + ["--deterministic"])
     assert code == 2
     cert = json.loads(out)
-    assert cert["outcome"] == "UNKNOWN" and cert["verified"] is True
+    assert cert["outcome"] == "UNKNOWN"
     assert cert["parameters"] == parameters
     assert cert["stats"]["elapsed_ms"] == 0
     assert proven.items() <= cert["stats"].items()
@@ -627,7 +648,7 @@ def test_colouring_budget_cut_certifies_its_greedy_colouring(tmp_path, capsys):
                                     "--budget", "1", "--deterministic"])
     assert code == 2
     cert = json.loads(out)
-    assert cert["outcome"] == "UNKNOWN" and cert["verified"] is True
+    assert cert["outcome"] == "UNKNOWN"
     assert len(set(cert["witness"]["colors"])) == cert["stats"]["upper"]
     saved = tmp_path / "unknown.json"
     saved.write_text(out)

@@ -1,9 +1,10 @@
 """Golden `--deterministic` certificates, compared byte for byte.
 
 Every case runs from inside ``tests/golden`` and names its input files by
-relative path, because the path string is written into ``parameters``.
-Regenerate the files with ``PYTHONPATH=src python tests/test_golden.py``
-only when a change of output is intended.
+relative path, so that it reads the same files wherever the suite runs; no
+path is written into a certificate.  Regenerate the files with
+``PYTHONPATH=src python tests/test_golden.py`` only when a change of output
+is intended.
 """
 
 from __future__ import annotations
@@ -110,6 +111,16 @@ def test_deterministic_changes_only_elapsed_ms(name, monkeypatch):
         GOLDEN / f"{name}.json").read_text(encoding="utf-8"), err
 
 
+def test_golden_top_level_fields_are_schema_2():
+    # the field-edit test below edits only parameters and witness, so the
+    # top level is pinned here to the nine fields of schema 2
+    fields = {"schema", "tool", "version", "command", "parameters", "outcome", "value",
+              "witness", "stats"}
+    for name in sorted(CASES):
+        cert = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+        assert set(cert) == fields and cert["schema"] == certificates.SCHEMA == 2, name
+
+
 def test_one_command_table():
     assert len(cli.COMMANDS) == 18
     assert {argv[0] for argv in CASES.values()} == set(cli.COMMANDS)
@@ -187,24 +198,22 @@ def test_verify_never_raises_on_mutated_goldens(tmp_path, monkeypatch):
                 code == 1 and out == "" and err.startswith("error [")), (name, where, value, err)
 
 
-_FILE = "a file path: the file may be gone when verify runs"
 _CAP = "a search limit, not part of the claim"
 _TRUE = "the edited claim is true as well"
 _TRUSTED = "a refutation by search, taken on trust (ROADMAP item 2)"
 _NO_CLAIM = "an UNKNOWN with no witness claims nothing"
-_OPEN = "not yet bound: verify does not regenerate the random factors"
 # (golden, part, key) -> why one edit of the field leaves a certificate that
 # still verifies
 _UNBOUND: dict[tuple[str, str, str], str] = {
-    **{(name, "parameters", key): _FILE for name, key in (
-        ("bijection", "hypergraph"), ("chi", "graph"), ("chi-mycielski", "graph"),
-        ("chromatic-index", "hypergraph"), ("clique", "graph"), ("core", "graph"),
-        ("match", "hypergraph"), ("match-cut", "hypergraph"))},
-    **{(name, "parameters", "cap"): _CAP for name in CASES if CASES[name][0] == "ramsey"},
+    # a higher cap still lies above the witness, which check lower-witness compares it with
+    ("ramsey-cap", "parameters", "cap"): _CAP,
     ("closed-form-match2-s3", "parameters", "colors"): _TRUE,
     ("closed-form-path2", "parameters", "colors"): _TRUE,
     ("core-star", "parameters", "d"): _TRUE,
     ("ramsey-cap", "parameters", "colors"): _TRUE,
+    # delta0 moves only F6's form, and F6's at k = 3 not at all
+    **{(name, "parameters", "delta0"): _TRUE for name in (
+        "closed-form", "closed-form-match2-s3", "closed-form-path2", "closed-form-unknown")},
     ("cover-decomposition-cap", "parameters", "n"): _NO_CLAIM,
     ("cover-decomposition-cap", "parameters", "r"): _NO_CLAIM,
     ("cover-refuted", "parameters", "n"): _TRUSTED,
@@ -213,8 +222,6 @@ _UNBOUND: dict[tuple[str, str, str], str] = {
     ("cover-proper-refuted", "parameters", "r"): _TRUSTED,
     # the edit claims c_3(F6) = 3, which is false: chi-r --r 3 proves c_3(F6) >= 5
     ("ramsey-p4-s3", "parameters", "colors"): _TRUSTED,
-    ("bijection-random", "parameters", "random"): _OPEN,
-    ("bijection-random", "parameters", "seed"): _OPEN,
 }
 
 
