@@ -92,26 +92,66 @@ def make_certificate(command: str, parameters: Mapping[str, Any], outcome: str, 
     }
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _encode(val: Any, indent: str) -> str:
+    """`val` as `json.dumps(val, sort_keys=True, indent=2)` writes it, where
+    `indent` is a newline and the indentation of the line `val` starts on."""
+    if isinstance(val, str):
+        return _escape(val)
+    if val is None:
+        return "null"
+    if val is True:
+        return "true"
+    if val is False:
+        return "false"
+    if isinstance(val, int):
+        return int.__repr__(val)
+    inner = indent + "  "
+    sep = "," + inner
+    if isinstance(val, (list, tuple)):
+        if not val:
+            return "[]"
+        # a list of plain ints is one join; a bool among them is written true or false
+        items = (map(str, val) if {*map(type, val)} == {int}
+                 else [_encode(item, inner) for item in val])
+        return "[" + inner + sep.join(items) + indent + "]"
+    if isinstance(val, dict):
+        if not val:
+            return "{}"
+        return "{" + inner + sep.join([_escape(key) + ": " + _encode(item, inner)
+                                       for key, item in sorted(val.items())]) + indent + "}"
+    raise TypeError(f"Object of type {type(val).__name__} is not JSON serializable")
+
+
 def certificate_to_json(cert: Mapping[str, Any]) -> str:
-    return json.dumps(cert, sort_keys=True, indent=2) + "\n"
+    """The bytes of `json.dumps(cert, sort_keys=True, indent=2)` and a newline,
+    written without the pure-Python encoder that `indent` selects: keys
+    sorted, two-space indent, strings escaped to ASCII.  A float or a key
+    that is not a string raises TypeError."""
+    return _encode(cert, "\n") + "\n"
 
 
-_REQUIRED_KEYS = ("schema", "tool", "version", "command", "parameters",
-                  "outcome", "stats")
+_FIELDS = ("schema", "tool", "version", "command", "parameters", "outcome", "value",
+           "witness", "stats")
 
 
 def parse_certificate(text: str) -> dict:
+    """A certificate with exactly the nine top-level fields of its schema."""
     try:
         cert = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from None
     if not isinstance(cert, dict):
         raise ParseError("certificate must be a JSON object")
-    for key in _REQUIRED_KEYS:
+    for key in _FIELDS:
         if key not in cert:
             raise ParseError(f"missing certificate field {key!r}")
     if cert["schema"] != SCHEMA:
         raise ParseError(f"unsupported schema {cert['schema']!r}")
+    if len(cert) != len(_FIELDS):
+        raise ParseError(f"unknown certificate field {min(cert.keys() - set(_FIELDS))!r}")
     if cert["outcome"] not in OUTCOMES:
         raise ParseError(f"unknown outcome {cert['outcome']!r}")
     if not isinstance(cert["parameters"], dict) or not isinstance(cert["stats"], dict):

@@ -401,7 +401,8 @@ def _add_options(parser, options) -> None:
 def _build_parser() -> argparse.ArgumentParser:
     """The parser of every command, built on the first `run()` and shared
     by the later ones: each parse makes a fresh Namespace, and argparse looks
-    up sys.stdout and sys.stderr only when it prints."""
+    up sys.stdout and sys.stderr only when it prints.  Its `commands` maps
+    each command name, `verify` included, to the command's own subparser."""
     top = argparse.ArgumentParser(prog="ramseylab",
                                   description="searches, constructions, and "
                                               "certificates for small Ramsey-type"
@@ -411,7 +412,24 @@ def _build_parser() -> argparse.ArgumentParser:
         _add_options(subs.add_parser(name, help=cmd.help), cmd.options + (_DETERMINISTIC,))
     sp = subs.add_parser("verify", help="re-check a saved certificate")
     sp.add_argument("certificate", metavar="PATH")
+    top.commands = subs.choices
     return top
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The Namespace the top-level parser makes of argv, or its SystemExit.
+    A command's arguments go straight to the command's subparser, which is
+    what the top level runs on them too; an argv without a command name first,
+    and any argument that subparser leaves over, go to the top level, so that
+    help and every usage error print what they always print."""
+    top = _build_parser()
+    sub = top.commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return top.parse_args(argv)
 
 
 # the errors a run reports as a coded message and exit 1
@@ -436,7 +454,7 @@ def verify_certificate(cert: Mapping[str, Any]) -> bool:
     command, outcome = cert["command"], cert["outcome"]
     if not isinstance(command, str) or command not in COMMANDS:
         raise ParseError(f"unknown command {command!r}")
-    row, value, witness = COMMANDS[command], cert.get("value"), cert.get("witness")
+    row, value, witness = COMMANDS[command], cert["value"], cert["witness"]
     if outcome not in row.outcomes:
         raise VerificationError("outcome", f"{command} never prints {outcome}")
     valued = row.outcomes[outcome]
@@ -469,8 +487,12 @@ def _run_verify(path: str) -> int:
 
 
 def run(argv: list[str]) -> int:
+    """Run one command line and return its exit code: 0 for a definitive
+    certificate (or help, or `verify` printing true), 2 for UNKNOWN, 1 for a
+    usage or coded error.  The certificate is self-verified, then written as
+    `certificate_to_json` writes it."""
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     if args.command == "verify":

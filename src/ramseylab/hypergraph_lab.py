@@ -340,7 +340,7 @@ def hypergraph_from_text(text: str) -> PartiteHypergraph:
     try:
         r = int(lines[0])
         sizes = [int(tok) for tok in lines[1].split()]
-        edges = [tuple(int(tok) for tok in ln.split()) for ln in lines[2:]]
+        edges = [tuple(map(int, ln.split())) for ln in lines[2:]]
     except ValueError as exc:
         raise ParseError(f"non-integer token: {exc}") from None
     if r != len(sizes):

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramseylab.cli import verify_certificate
 from ramseylab.certificates import (
@@ -19,6 +22,8 @@ from ramseylab.certificates import (
 from ramseylab.errors import ParseError, ValidationError, VerificationError
 from ramseylab.graph_core import complete_graph, cycle_graph, graph_to_text
 from ramseylab.factor_lab import COVER_SCHEME, DEFAULT_DELTA0
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _chi_cert(value=3, colors=(0, 1, 2, 0, 1)):
@@ -45,6 +50,39 @@ def test_json_round_trip_and_stability():
     keys = [ln.split('"')[1] for ln in text.splitlines()
             if ln.startswith('  "')]
     assert keys == sorted(keys)
+
+
+def test_every_golden_re_encodes_to_its_bytes():
+    paths = sorted(GOLDEN.glob("*.json"))
+    assert len(paths) == 49
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        assert certificate_to_json(json.loads(text)) == text, path.name
+
+
+# quotes, backslashes, control characters and non-ASCII text, among any others
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2603\U0001d11e'),
+                          st.characters()), max_size=6)
+_INTS = st.one_of(st.integers(-3, 3), st.integers(-2 ** 80, 2 ** 80))
+_SCALARS = st.one_of(_INTS, st.booleans(), st.none(), _TEXT)
+_VALUES = st.recursive(
+    st.one_of(_SCALARS, st.lists(_INTS, max_size=5), st.lists(st.one_of(_INTS, st.booleans()))),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(_TEXT, _VALUES, max_size=6))
+def test_certificate_to_json_writes_what_json_dumps_writes(cert):
+    assert certificate_to_json(cert) == json.dumps(cert, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("cert", [{"a": 1.5}, {"a": [1, 2.0]}, {"a": {"b": [0.5]}},
+                                  {1: "x"}, {"a": {2: 1}}, {"a": [{3: None}]}])
+def test_certificate_to_json_rejects_floats_and_non_string_keys(cert):
+    with pytest.raises(TypeError):
+        certificate_to_json(cert)
 
 
 def test_parse_certificate_errors():

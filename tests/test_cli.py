@@ -502,12 +502,14 @@ def test_help_for_every_command(capsys):
         assert _invoke(capsys, [name, "--help"])[0] == 0, name
 
 
-def _fresh_parser_output(capsys, argv):
-    """What a newly built parser prints for argv before it exits."""
-    with pytest.raises(SystemExit):
-        cli._build_parser.__wrapped__().parse_args(argv)
-    captured = capsys.readouterr()
-    return captured.out, captured.err
+def _parsed(capsys, parse, argv):
+    """What `parse` makes of argv: the Namespace's fields, or the exit code
+    and what it printed before it exited."""
+    try:
+        return vars(parse(argv))
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
 
 
 def test_one_parser_per_process(capsys):
@@ -539,11 +541,55 @@ def test_shared_parser_carries_no_options_between_calls(capsys):
     assert cert["parameters"]["properness"] == "GENERALIZED"
 
 
+# a sample argv of every command, each option its row lists given once
+_SAMPLE_ARGV = {
+    "chi": ["chi", "--graph", "g.txt", "--budget", "9", "--deterministic"],
+    "clique": ["clique", "--star", "4"],
+    "core": ["core", "--cycle", "6", "--d", "2"],
+    "ramsey": ["ramsey", "--family", "K3,P4", "--colors", "3", "--cap", "9", "--budget", "5"],
+    "closed-form": ["closed-form", "--family", "F6", "--colors", "5", "--delta0", "5"],
+    "cover": ["cover", "--n", "9", "--r", "4", "--proper", "--decomposition", "--budget", "7"],
+    "max-cover": ["max-cover", "--n", "6", "--r", "3", "--budget", "3"],
+    "walecki": ["walecki", "--k", "4"],
+    "galaxy": ["galaxy", "--k", "3", "--deterministic"],
+    "k11": ["k11"],
+    "chi-r": ["chi-r", "--r", "5", "--delta0", "5"],
+    "bijection": ["bijection", "--random", "2", "3", "--seed", "5"],
+    "match": ["match", "--hypergraph", "h.txt", "--budget", "1"],
+    "chromatic-index": ["chromatic-index", "--hypergraph", "h.txt"],
+    "ach": ["ach", "--d", "4"],
+    "plane": ["plane", "--p", "3"],
+    "truncated-plane": ["truncated-plane", "--p", "3"],
+    "claim51": ["claim51", "--p", "2", "--m", "2", "--uniformity", "5"],
+    "verify": ["verify", "cert.json"],
+}
+
+
+def test_each_command_parses_as_the_top_level_parses():
+    assert set(_SAMPLE_ARGV) == set(COMMANDS) | {"verify"}
+    top = cli._build_parser()
+    for name, argv in _SAMPLE_ARGV.items():
+        args = vars(cli._parse(argv))
+        assert args == vars(top.parse_args(argv)) and args["command"] == name, argv
+
+
+# usage errors, help, and parses that take the top-level path or a subparser's
+_PARSER_ARGV = (
+    ["chi"], ["chi", "--complete"], ["chi", "--complete", "x"], ["chi", "--complete=4"],
+    ["chi", "--comp", "4"], ["chi", "--complete", "4", "--bogus"],
+    ["chi", "--complete", "4", "extra"], ["verify", "a", "b"], ["bijection", "--random", "2"],
+    ["cover", "-h"], ["cover", "--help"], [], ["--help"], ["no-such-command"],
+)
+
+
 def test_shared_parser_prints_what_a_fresh_one_prints(capsys):
     _invoke_cert(capsys, ["plane", "--p", "2", "--deterministic"])
-    for argv, code in ((["chi"], 1), (["no-such-command"], 1), (["--help"], 0),
-                       (["cover", "--help"], 0)):
-        assert _invoke(capsys, argv) == (code, *_fresh_parser_output(capsys, argv))
+    for argv in _PARSER_ARGV:
+        fresh = _parsed(capsys, cli._build_parser.__wrapped__().parse_args, argv)
+        assert _parsed(capsys, cli._parse, argv) == fresh, argv
+        if isinstance(fresh, tuple):  # help exits 0, a usage error 1
+            code, out, err = fresh
+            assert _invoke(capsys, argv) == (0 if code == 0 else 1, out, err), argv
 
 
 def _python(*argv: str) -> subprocess.CompletedProcess:

@@ -61,6 +61,17 @@ def test_forged_value_is_rejected(tmp_path, capsys, name, delta):
     _rejected(tmp_path, capsys, cert)
 
 
+@pytest.mark.parametrize("name, edit, error", [
+    ("chi", lambda cert: cert.update(verified=True), "unknown certificate field 'verified'"),
+    ("plane", lambda cert: cert.pop("value"), "missing certificate field 'value'"),
+])
+def test_top_level_fields_are_exactly_the_nine_of_schema_2(tmp_path, capsys, name, edit,
+                                                           error):
+    cert = _golden(name)
+    edit(cert)
+    assert _rejected(tmp_path, capsys, cert) == f"error [PARSE_ERROR]: {error}\n"
+
+
 def test_edgeless_chromatic_index_forgery_is_rejected(tmp_path, capsys):
     hpath = tmp_path / "edgeless.txt"
     hpath.write_text("2\n1 1\n")
