@@ -25,7 +25,7 @@ from .graph_core import (
     Graph,
     NodeBudget,
     _exact_k_coloring,
-    complete_graph,
+    complete_edges,
     graph_from_text,
     is_proper_coloring,
     mycielski_peel,
@@ -34,7 +34,6 @@ from .ramsey_search import (
     ForbiddenFamily,
     closed_form_c_k,
     counting_refutes,
-    make_edge_coloring,
     parse_family,
     verify_mono_free,
 )
@@ -334,11 +333,18 @@ def _vf_ramsey(params, value, witness, stats, outcome):
                                    or stats["witness_nodes"] != 0):
             raise VerificationError("witness-source",
                                     "a built witness is walecki or galaxy, found in 0 nodes")
-    coloring = make_edge_coloring(complete_graph(n), k, _int_list(witness, "assignment"))
-    report = verify_mono_free(coloring, fam)
-    if not report.ok:
-        raise VerificationError("mono-free",
-                                f"color {report.color} contains {report.pattern.token}")
+    edges = complete_edges(n)
+    colors = _int_list(witness, "assignment")
+    if k < 1:
+        raise ValidationError("OUT_OF_RANGE", "palette must have at least one color")
+    if len(colors) != len(edges):
+        raise ValidationError("OUT_OF_RANGE",
+                              f"expected {len(edges)} edge colors, got {len(colors)}")
+    if any(not 0 <= c < k for c in colors):
+        raise ValidationError("OUT_OF_RANGE", f"edge color outside 0..{k - 1}")
+    bad = verify_mono_free(n, edges, colors, fam)
+    if bad is not None:
+        raise VerificationError("mono-free", f"color {bad[0]} contains {bad[1].token}")
     if "refutation" in stats and (stats["refutation"] != "counting"
                                   or not counting_refutes(fam, k, n + 1)):
         raise VerificationError("counting-refutation",

@@ -146,8 +146,8 @@ def _run_ramsey(args, params):
         # coloring, below the cap that check lower-witness compares it with
         params["cap"] = args.cap
         return _cut(exc, {}, n=exc.partial["lower"],
-                    assignment=list(exc.partial["witness"].assignment))
-    witness = {"n": res.value, "assignment": list(res.witness.assignment)}
+                    assignment=list(exc.partial["witness"]))
+    witness = {"n": res.value, "assignment": list(res.witness)}
     stats = {"witness_nodes": res.witness_nodes,
              "refutation_nodes": res.refutation_nodes}
     if res.counted:

@@ -15,6 +15,7 @@ count repeated hyperedges with their multiplicities.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -74,14 +75,13 @@ def make_hypergraph(part_sizes: Sequence[int],
 
 
 def regularity(h: PartiteHypergraph) -> int | None:
-    """The common vertex degree, or None if degrees differ."""
-    degs = [[0] * s for s in h.part_sizes]
-    for e in h.edges:
-        for i, x in enumerate(e):
-            degs[i][x] += 1
-    flat = [d for part in degs for d in part]
-    d = flat[0]
-    return d if all(x == d for x in flat) else None
+    """The common vertex degree, or None if degrees differ.  Only vertices
+    on some edge are counted, so a part may be as large as its text says."""
+    counts = [Counter(part) for part in zip(*h.edges)]
+    degs = {d for part in counts for d in part.values()}
+    if sum(map(len, counts)) < sum(h.part_sizes):
+        degs.add(0)  # a vertex on no edge
+    return degs.pop() if len(degs) == 1 else None
 
 
 # -- the factor bijection -------------------------------------------------------
@@ -202,12 +202,18 @@ def is_matching(h: PartiteHypergraph, picked: Sequence[int]) -> bool:
 
 
 def _vertex_ids(h: PartiteHypergraph) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Edge j's vertices as ids ordered by (part, index), and each part's
-    first id followed by the vertex count."""
+    """Edge j's vertices as ids, numbering only the vertices on some edge,
+    part by part in index order, and each part's first id followed by the
+    vertex count.  A vertex on no edge takes no slot, so a part may be as
+    large as its text says."""
     starts = [0]
-    for s in h.part_sizes:
-        starts.append(starts[-1] + s)
-    return [tuple(starts[i] + x for i, x in enumerate(e)) for e in h.edges], starts
+    ids = []
+    for part in zip(*h.edges):
+        used = sorted(set(part))
+        index = dict(zip(used, range(starts[-1], starts[-1] + len(used))))
+        ids.append([index[x] for x in part])
+        starts.append(starts[-1] + len(used))
+    return list(zip(*ids)), starts
 
 
 def _intersection_graph(edge_verts: Sequence[Sequence[int]], starts: Sequence[int]) -> Graph:

@@ -413,48 +413,19 @@ def _embed(host: Graph, pattern: Graph) -> tuple[int, ...] | None:
 # -- edge colorings -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
-    """Total edge coloring of a base graph; assignment aligns with
-    base.edges() order, values in 0..k-1.  Its color classes come from
-    graph_core.color_classes, inside verify_mono_free."""
-
-    base: Graph
-    k: int
-    assignment: tuple[int, ...]
-
-
-def make_edge_coloring(base: Graph, k: int, assignment: Sequence[int]) -> EdgeColoring:
-    if k < 1:
-        raise ValidationError("OUT_OF_RANGE", "palette must have at least one color")
-    if len(assignment) != base.m:
-        raise ValidationError("OUT_OF_RANGE",
-                              f"expected {base.m} edge colors, got {len(assignment)}")
-    if any(not 0 <= c < k for c in assignment):
-        raise ValidationError("OUT_OF_RANGE", f"edge color outside 0..{k - 1}")
-    return EdgeColoring(base, k, tuple(assignment))
-
-
-@dataclass(frozen=True)
-class MonoFreeReport:
-    ok: bool
-    color: int | None = None
-    pattern: Pattern | None = None
-    vertices: tuple[int, ...] | None = None
-
-
-def verify_mono_free(coloring: EdgeColoring, fam: ForbiddenFamily) -> MonoFreeReport:
-    """Re-check a coloring against the family; reports the first violation.
-    color_classes builds every class in use in one pass over the base's
+def verify_mono_free(n: int, edges: Sequence[tuple[int, int]], colors: Sequence[int],
+                     fam: ForbiddenFamily) -> tuple[int, Pattern, tuple[int, ...]] | None:
+    """The first violation of the coloring that gives edges[i] colors[i], as
+    (color, pattern, copy), or None when no class holds a pattern of the
+    family.  color_classes builds every class in use in one pass over the
     edges; each is searched once, lowest color first, for the patterns in
     family order.  It is the one check of every witness, searched or built."""
-    base = coloring.base
-    for c, cls in color_classes(base.n, base.edges(), coloring.assignment).items():
+    for c, cls in color_classes(n, edges, colors).items():
         for p in fam.patterns:
             w = find_copy(cls, p)
             if w is not None:
-                return MonoFreeReport(False, c, p, w)
-    return MonoFreeReport(True)
+                return c, p, w
+    return None
 
 
 # -- the search ---------------------------------------------------------------
@@ -496,35 +467,28 @@ def _embeds_with_edge(adj: Sequence[int], u: int, v: int,
 
 
 def mono_free_search(n: int, k: int, fam: ForbiddenFamily,
-                     budget: int | None = None) -> tuple[EdgeColoring | None, int]:
+                     budget: int | None = None) -> tuple[tuple[int, ...] | None, int]:
     """Find an admissible k-coloring of K_n's edges, or certify none exists.
 
-    Returns (coloring-or-None, nodes); a coloring is re-checked by
-    verify_mono_free before it is returned.
+    Returns (colors-or-None, nodes), the colors those of complete_edges(n),
+    re-checked by verify_mono_free before they are returned.
     """
-    bud = NodeBudget(budget)
-    coloring = _search_complete(n, k, fam, bud)
-    return (None if coloring is None else _checked(coloring, fam)), bud.spent
-
-
-def _search_complete(n: int, k: int, fam: ForbiddenFamily,
-                     budget: NodeBudget) -> EdgeColoring | None:
-    """mono_free_search without the re-check of the coloring it finds,
-    charging its nodes to budget."""
     if n < 1:
         raise ValidationError("BAD_N", f"need n >= 1, got {n}")
     if k < 1:
         raise ValidationError("BAD_K", f"need k >= 1, got {k}")
-    chosen = _color_edges(n, k, complete_edges(n), fam, budget, row=n - 1)
-    return None if chosen is None else EdgeColoring(complete_graph(n), k, tuple(chosen))
+    bud = NodeBudget(budget)
+    chosen = _color_edges(n, k, complete_edges(n), fam, bud, row=n - 1)
+    return (None if chosen is None else _checked(n, chosen, fam)), bud.spent
 
 
-def _checked(coloring: EdgeColoring, fam: ForbiddenFamily) -> EdgeColoring:
-    """The searched coloring, once verify_mono_free accepts it."""
-    if not verify_mono_free(coloring, fam).ok:
+def _checked(n: int, colors: Sequence[int], fam: ForbiddenFamily) -> tuple[int, ...]:
+    """The searched colors of complete_edges(n), once verify_mono_free
+    accepts them."""
+    if verify_mono_free(n, complete_edges(n), colors, fam) is not None:
         raise VerificationError("mono-free-witness",
                                 "search produced a coloring its own verifier rejects")
-    return coloring
+    return tuple(colors)
 
 
 def _color_edges(n: int, k: int, edges: Sequence[tuple[int, int]],
@@ -726,14 +690,14 @@ def counting_refutes(fam: ForbiddenFamily, k: int, n: int) -> bool:
 
 @dataclass(frozen=True)
 class CkResult:
-    """c_k value with the witness at n = value and the refutation stats at
-    n = value + 1; counted means K_{value+1} was refuted by counting_refutes,
-    in 0 nodes, and built names the construction that gave the witness
-    ("walecki" or "galaxy"), in 0 nodes, or is None when the search found
-    it."""
+    """c_k value with the witness at n = value, as the colors of
+    complete_edges(value), and the refutation stats at n = value + 1;
+    counted means K_{value+1} was refuted by counting_refutes, in 0 nodes,
+    and built names the construction that gave the witness ("walecki" or
+    "galaxy"), in 0 nodes, or is None when the search found it."""
 
     value: int
-    witness: EdgeColoring
+    witness: tuple[int, ...]
     witness_nodes: int
     refutation_nodes: int
     counted: bool = False
@@ -741,7 +705,7 @@ class CkResult:
 
 
 def _built_witness(fam: ForbiddenFamily, k: int, n: int
-                   ) -> tuple[str, EdgeColoring] | None:
+                   ) -> tuple[str, tuple[int, ...]] | None:
     """An admissible k-coloring of K_n from a known construction, or None.
 
     walecki_colors(k) colors K_{2k+1} by Walecki's k Hamilton cycles, and for
@@ -754,8 +718,9 @@ def _built_witness(fam: ForbiddenFamily, k: int, n: int
         name, colors = "galaxy", galaxy_colors(k - 1)
     else:
         return None
-    coloring = EdgeColoring(complete_graph(n), k, colors)
-    return (name, coloring) if verify_mono_free(coloring, fam).ok else None
+    if verify_mono_free(n, complete_edges(n), colors, fam) is not None:
+        return None
+    return name, colors
 
 
 def compute_c_k(fam: ForbiddenFamily, k: int, cap: int = 32,
@@ -778,6 +743,8 @@ def compute_c_k(fam: ForbiddenFamily, k: int, cap: int = 32,
     """
     if cap < 1:
         raise ValidationError("OUT_OF_RANGE", f"cap must be >= 1, got {cap}")
+    if k < 1:
+        raise ValidationError("BAD_K", f"need k >= 1, got {k}")
     top = min(cap, MAX_VERTICES)
     refuted = next((n for n in range(2, top + 2) if counting_refutes(fam, k, n)), 0)
     built = _built_witness(fam, k, refuted - 1)
@@ -786,22 +753,22 @@ def compute_c_k(fam: ForbiddenFamily, k: int, cap: int = 32,
     bud = NodeBudget(budget)
     # K_1 has no edges, so prev holds a coloring before any size is refuted
     # or cut
-    prev: EdgeColoring | None = None
+    prev: list[int] = []
     prev_nodes = 0
     for n in range(1, refuted or top + 1):
         before = bud.spent
         try:
-            coloring = _search_complete(n, k, fam, bud)
+            chosen = _color_edges(n, k, complete_edges(n), fam, bud, row=n - 1)
         except BudgetExceededError as exc:
             raise BudgetExceededError(f"{exc} at n = {n}; c_{k} >= {n - 1}", nodes=bud.spent,
-                                      lower=n - 1, witness=_checked(prev, fam)) from None
-        if coloring is None:
-            return CkResult(n - 1, _checked(prev, fam), prev_nodes, bud.spent - before)
-        prev, prev_nodes = coloring, bud.spent - before
+                                      lower=n - 1, witness=_checked(n - 1, prev, fam)) from None
+        if chosen is None:
+            return CkResult(n - 1, _checked(n - 1, prev, fam), prev_nodes, bud.spent - before)
+        prev, prev_nodes = chosen, bud.spent - before
     if refuted:
-        return CkResult(refuted - 1, _checked(prev, fam), prev_nodes, 0, True)
+        return CkResult(refuted - 1, _checked(refuted - 1, prev, fam), prev_nodes, 0, True)
     raise BudgetExceededError(f"K_{top} still admits a coloring; c_{k} >= {top}",
-                              lower=top, cap=cap, witness=_checked(prev, fam))
+                              lower=top, cap=cap, witness=_checked(top, prev, fam))
 
 
 # -- closed forms -------------------------------------------------------------

@@ -289,6 +289,8 @@ def test_validation_errors(capsys):
                              "OUT_OF_RANGE"),
                             (["ramsey", "--family", "F1", "--colors", "2", "--cap", "0"],
                              "OUT_OF_RANGE"),
+                            (["ramsey", "--family", "F1", "--colors", "0"], "BAD_K"),
+                            (["ramsey", "--family", "F1", "--colors", "-1"], "BAD_K"),
                             (["ramsey", "--family", "STAR:-1", "--colors", "2"],
                              "OUT_OF_RANGE"),
                             (["ramsey", "--family", "MATCH:0", "--colors", "2"],
@@ -365,6 +367,25 @@ def test_bad_inputs_exit_with_coded_errors(tmp_path, capsys):
         code, out, err = _invoke(capsys, argv)
         assert code == 1 and out == ""
         assert f"error [{code_text}]" in err
+
+
+def test_a_huge_part_takes_no_slot_per_vertex(tmp_path, capsys):
+    # parts of 10**15 vertices, all but one on no edge: the matching search,
+    # the line graph and the degree count number only the vertices on edges
+    one = tmp_path / "one.txt"
+    one.write_text("2\n1000000000000000 1\n0 0\n")
+    for command in ("match", "chromatic-index"):
+        cert = _invoke_cert(capsys, [command, "--hypergraph", str(one)])
+        assert cert["value"] == 1 and _verifies(tmp_path, capsys, cert), command
+    two = tmp_path / "two.txt"
+    two.write_text("2\n1000000000000000 1000000000000000\n0 0\n")
+    code, out, err = _invoke(capsys, ["bijection", "--hypergraph", str(two)])
+    assert (code, out) == (1, "") and err.startswith("error [NOT_3_REGULAR]")
+    cert = json.loads((GOLDEN / "chromatic-index.json").read_text(encoding="utf-8"))
+    head, sizes, *edges = cert["witness"]["hypergraph"].split("\n")
+    sizes = " ".join(["1000000000000000", *sizes.split()[1:]])
+    cert["witness"]["hypergraph"] = "\n".join([head, sizes, *edges])
+    assert _verifies(tmp_path, capsys, cert)
 
 
 def test_verify_reports_invalid_parameters(tmp_path, capsys):

@@ -50,13 +50,7 @@ import pytest
 from ramseylab.errors import BudgetExceededError
 from ramseylab.factor_lab import _edge_mask, cover_search, max_coverable_edges
 from ramseylab.graph_core import Graph, build_graph, complete_graph
-from ramseylab.ramsey_search import (
-    MonoFreeReport,
-    compute_c_k,
-    make_edge_coloring,
-    parse_family,
-    verify_mono_free,
-)
+from ramseylab.ramsey_search import compute_c_k, parse_family, verify_mono_free
 
 TABLES = Path(__file__).resolve().parent / "tables"
 
@@ -113,7 +107,7 @@ def test_max_cover_keeps_its_nodes():
 def test_compute_c_k_keeps_values_and_witnesses(row):
     spec, k, value, assignment, witness_nodes, refutation_nodes = row
     res = compute_c_k(parse_family(spec), k)
-    assert (res.value, "".join(map(str, res.witness.assignment)), res.witness_nodes) == (
+    assert (res.value, "".join(map(str, res.witness)), res.witness_nodes) == (
         value, assignment, witness_nodes)
     assert res.refutation_nodes <= refutation_nodes
 
@@ -128,9 +122,13 @@ MONO_FREE_PALETTES = ((0,), (0, 1), (0, 1, 2), (0, 1, 2, 3, 4), (5, 9, 2 ** 70),
                       (0, 2 ** 70), (3, 11, 12, 40))
 
 
-def _report_cells(report: MonoFreeReport) -> list:
-    return [report.ok, report.color, report.pattern and report.pattern.token,
-            report.vertices and list(report.vertices)]
+def _report_cells(bad: tuple | None) -> list:
+    """verify_mono_free's verdict as the table writes it: whether the
+    coloring passes, then the color, pattern token and copy it failed on."""
+    if bad is None:
+        return [True, None, None, None]
+    color, pattern, copy = bad
+    return [False, color, pattern.token, list(copy)]
 
 
 def mono_free_rows() -> list[list]:
@@ -148,17 +146,19 @@ def mono_free_rows() -> list[list]:
                 palette = rng.choice(MONO_FREE_PALETTES)
                 k = palette[-1] + 1
                 assignment = [rng.choice(palette) for _ in range(base.m)]
-                report = verify_mono_free(make_edge_coloring(base, k, assignment), fam)
-                rows.append([spec, n, list(base.adj), k, assignment, *_report_cells(report)])
+                bad = verify_mono_free(n, base.edges(), assignment, fam)
+                rows.append([spec, n, list(base.adj), k, assignment, *_report_cells(bad)])
     return rows
 
 
 def test_verify_mono_free_keeps_its_reports():
     verdicts = set()
     for spec, n, adj, k, assignment, *cells in _table("mono_free.json"):
-        coloring = make_edge_coloring(Graph(n, tuple(adj)), k, assignment)
-        assert _report_cells(verify_mono_free(coloring, parse_family(spec))) == cells, (
-            spec, n, adj, assignment)
+        # one color per edge of the base, each below k, the palette size
+        edges = Graph(n, tuple(adj)).edges()
+        assert len(assignment) == len(edges) and all(0 <= c < k for c in assignment)
+        bad = verify_mono_free(n, edges, assignment, parse_family(spec))
+        assert _report_cells(bad) == cells, (spec, n, adj, assignment)
         verdicts.add(cells[0])
     assert verdicts == {True, False}
 

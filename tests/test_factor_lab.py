@@ -38,13 +38,13 @@ from ramseylab.cli import run
 from ramseylab.graph_core import (
     build_graph,
     chromatic_number,
+    complete_edges,
     complete_graph,
     union_graphs,
 )
 from ramseylab.ramsey_search import (
     FAMILY_PRESETS,
     closed_form_c_k,
-    make_edge_coloring,
     mono_free_search,
     verify_mono_free,
 )
@@ -397,7 +397,7 @@ def test_c5_of_f6_is_nine():
     assert closed_form_c_k(fam, 5) is None
     coloring, nodes = mono_free_search(9, 5, fam)
     assert coloring is not None and nodes == 8747
-    assert verify_mono_free(coloring, fam).ok
+    assert verify_mono_free(9, complete_edges(9), coloring, fam) is None
     res = cover_search(10, 5)
     assert (res.factors, res.nodes) == (None, 4)
 
@@ -573,8 +573,8 @@ def test_galaxy_classes_avoid_triangle_and_p4():
     base = complete_graph(10)
     color_of = {e: c for c, g in enumerate(classes) for e in g.edges()}
     assert sum(g.m for g in classes) == len(color_of) == base.m  # a partition
-    coloring = make_edge_coloring(base, len(classes), [color_of[e] for e in base.edges()])
-    assert verify_mono_free(coloring, FAMILY_PRESETS["F4"]).ok
+    colors = [color_of[e] for e in base.edges()]
+    assert verify_mono_free(base.n, base.edges(), colors, FAMILY_PRESETS["F4"]) is None
 
 
 def test_k11_cover():

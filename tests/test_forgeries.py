@@ -97,15 +97,26 @@ def test_galaxy_class_must_be_a_star_forest(tmp_path, capsys, text):
     assert "check star-forest" in _rejected(tmp_path, capsys, cert)
 
 
-@pytest.mark.parametrize("edit", ["short", "color"])
-def test_ramsey_assignment_must_color_every_edge_in_the_palette(tmp_path, capsys, edit):
+@pytest.mark.parametrize("edit, message", [
+    ("short", "expected 6 edge colors, got 5"),
+    ("color", "edge color outside 0..2"),
+    ("negative", "edge color outside 0..2"),
+    ("palette", "palette must have at least one color"),
+], ids=["short", "color", "negative", "palette"])
+def test_ramsey_assignment_must_color_every_edge_in_the_palette(tmp_path, capsys, edit,
+                                                                message):
+    # K_4 with 3 colors: six edges, each colored 0..2
     cert = _golden("ramsey")
     assignment = cert["witness"]["assignment"]
     if edit == "short":
         assignment.pop()
-    else:
+    elif edit == "color":
         assignment[0] = cert["parameters"]["colors"]
-    _rejected(tmp_path, capsys, cert)
+    elif edit == "negative":
+        assignment[0] = -1
+    else:
+        cert["parameters"]["colors"] = 0
+    assert _rejected(tmp_path, capsys, cert) == f"error [OUT_OF_RANGE]: {message}\n"
 
 
 @pytest.mark.parametrize("name, family, text", [

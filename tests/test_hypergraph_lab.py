@@ -73,6 +73,10 @@ def test_regularity():
     h = make_hypergraph([2, 2], [(0, 0), (0, 1), (1, 0), (1, 1)])
     assert regularity(h) == 2
     assert regularity(make_hypergraph([2, 2], [(0, 0)])) is None
+    # a vertex on no edge has degree 0, and takes no slot in the count
+    assert regularity(make_hypergraph([1, 1], [(0, 0), (0, 0)])) == 2
+    assert regularity(make_hypergraph([10 ** 15, 1], [(0, 0)])) is None
+    assert regularity(make_hypergraph([10 ** 15, 10 ** 15], [])) == 0
 
 
 # -- bijection with proper factors --------------------------------------------------

@@ -41,7 +41,6 @@ from ramseylab.ramsey_search import (
     ex_bound,
     explicit_pattern,
     find_copy,
-    make_edge_coloring,
     matching_pattern,
     mono_free_search,
     parse_family,
@@ -177,9 +176,7 @@ def test_explicit_paths_and_stars_search_like_their_kernels():
             for n in range(2, 7):
                 a, na = mono_free_search(n, k, fam)
                 b, nb = mono_free_search(n, k, same)
-                assert na == nb
-                assert (a is None) == (b is None)
-                assert a is None or a.assignment == b.assignment
+                assert (a, na) == (b, nb)
 
 
 def test_parse_family_file_pattern(tmp_path):
@@ -320,28 +317,18 @@ def test_explicit_witness_layout():
 # -- edge colorings ----------------------------------------------------------------
 
 
-def test_make_edge_coloring_validation():
-    base = complete_graph(3)
-    with pytest.raises(ValidationError):
-        make_edge_coloring(base, 0, [])
-    with pytest.raises(ValidationError):
-        make_edge_coloring(base, 2, [0, 1])
-    with pytest.raises(ValidationError):
-        make_edge_coloring(base, 2, [0, 1, 2])
-    col = make_edge_coloring(base, 2, [0, 1, 1])
-    # color 1 holds (0, 2) and (1, 2), the only 2-edge path; color 0 holds one edge
-    report = verify_mono_free(col, parse_family("PATH:2"))
-    assert (report.ok, report.color, sorted(report.vertices)) == (False, 1, [0, 1, 2])
-
-
 def test_verify_mono_free_reports_violation():
-    base = complete_graph(3)
-    col = make_edge_coloring(base, 1, [0, 0, 0])
-    report = verify_mono_free(col, FAMILY_PRESETS["F1"])
-    assert not report.ok and report.color == 0
-    assert report.pattern is TRIANGLE and len(report.vertices) == 3
-    col2 = make_edge_coloring(base, 2, [0, 0, 1])
-    assert verify_mono_free(col2, FAMILY_PRESETS["F1"]).ok
+    edges = complete_edges(3)
+    color, pattern, copy = verify_mono_free(3, edges, [0, 0, 0], FAMILY_PRESETS["F1"])
+    assert (color, pattern, sorted(copy)) == (0, TRIANGLE, [0, 1, 2])
+    assert verify_mono_free(3, edges, [0, 0, 1], FAMILY_PRESETS["F1"]) is None
+    # color 1 holds (0, 2) and (1, 2), the only 2-edge path; color 0 holds one edge
+    color, pattern, copy = verify_mono_free(3, edges, [0, 1, 1], parse_family("PATH:2"))
+    assert (color, pattern.token, sorted(copy)) == (1, "PATH:2", [0, 1, 2])
+    # any edge list: the path 0-1-2-3 in one color holds P4, in two it does not
+    path = [(0, 1), (1, 2), (2, 3)]
+    assert verify_mono_free(4, path, [5, 5, 5], FAMILY_PRESETS["F2"])[:2] == (5, P4)
+    assert verify_mono_free(4, path, [5, 5, 0], FAMILY_PRESETS["F2"]) is None
 
 
 def test_verify_mono_free_checks_only_the_colors_in_use(monkeypatch):
@@ -353,10 +340,10 @@ def test_verify_mono_free_checks_only_the_colors_in_use(monkeypatch):
 
     monkeypatch.setattr(ramsey_search, "find_copy", counted)
     # K_4 edges in order (0,1), (0,2), (0,3), (1,2), (1,3), (2,3)
-    col = make_edge_coloring(complete_graph(4), 2 ** 70, [5, 0, 9, 0, 5, 0])
     tracemalloc.start()
     try:
-        assert verify_mono_free(col, FAMILY_PRESETS["F4"]).ok
+        assert verify_mono_free(4, complete_edges(4), [5, 0, 9, 0, 5, 0],
+                                FAMILY_PRESETS["F4"]) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -366,9 +353,8 @@ def test_verify_mono_free_checks_only_the_colors_in_use(monkeypatch):
     assert searched == [(cls, token) for cls in classes for token in ("K3", "P4")]
     searched.clear()
     # colors 7 and 9 each hold a P4 (2-0-3-1 and 0-1-2-3); the lower one is reported
-    col = make_edge_coloring(complete_graph(4), 2 ** 70, [9, 7, 7, 9, 7, 9])
-    report = verify_mono_free(col, FAMILY_PRESETS["F2"])
-    assert (report.ok, report.color) == (False, 7)
+    bad = verify_mono_free(4, complete_edges(4), [9, 7, 7, 9, 7, 9], FAMILY_PRESETS["F2"])
+    assert bad[0] == 7
     assert searched == [(frozenset({(0, 2), (0, 3), (1, 3)}), "P4")]
 
 
@@ -388,7 +374,7 @@ def test_search_memory_does_not_grow_with_the_palette():
     assert cap_exc.value.partial["lower"] == cap_exc.value.partial["cap"] == 10
     # 10 edges never open more than 10 colors, so any larger palette searches alike
     small, small_nodes = mono_free_search(5, 10, fam)
-    assert (coloring.assignment, nodes) == (small.assignment, small_nodes)
+    assert (coloring, nodes) == (small, small_nodes)
     with pytest.raises(BudgetExceededError) as exc:
         compute_c_k(fam, 10 ** 6, cap=4)
     assert exc.value.partial["lower"] == exc.value.partial["cap"] == 4
@@ -405,12 +391,16 @@ def test_search_input_validation():
     with pytest.raises(ValidationError) as exc:
         mono_free_search(3, 0, fam)
     assert exc.value.code == "BAD_K"
+    for k in (0, -1):
+        with pytest.raises(ValidationError) as exc:
+            compute_c_k(fam, k)
+        assert (exc.value.code, str(exc.value)) == ("BAD_K", f"need k >= 1, got {k}")
 
 
 def test_triangle_two_colors_boundary():
     fam = FAMILY_PRESETS["F1"]
     col, _ = mono_free_search(5, 2, fam)
-    assert col is not None and verify_mono_free(col, fam).ok
+    assert col is not None and verify_mono_free(5, complete_edges(5), col, fam) is None
     assert mono_free_search(6, 2, fam)[0] is None
 
 
@@ -422,8 +412,8 @@ def test_witnesses_always_verify():
         k = rng.randint(1, 3)
         col, _ = mono_free_search(n, k, fam)
         if col is not None:
-            assert verify_mono_free(col, fam).ok
-            assert col.base.n == n and col.k == k
+            assert verify_mono_free(n, complete_edges(n), col, fam) is None
+            assert len(col) == n * (n - 1) // 2 and all(0 <= c < k for c in col)
 
 
 def test_search_budget_exhaustion():
@@ -524,15 +514,14 @@ def test_search_node_counts_and_witnesses_are_pinned(spec, k, value, witness_nod
     res = compute_c_k(fam, k)
     counted = (spec, k) in _COUNTED
     assert (res.value, res.witness_nodes, res.counted) == (value, witness_nodes, counted)
-    assert "".join(map(str, res.witness.assignment)) == assignment
+    assert "".join(map(str, res.witness)) == assignment
     built, search_nodes, search_assignment = _BUILT.get((spec, k), (None, witness_nodes,
                                                                     assignment))
     assert res.built == built
     if built:
         # the search still finds its K_{c_k} witness in the pinned count on its own
         coloring, nodes = mono_free_search(value, k, fam)
-        assert (nodes, "".join(map(str, coloring.assignment))) == (search_nodes,
-                                                                   search_assignment)
+        assert (nodes, "".join(map(str, coloring))) == (search_nodes, search_assignment)
     if counted:
         # the search still refutes K_{c_k + 1} in the pinned count on its own
         assert res.refutation_nodes == 0
@@ -596,8 +585,8 @@ def test_compute_c_k_spends_one_budget_on_the_whole_scan():
     with pytest.raises(BudgetExceededError) as exc:
         compute_c_k(fam, 4, budget=3603)
     partial = exc.value.partial
-    assert (partial["nodes"], partial["lower"], partial["witness"].base.n) == (3603, 8, 8)
-    assert verify_mono_free(partial["witness"], fam).ok
+    assert (partial["nodes"], partial["lower"], len(partial["witness"])) == (3603, 8, 28)
+    assert verify_mono_free(8, complete_edges(8), partial["witness"], fam) is None
 
 
 def _mono_k5_search(monkeypatch):
@@ -645,9 +634,9 @@ def test_compute_c_k_checks_one_coloring(monkeypatch):
     # only the K_5 it returns, not K_1 to K_4 as well
     calls = []
 
-    def counted(coloring, fam):
-        calls.append(coloring.base.n)
-        return verify_mono_free(coloring, fam)
+    def counted(n, edges, colors, fam):
+        calls.append(n)
+        return verify_mono_free(n, edges, colors, fam)
 
     monkeypatch.setattr(ramsey_search, "verify_mono_free", counted)
     assert compute_c_k(FAMILY_PRESETS["F2"], 3).value == 5
@@ -665,8 +654,8 @@ def test_compute_c_k_classic_values():
     assert res.value == 2
     res = compute_c_k(FAMILY_PRESETS["F1"], 2)
     assert res.value == 5
-    assert res.witness.base.n == 5
-    assert verify_mono_free(res.witness, FAMILY_PRESETS["F1"]).ok
+    assert len(res.witness) == 10
+    assert verify_mono_free(5, complete_edges(5), res.witness, FAMILY_PRESETS["F1"]) is None
     assert res.witness_nodes > 0 and res.refutation_nodes > 0
 
 
@@ -674,7 +663,7 @@ def test_compute_c_k_cap(tmp_path, capsys):
     with pytest.raises(BudgetExceededError) as exc:
         compute_c_k(FAMILY_PRESETS["F3"], 2, cap=4)  # true value is 5
     assert "cap" in exc.value.partial and exc.value.partial["lower"] == 4
-    assert exc.value.partial["witness"].base.n == 4
+    assert len(exc.value.partial["witness"]) == 6  # K_4's edges
     # counting refutes K_6, one past cap 5, so the built K_5 settles the value
     assert compute_c_k(FAMILY_PRESETS["F3"], 2, cap=5).value == 5
     # counting refutes K_10, one past cap 9, so the searched K_9 settles
@@ -715,7 +704,8 @@ def test_built_witness_agrees_with_the_search():
             if res.built is None:
                 continue
             assert (res.witness_nodes, res.refutation_nodes, res.counted) == (0, 0, True)
-            assert verify_mono_free(res.witness, fam).ok
+            assert verify_mono_free(res.value, complete_edges(res.value), res.witness,
+                                    fam) is None
             settled.append((spec, k, res.built))
             if spec == "F4" and k >= 5:
                 # refuting K_9 at k = 5 takes the search more than 60M nodes

@@ -207,7 +207,7 @@ def test_edge_search_agrees_with_enumeration(tokens, size):
     coloring, _ = mono_free_search(n, k, fam)
     assert (coloring is not None) == _brute_colourable(n, k, tokens)
     if coloring is not None:
-        assert _admissible(n, k, tokens, coloring.assignment)
+        assert _admissible(n, k, tokens, coloring)
 
 
 def _generalized_factors(n: int) -> list[int]:
