@@ -23,10 +23,9 @@ from .errors import ParseError, ValidationError, VerificationError
 from .graph_core import (
     GENERATORS,
     Graph,
-    NodeBudget,
-    _exact_k_coloring,
     complete_edges,
     graph_from_text,
+    is_bipartite,
     is_proper_coloring,
     mycielski_peel,
 )
@@ -233,7 +232,8 @@ def _int_list(payload: Mapping[str, Any] | None, key: str) -> list[int]:
 def _verify_coloring(g: Graph, witness, value, stats, outcome) -> None:
     """The one check of a vertex coloring: proper on g, with value colors; or,
     for a search cut by its budget, with at most upper colors, and value <= upper.
-    A claim of chi >= 2 or 3 is re-checked: a 1- or 2-coloring search never branches.
+    A claim of chi >= 2 or 3 is re-checked with no search: chi <= 1 means no
+    edge, and chi <= 2 is is_bipartite.
     A higher claim peels g to its Mycielski base (chi(M(H)) = chi(H) + 1) and
     re-checks the base's share of it the same way."""
     colors = _int_list(witness, "colors")
@@ -249,7 +249,7 @@ def _verify_coloring(g: Graph, witness, value, stats, outcome) -> None:
                                 f"witness uses {len(set(colors))} colors, claimed {value}")
     levels, base = mycielski_peel(g) if value >= 4 else (0, g)
     k = min(value - 1 - levels, 2)
-    if k >= 1 and _exact_k_coloring(base, k, NodeBudget()) is not None:
+    if (k == 1 and not base.m) or (k == 2 and is_bipartite(base)):
         raise VerificationError("bipartite",
                                 f"the graph is {k + levels}-colorable, claimed {value}")
 
@@ -407,7 +407,7 @@ def _vf_max_cover(params, value, witness, stats, outcome):
     if outcome == "VALUE" and value < _edge_bound(n, r):
         if n > MAX_COVERABLE_N:
             raise VerificationError("n-range", f"max cover takes n <= {MAX_COVERABLE_N}, got {n}")
-        greedy = _greedy_cover(n, r, NodeBudget(r))[0]
+        greedy = _greedy_cover(n, r)[0]
         if value < greedy:
             raise VerificationError("greedy-cover",
                                     f"the greedy cover takes {greedy} edges, claimed {value}")

@@ -299,8 +299,9 @@ class _OneOf(NamedTuple):
 
 class Command(NamedTuple):
     """One subcommand: help line, the options its handler reads, handler, the
-    check of its certificate, whether each outcome it prints has a value, and
-    the bounds its UNKNOWN may carry (no other outcome carries any)."""
+    check of its certificate, whether each outcome it prints has a value, the
+    bounds its UNKNOWN may carry (no other outcome carries any), and the
+    parameter keys its handler may write."""
 
     help: str
     options: tuple[_Arg | _OneOf, ...]
@@ -308,6 +309,7 @@ class Command(NamedTuple):
     check: Callable
     outcomes: Mapping[str, bool]
     bounds: frozenset[str] = frozenset()
+    parameters: frozenset[str] = frozenset()
 
 
 _BUDGET = _Arg("--budget", type=int, default=None, help="branch-node budget for searches")
@@ -339,36 +341,43 @@ _MATCHED = {"EXISTS": True}
 # the bounds a budget cut proves: lower by the witness in hand; a greedy coloring is upper
 _LOWER = frozenset({"lower"})
 _INTERVAL = frozenset({"lower", "upper"})
+# the parameter key of the generator that built a graph; a graph file writes none
+_GENERATED = frozenset(GENERATORS)
 
 # Every command also takes --deterministic; each row lists only the other
 # options its handler reads.
 COMMANDS: dict[str, Command] = {
     "chi": Command("exact chromatic number", (_GRAPH_SOURCE, _BUDGET), _run_chi, _vf_chi, _SEARCH,
-                   _INTERVAL),
+                   _INTERVAL, parameters=_GENERATED),
     "clique": Command("maximum clique", (_GRAPH_SOURCE, _BUDGET), _run_clique, _vf_clique, _SEARCH,
-                      _LOWER),
+                      _LOWER, parameters=_GENERATED),
     "core": Command("d-core and peeling order", (_GRAPH_SOURCE, _D), _run_core, _vf_core,
-                    {"VALUE": True}),
+                    {"VALUE": True}, parameters=_GENERATED | {"d"}),
     "ramsey": Command("largest n admitting a pattern-free coloring",
                       (_FAMILY, _COLORS, _Arg("--cap", type=int, default=32), _BUDGET),
-                      _run_ramsey, _vf_ramsey, _SEARCH, _LOWER),
+                      _run_ramsey, _vf_ramsey, _SEARCH, _LOWER,
+                      parameters=frozenset({"family", "colors", "cap"})),
     "closed-form": Command("known formula value for a family", (_FAMILY, _COLORS, _DELTA0),
-                           _run_closed_form, _vf_closed_form, _SEARCH),
+                           _run_closed_form, _vf_closed_form, _SEARCH,
+                           parameters=frozenset({"family", "colors", "delta0"})),
     "cover": Command("cover or decompose K_n by r factors", (
         _N, _R,
         _Arg("--proper", action="store_true",
               help="require every factor component to be a triangle"),
         _Arg("--decomposition", action="store_true",
               help="require factors to be pairwise edge-disjoint"),
-        _BUDGET), _run_cover, _vf_cover, {"EXISTS": False, "NOT_EXISTS": False, "UNKNOWN": False}),
+        _BUDGET), _run_cover, _vf_cover, {"EXISTS": False, "NOT_EXISTS": False, "UNKNOWN": False},
+        parameters=frozenset({"n", "r", "properness", "mode"})),
     "max-cover": Command("max K_n edges coverable by r factors", (_N, _R, _BUDGET),
-                         _run_max_cover, _vf_max_cover, _SEARCH, _LOWER),
+                         _run_max_cover, _vf_max_cover, _SEARCH, _LOWER,
+                         parameters=frozenset({"n", "r"})),
     "walecki": Command("Hamilton cycle decomposition of K_{2k+1}", (_K,), _run_walecki, _vf_walecki,
-                       _BUILT),
-    "galaxy": Command("star-forest covering of K_{2k}", (_K,), _run_galaxy, _vf_galaxy, _BUILT),
+                       _BUILT, parameters=frozenset({"k"})),
+    "galaxy": Command("star-forest covering of K_{2k}", (_K,), _run_galaxy, _vf_galaxy, _BUILT,
+                      parameters=frozenset({"k"})),
     "k11": Command("six generalized factors covering K_11", (), _run_k11, _vf_k11, _BUILT),
     "chi-r": Command("extremal chromatic number of r-factor unions", (_R, _DELTA0),
-                     _run_chi_r, _vf_chi_r, _SEARCH),
+                     _run_chi_r, _vf_chi_r, _SEARCH, parameters=frozenset({"r", "delta0"})),
     "bijection": Command("translate between factor unions and hypergraphs", (
         _OneOf((_Arg("--hypergraph", metavar="PATH"),
                 _Arg("--random", nargs=2, type=int, metavar=("R", "N"),
@@ -379,13 +388,17 @@ COMMANDS: dict[str, Command] = {
                      _SEARCH, _LOWER),
     "chromatic-index": Command("exact proper edge-coloring number", (_HYPERGRAPH, _BUDGET),
                                _run_line_chi, _vf_line_chi, _SEARCH, _INTERVAL),
-    "ach": Command("matching-bound counterexample hypergraph", (_D,), _run_ach, _vf_ach, _MATCHED),
-    "plane": Command("projective plane of prime order", (_P,), _run_plane, _vf_plane, _BUILT),
+    "ach": Command("matching-bound counterexample hypergraph", (_D,), _run_ach, _vf_ach, _MATCHED,
+                   parameters=frozenset({"d"})),
+    "plane": Command("projective plane of prime order", (_P,), _run_plane, _vf_plane, _BUILT,
+                     parameters=frozenset({"p"})),
     "truncated-plane": Command("plane minus a point, as a hypergraph", (_P,),
-                               _run_truncated_plane, _vf_truncated_plane, _BUILT),
+                               _run_truncated_plane, _vf_truncated_plane, _BUILT,
+                               parameters=frozenset({"p"})),
     "claim51": Command("stacked truncated planes with joining part", (
         _P, _Arg("--m", type=int, required=True),
-        _Arg("--uniformity", type=int, default=None)), _run_claim51, _vf_claim51, _MATCHED),
+        _Arg("--uniformity", type=int, default=None)), _run_claim51, _vf_claim51, _MATCHED,
+        parameters=frozenset({"p", "m", "uniformity"})),
 }
 
 
@@ -444,17 +457,21 @@ def _error(exc: RamseyLabError) -> int:
 
 
 def verify_certificate(cert: Mapping[str, Any]) -> bool:
-    """Re-check a parsed certificate from its payload alone: an outcome its
-    row lists, an integer value exactly where the row says so, a witness for
-    EXISTS, VALUE and an UNKNOWN whose stats claim a lower or upper bound and
-    none for NOT_EXISTS, only the bounds the row lets its UNKNOWN carry, then
-    the row's check.  A cut with a witness is checked as the VALUE of its
-    lower bound.  Returns True; raises VerificationError naming the first
-    violated check, or ParseError for structurally unusable payloads."""
+    """Re-check a parsed certificate from its payload alone: only parameter
+    keys its row writes, an outcome its row lists, an integer value exactly
+    where the row says so, a witness for EXISTS, VALUE and an UNKNOWN whose
+    stats claim a lower or upper bound and none for NOT_EXISTS, only the
+    bounds the row lets its UNKNOWN carry, then the row's check.  A cut with
+    a witness is checked as the VALUE of its lower bound.  Returns True;
+    raises VerificationError naming the first violated check, or ParseError
+    for structurally unusable payloads."""
     command, outcome = cert["command"], cert["outcome"]
     if not isinstance(command, str) or command not in COMMANDS:
         raise ParseError(f"unknown command {command!r}")
     row, value, witness = COMMANDS[command], cert["value"], cert["witness"]
+    unknown = cert["parameters"].keys() - row.parameters
+    if unknown:
+        raise VerificationError("parameters", f"{command} writes no parameter {min(unknown)!r}")
     if outcome not in row.outcomes:
         raise VerificationError("outcome", f"{command} never prints {outcome}")
     valued = row.outcomes[outcome]

@@ -444,7 +444,9 @@ def max_coverable_edges(n: int, r: int, budget: int | None = None) -> MaxCoverRe
     if r < 1:
         raise ValidationError("OUT_OF_RANGE", f"need r >= 1, got {r}")
     bud = NodeBudget(budget)
-    greedy, greedy_masks = _greedy_cover(n, r, bud)
+    for _ in range(r):  # the greedy cover's nodes, one per factor, as a search level's
+        bud.tick()
+    greedy, greedy_masks = _greedy_cover(n, r)
     value, masks = _factor_search(
         n, r, _maximal_shape_reps(n, proper=False),
         _sorted_tail(lambda: _enumerate_maximal_factors(n)),
@@ -454,16 +456,14 @@ def max_coverable_edges(n: int, r: int, budget: int | None = None) -> MaxCoverRe
     return MaxCoverResult(value, factors, bud.spent)
 
 
-def _greedy_cover(n: int, r: int, bud: NodeBudget) -> tuple[int, list[int]]:
+def _greedy_cover(n: int, r: int) -> tuple[int, list[int]]:
     """(edges covered, masks) of r factors of K_n chosen greedily: a largest
     shape representative, then each factor the most edges of what is left.
-    Each factor spends one node, as a search level does; once every edge is
-    covered, the rest are empty and run no packing."""
+    Once every edge is covered, the rest are empty and run no packing."""
     full = _full_edge_mask(n)
     masks: list[int] = []
     covered = 0
     for _ in range(r):
-        bud.tick()
         if not masks:
             mask = max(_maximal_shape_reps(n, proper=False), key=int.bit_count)
         else:

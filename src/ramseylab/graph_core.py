@@ -258,6 +258,14 @@ def is_proper_coloring(g: Graph, colors: Sequence[int]) -> bool:
     return not any(a & classes[c] for a, c in zip(g.adj, colors))
 
 
+def is_bipartite(g: Graph) -> bool:
+    """chi(g) <= 2, with no search: a component is bipartite exactly when it
+    lifts to two components of the bipartite double cover of g, which joins
+    each vertex v to the copy n + u of each neighbour u, and n + v to u."""
+    cover = Graph(2 * g.n, tuple(a << g.n for a in g.adj) + g.adj)
+    return len(connected_components(cover)) == 2 * len(connected_components(g))
+
+
 # Saturation order: the uncolored vertex seeing the most distinct colors,
 # then the most uncolored neighbors, ties to the lowest index.  One integer
 # key per vertex packs the three fields, so one max() over the key list

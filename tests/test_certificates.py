@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import ast
 import json
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramseylab import certificates, factor_lab, graph_core, hypergraph_lab, ramsey_search
 from ramseylab.cli import verify_certificate
 from ramseylab.certificates import (
     OUTCOMES,
@@ -200,3 +203,43 @@ def test_verify_closed_form_consistency():
     f1.pop("delta0")
     with pytest.raises(ParseError):
         verify_certificate(make_certificate("closed-form", f1, "UNKNOWN"))
+
+
+# -- the checker runs no search --------------------------------------------------------
+
+# the search kernels and entry points, with the budget they charge
+_SEARCHES = {
+    graph_core: ("NodeBudget", "_exact_k_coloring", "chromatic_number", "max_clique"),
+    ramsey_search: ("compute_c_k", "mono_free_search", "_color_edges"),
+    factor_lab: ("cover_search", "max_coverable_edges", "_factor_search"),
+    hypergraph_lab: ("max_matching", "_match_branch"),
+}
+
+
+def test_certificates_imports_no_search():
+    tree = ast.parse(Path(certificates.__file__).read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert not imported & {name for names in _SEARCHES.values() for name in names}
+
+
+def test_verify_builds_no_budget_and_runs_no_search():
+    # NodeBudget.__init__ marks a budget built; the rest mark a search run
+    watched = {graph_core.NodeBudget.__init__.__code__} | {
+        getattr(module, name).__code__ for module, names in _SEARCHES.items()
+        for name in names if name != "NodeBudget"}
+    ran = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            ran.add(frame.f_code.co_name)
+
+    paths = sorted(GOLDEN.glob("*.json"))
+    assert len(paths) == 49
+    sys.setprofile(profile)
+    try:
+        for path in paths:
+            assert verify_certificate(parse_certificate(path.read_text(encoding="utf-8")))
+    finally:
+        sys.setprofile(None)
+    assert not ran

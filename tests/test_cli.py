@@ -129,6 +129,27 @@ def test_max_cover_value(capsys):
     assert cert["value"] == 13
 
 
+# (n, r) -> (exit code, outcome, stats.nodes) under each --budget 0..r + 2: the
+# greedy cover spends one node per factor before the search, so a budget under
+# r cuts it with no cover in hand
+_MAX_COVER_CUTS = {
+    (6, 3): [(2, "UNKNOWN", 0), (2, "UNKNOWN", 1), (2, "UNKNOWN", 2), (2, "UNKNOWN", 3),
+             (2, "UNKNOWN", 4), (2, "UNKNOWN", 5)],
+    (8, 4): [(2, "UNKNOWN", 0), (2, "UNKNOWN", 1), (2, "UNKNOWN", 2), (2, "UNKNOWN", 3),
+             (0, "VALUE", 4), (0, "VALUE", 4), (0, "VALUE", 4)],
+}
+
+
+@pytest.mark.parametrize("n, r", sorted(_MAX_COVER_CUTS))
+def test_max_cover_charges_the_greedy_cover_one_node_per_factor(capsys, n, r):
+    for budget, expected in enumerate(_MAX_COVER_CUTS[n, r]):
+        code, out, err = _invoke(capsys, ["max-cover", "--n", str(n), "--r", str(r),
+                                          "--budget", str(budget), "--deterministic"])
+        cert = json.loads(out)
+        assert (code, cert["outcome"], cert["stats"]["nodes"]) == expected, budget
+        assert (cert["witness"] is None) == (budget < r), budget
+
+
 # -- UNKNOWN outcomes exit 2 -----------------------------------------------------------
 
 

@@ -746,9 +746,17 @@ def test_clique_graph_is_bound_to_its_parameter(tmp_path, capsys):
 
 
 def test_graph_file_stays_unbound(tmp_path, capsys):
-    # the file may be gone when `verify` runs, so no path is recorded, and
-    # one written in binds nothing: the witness is the graph
+    # the file may be gone when `verify` runs, so no path is recorded: the
+    # witness is the graph, and a path written in is a key `chi` never writes
     cert = _golden("chi")
     assert cert["parameters"] == {}
     cert["parameters"]["graph"] = str(tmp_path / "absent.txt")
-    assert _verify(tmp_path, capsys, cert)[:2] == (0, "true\n")
+    assert "check parameters:" in _rejected(tmp_path, capsys, cert)
+
+
+def test_parameters_the_command_never_writes_are_rejected(tmp_path, capsys):
+    # forgery (vi): keys that bind nothing made the chi golden claim a file and a seed
+    cert = _golden("chi")
+    cert["parameters"].update(graph="x.txt", seed=9)
+    err = _rejected(tmp_path, capsys, cert)
+    assert err == "error [VERIFY_FAILED] check parameters: chi writes no parameter 'graph'\n"

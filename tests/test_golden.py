@@ -254,6 +254,15 @@ def test_every_certificate_field_is_bound(monkeypatch):
     assert sorted(still_true) == sorted(_UNBOUND)
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_parameter_key_the_command_never_writes_is_rejected(name):
+    cert = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+    cert["parameters"]["seed"] = 9
+    with pytest.raises(VerificationError) as exc:
+        cli.verify_certificate(cert)
+    assert exc.value.check == "parameters"
+
+
 def _regenerate() -> None:
     os.chdir(GOLDEN)
     for name, argv in sorted(CASES.items()):

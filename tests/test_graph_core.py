@@ -24,6 +24,7 @@ from ramseylab.graph_core import (
     extend_coloring_from_core,
     graph_from_text,
     graph_to_text,
+    is_bipartite,
     is_proper_coloring,
     k_core,
     matching_graph,
@@ -261,6 +262,28 @@ def test_no_color_colors_no_vertex():
     for g in (Graph(1, (0,)), complete_graph(3)):
         assert _exact_k_coloring(g, 0, NodeBudget()) is None
     assert _exact_k_coloring(Graph(0, ()), 0, NodeBudget()) == []
+
+
+def _two_colorable(g: Graph) -> bool:
+    # the reference: the search that `verify` ran for chi <= 2 before is_bipartite
+    return _exact_k_coloring(g, 2, NodeBudget()) is not None
+
+
+def test_is_bipartite_agrees_with_the_two_coloring_search():
+    rng = random.Random(48)
+    for n in range(14):
+        for _ in range(300):
+            g = _random_graph(n, rng.choice([0.1, 0.2, 0.3, 0.5]), rng)
+            assert is_bipartite(g) == _two_colorable(g), graph_to_text(g)
+    left = set(rng.sample(range(60), 30))
+    bipartite = build_graph(60, [(u, v) for u in range(60) for v in range(u + 1, 60)
+                                 if (u in left) != (v in left) and rng.random() < 0.2])
+    for g, expected in ((Graph(0, ()), True), (Graph(1, (0,)), True),
+                        (build_graph(9, []), True), (cycle_graph(4), True),
+                        (cycle_graph(10), True), (cycle_graph(64), True),
+                        (bipartite, True), (cycle_graph(3), False), (cycle_graph(11), False),
+                        (cycle_graph(63), False), (complete_graph(49), False)):
+        assert is_bipartite(g) == _two_colorable(g) == expected, g.n
 
 
 def test_chromatic_nodes_are_the_budget_it_needs():
