@@ -1,6 +1,6 @@
 """Hypergraphs witnessing that regular multipartite matchings can be small.
 
-Three generator families, each self-verifying before returning:
+Three generator families; a caller checks each with its _verify_* function:
 
 * a 3-partite d-regular hypergraph on parts of size floor(3d/2) whose edges
   fall into d pairwise-intersecting label classes, capping its matching at d
@@ -48,7 +48,8 @@ def ach_counterexample(d: int) -> tuple[PartiteHypergraph, tuple[int, ...]]:
     (i,i,i).  Label i goes to the 3(m - d) + d mod 2 edges that i
     contributes, each meeting the diagonal triple {x_i, y_i, z_i} in at least
     two vertices; so the d label classes each pairwise intersect, and a
-    matching takes at most one edge per class.
+    matching takes at most one edge per class.  A caller checks the result
+    and ach_matching(d) with _verify_ach.
     """
     if d < 4:
         # below 4 the construction does not beat ceil((d-1) m / d)
@@ -64,9 +65,7 @@ def ach_counterexample(d: int) -> tuple[PartiteHypergraph, tuple[int, ...]]:
         if d % 2 == 1:
             edges.append((i, i, i))
         labels.extend([i] * (len(edges) - len(labels)))  # the edges just built
-    h = make_hypergraph([m, m, m], edges)
-    _verify_ach(h, labels, d, m, ach_matching(d))
-    return h, tuple(labels)
+    return make_hypergraph([m, m, m], edges), tuple(labels)
 
 
 def ach_matching(d: int) -> list[int]:
@@ -140,7 +139,7 @@ def ach_bound(d: int, n: int) -> int:
 
 def projective_plane(p: int) -> tuple[tuple[int, ...], ...]:
     """The classical plane over the p-element field, as its sorted tuple of
-    lines, each a sorted tuple of points; axiom-checked.
+    lines, each a sorted tuple of points; _verify_plane checks the axioms.
 
     Points are normalized homogeneous triples over Z_p, numbered from the
     affine chart: (1, a, b) is a*p + b, the point at infinity (0, 1, s) of
@@ -156,7 +155,6 @@ def projective_plane(p: int) -> tuple[tuple[int, ...], ...]:
     lines += [tuple(range(c * p, c * p + p)) + (q + p,) for c in range(p)]
     lines.append(tuple(range(q, q + p + 1)))
     lines.sort()
-    _verify_plane(p, lines)
     return tuple(lines)
 
 
@@ -202,8 +200,8 @@ def truncated_plane(p: int) -> PartiteHypergraph:
     """Delete point 0 from the order-p plane.  The p+1 lines through it,
     minus the point, become the parts; each of the p^2 other lines becomes
     the edge of its points' indices within their parts, in part order, and
-    must meet every part exactly once.  Verified: p-regular, simple,
-    pairwise-intersecting edges."""
+    must meet every part exactly once.  _verify_truncated_plane checks that
+    it is p-regular, simple, with pairwise-intersecting edges."""
     lines = projective_plane(p)
     # a line is sorted, so it passes through point 0 exactly when it starts there
     parts = [ln[1:] for ln in lines if ln[0] == 0]
@@ -215,9 +213,7 @@ def truncated_plane(p: int) -> PartiteHypergraph:
             if [i for i, _ in slots] != list(range(p + 1)):
                 raise VerificationError("transversal", "line does not meet every part once")
             edges.append(tuple(idx for _, idx in slots))
-    h = make_hypergraph([p] * (p + 1), edges)
-    _verify_truncated_plane(h, p)
-    return h
+    return make_hypergraph([p] * (p + 1), edges)
 
 
 def _verify_truncated_plane(h: PartiteHypergraph, p: int) -> None:
@@ -239,7 +235,7 @@ def claim51_hypergraph(p: int, m: int, uniformity: int | None = None) -> Partite
 
     A matching takes at most one extended line per stacked copy (lines of one
     copy pairwise intersect), and m disjoint lines from distinct copies with
-    distinct joining vertices exist, which the verifier re-checks exactly.
+    distinct joining vertices exist, which _verify_claim51 checks exactly.
 
     uniformity, when given, must be at least p+2; the last part is then
     repeated uniformity-(p+2)+1 times, raising the edge size without changing
@@ -260,10 +256,7 @@ def claim51_hypergraph(p: int, m: int, uniformity: int | None = None) -> Partite
             for v in range(join):
                 edges.append(shifted + (v,))
     h = make_hypergraph(sizes, edges)
-    if uniformity is not None:
-        h = _duplicate_last_part(h, uniformity - (r0 + 1) + 1)
-    _verify_claim51(h, p, m, uniformity, claim51_matching(p, m))
-    return h
+    return h if uniformity is None else _duplicate_last_part(h, uniformity - (r0 + 1) + 1)
 
 
 def claim51_matching(p: int, m: int) -> list[int]:

@@ -342,7 +342,8 @@ class CoverSearchResult:
 def cover_search(n: int, r: int, properness: str = GENERALIZED,
                  mode: str = COVER, budget: int | None = None) -> CoverSearchResult:
     """Search for r factors of K_n whose union covers (or exactly partitions)
-    its edges.  Exhaustion without a hit is a certified nonexistence."""
+    its edges.  Exhaustion without a hit is a certified nonexistence.  A
+    caller checks the factors with _verify_cover_payload(require_cover=True)."""
     if n < 1 or n > MAX_COVER_N:
         raise ValidationError("BAD_N", f"cover search supports 1 <= n <= {MAX_COVER_N}, got {n}")
     if r < 1:
@@ -375,9 +376,7 @@ def cover_search(n: int, r: int, properness: str = GENERALIZED,
                            full.bit_count() - 1, [], bud)[1]
     if not masks:
         return CoverSearchResult(None, bud.spent, scheme)
-    factors = tuple(_mask_to_graph(m, n) for m in masks)
-    _verify_cover_payload(n, r, properness, mode, factors, require_cover=True)
-    return CoverSearchResult(factors, bud.spent, scheme)
+    return CoverSearchResult(tuple(_mask_to_graph(m, n) for m in masks), bud.spent, scheme)
 
 
 def _last_cover_factor(n: int, missing_mask: int, proper: bool) -> int | None:
@@ -436,7 +435,8 @@ def max_coverable_edges(n: int, r: int, budget: int | None = None) -> MaxCoverRe
     factor is chosen by a subset-memoized packing that maximizes the edges
     taken from the uncovered graph, so the result is an exact maximum, not a
     heuristic.  The search starts from the greedy cover, which it must beat,
-    and stops once min(C(n, 2), r * maxf) edges are covered.
+    and stops once min(C(n, 2), r * maxf) edges are covered.  A caller
+    checks the factors with _verify_cover_payload(require_cover=False).
     """
     if n < 1 or n > MAX_COVERABLE_N:
         raise ValidationError("BAD_N", f"max cover search supports 1 <= n <= {MAX_COVERABLE_N}, "
@@ -451,9 +451,7 @@ def max_coverable_edges(n: int, r: int, budget: int | None = None) -> MaxCoverRe
         n, r, _maximal_shape_reps(n, proper=False),
         _sorted_tail(lambda: _enumerate_maximal_factors(n)),
         lambda missing: _max_partial_factor(n, missing), greedy, greedy_masks, bud)
-    factors = tuple(_mask_to_graph(m, n) for m in masks)
-    _verify_cover_payload(n, r, GENERALIZED, COVER, factors, require_cover=False)
-    return MaxCoverResult(value, factors, bud.spent)
+    return MaxCoverResult(value, tuple(_mask_to_graph(m, n) for m in masks), bud.spent)
 
 
 def _greedy_cover(n: int, r: int) -> tuple[int, list[int]]:
@@ -535,12 +533,10 @@ def walecki_colors(k: int) -> tuple[int, ...]:
 
 def walecki_decomposition(k: int) -> tuple[Graph, ...]:
     """K_{2k+1} as k edge-disjoint Hamilton cycles, the classes of
-    walecki_colors(k), verified before being returned: each 2-regular and
-    connected, edge-disjoint, union K_{2k+1}."""
+    walecki_colors(k); a caller runs _verify_cycle_decomposition: each
+    2-regular and connected, edge-disjoint, union K_{2k+1}."""
     colors, n = walecki_colors(k), 2 * k + 1  # a bad k fails as BAD_K first
-    cycles = tuple(color_classes(n, complete_edges(n), colors).values())
-    _verify_cycle_decomposition(cycles, n)
-    return cycles
+    return tuple(color_classes(n, complete_edges(n), colors).values())
 
 
 def _verify_cycle_decomposition(cycles: Sequence[Graph], n: int) -> None:
@@ -567,11 +563,9 @@ def galaxy_colors(k: int) -> tuple[int, ...]:
 def galaxy_cover(k: int) -> tuple[Graph, ...]:
     """K_{2k} as k double-star classes plus one perfect matching, the
     classes of galaxy_colors(k).  Each class is a star forest, so it contains
-    no triangle and no 4-vertex path.  Verified before returning."""
+    no triangle and no 4-vertex path.  A caller runs _verify_galaxy."""
     colors = galaxy_colors(k)  # a bad k fails as BAD_K first
-    classes = tuple(color_classes(2 * k, complete_edges(2 * k), colors).values())
-    _verify_galaxy(classes, k)
-    return classes
+    return tuple(color_classes(2 * k, complete_edges(2 * k), colors).values())
 
 
 def _verify_galaxy(classes: Sequence[Graph], k: int) -> None:
@@ -589,8 +583,8 @@ def _verify_galaxy(classes: Sequence[Graph], k: int) -> None:
 
 
 # Six generalized factors covering all 55 edges of K_11 (1-based vertex
-# labels; hand-checked transcription, re-verified structurally on import by
-# k11_cover itself).
+# labels; a hand-checked transcription, which the `k11` certificate check
+# verifies on every run).
 _K11_FACTORS_1BASED: tuple[tuple[tuple[int, int], ...], ...] = (
     ((1, 4), (1, 7), (4, 7), (2, 5), (2, 8), (5, 8), (3, 6), (3, 9), (6, 9), (10, 11)),
     ((2, 6), (2, 10), (6, 10), (3, 4), (3, 11), (4, 11), (7, 8), (7, 9), (8, 9), (1, 5)),
@@ -607,12 +601,10 @@ def k11_cover() -> tuple[Graph, ...]:
     Four rows are three triangles plus an edge, one is two triangles, a
     2-edge path and an edge, one is three 2-edge paths.  This certifies that
     eleven pairwise-adjacent vertices survive a union of six factors, the
-    lower bound matching chi_r_report(6).
+    lower bound matching chi_r_report(6); _verify_cover_payload checks it.
     """
-    factors = tuple(build_graph(11, [(u - 1, v - 1) for u, v in fac])
-                    for fac in _K11_FACTORS_1BASED)
-    _verify_cover_payload(11, 6, GENERALIZED, COVER, factors, require_cover=True)
-    return factors
+    return tuple(build_graph(11, [(u - 1, v - 1) for u, v in fac])
+                 for fac in _K11_FACTORS_1BASED)
 
 
 # -- chi_r reporting ------------------------------------------------------------

@@ -30,7 +30,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .errors import BudgetExceededError, ValidationError, VerificationError
+from .errors import BudgetExceededError, ValidationError
 from .graph_core import (
     MAX_VERTICES,
     Graph,
@@ -471,7 +471,7 @@ def mono_free_search(n: int, k: int, fam: ForbiddenFamily,
     """Find an admissible k-coloring of K_n's edges, or certify none exists.
 
     Returns (colors-or-None, nodes), the colors those of complete_edges(n),
-    re-checked by verify_mono_free before they are returned.
+    unchecked: a caller runs verify_mono_free, as the `ramsey` check does.
     """
     if n < 1:
         raise ValidationError("BAD_N", f"need n >= 1, got {n}")
@@ -479,16 +479,7 @@ def mono_free_search(n: int, k: int, fam: ForbiddenFamily,
         raise ValidationError("BAD_K", f"need k >= 1, got {k}")
     bud = NodeBudget(budget)
     chosen = _color_edges(n, k, complete_edges(n), fam, bud, row=n - 1)
-    return (None if chosen is None else _checked(n, chosen, fam)), bud.spent
-
-
-def _checked(n: int, colors: Sequence[int], fam: ForbiddenFamily) -> tuple[int, ...]:
-    """The searched colors of complete_edges(n), once verify_mono_free
-    accepts them."""
-    if verify_mono_free(n, complete_edges(n), colors, fam) is not None:
-        raise VerificationError("mono-free-witness",
-                                "search produced a coloring its own verifier rejects")
-    return tuple(colors)
+    return (None if chosen is None else tuple(chosen)), bud.spent
 
 
 def _color_edges(n: int, k: int, edges: Sequence[tuple[int, int]],
@@ -729,8 +720,8 @@ def compute_c_k(fam: ForbiddenFamily, k: int, cap: int = 32,
 
     Existence is monotone (restricting a coloring of K_{n+1} to K_n stays
     admissible), so the first refuted n settles the value, and the largest
-    coloring found, which the scan returns or attaches to a cut, is the one
-    verify_mono_free re-checks: it proves every smaller size.  The smallest
+    coloring found, which the scan returns or attaches to a cut, proves every
+    smaller size, unchecked: a caller runs verify_mono_free.  The smallest
     N up to cap + 1 (and MAX_VERTICES + 1) that counting_refutes refutes is
     found first.  When _built_witness colors K_{N-1}, the value is N - 1 in
     0 nodes; otherwise each n below N is searched, and the value is N - 1
@@ -753,7 +744,7 @@ def compute_c_k(fam: ForbiddenFamily, k: int, cap: int = 32,
     bud = NodeBudget(budget)
     # K_1 has no edges, so prev holds a coloring before any size is refuted
     # or cut
-    prev: list[int] = []
+    prev: tuple[int, ...] = ()
     prev_nodes = 0
     for n in range(1, refuted or top + 1):
         before = bud.spent
@@ -761,14 +752,14 @@ def compute_c_k(fam: ForbiddenFamily, k: int, cap: int = 32,
             chosen = _color_edges(n, k, complete_edges(n), fam, bud, row=n - 1)
         except BudgetExceededError as exc:
             raise BudgetExceededError(f"{exc} at n = {n}; c_{k} >= {n - 1}", nodes=bud.spent,
-                                      lower=n - 1, witness=_checked(n - 1, prev, fam)) from None
+                                      lower=n - 1, witness=prev) from None
         if chosen is None:
-            return CkResult(n - 1, _checked(n - 1, prev, fam), prev_nodes, bud.spent - before)
-        prev, prev_nodes = chosen, bud.spent - before
+            return CkResult(n - 1, prev, prev_nodes, bud.spent - before)
+        prev, prev_nodes = tuple(chosen), bud.spent - before
     if refuted:
-        return CkResult(refuted - 1, _checked(refuted - 1, prev, fam), prev_nodes, 0, True)
+        return CkResult(refuted - 1, prev, prev_nodes, 0, True)
     raise BudgetExceededError(f"K_{top} still admits a coloring; c_{k} >= {top}",
-                              lower=top, cap=cap, witness=_checked(top, prev, fam))
+                              lower=top, cap=cap, witness=prev)
 
 
 # -- closed forms -------------------------------------------------------------

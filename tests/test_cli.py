@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from ramseylab import cli
 from ramseylab.cli import COMMANDS, run
 from ramseylab.errors import VerificationError
 from ramseylab.factor_lab import PROPER, random_factor
-from ramseylab.graph_core import graph_to_text, path_graph
+from ramseylab.graph_core import build_graph, graph_to_text, path_graph
 from ramseylab.hypergraph_lab import (
     _clique_cover,
     _greedy_matching,
@@ -23,6 +24,7 @@ from ramseylab.hypergraph_lab import (
     factors_to_hypergraph,
     hypergraph_from_text,
     hypergraph_to_text,
+    make_hypergraph,
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -496,6 +498,45 @@ def test_failed_self_check_is_a_coded_error(capsys, monkeypatch):
     code, out, err = _invoke(capsys, ["plane", "--p", "2"])
     assert (code, out) == (1, "")
     assert err == "error [VERIFY_FAILED] check line-count: refused\n"
+
+
+def _last_emptied(graphs):
+    return graphs[:-1] + (build_graph(graphs[-1].n, []),)
+
+
+def _last_edge_dropped(h):
+    return make_hypergraph(h.part_sizes, h.edges[:-1])
+
+
+# the producer as cli calls it, a request, a corruption of the producer's
+# answer and the certificate check that rejects it
+@pytest.mark.parametrize("producer, argv, corrupt, check", [
+    ("cover_search", ["cover", "--n", "5", "--r", "3"],
+     lambda res: replace(res, factors=_last_emptied(res.factors)), "union-complete"),
+    ("max_coverable_edges", ["max-cover", "--n", "6", "--r", "3"],
+     lambda res: replace(res, factors=_last_emptied(res.factors)), "covered-count"),
+    ("walecki_decomposition", ["walecki", "--k", "4"], _last_emptied, "hamilton-cycle"),
+    ("galaxy_cover", ["galaxy", "--k", "3"], _last_emptied, "union-complete"),
+    ("k11_cover", ["k11"], _last_emptied, "union-complete"),
+    ("max_matching", ["match", "--hypergraph", "h.txt"],
+     lambda res: replace(res, size=res.size + 1, witness=res.witness + res.witness[:1]),
+     "matching-disjoint"),
+    ("ach_counterexample", ["ach", "--d", "4"], lambda res: (res[0], (0,) * len(res[1])),
+     "label-range"),
+    ("projective_plane", ["plane", "--p", "3"], lambda lines: lines[:-1], "line-count"),
+    ("truncated_plane", ["truncated-plane", "--p", "3"], _last_edge_dropped, "edge-count"),
+    ("claim51_hypergraph", ["claim51", "--p", "2", "--m", "2"], _last_edge_dropped,
+     "edge-count"),
+])
+def test_a_broken_producer_never_prints(capsys, monkeypatch, producer, argv, corrupt, check):
+    # no producer checks its own answer: run() checks it once, with the
+    # certificate's check, before anything is printed
+    monkeypatch.chdir(GOLDEN)
+    real = getattr(cli, producer)
+    monkeypatch.setattr(cli, producer, lambda *args, **kwargs: corrupt(real(*args, **kwargs)))
+    code, out, err = _invoke(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error [VERIFY_FAILED] check {check}:"), err
 
 
 def test_verify_missing_file(capsys):

@@ -9,12 +9,16 @@ import pytest
 
 from ramseylab.errors import ValidationError, VerificationError
 from ramseylab.extremal import (
+    _verify_ach,
+    _verify_claim51,
     _verify_intersecting,
     _verify_plane,
+    _verify_truncated_plane,
     ach_bound,
     ach_counterexample,
     ach_matching,
     claim51_hypergraph,
+    claim51_matching,
     projective_plane,
     truncated_plane,
 )
@@ -58,6 +62,7 @@ def test_ach_matching_takes_one_edge_per_label():
         picked = ach_matching(d)
         assert is_matching(h, picked)
         assert sorted(labels[j] for j in picked) == list(range(d))
+        _verify_ach(h, labels, d, 3 * d // 2, picked)
 
 
 def test_ach_label_is_the_diagonal_each_edge_meets_twice():
@@ -119,10 +124,11 @@ def test_greedy_bound_is_a_true_lower_bound():
 
 
 def test_projective_plane_shapes():
-    for p in (2, 3, 5):
+    for p in (2, 3, 5, 7, 11, 13):
         lines = projective_plane(p)
         assert len(lines) == p * p + p + 1
         assert all(len(ln) == p + 1 for ln in lines)
+        _verify_plane(p, lines)
 
 
 def _plane_by_orthogonality(p: int) -> tuple[tuple[int, ...], ...]:
@@ -318,12 +324,14 @@ def test_truncated_plane_of_order_31_is_checked_in_one_pass():
     # 961 edges: the pair loop compared 461,280 pairs of them, per check
     h = truncated_plane(31)
     assert h.part_sizes == (31,) * 32 and h.m == 961 and regularity(h) == 31
+    _verify_truncated_plane(h, 31)
 
 
 def test_truncated_plane_of_order_61_shape():
     # the order at which the README times `truncated-plane`
     h = truncated_plane(61)
     assert h.part_sizes == (61,) * 62 and h.m == 3721 and regularity(h) == 61
+    _verify_truncated_plane(h, 61)
 
 
 def test_truncated_fano_line_graph_is_complete():
@@ -342,6 +350,7 @@ def test_claim51_shapes_and_matchings():
         assert h.m == p**3 * m * m
         assert regularity(h) == p * p * m
         assert max_matching(h).size == m
+        _verify_claim51(h, p, m, None, claim51_matching(p, m))
 
 
 def test_claim51_covered_fraction_is_one_over_p():

@@ -25,6 +25,8 @@ from ramseylab.factor_lab import (
     _iter_factor_masks_within,
     _last_cover_factor,
     _verify_cover_payload,
+    _verify_cycle_decomposition,
+    _verify_galaxy,
     chi_r_report,
     classify_factor,
     cover_search,
@@ -469,22 +471,24 @@ def test_max_coverable_validation():
 
 
 def test_walecki_decompositions():
-    for k in range(1, 11):
+    for k in range(1, 32):
         cycles = walecki_decomposition(k)
         n = 2 * k + 1
         assert len(cycles) == k
         assert all(c.m == n for c in cycles)
         assert union_graphs(list(cycles)).m == n * (n - 1) // 2
+        _verify_cycle_decomposition(cycles, n)
     with pytest.raises(ValidationError) as exc:
         walecki_decomposition(0)
     assert exc.value.code == "BAD_K"
 
 
 def test_galaxy_covers():
-    for k in range(2, 11):
+    for k in range(2, 33):
         classes = galaxy_cover(k)
         assert len(classes) == k + 1
         assert union_graphs(list(classes)).m == k * (2 * k - 1)
+        _verify_galaxy(classes, k)
     with pytest.raises(ValidationError) as exc:
         galaxy_cover(1)
     assert exc.value.code == "BAD_K"
@@ -583,6 +587,7 @@ def test_k11_cover():
     union = union_graphs(factors)
     assert union.m == 55
     assert chromatic_number(union).value == 11
+    _verify_cover_payload(11, 6, GENERALIZED, COVER, factors, require_cover=True)
 
 
 # -- extremal chromatic number reports ----------------------------------------------------

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from ramseylab import certificates, cli
+from ramseylab import certificates, cli, extremal, factor_lab, hypergraph_lab, ramsey_search
 from ramseylab.errors import ParseError, ValidationError, VerificationError
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -130,6 +130,60 @@ def test_one_command_table():
         assert cert["outcome"] in outcomes, name
         valued = outcomes[cert["outcome"]]
         assert type(cert["value"]) is int if valued else cert["value"] is None, name
+
+
+# the check of each producer's answer, by the command that prints it
+_CHECK_OF = {
+    "ramsey": "verify_mono_free", "cover": "_verify_cover_payload",
+    "max-cover": "_verify_cover_payload", "walecki": "_verify_cycle_decomposition",
+    "galaxy": "_verify_galaxy", "k11": "_verify_cover_payload", "match": "is_matching",
+    "ach": "_verify_ach", "plane": "_verify_plane",
+    "truncated-plane": "_verify_truncated_plane", "claim51": "_verify_claim51",
+}
+
+
+def test_each_answer_is_checked_once(monkeypatch):
+    """Every call of an answer's check runs inside verify_certificate, where
+    run() checks the certificate it prints, and each certificate's check runs
+    there once.  The one call elsewhere is verify_mono_free deciding whether
+    _built_witness may use a construction."""
+    within: list[str] = []  # the callers running now: "verify" or "built"
+    calls: list[tuple[str, str | None]] = []
+
+    def entered(where, fn):
+        def wrapped(*args, **kwargs):
+            within.append(where)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                within.pop()
+        return wrapped
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append((name, within[-1] if within else None))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cli, "verify_certificate", entered("verify", cli.verify_certificate))
+    monkeypatch.setattr(ramsey_search, "_built_witness",
+                        entered("built", ramsey_search._built_witness))
+    for mod in (certificates, extremal, factor_lab, hypergraph_lab, ramsey_search):
+        for name in set(_CHECK_OF.values()) & set(vars(mod)):
+            monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    monkeypatch.chdir(GOLDEN)
+    checked = set()
+    for case, argv in sorted(CASES.items()):
+        calls.clear()
+        code, out, err = _run(argv + ["--deterministic"])
+        cert = json.loads(out)
+        outside = [c for c in calls if c[1] != "verify" and c != ("verify_mono_free", "built")]
+        assert not outside, (case, outside)
+        check = _CHECK_OF.get(argv[0])
+        if check is not None and cert["witness"] is not None:
+            assert calls.count((check, "verify")) == 1, (case, calls)
+            checked.add(check)
+    assert checked == set(_CHECK_OF.values())
 
 
 _DELETE = object()  # the mutation that removes a field

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from ramseylab import ramsey_search
 from ramseylab.cli import run
-from ramseylab.errors import BudgetExceededError, ValidationError, VerificationError
+from ramseylab.errors import BudgetExceededError, ValidationError
 from ramseylab.factor_lab import DEFAULT_DELTA0
 from ramseylab.graph_core import (
     Graph,
@@ -591,7 +591,7 @@ def test_compute_c_k_spends_one_budget_on_the_whole_scan():
 
 def _mono_k5_search(monkeypatch):
     """Patch the edge search so that K_5, c_3(F2), comes out in one color:
-    a coloring holding P4, which the scan must not pass on unchecked."""
+    a coloring holding P4, which run() must not print."""
     real = ramsey_search._color_edges
 
     def search(n, k, edges, fam, budget, *, row=0):
@@ -601,46 +601,31 @@ def _mono_k5_search(monkeypatch):
     monkeypatch.setattr(ramsey_search, "_color_edges", search)
 
 
-def test_compute_c_k_checks_the_coloring_it_returns(monkeypatch):
+def test_ramsey_never_prints_a_coloring_its_check_rejects(capsys, monkeypatch):
+    # the scan does not check the K_5 it carries: run() does, once, with the
+    # certificate's check, for the value, the cut of the K_6 search, the cap
+    # and (with K_6 refuted by counting and no construction for K_5) the
+    # counted value
     fam = FAMILY_PRESETS["F2"]
     below = sum(mono_free_search(n, 3, fam)[1] for n in range(1, 6))
-    _mono_k5_search(monkeypatch)
-    # the value, the cut of the K_6 search and the cap each carry K_5
-    for budget, cap in ((None, 32), (below + 1, 32), (None, 5)):
-        with pytest.raises(VerificationError) as exc:
-            compute_c_k(fam, 3, cap=cap, budget=budget)
-        assert exc.value.check == "mono-free-witness", (budget, cap)
-    with pytest.raises(VerificationError):
-        mono_free_search(5, 3, fam)
-
-
-def test_compute_c_k_checks_the_coloring_counting_settles(monkeypatch):
-    # with K_6 refuted by counting and no construction for K_5, the scan
-    # searches K_1 to K_5 and returns the counted value with that K_5
-    fam = FAMILY_PRESETS["F2"]
     real = ramsey_search.counting_refutes
-    monkeypatch.setattr(ramsey_search, "counting_refutes",
-                        lambda f, k, n: n == 6 or real(f, k, n))
+
+    def counted(f, k, n):
+        return n == 6 or real(f, k, n)
+
+    monkeypatch.setattr(ramsey_search, "counting_refutes", counted)
     result = compute_c_k(fam, 3)
     assert (result.value, result.counted, result.built) == (5, True, None)
+    monkeypatch.setattr(ramsey_search, "counting_refutes", real)
     _mono_k5_search(monkeypatch)
-    with pytest.raises(VerificationError) as exc:
-        compute_c_k(fam, 3)
-    assert exc.value.check == "mono-free-witness"
-
-
-def test_compute_c_k_checks_one_coloring(monkeypatch):
-    # a coloring of K_n restricts to every smaller K_m, so the scan re-checks
-    # only the K_5 it returns, not K_1 to K_4 as well
-    calls = []
-
-    def counted(n, edges, colors, fam):
-        calls.append(n)
-        return verify_mono_free(n, edges, colors, fam)
-
-    monkeypatch.setattr(ramsey_search, "verify_mono_free", counted)
-    assert compute_c_k(FAMILY_PRESETS["F2"], 3).value == 5
-    assert calls == [5]
+    argv = ["ramsey", "--family", "F2", "--colors", "3"]
+    for extra, refutes in (([], real), (["--budget", str(below + 1)], real),
+                           (["--cap", "5"], real), ([], counted)):
+        monkeypatch.setattr(ramsey_search, "counting_refutes", refutes)
+        code = run(argv + extra)
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, ""), extra
+        assert err.startswith("error [VERIFY_FAILED] check mono-free:"), (extra, err)
 
 
 def test_search_depth_exceeds_recursion_limit():
