@@ -601,31 +601,37 @@ def _mono_k5_search(monkeypatch):
     monkeypatch.setattr(ramsey_search, "_color_edges", search)
 
 
-def test_ramsey_never_prints_a_coloring_its_check_rejects(capsys, monkeypatch):
-    # the scan does not check the K_5 it carries: run() does, once, with the
-    # certificate's check, for the value, the cut of the K_6 search, the cap
-    # and (with K_6 refuted by counting and no construction for K_5) the
-    # counted value
+def _assert_run_rejects(capsys, argv):
+    # run() checks the certificate once, with the ramsey command's check,
+    # and prints nothing when the check fails
+    code = run(["ramsey", "--family", "F2", "--colors", "3", *argv])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, ""), argv
+    assert err.startswith("error [VERIFY_FAILED] check mono-free:"), (argv, err)
+
+
+def test_compute_c_k_checks_the_coloring_it_returns(capsys, monkeypatch):
+    # the scan does not check the K_5 it returns: the certificate check in
+    # run() rejects it for the value, the cut of the K_6 search and the cap
     fam = FAMILY_PRESETS["F2"]
     below = sum(mono_free_search(n, 3, fam)[1] for n in range(1, 6))
+    _mono_k5_search(monkeypatch)
+    for extra in ([], ["--budget", str(below + 1)], ["--cap", "5"]):
+        _assert_run_rejects(capsys, extra)
+
+
+def test_compute_c_k_checks_the_coloring_counting_settles(capsys, monkeypatch):
+    # with K_6 refuted by counting and no construction for K_5, the scan
+    # searches K_1 to K_5 and returns the counted value with that K_5, which
+    # the certificate check in run() rejects
+    fam = FAMILY_PRESETS["F2"]
     real = ramsey_search.counting_refutes
-
-    def counted(f, k, n):
-        return n == 6 or real(f, k, n)
-
-    monkeypatch.setattr(ramsey_search, "counting_refutes", counted)
+    monkeypatch.setattr(ramsey_search, "counting_refutes",
+                        lambda f, k, n: n == 6 or real(f, k, n))
     result = compute_c_k(fam, 3)
     assert (result.value, result.counted, result.built) == (5, True, None)
-    monkeypatch.setattr(ramsey_search, "counting_refutes", real)
     _mono_k5_search(monkeypatch)
-    argv = ["ramsey", "--family", "F2", "--colors", "3"]
-    for extra, refutes in (([], real), (["--budget", str(below + 1)], real),
-                           (["--cap", "5"], real), ([], counted)):
-        monkeypatch.setattr(ramsey_search, "counting_refutes", refutes)
-        code = run(argv + extra)
-        out, err = capsys.readouterr()
-        assert (code, out) == (1, ""), extra
-        assert err.startswith("error [VERIFY_FAILED] check mono-free:"), (extra, err)
+    _assert_run_rejects(capsys, [])
 
 
 def test_search_depth_exceeds_recursion_limit():
