@@ -23,6 +23,7 @@ from .errors import ParseError, ValidationError, VerificationError
 from .graph_core import (
     GENERATORS,
     Graph,
+    color_classes,
     complete_edges,
     graph_from_text,
     is_bipartite,
@@ -48,8 +49,9 @@ from .factor_lab import (
     _edge_bound,
     _greedy_cover,
     _verify_cover_payload,
-    _verify_cycle_decomposition,
-    _verify_galaxy,
+    _verify_factor_shapes,
+    _verify_hamilton_cycles,
+    _verify_star_forests,
     chi_r_report,
 )
 from .hypergraph_lab import (
@@ -226,6 +228,24 @@ def _int_list(payload: Mapping[str, Any] | None, key: str) -> list[int]:
     return val
 
 
+def _assignment(witness: Mapping[str, Any] | None, n: int, k: int
+                ) -> tuple[tuple[tuple[int, int], ...], list[int]]:
+    """The edges of K_n and the witness's `assignment`, one color in
+    0..k - 1 for each: the one input check of an edge coloring of K_n.  It
+    colors each edge once, so its classes decompose K_n, and a construction's
+    check is one test of every class in use."""
+    edges = complete_edges(n)
+    colors = _int_list(witness, "assignment")
+    if k < 1:
+        raise ValidationError("OUT_OF_RANGE", "palette must have at least one color")
+    if len(colors) != len(edges):
+        raise ValidationError("OUT_OF_RANGE",
+                              f"expected {len(edges)} edge colors, got {len(colors)}")
+    if any(not 0 <= c < k for c in colors):
+        raise ValidationError("OUT_OF_RANGE", f"edge color outside 0..{k - 1}")
+    return edges, colors
+
+
 # -- per-command verifiers --------------------------------------------------------
 
 
@@ -333,16 +353,7 @@ def _vf_ramsey(params, value, witness, stats, outcome):
                                    or stats["witness_nodes"] != 0):
             raise VerificationError("witness-source",
                                     "a built witness is walecki or galaxy, found in 0 nodes")
-    edges = complete_edges(n)
-    colors = _int_list(witness, "assignment")
-    if k < 1:
-        raise ValidationError("OUT_OF_RANGE", "palette must have at least one color")
-    if len(colors) != len(edges):
-        raise ValidationError("OUT_OF_RANGE",
-                              f"expected {len(edges)} edge colors, got {len(colors)}")
-    if any(not 0 <= c < k for c in colors):
-        raise ValidationError("OUT_OF_RANGE", f"edge color outside 0..{k - 1}")
-    bad = verify_mono_free(n, edges, colors, fam)
+    bad = verify_mono_free(n, *_assignment(witness, n, k), fam)
     if bad is not None:
         raise VerificationError("mono-free", f"color {bad[0]} contains {bad[1].token}")
     if "refutation" in stats and (stats["refutation"] != "counting"
@@ -414,22 +425,20 @@ def _vf_max_cover(params, value, witness, stats, outcome):
 
 
 def _vf_walecki(params, value, witness, stats, outcome):
+    # k classes of 2k + 1 edges each: every color in 0..k - 1 is a Hamilton cycle
     k = _int(params, "k", _PARAMS)
-    cycles = _graphs_payload(witness, "cycles")
-    if len(cycles) != k:
-        raise VerificationError("cycle-count", f"expected {k} cycles")
-    _verify_cycle_decomposition(cycles, 2 * k + 1)
+    n = 2 * k + 1
+    _verify_hamilton_cycles(color_classes(n, *_assignment(witness, n, k)).values())
 
 
 def _vf_galaxy(params, value, witness, stats, outcome):
     k = _int(params, "k", _PARAMS)
-    classes = _graphs_payload(witness, "classes")
-    _verify_galaxy(classes, k)
+    n = 2 * k
+    _verify_star_forests(color_classes(n, *_assignment(witness, n, k + 1)).values())
 
 
 def _vf_k11(params, value, witness, stats, outcome):
-    factors = _graphs_payload(witness, "factors")
-    _verify_cover_payload(11, 6, GENERALIZED, COVER, factors, require_cover=True)
+    _verify_factor_shapes(color_classes(11, *_assignment(witness, 11, 6)).values())
 
 
 def _vf_chi_r(params, value, witness, stats, outcome):

@@ -42,10 +42,10 @@ from .factor_lab import (
     PROPER,
     chi_r_report,
     cover_search,
-    galaxy_cover,
-    k11_cover,
+    galaxy_colors,
+    k11_colors,
     max_coverable_edges,
-    walecki_decomposition,
+    walecki_colors,
 )
 from .hypergraph_lab import (
     factors_to_hypergraph,
@@ -193,21 +193,16 @@ def _run_max_cover(args, params):
 
 def _run_walecki(args, params):
     params["k"] = args.k
-    cycles = walecki_decomposition(args.k)
-    witness = {"cycles": [graph_to_text(g) for g in cycles]}
-    return "EXISTS", None, witness, {}
+    return "EXISTS", None, {"assignment": list(walecki_colors(args.k))}, {}
 
 
 def _run_galaxy(args, params):
     params["k"] = args.k
-    classes = galaxy_cover(args.k)
-    witness = {"classes": [graph_to_text(g) for g in classes]}
-    return "EXISTS", None, witness, {}
+    return "EXISTS", None, {"assignment": list(galaxy_colors(args.k))}, {}
 
 
 def _run_k11(args, params):
-    witness = {"factors": [graph_to_text(g) for g in k11_cover()]}
-    return "EXISTS", None, witness, {}
+    return "EXISTS", None, {"assignment": list(k11_colors())}, {}
 
 
 def _run_chi_r(args, params):
@@ -373,9 +368,9 @@ COMMANDS: dict[str, Command] = {
                          parameters=frozenset({"n", "r"})),
     "walecki": Command("Hamilton cycle decomposition of K_{2k+1}", (_K,), _run_walecki, _vf_walecki,
                        _BUILT, parameters=frozenset({"k"})),
-    "galaxy": Command("star-forest covering of K_{2k}", (_K,), _run_galaxy, _vf_galaxy, _BUILT,
+    "galaxy": Command("star-forest decomposition of K_{2k}", (_K,), _run_galaxy, _vf_galaxy, _BUILT,
                       parameters=frozenset({"k"})),
-    "k11": Command("six generalized factors covering K_11", (), _run_k11, _vf_k11, _BUILT),
+    "k11": Command("six generalized factors decomposing K_11", (), _run_k11, _vf_k11, _BUILT),
     "chi-r": Command("extremal chromatic number of r-factor unions", (_R, _DELTA0),
                      _run_chi_r, _vf_chi_r, _SEARCH, parameters=frozenset({"r", "delta0"})),
     "bijection": Command("translate between factor unions and hypergraphs", (

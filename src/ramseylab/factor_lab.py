@@ -4,9 +4,10 @@ A generalized factor is a spanning subgraph whose components are each
 contained in a triangle: triangles, 2-edge paths, single edges, isolated
 vertices.  A proper factor has triangle components only.  This module
 classifies factors, searches for covers/decompositions of K_n by r of them,
-maximizes coverable edges, and builds the three explicit constructions used
-as chromatic lower bounds: Hamilton-cycle splits of K_{2k+1}, galaxy splits
-of K_{2k}, and a six-factor covering of K_11.
+maximizes coverable edges, and colors K_n's edges by the three explicit
+constructions used as chromatic lower bounds: Walecki's Hamilton cycles of
+K_{2k+1}, the galaxy's star forests of K_{2k}, and six generalized factors
+of K_11.
 
 Every search starts from a maximal first factor, fixed up to isomorphism.
 A spanning subgraph of a generalized factor is one, since its components
@@ -42,7 +43,6 @@ from .graph_core import (
     NodeBudget,
     _bits,
     build_graph,
-    color_classes,
     complete_edge_index,
     complete_edges,
     connected_components,
@@ -78,8 +78,9 @@ def classify_factor(g: Graph) -> str:
 
 def _verify_cover_payload(n: int, r: int, properness: str, mode: str,
                           factors: Sequence[Graph], require_cover: bool) -> int:
-    """Check r factors of K_n as a certificate payload; returns their union
-    as an edge mask."""
+    """Check r factors of K_n as a certificate payload, edge-disjoint for a
+    decomposition and covering K_n if require_cover; returns their union as
+    an edge mask."""
     if len(factors) != r:
         raise VerificationError("factor-count", f"expected {r} factors, got {len(factors)}")
     for g in factors:
@@ -90,19 +91,13 @@ def _verify_cover_payload(n: int, r: int, properness: str, mode: str,
             raise VerificationError("factor-shape", "component larger than a triangle")
         if properness == PROPER and cls != PROPER:
             raise VerificationError("factor-proper", "non-triangle component in proper mode")
-    return _edge_union(factors, n, mode == DECOMPOSITION, require_cover)
-
-
-def _edge_union(graphs: Sequence[Graph], n: int, disjoint: bool, complete: bool) -> int:
-    """The edge mask of the union of graphs on n vertices, checked to be
-    pairwise edge-disjoint and to cover K_n as asked."""
     seen = 0
-    for g in graphs:
+    for g in factors:
         mask = _edge_mask(g)
-        if disjoint and mask & seen:
+        if mode == DECOMPOSITION and mask & seen:
             raise VerificationError("edge-disjoint", "two classes share an edge")
         seen |= mask
-    if complete and seen != _full_edge_mask(n):
+    if require_cover and seen != _full_edge_mask(n):
         raise VerificationError("union-complete", f"classes do not cover K_{n}")
     return seen
 
@@ -531,21 +526,13 @@ def walecki_colors(k: int) -> tuple[int, ...]:
                  for x, y in complete_edges(hub + 1))
 
 
-def walecki_decomposition(k: int) -> tuple[Graph, ...]:
-    """K_{2k+1} as k edge-disjoint Hamilton cycles, the classes of
-    walecki_colors(k); a caller runs _verify_cycle_decomposition: each
-    2-regular and connected, edge-disjoint, union K_{2k+1}."""
-    colors, n = walecki_colors(k), 2 * k + 1  # a bad k fails as BAD_K first
-    return tuple(color_classes(n, complete_edges(n), colors).values())
-
-
-def _verify_cycle_decomposition(cycles: Sequence[Graph], n: int) -> None:
-    for g in cycles:
-        if g.m != n or any(g.degree(v) != 2 for v in range(n)):
+def _verify_hamilton_cycles(classes: Iterable[Graph]) -> None:
+    """Each class a Hamilton cycle of its K_n: 2-regular and connected."""
+    for g in classes:
+        if any(g.degree(v) != 2 for v in range(g.n)):
             raise VerificationError("hamilton-cycle", "class is not a 2-regular spanning cycle")
         if len(connected_components(g)) != 1:
             raise VerificationError("hamilton-cycle", "class is disconnected")
-    _edge_union(cycles, n, True, True)
 
 
 def galaxy_colors(k: int) -> tuple[int, ...]:
@@ -560,31 +547,17 @@ def galaxy_colors(k: int) -> tuple[int, ...]:
                  for x, y in complete_edges(2 * k))
 
 
-def galaxy_cover(k: int) -> tuple[Graph, ...]:
-    """K_{2k} as k double-star classes plus one perfect matching, the
-    classes of galaxy_colors(k).  Each class is a star forest, so it contains
-    no triangle and no 4-vertex path.  A caller runs _verify_galaxy."""
-    colors = galaxy_colors(k)  # a bad k fails as BAD_K first
-    return tuple(color_classes(2 * k, complete_edges(2 * k), colors).values())
-
-
-def _verify_galaxy(classes: Sequence[Graph], k: int) -> None:
-    """k+1 edge-disjoint star forests whose union is K_{2k}."""
-    if len(classes) != k + 1:
-        raise VerificationError("class-count", f"expected {k + 1} classes")
-    n = 2 * k
+def _verify_star_forests(classes: Iterable[Graph]) -> None:
+    """Each class a star forest: every edge has a leaf end."""
     for g in classes:
-        if g.n != n:
-            raise VerificationError("class-order", "class on wrong vertex count")
-        # a star forest is a graph in which every edge has a leaf end
         if any(g.degree(u) > 1 and g.degree(v) > 1 for u, v in g.edges()):
             raise VerificationError("star-forest", "class is not a star forest")
-    _edge_union(classes, n, True, True)
 
 
-# Six generalized factors covering all 55 edges of K_11 (1-based vertex
+# Six generalized factors decomposing the 55 edges of K_11 (1-based vertex
 # labels; a hand-checked transcription, which the `k11` certificate check
-# verifies on every run).
+# verifies on every run).  Four rows are three triangles plus an edge, one is
+# two triangles, a 2-edge path and an edge, one is three 2-edge paths.
 _K11_FACTORS_1BASED: tuple[tuple[tuple[int, int], ...], ...] = (
     ((1, 4), (1, 7), (4, 7), (2, 5), (2, 8), (5, 8), (3, 6), (3, 9), (6, 9), (10, 11)),
     ((2, 6), (2, 10), (6, 10), (3, 4), (3, 11), (4, 11), (7, 8), (7, 9), (8, 9), (1, 5)),
@@ -595,16 +568,21 @@ _K11_FACTORS_1BASED: tuple[tuple[tuple[int, int], ...], ...] = (
 )
 
 
-def k11_cover() -> tuple[Graph, ...]:
-    """Six generalized factors whose union is exactly K_11.
+def k11_colors() -> tuple[int, ...]:
+    """The six generalized factors of K_11, one color per edge {u, v} of
+    complete_edges(11): the row of _K11_FACTORS_1BASED that holds
+    (u + 1, v + 1).  This certifies that eleven pairwise-adjacent vertices
+    survive a union of six factors, the lower bound matching
+    chi_r_report(6); _verify_factor_shapes checks each class."""
+    row = {(u - 1, v - 1): c for c, fac in enumerate(_K11_FACTORS_1BASED) for u, v in fac}
+    return tuple(row[e] for e in complete_edges(11))
 
-    Four rows are three triangles plus an edge, one is two triangles, a
-    2-edge path and an edge, one is three 2-edge paths.  This certifies that
-    eleven pairwise-adjacent vertices survive a union of six factors, the
-    lower bound matching chi_r_report(6); _verify_cover_payload checks it.
-    """
-    return tuple(build_graph(11, [(u - 1, v - 1) for u, v in fac])
-                 for fac in _K11_FACTORS_1BASED)
+
+def _verify_factor_shapes(classes: Iterable[Graph]) -> None:
+    """Each class a generalized factor: no component larger than a triangle."""
+    for g in classes:
+        if classify_factor(g) == NOT_A_FACTOR:
+            raise VerificationError("factor-shape", "component larger than a triangle")
 
 
 # -- chi_r reporting ------------------------------------------------------------

@@ -466,22 +466,6 @@ def _embeds_with_edge(adj: Sequence[int], u: int, v: int,
     return False
 
 
-def mono_free_search(n: int, k: int, fam: ForbiddenFamily,
-                     budget: int | None = None) -> tuple[tuple[int, ...] | None, int]:
-    """Find an admissible k-coloring of K_n's edges, or certify none exists.
-
-    Returns (colors-or-None, nodes), the colors those of complete_edges(n),
-    unchecked: a caller runs verify_mono_free, as the `ramsey` check does.
-    """
-    if n < 1:
-        raise ValidationError("BAD_N", f"need n >= 1, got {n}")
-    if k < 1:
-        raise ValidationError("BAD_K", f"need k >= 1, got {k}")
-    bud = NodeBudget(budget)
-    chosen = _color_edges(n, k, complete_edges(n), fam, bud, row=n - 1)
-    return (None if chosen is None else tuple(chosen)), bud.spent
-
-
 def _color_edges(n: int, k: int, edges: Sequence[tuple[int, int]],
                  fam: ForbiddenFamily, budget: NodeBudget, *, row: int = 0,
                  ) -> list[int] | None:

@@ -19,15 +19,17 @@ from ramseylab.factor_lab import (
     PROPER,
     chi_r_report,
     cover_search,
-    galaxy_cover,
-    k11_cover,
+    galaxy_colors,
+    k11_colors,
     max_coverable_edges,
     random_factor,
-    walecki_decomposition,
+    walecki_colors,
 )
 from ramseylab.graph_core import (
     build_graph,
     chromatic_number,
+    color_classes,
+    complete_edges,
     extend_coloring_from_core,
     is_proper_coloring,
     k_core,
@@ -103,7 +105,7 @@ def test_acceptance_03_three_factor_coverage_limits():
 
 
 def test_acceptance_04_eleven_vertex_union_bounds():
-    factors = k11_cover()
+    factors = list(color_classes(11, complete_edges(11), k11_colors()).values())
     assert len(factors) == 6
     union = union_graphs(factors)
     assert union.m == 55 and union.n == 11
@@ -116,8 +118,8 @@ def test_acceptance_04_eleven_vertex_union_bounds():
 
 
 def test_acceptance_05_named_decompositions():
-    _, t1 = _timed(lambda: [walecki_decomposition(k) for k in range(1, 11)], MINUTE)
-    _, t2 = _timed(lambda: [galaxy_cover(k) for k in range(2, 11)], MINUTE)
+    _, t1 = _timed(lambda: [walecki_colors(k) for k in range(1, 11)], MINUTE)
+    _, t2 = _timed(lambda: [galaxy_colors(k) for k in range(2, 11)], MINUTE)
     kirkman, t3 = _timed(
         lambda: cover_search(9, 4, properness=PROPER, mode=DECOMPOSITION), MINUTE)
     assert kirkman.factors is not None

@@ -210,7 +210,7 @@ def test_verify_closed_form_consistency():
 # the search kernels and entry points, with the budget they charge
 _SEARCHES = {
     graph_core: ("NodeBudget", "_exact_k_coloring", "chromatic_number", "max_clique"),
-    ramsey_search: ("compute_c_k", "mono_free_search", "_color_edges"),
+    ramsey_search: ("compute_c_k", "_color_edges"),
     factor_lab: ("cover_search", "max_coverable_edges", "_factor_search"),
     hypergraph_lab: ("max_matching", "_match_branch"),
 }

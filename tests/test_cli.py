@@ -504,6 +504,11 @@ def _last_emptied(graphs):
     return graphs[:-1] + (build_graph(graphs[-1].n, []),)
 
 
+def _first_recolored(color: int):
+    """The edge coloring with edge (0, 1) of K_n, its first, recolored."""
+    return lambda colors: (color,) + colors[1:]
+
+
 def _last_edge_dropped(h):
     return make_hypergraph(h.part_sizes, h.edges[:-1])
 
@@ -515,9 +520,12 @@ def _last_edge_dropped(h):
      lambda res: replace(res, factors=_last_emptied(res.factors)), "union-complete"),
     ("max_coverable_edges", ["max-cover", "--n", "6", "--r", "3"],
      lambda res: replace(res, factors=_last_emptied(res.factors)), "covered-count"),
-    ("walecki_decomposition", ["walecki", "--k", "4"], _last_emptied, "hamilton-cycle"),
-    ("galaxy_cover", ["galaxy", "--k", "3"], _last_emptied, "union-complete"),
-    ("k11_cover", ["k11"], _last_emptied, "union-complete"),
+    # class 0 loses its edge (0, 1): vertices 0 and 1 have degree 1 there
+    ("walecki_colors", ["walecki", "--k", "4"], _first_recolored(1), "hamilton-cycle"),
+    # the star at 1 in class 1 gains the edge to 0, a leaf of the star at 4
+    ("galaxy_colors", ["galaxy", "--k", "3"], _first_recolored(1), "star-forest"),
+    # triangles 1, 4, 7 and 2, 5, 8 of row 0 (1-based) join into one component
+    ("k11_colors", ["k11"], _first_recolored(0), "factor-shape"),
     ("max_matching", ["match", "--hypergraph", "h.txt"],
      lambda res: replace(res, size=res.size + 1, witness=res.witness + res.witness[:1]),
      "matching-disjoint"),

@@ -25,21 +25,23 @@ from ramseylab.factor_lab import (
     _iter_factor_masks_within,
     _last_cover_factor,
     _verify_cover_payload,
-    _verify_cycle_decomposition,
-    _verify_galaxy,
+    _verify_factor_shapes,
+    _verify_hamilton_cycles,
+    _verify_star_forests,
     chi_r_report,
     classify_factor,
     cover_search,
-    galaxy_cover,
-    k11_cover,
+    galaxy_colors,
+    k11_colors,
     max_coverable_edges,
     random_factor,
-    walecki_decomposition,
+    walecki_colors,
 )
 from ramseylab.cli import run
 from ramseylab.graph_core import (
     build_graph,
     chromatic_number,
+    color_classes,
     complete_edges,
     complete_graph,
     union_graphs,
@@ -47,9 +49,9 @@ from ramseylab.graph_core import (
 from ramseylab.ramsey_search import (
     FAMILY_PRESETS,
     closed_form_c_k,
-    mono_free_search,
     verify_mono_free,
 )
+from test_ramsey_search import color_kn
 
 
 def _triangle_blocks(n: int, *blocks: tuple[int, int, int]):
@@ -390,14 +392,14 @@ def test_covers_by_factors_are_f6_free_colorings():
     for n in range(1, 10):
         for k in range(1, 5):
             covered = cover_search(n, k).factors is not None
-            assert covered == (mono_free_search(n, k, fam)[0] is not None), (n, k)
+            assert covered == (color_kn(n, k, fam)[0] is not None), (n, k)
 
 
 def test_c5_of_f6_is_nine():
     # no closed form below delta0; the search settles it
     fam = FAMILY_PRESETS["F6"]
     assert closed_form_c_k(fam, 5) is None
-    coloring, nodes = mono_free_search(9, 5, fam)
+    coloring, nodes = color_kn(9, 5, fam)
     assert coloring is not None and nodes == 8747
     assert verify_mono_free(9, complete_edges(9), coloring, fam) is None
     res = cover_search(10, 5)
@@ -470,27 +472,29 @@ def test_max_coverable_validation():
 # -- named constructions ----------------------------------------------------------------
 
 
+def _classes(n: int, colors) -> tuple:
+    return tuple(color_classes(n, complete_edges(n), colors).values())
+
+
 def test_walecki_decompositions():
+    # every k under the 64-vertex cap: k Hamilton cycles, as the certificate checks them
     for k in range(1, 32):
-        cycles = walecki_decomposition(k)
         n = 2 * k + 1
-        assert len(cycles) == k
-        assert all(c.m == n for c in cycles)
-        assert union_graphs(list(cycles)).m == n * (n - 1) // 2
-        _verify_cycle_decomposition(cycles, n)
+        cycles = _classes(n, walecki_colors(k))
+        assert len(cycles) == k and all(c.m == n for c in cycles)
+        _verify_hamilton_cycles(cycles)
     with pytest.raises(ValidationError) as exc:
-        walecki_decomposition(0)
+        walecki_colors(0)
     assert exc.value.code == "BAD_K"
 
 
 def test_galaxy_covers():
     for k in range(2, 33):
-        classes = galaxy_cover(k)
+        classes = _classes(2 * k, galaxy_colors(k))
         assert len(classes) == k + 1
-        assert union_graphs(list(classes)).m == k * (2 * k - 1)
-        _verify_galaxy(classes, k)
+        _verify_star_forests(classes)
     with pytest.raises(ValidationError) as exc:
-        galaxy_cover(1)
+        galaxy_colors(1)
     assert exc.value.code == "BAD_K"
 
 
@@ -528,17 +532,18 @@ def _star_galaxy(k: int) -> tuple:
 def test_color_formulas_give_the_loop_constructions():
     # every k under the 64-vertex cap, class for class in color order
     for k in range(1, 32):
-        assert walecki_decomposition(k) == _zigzag_walecki(k), k
+        assert _classes(2 * k + 1, walecki_colors(k)) == _zigzag_walecki(k), k
     for k in range(2, 33):
-        assert galaxy_cover(k) == _star_galaxy(k), k
+        assert _classes(2 * k, galaxy_colors(k)) == _star_galaxy(k), k
 
 
 @pytest.mark.parametrize("family, colors, built", [("F3", "5", "walecki"),
                                                     ("F5", "4", "walecki"),
                                                     ("F4", "4", "galaxy")])
 def test_ramsey_builds_no_decomposition(monkeypatch, capsys, family, colors, built):
-    # a built witness is the construction's colors as they are: with every
-    # graph form of both constructions raising, the certificate keeps its bytes
+    # a built witness is the construction's colors as they are, checked for
+    # the family alone: with the constructions' own class tests raising, the
+    # certificate keeps its bytes
     argv = ["ramsey", "--family", family, "--colors", colors, "--deterministic"]
     assert run(argv) == 0
     out = capsys.readouterr().out
@@ -548,16 +553,15 @@ def test_ramsey_builds_no_decomposition(monkeypatch, capsys, family, colors, bui
         raise AssertionError("decomposition built")
 
     for mod in (factor_lab, cli, ramsey_search, certificates):
-        for name in ("walecki_decomposition", "galaxy_cover",
-                     "_verify_cycle_decomposition", "_verify_galaxy"):
+        for name in ("_verify_hamilton_cycles", "_verify_star_forests"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, boom)
     assert run(argv) == 0
     assert capsys.readouterr().out == out
 
 
-@pytest.mark.parametrize("build, n", [(walecki_decomposition, 2 * 10 ** 6 + 1),
-                                      (galaxy_cover, 2 * 10 ** 6)])
+@pytest.mark.parametrize("build, n", [(walecki_colors, 2 * 10 ** 6 + 1),
+                                      (galaxy_colors, 2 * 10 ** 6)])
 def test_construction_past_the_vertex_cap_builds_nothing(build, n):
     # the vertex count is checked before any edge list grows with k
     tracemalloc.start()
@@ -573,21 +577,40 @@ def test_construction_past_the_vertex_cap_builds_nothing(build, n):
 
 def test_galaxy_classes_avoid_triangle_and_p4():
     # galaxies witness c_k(triangle, 4-path) >= 2k - 2 after dropping colors
-    classes = galaxy_cover(5)
-    base = complete_graph(10)
-    color_of = {e: c for c, g in enumerate(classes) for e in g.edges()}
-    assert sum(g.m for g in classes) == len(color_of) == base.m  # a partition
-    colors = [color_of[e] for e in base.edges()]
-    assert verify_mono_free(base.n, base.edges(), colors, FAMILY_PRESETS["F4"]) is None
+    assert verify_mono_free(10, complete_edges(10), galaxy_colors(5),
+                            FAMILY_PRESETS["F4"]) is None
 
 
 def test_k11_cover():
-    factors = k11_cover()
+    factors = _classes(11, k11_colors())
     assert len(factors) == 6 and all(f.n == 11 for f in factors)
-    union = union_graphs(factors)
-    assert union.m == 55
-    assert chromatic_number(union).value == 11
-    _verify_cover_payload(11, 6, GENERALIZED, COVER, factors, require_cover=True)
+    # the six rows of the table hold each of K_11's 55 edges once, lower end first
+    assert sorted(e for row in factor_lab._K11_FACTORS_1BASED
+                  for e in row) == [(u + 1, v + 1) for u, v in complete_edges(11)]
+    assert chromatic_number(union_graphs(factors)).value == 11
+    _verify_factor_shapes(factors)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_walecki_is_the_built_f3_witness(capsys, k):
+    # walecki --k k prints the coloring that ramsey builds for F3 with k colors
+    assert run(["walecki", "--k", str(k)]) == 0
+    walecki = json.loads(capsys.readouterr().out)["witness"]
+    assert run(["ramsey", "--family", "F3", "--colors", str(k)]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["stats"]["witness"] == "walecki"
+    assert walecki == {"assignment": cert["witness"]["assignment"]}
+
+
+@pytest.mark.parametrize("k", range(4, 8))
+def test_galaxy_is_the_built_f4_witness(capsys, k):
+    # galaxy --k k - 1 prints the coloring that ramsey builds for F4 with k colors
+    assert run(["galaxy", "--k", str(k - 1)]) == 0
+    galaxy = json.loads(capsys.readouterr().out)["witness"]
+    assert run(["ramsey", "--family", "F4", "--colors", str(k)]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["stats"]["witness"] == "galaxy"
+    assert galaxy == {"assignment": cert["witness"]["assignment"]}
 
 
 # -- extremal chromatic number reports ----------------------------------------------------

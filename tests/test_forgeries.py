@@ -20,6 +20,7 @@ import pytest
 from ramseylab import certificates
 from ramseylab.cli import COMMANDS, run
 from ramseylab.factor_lab import COVER_SCHEME, DECOMP_SCHEME
+from ramseylab.graph_core import complete_edges
 from ramseylab.ramsey_search import ClosedForm
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -89,33 +90,37 @@ def test_empty_chi_forgery_is_rejected(tmp_path, capsys):
     assert "check color-count" in _rejected(tmp_path, capsys, cert)
 
 
-@pytest.mark.parametrize("text", ["6 3\n0 1\n1 2\n2 3\n", "6 3\n0 1\n0 2\n1 2\n"],
-                         ids=["p4", "triangle"])
-def test_galaxy_class_must_be_a_star_forest(tmp_path, capsys, text):
+@pytest.mark.parametrize("edge", [(2, 3), (1, 2)], ids=["p4", "triangle"])
+def test_galaxy_class_must_be_a_star_forest(tmp_path, capsys, edge):
+    # class 0 of K_6 is the stars 0-1, 0-2 and 3-4, 3-5; the edge joins
+    # them into the path 1-0-2-3-4, or closes the triangle 0, 1, 2
     cert = _golden("galaxy")
-    cert["witness"]["classes"][0] = text
+    cert["witness"]["assignment"][complete_edges(6).index(edge)] = 0
     assert "check star-forest" in _rejected(tmp_path, capsys, cert)
 
 
-@pytest.mark.parametrize("edit, message", [
-    ("short", "expected 6 edge colors, got 5"),
-    ("color", "edge color outside 0..2"),
-    ("negative", "edge color outside 0..2"),
-    ("palette", "palette must have at least one color"),
-], ids=["short", "color", "negative", "palette"])
-def test_ramsey_assignment_must_color_every_edge_in_the_palette(tmp_path, capsys, edit,
+@pytest.mark.parametrize("name, edit, message", [
+    ("ramsey", "short", "expected 6 edge colors, got 5"),
+    ("ramsey", "color", "edge color outside 0..2"),
+    ("ramsey", "negative", "edge color outside 0..2"),
+    ("ramsey", "palette", "palette must have at least one color"),
+    ("galaxy", "short", "expected 15 edge colors, got 14"),
+    ("galaxy", "color", "edge color outside 0..3"),
+], ids=["short", "color", "negative", "palette", "galaxy-short", "galaxy-color"])
+def test_ramsey_assignment_must_color_every_edge_in_the_palette(tmp_path, capsys, name, edit,
                                                                 message):
-    # K_4 with 3 colors: six edges, each colored 0..2
-    cert = _golden("ramsey")
-    assignment = cert["witness"]["assignment"]
+    # ramsey: K_4 with 3 colors, six edges each colored 0..2; galaxy --k 3:
+    # K_6 with k + 1 = 4 colors, the same input check
+    cert = _golden(name)
+    params, assignment = cert["parameters"], cert["witness"]["assignment"]
     if edit == "short":
         assignment.pop()
     elif edit == "color":
-        assignment[0] = cert["parameters"]["colors"]
+        assignment[0] = params["colors"] if name == "ramsey" else params["k"] + 1
     elif edit == "negative":
         assignment[0] = -1
     else:
-        cert["parameters"]["colors"] = 0
+        params["colors"] = 0
     assert _rejected(tmp_path, capsys, cert) == f"error [OUT_OF_RANGE]: {message}\n"
 
 
@@ -605,11 +610,27 @@ def _swap_hyperedges(cert: dict) -> None:
 
 
 def _swap_cycle_edges(cert: dict) -> None:
-    # cycle 0's edge 0-1 and cycle 1's edge 0-2 trade places: the classes
-    # still partition K_9, but vertex 1 has degree 1 in cycle 0
-    cycles = cert["witness"]["cycles"]
-    cycles[0] = cycles[0].replace("\n0 1\n", "\n0 2\n")
-    cycles[1] = cycles[1].replace("\n0 2\n", "\n0 1\n")
+    # edges 0-1 of cycle 0 and 0-2 of cycle 1 trade colors: vertex 1 has
+    # degree 1 in class 0
+    assignment = cert["witness"]["assignment"]
+    assert assignment[:2] == [0, 1]
+    assignment[:2] = [1, 0]
+
+
+def _split_cycle(cert: dict) -> None:
+    # class 0 becomes C3 + C6, its other edges go to class 1
+    split = {(0, 1), (0, 2), (1, 2), (3, 4), (3, 8), (4, 5), (5, 6), (6, 7), (7, 8)}
+    assignment = cert["witness"]["assignment"]
+    for i, e in enumerate(complete_edges(9)):
+        if e in split:
+            assignment[i] = 0
+        elif assignment[i] == 0:
+            assignment[i] = 1
+
+
+def _recolor_k11_edge(cert: dict) -> None:
+    # edge {1, 2} (1-based) joins row 0's triangles 1, 4, 7 and 2, 5, 8
+    cert["witness"]["assignment"][complete_edges(11).index((0, 1))] = 0
 
 
 def _drop_last_hyperedge(cert: dict) -> None:
@@ -621,23 +642,17 @@ def _witness(key: str, value) -> Callable[[dict], None]:
     return lambda cert: cert["witness"].__setitem__(key, value)
 
 
-def _witness_item(key: str, i: int, value) -> Callable[[dict], None]:
-    return lambda cert: cert["witness"][key].__setitem__(i, value)
-
-
 @pytest.mark.parametrize("name, check, edit", [
     ("ramsey", "mono-free:", _witness("assignment", [0] * 6)),
     ("clique", "clique-edges:", _witness("vertices", [0, 2])),
     ("bijection", "bijection-roundtrip:", _swap_hyperedges),
     ("walecki", "hamilton-cycle: class is not a 2-regular", _swap_cycle_edges),
-    # C3 + C6
-    ("walecki", "hamilton-cycle: class is disconnected",
-     _witness_item("cycles", 0, "9 9\n0 1\n0 2\n1 2\n3 4\n3 8\n4 5\n5 6\n6 7\n7 8\n")),
-    ("galaxy", "class-order:", _witness_item("classes", 3, "7 3\n0 3\n1 4\n2 5\n")),
+    ("walecki", "hamilton-cycle: class is disconnected", _split_cycle),
+    ("k11", "factor-shape:", _recolor_k11_edge),
     ("truncated-plane", "edge-count:", _drop_last_hyperedge),
     ("claim51", "edge-count:", _drop_last_hyperedge),
     ("match", "matching-disjoint:", _witness("matching", [0, 6, 7])),
-], ids=["ramsey", "clique", "bijection", "walecki-path", "walecki-disconnected", "galaxy",
+], ids=["ramsey", "clique", "bijection", "walecki-path", "walecki-disconnected", "k11",
         "truncated-plane", "claim51", "match"])
 def test_witness_forgery_fails_its_check(tmp_path, capsys, name, check, edit):
     # before these, no test made any of these checks fail

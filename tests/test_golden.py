@@ -135,8 +135,8 @@ def test_one_command_table():
 # the check of each producer's answer, by the command that prints it
 _CHECK_OF = {
     "ramsey": "verify_mono_free", "cover": "_verify_cover_payload",
-    "max-cover": "_verify_cover_payload", "walecki": "_verify_cycle_decomposition",
-    "galaxy": "_verify_galaxy", "k11": "_verify_cover_payload", "match": "is_matching",
+    "max-cover": "_verify_cover_payload", "walecki": "_verify_hamilton_cycles",
+    "galaxy": "_verify_star_forests", "k11": "_verify_factor_shapes", "match": "is_matching",
     "ach": "_verify_ach", "plane": "_verify_plane",
     "truncated-plane": "_verify_truncated_plane", "claim51": "_verify_claim51",
 }

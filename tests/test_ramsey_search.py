@@ -42,7 +42,6 @@ from ramseylab.ramsey_search import (
     explicit_pattern,
     find_copy,
     matching_pattern,
-    mono_free_search,
     parse_family,
     path_pattern,
     star_pattern,
@@ -53,6 +52,16 @@ from ramseylab.ramsey_search import (
 def _random_graph(n: int, p: float, rng: random.Random) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return build_graph(n, edges)
+
+
+def color_kn(n: int, k: int, fam: ForbiddenFamily,
+             budget: int | None = None) -> tuple[tuple[int, ...] | None, int]:
+    """The search compute_c_k runs at K_n: an admissible k-coloring of
+    complete_edges(n), or None, and the nodes it took.  The other test
+    modules import it from here."""
+    bud = NodeBudget(budget)
+    chosen = _color_edges(n, k, complete_edges(n), fam, bud, row=n - 1)
+    return (None if chosen is None else tuple(chosen)), bud.spent
 
 
 # -- patterns and parsing --------------------------------------------------------
@@ -174,8 +183,8 @@ def test_explicit_paths_and_stars_search_like_their_kernels():
                       (ForbiddenFamily((s3_file,)), FAMILY_PRESETS["F3"])):
         for k in (1, 2, 3):
             for n in range(2, 7):
-                a, na = mono_free_search(n, k, fam)
-                b, nb = mono_free_search(n, k, same)
+                a, na = color_kn(n, k, fam)
+                b, nb = color_kn(n, k, same)
                 assert (a, na) == (b, nb)
 
 
@@ -362,7 +371,7 @@ def test_search_memory_does_not_grow_with_the_palette():
     fam = FAMILY_PRESETS["F4"]
     tracemalloc.start()
     try:
-        coloring, nodes = mono_free_search(5, 10 ** 6, fam)
+        coloring, nodes = color_kn(5, 10 ** 6, fam)
         # counting refutes no K_n up to the cap for 10^6 colors, so no
         # construction on 2 * 10^6 + 1 vertices is started
         with pytest.raises(BudgetExceededError) as cap_exc:
@@ -373,7 +382,7 @@ def test_search_memory_does_not_grow_with_the_palette():
     assert peak < 1 << 20
     assert cap_exc.value.partial["lower"] == cap_exc.value.partial["cap"] == 10
     # 10 edges never open more than 10 colors, so any larger palette searches alike
-    small, small_nodes = mono_free_search(5, 10, fam)
+    small, small_nodes = color_kn(5, 10, fam)
     assert (coloring, nodes) == (small, small_nodes)
     with pytest.raises(BudgetExceededError) as exc:
         compute_c_k(fam, 10 ** 6, cap=4)
@@ -385,12 +394,13 @@ def test_search_memory_does_not_grow_with_the_palette():
 
 def test_search_input_validation():
     fam = FAMILY_PRESETS["F1"]
+    # the scan searches K_1 up to K_cap, so a cap below 1 leaves no size to search
     with pytest.raises(ValidationError) as exc:
-        mono_free_search(0, 1, fam)
-    assert exc.value.code == "BAD_N"
-    with pytest.raises(ValidationError) as exc:
-        mono_free_search(3, 0, fam)
-    assert exc.value.code == "BAD_K"
+        compute_c_k(fam, 1, cap=0)
+    assert (exc.value.code, str(exc.value)) == ("OUT_OF_RANGE", "cap must be >= 1, got 0")
+    # K_0 and K_1 have no edge to color; K_3 has no coloring from an empty palette
+    assert color_kn(0, 1, fam) == color_kn(1, 1, fam) == ((), 0)
+    assert color_kn(3, 0, fam) == (None, 0)
     for k in (0, -1):
         with pytest.raises(ValidationError) as exc:
             compute_c_k(fam, k)
@@ -399,9 +409,9 @@ def test_search_input_validation():
 
 def test_triangle_two_colors_boundary():
     fam = FAMILY_PRESETS["F1"]
-    col, _ = mono_free_search(5, 2, fam)
+    col, _ = color_kn(5, 2, fam)
     assert col is not None and verify_mono_free(5, complete_edges(5), col, fam) is None
-    assert mono_free_search(6, 2, fam)[0] is None
+    assert color_kn(6, 2, fam)[0] is None
 
 
 def test_witnesses_always_verify():
@@ -410,7 +420,7 @@ def test_witnesses_always_verify():
         fam = rng.choice(list(FAMILY_PRESETS.values()))
         n = rng.randint(2, 5)
         k = rng.randint(1, 3)
-        col, _ = mono_free_search(n, k, fam)
+        col, _ = color_kn(n, k, fam)
         if col is not None:
             assert verify_mono_free(n, complete_edges(n), col, fam) is None
             assert len(col) == n * (n - 1) // 2 and all(0 <= c < k for c in col)
@@ -418,7 +428,7 @@ def test_witnesses_always_verify():
 
 def test_search_budget_exhaustion():
     with pytest.raises(BudgetExceededError) as exc:
-        mono_free_search(10, 2, FAMILY_PRESETS["F1"], budget=3)
+        color_kn(10, 2, FAMILY_PRESETS["F1"], budget=3)
     assert exc.value.partial["nodes"] >= 3
 
 
@@ -450,7 +460,7 @@ def test_matching_search_leaves_no_garbage():
     gc.disable()
     try:
         before = gc.get_count()[0]
-        coloring, nodes = mono_free_search(7, 4, parse_family("MATCH:2"))
+        coloring, nodes = color_kn(7, 4, parse_family("MATCH:2"))
         grown = gc.get_count()[0] - before
     finally:
         gc.enable()
@@ -520,13 +530,13 @@ def test_search_node_counts_and_witnesses_are_pinned(spec, k, value, witness_nod
     assert res.built == built
     if built:
         # the search still finds its K_{c_k} witness in the pinned count on its own
-        coloring, nodes = mono_free_search(value, k, fam)
+        coloring, nodes = color_kn(value, k, fam)
         assert (nodes, "".join(map(str, coloring))) == (search_nodes, search_assignment)
     if counted:
         # the search still refutes K_{c_k + 1} in the pinned count on its own
         assert res.refutation_nodes == 0
         if refutation_nodes is not None:
-            assert mono_free_search(value + 1, k, fam) == (None, refutation_nodes)
+            assert color_kn(value + 1, k, fam) == (None, refutation_nodes)
     else:
         assert res.refutation_nodes == refutation_nodes
 
@@ -550,13 +560,13 @@ def test_row_break_headline_counts(spec, k, value, witness_nodes, refutation_nod
 def test_budget_cap_matches_node_budget():
     # the budget is checked before each node, as NodeBudget.tick does
     with pytest.raises(BudgetExceededError) as exc:
-        mono_free_search(10, 5, FAMILY_PRESETS["F2"], budget=200_000)
+        color_kn(10, 5, FAMILY_PRESETS["F2"], budget=200_000)
     assert exc.value.partial["nodes"] == 200_000
-    col, nodes = mono_free_search(4, 2, FAMILY_PRESETS["F2"])
+    col, nodes = color_kn(4, 2, FAMILY_PRESETS["F2"])
     assert col is not None
-    assert mono_free_search(4, 2, FAMILY_PRESETS["F2"], budget=nodes)[1] == nodes
+    assert color_kn(4, 2, FAMILY_PRESETS["F2"], budget=nodes)[1] == nodes
     with pytest.raises(BudgetExceededError):
-        mono_free_search(4, 2, FAMILY_PRESETS["F2"], budget=nodes - 1)
+        color_kn(4, 2, FAMILY_PRESETS["F2"], budget=nodes - 1)
 
 
 def test_color_edges_charges_its_budget_on_every_exit():
@@ -614,7 +624,7 @@ def test_compute_c_k_checks_the_coloring_it_returns(capsys, monkeypatch):
     # the scan does not check the K_5 it returns: the certificate check in
     # run() rejects it for the value, the cut of the K_6 search and the cap
     fam = FAMILY_PRESETS["F2"]
-    below = sum(mono_free_search(n, 3, fam)[1] for n in range(1, 6))
+    below = sum(color_kn(n, 3, fam)[1] for n in range(1, 6))
     _mono_k5_search(monkeypatch)
     for extra in ([], ["--budget", str(below + 1)], ["--cap", "5"]):
         _assert_run_rejects(capsys, extra)
@@ -636,7 +646,7 @@ def test_compute_c_k_checks_the_coloring_counting_settles(capsys, monkeypatch):
 
 def test_search_depth_exceeds_recursion_limit():
     # K_50 has 1225 edges, more than Python's default recursion limit
-    col, nodes = mono_free_search(50, 1, parse_family("STAR:60"))
+    col, nodes = color_kn(50, 1, parse_family("STAR:60"))
     assert col is not None and nodes == 1225
 
 
@@ -703,7 +713,7 @@ def test_built_witness_agrees_with_the_search():
                 assert res.value == closed_form_c_k(fam, k).value == 2 * k - 2
                 continue
             n = 2
-            while mono_free_search(n, k, fam)[0] is not None:
+            while color_kn(n, k, fam)[0] is not None:
                 n += 1
             assert res.value == n - 1, (spec, k)
     assert len(settled) == 32
@@ -806,7 +816,7 @@ def test_star_forest_bound_settles_f7_by_counting():
         assert (res.value, res.counted, res.refutation_nodes) == (value, True, 0), k
         # the galaxy star forests of K_4 and K_6 are its witnesses at k = 3, 4
         assert res.built == ("galaxy" if k in (3, 4) else None), k
-        refuted, nodes = mono_free_search(value + 1, k, fam)
+        refuted, nodes = color_kn(value + 1, k, fam)
         assert refuted is None, k
     # the search spends 686,685 nodes on the last of them, K_7 at k = 5
     assert nodes == 686685
@@ -899,7 +909,7 @@ def test_signature_count_refutes_no_colorable_size(spec):
     fam = parse_family(spec)
     for k in range(1, 5):
         n = 1
-        while mono_free_search(n, k, fam)[0] is not None:
+        while color_kn(n, k, fam)[0] is not None:
             assert not counting_refutes(fam, k, n), (k, n)
             n += 1
 
@@ -936,7 +946,7 @@ def test_cover_count_refutes_no_colorable_size(spec):
     fam = parse_family(spec)
     for k in range(1, 6):
         n = 1
-        while mono_free_search(n, k, fam)[0] is not None:
+        while color_kn(n, k, fam)[0] is not None:
             assert not counting_refutes(fam, k, n), (k, n)
             n += 1
 
@@ -974,7 +984,7 @@ def test_closed_forms_match_search_on_small_cases():
         assert form is not None and not form.asymptotic and not form.conditional
         assert compute_c_k(fam, k).value == form.value
         # the search agrees with the formula without the counting bound's help
-        assert mono_free_search(form.value + 1, k, fam)[0] is None, (name, k)
+        assert color_kn(form.value + 1, k, fam)[0] is None, (name, k)
 
 
 def test_closed_form_reduces_the_family_like_the_search():

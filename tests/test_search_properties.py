@@ -27,7 +27,8 @@ from ramseylab.hypergraph_lab import (
     make_hypergraph,
     max_matching,
 )
-from ramseylab.ramsey_search import mono_free_search, parse_family
+from ramseylab.ramsey_search import parse_family
+from test_ramsey_search import color_kn
 
 
 def _colourable(n: int, edges: list[tuple[int, int]], k: int) -> bool:
@@ -204,7 +205,7 @@ def test_edge_search_agrees_with_enumeration(tokens, size):
     # tries its colours in may drop colourings, never the last admissible one
     n, k = size
     fam = parse_family(",".join(tokens))
-    coloring, _ = mono_free_search(n, k, fam)
+    coloring, _ = color_kn(n, k, fam)
     assert (coloring is not None) == _brute_colourable(n, k, tokens)
     if coloring is not None:
         assert _admissible(n, k, tokens, coloring)
