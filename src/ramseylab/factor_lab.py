@@ -43,7 +43,7 @@ from .graph_core import (
     NodeBudget,
     _bits,
     build_graph,
-    complete_edge_index,
+    complete_edge_bits,
     complete_edges,
     connected_components,
     restrict,
@@ -105,16 +105,11 @@ def _verify_cover_payload(n: int, r: int, properness: str, mode: str,
 # -- edge-mask plumbing -------------------------------------------------------
 
 
-def _edge_bit(u: int, v: int, n: int) -> int:
-    if u > v:
-        u, v = v, u
-    return 1 << complete_edge_index(n, u, v)
-
-
 def _edge_mask(g: Graph) -> int:
+    bits = complete_edge_bits(g.n)
     mask = 0
     for u, v in g.edges():
-        mask |= _edge_bit(u, v, g.n)
+        mask |= bits[u][v]
     return mask
 
 
@@ -141,30 +136,43 @@ def _enumerate_maximal_factors(n: int, proper: bool = False) -> list[int]:
     """Sorted edge masks of all edge-maximal generalized factors on n
     vertices, or with proper of all proper ones.  The maximal ones have
     triangles, edges and at most one isolated vertex, but never an edge and
-    an isolated vertex both, which would accept another edge."""
-    out: list[int] = []
+    an isolated vertex both, which would accept another edge.  The factors
+    on a vertex set depend only on the set and on the blocks still allowed,
+    so each such sub-pool is built once, from the blocks of its lowest
+    vertex, and a block that leaves a set its rule cannot fill is skipped."""
+    bits = complete_edge_bits(n)
+    # sub-pools by unassigned << 2 | rule: 0 any block, 1 no isolated vertex
+    # (an edge is in), 2 triangles only (an isolated vertex is in)
+    memo: dict[int, list[int]] = {0: [0], 1: [0], 2: [0]}
 
-    def rec(unassigned: int, mask: int, has_single: bool, has_edge: bool) -> None:
-        if unassigned == 0:
-            out.append(mask)
-            return
+    def pool(key: int) -> list[int]:
+        unassigned, rule = key >> 2, key & 3
+        size = unassigned.bit_count()
         low = unassigned & -unassigned
-        v = low.bit_length() - 1
-        rest = unassigned ^ low
-        others = _bits(rest)
-        for i, u in enumerate(others):
+        row, rest = bits[low.bit_length() - 1], unassigned ^ low
+        if size <= 3:  # a set this small that its rule can fill is one block
+            u, w = (rest & -rest).bit_length() - 1, rest.bit_length() - 1
+            out = memo[key] = [row[u] | row[w] | bits[u][w]] if rest else [0]
+            return out
+        others, out = _bits(rest), []
+        for i, u in enumerate(others if rule != 1 or size != 4 else ()):
+            vu, row_u = row[u], bits[u]
             for w in others[i + 1:]:
-                rec(rest ^ (1 << u) ^ (1 << w),
-                    mask | _edge_bit(v, u, n) | _edge_bit(v, w, n) | _edge_bit(u, w, n),
-                    has_single, has_edge)
-        if not (proper or has_single):
-            for u in others:
-                rec(rest ^ (1 << u), mask | _edge_bit(v, u, n), has_single, True)
-            if not has_edge:
-                rec(rest, mask, True, has_edge)
+                sub, tri = (rest ^ (1 << u) ^ (1 << w)) << 2 | rule, vu | row[w] | row_u[w]
+                out += [tri | m for m in memo.get(sub) or pool(sub)]
+        for u in others if rule != 2 else ():
+            sub, vu = (rest ^ (1 << u)) << 2 | 1, row[u]
+            out += [vu | m for m in memo.get(sub) or pool(sub)]
+        if rule == 0 and size % 3 == 1:
+            out += memo.get(rest << 2 | 2) or pool(rest << 2 | 2)
+        memo[key] = out
+        return out
 
-    rec((1 << n) - 1, 0, False, False)
-    return sorted(out)  # each once: the lowest free vertex's block fixes a branch
+    if proper and n % 3:
+        return []
+    top = ((1 << n) - 1) << 2 | (2 if proper else 0)
+    # each once: the lowest free vertex's block fixes a branch
+    return sorted(memo.get(top) or pool(top))
 
 
 def _maximal_shape_reps(n: int, proper: bool) -> list[int]:
@@ -175,22 +183,33 @@ def _maximal_shape_reps(n: int, proper: bool) -> list[int]:
     shapes += [((n - 1) // 3, 0)] if n % 3 == 1 else []
     if proper:  # triangles on every vertex
         shapes = [(t, e) for t, e in shapes if 3 * t == n]
+    bits = complete_edge_bits(n)
     reps = []
     for triangles, edges in shapes:
         mask = 0
         for v in range(0, 3 * triangles, 3):
-            mask |= _edge_bit(v, v + 1, n) | _edge_bit(v, v + 2, n) | _edge_bit(v + 1, v + 2, n)
+            mask |= bits[v][v + 1] | bits[v][v + 2] | bits[v + 1][v + 2]
         for v in range(3 * triangles, 3 * triangles + 2 * edges, 2):
-            mask |= _edge_bit(v, v + 1, n)
+            mask |= bits[v][v + 1]
         reps.append(mask)
     return reps
 
 
-def _iter_factor_masks_within(n: int, allowed_adj: Sequence[int], proper: bool,
+def _iter_factor_masks_within(n: int, allowed_adj: Sequence[int], proper: bool, left: int,
                               limit_mask: int | None = None) -> Iterator[int]:
     """All factor edge-masks drawn from the allowed adjacency, lowest vertex
-    first; proper factors are triangle partitions only.  Masks only grow
-    along a branch, so any partial mask exceeding limit_mask is pruned."""
+    first, that leave no vertex more than 2 * left allowed edges for the
+    left factors after this one; proper factors are triangle partitions
+    only.  A block fixes its vertices' factor degrees, so it is skipped
+    when one of them would keep too many.  Masks only grow along a branch,
+    so any partial mask exceeding limit_mask is pruned."""
+    bits = complete_edge_bits(n)
+    excess = [a.bit_count() - 2 * left for a in allowed_adj]
+    if max(excess, default=0) > 2:  # a factor has maximum degree 2
+        return
+    # vertices that must take two factor edges, and those that must take one
+    two = sum(1 << v for v, x in enumerate(excess) if x == 2)
+    one = sum(1 << v for v, x in enumerate(excess) if x >= 1)
 
     def rec(unassigned: int, mask: int) -> Iterator[int]:
         if limit_mask is not None and mask > limit_mask:
@@ -201,32 +220,33 @@ def _iter_factor_masks_within(n: int, allowed_adj: Sequence[int], proper: bool,
         low = unassigned & -unassigned
         v = low.bit_length() - 1
         rest = unassigned ^ low
-        nbrs_v = allowed_adj[v] & rest
-        nb_list = _bits(nbrs_v)
+        row = bits[v]
+        nb_list = _bits(allowed_adj[v] & rest)
         # triangle v,u,w
         for i, u in enumerate(nb_list):
             for w in nb_list[i + 1:]:
                 if (allowed_adj[u] >> w) & 1:
                     yield from rec(rest ^ (1 << u) ^ (1 << w),
-                                   mask | _edge_bit(v, u, n) | _edge_bit(v, w, n)
-                                   | _edge_bit(u, w, n))
+                                   mask | row[u] | row[w] | bits[u][w])
         if proper:
             return
-        # 2-edge path centered at v
-        for i, u in enumerate(nb_list):
-            for w in nb_list[i + 1:]:
-                yield from rec(rest ^ (1 << u) ^ (1 << w),
-                               mask | _edge_bit(v, u, n) | _edge_bit(v, w, n))
+        # 2-edge path centered at v, its ends of degree 1
+        light = _bits(allowed_adj[v] & rest & ~two)
+        for i, u in enumerate(light):
+            for w in light[i + 1:]:
+                yield from rec(rest ^ (1 << u) ^ (1 << w), mask | row[u] | row[w])
+        if low & two:
+            return
         # 2-edge path v-u-w
         for u in nb_list:
-            for w in _bits(allowed_adj[u] & rest):
-                yield from rec(rest ^ (1 << u) ^ (1 << w),
-                               mask | _edge_bit(v, u, n) | _edge_bit(u, w, n))
+            for w in _bits(allowed_adj[u] & rest & ~two):
+                yield from rec(rest ^ (1 << u) ^ (1 << w), mask | row[u] | bits[u][w])
         # single edge
-        for u in nb_list:
-            yield from rec(rest ^ (1 << u), mask | _edge_bit(v, u, n))
+        for u in light:
+            yield from rec(rest ^ (1 << u), mask | row[u])
         # isolated vertex
-        yield from rec(rest, mask)
+        if not low & one:
+            yield from rec(rest, mask)
 
     yield from rec((1 << n) - 1, 0)
 
@@ -235,20 +255,21 @@ def _iter_factor_masks_within(n: int, allowed_adj: Sequence[int], proper: bool,
 
 
 def _factor_search(n: int, r: int, reps: Sequence[int],
-                   nxt: Callable[[int, int | None], Iterable[int]],
-                   last: Callable[[int], tuple[int, int]],
+                   nxt: Callable[[int, int | None, int], Iterable[int]],
+                   last: Callable[[int, int], tuple[int, int]],
                    best: int, witness: list[int], bud: NodeBudget) -> tuple[int, list[int]]:
     """The one search behind cover_search and max_coverable_edges.
 
     Chooses r factor edge-masks depth first, one level per factor.  Level 1
     takes the shape representatives reps.  Each later level below r takes
-    nxt(covered, previous mask), the previous mask None after level 1.
-    Level r takes last(uncovered), which is (edges gained, mask), a negative
-    gain when there is no last factor.  Each level spends one node and is
-    pruned when r - level + 1 factors of at most maxf edges each cannot beat
-    best.  Once only a full cover beats best (best + 1 >= C(n, 2)), a level
-    is also pruned when some vertex has more than 2 * (r - level + 1)
-    uncovered edges.  best starts as the count of witness, a cover already in
+    nxt(covered, previous mask, factors after it), the previous mask None
+    after level 1.  Level r takes last(uncovered, best - covered), which is
+    (edges gained, mask), a gain of at most best - covered when no last
+    factor beats best.  Each level spends one node and is pruned when
+    r - level + 1 factors of at most maxf edges each cannot beat best.  Once
+    only a full cover beats best (best + 1 >= C(n, 2)), a level is also
+    pruned when some vertex has more than 2 * (r - level + 1) uncovered
+    edges.  best starts as the count of witness, a cover already in
     hand, or as one below the count to reach with an empty witness.  A choice
     that beats best becomes the witness, and the search stops once best
     reaches min(C(n, 2), r * maxf), which no r factors exceed.  Returns
@@ -260,7 +281,7 @@ def _factor_search(n: int, r: int, reps: Sequence[int],
     maxf, bound = _edge_bound(n, 1), _edge_bound(n, r)
     if witness and best >= bound:  # the cover in hand is optimal by counting
         return best, witness
-    stars = [sum(_edge_bit(v, u, n) for u in range(n) if u != v) for v in range(n)]
+    stars = [sum(row) for row in complete_edge_bits(n)]
     chosen: list[int] = []  # the masks of levels 1 .. len(chosen)
     frames: list[tuple[Iterator[int], int]] = []  # (candidates, covered before)
     covered = 0
@@ -279,7 +300,7 @@ def _factor_search(n: int, r: int, reps: Sequence[int],
                 best + 1 >= edges and any((missing & star).bit_count() > 2 * left
                                           for star in stars)):
             if level == r:
-                gain, mask = last(missing)
+                gain, mask = last(missing, best - cov)
                 if cov + gain > best:
                     best, witness = cov + gain, chosen + [mask]
                     if best >= bound:
@@ -287,7 +308,8 @@ def _factor_search(n: int, r: int, reps: Sequence[int],
             else:
                 # the first factor, fixed only up to isomorphism, bounds no mask
                 prev = chosen[-1] if level > 2 else None
-                frames.append((iter(reps if level == 1 else nxt(covered, prev)), covered))
+                frames.append((iter(reps if level == 1 else nxt(covered, prev, left - 1)),
+                               covered))
                 chosen.append(0)  # replaced by the level's first candidate
         while frames:  # the next candidate of the deepest level that has one
             candidates, before = frames[-1]
@@ -308,13 +330,14 @@ def _edge_bound(n: int, r: int) -> int:
     return min(n * (n - 1) // 2, r * (n if n % 3 == 0 else n - 1))
 
 
-def _sorted_tail(build: Callable[[], list[int]]) -> Callable[[int, int | None], list[int]]:
+def _sorted_tail(build: Callable[[], list[int]]
+                 ) -> Callable[[int, int | None, int], list[int]]:
     """The later-level rule over a sorted pool without repeats: the pool from
     the previous mask on, so the later factors come in order.  The pool is
     built on first use, so a search ending before level 2 builds none."""
     pool = lru_cache(maxsize=None)(build)
 
-    def nxt(covered: int, prev: int | None) -> list[int]:
+    def nxt(covered: int, prev: int | None, left: int) -> list[int]:
         masks = pool()
         return masks if prev is None else masks[bisect_left(masks, prev):]
 
@@ -352,9 +375,10 @@ def cover_search(n: int, r: int, properness: str = GENERALIZED,
     full = _full_edge_mask(n)
     scheme = COVER_SCHEME if mode == COVER else DECOMP_SCHEME
 
-    def last(missing: int) -> tuple[int, int]:
+    def last(missing: int, beat: int) -> tuple[int, int]:
         """(edges gained, mask) of a last factor taking every missing edge,
-        or (-1, 0) if there is none; a decomposition's is exactly missing."""
+        or (-1, 0) if there is none; a decomposition's is exactly missing.
+        Only a full cover beats the cover to beat, so beat is not read."""
         mask = _last_cover_factor(n, missing, proper)
         if mask is None or (mode == DECOMPOSITION and mask != missing):
             return -1, 0
@@ -363,9 +387,9 @@ def cover_search(n: int, r: int, properness: str = GENERALIZED,
     if mode == COVER:
         nxt = _sorted_tail(lambda: _enumerate_maximal_factors(n, proper))
     else:
-        def nxt(covered: int, prev: int | None) -> Iterator[int]:
+        def nxt(covered: int, prev: int | None, left: int) -> Iterator[int]:
             return _iter_factor_masks_within(n, _mask_to_graph(full & ~covered, n).adj,
-                                             proper, limit_mask=prev)
+                                             proper, left, limit_mask=prev)
 
     masks = _factor_search(n, r, _maximal_shape_reps(n, proper), nxt, last,
                            full.bit_count() - 1, [], bud)[1]
@@ -407,9 +431,10 @@ def _last_cover_factor(n: int, missing_mask: int, proper: bool) -> int | None:
     rest = ones[len(twos):]
     for i in range(0, len(rest), 3):
         blocks.append(rest[i:i + 3])
+    bits = complete_edge_bits(n)
     mask = 0
     for a, b, c in blocks:
-        mask |= _edge_bit(a, b, n) | _edge_bit(a, c, n) | _edge_bit(b, c, n)
+        mask |= bits[a][b] | bits[a][c] | bits[b][c]
     return mask
 
 
@@ -429,7 +454,8 @@ def max_coverable_edges(n: int, r: int, budget: int | None = None) -> MaxCoverRe
     The search of cover_search, with the same symmetry reduction; its last
     factor is chosen by a subset-memoized packing that maximizes the edges
     taken from the uncovered graph, so the result is an exact maximum, not a
-    heuristic.  The search starts from the greedy cover, which it must beat,
+    heuristic; the packing runs only when _packing_bound can beat the best
+    cover in hand.  The search starts from the greedy cover, which it must beat,
     and stops once min(C(n, 2), r * maxf) edges are covered.  A caller
     checks the factors with _verify_cover_payload(require_cover=False).
     """
@@ -442,10 +468,13 @@ def max_coverable_edges(n: int, r: int, budget: int | None = None) -> MaxCoverRe
     for _ in range(r):  # the greedy cover's nodes, one per factor, as a search level's
         bud.tick()
     greedy, greedy_masks = _greedy_cover(n, r)
+
+    def last(missing: int, beat: int) -> tuple[int, int]:
+        return _max_partial_factor(n, missing) if _packing_bound(n, missing) > beat else (-1, 0)
+
     value, masks = _factor_search(
         n, r, _maximal_shape_reps(n, proper=False),
-        _sorted_tail(lambda: _enumerate_maximal_factors(n)),
-        lambda missing: _max_partial_factor(n, missing), greedy, greedy_masks, bud)
+        _sorted_tail(lambda: _enumerate_maximal_factors(n)), last, greedy, greedy_masks, bud)
     return MaxCoverResult(value, tuple(_mask_to_graph(m, n) for m in masks), bud.spent)
 
 
@@ -470,6 +499,7 @@ def _max_partial_factor(n: int, allowed_mask: int) -> tuple[int, int]:
     """Maximum-edge subgraph of the allowed graph that is a generalized
     factor, by subset-memoized recursion on the lowest undecided vertex."""
     adj = _mask_to_graph(allowed_mask, n).adj
+    bits = complete_edge_bits(n)
     memo: dict[int, tuple[int, int]] = {}
 
     def rec(unassigned: int) -> tuple[int, int]:
@@ -483,23 +513,24 @@ def _max_partial_factor(n: int, allowed_mask: int) -> tuple[int, int]:
         rest = unassigned ^ low
         best, best_mask = rec(rest)  # v isolated
         nb_list = _bits(adj[v] & rest)
+        row = bits[v]
         for u in nb_list:
             ub = 1 << u
-            e_vu = _edge_bit(v, u, n)
+            e_vu = row[u]
             sub, sub_mask = rec(rest ^ ub)
             if sub + 1 > best:
                 best, best_mask = sub + 1, sub_mask | e_vu
             for w in _bits(adj[u] & rest):
                 sub, sub_mask = rec(rest ^ ub ^ (1 << w))
-                cand = sub_mask | e_vu | _edge_bit(u, w, n)
+                cand = sub_mask | e_vu | bits[u][w]
                 if sub + 2 > best:
                     best, best_mask = sub + 2, cand
         for i, u in enumerate(nb_list):
             for w in nb_list[i + 1:]:
                 sub, sub_mask = rec(rest ^ (1 << u) ^ (1 << w))
-                path_mask = _edge_bit(v, u, n) | _edge_bit(v, w, n)
+                path_mask = row[u] | row[w]
                 if (adj[u] >> w) & 1:
-                    tri = path_mask | _edge_bit(u, w, n)
+                    tri = path_mask | bits[u][w]
                     if sub + 3 > best:
                         best, best_mask = sub + 3, sub_mask | tri
                 if sub + 2 > best:
@@ -508,6 +539,23 @@ def _max_partial_factor(n: int, allowed_mask: int) -> tuple[int, int]:
         return best, best_mask
 
     return rec((1 << n) - 1)
+
+
+def _packing_bound(n: int, allowed_mask: int) -> int:
+    """At least _max_partial_factor(n, allowed_mask)[0]: a factor's
+    components lie in the allowed graph's, and one of those on c vertices
+    gives it at most all its edges, and at most c - ceil(c / 3) (paths of at
+    most 2 edges) if it is triangle-free, else c - [3 does not divide c]."""
+    g = _mask_to_graph(allowed_mask, n)
+    adj, total = g.adj, 0
+    for comp in connected_components(g):
+        members = _bits(comp)
+        c, e = len(members), sum(adj[v].bit_count() for v in members) // 2
+        if any(adj[u] & adj[v] for u in members for v in _bits(adj[u] >> u << u)):
+            total += min(e, c - (c % 3 != 0))
+        else:
+            total += min(e, c - (c + 2) // 3)
+    return total
 
 
 # -- explicit constructions -----------------------------------------------------

@@ -124,9 +124,15 @@ def complete_edges(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((u, v) for u in range(n) for v in range(u + 1, n))
 
 
-def complete_edge_index(n: int, u: int, v: int) -> int:
-    """The position of edge (u, v), u < v, in complete_edges(n)."""
-    return u * (2 * n - u - 1) // 2 + v - u - 1
+@lru_cache(maxsize=None)
+def complete_edge_bits(n: int) -> tuple[tuple[int, ...], ...]:
+    """bits[u][v] = bits[v][u] = 1 << the position of edge uv in
+    complete_edges(n), 0 when u == v: the bit of each edge of K_n in an
+    edge mask, built once per n."""
+    bits = [[0] * n for _ in range(n)]
+    for i, (u, v) in enumerate(complete_edges(n)):
+        bits[u][v] = bits[v][u] = 1 << i
+    return tuple(map(tuple, bits))
 
 
 def color_classes(n: int, edges: Iterable[tuple[int, int]],

@@ -686,8 +686,12 @@ def _built_witness(fam: ForbiddenFamily, k: int, n: int
     walecki_colors(k) colors K_{2k+1} by Walecki's k Hamilton cycles, and for
     k >= 3 galaxy_colors(k - 1) colors K_{2k-2} by k star forests; either is
     kept, as it is, only when verify_mono_free accepts it for the family.
+    A Hamilton cycle of K_{2k+1} holds every path of at most 2k edges, so
+    Walecki is not built when the family forbids one.
     """
     if n == 2 * k + 1:
+        if 0 < fam.kernel[0].get("path", 0) <= 2 * k:
+            return None
         name, colors = "walecki", walecki_colors(k)
     elif n == 2 * k - 2 and k >= 3:
         name, colors = "galaxy", galaxy_colors(k - 1)

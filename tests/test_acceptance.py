@@ -17,6 +17,9 @@ from ramseylab.factor_lab import (
     DECOMPOSITION,
     GENERALIZED,
     PROPER,
+    _verify_cover_payload,
+    _verify_hamilton_cycles,
+    _verify_star_forests,
     chi_r_report,
     cover_search,
     galaxy_colors,
@@ -58,6 +61,10 @@ def _timed(fn, limit: float):
     elapsed = time.perf_counter() - started
     assert elapsed < limit, f"took {elapsed:.1f}s, limit {limit:.0f}s"
     return out, elapsed
+
+
+def _classes(n: int, colors) -> list:
+    return list(color_classes(n, complete_edges(n), colors).values())
 
 
 def test_acceptance_01_path_family_values():
@@ -105,7 +112,7 @@ def test_acceptance_03_three_factor_coverage_limits():
 
 
 def test_acceptance_04_eleven_vertex_union_bounds():
-    factors = list(color_classes(11, complete_edges(11), k11_colors()).values())
+    factors = _classes(11, k11_colors())
     assert len(factors) == 6
     union = union_graphs(factors)
     assert union.m == 55 and union.n == 11
@@ -118,12 +125,24 @@ def test_acceptance_04_eleven_vertex_union_bounds():
 
 
 def test_acceptance_05_named_decompositions():
-    _, t1 = _timed(lambda: [walecki_colors(k) for k in range(1, 11)], MINUTE)
-    _, t2 = _timed(lambda: [galaxy_colors(k) for k in range(2, 11)], MINUTE)
+    def cycles():
+        for k in range(1, 11):
+            classes = _classes(2 * k + 1, walecki_colors(k))
+            assert len(classes) == k
+            _verify_hamilton_cycles(classes)
+
+    def galaxies():
+        for k in range(2, 11):
+            classes = _classes(2 * k, galaxy_colors(k))
+            assert len(classes) == k + 1
+            _verify_star_forests(classes)
+
+    _, t1 = _timed(cycles, MINUTE)
+    _, t2 = _timed(galaxies, MINUTE)
     kirkman, t3 = _timed(
         lambda: cover_search(9, 4, properness=PROPER, mode=DECOMPOSITION), MINUTE)
     assert kirkman.factors is not None
-    assert sum(f.m for f in kirkman.factors) == 36
+    _verify_cover_payload(9, 4, PROPER, DECOMPOSITION, kirkman.factors, require_cover=True)
     print(f"ACCEPTANCE 5: PASS cycle decompositions k <= 10, galaxy covers "
           f"k <= 10, triple-system decomposition of K_9 ({t1 + t2 + t3:.1f}s)")
 

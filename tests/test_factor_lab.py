@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import itertools
 import json
 import random
 import tracemalloc
@@ -44,6 +45,8 @@ from ramseylab.graph_core import (
     color_classes,
     complete_edges,
     complete_graph,
+    cycle_graph,
+    path_graph,
     union_graphs,
 )
 from ramseylab.ramsey_search import (
@@ -136,8 +139,42 @@ def test_enumerate_maximal_factors_are_maximal():
             assert _is_maximal_factor(g)
 
 
+def _brute_maximal_factors(n: int, proper: bool) -> list[int]:
+    """Edge masks of the maximal factors of K_n by brute force.  A maximal
+    factor's components are complete, else the missing edge joins one, and
+    no two of them hold at most 3 vertices together, else an edge joins
+    them: so every partition of the vertices into blocks of at most 3 (all
+    of 3 if proper), as cliques, kept when its two smallest blocks are
+    larger together."""
+    def partitions(rest: list[int]):
+        if not rest:
+            yield []
+            return
+        first, *others = rest
+        for size in ((2,) if proper else (0, 1, 2)):
+            for mates in itertools.combinations(others, size):
+                for tail in partitions([x for x in others if x not in mates]):
+                    yield [(first, *mates)] + tail
+
+    masks = set()
+    for blocks in partitions(list(range(n))):
+        sizes = sorted(map(len, blocks))
+        if len(sizes) < 2 or sizes[0] + sizes[1] > 3:
+            edges = [e for block in blocks for e in itertools.combinations(block, 2)]
+            masks.add(_edge_mask(build_graph(n, edges)))
+    return sorted(masks)
+
+
+def test_enumerate_maximal_factors_agrees_with_brute_force():
+    for n in range(1, 10):
+        for proper in (False, True):
+            assert _enumerate_maximal_factors(n, proper) == _brute_maximal_factors(n, proper), (
+                n, proper)
+
+
 def _proper_masks(n: int, adj=None) -> list[int]:
-    return list(_iter_factor_masks_within(n, adj or complete_graph(n).adj, True))
+    # n factors after this one leave room for every edge: no degree rule
+    return list(_iter_factor_masks_within(n, adj or complete_graph(n).adj, True, n))
 
 
 def test_enumerate_proper_factors_counts():
@@ -160,6 +197,24 @@ def test_proper_factor_iterator_yields_only_triangle_partitions():
     masks = _proper_masks(6, adj)
     assert len(masks) == 6
     assert all(classify_factor(_mask_to_graph(m, 6)) == PROPER for m in masks)
+
+
+def test_factor_iterator_skips_blocks_that_break_the_degree_rule():
+    # with left factors after it, a factor is yielded exactly when no vertex
+    # keeps more than 2 * left allowed edges, in the order of the unfiltered
+    # iterator; a vertex with 2 * left + 3 allowed edges leaves none
+    from ramseylab.factor_lab import _mask_to_graph
+    rng = random.Random(53)
+    for _ in range(60):
+        n = rng.randint(3, 7)
+        adj = _mask_to_graph(rng.getrandbits(n * (n - 1) // 2), n).adj
+        for proper in (False, True):
+            every = list(_iter_factor_masks_within(n, adj, proper, n))
+            for left in range(4):
+                kept = [m for m in every
+                        if all(a.bit_count() - f.bit_count() <= 2 * left
+                               for a, f in zip(adj, _mask_to_graph(m, n).adj))]
+                assert list(_iter_factor_masks_within(n, adj, proper, left)) == kept
 
 
 def test_shape_representatives_come_in_descending_order():
@@ -252,10 +307,10 @@ PINNED_SEARCHES = {
     (9, 4, PROPER, COVER): (56, [60202942723, 1376134276, 2693861968, 4446537768]),
     (4, 3, GENERALIZED, DECOMPOSITION): (3, [33, 6, 24]),
     (5, 3, GENERALIZED, DECOMPOSITION): (4, [531, 292, 200]),
-    (6, 3, GENERALIZED, DECOMPOSITION): (385, None),
+    (6, 3, GENERALIZED, DECOMPOSITION): (22, None),
     (6, 4, GENERALIZED, DECOMPOSITION): (4, [28707, 2316, 208, 1536]),
-    (7, 4, GENERALIZED, DECOMPOSITION): (64, [1081411, 591124, 150024, 274592]),
-    (8, 4, GENERALIZED, DECOMPOSITION): (520, [139198595, 68178980, 50430280, 10627600]),
+    (7, 4, GENERALIZED, DECOMPOSITION): (10, [1081411, 591124, 150024, 274592]),
+    (8, 4, GENERALIZED, DECOMPOSITION): (5, [139198595, 68178980, 50430280, 10627600]),
     (3, 2, PROPER, DECOMPOSITION): (2, None),
     (9, 4, PROPER, DECOMPOSITION): (4, [60202942723, 4572980260, 1627953288, 2315600464]),
     (9, 5, PROPER, DECOMPOSITION): (86, None),
@@ -452,6 +507,29 @@ def test_max_cover_stops_at_the_edge_bound():
     for n, value in ((10, 36), (11, 40)):
         res = max_coverable_edges(n, 4)
         assert (res.value, res.nodes) == (value, 4), n
+
+
+def test_packing_bound_bounds_the_packing():
+    # at least the best one factor takes, for every graph on at most 6
+    # vertices, and exact on paths and cycles
+    for n in range(1, 7):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            assert factor_lab._packing_bound(n, mask) >= factor_lab._max_partial_factor(n, mask)[0]
+    for n in range(2, 13):
+        for g in [path_graph(n)] + ([cycle_graph(n)] if n >= 3 else []):
+            mask = _edge_mask(g)
+            assert factor_lab._packing_bound(n, mask) == factor_lab._max_partial_factor(n, mask)[0]
+
+
+def test_max_cover_packs_only_where_the_bound_can_win(monkeypatch):
+    # the uncovered graphs at the last level of K_6's 3-factor search are C6
+    # and C4 + K2, where the bound is exact: only the greedy cover packs
+    calls = []
+    pack = factor_lab._max_partial_factor
+    monkeypatch.setattr(factor_lab, "_max_partial_factor",
+                        lambda n, mask: calls.append(mask) or pack(n, mask))
+    res = max_coverable_edges(6, 3)
+    assert (res.value, res.nodes, len(calls)) == (13, 56, 2)
 
 
 def test_max_coverable_witness_consistency():

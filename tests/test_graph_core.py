@@ -16,7 +16,7 @@ from ramseylab.graph_core import (
     _exact_k_coloring,
     build_graph,
     chromatic_number,
-    complete_edge_index,
+    complete_edge_bits,
     complete_edges,
     complete_graph,
     connected_components,
@@ -124,12 +124,21 @@ def test_complete_edges_is_the_edge_order_of_k_n():
     for n in range(MAX_VERTICES + 1):
         assert complete_edges(n) == tuple(complete_graph(n).edges())
         assert complete_edges(n) is complete_edges(n)
-        for i, (u, v) in enumerate(complete_edges(n)):
-            assert complete_edge_index(n, u, v) == i
     for n in (-1, 65):
         with pytest.raises(ValidationError) as exc:
             complete_edges(n)
         assert exc.value.code == "OUT_OF_RANGE"
+
+
+def test_complete_edge_bits_follow_complete_edges():
+    # every edge mask of K_n reads an edge's bit from this table
+    for n in range(17):
+        bits = complete_edge_bits(n)
+        assert bits is complete_edge_bits(n) and len(bits) == n
+        assert all(len(row) == n and row[u] == 0 for u, row in enumerate(bits))
+        assert all(bits[u][v] == bits[v][u] for u in range(n) for v in range(n))
+        assert [bits[u][v] for u, v in complete_edges(n)] == [
+            1 << i for i in range(n * (n - 1) // 2)]
 
 
 def test_star_graph_leaf_guard():

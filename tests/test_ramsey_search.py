@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from ramseylab import ramsey_search
 from ramseylab.cli import run
 from ramseylab.errors import BudgetExceededError, ValidationError
-from ramseylab.factor_lab import DEFAULT_DELTA0
+from ramseylab.factor_lab import DEFAULT_DELTA0, walecki_colors
 from ramseylab.graph_core import (
     Graph,
     NodeBudget,
@@ -720,6 +720,30 @@ def test_built_witness_agrees_with_the_search():
     assert {(spec, k) for spec, k, built in settled if built == "galaxy"} == {
         ("F4", 4), ("F4", 5), ("F4", 6), ("F4", 7),
         ("F7", 3), ("F7", 4), ("STAR:1", 3), ("PATH:2", 3)}
+
+
+def test_walecki_is_skipped_only_where_its_cycles_hold_a_forbidden_path(monkeypatch):
+    # a family forbidding a path of at most 2k edges skips Walecki before
+    # colouring K_{2k+1}; each such colouring is one the check rejects
+    def boom(k):
+        raise AssertionError("walecki built")
+
+    monkeypatch.setattr(ramsey_search, "walecki_colors", boom)
+    skipped = set()
+    for spec in [f"F{i}" for i in range(1, 8)] + [f"PATH:{l}" for l in range(1, 18)]:
+        fam = parse_family(spec)
+        for k in range(1, 9):
+            try:
+                assert ramsey_search._built_witness(fam, k, 2 * k + 1) is None
+            except AssertionError as exc:
+                assert str(exc) == "walecki built"
+                continue
+            n = 2 * k + 1
+            assert verify_mono_free(n, complete_edges(n), walecki_colors(k), fam) is not None
+            skipped.add((spec, k))
+    assert len(skipped) == 84 and ("F2", 4) in skipped
+    assert {spec for spec, _ in skipped} == {"F2", "F4", "F6", "F7"} | {
+        f"PATH:{l}" for l in range(3, 17)}
 
 
 @pytest.mark.parametrize("spec", ["F3", "F5"])
