@@ -45,6 +45,7 @@ from .factor_lab import (
     GENERALIZED,
     MAX_COVER_N,
     MAX_COVERABLE_N,
+    MAX_FACTORS,
     PROPER,
     _edge_bound,
     _greedy_cover,
@@ -56,9 +57,9 @@ from .factor_lab import (
 )
 from .hypergraph_lab import (
     PartiteHypergraph,
+    _verify_matching,
     factors_to_hypergraph,
     hypergraph_from_text,
-    is_matching,
     line_graph,
 )
 from .extremal import (
@@ -205,10 +206,6 @@ def _family(params: Mapping[str, Any]) -> ForbiddenFamily:
     return parse_family(spec)
 
 
-def _graph_payload(payload: Mapping[str, Any] | None, key: str = "graph") -> Graph:
-    return graph_from_text(_text(payload, key))
-
-
 def _graphs_payload(payload: Mapping[str, Any] | None, key: str) -> list[Graph]:
     texts = _need(payload, key)
     if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
@@ -277,7 +274,7 @@ def _verify_coloring(g: Graph, witness, value, stats, outcome) -> None:
 def _source_graph(params, witness) -> Graph:
     """The witness graph, which must be the generated graph its parameters
     name; a graph read from a file is the witness alone, and no path is kept."""
-    g = _graph_payload(witness)
+    g = graph_from_text(_text(witness, "graph"))
     for key, generate in GENERATORS.items():
         if key in params:
             size = _int(params, key, _PARAMS)
@@ -288,13 +285,10 @@ def _source_graph(params, witness) -> Graph:
 
 
 def _vf_chi(params, value, witness, stats, outcome):
-    if witness is not None:  # else an UNKNOWN without bounds, which proves nothing
-        _verify_coloring(_source_graph(params, witness), witness, value, stats, outcome)
+    _verify_coloring(_source_graph(params, witness), witness, value, stats, outcome)
 
 
 def _vf_clique(params, value, witness, stats, outcome):
-    if witness is None:  # a cut without bounds: nothing proven
-        return
     g = _source_graph(params, witness)
     verts = _int_list(witness, "vertices")
     if (len(verts) != value or len(set(verts)) != value
@@ -392,9 +386,9 @@ def _vf_cover(params, value, witness, stats, outcome):
         factors = _graphs_payload(witness, "factors")
         _verify_cover_payload(n, r, properness, mode, factors, require_cover=True)
     elif outcome == "NOT_EXISTS":
-        if not (1 <= n <= MAX_COVER_N and r >= 1):
+        if not (1 <= n <= MAX_COVER_N and 1 <= r <= MAX_FACTORS):
             raise VerificationError("cover-range", f"cover search runs on 1 <= n <= "
-                                    f"{MAX_COVER_N} and r >= 1, got {n}, {r}")
+                                    f"{MAX_COVER_N} and 1 <= r <= {MAX_FACTORS}, got {n}, {r}")
         if stats.get("scheme") != (COVER_SCHEME if mode == COVER else DECOMP_SCHEME):
             raise VerificationError("scheme-recorded",
                                     f"refutation does not name the {mode} symmetry scheme")
@@ -406,8 +400,6 @@ def _vf_cover(params, value, witness, stats, outcome):
 
 
 def _vf_max_cover(params, value, witness, stats, outcome):
-    if witness is None:  # cut before its greedy cover: nothing proven
-        return
     n, r = _int(params, "n", _PARAMS), _int(params, "r", _PARAMS)
     factors = _graphs_payload(witness, "factors")
     covered = _verify_cover_payload(n, r, GENERALIZED, COVER, factors, require_cover=False)
@@ -461,23 +453,14 @@ def _vf_bijection(params, value, witness, stats, outcome):
 
 
 def _vf_match(params, value, witness, stats, outcome):
-    if witness is None:  # a cut without bounds: nothing proven
-        return
     if outcome == "UNKNOWN" and stats.get("exact") is not False:
         raise VerificationError("cut-inexact", "a matching cut by its budget is not exact")
-    h = _hypergraph_payload(witness)
-    picked = _int_list(witness, "matching")
-    if len(picked) != value:
-        raise VerificationError("matching-size", "witness size differs from value")
-    if not is_matching(h, picked):
-        raise VerificationError("matching-disjoint", "matching witness is not disjoint")
+    _verify_matching(_hypergraph_payload(witness), _int_list(witness, "matching"), value)
 
 
 def _vf_line_chi(params, value, witness, stats, outcome):
     # the chromatic index is the chromatic number of the line graph
-    if witness is not None:
-        _verify_coloring(line_graph(_hypergraph_payload(witness)), witness, value, stats,
-                         outcome)
+    _verify_coloring(line_graph(_hypergraph_payload(witness)), witness, value, stats, outcome)
 
 
 def _vf_ach(params, value, witness, stats, outcome):
@@ -489,9 +472,10 @@ def _vf_ach(params, value, witness, stats, outcome):
         raise VerificationError("parts", f"expected three parts of size {m}")
     if len(labels) != h.m:
         raise VerificationError("label-length", "one label per edge required")
-    _verify_ach(h, labels, d, m, _int_list(witness, "matching"))
+    _verify_ach(h, labels, d)
     if value != d:
         raise VerificationError("matching-exact", "matching witness must have size d")
+    _verify_matching(h, _int_list(witness, "matching"), d)
     if _int(witness, "bound") != ach_bound(d, m) or not value < ach_bound(d, m):
         raise VerificationError("bound-refuted", "claimed bound is wrong or not beaten")
 
@@ -517,8 +501,8 @@ def _vf_claim51(params, value, witness, stats, outcome):
     p, m = _int(params, "p", _PARAMS), _int(params, "m", _PARAMS)
     uniformity = _int(params, "uniformity", _PARAMS) if "uniformity" in params else None
     h = _hypergraph_payload(witness)
-    picked = _int_list(witness, "matching")
-    _verify_claim51(h, p, m, uniformity, picked)
+    _verify_claim51(h, p, m, uniformity)
     if value != m:
         raise VerificationError("matching-exact",
                                 "matching witness must have one edge per copy")
+    _verify_matching(h, _int_list(witness, "matching"), m)

@@ -457,7 +457,8 @@ def verify_certificate(cert: Mapping[str, Any]) -> bool:
     where the row says so, a witness for EXISTS, VALUE and an UNKNOWN whose
     stats claim a lower or upper bound and none for NOT_EXISTS, only the
     bounds the row lets its UNKNOWN carry, then the row's check.  A cut with
-    a witness is checked as the VALUE of its lower bound.  Returns True;
+    a witness is checked as the VALUE of its lower bound; one without, of a
+    row that may carry bounds, proved none and needs no check.  Returns True;
     raises VerificationError naming the first violated check, or ParseError
     for structurally unusable payloads."""
     command, outcome = cert["command"], cert["outcome"]
@@ -483,7 +484,9 @@ def verify_certificate(cert: Mapping[str, Any]) -> bool:
     extra = bounds - row.bounds if outcome == "UNKNOWN" else bounds
     if extra:
         raise VerificationError("bounds", f"{outcome} of {command} carries no {min(extra)}")
-    if outcome == "UNKNOWN" and witness is not None and row.bounds:
+    if outcome == "UNKNOWN" and row.bounds:
+        if witness is None:
+            return True
         value = _int(cert["stats"], "lower", "stats")
     row.check(cert["parameters"], value, witness, cert["stats"], outcome)
     return True

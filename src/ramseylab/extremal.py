@@ -18,7 +18,7 @@ from math import ceil
 from typing import Iterable, Sequence
 
 from .errors import ValidationError, VerificationError
-from .hypergraph_lab import PartiteHypergraph, is_matching, make_hypergraph, regularity
+from .hypergraph_lab import PartiteHypergraph, make_hypergraph, regularity
 
 
 def _is_prime(p: int) -> bool:
@@ -48,8 +48,8 @@ def ach_counterexample(d: int) -> tuple[PartiteHypergraph, tuple[int, ...]]:
     (i,i,i).  Label i goes to the 3(m - d) + d mod 2 edges that i
     contributes, each meeting the diagonal triple {x_i, y_i, z_i} in at least
     two vertices; so the d label classes each pairwise intersect, and a
-    matching takes at most one edge per class.  A caller checks the result
-    and ach_matching(d) with _verify_ach.
+    matching takes at most one edge per class.  A caller checks the labels
+    with _verify_ach and ach_matching(d) with _verify_matching.
     """
     if d < 4:
         # below 4 the construction does not beat ceil((d-1) m / d)
@@ -82,20 +82,16 @@ def ach_matching(d: int) -> list[int]:
     return matching
 
 
-def _verify_ach(h: PartiteHypergraph, labels: Sequence[int], d: int, m: int,
-                matching: Sequence[int]) -> None:
+def _verify_ach(h: PartiteHypergraph, labels: Sequence[int], d: int) -> None:
     """Labels into 0..d-1 whose classes pairwise intersect, which caps any
-    matching at d, and a matching of size d, which is then the maximum."""
+    matching at d; a matching of size d, checked by _verify_matching, is
+    then the maximum."""
     by_label: dict[int, list[tuple[int, ...]]] = {}
     for e, lab in zip(h.edges, labels):
         by_label.setdefault(lab, []).append(e)
     if set(by_label) != set(range(d)):
         raise VerificationError("label-range", "labels do not cover A")
     _verify_intersecting(h, d, by_label.values(), 3, "label-intersect")
-    if not is_matching(h, matching):
-        raise VerificationError("matching-disjoint", "matching witness is not disjoint")
-    if len(matching) != d:
-        raise VerificationError("matching-exact", "matching witness must have size d")
 
 
 def _verify_intersecting(h: PartiteHypergraph, degree: int,
@@ -235,7 +231,8 @@ def claim51_hypergraph(p: int, m: int, uniformity: int | None = None) -> Partite
 
     A matching takes at most one extended line per stacked copy (lines of one
     copy pairwise intersect), and m disjoint lines from distinct copies with
-    distinct joining vertices exist, which _verify_claim51 checks exactly.
+    distinct joining vertices exist.  A caller checks the result with
+    _verify_claim51 and claim51_matching(p, m) with _verify_matching.
 
     uniformity, when given, must be at least p+2; the last part is then
     repeated uniformity-(p+2)+1 times, raising the edge size without changing
@@ -266,11 +263,11 @@ def claim51_matching(p: int, m: int) -> list[int]:
     return [c * per_copy + c for c in range(m)]
 
 
-def _verify_claim51(h: PartiteHypergraph, p: int, m: int, uniformity: int | None,
-                    matching: Sequence[int]) -> None:
+def _verify_claim51(h: PartiteHypergraph, p: int, m: int, uniformity: int | None) -> None:
     """Shape of the stacked construction: exactly uniformity parts, at least
-    p+2, or p+2 when no uniformity is given, each of size pm; and a matching
-    of size m, which is then the maximum."""
+    p+2, or p+2 when no uniformity is given, each of size pm, and m copies
+    whose lines pairwise intersect, which caps any matching at m; a matching
+    of size m, checked by _verify_matching, is then the maximum."""
     join = p * m
     base_r = p + 1
     r = base_r + 1 if uniformity is None else uniformity
@@ -288,11 +285,6 @@ def _verify_claim51(h: PartiteHypergraph, p: int, m: int, uniformity: int | None
     # at most one edge per copy
     copies = [h.edges[c * per_copy:(c + 1) * per_copy:join] for c in range(m)]
     _verify_intersecting(h, p * p * m, copies, base_r, "copy-intersect")
-    if not is_matching(h, matching):
-        raise VerificationError("matching-disjoint", "matching witness is not disjoint")
-    if len(matching) != m:
-        raise VerificationError("matching-exact",
-                                "matching witness must have one edge per copy")
 
 
 def _duplicate_last_part(h: PartiteHypergraph, copies: int) -> PartiteHypergraph:

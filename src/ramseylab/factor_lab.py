@@ -59,6 +59,7 @@ COVER_SCHEME = "maximal-factors/first-factor-up-to-iso/sorted-middle-factors/deg
 DECOMP_SCHEME = "maximal-first-factor-up-to-iso/descending-middle-masks/forced-last/degree-bound"
 MAX_COVER_N = 16  # the largest K_n that cover_search takes
 MAX_COVERABLE_N = 12  # the largest K_n that max_coverable_edges takes
+MAX_FACTORS = 10_000  # the r cap of both searches; past C(16, 2) = 120 factors, more are redundant
 
 
 def classify_factor(g: Graph) -> str:
@@ -76,6 +77,18 @@ def classify_factor(g: Graph) -> str:
     return PROPER if all_triangles else GENERALIZED
 
 
+def _verify_factor_shapes(classes: Iterable[Graph], proper: bool = False) -> None:
+    """The one check of a factor: no component larger than a triangle, and
+    if proper every component a triangle.  `k11` checks generalized factors,
+    `cover` and `max-cover` factors of the properness they were asked for."""
+    for g in classes:
+        cls = classify_factor(g)
+        if cls == NOT_A_FACTOR:
+            raise VerificationError("factor-shape", "component larger than a triangle")
+        if proper and cls != PROPER:
+            raise VerificationError("factor-proper", "non-triangle component in proper mode")
+
+
 def _verify_cover_payload(n: int, r: int, properness: str, mode: str,
                           factors: Sequence[Graph], require_cover: bool) -> int:
     """Check r factors of K_n as a certificate payload, edge-disjoint for a
@@ -83,14 +96,9 @@ def _verify_cover_payload(n: int, r: int, properness: str, mode: str,
     an edge mask."""
     if len(factors) != r:
         raise VerificationError("factor-count", f"expected {r} factors, got {len(factors)}")
-    for g in factors:
-        if g.n != n:
-            raise VerificationError("factor-order", "factor on wrong vertex count")
-        cls = classify_factor(g)
-        if cls == NOT_A_FACTOR:
-            raise VerificationError("factor-shape", "component larger than a triangle")
-        if properness == PROPER and cls != PROPER:
-            raise VerificationError("factor-proper", "non-triangle component in proper mode")
+    if any(g.n != n for g in factors):
+        raise VerificationError("factor-order", "factor on wrong vertex count")
+    _verify_factor_shapes(factors, proper=properness == PROPER)
     seen = 0
     for g in factors:
         mask = _edge_mask(g)
@@ -364,8 +372,8 @@ def cover_search(n: int, r: int, properness: str = GENERALIZED,
     caller checks the factors with _verify_cover_payload(require_cover=True)."""
     if n < 1 or n > MAX_COVER_N:
         raise ValidationError("BAD_N", f"cover search supports 1 <= n <= {MAX_COVER_N}, got {n}")
-    if r < 1:
-        raise ValidationError("OUT_OF_RANGE", f"need r >= 1, got {r}")
+    if not 1 <= r <= MAX_FACTORS:
+        raise ValidationError("OUT_OF_RANGE", f"need 1 <= r <= {MAX_FACTORS}, got {r}")
     if properness not in (PROPER, GENERALIZED):
         raise ValidationError("OUT_OF_RANGE", f"unknown properness {properness!r}")
     if mode not in (COVER, DECOMPOSITION):
@@ -462,8 +470,8 @@ def max_coverable_edges(n: int, r: int, budget: int | None = None) -> MaxCoverRe
     if n < 1 or n > MAX_COVERABLE_N:
         raise ValidationError("BAD_N", f"max cover search supports 1 <= n <= {MAX_COVERABLE_N}, "
                                        f"got {n}")
-    if r < 1:
-        raise ValidationError("OUT_OF_RANGE", f"need r >= 1, got {r}")
+    if not 1 <= r <= MAX_FACTORS:
+        raise ValidationError("OUT_OF_RANGE", f"need 1 <= r <= {MAX_FACTORS}, got {r}")
     bud = NodeBudget(budget)
     for _ in range(r):  # the greedy cover's nodes, one per factor, as a search level's
         bud.tick()
@@ -624,13 +632,6 @@ def k11_colors() -> tuple[int, ...]:
     chi_r_report(6); _verify_factor_shapes checks each class."""
     row = {(u - 1, v - 1): c for c, fac in enumerate(_K11_FACTORS_1BASED) for u, v in fac}
     return tuple(row[e] for e in complete_edges(11))
-
-
-def _verify_factor_shapes(classes: Iterable[Graph]) -> None:
-    """Each class a generalized factor: no component larger than a triangle."""
-    for g in classes:
-        if classify_factor(g) == NOT_A_FACTOR:
-            raise VerificationError("factor-shape", "component larger than a triangle")
 
 
 # -- chi_r reporting ------------------------------------------------------------

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import BudgetExceededError, ParseError, ValidationError
+from .errors import BudgetExceededError, ParseError, ValidationError, VerificationError
 from .graph_core import (
     MAX_VERTICES,
     Graph,
@@ -164,7 +164,7 @@ def max_matching(h: PartiteHypergraph, budget: int | None = None) -> MatchingRes
     positive degree: try each incident edge, then exclusion; prune when the
     per-part count of distinct live vertices cannot beat the best.
     The search order is fixed, so the witness and node count are too.  A
-    caller checks the witness with is_matching.
+    caller checks the witness with _verify_matching.
     """
     if h.m > MAX_MATCHING_EDGES:
         raise ValidationError("OUT_OF_RANGE",
@@ -197,6 +197,14 @@ def is_matching(h: PartiteHypergraph, picked: Sequence[int]) -> bool:
                 return False
             used.add((i, x))
     return True
+
+
+def _verify_matching(h: PartiteHypergraph, picked: Sequence[int], size: int) -> None:
+    """The one check of a matching witness: size edges of h, pairwise disjoint."""
+    if len(picked) != size:
+        raise VerificationError("matching-size", "witness size differs from value")
+    if not is_matching(h, picked):
+        raise VerificationError("matching-disjoint", "matching witness is not disjoint")
 
 
 def _vertex_ids(h: PartiteHypergraph) -> tuple[list[tuple[int, ...]], list[int]]:

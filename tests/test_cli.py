@@ -338,6 +338,13 @@ def test_construction_checks_k_before_the_vertex_count(capsys, command, k, code_
     assert (code, out) == (1, "") and err.startswith(f"error [{code_text}]")
 
 
+@pytest.mark.parametrize("command", ["cover", "max-cover"])
+def test_factor_count_above_the_cap_is_out_of_range(capsys, command):
+    # memory grows with r, and beyond C(16, 2) = 120 every factor is redundant
+    code, out, err = _invoke(capsys, [command, "--n", "5", "--r", "10001"])
+    assert (code, out) == (1, "") and err.startswith("error [OUT_OF_RANGE]")
+
+
 def test_closed_form_and_chi_r_share_the_delta0_rule(capsys):
     # the P4, S3 closed form reads chi_r_report, so it rejects delta0 < 1 as chi-r does
     for argv in (["closed-form", "--family", "F6", "--colors", "5", "--delta0", "0"],

@@ -24,6 +24,7 @@ from ramseylab.extremal import (
 )
 from ramseylab.graph_core import complete_graph
 from ramseylab.hypergraph_lab import (
+    _verify_matching,
     disjoint_copies,
     is_matching,
     line_graph,
@@ -62,7 +63,7 @@ def test_ach_matching_takes_one_edge_per_label():
         picked = ach_matching(d)
         assert is_matching(h, picked)
         assert sorted(labels[j] for j in picked) == list(range(d))
-        _verify_ach(h, labels, d, 3 * d // 2, picked)
+        _verify_ach(h, labels, d)
 
 
 def test_ach_label_is_the_diagonal_each_edge_meets_twice():
@@ -350,7 +351,8 @@ def test_claim51_shapes_and_matchings():
         assert h.m == p**3 * m * m
         assert regularity(h) == p * p * m
         assert max_matching(h).size == m
-        _verify_claim51(h, p, m, None, claim51_matching(p, m))
+        _verify_claim51(h, p, m, None)
+        _verify_matching(h, claim51_matching(p, m), m)
 
 
 def test_claim51_covered_fraction_is_one_over_p():

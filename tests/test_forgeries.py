@@ -596,6 +596,23 @@ def test_matching_cut_must_say_it_is_not_exact(tmp_path, capsys, edit):
     assert "check cut-inexact:" in _rejected(tmp_path, capsys, cert)
 
 
+@pytest.mark.parametrize("name", ["chi", "clique", "ramsey", "max-cover", "match",
+                                  "chromatic-index"])
+def test_cut_without_a_witness_proves_nothing_and_verifies(tmp_path, capsys, name):
+    # an UNKNOWN of a row that may carry bounds, cut before it proved one:
+    # no bound, no witness, only its nodes, and nothing for a check to test
+    cert = _golden(name)
+    cert.update(outcome="UNKNOWN", value=None, witness=None, stats={"nodes": 0, "elapsed_ms": 0})
+    assert _verify(tmp_path, capsys, cert)[:2] == (0, "true\n")
+
+
+def test_closed_form_unknown_where_a_formula_exists_is_rejected(tmp_path, capsys):
+    # closed-form's UNKNOWN carries no bounds, so its check still runs
+    cert = _golden("closed-form")
+    cert.update(outcome="UNKNOWN", value=None, witness=None)
+    assert "check formula-none:" in _rejected(tmp_path, capsys, cert)
+
+
 def test_non_maximal_clique_is_rejected(tmp_path, capsys):
     assert run(["clique", "--complete", "5", "--deterministic"]) == 0
     cert = json.loads(capsys.readouterr().out)
@@ -672,6 +689,54 @@ def test_claim51_edges_must_repeat_their_copy_lines(tmp_path, capsys):
         edges[i] = e
     cert["witness"]["hypergraph"] = "\n".join([head0, head1, *edges]) + "\n"
     assert "check copy-lines:" in _rejected(tmp_path, capsys, cert)
+
+
+def _overlapping_matching(cert: dict) -> None:
+    # the matching's second edge becomes another edge through its first's part-0 vertex
+    _, edges = _edges(cert)
+    picked = cert["witness"]["matching"]
+    picked[1] = next(j for j, e in enumerate(edges)
+                     if j != picked[0] and e[0] == edges[picked[0]][0])
+
+
+@pytest.mark.parametrize("name", ["ach", "claim51"])
+@pytest.mark.parametrize("check, edit", [
+    ("matching-size", lambda cert: cert["witness"]["matching"].pop()),
+    ("matching-disjoint", _overlapping_matching),
+    ("matching-exact", lambda cert: cert.update(value=cert["value"] - 1)),
+], ids=["dropped", "overlapping", "value"])
+def test_construction_matching_fails_the_one_matching_check(tmp_path, capsys, name, check,
+                                                            edit):
+    # ach --d 4 and claim51 --p 2 --m 2 name their matchings; a value other
+    # than d or m fails matching-exact before the witness is read
+    cert = _golden(name)
+    edit(cert)
+    assert f"check {check}:" in _rejected(tmp_path, capsys, cert)
+
+
+def test_proper_cover_with_a_path_factor_is_rejected(tmp_path, capsys):
+    # edge 1-2 of the first triangle leaves it: the path 1-0-2 is a
+    # generalized factor's component, not a proper one's
+    cert = _golden("cover-proper")
+    head, *edges = cert["witness"]["factors"][0].splitlines()
+    assert head == "9 9" and edges[2] == "1 2"
+    cert["witness"]["factors"][0] = "\n".join(["9 8"] + edges[:2] + edges[3:]) + "\n"
+    assert "check factor-proper:" in _rejected(tmp_path, capsys, cert)
+
+
+def test_k11_class_of_four_vertices_is_rejected(tmp_path, capsys):
+    # edge {1, 6} (1-based) moves to row 5, joining its path 1-10-4 and the
+    # vertex 6 that row 5 leaves bare into a component of 4 vertices
+    cert = _golden("k11")
+    cert["witness"]["assignment"][complete_edges(11).index((0, 5))] = 5
+    assert "check factor-shape:" in _rejected(tmp_path, capsys, cert)
+
+
+def test_cover_refutation_beyond_the_factor_cap_is_rejected(tmp_path, capsys):
+    # cover_search takes at most 10,000 factors, so none vouches for r = 10,001
+    cert = _golden("cover-refuted")
+    cert["parameters"]["r"] = 10_001
+    assert "check cover-range:" in _rejected(tmp_path, capsys, cert)
 
 
 # -- the command row: which outcomes a command prints, and which carry a value ------------
